@@ -7,13 +7,28 @@
 //
 // The radio cost model is the standard first-order one: transmitting b bits
 // over distance d costs b·(Eelec + Eamp·d²); receiving costs b·Eelec.
+//
+// The first Route or Send builds a static adjacency: the in-range neighbours
+// of every node in node-index order, each edge with its per-bit link energy.
+// Searches then run over it with scratch arrays and a value-typed heap owned
+// by the Network, so a steady-state Send allocates nothing. Node positions
+// must not change after that first call; batteries may, including by direct
+// writes to Node.Battery, and are read at search time.
+//
+// The route cache rests on one invariant: min-hop and min-energy paths are a
+// pure function of the static geometry plus the set of alive nodes. Those
+// two searches, including the min-energy leg of Conditional, are memoised
+// per (objective, src, dst). Every lookup recomputes the alive set and drops
+// the whole cache when it differs from the set the entries were computed
+// under. Max-min battery paths depend on live battery levels and are
+// searched on every call.
 package route
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Policy selects a path objective.
@@ -106,6 +121,8 @@ type Network struct {
 	totalEnergyJ  float64
 	firstDeathPkt int // packet count at first node death, -1 while none
 	deaths        int
+
+	g *graph // built by the first search
 }
 
 // NewGrid builds a w×h grid network with the given spacing, radio range and
@@ -172,42 +189,29 @@ func (n *Network) dist(a, b *Node) float64 {
 	return math.Sqrt(dx*dx + dy*dy)
 }
 
-// neighbors yields alive nodes within radio range of a.
-func (n *Network) neighbors(a *Node) []*Node {
-	var out []*Node
-	for _, b := range n.nodes {
-		if b == a || !b.Alive() {
-			continue
-		}
-		if n.dist(a, b) <= n.rang {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
-// linkEnergy returns the per-bit cost of the a→b link (TX at a + RX at b).
-func (n *Network) linkEnergy(a, b *Node) float64 {
-	d := n.dist(a, b)
-	return n.cost.TxEnergy(1, d) + n.cost.RxEnergy(1)
-}
-
 // Route computes a path from src to dst under the policy, or nil when no
-// path exists among alive nodes.
+// path exists among alive nodes. The caller owns the returned slice.
 func (n *Network) Route(policy Policy, src, dst int) []int {
+	return slices.Clone(n.route(policy, src, dst))
+}
+
+// route is Route without the copy: the path it returns aliases the route
+// cache or the search scratch and is valid until the next search.
+func (n *Network) route(policy Policy, src, dst int) []int {
 	s, d := n.nodes[src], n.nodes[dst]
 	if !s.Alive() || !d.Alive() {
 		return nil
 	}
+	n.build()
 	switch policy {
 	case MinHop:
-		return n.dijkstra(src, dst, func(a, b *Node) float64 { return 1 })
+		return n.cached(false, src, dst)
 	case MinEnergy:
-		return n.dijkstra(src, dst, n.linkEnergy)
+		return n.cached(true, src, dst)
 	case MaxMinBattery:
 		return n.widest(src, dst)
 	case Conditional:
-		p := n.dijkstra(src, dst, n.linkEnergy)
+		p := n.cached(true, src, dst)
 		if p == nil {
 			return nil
 		}
@@ -225,7 +229,7 @@ func (n *Network) Route(policy Policy, src, dst int) []int {
 // Send routes one packet of the given bit count and drains energy along the
 // path. It reports whether delivery succeeded.
 func (n *Network) Send(policy Policy, src, dst, bits int) bool {
-	path := n.Route(policy, src, dst)
+	path := n.route(policy, src, dst)
 	if path == nil {
 		n.failedPkts++
 		return false
@@ -259,133 +263,258 @@ func (n *Network) drain(nd *Node, j float64) {
 
 // --- shortest path machinery ---
 
-type pqItem struct {
-	id    int
-	prio  float64
-	index int
+// graph is the static adjacency in CSR form plus the state every search
+// reuses.
+type graph struct {
+	start  []int     // node u's edges are start[u]:start[u+1]
+	to     []int     // edge heads, ascending per tail
+	energy []float64 // per-bit link energy: TX at the tail + RX at the head
+
+	dist    []float64 // cost (dijkstra) or bottleneck width (widest)
+	prev    []int
+	visited []bool
+	q       pq
+	path    []int // unwind buffer
+
+	alive []uint64     // alive set the cache entries were computed under
+	cache []cacheEntry // [2][N][N]: objective (min-energy?), src, dst; O(N²) memory
 }
 
+type cacheEntry struct {
+	ok   bool
+	path []int // empty: no path
+}
+
+// build constructs the adjacency and the scratch on the first search.
+func (n *Network) build() {
+	if n.g != nil {
+		return
+	}
+	size := len(n.nodes)
+	g := &graph{
+		start:   make([]int, size+1),
+		dist:    make([]float64, size),
+		prev:    make([]int, size),
+		visited: make([]bool, size),
+		path:    make([]int, 0, size),
+		alive:   make([]uint64, (size+63)/64),
+		cache:   make([]cacheEntry, 2*size*size),
+	}
+	for u, a := range n.nodes {
+		for v, b := range n.nodes {
+			if v == u {
+				continue
+			}
+			if d := n.dist(a, b); d <= n.rang {
+				g.to = append(g.to, v)
+				g.energy = append(g.energy, n.cost.TxEnergy(1, d)+n.cost.RxEnergy(1))
+			}
+		}
+		g.start[u+1] = len(g.to)
+	}
+	// A search relaxes each edge at most once, so it pushes at most once
+	// per edge plus the source.
+	g.q.items = make([]pqItem, 0, len(g.to)+1)
+	n.g = g
+}
+
+// cached returns the memoised min-hop or min-energy path, searching and
+// storing it when the entry is missing.
+func (n *Network) cached(energy bool, src, dst int) []int {
+	n.syncAlive()
+	size := len(n.nodes)
+	k := src*size + dst
+	if energy {
+		k += size * size
+	}
+	e := &n.g.cache[k]
+	if !e.ok {
+		e.ok = true
+		e.path = append(e.path[:0], n.dijkstra(src, dst, energy)...)
+	}
+	if len(e.path) == 0 {
+		return nil
+	}
+	return e.path
+}
+
+// syncAlive recomputes the alive bitset and invalidates every cache entry
+// when it differs from the one the entries were computed under.
+func (n *Network) syncAlive() {
+	g := n.g
+	changed := false
+	for w := range g.alive {
+		var bits uint64
+		for i, nd := range n.nodes[w*64 : min(len(n.nodes), (w+1)*64)] {
+			if nd.Alive() {
+				bits |= 1 << i
+			}
+		}
+		if bits != g.alive[w] {
+			g.alive[w] = bits
+			changed = true
+		}
+	}
+	if changed {
+		for i := range g.cache {
+			g.cache[i].ok = false
+		}
+	}
+}
+
+type pqItem struct {
+	id   int
+	prio float64
+}
+
+// pq is a binary heap of values whose push and pop sift exactly as
+// container/heap's do, so equal-priority entries pop in the same order.
 type pq struct {
-	items []*pqItem
+	items []pqItem
 	max   bool // max-heap for widest path
 }
 
-func (q pq) Len() int { return len(q.items) }
-func (q pq) Less(i, j int) bool {
+func (q *pq) less(i, j int) bool {
 	if q.max {
 		return q.items[i].prio > q.items[j].prio
 	}
 	return q.items[i].prio < q.items[j].prio
 }
-func (q pq) Swap(i, j int) {
-	q.items[i], q.items[j] = q.items[j], q.items[i]
-	q.items[i].index = i
-	q.items[j].index = j
-}
-func (q *pq) Push(x any) {
-	it := x.(*pqItem)
-	it.index = len(q.items)
-	q.items = append(q.items, it)
-}
-func (q *pq) Pop() any {
-	old := q.items
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	q.items = old[:n-1]
-	return it
+
+func (q *pq) push(id int, prio float64) {
+	q.items = append(q.items, pqItem{id: id, prio: prio})
+	j := len(q.items) - 1
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !q.less(j, i) {
+			break
+		}
+		q.items[i], q.items[j] = q.items[j], q.items[i]
+		j = i
+	}
 }
 
-// dijkstra finds the min-cost path under an additive edge weight.
-func (n *Network) dijkstra(src, dst int, weight func(a, b *Node) float64) []int {
-	const inf = math.MaxFloat64
-	dist := make([]float64, len(n.nodes))
-	prev := make([]int, len(n.nodes))
-	for i := range dist {
-		dist[i] = inf
-		prev[i] = -1
+func (q *pq) pop() int {
+	n := len(q.items) - 1
+	q.items[0], q.items[n] = q.items[n], q.items[0]
+	i := 0
+	for {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q.less(j2, j) {
+			j = j2 // right child
+		}
+		if !q.less(j, i) {
+			break
+		}
+		q.items[i], q.items[j] = q.items[j], q.items[i]
+		i = j
 	}
-	dist[src] = 0
-	q := &pq{}
-	heap.Push(q, &pqItem{id: src, prio: 0})
-	visited := make([]bool, len(n.nodes))
-	for q.Len() > 0 {
-		it := heap.Pop(q).(*pqItem)
-		u := it.id
-		if visited[u] {
+	id := q.items[n].id
+	q.items = q.items[:n]
+	return id
+}
+
+// reset prepares the scratch for a search whose unreached value is unset.
+func (g *graph) reset(unset float64, maxHeap bool) {
+	for i := range g.dist {
+		g.dist[i] = unset
+		g.prev[i] = -1
+		g.visited[i] = false
+	}
+	g.q.items = g.q.items[:0]
+	g.q.max = maxHeap
+}
+
+// dijkstra finds the min-cost path under unit (min-hop) or link-energy
+// edge weights.
+func (n *Network) dijkstra(src, dst int, energy bool) []int {
+	const inf = math.MaxFloat64
+	g := n.g
+	g.reset(inf, false)
+	g.dist[src] = 0
+	g.q.push(src, 0)
+	for len(g.q.items) > 0 {
+		u := g.q.pop()
+		if g.visited[u] {
 			continue
 		}
-		visited[u] = true
+		g.visited[u] = true
 		if u == dst {
 			break
 		}
-		for _, b := range n.neighbors(n.nodes[u]) {
-			w := weight(n.nodes[u], b)
-			if nd := dist[u] + w; nd < dist[b.ID] {
-				dist[b.ID] = nd
-				prev[b.ID] = u
-				heap.Push(q, &pqItem{id: b.ID, prio: nd})
+		for e := g.start[u]; e < g.start[u+1]; e++ {
+			v := g.to[e]
+			if !n.nodes[v].Alive() {
+				continue
+			}
+			w := 1.0
+			if energy {
+				w = g.energy[e]
+			}
+			if nd := g.dist[u] + w; nd < g.dist[v] {
+				g.dist[v] = nd
+				g.prev[v] = u
+				g.q.push(v, nd)
 			}
 		}
 	}
-	if dist[dst] == inf {
+	if g.dist[dst] == inf {
 		return nil
 	}
-	return unwind(prev, src, dst)
+	return g.unwind(src, dst)
 }
 
 // widest finds the path maximizing the minimum battery level of
 // intermediate and endpoint nodes (bottleneck shortest path).
 func (n *Network) widest(src, dst int) []int {
-	width := make([]float64, len(n.nodes))
-	prev := make([]int, len(n.nodes))
-	for i := range width {
-		width[i] = -1
-		prev[i] = -1
-	}
-	width[src] = n.nodes[src].Level()
-	q := &pq{max: true}
-	heap.Push(q, &pqItem{id: src, prio: width[src]})
-	visited := make([]bool, len(n.nodes))
-	for q.Len() > 0 {
-		it := heap.Pop(q).(*pqItem)
-		u := it.id
-		if visited[u] {
+	g := n.g
+	g.reset(-1, true)
+	g.dist[src] = n.nodes[src].Level()
+	g.q.push(src, g.dist[src])
+	for len(g.q.items) > 0 {
+		u := g.q.pop()
+		if g.visited[u] {
 			continue
 		}
-		visited[u] = true
+		g.visited[u] = true
 		if u == dst {
 			break
 		}
-		for _, b := range n.neighbors(n.nodes[u]) {
-			w := math.Min(width[u], b.Level())
-			if w > width[b.ID] {
-				width[b.ID] = w
-				prev[b.ID] = u
-				heap.Push(q, &pqItem{id: b.ID, prio: w})
+		for e := g.start[u]; e < g.start[u+1]; e++ {
+			v := g.to[e]
+			b := n.nodes[v]
+			if !b.Alive() {
+				continue
+			}
+			if w := math.Min(g.dist[u], b.Level()); w > g.dist[v] {
+				g.dist[v] = w
+				g.prev[v] = u
+				g.q.push(v, w)
 			}
 		}
 	}
-	if width[dst] < 0 {
+	if g.dist[dst] < 0 {
 		return nil
 	}
-	return unwind(prev, src, dst)
+	return g.unwind(src, dst)
 }
 
-func unwind(prev []int, src, dst int) []int {
-	var rev []int
-	for at := dst; at != -1; at = prev[at] {
-		rev = append(rev, at)
+// unwind writes the src→dst path recorded in prev into the unwind buffer.
+func (g *graph) unwind(src, dst int) []int {
+	p := g.path[:0]
+	for at := dst; at != -1; at = g.prev[at] {
+		p = append(p, at)
 		if at == src {
 			break
 		}
 	}
-	if rev[len(rev)-1] != src {
+	if p[len(p)-1] != src {
 		return nil
 	}
-	out := make([]int, 0, len(rev))
-	for i := len(rev) - 1; i >= 0; i-- {
-		out = append(out, rev[i])
-	}
-	return out
+	slices.Reverse(p)
+	g.path = p
+	return p
 }
