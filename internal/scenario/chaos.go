@@ -15,8 +15,9 @@ import (
 // supervisor's three failure detectors and the retry/degrade machinery
 // can be exercised deterministically, in tests and from the CLI (-chaos).
 //
-// The configuration travels to workers via the REPRO_CHAOS environment
-// variable; the parent Shard also exports each worker's slot id and
+// The configuration travels to subprocess workers via the REPRO_CHAOS
+// environment variable (a TCP server takes it as NetServeOptions.ChaosSpec);
+// the parent Shard also exports each worker's slot id and
 // process generation (REPRO_WORKER_ID / REPRO_WORKER_GEN), so a schedule
 // can target specific generations — e.g. "every worker's first process
 // crashes, its replacement runs clean", which is exactly the shape the
@@ -30,23 +31,23 @@ import (
 // the listener — a dropped or blackholed connection's replacement is the
 // next generation, exactly like a crashed subprocess's restart.
 //
-// The first six verbs are the process faults stdio workers inject; the
-// network verbs (drop-conn-after, blackhole-after, slowlink-ms,
-// replay-after) apply to TCP sessions and are ignored by stdio workers,
-// whose transport cannot express them.
+// Every verb applies to both transports: stdio workers and TCP sessions
+// run the same session loop. A verb that ends the session (crash-after,
+// trunc-after, drop-conn-after) makes a stdio worker exit non-zero and
+// closes a TCP session's connection.
 type Chaos struct {
-	CrashAfter    int           // exit(3) when asked for seed N, before responding
+	CrashAfter    int           // end the session when asked for seed N, before responding
 	HangAfter     int           // sleep HangFor before responding to seed N
 	HangFor       time.Duration // hang duration; defaults to an hour (the chunk deadline reaps the worker first)
 	CorruptAfter  int           // respond to seed N with a well-framed garbage payload
-	TruncateAfter int           // respond to seed N with a truncated frame, then exit(3)
+	TruncateAfter int           // respond to seed N with a truncated frame, then end the session
 	DelayEvery    int           // sleep Delay before every Nth response
 	Delay         time.Duration // benign delay; defaults to 10ms
 	Gens          int           // apply faults only to worker generations < Gens; 0 means every generation
 
-	// Network verbs, for TCP worker sessions (ServeNet).
-	DropConnAfter  int           // close the connection on seed N without responding
-	BlackholeAfter int           // from seed N on: keep the connection, stop responding and heartbeating (rest of the chunk vanishes too)
+	// Network-shaped verbs; like the rest, they apply on both transports.
+	DropConnAfter  int           // end the session on seed N without responding
+	BlackholeAfter int           // from seed N on: keep the session open, stop responding and heartbeating (rest of the chunk vanishes too)
 	SlowLink       time.Duration // delay every response by this much while heartbeats keep flowing (benign)
 	ReplayAfter    int           // before responding to seed N, replay the previous response frame (stale epoch)
 }

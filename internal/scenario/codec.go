@@ -2,13 +2,11 @@ package scenario
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"slices"
-	"strconv"
 )
 
 // ErrDecode marks stream-corruption failures: an oversized frame header,
@@ -20,22 +18,16 @@ import (
 // errors (EOF, broken pipe).
 var ErrDecode = errors.New("decode error")
 
-// The result codec. Results cross two boundaries that must not change a
-// single bit: the shard worker protocol (subprocess stdout / TCP → parent)
-// and the on-disk result cache (cold write → warm read). The wire form is
-// a compact binary encoding: length-delimited name/table strings and
-// name-sorted values carried as raw math.Float64bits — so bit-exactness
-// (NaN, the infinities, signed zero, denormals) is trivially true, with no
-// hex round trip and no fmt in the hot path. Encoding the same Result
-// twice yields identical bytes, and decode(encode(r)) reproduces every
-// float bit-for-bit. The only normalization is that an empty Values map
-// decodes as nil.
-//
-// DecodeResult also keeps reading the legacy JSON form (PRs 4–8 cache
-// entries: a wireResult document with hex Float64bits), sniffed on the
-// first byte — binary encodings start with resultMagic, JSON with '{' —
-// so a cache directory written by an older build's keyspace stays
-// readable and a mixed fleet's shared store never goes dark.
+// The result codec. Results cross three boundaries that must not change a
+// single bit: the shard worker protocol (subprocess stdout / TCP → parent),
+// the result-store protocol and the on-disk result cache (cold write →
+// warm read). The wire form is a compact binary encoding:
+// length-delimited name/table strings and name-sorted values carried as
+// raw math.Float64bits — so bit-exactness (NaN, the infinities, signed
+// zero, denormals) is trivially true, with no hex round trip and no fmt in
+// the hot path. Encoding the same Result twice yields identical bytes, and
+// decode(encode(r)) reproduces every float bit-for-bit. The only
+// normalization is that an empty Values map decodes as nil.
 
 // Binary Result layout (after the two-byte magic/version header): each
 // string is uvarint length + bytes, each value is its uvarint-length name
@@ -44,7 +36,7 @@ var ErrDecode = errors.New("decode error")
 //	[resultMagic][resultVersion]
 //	[name][table][uvarint count]([valueName][8-byte bits])*
 const (
-	resultMagic   = 0xF5 // never '{' (0x7b): the legacy-JSON sniff byte
+	resultMagic   = 0xF5
 	resultVersion = 1
 )
 
@@ -63,6 +55,18 @@ const (
 	frameResult    = 0x03 // worker → coordinator: [type][epoch][spec][varint seed][binary Result]
 	frameError     = 0x04 // worker → coordinator: [type][epoch][spec][varint seed][msg]
 	frameHeartbeat = 0x05 // worker → coordinator: [type] — liveness only
+)
+
+// Result-store frame types (ServeStore and its remoteStore client): each
+// request frame is answered by exactly one reply frame. Keys are
+// entryRel-shaped paths; Results travel in the binary codec below, and the
+// receiver decodes them, so an undecodable PUT is refused, not stored.
+const (
+	frameStoreGet   = 0x06 // client → store: [type][uvarint len][key]
+	frameStorePut   = 0x07 // client → store: [type][uvarint len][key][binary Result]
+	frameStoreFound = 0x08 // store → client: [type][binary Result] — the GET's entry
+	frameStoreOK    = 0x09 // store → client: [type] — GET: no such entry (a miss); PUT: stored
+	frameStoreError = 0x0a // store → client: [type][uvarint len][message] — bad key, undecodable PUT, failed write
 )
 
 // resultEncoder appends binary Result encodings, reusing its name-sort
@@ -195,52 +199,12 @@ func EncodeResult(r Result) ([]byte, error) {
 	return enc.appendResult(nil, r), nil
 }
 
-// DecodeResult reverses EncodeResult bit-exactly. It also accepts the
-// legacy JSON wire form, so cache entries written by pre-binary builds
-// keep warm-hitting.
+// DecodeResult reverses EncodeResult bit-exactly.
 func DecodeResult(data []byte) (Result, error) {
-	if len(data) > 0 && data[0] == resultMagic {
-		var d resultDecoder
-		var res Result
-		if err := d.decode(data, &res, false); err != nil {
-			return Result{}, err
-		}
-		return res, nil
-	}
-	return decodeResultJSON(data)
-}
-
-// wireResult is the legacy JSON codec form (the wire and cache format
-// through PR 8), kept so DecodeResult reads old cache entries.
-type wireResult struct {
-	Name   string      `json:"name"`
-	Table  string      `json:"table"`
-	Values []wireValue `json:"values,omitempty"` // name-sorted
-}
-
-// wireValue is one legacy key figure: Bits (hex of math.Float64bits) is
-// the authoritative value; Human is informational.
-type wireValue struct {
-	Name  string `json:"name"`
-	Bits  string `json:"bits"`
-	Human string `json:"human"`
-}
-
-func decodeResultJSON(data []byte) (Result, error) {
-	var wr wireResult
-	if err := json.Unmarshal(data, &wr); err != nil {
-		return Result{}, fmt.Errorf("result codec: %w: %v", ErrDecode, err)
-	}
-	res := Result{Name: wr.Name, Table: wr.Table}
-	if len(wr.Values) > 0 {
-		res.Values = make(map[string]float64, len(wr.Values))
-	}
-	for _, v := range wr.Values {
-		bits, err := strconv.ParseUint(v.Bits, 16, 64)
-		if err != nil {
-			return Result{}, fmt.Errorf("result codec: %w: value %q has bad bits %q: %v", ErrDecode, v.Name, v.Bits, err)
-		}
-		res.Values[v.Name] = math.Float64frombits(bits)
+	var d resultDecoder
+	var res Result
+	if err := d.decode(data, &res, false); err != nil {
+		return Result{}, err
 	}
 	return res, nil
 }
@@ -355,6 +319,38 @@ func (f *frameScratch) resultFrame(spec []byte, seed, epoch int64, res Result) [
 
 func (f *frameScratch) errorFrame(spec []byte, seed, epoch int64, msg string) []byte {
 	f.respHeader(frameError, spec, seed, epoch)
+	f.buf = appendLenBytes(f.buf, msg)
+	return f.finish()
+}
+
+func (f *frameScratch) storeGetFrame(key string) []byte {
+	f.begin(frameStoreGet)
+	f.buf = appendLenBytes(f.buf, key)
+	return f.finish()
+}
+
+// storePutFrame encodes res directly into the frame buffer, like
+// resultFrame.
+func (f *frameScratch) storePutFrame(key string, res Result) []byte {
+	f.begin(frameStorePut)
+	f.buf = appendLenBytes(f.buf, key)
+	f.buf = f.enc.appendResult(f.buf, res)
+	return f.finish()
+}
+
+func (f *frameScratch) storeFoundFrame(res Result) []byte {
+	f.begin(frameStoreFound)
+	f.buf = f.enc.appendResult(f.buf, res)
+	return f.finish()
+}
+
+func (f *frameScratch) storeOKFrame() []byte {
+	f.begin(frameStoreOK)
+	return f.finish()
+}
+
+func (f *frameScratch) storeErrorFrame(msg string) []byte {
+	f.begin(frameStoreError)
 	f.buf = appendLenBytes(f.buf, msg)
 	return f.finish()
 }
@@ -496,33 +492,54 @@ func parseWireRequest(p []byte, scratch []int64) (wireRequest, error) {
 	return req, nil
 }
 
-// writeFrame emits v as one length-prefixed JSON frame — header and
-// payload coalesced into a single Write. The JSON framing remains the
-// result-store protocol (GET/PUT are rare, store-sized exchanges); the
-// worker fabric speaks the binary frames above.
-func writeFrame(w io.Writer, v any) error {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	buf := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(payload)))
-	copy(buf[4:], payload)
-	_, err = w.Write(buf)
-	return err
+// storeMsg is one parsed result-store frame. Byte-slice fields alias the
+// frame buffer and are valid until the next read.
+type storeMsg struct {
+	ftype  byte
+	key    []byte // GET, PUT
+	result []byte // PUT, found: binary Result encoding, still undecoded
+	errMsg []byte // error
 }
 
-// readFrame reads one length-prefixed JSON frame into v. A clean EOF at a
-// frame boundary is returned as io.EOF; EOF inside a frame is
-// io.ErrUnexpectedEOF.
-func readFrame(r io.Reader, v any) error {
-	var buf []byte
-	payload, err := readRawFrame(r, &buf)
-	if err != nil {
-		return err
+// parseStoreMsg decodes a result-store frame payload travelling in the
+// given direction (reply: store → client). Every malformed payload —
+// unknown type, a frame of the other direction, truncation, trailing
+// bytes — fails with ErrDecode.
+func parseStoreMsg(p []byte, reply bool) (storeMsg, error) {
+	fail := func(msg string) (storeMsg, error) {
+		return storeMsg{}, fmt.Errorf("%w: store frame: %s", ErrDecode, msg)
 	}
-	if err := json.Unmarshal(payload, v); err != nil {
-		return fmt.Errorf("%w: frame payload: %v", ErrDecode, err)
+	if len(p) == 0 {
+		return fail("empty frame")
 	}
-	return nil
+	m := storeMsg{ftype: p[0]}
+	b := p[1:]
+	var ok bool
+	switch {
+	case !reply && m.ftype == frameStoreGet:
+		if m.key, b, ok = getLenBytes(b); !ok || len(b) != 0 {
+			return fail("malformed get")
+		}
+	case !reply && m.ftype == frameStorePut:
+		if m.key, b, ok = getLenBytes(b); !ok || len(b) == 0 {
+			return fail("malformed put")
+		}
+		m.result = b
+	case reply && m.ftype == frameStoreFound:
+		if len(b) == 0 {
+			return fail("empty result")
+		}
+		m.result = b
+	case reply && m.ftype == frameStoreOK:
+		if len(b) != 0 {
+			return fail("malformed ok")
+		}
+	case reply && m.ftype == frameStoreError:
+		if m.errMsg, b, ok = getLenBytes(b); !ok || len(b) != 0 {
+			return fail("malformed error message")
+		}
+	default:
+		return fail(fmt.Sprintf("unexpected frame type 0x%02x", m.ftype))
+	}
+	return m, nil
 }

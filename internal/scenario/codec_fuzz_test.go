@@ -10,16 +10,16 @@ import (
 )
 
 // FuzzDecodeFrame fuzzes the codec layers every transport shares — the
-// length-prefixed frame reader, the frame-payload parsers for both
-// directions, and the binary Result codec — with the totality contract
-// the supervisor depends on: any mutation of the byte stream yields
-// ErrDecode (corruption, including a version-byte mismatch) or
-// io.EOF/io.ErrUnexpectedEOF (truncation), a zero Result, and never a
+// length-prefixed frame reader, the worker and result-store frame-payload
+// parsers for both directions, and the binary Result codec — with the
+// totality contract the supervisor depends on: any mutation of the byte
+// stream yields ErrDecode (corruption, including a version-byte mismatch)
+// or io.EOF/io.ErrUnexpectedEOF (truncation), a zero Result, and never a
 // panic or a partially decoded value surfacing as data.
 func FuzzDecodeFrame(f *testing.F) {
 	// Seed corpus: the codec_test.go shapes — hostile floats, empty values,
 	// framed streams, version skew, truncations, garbage, an oversized
-	// header — plus a legacy JSON document for the back-compat path.
+	// header — plus every store frame and truncated store frames.
 	hostile := Result{
 		Name:  "hostile",
 		Table: "t",
@@ -41,7 +41,6 @@ func FuzzDecodeFrame(f *testing.F) {
 	skew := append([]byte(nil), enc...)
 	skew[1] = resultVersion + 1
 	f.Add(skew)
-	f.Add([]byte(`{"name":"legacy","table":"t","values":[{"name":"v","bits":"3ff0000000000000","human":"1"}]}`))
 
 	var fs frameScratch
 	resp := append([]byte(nil), fs.resultFrame([]byte("s"), 7, 3, hostile)...)
@@ -58,9 +57,18 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(resp[:2])                                  // truncated mid-header
 	f.Add([]byte("chaos! not a frame {{{"))          // garbage
 	f.Add(append([]byte{0xff, 0xff, 0xff, 0xff}, 1)) // oversized header
+	f.Add(append([]byte(nil), fs.storeGetFrame("code/spec-0a/seed1.bin")...))
+	put := append([]byte(nil), fs.storePutFrame("code/spec-0a/seed1.bin", hostile)...)
+	f.Add(put)
+	found := append([]byte(nil), fs.storeFoundFrame(hostile)...)
+	f.Add(found)
+	f.Add(append([]byte(nil), fs.storeOKFrame()...)) // a GET miss, or a stored PUT
+	f.Add(append([]byte(nil), fs.storeErrorFrame("bad key")...))
+	f.Add(put[:7])              // truncated inside the key
+	f.Add(found[:len(found)-5]) // truncated inside the Result
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Result codec (binary + legacy JSON): total, loud, all-or-nothing.
+		// Result codec: total, loud, all-or-nothing.
 		if res, err := DecodeResult(data); err != nil {
 			if !errors.Is(err, ErrDecode) {
 				t.Errorf("DecodeResult error %v does not wrap ErrDecode", err)
@@ -103,6 +111,25 @@ func FuzzDecodeFrame(f *testing.F) {
 			// Request direction: the worker-side parser must be just as total.
 			if _, err := parseWireRequest(payload, nil); err != nil && !errors.Is(err, ErrDecode) {
 				t.Errorf("parseWireRequest error %v does not wrap ErrDecode", err)
+			}
+			// Store frames, both directions: total, and any carried Result
+			// decodes totally too.
+			for _, reply := range []bool{false, true} {
+				sm, err := parseStoreMsg(payload, reply)
+				if err != nil {
+					if !errors.Is(err, ErrDecode) {
+						t.Errorf("parseStoreMsg error %v does not wrap ErrDecode", err)
+					}
+					if sm.ftype != 0 || sm.key != nil || sm.result != nil || sm.errMsg != nil {
+						t.Errorf("parseStoreMsg leaked a partial message on error: %+v", sm)
+					}
+					continue
+				}
+				if sm.result != nil {
+					if _, derr := DecodeResult(sm.result); derr != nil && !errors.Is(derr, ErrDecode) {
+						t.Errorf("store Result error %v does not wrap ErrDecode", derr)
+					}
+				}
 			}
 		}
 	})

@@ -84,32 +84,6 @@ func TestCodecDeterministicBytes(t *testing.T) {
 	}
 }
 
-// TestDecodeLegacyJSON pins cache back-compat at the codec level:
-// DecodeResult still reads the hex-bits JSON documents every build
-// through PR 8 wrote, bit-exactly.
-func TestDecodeLegacyJSON(t *testing.T) {
-	legacy := `{"name":"legacy","table":"t\n","values":[` +
-		`{"name":"nan","bits":"7ff8000000000001","human":"NaN"},` +
-		`{"name":"negzero","bits":"8000000000000000","human":"-0"},` +
-		`{"name":"pi","bits":"400921fb54442d18","human":"3.141592653589793"}]}`
-	res, err := DecodeResult([]byte(legacy))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Name != "legacy" || res.Table != "t\n" || len(res.Values) != 3 {
-		t.Fatalf("legacy decode = %+v", res)
-	}
-	if !math.IsNaN(res.Values["nan"]) {
-		t.Errorf("nan = %v", res.Values["nan"])
-	}
-	if math.Float64bits(res.Values["negzero"]) != 0x8000000000000000 {
-		t.Errorf("negzero bits = %#x", math.Float64bits(res.Values["negzero"]))
-	}
-	if res.Values["pi"] != math.Pi {
-		t.Errorf("pi = %v", res.Values["pi"])
-	}
-}
-
 func TestDecodeRejectsGarbage(t *testing.T) {
 	if _, err := DecodeResult([]byte("not json")); err == nil {
 		t.Error("garbage JSON accepted")
@@ -121,14 +95,13 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 
 // TestDecodeErrorsAreLoudAndTotal pins the codec error contract the
 // supervisor's decode detector depends on: truncated encodings, version
-// skew, trailing garbage, oversized length prefixes and malformed legacy
-// JSON all fail with an error the caller can classify via
+// skew, trailing garbage, oversized length prefixes and JSON documents
+// all fail with an error the caller can classify via
 // errors.Is(err, ErrDecode) where the stream (not the transport) is at
 // fault — and the failed decode returns the zero Result, never a partial
 // one.
 func TestDecodeErrorsAreLoudAndTotal(t *testing.T) {
-	// Garbage-hex bits inside otherwise valid legacy JSON: ErrDecode, zero
-	// Result even though the first value was decodable.
+	// A JSON document (the pre-binary entry format): ErrDecode, zero Result.
 	res, err := DecodeResult([]byte(`{"name":"x","table":"t","values":[` +
 		`{"name":"good","bits":"3ff0000000000000"},{"name":"bad","bits":"zz"}]}`))
 	if !errors.Is(err, ErrDecode) {
@@ -219,8 +192,7 @@ func TestDecodeErrorsAreLoudAndTotal(t *testing.T) {
 
 // TestFrameRoundTrip checks the binary framing layer: request frames,
 // per-seed response frames, hello/heartbeat, clean EOF at a boundary vs.
-// truncation inside a frame — plus the JSON framing the store protocol
-// still speaks.
+// truncation inside a frame — plus the result-store frames.
 func TestFrameRoundTrip(t *testing.T) {
 	var fs frameScratch
 	var stream bytes.Buffer
@@ -288,18 +260,38 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Errorf("truncated frame: %v, want unexpected-EOF error", err)
 	}
 
-	// The store protocol still frames JSON: round-trip one request.
-	var jbuf bytes.Buffer
-	want := storeRequest{Op: "get", Key: "a/b.json"}
-	if err := writeFrame(&jbuf, want); err != nil {
-		t.Fatal(err)
+	// Store frames: each parses in its own direction only.
+	storeRes := Result{Name: "r", Table: "t", Values: map[string]float64{"negzero": math.Copysign(0, -1)}}
+	parse := func(frame []byte, reply bool) storeMsg {
+		t.Helper()
+		m, err := parseStoreMsg(frame[4:], reply)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := parseStoreMsg(frame[4:], !reply); !errors.Is(err, ErrDecode) {
+			t.Errorf("frame type 0x%02x parsed in the wrong direction: %v", frame[4], err)
+		}
+		return m
 	}
-	var gotReq storeRequest
-	if err := readFrame(&jbuf, &gotReq); err != nil {
-		t.Fatal(err)
+	if m := parse(fs.storeGetFrame("a/b.bin"), false); m.ftype != frameStoreGet || string(m.key) != "a/b.bin" {
+		t.Errorf("get = %+v", m)
 	}
-	if gotReq.Op != want.Op || gotReq.Key != want.Key {
-		t.Errorf("JSON frame round trip = %+v, want %+v", gotReq, want)
+	put := parse(fs.storePutFrame("a/b.bin", storeRes), false)
+	if put.ftype != frameStorePut || string(put.key) != "a/b.bin" {
+		t.Errorf("put = %+v", put)
+	}
+	if got, err := DecodeResult(put.result); err != nil || math.Float64bits(got.Values["negzero"]) != 1<<63 {
+		t.Errorf("put result = %+v / %v", got, err)
+	}
+	found := parse(fs.storeFoundFrame(storeRes), true)
+	if got, err := DecodeResult(found.result); found.ftype != frameStoreFound || err != nil || got.Name != "r" {
+		t.Errorf("found = %+v: %+v / %v", found, got, err)
+	}
+	if m := parse(fs.storeOKFrame(), true); m.ftype != frameStoreOK {
+		t.Errorf("ok = %+v", m)
+	}
+	if m := parse(fs.storeErrorFrame("bad key"), true); m.ftype != frameStoreError || string(m.errMsg) != "bad key" {
+		t.Errorf("error = %+v", m)
 	}
 }
 

@@ -167,22 +167,47 @@ func TestShardSurvivesCrashingWorkers(t *testing.T) {
 	}
 }
 
+// transportCase is one Shard under test, named by its transport.
+type transportCase struct {
+	name string
+	sh   *Shard
+}
+
+// chaosTransports builds a two-slot Shard per transport: subprocess
+// workers read procChaos from the environment, an in-process ServeNet
+// takes netChaos as its ChaosSpec. Both run the same session loop, so
+// every verb must behave the same on either. A subprocess generation
+// counts per slot but a TCP one per accepted connection, so with two
+// slots "gens=1" on subprocesses is "gens=2" over TCP.
+func chaosTransports(t *testing.T, procChaos, netChaos string) []transportCase {
+	return []transportCase{
+		{"subprocess", chaosShard(2, procChaos, nil)},
+		{"tcp", netShard(2, startNetServer(t, NetServeOptions{ChaosSpec: netChaos}), nil)},
+	}
+}
+
 // TestShardRecoversFromCorruptFrames injects a well-framed garbage payload
 // as each first-generation worker's first response: the decode detector,
-// not the process watcher, must catch it, and the retry must keep the run
-// bit-identical.
+// not the process watcher, must catch it, and the retry on a restarted or
+// redialed session must keep the run bit-identical.
 func TestShardRecoversFromCorruptFrames(t *testing.T) {
-	sh := chaosShard(2, "corrupt-after=1,gens=1", nil)
-	defer sh.Close()
-	requireShardMatchesLocal(t, sh, Seeds(10, 6))
+	for _, tc := range chaosTransports(t, "corrupt-after=1,gens=1", "corrupt-after=1,gens=2") {
+		t.Run(tc.name, func(t *testing.T) {
+			defer tc.sh.Close()
+			requireShardMatchesLocal(t, tc.sh, Seeds(10, 6))
 
-	h := sh.Health()
-	var decodes int64
-	for _, w := range h.Workers {
-		decodes += w.DecodeErrs
-	}
-	if decodes == 0 {
-		t.Errorf("corrupt frames should be classified as decode failures: %s", h.Summary())
+			h := tc.sh.Health()
+			var decodes int64
+			for _, w := range h.Workers {
+				decodes += w.DecodeErrs
+			}
+			if decodes == 0 {
+				t.Errorf("corrupt frames should be classified as decode failures: %s", h.Summary())
+			}
+			if h.Restarts() == 0 {
+				t.Errorf("a decode fault should end the session and open a new one: %s", h.Summary())
+			}
+		})
 	}
 }
 
@@ -392,7 +417,7 @@ func TestCacheCountsWriteErrors(t *testing.T) {
 	// store fails while every Result still flows. Works at any uid, unlike
 	// chmod tricks.
 	for _, seed := range seeds {
-		if err := os.MkdirAll(seedPath(c.specDir(spec), seed), 0o755); err != nil {
+		if err := os.MkdirAll(diskStore{root: dir}.path(entryRel(spec, seed)), 0o755); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net"
 	"os"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -112,7 +111,8 @@ type NetServeOptions struct {
 }
 
 // ServeNet serves the shard worker protocol on ln until the listener
-// closes. Each accepted connection is one independent worker session,
+// closes. Each accepted connection is one independent worker session —
+// the same session loop ServeWorker runs over stdio, with heartbeats on —
 // served concurrently; a malformed chaos schedule is a startup error.
 func ServeNet(ln net.Listener, o NetServeOptions) error {
 	if _, err := ParseChaos(o.ChaosSpec, 0); err != nil {
@@ -136,7 +136,11 @@ func ServeNet(ln net.Listener, o NetServeOptions) error {
 			return fmt.Errorf("worker: accept: %w", err)
 		}
 		chaos, _ := ParseChaos(o.ChaosSpec, gen) // validated above
-		go serveNetSession(conn, hb, chaos, byName, logw, gen)
+		s := session{chaos: chaos, byName: byName, heartbeat: hb, log: logw, gen: gen}
+		go func() {
+			defer conn.Close()
+			s.serve(conn) // a session's end is its own: the coordinator sees the closed connection
+		}()
 	}
 }
 
@@ -153,111 +157,4 @@ func ListenAndServeNet(addr string, o NetServeOptions) error {
 	}
 	fmt.Fprintf(logw, "worker: serving on %s\n", ln.Addr())
 	return ServeNet(ln, o)
-}
-
-// serveNetSession is the per-connection loop: hello first, then chunk
-// requests in, heartbeats and per-seed responses out (serialized by a
-// write mutex so a heartbeat can never split a response frame). Seed
-// execution and response framing mirror serveWorker exactly, so the two
-// transports cannot diverge semantically; like the stdio worker, chaos
-// triggers count executed seeds, not frames.
-func serveNetSession(conn net.Conn, hb time.Duration, chaos Chaos, byName map[string]Spec, logw io.Writer, gen int) {
-	defer conn.Close()
-	var wmu sync.Mutex
-	write := func(frame []byte) error {
-		wmu.Lock()
-		defer wmu.Unlock()
-		_, err := conn.Write(frame)
-		return err
-	}
-	var fs frameScratch
-	if write(fs.helloFrame()) != nil {
-		return
-	}
-	var hbOff atomic.Bool
-	hbStop := make(chan struct{})
-	defer close(hbStop)
-	if hb > 0 {
-		hbFrame := (&frameScratch{}).heartbeatFrame() // own buffer: never races fs
-		go func() {
-			t := time.NewTicker(hb)
-			defer t.Stop()
-			for {
-				select {
-				case <-hbStop:
-					return
-				case <-t.C:
-					if hbOff.Load() {
-						continue
-					}
-					if write(hbFrame) != nil {
-						return
-					}
-				}
-			}
-		}()
-	}
-	br := bufio.NewReader(conn)
-	var inbuf []byte
-	var seeds []int64
-	var prev []byte // copy of the previous response frame, for replay chaos
-	blackholed := false
-	n := 0 // executed-seed counter: the chaos schedule's clock
-	for {
-		payload, err := readRawFrame(br, &inbuf)
-		if err != nil {
-			return // coordinator closed (or broke) the connection
-		}
-		req, err := parseWireRequest(payload, seeds[:0])
-		if err != nil {
-			return
-		}
-		seeds = req.seeds
-		if blackholed {
-			continue // swallow everything; the coordinator's deadline reaps us
-		}
-		spec, ok := byName[string(req.spec)]
-		if !ok {
-			spec, ok = Lookup(string(req.spec))
-		}
-		for _, seed := range req.seeds {
-			n++
-			if chaos.SlowLink > 0 {
-				time.Sleep(chaos.SlowLink)
-			}
-			if chaos.DelayEvery > 0 && n%chaos.DelayEvery == 0 {
-				time.Sleep(chaos.Delay)
-			}
-			if chaos.DropConnAfter > 0 && n == chaos.DropConnAfter {
-				fmt.Fprintf(logw, "chaos: dropping connection on seed %d (gen %d)\n", n, gen)
-				return
-			}
-			if chaos.BlackholeAfter > 0 && n == chaos.BlackholeAfter {
-				fmt.Fprintf(logw, "chaos: blackholing connection from seed %d (gen %d)\n", n, gen)
-				hbOff.Store(true)
-				blackholed = true
-				break // the rest of the chunk vanishes too
-			}
-			var frame []byte
-			if !ok {
-				frame = fs.errorFrame(req.spec, seed, req.epoch, fmt.Sprintf("unknown experiment %q", req.spec))
-			} else if res, err := executeSafe(spec, seed); err != nil {
-				frame = fs.errorFrame(req.spec, seed, req.epoch, err.Error())
-			} else {
-				frame = fs.resultFrame(req.spec, seed, req.epoch, res)
-			}
-			if chaos.ReplayAfter > 0 && n == chaos.ReplayAfter && prev != nil {
-				// A stale frame ahead of the real response: the coordinator must
-				// discard it on (epoch, spec, seed) and still complete cleanly.
-				fmt.Fprintf(logw, "chaos: replaying stale frame before response %d (gen %d)\n", n, gen)
-				if write(prev) != nil {
-					return
-				}
-			}
-			if write(frame) != nil {
-				return
-			}
-			prev = append(prev[:0], frame...)
-		}
-	}
 }

@@ -132,23 +132,24 @@ func TestNetShardPartitionNoDuplicateOrLoss(t *testing.T) {
 	}
 }
 
-// TestNetShardStaleReplayDiscarded: the server replays a stale frame
-// (previous response — wrong epoch and seed) ahead of a real one; the
-// transport must skip it, count it, and complete the exchange with the
-// correct response.
+// TestNetShardStaleReplayDiscarded: the worker replays a stale frame
+// (previous response — wrong seed, possibly wrong epoch) ahead of a real
+// one; the transport must skip it, count it, and complete the exchange
+// with the correct response. Subprocess workers run the verb too.
 func TestNetShardStaleReplayDiscarded(t *testing.T) {
-	addr := startNetServer(t, NetServeOptions{
-		ChaosSpec: "gen0:replay-after=2;gen1:replay-after=3",
-	})
-	sh := netShard(2, addr, nil)
-	defer sh.Close()
-	runCounted(t, sh, Seeds(1, 12))
-	h := sh.Health()
-	if h.Stales() == 0 {
-		t.Errorf("expected stale replayed frames to be counted, got %s", h)
-	}
-	if h.Failures() != 0 {
-		t.Errorf("a discarded stale frame is not a failure, got %s", h)
+	const replay = "gen0:replay-after=2;gen1:replay-after=3"
+	for _, tc := range chaosTransports(t, replay, replay) {
+		t.Run(tc.name, func(t *testing.T) {
+			defer tc.sh.Close()
+			runCounted(t, tc.sh, Seeds(1, 12))
+			h := tc.sh.Health()
+			if h.Stales() == 0 {
+				t.Errorf("expected stale replayed frames to be counted, got %s", h)
+			}
+			if h.Failures() != 0 {
+				t.Errorf("a discarded stale frame is not a failure, got %s", h)
+			}
+		})
 	}
 }
 

@@ -22,6 +22,35 @@ func startStoreServer(t *testing.T) (addr, dir string) {
 	return ln.Addr().String(), dir
 }
 
+// storeExchange sends one store request frame on conn and returns the
+// parsed reply.
+func storeExchange(t *testing.T, conn net.Conn, br *bufio.Reader, frame []byte) storeMsg {
+	t.Helper()
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	var buf []byte
+	payload, err := readRawFrame(br, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply, err := parseStoreMsg(payload, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reply
+}
+
+// rawPutFrame builds a PUT frame around arbitrary payload bytes, which
+// need not be a valid Result encoding.
+func rawPutFrame(key string, data []byte) []byte {
+	var fs frameScratch
+	fs.begin(frameStorePut)
+	fs.buf = appendLenBytes(fs.buf, key)
+	fs.buf = append(fs.buf, data...)
+	return fs.finish()
+}
+
 // TestRemoteStoreColdThenWarm: a cold run fills the remote store; a second
 // process (fresh local dir, dead inner backend) must serve every seed from
 // the remote store, bit-identically.
@@ -101,32 +130,18 @@ func TestStoreRejectsEscapingKeys(t *testing.T) {
 	}
 	defer conn.Close()
 	br := bufio.NewReader(conn)
+	var fs frameScratch
 	for _, key := range []string{"", "/abs/path", "../escape", "a/../../b", "a//b", "a/./b", `a\b`} {
-		if err := writeFrame(conn, storeRequest{Op: "get", Key: key}); err != nil {
-			t.Fatal(err)
-		}
-		var resp storeResponse
-		if err := readFrame(br, &resp); err != nil {
-			t.Fatal(err)
-		}
-		if resp.Err == "" || resp.Found {
-			t.Errorf("key %q was not rejected: %+v", key, resp)
+		if reply := storeExchange(t, conn, br, fs.storeGetFrame(key)); reply.ftype != frameStoreError {
+			t.Errorf("key %q was not rejected: %+v", key, reply)
 		}
 	}
 	// And a valid key still works end to end on the same connection.
 	res := Result{Name: "x", Values: map[string]float64{"v": 1}}
-	data, _ := EncodeResult(res)
-	if err := writeFrame(conn, storeRequest{Op: "put", Key: "ok/entry.json", Data: data}); err != nil {
-		t.Fatal(err)
+	if reply := storeExchange(t, conn, br, fs.storePutFrame("ok/entry.bin", res)); reply.ftype == frameStoreError {
+		t.Fatalf("valid put rejected: %s", reply.errMsg)
 	}
-	var putResp storeResponse
-	if err := readFrame(br, &putResp); err != nil {
-		t.Fatal(err)
-	}
-	if putResp.Err != "" {
-		t.Fatalf("valid put rejected: %+v", putResp)
-	}
-	if _, ok := (diskStore{root: dir}).load("ok/entry.json"); !ok {
+	if _, ok := (diskStore{root: dir}).load("ok/entry.bin"); !ok {
 		t.Error("valid put did not land in the store dir")
 	}
 }
@@ -141,17 +156,10 @@ func TestStoreUndecodablePutRejected(t *testing.T) {
 	}
 	defer conn.Close()
 	br := bufio.NewReader(conn)
-	if err := writeFrame(conn, storeRequest{Op: "put", Key: "bad/entry.json", Data: []byte("{torn")}); err != nil {
-		t.Fatal(err)
-	}
-	var resp storeResponse
-	if err := readFrame(br, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Err == "" {
+	if reply := storeExchange(t, conn, br, rawPutFrame("bad/entry.bin", []byte("{torn"))); reply.ftype != frameStoreError {
 		t.Error("undecodable put was accepted")
 	}
-	if _, ok := (diskStore{root: dir}).load("bad/entry.json"); ok {
+	if _, ok := (diskStore{root: dir}).load("bad/entry.bin"); ok {
 		t.Error("undecodable put landed in the store dir")
 	}
 }
@@ -184,29 +192,17 @@ func TestStoreBinaryRoundTripsOverWire(t *testing.T) {
 	if data[0] != resultMagic {
 		t.Fatalf("EncodeResult is not the binary codec (first byte %#x)", data[0])
 	}
-	const key = "v1/bin-000000/seed1.json"
-	if err := writeFrame(conn, storeRequest{Op: "put", Key: key, Data: data}); err != nil {
-		t.Fatal(err)
-	}
-	var putResp storeResponse
-	if err := readFrame(br, &putResp); err != nil {
-		t.Fatal(err)
-	}
-	if putResp.Err != "" {
-		t.Fatalf("binary put rejected: %+v", putResp)
+	const key = "v1/bin-000000/seed1.bin"
+	if reply := storeExchange(t, conn, br, rawPutFrame(key, data)); reply.ftype == frameStoreError {
+		t.Fatalf("binary put rejected: %s", reply.errMsg)
 	}
 
-	if err := writeFrame(conn, storeRequest{Op: "get", Key: key}); err != nil {
-		t.Fatal(err)
-	}
-	var getResp storeResponse
-	if err := readFrame(br, &getResp); err != nil {
-		t.Fatal(err)
-	}
-	if getResp.Err != "" || !getResp.Found {
+	var fs frameScratch
+	getResp := storeExchange(t, conn, br, fs.storeGetFrame(key))
+	if getResp.ftype != frameStoreFound {
 		t.Fatalf("binary get failed: %+v", getResp)
 	}
-	got, err := DecodeResult(getResp.Data)
+	got, err := DecodeResult(getResp.result)
 	if err != nil {
 		t.Fatal(err)
 	}

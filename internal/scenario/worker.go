@@ -7,6 +7,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -25,6 +28,11 @@ import (
 // identity does not match a lease in flight — so a zombie or partitioned
 // worker replaying a stale chunk after its lease was reassigned can never
 // double-emit a seed.
+//
+// Both transports run the same session loop (session.serve): stdio workers
+// over stdin/stdout, TCP workers (ServeNet) over each accepted connection.
+// The only transport difference is the heartbeat, which TCP sessions need
+// to feed the coordinator's per-frame read deadline.
 
 // ServeWorker runs the shard worker loop: read a chunk request, resolve
 // the spec (extra specs take precedence over the registry, mirroring how
@@ -37,7 +45,9 @@ import (
 // configured schedule — the fault-injection half of the supervision
 // layer. Chaos triggers count executed seeds, not request frames, so a
 // schedule keeps its meaning whatever the chunk size. A malformed
-// schedule is a startup error.
+// schedule is a startup error, and a verb that ends the session
+// (crash-after, trunc-after, drop-conn-after) makes ServeWorker return an
+// error, so the worker process exits non-zero through its caller.
 //
 // Nothing but protocol frames may be written to w — a worker whose
 // experiments print to stdout would corrupt the stream — which holds
@@ -47,22 +57,75 @@ func ServeWorker(r io.Reader, w io.Writer, extra ...Spec) error {
 	if err != nil {
 		return fmt.Errorf("worker: %w", err)
 	}
-	return serveWorker(r, w, chaos, extra...)
+	gen, _ := strconv.Atoi(os.Getenv(workerGenEnv))
+	s := session{chaos: chaos, byName: specIndex(extra), log: os.Stderr, gen: gen}
+	return s.serve(struct {
+		io.Reader
+		io.Writer
+	}{r, w})
 }
 
-func serveWorker(r io.Reader, w io.Writer, chaos Chaos, extra ...Spec) error {
-	byName := specIndex(extra)
-	br := bufio.NewReader(r)
-	bw := bufio.NewWriter(w)
+// session is one worker session's configuration: its chaos schedule, the
+// extra-spec precedence map, its heartbeat interval (0 disables — stdio
+// workers have no per-frame deadline to feed), the diagnostics sink and
+// the generation named in chaos diagnostics.
+type session struct {
+	chaos     Chaos
+	byName    map[string]Spec
+	heartbeat time.Duration
+	log       io.Writer
+	gen       int
+}
+
+// serve is the worker session loop: hello first, then chunk requests in,
+// heartbeats and per-seed responses out. Every write goes through one
+// mutex, so a heartbeat can never split a response frame, and each frame
+// is one Write — the coordinator's per-frame read deadline times the gap
+// between responses, so a chunk behind one slow seed must not look like a
+// hung worker. It returns nil on clean EOF and an error when the
+// transport fails, a request does not parse, or a chaos verb ends the
+// session.
+func (s session) serve(rw io.ReadWriter) error {
+	var wmu sync.Mutex
+	write := func(frame []byte) error {
+		wmu.Lock()
+		defer wmu.Unlock()
+		_, err := rw.Write(frame)
+		return err
+	}
 	var fs frameScratch
-	if _, err := bw.Write(fs.helloFrame()); err != nil {
+	if err := write(fs.helloFrame()); err != nil {
 		return fmt.Errorf("worker: write hello: %w", err)
 	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("worker: write hello: %w", err)
+	var hbOff atomic.Bool
+	if s.heartbeat > 0 {
+		stop := make(chan struct{})
+		defer close(stop)
+		hbFrame := (&frameScratch{}).heartbeatFrame() // own buffer: never races fs
+		go func() {
+			t := time.NewTicker(s.heartbeat)
+			defer t.Stop()
+			for {
+				select {
+				case <-stop:
+					return
+				case <-t.C:
+					if hbOff.Load() {
+						continue
+					}
+					if write(hbFrame) != nil {
+						return
+					}
+				}
+			}
+		}()
 	}
+	c := s.chaos
+	br := bufio.NewReader(rw)
 	var inbuf []byte
 	var seeds []int64
+	var prev []byte // copy of the previous response frame, kept only while replay-after is armed
+	blackholed := false
 	n := 0 // executed-seed counter: the chaos schedule's clock
 	for {
 		payload, err := readRawFrame(br, &inbuf)
@@ -77,24 +140,38 @@ func serveWorker(r io.Reader, w io.Writer, chaos Chaos, extra ...Spec) error {
 			return fmt.Errorf("worker: read request: %w", err)
 		}
 		seeds = req.seeds
-		spec, ok := byName[string(req.spec)]
+		if blackholed {
+			continue // swallow everything; the coordinator's deadline reaps us
+		}
+		spec, ok := s.byName[string(req.spec)]
 		if !ok {
 			spec, ok = Lookup(string(req.spec))
 		}
 		for _, seed := range req.seeds {
 			n++
-			// Pre-response faults: the parent sees a dead process or a seed
-			// that never completes.
-			if chaos.DelayEvery > 0 && n%chaos.DelayEvery == 0 {
-				time.Sleep(chaos.Delay)
+			// Pre-response faults: the coordinator sees a dead session, a
+			// seed that never completes, or one that completes late.
+			if c.SlowLink > 0 {
+				time.Sleep(c.SlowLink)
 			}
-			if chaos.CrashAfter > 0 && n == chaos.CrashAfter {
-				fmt.Fprintf(os.Stderr, "chaos: crashing on seed %d\n", n)
-				os.Exit(3)
+			if c.DelayEvery > 0 && n%c.DelayEvery == 0 {
+				time.Sleep(c.Delay)
 			}
-			if chaos.HangAfter > 0 && n == chaos.HangAfter {
-				fmt.Fprintf(os.Stderr, "chaos: hanging on seed %d\n", n)
-				time.Sleep(chaos.HangFor)
+			if c.CrashAfter > 0 && n == c.CrashAfter {
+				return s.chaosEnd("crashing on seed %d", n)
+			}
+			if c.DropConnAfter > 0 && n == c.DropConnAfter {
+				return s.chaosEnd("dropping connection on seed %d", n)
+			}
+			if c.HangAfter > 0 && n == c.HangAfter {
+				s.logChaos("hanging on seed %d", n)
+				time.Sleep(c.HangFor)
+			}
+			if c.BlackholeAfter > 0 && n == c.BlackholeAfter {
+				s.logChaos("blackholing session from seed %d", n)
+				hbOff.Store(true)
+				blackholed = true
+				break // the rest of the chunk vanishes too
 			}
 			var frame []byte
 			if !ok {
@@ -104,62 +181,63 @@ func serveWorker(r io.Reader, w io.Writer, chaos Chaos, extra ...Spec) error {
 			} else {
 				frame = fs.resultFrame(req.spec, seed, req.epoch, res)
 			}
-			// Response-stream faults: the parent's decoder, not its process
-			// watcher, must catch these.
-			if chaos.TruncateAfter > 0 && n == chaos.TruncateAfter {
-				fmt.Fprintf(os.Stderr, "chaos: truncating response %d\n", n)
-				writeTruncatedFrame(bw)
-				bw.Flush()
-				os.Exit(3)
+			// Response-stream faults: the coordinator's decoder or stale
+			// matching, not its liveness detectors, must catch these.
+			if c.TruncateAfter > 0 && n == c.TruncateAfter {
+				write(truncatedFrame) // the session ends either way
+				return s.chaosEnd("truncating response %d", n)
 			}
-			if chaos.CorruptAfter > 0 && n == chaos.CorruptAfter {
-				fmt.Fprintf(os.Stderr, "chaos: corrupting response %d\n", n)
-				if err := writeCorruptFrame(bw); err != nil {
-					return fmt.Errorf("worker: write response: %w", err)
-				}
-				if err := bw.Flush(); err != nil {
+			if c.CorruptAfter > 0 && n == c.CorruptAfter {
+				s.logChaos("corrupting response %d", n)
+				if err := write(corruptFrame); err != nil {
 					return fmt.Errorf("worker: write response: %w", err)
 				}
 				continue
 			}
-			if _, err := bw.Write(frame); err != nil {
+			if c.ReplayAfter > 0 && n == c.ReplayAfter && prev != nil {
+				// A stale frame ahead of the real response: the coordinator must
+				// discard it on (epoch, spec, seed) and still complete cleanly.
+				s.logChaos("replaying stale frame before response %d", n)
+				if err := write(prev); err != nil {
+					return fmt.Errorf("worker: write response: %w", err)
+				}
+			}
+			if err := write(frame); err != nil {
 				return fmt.Errorf("worker: write response: %w", err)
 			}
-			// Flush per frame, not per chunk: the parent's per-frame read
-			// deadline times the gap between responses, so a buffered chunk
-			// behind one slow seed must not look like a hung worker.
-			if err := bw.Flush(); err != nil {
-				return fmt.Errorf("worker: write response: %w", err)
+			if c.ReplayAfter > n {
+				prev = append(prev[:0], frame...)
 			}
 		}
 	}
 }
 
-// writeTruncatedFrame writes a header promising more payload than follows,
-// so the parent's frame reader fails with an unexpected EOF once the
-// process exits.
-func writeTruncatedFrame(w io.Writer) {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], 1024)
-	w.Write(hdr[:])
-	w.Write([]byte("chaos"))
+// logChaos reports an injected fault on the session's diagnostics sink.
+func (s session) logChaos(format string, n int) {
+	fmt.Fprintf(s.log, "chaos: "+format+" (gen %d)\n", n, s.gen)
 }
 
-// writeCorruptFrame writes a well-framed payload that is not a protocol
-// message ('c' is no frame type), so the parent's message parse fails with
+// chaosEnd reports a session-ending fault and returns the error that ends
+// the session: the caller closes the connection or exits the process.
+func (s session) chaosEnd(format string, n int) error {
+	s.logChaos(format, n)
+	return fmt.Errorf("worker: chaos: "+format, n)
+}
+
+// truncatedFrame is a header promising more payload than follows, so the
+// coordinator's frame reader fails with an unexpected EOF once the session
+// ends.
+var truncatedFrame = append(binary.BigEndian.AppendUint32(nil, 1024), "chaos"...)
+
+// corruptFrame is a well-framed payload that is not a protocol message
+// ('c' is no frame type), so the coordinator's message parse fails with
 // ErrDecode while the stream framing stays intact.
-func writeCorruptFrame(w io.Writer) error {
-	payload := []byte("chaos! not a frame {{{")
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
+var corruptFrame = func() []byte {
+	payload := "chaos! not a frame {{{"
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+}()
 
-// specIndex builds the extra-spec precedence map worker loops resolve
+// specIndex builds the extra-spec precedence map sessions resolve
 // requests against.
 func specIndex(extra []Spec) map[string]Spec {
 	byName := make(map[string]Spec, len(extra))
