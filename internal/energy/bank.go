@@ -41,12 +41,23 @@ func (b *Bank) Len() int { return len(b.drained) }
 // Capacity returns the per-battery capacity in joules.
 func (b *Bank) Capacity() float64 { return b.capacity }
 
-// Ensure grows the bank to cover station ids [0, n), new cells full.
+// Ensure grows the bank to cover station ids [0, n), new cells full. Each
+// column is reallocated to exactly n rows in one step, so a call allocates
+// and copies at most once per column; size for the whole population up
+// front rather than one row per call.
 func (b *Bank) Ensure(n int) {
-	for len(b.drained) < n {
-		b.drained = append(b.drained, 0)
-		b.deadAt = append(b.deadAt, sim.MaxTime)
+	old := len(b.drained)
+	if n <= old {
+		return
 	}
+	drained := make([]float64, n)
+	copy(drained, b.drained)
+	deadAt := make([]sim.Time, n)
+	copy(deadAt, b.deadAt)
+	for id := old; id < n; id++ {
+		deadAt[id] = sim.MaxTime
+	}
+	b.drained, b.deadAt = drained, deadAt
 }
 
 // Reset refills station id's battery (a churn-recycled id gets a fresh

@@ -48,8 +48,14 @@ func TestBankEnsureAndReset(t *testing.T) {
 	if b.Len() != 8 {
 		t.Fatalf("after Ensure(8) Len = %d", b.Len())
 	}
-	if b.Dead(7) || b.Remaining(7) != 5 {
-		t.Fatal("grown cells not full")
+	for id := int32(1); id < 8; id++ {
+		if b.Dead(id) || b.Remaining(id) != 5 {
+			t.Fatalf("grown cell %d not full", id)
+		}
+	}
+	b.Ensure(4) // shrink request is a no-op
+	if b.Len() != 8 {
+		t.Fatalf("Ensure(4) shrank bank to %d", b.Len())
 	}
 
 	// A recycled dead id comes back alive and full, and the death count
@@ -77,5 +83,17 @@ func TestBankDrainZeroAlloc(t *testing.T) {
 		}
 	}); a != 0 {
 		t.Errorf("bank drain path allocates %v per op, want 0", a)
+	}
+}
+
+// TestNewBankSizesColumnsOnce pins Ensure's one-append growth: building a
+// metro-sized bank allocates the Bank and each of its two columns once.
+// Twenty runs let the per-run average absorb a stray runtime allocation.
+func TestNewBankSizesColumnsOnce(t *testing.T) {
+	if a := testing.AllocsPerRun(20, func() { NewBank(1, 100_000) }); a > 3 {
+		t.Errorf("NewBank(1, 100000) makes %v allocations, want at most 3", a)
+	}
+	if b := NewBank(1, 100_000); b.FirstDeath() != sim.MaxTime || b.Deaths() != 0 {
+		t.Errorf("fresh bank: first death %v, %d deaths", b.FirstDeath(), b.Deaths())
 	}
 }

@@ -13,9 +13,11 @@
 //
 //   - Struct-of-arrays state: every per-station quantity is a column
 //     indexed by station id (pending frames, pending bytes, AP, listen
-//     phase, accounting watermark), not a struct per station. Beacon
-//     processing walks stations of one listen phase sequentially through
-//     dense arrays; churn recycles ids with O(1) row resets.
+//     phase, accounting watermark), not a struct per station. New hands
+//     the initial population ids in group order, so each (AP, listen
+//     phase) group owns one consecutive id range and beacon processing
+//     walks it sequentially through dense arrays; churn recycles ids with
+//     O(1) row resets.
 //
 // The PSM semantics follow the paper's legacy-PSM model: a station sleeps
 // between beacons, wakes every ListenInterval-th beacon a WakeLead early,
@@ -56,8 +58,24 @@ func (p Pareto) Mean() float64 {
 
 // Sample inverts the CDF at u ∈ [0, 1).
 func (p Pareto) Sample(u float64) float64 {
+	return p.sampler().sample(u)
+}
+
+// paretoSampler is a Pareto's inverse CDF with its draw-independent terms
+// precomputed, so each sample costs one Pow instead of two.
+type paretoSampler struct {
+	min  float64 // l
+	span float64 // 1 − (l/h)^α
+	exp  float64 // −1/α
+}
+
+func (p Pareto) sampler() paretoSampler {
 	a, l, h := p.Alpha, p.MinBytes, p.MaxBytes
-	return l * math.Pow(1-u*(1-math.Pow(l/h, a)), -1/a)
+	return paretoSampler{min: l, span: 1 - math.Pow(l/h, a), exp: -1 / a}
+}
+
+func (s paretoSampler) sample(u float64) float64 {
+	return s.min * math.Pow(1-u*s.span, s.exp)
 }
 
 // Config parameterizes one metro scenario.
@@ -204,8 +222,10 @@ func New(s *sim.Simulator, cfg Config) *Model {
 		groups:     make([][]int32, cfg.APs*cfg.ListenInterval),
 	}
 	// Group capacity covers the whole population landing in one group, so
-	// churn-driven appends never allocate. At metro scale groups stay near
-	// n/(APs·K); the slack is a few MB of int32s at the 10⁶ cap.
+	// churn-driven appends never allocate. Without churn groups hold
+	// n/(APs·K) ids and the slack is at most one int32 per group; under
+	// churn every group reserves the cap, APs·K·cap·4 bytes in all: 1 MB for
+	// e19's 8 APs × 8 phases × 4096 ids, 640 MB for 20 APs × 8 phases at 10⁶.
 	per := n/(cfg.APs*cfg.ListenInterval) + 1
 	if cfg.ArrivalRate > 0 {
 		per = n // churn can skew groups; reserve the worst case
@@ -213,14 +233,51 @@ func New(s *sim.Simulator, cfg Config) *Model {
 	for i := range m.groups {
 		m.groups[i] = make([]int32, 0, per)
 	}
-	for id := n - 1; id >= 0; id-- {
+
+	// Seed the free list so the initial population comes out of attach in
+	// group order: group g's members, in attach order, get the consecutive
+	// ids base[g], base[g]+1, …, where base is the prefix sum of the group
+	// sizes the attach lattice produces. Ids [Stations, n) follow for churn
+	// arrivals. Ids are private to the model, so the layout is invisible in
+	// every result; what it buys is that a beacon's walk over a group is a
+	// sequential scan of every column.
+	next := make([]int32, len(m.groups)) // group sizes, then next id per group
+	for seq := 0; seq < cfg.Stations; seq++ {
+		next[m.groupAt(seq)]++
+	}
+	var base int32
+	for g, size := range next {
+		next[g] = base
+		base += size
+	}
+	m.freeIDs = m.freeIDs[:n] // popped from the end
+	for seq := 0; seq < cfg.Stations; seq++ {
+		g := m.groupAt(seq)
+		m.freeIDs[n-1-seq] = next[g]
+		next[g]++
+	}
+	for id := cfg.Stations; id < n; id++ {
+		m.freeIDs[n-1-id] = int32(id)
+	}
+	for id := range m.livePos {
 		m.livePos[id] = -1
-		m.freeIDs = append(m.freeIDs, int32(id))
 	}
 	for i := 0; i < cfg.Stations; i++ {
 		m.attach()
 	}
 	return m
+}
+
+// lattice returns the (ap, phase) cell of the seq-th attached station:
+// round-robin over APs, then over listen phases.
+func (m *Model) lattice(seq int) (ap, phase int32) {
+	return int32(seq % m.cfg.APs), int32(seq / m.cfg.APs % m.cfg.ListenInterval)
+}
+
+// groupAt returns the group index of the seq-th attached station.
+func (m *Model) groupAt(seq int) int {
+	ap, phase := m.lattice(seq)
+	return int(ap)*m.cfg.ListenInterval + int(phase)
 }
 
 // attach brings one station online: recycle an id, reset its rows, assign
@@ -230,8 +287,7 @@ func (m *Model) attach() {
 	id := m.freeIDs[len(m.freeIDs)-1]
 	m.freeIDs = m.freeIDs[:len(m.freeIDs)-1]
 	k := m.cfg.ListenInterval
-	ap := int32(m.attachSeq % m.cfg.APs)
-	phase := int32(m.attachSeq / m.cfg.APs % k)
+	ap, phase := m.lattice(m.attachSeq)
 	m.attachSeq++
 
 	m.led.Reset(id)
@@ -309,13 +365,14 @@ func (m *Model) Start() {
 		// the accepted process is exactly Poisson(n·λ) with a uniform
 		// station mark, at any live count n.
 		maxRate := float64(cfg.cap()) * cfg.RatePerStation
+		frame := cfg.Frame.sampler()
 		r := m.s.Rand()
 		var onFrame func()
 		onFrame = func() {
 			if j := r.Intn(cfg.cap()); j < len(m.live) {
 				id := m.live[j]
 				m.pendFrames[id]++
-				m.pendBytes[id] += cfg.Frame.Sample(r.Float64())
+				m.pendBytes[id] += frame.sample(r.Float64())
 			}
 			m.s.Schedule(expDelay(r.ExpFloat64(), maxRate), onFrame)
 		}

@@ -182,6 +182,123 @@ func TestParetoMoments(t *testing.T) {
 	}
 }
 
+// TestParetoSamplerBitIdentical pins the one-Pow sampler to the textbook
+// bounded-Pareto inverse CDF, written out here as the oracle, bit for bit.
+func TestParetoSamplerBitIdentical(t *testing.T) {
+	oracle := func(p Pareto, u float64) float64 {
+		a, l, h := p.Alpha, p.MinBytes, p.MaxBytes
+		return l * math.Pow(1-u*(1-math.Pow(l/h, a)), -1/a)
+	}
+	r := sim.New(1).Rand()
+	for _, p := range []Pareto{
+		testConfig().Frame,
+		{Alpha: 0.7, MinBytes: 40, MaxBytes: 1500},
+		{Alpha: 2.5, MinBytes: 1, MaxBytes: 1e6},
+	} {
+		us := []float64{0, 0.5, math.Nextafter(1, 0)}
+		for i := 0; i < 100_000; i++ {
+			us = append(us, r.Float64())
+		}
+		s := p.sampler()
+		for _, u := range us {
+			want := math.Float64bits(oracle(p, u))
+			if got := math.Float64bits(s.sample(u)); got != want {
+				t.Fatalf("%+v: sampler(%v) bits %#x, oracle %#x", p, u, got, want)
+			}
+			if got := math.Float64bits(p.Sample(u)); got != want {
+				t.Fatalf("%+v: Sample(%v) bits %#x, oracle %#x", p, u, got, want)
+			}
+		}
+	}
+}
+
+// TestGroupIDsContiguous pins the id layout New seeds: the initial
+// population's groups, concatenated in group order, are exactly the ids
+// 0, 1, …, Stations−1, so each group is one ascending run of consecutive
+// ids and a beacon scans every column sequentially.
+func TestGroupIDsContiguous(t *testing.T) {
+	e20 := testConfig()
+	e20.APs, e20.Stations = 20, 100_000
+	for _, cfg := range []Config{testConfig(), e20, churnConfig()} {
+		m := New(sim.New(1), cfg)
+		next := int32(0)
+		for g, grp := range m.groups {
+			for _, id := range grp {
+				if id != next {
+					t.Fatalf("%d stations on %d APs: group %d holds id %d, want %d",
+						cfg.Stations, cfg.APs, g, id, next)
+				}
+				next++
+			}
+		}
+		if int(next) != cfg.Stations {
+			t.Fatalf("groups hold %d ids, want %d", next, cfg.Stations)
+		}
+		checkIndexes(t, m)
+	}
+}
+
+// TestChurnKeepsIndexesConsistent runs the churning population for its full
+// horizon and checks that live, livePos, groups, groupPos and the free list
+// still describe the same set of stations.
+func TestChurnKeepsIndexesConsistent(t *testing.T) {
+	cfg := churnConfig()
+	s := sim.New(1)
+	m := New(s, cfg)
+	m.Start()
+	s.RunUntil(cfg.Horizon)
+	if m.rep.Arrivals == 0 || m.rep.Departures == 0 {
+		t.Fatalf("churn processes did not run: %+v", m.rep)
+	}
+	checkIndexes(t, m)
+}
+
+// checkIndexes asserts the model's id bookkeeping is mutually consistent:
+// every live id sits at its livePos in live and at its groupPos in the
+// group its AP and phase name, every other id is dead and on the free
+// list, and no id appears twice.
+func checkIndexes(t *testing.T, m *Model) {
+	t.Helper()
+	n := m.cfg.cap()
+	seen := make([]int, n)
+	for j, id := range m.live {
+		seen[id]++
+		if m.livePos[id] != int32(j) {
+			t.Fatalf("live[%d] = %d but livePos[%d] = %d", j, id, id, m.livePos[id])
+		}
+	}
+	grouped := 0
+	k := m.cfg.ListenInterval
+	for g, grp := range m.groups {
+		for p, id := range grp {
+			grouped++
+			if m.livePos[id] < 0 {
+				t.Fatalf("group %d holds dead id %d", g, id)
+			}
+			if m.groupPos[id] != int32(p) {
+				t.Fatalf("groups[%d][%d] = %d but groupPos[%d] = %d", g, p, id, id, m.groupPos[id])
+			}
+			if int(m.apOf[id])*k+int(m.phaseOf[id]) != g {
+				t.Fatalf("id %d (ap %d, phase %d) filed under group %d", id, m.apOf[id], m.phaseOf[id], g)
+			}
+		}
+	}
+	if grouped != len(m.live) {
+		t.Fatalf("groups hold %d ids, live holds %d", grouped, len(m.live))
+	}
+	for _, id := range m.freeIDs {
+		seen[id]++
+		if m.livePos[id] != -1 {
+			t.Fatalf("free id %d has livePos %d", id, m.livePos[id])
+		}
+	}
+	for id, c := range seen {
+		if c != 1 {
+			t.Fatalf("id %d appears %d times across live and the free list", id, c)
+		}
+	}
+}
+
 func TestConfigValidate(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.APs = 0 },

@@ -42,18 +42,25 @@ func NewLedger(p *radio.Profile, n int) *Ledger {
 // Len returns the number of station rows currently allocated.
 func (l *Ledger) Len() int { return len(l.transJ) }
 
-// Ensure grows the ledger to cover station ids [0, n). Growth is geometric
-// (power-of-two capacity via append), so attaching stations one at a time
-// at metro scale performs O(log n) copies per column.
+// Ensure grows the ledger to cover station ids [0, n), new rows zero. Each
+// column is reallocated to exactly n rows in one step, so a call allocates
+// and copies at most once per column; size for the whole population up
+// front rather than one row per call.
 func (l *Ledger) Ensure(n int) {
-	for len(l.transJ) < n {
-		l.transJ = append(l.transJ, 0)
+	if n <= len(l.transJ) {
+		return
 	}
+	l.transJ = grow(l.transJ, n)
 	for st := range l.dwell {
-		for len(l.dwell[st]) < n {
-			l.dwell[st] = append(l.dwell[st], 0)
-		}
+		l.dwell[st] = grow(l.dwell[st], n)
 	}
+}
+
+// grow returns col extended with zero rows to length n in one allocation.
+func grow[T any](col []T, n int) []T {
+	g := make([]T, n)
+	copy(g, col)
+	return g
 }
 
 // Reset zeroes station id's row so a churn-recycled id starts a fresh

@@ -82,3 +82,22 @@ func TestLedgerChargeZeroAlloc(t *testing.T) {
 		t.Errorf("ledger charge path allocates %v per op, want 0", a)
 	}
 }
+
+// TestNewLedgerSizesColumnsOnce pins Ensure's one-append growth: building
+// a metro-sized ledger allocates the Ledger and each column once. Twenty
+// runs let the per-run average absorb a stray runtime allocation.
+func TestNewLedgerSizesColumnsOnce(t *testing.T) {
+	p := radio.WLAN80211b()
+	if a := testing.AllocsPerRun(20, func() { NewLedger(p, 100_000) }); a > float64(radio.NumStates+2) {
+		t.Errorf("NewLedger(p, 100000) makes %v allocations, want at most %d", a, radio.NumStates+2)
+	}
+	l := NewLedger(p, 100_000)
+	for st := radio.State(0); int(st) < radio.NumStates; st++ {
+		if got := l.TotalTimeIn(st); got != 0 {
+			t.Errorf("fresh ledger has %v in state %d", got, st)
+		}
+	}
+	if got := l.TotalJ(); got != 0 {
+		t.Errorf("fresh ledger TotalJ = %g, want 0", got)
+	}
+}
