@@ -35,9 +35,10 @@ func init() {
 	all = append(all, osCatalogue()...)
 	all = append(all, metroCatalogue()...)
 	// Apply the autotuned kernel-tuning pins (tunings_gen.go, written by
-	// figgen -autotune) over the catalogue's hand-pinned fallbacks. A pin
-	// can only change wall clock — tunings are order-invisible — so this
-	// rewrite is invisible to the golden, the cache and every backend.
+	// figgen -autotune); a tunable spec without a pin runs under
+	// sim.DefaultTuning. A pin can only change wall clock — tunings are
+	// order-invisible — so it is invisible to the golden, the cache and
+	// every backend.
 	for i := range all {
 		if all[i].RunTuned == nil {
 			continue

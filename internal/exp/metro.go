@@ -19,21 +19,13 @@ import (
 func metroCatalogue() []scenario.Spec {
 	return []scenario.Spec{
 		{Name: "e18", Desc: "E18: metro-dense — 20k stations, 8 APs, PSM downlink",
-			Tags: []string{"metro", "analytic"}, RunTuned: E18MetroDense, Tuning: &metroTuning},
+			Tags: []string{"metro", "analytic"}, RunTuned: E18MetroDense},
 		{Name: "e19", Desc: "E19: metro-churn — Poisson association churn, M/M/∞ population",
-			Tags: []string{"metro", "analytic"}, RunTuned: E19MetroChurn, Tuning: &metroTuning},
+			Tags: []string{"metro", "analytic"}, RunTuned: E19MetroChurn},
 		{Name: "e20", Desc: "E20: metro-100k — 10⁵ stations, 60 s, cache-resident kernel",
-			Tags: []string{"metro", "analytic", "scale"}, RunTuned: E20Metro100k, Tuning: &metroTuning},
+			Tags: []string{"metro", "analytic", "scale"}, RunTuned: E20Metro100k},
 	}
 }
-
-// metroTuning is the kernel tuning for the metro family: the aggregated
-// processes keep only a handful of events pending, so the adaptive
-// WheelMinPending mode routes everything through the overflow heap and
-// never pays wheel maintenance. Tuning changes constant factors only,
-// never event order, so results are bit-identical to the default tuning.
-var metroTuning = sim.Tuning{TickShift: 0, WheelBits: 10, CompactMinDead: 64,
-	WheelMinPending: sim.WheelAdaptive}
 
 // metroDense is the shared dense-cell parameter set: 802.11b PSM stations
 // waking every 8th 100 ms beacon, 0.2 heavy-tailed downlink frames/s each.

@@ -19,31 +19,16 @@ import (
 	"repro/internal/stats"
 )
 
-// denseDCFTuning is the kernel tuning override for the contention-heavy
-// DCF experiments (e3–e5), chosen by measurement (best-of-5 ×
-// testing.Benchmark sweeps over heap-leaning, wheel-leaning and tick-width
-// variants; see BENCH_macro.json pr4-before/pr4-after). The ROADMAP's
-// guess that these sims wanted the wheel *off* was wrong — the pure-heap
-// sentinel (WheelMinPending 1<<20) ran e3/e5 ~5% slower. What actually
-// pays is engaging the wheel earlier and shrinking it: MinPending 4 routes
-// the short SIFS/DIFS/ACK chains into O(1) buckets even at the modest
-// queue depths a handful of stations produce, and 2^8 buckets (2 KB vs the
-// default 8 KB) keep the bucket array cache-resident. Measured: e5 (the
-// densest, ~60% of the trio’s wall clock) gains a consistent ~6%, e3/e4 parity within
-// noise. Tuning changes constant factors only, never event order, so the
-// seed-1 golden is untouched.
-var denseDCFTuning = sim.Tuning{TickShift: 0, WheelBits: 8, CompactMinDead: 64, WheelMinPending: 4}
-
 // surveyCatalogue lists this file's experiments: the Section 1 survey
 // claims about MAC, link and OS-level power management.
 func surveyCatalogue() []scenario.Spec {
 	return []scenario.Spec{
 		{Name: "e3", Desc: "E3: unmanaged WLAN listens ~90% of the time",
-			Tags: []string{"survey", "mac"}, RunTuned: E3ListenFraction, Tuning: &denseDCFTuning},
+			Tags: []string{"survey", "mac"}, RunTuned: E3ListenFraction},
 		{Name: "e4", Desc: "E4: 802.11 PSM vs CAM across loads",
-			Tags: []string{"survey", "mac"}, RunTuned: E4PSMvsCAM, Tuning: &denseDCFTuning},
+			Tags: []string{"survey", "mac"}, RunTuned: E4PSMvsCAM},
 		{Name: "e5", Desc: "E5: CAM vs PSM vs EC-MAC",
-			Tags: []string{"survey", "mac"}, RunTuned: E5MACComparison, Tuning: &denseDCFTuning},
+			Tags: []string{"survey", "mac"}, RunTuned: E5MACComparison},
 		{Name: "e6", Desc: "E6: MAC-layer aggregation sweep",
 			Tags: []string{"survey", "mac"}, Run: E6Aggregation},
 		{Name: "e7", Desc: "E7: PAMAS overhearing avoidance + battery sleep",

@@ -353,3 +353,93 @@ func TestSendAfterSkippedWhenAsleep(t *testing.T) {
 		t.Error("sleeping station transmitted")
 	}
 }
+
+// The steady-state DCF path allocates nothing but the frames it builds: a
+// station draining prebuilt data frames pays only for the AP's ACKs.
+func TestSteadyStateDrainAllocatesOnlyAcks(t *testing.T) {
+	const k, runs = 32, 10
+	s := sim.New(15)
+	m := newTestMedium(s, nil)
+	ap := addStation(s, m, frame.AP)
+	sta := addStation(s, m, 0)
+	recv := 0
+	ap.OnReceive = func(*frame.Frame) { recv++ }
+	frames := make([]*frame.Frame, (runs+1)*k) // AllocsPerRun adds a warm-up run
+	for i := range frames {
+		frames[i] = frame.NewData(0, frame.AP, i+1, 1000)
+	}
+	next := 0
+	drain := func() {
+		for _, f := range frames[next : next+k] {
+			sta.Enqueue(f)
+		}
+		next += k
+		s.Run()
+	}
+	allocs := testing.AllocsPerRun(runs, drain)
+	if recv != len(frames) || sta.QueueLen() != 0 {
+		t.Fatalf("delivered %d of %d frames, %d still queued", recv, len(frames), sta.QueueLen())
+	}
+	if limit := float64(k + 4); allocs > limit {
+		t.Errorf("draining %d frames allocated %.1f times per run, want <= %v (one ACK per frame plus a small constant)",
+			k, allocs, limit)
+	}
+}
+
+// lazyDozeProfile is 802.11b with a free Idle→Sleep transition, so a test
+// can put a woken radio back to sleep at the very instant its wake ends.
+func lazyDozeProfile() *radio.Profile {
+	p := radio.WLAN80211b()
+	p.Transitions[radio.Idle][radio.Sleep] = radio.Transition{}
+	return p
+}
+
+// Two wakes whose radio transitions overlap: the second starts at exactly
+// the first one's transEnd, before that end event fires. Each done runs at
+// its own transition's end, in call order.
+func TestOverlappingWakesKeepDoneOrder(t *testing.T) {
+	s := sim.New(16)
+	m := newTestMedium(s, nil)
+	p := lazyDozeProfile()
+	sta := NewStation(0, m, radio.NewDeviceInState(s, p, radio.Idle))
+	lat := p.TransitionCost(radio.Sleep, radio.Idle).Latency
+	var got []int
+	var at []sim.Time
+	done := func(id int) func() {
+		return func() { got = append(got, id); at = append(at, s.Now()) }
+	}
+	sta.Doze()
+	// Scheduled before the first wake, so it fires ahead of that wake's
+	// end event at the same instant.
+	s.At(lat, func() {
+		sta.Device().SetState(radio.Sleep, nil)
+		sta.WakeUp(done(2))
+	})
+	sta.WakeUp(done(1))
+	s.Run()
+	if len(got) != 2 || got[0] != 1 || got[1] != 2 || at[0] != lat || at[1] != 2*lat {
+		t.Fatalf("wake dones %v at %v, want [1 2] at [%v %v]", got, at, lat, 2*lat)
+	}
+	if !sta.Awake() || sta.Device().State() != radio.Idle {
+		t.Errorf("station awake=%v radio %v, want awake in Idle", sta.Awake(), sta.Device().State())
+	}
+}
+
+// A wake requested while an earlier wake's end event is still queued but
+// the radio is already Idle completes synchronously, ahead of the earlier
+// one; both dones run.
+func TestWakeDuringPendingWakeEndCompletesFirst(t *testing.T) {
+	s := sim.New(17)
+	m := newTestMedium(s, nil)
+	sta := addStation(s, m, 0)
+	sta.Doze()
+	s.Run() // let the Idle→Sleep transition settle
+	end := s.Now() + sta.Device().TransitionLatency(radio.Idle)
+	var got []int
+	s.At(end, func() { sta.WakeUp(func() { got = append(got, 2) }) })
+	sta.WakeUp(func() { got = append(got, 1) })
+	s.Run()
+	if len(got) != 2 || got[0] != 2 || got[1] != 1 {
+		t.Fatalf("wake dones ran as %v, want [2 1]", got)
+	}
+}

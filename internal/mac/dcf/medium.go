@@ -63,13 +63,17 @@ func (c Config) AirTime(bytes int) sim.Time {
 	return c.PLCPOverhead + sim.FromSeconds(float64(bytes*8)/c.BitRate)
 }
 
-// transmission is one in-flight frame on the medium.
+// transmission is one in-flight frame on the medium. Records are pooled by
+// the Medium; fire is bound once, when the record is first allocated.
 type transmission struct {
+	m        *Medium
 	f        *frame.Frame
 	from     *Station
-	end      sim.Time
 	collided bool
+	fire     func()
 }
+
+func (tx *transmission) finish() { tx.m.finish(tx) }
 
 // Stats aggregates medium-level counters.
 type Stats struct {
@@ -90,6 +94,7 @@ type Medium struct {
 	nodes  map[int]*Station
 	order  []*Station // attach order: deterministic notification sequence
 	active []*transmission
+	free   []*transmission // recycled records, reused by begin
 	stats  Stats
 
 	idleSince sim.Time
@@ -129,7 +134,15 @@ func (m *Medium) Station(id int) *Station { return m.nodes[id] }
 // begin puts a frame on the air. Any overlap collides every frame involved.
 func (m *Medium) begin(st *Station, f *frame.Frame) {
 	dur := m.cfg.AirTime(f.Size())
-	tx := &transmission{f: f, from: st, end: m.sim.Now() + dur}
+	var tx *transmission
+	if n := len(m.free); n > 0 {
+		tx = m.free[n-1]
+		m.free = m.free[:n-1]
+	} else {
+		tx = &transmission{m: m}
+		tx.fire = tx.finish
+	}
+	tx.f, tx.from, tx.collided = f, st, false
 	if len(m.active) > 0 {
 		tx.collided = true
 		for _, other := range m.active {
@@ -153,7 +166,7 @@ func (m *Medium) begin(st *Station, f *frame.Frame) {
 			}
 		}
 	}
-	m.sim.Schedule(dur, func() { m.finish(tx) })
+	m.sim.Schedule(dur, tx.fire)
 }
 
 func (m *Medium) finish(tx *transmission) {
@@ -185,6 +198,10 @@ func (m *Medium) finish(tx *transmission) {
 		m.stats.Delivered++
 	}
 	tx.from.txDone(tx.f, delivered)
+	// Recycle only after txDone has returned: until then the record's
+	// frame and sender are still in use.
+	tx.f, tx.from = nil, nil
+	m.free = append(m.free, tx)
 
 	if nowIdle {
 		for _, n := range m.order {

@@ -49,6 +49,21 @@ type Station struct {
 	slotEvent  sim.Handle
 	ackTimer   *sim.Timer
 
+	// Event callbacks bound once in NewStation, so the per-slot backoff
+	// countdown, DIFS and radio wake paths schedule without allocating.
+	onDIFSFn func()
+	onSlotFn func()
+	onWakeFn func()
+	// wakeDone holds the done callbacks of wakes whose radio transition is
+	// still in flight, oldest first. Transitioning() is already false at
+	// the transition's end instant, so a second wake can start before the
+	// first one's end event fires.
+	wakeDone []func()
+	// Free lists of per-event records: a transmit end and a SIFS response
+	// can both be pending at once, so neither fits a single field.
+	freeTxEnds []*txEnd
+	freeSends  []*pendingSend
+
 	lastSeq      map[int]int // per-sender dedup of MAC retransmissions
 	pendingSends int         // SendAfter responses not yet on the air
 
@@ -76,6 +91,9 @@ func NewStation(id int, m *Medium, dev *radio.Device) *Station {
 		cw: m.cfg.CWMin, lastSeq: make(map[int]int)}
 	st.contention = m.sim.NewSlotBatch(2) // slot 0: DIFS, slot 1: backoff countdown
 	st.ackTimer = sim.NewTimer(m.sim, st.onAckTimeout)
+	st.onDIFSFn = st.onDIFS
+	st.onSlotFn = st.onSlot
+	st.onWakeFn = st.onWake
 	m.attach(st)
 	return st
 }
@@ -127,32 +145,72 @@ func (st *Station) WakeUp(done func()) {
 		}
 		return
 	}
-	st.dev.SetState(radio.Idle, func() {
-		st.awake = true
-		if st.med.Busy() {
-			st.dev.SetState(radio.RX, nil)
-		}
-		if len(st.queue) > 0 {
-			st.startContention()
-		}
-		if done != nil {
-			done()
-		}
-	})
+	if st.dev.State() == radio.Idle || st.dev.TransitionLatency(radio.Idle) == 0 {
+		// SetState completes synchronously: finish this wake now, ahead of
+		// any earlier wake whose end event is still queued.
+		st.dev.SetState(radio.Idle, nil)
+		st.woke(done)
+		return
+	}
+	st.dev.SetState(radio.Idle, st.onWakeFn)
+	st.wakeDone = append(st.wakeDone, done)
+}
+
+// onWake ends the oldest in-flight wake transition.
+func (st *Station) onWake() {
+	done := st.wakeDone[0]
+	n := copy(st.wakeDone, st.wakeDone[1:])
+	st.wakeDone[n] = nil
+	st.wakeDone = st.wakeDone[:n]
+	st.woke(done)
+}
+
+func (st *Station) woke(done func()) {
+	st.awake = true
+	if st.med.Busy() {
+		st.dev.SetState(radio.RX, nil)
+	}
+	if len(st.queue) > 0 {
+		st.startContention()
+	}
+	if done != nil {
+		done()
+	}
+}
+
+// pendingSend is one SendAfter response waiting out its gap.
+type pendingSend struct {
+	st *Station
+	f  *frame.Frame
+	fn func() // p.fire, bound once
+}
+
+func (p *pendingSend) fire() {
+	st, f := p.st, p.f
+	p.f = nil
+	st.freeSends = append(st.freeSends, p)
+	st.pendingSends--
+	if !st.awake {
+		return
+	}
+	st.transmit(f, false)
 }
 
 // SendAfter transmits a frame after a fixed gap without contention. It is
 // used for SIFS-separated responses (ACKs, poll responses) and beacons: they
 // bypass backoff because the standard grants them priority access.
 func (st *Station) SendAfter(gap sim.Time, f *frame.Frame) {
+	var p *pendingSend
+	if n := len(st.freeSends); n > 0 {
+		p = st.freeSends[n-1]
+		st.freeSends = st.freeSends[:n-1]
+	} else {
+		p = &pendingSend{st: st}
+		p.fn = p.fire
+	}
+	p.f = f
 	st.pendingSends++
-	st.sim.Schedule(gap, func() {
-		st.pendingSends--
-		if !st.awake {
-			return
-		}
-		st.transmit(f, false)
-	})
+	st.sim.Schedule(gap, p.fn)
 }
 
 // CanDoze reports whether the station is quiescent: awake with nothing on
@@ -176,10 +234,12 @@ func (st *Station) startContention() {
 	if st.med.Busy() {
 		return // mediumIdle() will restart us
 	}
-	st.difsEvent = st.contention.ScheduleSlot(0, st.cfg.DIFS, func() {
-		st.difsEvent = sim.Handle{}
-		st.countDown()
-	})
+	st.difsEvent = st.contention.ScheduleSlot(0, st.cfg.DIFS, st.onDIFSFn)
+}
+
+func (st *Station) onDIFS() {
+	st.difsEvent = sim.Handle{}
+	st.countDown()
 }
 
 func (st *Station) countDown() {
@@ -187,21 +247,23 @@ func (st *Station) countDown() {
 		st.beginDataTx()
 		return
 	}
-	st.slotEvent = st.contention.ScheduleSlot(1, st.cfg.SlotTime, func() {
-		st.slotEvent = sim.Handle{}
-		st.slots--
-		if st.slots == 0 {
-			// Reached zero in this slot: transmit even if another station
-			// started at the same instant — that is exactly how same-slot
-			// DCF collisions happen (CCA cannot sense a same-slot start).
-			st.beginDataTx()
-			return
-		}
-		if st.med.Busy() {
-			return // freeze; mediumIdle will resume the countdown
-		}
-		st.countDown()
-	})
+	st.slotEvent = st.contention.ScheduleSlot(1, st.cfg.SlotTime, st.onSlotFn)
+}
+
+func (st *Station) onSlot() {
+	st.slotEvent = sim.Handle{}
+	st.slots--
+	if st.slots == 0 {
+		// Reached zero in this slot: transmit even if another station
+		// started at the same instant — that is exactly how same-slot
+		// DCF collisions happen (CCA cannot sense a same-slot start).
+		st.beginDataTx()
+		return
+	}
+	if st.med.Busy() {
+		return // freeze; mediumIdle will resume the countdown
+	}
+	st.countDown()
 }
 
 // cancelContention hard-cancels all pending contention events as a group
@@ -259,6 +321,31 @@ func (st *Station) beginDataTx() {
 	st.transmit(st.queue[0], true)
 }
 
+// txEnd is one transmission's end-of-airtime event at the sender.
+type txEnd struct {
+	st      *Station
+	tracked bool
+	fn      func() // e.fire, bound once
+}
+
+func (e *txEnd) fire() {
+	st, tracked := e.st, e.tracked
+	st.freeTxEnds = append(st.freeTxEnds, e)
+	st.inTx = false
+	if st.awake {
+		if st.med.Busy() {
+			st.dev.SetState(radio.RX, nil)
+		} else {
+			st.dev.SetState(radio.Idle, nil)
+		}
+	}
+	// Untracked sends (ACKs, beacons) do not go through txDone's
+	// continuation, so restart contention for queued data here.
+	if !tracked && len(st.queue) > 0 && st.awake && !st.waitAck && !st.inTx {
+		st.startContention()
+	}
+}
+
 // transmit puts f on the air. tracked indicates head-of-queue data subject
 // to the ACK/retry machinery; untracked frames (ACKs, beacons) are
 // fire-and-forget.
@@ -268,21 +355,16 @@ func (st *Station) transmit(f *frame.Frame, tracked bool) {
 	st.trackedTx = tracked
 	dur := st.cfg.AirTime(f.Size())
 	st.dev.SetState(radio.TX, nil)
-	st.sim.Schedule(dur, func() {
-		st.inTx = false
-		if st.awake {
-			if st.med.Busy() {
-				st.dev.SetState(radio.RX, nil)
-			} else {
-				st.dev.SetState(radio.Idle, nil)
-			}
-		}
-		// Untracked sends (ACKs, beacons) do not go through txDone's
-		// continuation, so restart contention for queued data here.
-		if !tracked && len(st.queue) > 0 && st.awake && !st.waitAck && !st.inTx {
-			st.startContention()
-		}
-	})
+	var e *txEnd
+	if n := len(st.freeTxEnds); n > 0 {
+		e = st.freeTxEnds[n-1]
+		st.freeTxEnds = st.freeTxEnds[:n-1]
+	} else {
+		e = &txEnd{st: st}
+		e.fn = e.fire
+	}
+	e.tracked = tracked
+	st.sim.Schedule(dur, e.fn)
 	st.med.begin(st, f)
 }
 
@@ -336,7 +418,11 @@ func (st *Station) retry(f *frame.Frame) {
 // contention for the next.
 func (st *Station) completeHead(f *frame.Frame, ok bool) {
 	if len(st.queue) > 0 && st.queue[0] == f {
-		st.queue = st.queue[1:]
+		// Shift in place: re-slicing from the front would shrink the
+		// capacity and make later Enqueues reallocate.
+		n := copy(st.queue, st.queue[1:])
+		st.queue[n] = nil
+		st.queue = st.queue[:n]
 	}
 	st.attempts = 0
 	st.cw = st.cfg.CWMin

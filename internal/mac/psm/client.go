@@ -40,6 +40,14 @@ type Client struct {
 	seq     int
 	stats   ClientStats
 
+	// wakeTarget is the TBTT the pending pre-TBTT wakeup serves; slot 0
+	// holds at most one wakeup, so one field suffices.
+	wakeTarget sim.Time
+	// Cycle callbacks bound once in NewClient: a method value allocates
+	// every time it is taken.
+	onWakeFn      func()
+	attemptDozeFn func()
+
 	// OnData is invoked for every retrieved data frame.
 	OnData func(f *frame.Frame)
 }
@@ -55,6 +63,8 @@ func NewClient(s *sim.Simulator, m *dcf.Medium, dev *radio.Device, ap *AP, id in
 	c.sta.OnReceive = c.onReceive
 	c.cycle = s.NewSlotBatch(2) // slot 0: pre-TBTT wakeup, slot 1: doze retry
 	c.timeout = sim.NewTimer(s, c.onRetrieveTimeout)
+	c.onWakeFn = c.onWake
+	c.attemptDozeFn = c.attemptDoze
 	ap.SetPSMode(id, true)
 	c.sta.Doze()
 	c.scheduleWake()
@@ -82,14 +92,17 @@ func (c *Client) scheduleWake() {
 	if wakeAt <= c.sim.Now() {
 		wakeAt = c.sim.Now()
 	}
-	c.cycle.AtSlot(0, wakeAt, func() {
-		if !c.sta.Awake() {
-			c.sta.WakeUp(nil)
-		}
-		// If no beacon shows up shortly after TBTT (lost to collision or
-		// corruption), give up and doze until the next one.
-		c.timeout.ResetAt(target + c.cfg.RetrieveTimeout)
-	})
+	c.wakeTarget = target
+	c.cycle.AtSlot(0, wakeAt, c.onWakeFn)
+}
+
+func (c *Client) onWake() {
+	if !c.sta.Awake() {
+		c.sta.WakeUp(nil)
+	}
+	// If no beacon shows up shortly after TBTT (lost to collision or
+	// corruption), give up and doze until the next one.
+	c.timeout.ResetAt(c.wakeTarget + c.cfg.RetrieveTimeout)
 }
 
 func (c *Client) onRetrieveTimeout() {
@@ -122,7 +135,7 @@ func (c *Client) attemptDoze() {
 		c.sta.Doze()
 		return
 	}
-	c.cycle.ScheduleSlot(1, sim.Millisecond, c.attemptDoze)
+	c.cycle.ScheduleSlot(1, sim.Millisecond, c.attemptDozeFn)
 }
 
 func (c *Client) onReceive(f *frame.Frame) {

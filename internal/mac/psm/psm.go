@@ -81,6 +81,7 @@ type AP struct {
 	sta *dcf.Station
 
 	psMode   map[int]bool
+	psOrder  []int // stations in first SetPSMode order: the TIM walk order
 	buffers  map[int][]*frame.Frame
 	bcastBuf []*frame.Frame
 	inFlight map[int]bool
@@ -117,7 +118,12 @@ func (ap *AP) Stats() APStats { return ap.stats }
 // SetPSMode marks a station as power-saving (true) or CAM (false).
 // In a real network the station signals this with the power-management bit;
 // here registration is explicit.
-func (ap *AP) SetPSMode(sta int, on bool) { ap.psMode[sta] = on }
+func (ap *AP) SetPSMode(sta int, on bool) {
+	if _, seen := ap.psMode[sta]; !seen {
+		ap.psOrder = append(ap.psOrder, sta)
+	}
+	ap.psMode[sta] = on
+}
 
 // Buffered returns the number of frames currently buffered for a station.
 func (ap *AP) Buffered(sta int) int { return len(ap.buffers[sta]) }
@@ -152,8 +158,11 @@ func (ap *AP) sendBeacon() {
 	tim := frame.NewTIM(ap.cfg.DTIMPeriod)
 	tim.DTIMCount = ap.beaconN % ap.cfg.DTIMPeriod
 	tim.Broadcast = len(ap.bcastBuf) > 0
-	for sta, buf := range ap.buffers {
-		if len(buf) > 0 {
+	// Only registered stations are ever buffered for (Deliver checks
+	// psMode), so walking them in registration order covers every buffer
+	// without ranging over a map.
+	for _, sta := range ap.psOrder {
+		if len(ap.buffers[sta]) > 0 {
 			tim.Set(sta)
 		}
 	}
@@ -202,7 +211,10 @@ func (ap *AP) onSent(f *frame.Frame, ok bool) {
 	if ok {
 		buf := ap.buffers[f.To]
 		if len(buf) > 0 && buf[0] == f {
-			ap.buffers[f.To] = buf[1:]
+			// Shift in place so the buffer keeps its capacity for Deliver.
+			n := copy(buf, buf[1:])
+			buf[n] = nil
+			ap.buffers[f.To] = buf[:n]
 		}
 	}
 	// On failure the frame stays at the head; the station's TIM bit remains

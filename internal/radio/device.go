@@ -19,7 +19,12 @@ type Device struct {
 	state         State
 	transitioning bool
 	transEnd      sim.Time
+	// pendingDone holds the done callbacks of scheduled transition ends,
+	// oldest first (nil entries included). Two ends can be pending at once:
+	// Transitioning() is already false at transEnd, so a new transition can
+	// start before the previous one's end event fires.
 	pendingDone   []func()
+	endTransition func() // d.finishTransition, bound once
 
 	// listeners are notified after every completed state change; the trace
 	// package uses this to build Figure 1's power-level lanes.
@@ -40,6 +45,7 @@ func NewDeviceInState(s *sim.Simulator, p *Profile, initial State) *Device {
 	}
 	d := &Device{sim: s, profile: p, state: initial}
 	d.meter = newMeter(s, p, initial)
+	d.endTransition = d.finishTransition
 	return d
 }
 
@@ -95,13 +101,21 @@ func (d *Device) SetState(target State, done func()) sim.Time {
 	}
 	d.transitioning = true
 	d.transEnd = d.sim.Now() + cost.Latency
-	d.sim.At(d.transEnd, func() {
-		d.transitioning = false
-		if done != nil {
-			done()
-		}
-	})
+	d.pendingDone = append(d.pendingDone, done)
+	d.sim.At(d.transEnd, d.endTransition)
 	return cost.Latency
+}
+
+// finishTransition ends the oldest scheduled transition.
+func (d *Device) finishTransition() {
+	done := d.pendingDone[0]
+	n := copy(d.pendingDone, d.pendingDone[1:])
+	d.pendingDone[n] = nil
+	d.pendingDone = d.pendingDone[:n]
+	d.transitioning = false
+	if done != nil {
+		done()
+	}
 }
 
 // TransitionLatency reports the latency of switching from the current state

@@ -291,3 +291,36 @@ func TestTransitionLatencyQuery(t *testing.T) {
 		t.Error("TransitionLatency must not change state")
 	}
 }
+
+// A transition may start at exactly the previous one's transEnd, before that
+// end event has fired (Transitioning() is already false there). Each
+// transition's done must still run at its own end, in start order.
+func TestBackToBackTransitionsKeepDoneOrder(t *testing.T) {
+	s := sim.New(1)
+	p := WLAN80211b()
+	d := NewDeviceInState(s, p, Sleep)
+	wake := p.TransitionCost(Sleep, Idle).Latency
+	doze := p.TransitionCost(Idle, Sleep).Latency
+	if wake == 0 || doze == 0 {
+		t.Fatal("profile must give both transitions nonzero latency")
+	}
+	type call struct {
+		id int
+		at sim.Time
+	}
+	var got []call
+	// Scheduled before the first SetState, so it fires ahead of that
+	// transition's end event at the same instant.
+	s.At(wake, func() {
+		d.SetState(Sleep, func() { got = append(got, call{2, s.Now()}) })
+	})
+	d.SetState(Idle, func() { got = append(got, call{1, s.Now()}) })
+	s.Run()
+	want := []call{{1, wake}, {2, wake + doze}}
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("done calls = %v, want %v", got, want)
+	}
+	if d.State() != Sleep || d.Transitioning() {
+		t.Errorf("final state %v (transitioning %v), want settled Sleep", d.State(), d.Transitioning())
+	}
+}
