@@ -165,69 +165,3 @@ func TestSingleSeedHonorsParallel(t *testing.T) {
 		t.Error("missing classic per-experiment table")
 	}
 }
-
-func TestBenchJSONRejectsExperimentSelection(t *testing.T) {
-	var buf bytes.Buffer
-	err := run(&buf, options{benchJSON: "/tmp/should-not-exist.json", names: []string{"e10"}})
-	if err == nil || !strings.Contains(err.Error(), "benchjson") {
-		t.Fatalf("-benchjson with experiment selection should error, got %v", err)
-	}
-}
-
-func TestBenchGateRequiresASuite(t *testing.T) {
-	// A gate request must never be silently dropped: without a benchmark
-	// suite to gate it is an error.
-	var buf bytes.Buffer
-	err := run(&buf, options{benchGate: "pr3-after"})
-	if err == nil || !strings.Contains(err.Error(), "benchjson") {
-		t.Fatalf("-benchgate without a suite should error, got %v", err)
-	}
-}
-
-func TestMacroGateGeomean(t *testing.T) {
-	baseline := benchFile{Suite: "macro", Entries: []benchEntry{{
-		Label: "base",
-		Benchmarks: []benchResult{
-			{Name: "e1", NsPerOp: 100},
-			{Name: "e2", NsPerOp: 200},
-			{Name: "e3", NsPerOp: 50},
-		},
-	}}}
-	fresh := []benchResult{
-		{Name: "e1", NsPerOp: 100},
-		{Name: "e2", NsPerOp: 200},
-		{Name: "e3", NsPerOp: 50},
-		{Name: "e-new", NsPerOp: 10}, // no baseline: reported, not gated
-	}
-	var buf bytes.Buffer
-	if err := macroGate(&buf, fresh, baseline, "base"); err != nil {
-		t.Fatalf("parity run failed the gate: %v\n%s", err, buf.String())
-	}
-	if !strings.Contains(buf.String(), "geomean ×1.000") {
-		t.Errorf("missing geomean line: %s", buf.String())
-	}
-	if !strings.Contains(buf.String(), "e-new") {
-		t.Errorf("new experiment not reported: %s", buf.String())
-	}
-
-	// One experiment 2× slower: geomean ≈ 1.26 — under the threshold.
-	fresh[0].NsPerOp = 200
-	buf.Reset()
-	if err := macroGate(&buf, fresh, baseline, "base"); err != nil {
-		t.Fatalf("single-experiment trade failed the gate: %v", err)
-	}
-
-	// Everything 1.4× slower: geomean 1.4 — the gate must fail.
-	for i := range fresh {
-		fresh[i].NsPerOp *= 1.4
-	}
-	fresh[0].NsPerOp = 140
-	buf.Reset()
-	if err := macroGate(&buf, fresh, baseline, "base"); err == nil {
-		t.Fatalf("broad 1.4× regression passed the gate:\n%s", buf.String())
-	}
-
-	if err := macroGate(&buf, fresh, baseline, "no-such-label"); err == nil {
-		t.Error("missing baseline label should error")
-	}
-}

@@ -127,7 +127,7 @@ func main() {
 		return
 	}
 
-	if rf.SeedsN <= 1 {
+	if rf.SeedsN == 1 {
 		// The single-seed path bypasses the Runner (and therefore the
 		// execution backends) for its detailed report. Still validate the
 		// backend selection so a typo'd -backend fails here exactly like it

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/scenario"
-	"repro/internal/sim"
 )
 
 // RunFlags is the shared frontend flag set: seeding, execution backend
@@ -48,14 +47,6 @@ type RunFlags struct {
 	DialTimeout    time.Duration
 	FrameTimeout   time.Duration
 	Chaos          string
-
-	// Tuning, when non-empty, forces this kernel tuning (a sim.Tuning key
-	// such as "ts8-wb10-cd64-wmp0", or "default") onto every selected
-	// experiment that accepts one, overriding the per-spec pins. Tunings
-	// are order-invisible, so the override can change only the wall clock —
-	// which is the point: it is how the autotune CI smoke job proves a
-	// searched winner's output is byte-identical to the default's.
-	Tuning string
 
 	CPUProfile string
 	MemProfile string
@@ -102,7 +93,6 @@ func (f *RunFlags) Register(fs *flag.FlagSet) {
 	fs.DurationVar(&f.DialTimeout, "dial-timeout", def.DialTimeout, "shard: TCP worker dial timeout for -addrs (0 disables)")
 	fs.DurationVar(&f.FrameTimeout, "frame-timeout", def.FrameTimeout, "shard: per-frame read deadline on TCP worker connections (0 disables)")
 	fs.StringVar(&f.Chaos, "chaos", "", "shard/serve: fault-injection schedule for workers, e.g. \"crash-after=2,gens=2\" (see EXPERIMENTS.md)")
-	fs.StringVar(&f.Tuning, "tuning", "", "force this kernel tuning key (e.g. ts8-wb10-cd64-wmp0, or \"default\") on every tunable experiment; order-invisible, changes wall clock only")
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write a heap profile at the end of the run to this file")
 }
@@ -250,11 +240,10 @@ func (f *RunFlags) Runner(exec scenario.Executor, keepPerSeed bool) *scenario.Ru
 // backend's hit/miss/write-error line, a shard backend's supervision
 // health block — while stdout stays parseable (-json). The same counters
 // land in LastRun for frontends that print a run summary. CI asserts on
-// both.
+// both. A -seeds value below 1 is a usage error, not a one-seed run.
 func (f *RunFlags) Run(specs []scenario.Spec, keepPerSeed bool) ([]scenario.AggResult, error) {
-	specs, err := f.applyTuning(specs)
-	if err != nil {
-		return nil, err
+	if f.SeedsN < 1 {
+		return nil, fmt.Errorf("-seeds must be at least 1 (got %d)", f.SeedsN)
 	}
 	exec, err := f.Executor()
 	if err != nil {
@@ -291,27 +280,6 @@ func (f *RunFlags) Run(specs []scenario.Spec, keepPerSeed bool) ([]scenario.AggR
 		return nil, runErr
 	}
 	return aggs, stop()
-}
-
-// applyTuning rewrites the specs' kernel tunings when -tuning is set,
-// leaving the caller's slice untouched. Only the local process sees the
-// override — a remote shard worker runs its own registry's pins — which is
-// fine because tunings cannot change a single output bit either way.
-func (f *RunFlags) applyTuning(specs []scenario.Spec) ([]scenario.Spec, error) {
-	if f.Tuning == "" {
-		return specs, nil
-	}
-	tun, err := sim.ParseTuningKey(f.Tuning)
-	if err != nil {
-		return nil, fmt.Errorf("-tuning: %w", err)
-	}
-	out := append([]scenario.Spec(nil), specs...)
-	for i := range out {
-		if out[i].RunTuned != nil {
-			out[i].Tuning = &tun
-		}
-	}
-	return out, nil
 }
 
 // writeHealthJSON emits LastRun's structured counters as JSON — the

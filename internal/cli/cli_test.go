@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -216,6 +217,27 @@ func TestRunAggregatesAcrossSeeds(t *testing.T) {
 	}
 	if m := aggs[0].Metrics[0]; m.N != 4 || m.Mean != 2.5 {
 		t.Fatalf("seed metric = %+v, want mean 2.5 over 4 seeds", m)
+	}
+}
+
+func TestRunRejectsSeedsBelowOne(t *testing.T) {
+	// scenario.Seeds clamps n < 1 to one seed; the flag layer must not let
+	// "-seeds 0" or "-seeds -3" silently print a seed-1 table.
+	for _, n := range []int{0, -3} {
+		ran := false
+		spec := testSpec()
+		spec.Run = func(seed int64) scenario.Result {
+			ran = true
+			return scenario.Result{Name: "t"}
+		}
+		f := RunFlags{Seed: 1, SeedsN: n, Parallel: 1}
+		aggs, err := f.Run([]scenario.Spec{spec}, false)
+		if err == nil || !strings.Contains(err.Error(), "-seeds") {
+			t.Errorf("-seeds %d: err = %v, want a -seeds usage error", n, err)
+		}
+		if aggs != nil || ran {
+			t.Errorf("-seeds %d: ran the spec (aggs %v)", n, aggs)
+		}
 	}
 }
 

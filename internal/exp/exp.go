@@ -34,20 +34,6 @@ func init() {
 	all = append(all, hotspotCatalogue()...)
 	all = append(all, osCatalogue()...)
 	all = append(all, metroCatalogue()...)
-	// Apply the autotuned kernel-tuning pins (tunings_gen.go, written by
-	// figgen -autotune); a tunable spec without a pin runs under
-	// sim.DefaultTuning. A pin can only change wall clock — tunings are
-	// order-invisible — so it is invisible to the golden, the cache and
-	// every backend.
-	for i := range all {
-		if all[i].RunTuned == nil {
-			continue
-		}
-		if t, ok := autotunedTunings[all[i].Name]; ok {
-			t := t
-			all[i].Tuning = &t
-		}
-	}
 	sort.SliceStable(all, func(i, j int) bool {
 		ri, ni := catalogueRank(all[i].Name)
 		rj, nj := catalogueRank(all[j].Name)

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
@@ -259,24 +258,5 @@ func TestAblations(t *testing.T) {
 	if burst.Values["bigW"] >= burst.Values["smallW"] {
 		t.Errorf("10s bursts (%.4f W) should beat 1s bursts (%.4f W)",
 			burst.Values["bigW"], burst.Values["smallW"])
-	}
-}
-
-// Every tunable spec takes its kernel tuning from the generated pin table:
-// the catalogue carries no hand pins, so the registered Tuning of each
-// pinned spec must be exactly its tunings_gen.go entry.
-func TestTunableSpecsCarryGeneratedPins(t *testing.T) {
-	for _, name := range []string{"e3", "e4", "e5", "e18", "e19", "e20"} {
-		spec, ok := scenario.Lookup(name)
-		if !ok {
-			t.Fatalf("%s not registered", name)
-		}
-		pin, ok := autotunedTunings[name]
-		if !ok {
-			t.Fatalf("%s has no generated pin", name)
-		}
-		if spec.RunTuned == nil || spec.Tuning == nil || *spec.Tuning != pin {
-			t.Errorf("%s registered tuning %v, want generated pin %s", name, spec.Tuning, pin.Key())
-		}
 	}
 }

@@ -131,11 +131,11 @@ func (d *resultDecoder) intern(b []byte) string {
 
 // decode parses a binary Result encoding into res. With reuse set, the
 // existing res.Values map is cleared and refilled and the table string is
-// interned too — the zero-allocation steady state the codec benchmarks
-// pin; callers own the aliasing. Without reuse, res gets a fresh map and
-// an owned table string (names and keys still intern: they are immutable
-// and shared by design). Every malformed input fails with ErrDecode and
-// leaves *res zero.
+// interned too — the zero-allocation steady state that
+// TestCodecSteadyStateAllocatesNothing pins; callers own the aliasing.
+// Without reuse, res gets a fresh map and an owned table string (names and
+// keys still intern: they are immutable and shared by design). Every
+// malformed input fails with ErrDecode and leaves *res zero.
 func (d *resultDecoder) decode(data []byte, res *Result, reuse bool) error {
 	fail := func(msg string) error {
 		*res = Result{}

@@ -84,6 +84,75 @@ func TestCodecDeterministicBytes(t *testing.T) {
 	}
 }
 
+// codecFixture is a metro-experiment-sized Result: a rendered table and a
+// dozen metrics, including the float specials (NaN, ±Inf, −0, the smallest
+// subnormal) the codec must carry bit-exactly.
+func codecFixture() Result {
+	table := "metric                         value\n"
+	for i := 0; i < 12; i++ {
+		table += "  some-metric-name-goes-here   123456.789012\n"
+	}
+	return Result{
+		Name:  "codec-fixture",
+		Table: table,
+		Values: map[string]float64{
+			"energy_mj":       1234.5678,
+			"throughput_mbps": 42.125,
+			"latency_ms":      math.Copysign(0, -1),
+			"drop_rate":       math.NaN(),
+			"sleep_frac":      0.9999999999999999,
+			"wake_count":      81920,
+			"beacon_misses":   math.Inf(1),
+			"queue_peak":      math.Inf(-1),
+			"airtime_frac":    0.3333333333333333,
+			"retries":         17,
+			"goodput_mbps":    41.875,
+			"idle_mj":         5e-324,
+		},
+	}
+}
+
+// TestCodecSteadyStateAllocatesNothing pins the codec's scratch-reuse
+// contract, the configuration a shard connection runs at: encoding into a
+// reused buffer with a reused encoder, and decoding with an interning
+// decoder into a reused Result, allocate nothing once warm.
+func TestCodecSteadyStateAllocatesNothing(t *testing.T) {
+	res := codecFixture()
+	wire, err := EncodeResult(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var e resultEncoder
+	buf := e.appendResult(nil, res)
+	if a := testing.AllocsPerRun(200, func() {
+		buf = e.appendResult(buf[:0], res)
+	}); a != 0 {
+		t.Errorf("appendResult into a reused buffer allocates %v per op, want 0", a)
+	}
+	if !bytes.Equal(buf, wire) {
+		t.Fatal("reused-scratch encoding differs from EncodeResult")
+	}
+
+	d := newResultDecoder()
+	var out Result
+	if err := d.decode(wire, &out, true); err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(200, func() {
+		if err := d.decode(wire, &out, true); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("decode into a reused Result allocates %v per op, want 0", a)
+	}
+	for k, want := range res.Values {
+		if got, ok := out.Values[k]; !ok || math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: decoded %v (present %v), want bits %#x", k, got, ok, math.Float64bits(want))
+		}
+	}
+}
+
 func TestDecodeRejectsGarbage(t *testing.T) {
 	if _, err := DecodeResult([]byte("not json")); err == nil {
 		t.Error("garbage JSON accepted")

@@ -32,9 +32,10 @@ type Result struct {
 // filtering, and the seeded run function that produces its Result.
 //
 // Exactly one of Run and RunTuned must be set. RunTuned is for experiments
-// whose event mix wants a non-default kernel tuning (sim.Tuning trades
-// only constant factors, never event order, so the override cannot change
-// results); the Tuning field supplies it and Execute threads it through.
+// that accept a kernel tuning: the registry leaves Tuning nil, so they run
+// on sim.DefaultTuning, and tests set it to prove other tunings change
+// nothing (sim.Tuning trades only constant factors, never event order).
+// Execute threads it through.
 //
 // Params is an optional canonical description of any runtime parameters
 // baked into the run closure (ad-hoc specs built from CLI flags set it;

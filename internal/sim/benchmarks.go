@@ -1,8 +1,8 @@
 package sim
 
-// Kernel microbenchmark workloads, shared between the go-test benchmarks in
-// bench_test.go and figgen's -benchjson emitter so the numbers committed to
-// BENCH_kernel.json come from exactly the code paths `go test -bench` times.
+// Kernel microbenchmark workloads, shared between the go-test benchmarks
+// and zero-allocation test in bench_test.go and the repository benchmark's
+// per-layer sim.* metrics, so all three time exactly the same code paths.
 //
 // Each workload performs n operations of its steady-state pattern against a
 // fresh Simulator, with all closures hoisted out of the hot loop: what is
@@ -12,58 +12,21 @@ package sim
 // KernelBenchmark is one microbenchmark of the event kernel.
 type KernelBenchmark struct {
 	Name string
-	Doc  string
 	Run  func(n int) // executes n operations of the workload
 }
 
 // KernelBenchmarks returns the kernel benchmark suite in a fixed order.
 func KernelBenchmarks() []KernelBenchmark {
 	return []KernelBenchmark{
-		{
-			Name: "ScheduleFire",
-			Doc:  "one event in flight: each op schedules one event and fires it",
-			Run:  benchScheduleFire,
-		},
-		{
-			Name: "ResetStorm",
-			Doc:  "timer rearmed far more often than it fires (ARQ/µNap pattern)",
-			Run:  benchResetStorm,
-		},
-		{
-			Name: "CancelHeavy",
-			Doc:  "batches of events where half are cancelled before they fire",
-			Run:  benchCancelHeavy,
-		},
-		{
-			Name: "MixedMAC",
-			Doc:  "MAC-like mix: one-shot frames, a beacon ticker, a rearmed ARQ timer",
-			Run:  benchMixedMAC,
-		},
-		{
-			Name: "DenseStorm",
-			Doc:  "64 interleaved short-timer chains: the dense near-future wheel regime",
-			Run:  benchDenseStorm,
-		},
-		{
-			Name: "BucketBoundary",
-			Doc:  "coarse-tick chains straddling bucket boundaries (intra-tick ordering)",
-			Run:  benchBucketBoundary,
-		},
-		{
-			Name: "OverflowMigrate",
-			Doc:  "far-future events staged from the overflow heap as their tick arrives",
-			Run:  benchOverflowMigrate,
-		},
-		{
-			Name: "MetroDense",
-			Doc:  "metro mix under adaptive routing: a few aggregated streams, sparse queue",
-			Run:  benchMetroDense,
-		},
-		{
-			Name: "MetroChurn",
-			Doc:  "metro mix plus churn: a rearmed death timer alongside the streams",
-			Run:  benchMetroChurn,
-		},
+		{Name: "ScheduleFire", Run: benchScheduleFire},
+		{Name: "ResetStorm", Run: benchResetStorm},
+		{Name: "CancelHeavy", Run: benchCancelHeavy},
+		{Name: "MixedMAC", Run: benchMixedMAC},
+		{Name: "DenseStorm", Run: benchDenseStorm},
+		{Name: "BucketBoundary", Run: benchBucketBoundary},
+		{Name: "OverflowMigrate", Run: benchOverflowMigrate},
+		{Name: "MetroDense", Run: benchMetroDense},
+		{Name: "MetroChurn", Run: benchMetroChurn},
 	}
 }
 

@@ -36,6 +36,25 @@ func modelTunings() []Tuning {
 	}
 }
 
+// cornerTunings are the geometry corners of the kernel's tuning space,
+// named as ts<TickShift>-wb<WheelBits>-cd<CompactMinDead>-wmp<WheelMinPending>
+// (A for adaptive routing): the smallest and largest wheel, the default
+// (finest tick), the coarsest tick, the adaptive mode at both small-wheel
+// extremes, and routing switched off entirely (pure heap). These are the
+// shapes where a wheel-ordering bug would hide.
+var cornerTunings = []struct {
+	name string
+	tun  Tuning
+}{
+	{"ts0-wb8-cd64-wmp0", Tuning{TickShift: 0, WheelBits: 8, CompactMinDead: 64, WheelMinPending: 0}},
+	{"ts0-wb14-cd64-wmp0", Tuning{TickShift: 0, WheelBits: 14, CompactMinDead: 64, WheelMinPending: 0}},
+	{"ts0-wb10-cd64-wmp16", DefaultTuning()},
+	{"ts8-wb8-cd64-wmp0", Tuning{TickShift: 8, WheelBits: 8, CompactMinDead: 64, WheelMinPending: 0}},
+	{"ts8-wb8-cd64-wmpA", Tuning{TickShift: 8, WheelBits: 8, CompactMinDead: 64, WheelMinPending: WheelAdaptive}},
+	{"ts0-wb8-cd64-wmpA", Tuning{TickShift: 0, WheelBits: 8, CompactMinDead: 64, WheelMinPending: WheelAdaptive}},
+	{"ts0-wb10-cd64-wmp1048576", Tuning{TickShift: 0, WheelBits: 10, CompactMinDead: 64, WheelMinPending: 1 << 20}},
+}
+
 // TestRandomInterleavingMatchesModel drives the kernel with random
 // interleavings of At, Schedule, Cancel, Timer.Reset, Timer.Stop and
 // partial RunUntil drains, and checks the observed fire sequence against a
@@ -44,6 +63,8 @@ func modelTunings() []Tuning {
 // pooling, lazy cancellation, compaction, and now the timing wheel with
 // its front register, per-tick buckets and overflow heap — to the old
 // observable behavior, across tunings that exercise every wheel shape.
+// Cache entries and the seed-1 golden stay valid under any tuning
+// precisely because this holds.
 //
 // The random delays deliberately straddle each tuning's wheel span: short
 // delays land in buckets (including the current tick), mid delays cross
@@ -56,6 +77,21 @@ func TestRandomInterleavingMatchesModel(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			span := int(1) << (tun.TickShift + tun.WheelBits)
 			for trial := 0; trial < 100; trial++ {
+				runModelTrial(t, tun, span, trial)
+			}
+		})
+	}
+}
+
+// TestRandomInterleavingCornerTunings runs the reference model of
+// TestRandomInterleavingMatchesModel at the corners of the tuning space, so
+// every tuning a spec can carry in Spec.Tuning fires in the identical order.
+func TestRandomInterleavingCornerTunings(t *testing.T) {
+	for _, c := range cornerTunings {
+		tun := c.tun
+		t.Run(c.name, func(t *testing.T) {
+			span := int(1) << (tun.TickShift + tun.WheelBits)
+			for trial := 0; trial < 60; trial++ {
 				runModelTrial(t, tun, span, trial)
 			}
 		})
