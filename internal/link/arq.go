@@ -2,6 +2,7 @@ package link
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/channel"
 	"repro/internal/sim"
@@ -92,8 +93,17 @@ func DefaultParams() Params {
 
 // Validate checks the parameters.
 func (p Params) Validate() error {
-	if p.PacketBytes <= 0 || p.BitRate <= 0 {
-		return fmt.Errorf("link: invalid packet/rate")
+	if p.PacketBytes <= 0 {
+		return fmt.Errorf("link: packet payload %d must be positive", p.PacketBytes)
+	}
+	if !(p.BitRate > 0) || math.IsInf(p.BitRate, 1) {
+		return fmt.Errorf("link: bit rate %g must be positive and finite", p.BitRate)
+	}
+	if p.HeaderBytes < 0 || p.AckBytes < 0 || p.RetryLimit < 0 {
+		return fmt.Errorf("link: negative header (%d), ACK (%d) or retry limit (%d)", p.HeaderBytes, p.AckBytes, p.RetryLimit)
+	}
+	if p.PropDelay < 0 || p.Deadline < 0 {
+		return fmt.Errorf("link: negative propagation delay (%v) or deadline (%v)", p.PropDelay, p.Deadline)
 	}
 	if err := p.Code.Validate(); err != nil {
 		return err
@@ -146,17 +156,8 @@ func Transfer(s *sim.Simulator, ch *channel.GilbertElliott, p Params, totalPacke
 	// Reserve the transfer's concurrent event capacity up front so the
 	// per-packet scheduling hot path never grows the slab mid-transfer.
 	s.Reserve(window(p))
-	eng := &engine{s: s, ch: ch, p: p, total: totalPackets}
-	switch p.ARQ {
-	case NoARQ:
-		eng.runNoARQ()
-	case StopAndWait:
-		eng.runStopAndWait()
-	case GoBackN:
-		eng.runGoBackN()
-	case SelectiveRepeat:
-		eng.runSelectiveRepeat()
-	}
+	eng := newEngine(s, ch, p, totalPackets)
+	eng.run()
 	s.Run()
 	return eng.result()
 }
@@ -171,16 +172,24 @@ func window(p Params) int {
 }
 
 // engine holds shared transfer state. A finished engine deliberately never
-// cancels its leftover queued events: their completions still draw from
-// the channel's error process when they fire (the done-guards make them
-// no-ops otherwise), and the adaptive-ARQ experiments run several
+// cancels its leftover queued events: their airtime completions still draw
+// from the channel's error process when they fire (the done-guards make
+// them no-ops otherwise), and the adaptive-ARQ experiments run several
 // transfers on one simulator — cancelling would shift every later RNG
-// draw.
+// draw. The pooled transmission records keep this: a record belongs to
+// the engine that sent it, so a leftover event fires against its own
+// finished engine, samples the channel and returns the record to that
+// engine's free list.
 type engine struct {
 	s     *sim.Simulator
 	ch    *channel.GilbertElliott
 	p     Params
 	total int
+
+	wire     int      // data packet on-air bytes
+	air      sim.Time // data packet airtime
+	ackAir   sim.Time // ACK airtime
+	ackDelay sim.Time // data-packet completion to ACK receipt
 
 	startAt   sim.Time
 	endAt     sim.Time
@@ -190,6 +199,67 @@ type engine struct {
 	ackCount  int
 	started   bool
 	done      bool
+
+	free []*xmit // recycled transmission records
+
+	// Discipline state. Stop-and-wait retries only its one outstanding
+	// packet and go-back-N only its window head, so each keeps one retry
+	// count in attempt.
+	attempt  int
+	base     int // GBN/SR: oldest unresolved packet
+	next     int // GBN/SR: next packet to put on the air
+	expected int // GBN: receiver's in-order expectation
+	sending  bool
+	ring     []srSlot // SR: packet seq's state is ring[seq%Window]
+	queue    []int    // SR retransmission queue, consumed from qHead
+	qHead    int
+}
+
+// srSlot is selective repeat's state for one packet in [base, next). Every
+// unresolved packet lies in that range and next <= base+Window, so a ring
+// of Window slots holds them all; a slot is cleared as base passes it.
+type srSlot struct {
+	attempts int
+	acked    bool
+	dropped  bool // retry limit exceeded
+}
+
+// xmit is one data packet's transmission, pooled on its engine's free
+// list. airFn fires at the end of its airtime, rxFn (go-back-N only) when
+// it reaches the receiver, ackFn when the receiver's reply reaches the
+// sender. All are bound once, when the record is first allocated.
+type xmit struct {
+	e     *engine
+	seq   int
+	ok    bool // the FEC decoded the block
+	airFn func()
+	rxFn  func()
+	ackFn func()
+}
+
+func newEngine(s *sim.Simulator, ch *channel.GilbertElliott, p Params, total int) *engine {
+	e := &engine{
+		s: s, ch: ch, p: p, total: total,
+		wire:   p.wireBytes(),
+		air:    p.airTime(),
+		ackAir: p.ackTime(),
+	}
+	e.ackDelay = 2*p.PropDelay + e.ackAir
+	if p.ARQ == SelectiveRepeat {
+		e.ring = make([]srSlot, p.Window)
+	}
+	return e
+}
+
+func (e *engine) run() {
+	switch e.p.ARQ {
+	case NoARQ, StopAndWait:
+		e.sendIdx(0)
+	case GoBackN:
+		e.pumpGBN()
+	case SelectiveRepeat:
+		e.pumpSR()
+	}
 }
 
 func (e *engine) begin() {
@@ -218,20 +288,78 @@ func (e *engine) finish() {
 	e.s.Stop()
 }
 
-// sendPacket models one data-packet transmission: occupies airtime, then
-// samples the channel at completion. ok means the FEC decoded the block.
-func (e *engine) sendPacket(done func(ok bool)) {
+// sendPacket models one data-packet transmission: it occupies airtime,
+// then the record's onAir samples the channel.
+func (e *engine) sendPacket(seq int) {
 	e.begin()
 	e.txCount++
-	e.s.Schedule(e.p.airTime(), func() {
-		errs := e.ch.SampleBitErrors(e.p.wireBytes())
-		done(e.p.Code.Corrects(errs))
-	})
+	var x *xmit
+	if n := len(e.free); n > 0 {
+		x = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		x = &xmit{e: e}
+		x.airFn = x.onAir
+		x.ackFn = x.onAck
+		if e.p.ARQ == GoBackN {
+			x.rxFn = x.onArrival
+		}
+	}
+	x.seq = seq
+	e.s.Schedule(e.air, x.airFn)
 }
 
-// ackDelay is the time from data-packet completion to ACK receipt.
-func (e *engine) ackDelay() sim.Time {
-	return 2*e.p.PropDelay + e.p.ackTime()
+func (e *engine) release(x *xmit) { e.free = append(e.free, x) }
+
+// onAir ends the airtime: the channel is sampled even when the engine has
+// finished (see engine), then ok says whether the FEC decoded the block.
+func (x *xmit) onAir() {
+	e := x.e
+	x.ok = e.p.Code.Corrects(e.ch.SampleBitErrors(e.wire))
+	if e.done {
+		e.release(x)
+		return
+	}
+	switch e.p.ARQ {
+	case NoARQ:
+		if x.ok {
+			e.delivered++
+		} else {
+			e.lost++
+		}
+		seq := x.seq
+		e.release(x)
+		e.sendIdx(seq + 1)
+	case StopAndWait:
+		// Receiver replies with an ACK/NACK after the round trip.
+		e.ackCount++
+		e.s.Schedule(e.ackDelay, x.ackFn)
+	case GoBackN:
+		e.sending = false
+		e.s.Schedule(e.p.PropDelay, x.rxFn)
+		e.pumpGBN()
+	case SelectiveRepeat:
+		e.sending = false
+		e.s.Schedule(e.ackDelay, x.ackFn)
+		e.pumpSR()
+	}
+}
+
+// onAck handles the receiver's reply at the sender.
+func (x *xmit) onAck() {
+	e, seq, ok := x.e, x.seq, x.ok
+	e.release(x)
+	if e.done {
+		return
+	}
+	switch e.p.ARQ {
+	case StopAndWait:
+		e.ackStopAndWait(seq, ok)
+	case GoBackN:
+		e.ackGBN(seq)
+	case SelectiveRepeat:
+		e.ackSR(seq, ok)
+	}
 }
 
 func (e *engine) result() Result {
@@ -249,15 +377,18 @@ func (e *engine) result() Result {
 	payloadBits := float64(e.delivered * e.p.PacketBytes * 8)
 	r.GoodputBps = payloadBits / dur.Seconds()
 
-	air := e.p.airTime().Seconds()
-	ack := e.p.ackTime().Seconds()
-	txTime := float64(e.txCount) * air
-	ackTime := float64(e.ackCount) * ack
+	air := e.air.Seconds()
+	ack := e.ackAir.Seconds()
+	// Each product is rounded on its own so no target fuses it into a sum
+	// (FMA); amd64 never fuses, so the rounding is the same there.
+	txTime := float64(float64(e.txCount) * air)
+	ackTime := float64(float64(e.ackCount) * ack)
 	total := dur.Seconds()
-	senderE := txTime*e.p.TxPower + ackTime*e.p.RxPower +
-		(total-txTime-ackTime)*e.p.IdlePower
-	receiverE := txTime*e.p.RxPower + ackTime*e.p.TxPower +
-		(total-txTime-ackTime)*e.p.IdlePower
+	idle := total - txTime - ackTime
+	senderE := float64(txTime*e.p.TxPower) + float64(ackTime*e.p.RxPower) +
+		float64(idle*e.p.IdlePower)
+	receiverE := float64(txTime*e.p.RxPower) + float64(ackTime*e.p.TxPower) +
+		float64(idle*e.p.IdlePower)
 	r.EnergyJ = senderE + receiverE
 	if payloadBits > 0 {
 		r.EnergyPerBitJ = r.EnergyJ / payloadBits
@@ -265,232 +396,167 @@ func (e *engine) result() Result {
 	return r
 }
 
-// --- NoARQ: fire and forget ---
+// --- NoARQ (fire and forget) and stop-and-wait ---
 
-func (e *engine) runNoARQ() {
-	var sendNext func(i int)
-	sendNext = func(i int) {
-		if e.done {
-			return
-		}
-		if i >= e.total || e.expired() {
-			e.finish()
-			return
-		}
-		e.sendPacket(func(ok bool) {
-			if e.done {
-				return
-			}
-			if ok {
-				e.delivered++
-			} else {
-				e.lost++
-			}
-			sendNext(i + 1)
-		})
+// sendIdx puts packet i on the air, or finishes when none is left or the
+// deadline has passed.
+func (e *engine) sendIdx(i int) {
+	if e.done {
+		return
 	}
-	sendNext(0)
+	if i >= e.total || e.expired() {
+		e.finish()
+		return
+	}
+	e.sendPacket(i)
 }
 
-// --- Stop-and-wait ---
-
-func (e *engine) runStopAndWait() {
-	var sendIdx func(i, attempt int)
-	sendIdx = func(i, attempt int) {
-		if e.done {
-			return
-		}
-		if i >= e.total || e.expired() {
-			e.finish()
-			return
-		}
-		e.sendPacket(func(ok bool) {
-			if e.done {
-				return
-			}
-			// Receiver replies with an ACK/NACK after the round trip.
-			e.ackCount++
-			e.s.Schedule(e.ackDelay(), func() {
-				if e.done {
-					return
-				}
-				if ok {
-					e.delivered++
-					sendIdx(i+1, 0)
-					return
-				}
-				if attempt+1 > e.p.RetryLimit {
-					e.lost++
-					sendIdx(i+1, 0)
-					return
-				}
-				sendIdx(i, attempt+1)
-			})
-		})
+func (e *engine) ackStopAndWait(seq int, ok bool) {
+	if ok {
+		e.delivered++
+		e.attempt = 0
+		e.sendIdx(seq + 1)
+		return
 	}
-	sendIdx(0, 0)
+	if e.attempt+1 > e.p.RetryLimit {
+		e.lost++
+		e.attempt = 0
+		e.sendIdx(seq + 1)
+		return
+	}
+	e.attempt++
+	e.sendIdx(seq)
 }
 
 // --- Go-back-N ---
 
-func (e *engine) runGoBackN() {
-	base, next := 0, 0
-	expected := 0 // receiver's in-order expectation
-	attempts := make(map[int]int)
-	sending := false
-
-	var pump func()
-	var onDataArrival func(seq int, ok bool)
-
-	pump = func() {
-		if e.done || sending {
-			return
-		}
-		if base >= e.total || (e.expired() && next <= base) {
-			e.finish()
-			return
-		}
-		if e.expired() || next >= base+e.p.Window || next >= e.total {
-			return // window full or deadline passed; wait for ACK drainage
-		}
-		seq := next
-		next++
-		sending = true
-		e.sendPacket(func(ok bool) {
-			if e.done {
-				return
-			}
-			sending = false
-			e.s.Schedule(e.p.PropDelay, func() { onDataArrival(seq, ok) })
-			pump()
-		})
+func (e *engine) pumpGBN() {
+	if e.done || e.sending {
+		return
 	}
-
-	onDataArrival = func(seq int, ok bool) {
-		if e.done {
-			return
-		}
-		// Receiver: in-order acceptance only.
-		if ok && seq == expected {
-			expected++
-			e.delivered++
-		}
-		// Cumulative ACK for everything below `expected`.
-		e.ackCount++
-		e.s.Schedule(e.p.PropDelay+e.p.ackTime(), func() {
-			if e.done {
-				return
-			}
-			if e.expired() {
-				// Account the final in-flight state, then stop.
-				if expected > base {
-					base = expected
-				}
-				e.finish()
-				return
-			}
-			if expected > base {
-				base = expected
-				for k := range attempts {
-					if k < base {
-						delete(attempts, k)
-					}
-				}
-				pump()
-				return
-			}
-			// Duplicate ACK: the window's head was lost — go back.
-			if seq >= base {
-				attempts[base]++
-				if attempts[base] > e.p.RetryLimit {
-					// Skip the poisoned head to avoid livelock; counts lost.
-					e.lost++
-					delete(attempts, base)
-					base++
-					if expected < base {
-						expected = base
-					}
-				}
-				next = base
-				pump()
-			}
-		})
+	if e.base >= e.total || (e.expired() && e.next <= e.base) {
+		e.finish()
+		return
 	}
+	if e.expired() || e.next >= e.base+e.p.Window || e.next >= e.total {
+		return // window full or deadline passed; wait for ACK drainage
+	}
+	seq := e.next
+	e.next++
+	e.sending = true
+	e.sendPacket(seq)
+}
 
-	pump()
+// onArrival is the go-back-N receiver: in-order acceptance only, then a
+// cumulative ACK for everything below expected.
+func (x *xmit) onArrival() {
+	e := x.e
+	if e.done {
+		e.release(x)
+		return
+	}
+	if x.ok && x.seq == e.expected {
+		e.expected++
+		e.delivered++
+	}
+	e.ackCount++
+	e.s.Schedule(e.p.PropDelay+e.ackAir, x.ackFn)
+}
+
+func (e *engine) ackGBN(seq int) {
+	if e.expired() {
+		// Account the final in-flight state, then stop.
+		if e.expected > e.base {
+			e.base = e.expected
+		}
+		e.finish()
+		return
+	}
+	if e.expected > e.base {
+		e.base = e.expected
+		e.attempt = 0
+		e.pumpGBN()
+		return
+	}
+	// Duplicate ACK: the window's head was lost — go back.
+	if seq >= e.base {
+		e.attempt++
+		if e.attempt > e.p.RetryLimit {
+			// Skip the poisoned head to avoid livelock; counts lost.
+			e.lost++
+			e.base++
+			e.attempt = 0
+			if e.expected < e.base {
+				e.expected = e.base
+			}
+		}
+		e.next = e.base
+		e.pumpGBN()
+	}
 }
 
 // --- Selective repeat ---
 
-func (e *engine) runSelectiveRepeat() {
-	acked := make([]bool, e.total)
-	lostSet := make([]bool, e.total)
-	attempts := make(map[int]int)
-	base := 0
-	sending := false
-	var queue []int // retransmission queue
-	nextFresh := 0
-
-	var pump func()
-	pump = func() {
-		if e.done || sending {
-			return
-		}
-		// Advance base past acked/lost packets.
-		for base < e.total && (acked[base] || lostSet[base]) {
-			base++
-		}
-		if base >= e.total || e.expired() {
-			e.finish()
-			return
-		}
-		// Pick retransmission first, else a fresh packet inside the window.
-		seq := -1
-		for len(queue) > 0 {
-			cand := queue[0]
-			queue = queue[1:]
-			if !acked[cand] && !lostSet[cand] {
-				seq = cand
-				break
-			}
-		}
-		if seq == -1 {
-			if nextFresh < e.total && nextFresh < base+e.p.Window {
-				seq = nextFresh
-				nextFresh++
-			} else {
-				return // waiting for ACKs/NACKs
-			}
-		}
-		sending = true
-		e.sendPacket(func(ok bool) {
-			if e.done {
-				return
-			}
-			sending = false
-			e.s.Schedule(e.ackDelay(), func() {
-				if e.done {
-					return
-				}
-				e.ackCount++
-				if ok {
-					if !acked[seq] {
-						acked[seq] = true
-						e.delivered++
-					}
-				} else {
-					attempts[seq]++
-					if attempts[seq] > e.p.RetryLimit {
-						lostSet[seq] = true
-						e.lost++
-					} else {
-						queue = append(queue, seq)
-					}
-				}
-				pump()
-			})
-			pump()
-		})
+func (e *engine) pumpSR() {
+	if e.done || e.sending {
+		return
 	}
-	pump()
+	// Advance base past acked/lost packets.
+	for e.base < e.total {
+		sl := e.slot(e.base)
+		if !sl.acked && !sl.dropped {
+			break
+		}
+		*sl = srSlot{}
+		e.base++
+	}
+	if e.base >= e.total || e.expired() {
+		e.finish()
+		return
+	}
+	// Pick retransmission first, else a fresh packet inside the window.
+	seq := -1
+	for e.qHead < len(e.queue) {
+		cand := e.queue[e.qHead]
+		e.qHead++
+		if sl := e.slot(cand); !sl.acked && !sl.dropped {
+			seq = cand
+			break
+		}
+	}
+	if e.qHead == len(e.queue) {
+		e.queue, e.qHead = e.queue[:0], 0
+	}
+	if seq == -1 {
+		if e.next < e.total && e.next < e.base+e.p.Window {
+			seq = e.next
+			e.next++
+		} else {
+			return // waiting for ACKs/NACKs
+		}
+	}
+	e.sending = true
+	e.sendPacket(seq)
+}
+
+func (e *engine) slot(seq int) *srSlot { return &e.ring[seq%len(e.ring)] }
+
+func (e *engine) ackSR(seq int, ok bool) {
+	e.ackCount++
+	sl := e.slot(seq)
+	if ok {
+		if !sl.acked {
+			sl.acked = true
+			e.delivered++
+		}
+	} else {
+		sl.attempts++
+		if sl.attempts > e.p.RetryLimit {
+			sl.dropped = true
+			e.lost++
+		} else {
+			e.queue = append(e.queue, seq)
+		}
+	}
+	e.pumpSR()
 }

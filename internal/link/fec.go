@@ -74,7 +74,8 @@ func (c Code) BlockErrorProb(ber float64) float64 {
 		if i > 0 {
 			logC += math.Log(float64(n-i+1)) - math.Log(float64(i))
 		}
-		cum += math.Exp(logC + float64(i)*logP + float64(n-i)*logQ)
+		// Rounding each product forbids fusing it into the sum (FMA).
+		cum += math.Exp(logC + float64(float64(i)*logP) + float64(float64(n-i)*logQ))
 	}
 	if cum > 1 {
 		cum = 1

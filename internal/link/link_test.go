@@ -2,6 +2,7 @@ package link
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -314,5 +315,76 @@ func TestAdaptiveDeliversEverything(t *testing.T) {
 	}
 	if r.EpochsGood+r.EpochsBad == 0 {
 		t.Error("no epochs recorded")
+	}
+}
+
+// TestParamsValidateRejectsEveryBadField covers each field Transfer would
+// otherwise choke on mid-run (a NaN rate overflows the stack, a negative
+// delay panics in the kernel, an infinite rate gives zero airtime):
+// Validate must name the problem and Transfer must panic with that link:
+// error before scheduling anything.
+func TestParamsValidateRejectsEveryBadField(t *testing.T) {
+	cases := []struct {
+		name string
+		bad  func(*Params)
+	}{
+		{"BitRate NaN", func(p *Params) { p.BitRate = math.NaN() }},
+		{"BitRate +Inf", func(p *Params) { p.BitRate = math.Inf(1) }},
+		{"BitRate -Inf", func(p *Params) { p.BitRate = math.Inf(-1) }},
+		{"BitRate zero", func(p *Params) { p.BitRate = 0 }},
+		{"BitRate negative", func(p *Params) { p.BitRate = -2e6 }},
+		{"PacketBytes zero", func(p *Params) { p.PacketBytes = 0 }},
+		{"HeaderBytes negative", func(p *Params) { p.HeaderBytes = -1 }},
+		{"AckBytes negative", func(p *Params) { p.AckBytes = -100 }},
+		{"PropDelay negative", func(p *Params) { p.PropDelay = -sim.Millisecond }},
+		{"RetryLimit negative", func(p *Params) { p.RetryLimit = -1 }},
+		{"Deadline negative", func(p *Params) { p.Deadline = -sim.Second }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, arq := range []ARQKind{NoARQ, StopAndWait, GoBackN, SelectiveRepeat} {
+				p := DefaultParams()
+				p.ARQ = arq
+				tc.bad(&p)
+				err := p.Validate()
+				if err == nil || !strings.HasPrefix(err.Error(), "link: ") {
+					t.Fatalf("%v: Validate = %v, want a link: error", arq, err)
+				}
+				func() {
+					defer func() {
+						if e, ok := recover().(error); !ok || e.Error() != err.Error() {
+							t.Errorf("%v: Transfer panicked with %v, want %v", arq, e, err)
+						}
+					}()
+					s := sim.New(1)
+					Transfer(s, uniformChannel(s, 1e-6), p, 10)
+				}()
+			}
+		})
+	}
+}
+
+// TestTransferMarginalPacketAllocatesNothing pins the pooled event path:
+// on a clean channel, moving twice the packets costs no extra allocation
+// in any discipline.
+func TestTransferMarginalPacketAllocatesNothing(t *testing.T) {
+	for _, arq := range []ARQKind{NoARQ, StopAndWait, GoBackN, SelectiveRepeat} {
+		allocs := func(n int) float64 {
+			return testing.AllocsPerRun(20, func() {
+				s := sim.New(1)
+				ch := channel.NewGilbertElliott(s, channel.GEParams{
+					MeanGood: sim.Hour, MeanBad: sim.Second, BERGood: 0, BERBad: 0.5})
+				ch.Freeze()
+				p := DefaultParams()
+				p.ARQ = arq
+				p.PropDelay = 2 * sim.Millisecond // keep the GBN/SR window busy
+				if r := Transfer(s, ch, p, n); r.DeliveredPackets != n {
+					t.Fatalf("%v: delivered %d of %d", arq, r.DeliveredPackets, n)
+				}
+			})
+		}
+		if one, two := allocs(200), allocs(400); one != two {
+			t.Errorf("%v: %v allocs for 200 packets, %v for 400", arq, one, two)
+		}
 	}
 }

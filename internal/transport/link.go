@@ -8,6 +8,7 @@ package transport
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/sim"
 )
@@ -45,6 +46,7 @@ type Link struct {
 	RepairLimit int
 
 	busyUntil sim.Time
+	free      []*inFlight // recycled delivery records
 
 	// Counters for energy/goodput accounting.
 	Packets  int
@@ -54,9 +56,24 @@ type Link struct {
 	BusyTime sim.Time
 }
 
+// inFlight is one packet on its way to the far end, pooled on its link's
+// free list. fn is fire, bound once when the record is first allocated.
+type inFlight struct {
+	l       *Link
+	pkt     Packet
+	deliver func(*Packet)
+	fn      func()
+}
+
+// fire hands the packet to its receiver, then recycles the record.
+func (f *inFlight) fire() {
+	f.deliver(&f.pkt)
+	f.l.free = append(f.l.free, f)
+}
+
 // NewLink creates a link with the given rate (bits/s) and one-way delay.
 func NewLink(s *sim.Simulator, rate float64, delay sim.Time) *Link {
-	if rate <= 0 || delay < 0 {
+	if !(rate > 0) || math.IsInf(rate, 1) || delay < 0 {
 		panic(fmt.Sprintf("transport: invalid link rate=%g delay=%v", rate, delay))
 	}
 	return &Link{sim: s, rate: rate, delay: delay}
@@ -67,6 +84,8 @@ func (l *Link) Delay() sim.Time { return l.delay }
 
 // Send serializes the packet onto the link and schedules delivery. Packets
 // queue behind in-flight ones (FIFO); lost packets still consume airtime.
+// Send copies *p, so the caller may reuse it at once; the *Packet handed
+// to deliver is the link's copy and is valid only during that call.
 func (l *Link) Send(p *Packet, deliver func(*Packet)) {
 	tx := sim.FromSeconds(float64(p.wireBytes()*8) / l.rate)
 	start := sim.Max(l.sim.Now(), l.busyUntil)
@@ -94,25 +113,33 @@ func (l *Link) Send(p *Packet, deliver func(*Packet)) {
 			l.busyUntil += tx
 			end = l.busyUntil + sim.Time(attempt)*l.RepairDelay
 			if l.Loss == nil || !l.Loss(p.wireBytes()) {
-				l.sim.At(end+l.delay, func() { deliver(p) })
+				l.deliverAt(end+l.delay, p, deliver)
 				return
 			}
 		}
 		return // finally dropped; the end-to-end RTO recovers
 	}
-	l.sim.At(end+l.delay, func() { deliver(p) })
+	l.deliverAt(end+l.delay, p, deliver)
+}
+
+// deliverAt schedules deliver(copy of *p) at time at.
+func (l *Link) deliverAt(at sim.Time, p *Packet, deliver func(*Packet)) {
+	var f *inFlight
+	if n := len(l.free); n > 0 {
+		f = l.free[n-1]
+		l.free = l.free[:n-1]
+	} else {
+		f = &inFlight{l: l}
+		f.fn = f.fire
+	}
+	f.pkt, f.deliver = *p, deliver
+	l.sim.At(at, f.fn)
 }
 
 // SendDatagram provides UDP semantics: fire-and-forget with the same
 // serialization and loss process. It reports whether the datagram survived
 // (known only to the simulator, as in real UDP).
 func (l *Link) SendDatagram(bytes int, deliver func()) bool {
-	p := &Packet{Len: bytes - 40}
-	if p.Len < 0 {
-		p.Len = 0
-	}
-	survived := true
-	prevLoss := l.Loss
 	tx := sim.FromSeconds(float64(bytes*8) / l.rate)
 	start := sim.Max(l.sim.Now(), l.busyUntil)
 	end := start + tx
@@ -120,11 +147,12 @@ func (l *Link) SendDatagram(bytes int, deliver func()) bool {
 	l.Packets++
 	l.Bytes += bytes
 	l.BusyTime += tx
-	if prevLoss != nil && prevLoss(bytes) {
+	if l.Loss != nil && l.Loss(bytes) {
 		l.Lost++
-		survived = false
-	} else if deliver != nil {
+		return false
+	}
+	if deliver != nil {
 		l.sim.At(end+l.delay, deliver)
 	}
-	return survived
+	return true
 }

@@ -65,7 +65,9 @@ func clientEnergy(cfg PathConfig, wireless *Link, ackLink *Link, dur sim.Time) f
 	if idle < 0 {
 		idle = 0
 	}
-	return rx*cfg.RxPower + tx*cfg.TxPower + idle*cfg.IdlePower
+	// Each product is rounded on its own so no target fuses it into the sum
+	// (FMA); amd64 never fuses, so the rounding is the same there.
+	return float64(rx*cfg.RxPower) + float64(tx*cfg.TxPower) + float64(idle*cfg.IdlePower)
 }
 
 // EndToEndTransfer runs one TCP connection across both hops: the wireless
@@ -177,11 +179,22 @@ type UDPStreamResult struct {
 func UDPStream(s *sim.Simulator, cfg PathConfig, count, bytes int, interval sim.Time) UDPStreamResult {
 	wl := NewLink(s, cfg.WirelessRate, cfg.WirelessDelay)
 	wl.Loss = lossFromChannel(cfg.Channel)
-	delivered := 0
-	for i := 0; i < count; i++ {
-		s.At(sim.Time(i)*interval, func() {
-			wl.SendDatagram(bytes, func() { delivered++ })
-		})
+	// One send is pending at a time and queues the next. A delivery only
+	// counts, so its order against a send due at the same instant does not
+	// matter. A live channel's state flip due at a send's exact microsecond
+	// runs first if it was queued before that send; E10's channel is frozen
+	// and never flips.
+	delivered, sent := 0, 0
+	countDelivery := func() { delivered++ }
+	var send func()
+	send = func() {
+		wl.SendDatagram(bytes, countDelivery)
+		if sent++; sent < count {
+			s.At(sim.Time(sent)*interval, send)
+		}
+	}
+	if count > 0 {
+		s.At(0, send)
 	}
 	s.RunUntil(sim.Time(count)*interval + sim.Second)
 	res := UDPStreamResult{Sent: count, Delivered: delivered}

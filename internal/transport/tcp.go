@@ -63,6 +63,9 @@ type TCPConn struct {
 	rcvNxt int
 	ooo    map[int]int // seq -> len
 
+	// onDataArrival and onAck, bound once so no send allocates a closure.
+	dataFn, ackFn func(*Packet)
+
 	stats TCPStats
 
 	// OnDeliver is invoked as in-order bytes become available at the
@@ -74,7 +77,7 @@ type TCPConn struct {
 
 // NewTCPConn creates a connection over the given forward/reverse links.
 func NewTCPConn(s *sim.Simulator, cfg TCPConfig, fwd, rev *Link) *TCPConn {
-	if cfg.MSS <= 0 || cfg.MaxCwnd < cfg.MSS {
+	if cfg.MSS <= 0 || cfg.MaxCwnd < cfg.MSS || cfg.InitialRTO <= 0 || cfg.MinRTO <= 0 {
 		panic(fmt.Sprintf("transport: bad TCP config %+v", cfg))
 	}
 	c := &TCPConn{
@@ -85,6 +88,7 @@ func NewTCPConn(s *sim.Simulator, cfg TCPConfig, fwd, rev *Link) *TCPConn {
 		ooo:      make(map[int]int),
 	}
 	c.rtoTimer = sim.NewTimer(s, c.onTimeout)
+	c.dataFn, c.ackFn = c.onDataArrival, c.onAck
 	return c
 }
 
@@ -148,8 +152,8 @@ func (c *TCPConn) pump() {
 
 func (c *TCPConn) sendSegment(seq, length int) {
 	c.stats.Segments++
-	p := &Packet{Seq: seq, Len: length, SentAt: c.sim.Now()}
-	c.fwd.Send(p, c.onDataArrival)
+	p := Packet{Seq: seq, Len: length, SentAt: c.sim.Now()}
+	c.fwd.Send(&p, c.dataFn)
 	if !c.rtoTimer.Armed() {
 		c.rtoTimer.Reset(c.rto)
 	}
@@ -172,8 +176,8 @@ func (c *TCPConn) onDataArrival(p *Packet) {
 	} else if p.Seq > c.rcvNxt {
 		c.ooo[p.Seq] = p.Len
 	}
-	ack := &Packet{Ack: c.rcvNxt, IsAck: true, SentAt: p.SentAt}
-	c.rev.Send(ack, c.onAck)
+	ack := Packet{Ack: c.rcvNxt, IsAck: true, SentAt: p.SentAt}
+	c.rev.Send(&ack, c.ackFn)
 }
 
 func (c *TCPConn) advance(n int) {
@@ -260,8 +264,8 @@ func (c *TCPConn) retransmitHead() {
 		return
 	}
 	c.stats.Segments++
-	p := &Packet{Seq: c.sndUna, Len: length, SentAt: c.sim.Now()}
-	c.fwd.Send(p, c.onDataArrival)
+	p := Packet{Seq: c.sndUna, Len: length, SentAt: c.sim.Now()}
+	c.fwd.Send(&p, c.dataFn)
 	c.rtoTimer.Reset(c.rto)
 }
 
@@ -278,10 +282,12 @@ func (c *TCPConn) updateRTT(sample sim.Time) {
 		if d < 0 {
 			d = -d
 		}
-		c.rttvar = (1-beta)*c.rttvar + beta*d
-		c.srtt = (1-alpha)*c.srtt + alpha*r
+		// Each product is rounded on its own so no target fuses it into
+		// the sum (FMA); amd64 never fuses, so the rounding is the same.
+		c.rttvar = float64((1-beta)*c.rttvar) + float64(beta*d)
+		c.srtt = float64((1-alpha)*c.srtt) + float64(alpha*r)
 	}
-	rto := sim.FromSeconds(c.srtt + 4*c.rttvar)
+	rto := sim.FromSeconds(c.srtt + float64(4*c.rttvar))
 	if rto < c.cfg.MinRTO {
 		rto = c.cfg.MinRTO
 	}

@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/channel"
@@ -228,4 +230,64 @@ func TestAddDataAfterClosePanics(t *testing.T) {
 		}
 	}()
 	c.AddData(10)
+}
+
+// expectPanic runs f and requires a panic whose message starts with
+// "transport: " (not a kernel panic from a bad value reaching the
+// simulator).
+func expectPanic(t *testing.T, name string, f func()) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if msg, ok := r.(string); !ok || !strings.HasPrefix(msg, "transport: ") {
+			t.Errorf("%s: panic %v, want a transport: message", name, r)
+		}
+	}()
+	f()
+}
+
+func TestConstructorsRejectEveryBadField(t *testing.T) {
+	s := sim.New(1)
+	for name, rate := range map[string]float64{
+		"rate NaN": math.NaN(), "rate +Inf": math.Inf(1), "rate -Inf": math.Inf(-1),
+		"rate zero": 0, "rate negative": -1e6,
+	} {
+		expectPanic(t, name, func() { NewLink(s, rate, sim.Millisecond) })
+	}
+	expectPanic(t, "delay negative", func() { NewLink(s, 1e6, -sim.Millisecond) })
+
+	for name, bad := range map[string]func(*TCPConfig){
+		"MSS zero":            func(c *TCPConfig) { c.MSS = 0 },
+		"MaxCwnd below MSS":   func(c *TCPConfig) { c.MaxCwnd = c.MSS - 1 },
+		"InitialRTO zero":     func(c *TCPConfig) { c.InitialRTO = 0 },
+		"InitialRTO negative": func(c *TCPConfig) { c.InitialRTO = -sim.Second },
+		"MinRTO zero":         func(c *TCPConfig) { c.MinRTO = 0 },
+		"MinRTO negative":     func(c *TCPConfig) { c.MinRTO = -sim.Millisecond },
+	} {
+		cfg := DefaultTCPConfig()
+		bad(&cfg)
+		expectPanic(t, name, func() { NewTCPConn(s, cfg, NewLink(s, 1e6, 0), NewLink(s, 1e6, 0)) })
+	}
+}
+
+// TestTransferMarginalByteAllocatesNothing pins the pooled event path: on
+// a lossless path, once the window has opened, moving twice the bytes
+// costs no extra allocation.
+func TestTransferMarginalByteAllocatesNothing(t *testing.T) {
+	for name, transfer := range map[string]func(*sim.Simulator, PathConfig, int) TransferResult{
+		"end-to-end": EndToEndTransfer,
+		"split":      SplitTransfer,
+	} {
+		allocs := func(bytes int) float64 {
+			return testing.AllocsPerRun(10, func() {
+				s := sim.New(1)
+				if r := transfer(s, DefaultPathConfig(nil), bytes); r.Duration <= 0 {
+					t.Fatalf("%s: transfer of %d bytes did not finish", name, bytes)
+				}
+			})
+		}
+		if one, two := allocs(500_000), allocs(1_000_000); one != two {
+			t.Errorf("%s: %v allocs for 500 kB, %v for 1 MB", name, one, two)
+		}
+	}
 }
