@@ -231,14 +231,16 @@ func sampleBinomial(rng *rand.Rand, n int, p float64) int {
 	if p >= 1 {
 		return n
 	}
-	mean := float64(n) * p
+	mean := float64(float64(n) * p) // rounded here: Go may fuse across statements
 	if mean < 30 {
 		// Inversion by counting exponential gaps between successes.
 		count := 0
 		logq := math.Log1p(-p)
 		i := 0
 		for {
-			gap := int(math.Floor(math.Log(1-rng.Float64()) / logq))
+			// Float64 scales by 2^-63, which arm64 would fuse with the
+			// subtraction; the conversion keeps it a separate rounding.
+			gap := int(math.Floor(math.Log(1-float64(rng.Float64())) / logq))
 			i += gap + 1
 			if i > n {
 				break
@@ -248,7 +250,7 @@ func sampleBinomial(rng *rand.Rand, n int, p float64) int {
 		return count
 	}
 	sd := math.Sqrt(mean * (1 - p))
-	x := int(math.Round(mean + sd*rng.NormFloat64()))
+	x := int(math.Round(mean + float64(sd*rng.NormFloat64())))
 	if x < 0 {
 		x = 0
 	}

@@ -73,7 +73,7 @@ func (m *Monitor) probe() {
 		obs = 1.0
 		m.badSeen++
 	}
-	m.ewma = m.alpha*obs + (1-m.alpha)*m.ewma
+	m.ewma = float64(m.alpha*obs) + float64((1-m.alpha)*m.ewma)
 }
 
 // Stop halts probing.

@@ -58,6 +58,14 @@ type Client struct {
 	partial  int  // slots that delivered less than demanded
 	slotBusy bool // a burst is executing; overlapping slots are skipped
 
+	// Server-side bookkeeping the resource manager keeps per client:
+	// nextFill is the end of the earliest slot in flight (MaxTime when none
+	// is), lastUrgent the time of the last watchdog top-up, valid only once
+	// urgentSeen is set.
+	nextFill   sim.Time
+	lastUrgent sim.Time
+	urgentSeen bool
+
 	// OnPower, if set, is invoked with the client's combined radio power
 	// whenever any device changes state (used by the Figure 1 trace).
 	OnPower func(t sim.Time, watts float64)
@@ -68,7 +76,7 @@ func newClient(s *sim.Simulator, spec ClientSpec, initial Iface) *Client {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
-	c := &Client{spec: spec, sim: s, assigned: initial}
+	c := &Client{spec: spec, sim: s, assigned: initial, nextFill: sim.MaxTime}
 	c.buffer = qos.NewPlayoutBuffer(s, spec.Stream)
 	mk := func(i Iface) {
 		p := profileFor(i)
@@ -197,57 +205,65 @@ func (c *Client) wakeLatency(i Iface) sim.Time {
 
 // executeSlot runs one scheduled burst on the client: wake ahead of the
 // slot, receive for the assessed duration, fill the playout buffer, then
-// drop back into the deep state. assess runs at the slot start and returns
-// the actual transfer duration and delivered bytes given the channel
-// conditions at that instant; done is invoked with the delivered bytes.
-// A client's radio can serve only one burst at a time: under overload or
-// emergency preemption the schedule may hand it overlapping slots, and the
-// later one is skipped (delivering nothing) rather than corrupting the
-// radio state machine.
-func (c *Client) executeSlot(slot Slot, assess func() (sim.Time, int), done func(got int)) {
-	dev := c.devices[slot.Iface]
-	lead := c.wakeLatency(slot.Iface)
-	wakeAt := slot.Start - lead
+// drop back into the deep state. r.assess runs at the slot start and
+// returns the actual transfer duration and delivered bytes given the
+// channel conditions at that instant; r.finish is invoked with the
+// delivered bytes. A client's radio can serve only one burst at a time:
+// under overload or emergency preemption the schedule may hand it
+// overlapping slots, and the later one is skipped (delivering nothing)
+// rather than corrupting the radio state machine.
+func (c *Client) executeSlot(r *slotRun) {
+	lead := c.wakeLatency(r.slot.Iface)
+	wakeAt := r.slot.Start - lead
 	if wakeAt < c.sim.Now() {
 		wakeAt = c.sim.Now()
 	}
-	c.sim.At(wakeAt, func() {
-		// Wake only from a deep state; anything else means another slot is
-		// mid-flight and this one will be skipped at its start.
-		if c.slotBusy || dev.Transitioning() {
-			return
-		}
-		if st := dev.State(); st == radio.Sleep || st == radio.Off {
-			dev.SetState(radio.Idle, nil)
-		}
-	})
-	c.sim.At(slot.Start, func() {
-		if c.slotBusy || dev.State() != radio.Idle || dev.Transitioning() {
-			// Radio missed its wake window (overlap or late reassignment):
-			// nothing is received this slot.
-			c.slots++
-			c.partial++
-			if done != nil {
-				done(0)
-			}
-			return
-		}
-		actualDur, delivered := assess()
-		c.slotBusy = true
-		dev.OccupyFor(radio.RX, actualDur, radio.Idle, func() {
-			c.buffer.Fill(delivered)
-			c.received += delivered
-			c.slots++
-			if delivered < slot.Bytes {
-				c.partial++
-			}
-			c.slotBusy = false
-			if dev.State() == radio.Idle && !dev.Transitioning() {
-				dev.SetState(dev.Profile().DeepState, nil)
-			}
-			if done != nil {
-				done(delivered)
-			}
-		})
-	})
+	c.sim.At(wakeAt, r.wakeFn)
+	c.sim.At(r.slot.Start, r.startFn)
+}
+
+// wake brings the slot's radio up ahead of the slot start.
+func (r *slotRun) wake() {
+	c, dev := r.c, r.c.devices[r.slot.Iface]
+	// Wake only from a deep state; anything else means another slot is
+	// mid-flight and this one will be skipped at its start.
+	if c.slotBusy || dev.Transitioning() {
+		return
+	}
+	if st := dev.State(); st == radio.Sleep || st == radio.Off {
+		dev.SetState(radio.Idle, nil)
+	}
+}
+
+// start begins the burst, or skips the slot if the radio is not ready.
+func (r *slotRun) start() {
+	c, dev := r.c, r.c.devices[r.slot.Iface]
+	if c.slotBusy || dev.State() != radio.Idle || dev.Transitioning() {
+		// Radio missed its wake window (overlap or late reassignment):
+		// nothing is received this slot.
+		c.slots++
+		c.partial++
+		r.finish(0)
+		return
+	}
+	actualDur, delivered := r.assess()
+	r.delivered = delivered
+	c.slotBusy = true
+	dev.OccupyFor(radio.RX, actualDur, radio.Idle, r.endFn)
+}
+
+// end closes the burst: deliver into the playout buffer and park the radio.
+func (r *slotRun) end() {
+	c, dev, delivered := r.c, r.c.devices[r.slot.Iface], r.delivered
+	c.buffer.Fill(delivered)
+	c.received += delivered
+	c.slots++
+	if delivered < r.slot.Bytes {
+		c.partial++
+	}
+	c.slotBusy = false
+	if dev.State() == radio.Idle && !dev.Transitioning() {
+		dev.SetState(dev.Profile().DeepState, nil)
+	}
+	r.finish(delivered)
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/channel"
@@ -20,6 +22,57 @@ func TestConfigValidate(t *testing.T) {
 	bad2.Scheduler = nil
 	if err := bad2.Validate(); err == nil {
 		t.Error("nil scheduler accepted")
+	}
+}
+
+// TestConfigValidateRejectsEveryBadField covers one bad field per case.
+// Before these checks a NaN inflation cap let a Hotspot run with a dead
+// Bluetooth link recurse until the stack overflowed; every case must now
+// fail in Validate, and NewHotspot must panic with that same error before
+// anything is scheduled.
+func TestConfigValidateRejectsEveryBadField(t *testing.T) {
+	cases := []struct {
+		name string
+		bad  func(*Config)
+	}{
+		{"InflationCap NaN", func(c *Config) { c.InflationCap = math.NaN() }},
+		{"InflationCap +Inf", func(c *Config) { c.InflationCap = math.Inf(1) }},
+		{"InflationCap below 1", func(c *Config) { c.InflationCap = 0.5 }},
+		{"RecoveryFraction NaN", func(c *Config) { c.RecoveryFraction = math.NaN() }},
+		{"RecoveryFraction above 1", func(c *Config) { c.RecoveryFraction = 1.5 }},
+		{"BTLoadFraction NaN", func(c *Config) { c.BTLoadFraction = math.NaN() }},
+		{"BTLoadFraction zero", func(c *Config) { c.BTLoadFraction = 0 }},
+		{"MarginSeconds NaN", func(c *Config) { c.MarginSeconds = math.NaN() }},
+		{"MarginSeconds negative", func(c *Config) { c.MarginSeconds = -1 }},
+		{"MarginSeconds +Inf", func(c *Config) { c.MarginSeconds = math.Inf(1) }},
+		{"ChunkBytes zero", func(c *Config) { c.ChunkBytes = 0 }},
+		{"ChunkBytes negative", func(c *Config) { c.ChunkBytes = -1460 }},
+		{"Guard negative", func(c *Config) { c.Guard = -sim.Millisecond }},
+		{"Scheduler nil", func(c *Config) { c.Scheduler = nil }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			tc.bad(&cfg)
+			err := cfg.Validate()
+			if err == nil || !strings.HasPrefix(err.Error(), "core: ") {
+				t.Fatalf("Validate = %v, want a core: error", err)
+			}
+			defer func() {
+				if e, ok := recover().(error); !ok || e.Error() != err.Error() {
+					t.Errorf("NewHotspot panicked with %v, want %v", e, err)
+				}
+			}()
+			NewHotspot(1, cfg, 3)
+		})
+	}
+	// A client whose stream rate is not finite is rejected at admission.
+	for _, rate := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		spec := DefaultClientSpec(0)
+		spec.Stream.RateBps = rate
+		if err := spec.Validate(); err == nil {
+			t.Errorf("client spec with rate %g accepted", rate)
+		}
 	}
 }
 

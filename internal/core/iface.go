@@ -42,16 +42,21 @@ func (i Iface) String() string {
 // Ifaces lists all modelled interfaces.
 func Ifaces() []Iface { return []Iface{WLAN, BT} }
 
-// profileFor returns the calibrated radio profile for an interface.
+// ifaceProfiles holds one calibrated radio profile per interface, built
+// once and shared by every client device and scheduling estimate.
+var ifaceProfiles = [numIfaces]*radio.Profile{
+	WLAN: radio.WLAN80211b(),
+	BT:   radio.Bluetooth(),
+}
+
+// profileFor returns the calibrated radio profile for an interface. The
+// profile is shared package-wide and read-only: callers must not write
+// through the pointer (Client.Device(i).Profile() hands out the same one).
 func profileFor(i Iface) *radio.Profile {
-	switch i {
-	case WLAN:
-		return radio.WLAN80211b()
-	case BT:
-		return radio.Bluetooth()
-	default:
+	if i < 0 || i >= numIfaces {
 		panic(fmt.Sprintf("core: unknown iface %d", int(i)))
 	}
+	return ifaceProfiles[i]
 }
 
 // IfacePolicy selects each client's serving interface at epoch boundaries.

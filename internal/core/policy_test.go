@@ -88,6 +88,20 @@ func TestAdmitAfterStartPanics(t *testing.T) {
 	rm.Admit(DefaultClientSpec(1))
 }
 
+// The manager keeps its per-client bookkeeping on the Client and pairs
+// slots with demands by client ID, so a second client with the same ID is
+// rejected at admission.
+func TestAdmitDuplicateIDPanics(t *testing.T) {
+	_, rm, _ := newRM(4, DefaultConfig())
+	rm.Admit(DefaultClientSpec(0))
+	defer func() {
+		if recover() == nil {
+			t.Error("duplicate client ID accepted")
+		}
+	}()
+	rm.Admit(DefaultClientSpec(0))
+}
+
 func TestBTOnlyPolicyRequiresBT(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Policy = PolicyBTOnly

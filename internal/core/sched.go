@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -76,7 +77,9 @@ func (s Slot) String() string {
 // schedulers such as weighted fair queuing".
 type Scheduler interface {
 	Name() string
-	// Order returns the service order for one interface's demands.
+	// Order returns the service order for one interface's demands. It may
+	// reorder demands in place and return it; callers that need the input
+	// order afterwards must pass a copy.
 	Order(epoch int, demands []Demand) []Demand
 }
 
@@ -87,11 +90,10 @@ type EDF struct{}
 // Name implements Scheduler.
 func (EDF) Name() string { return "edf" }
 
-// Order implements Scheduler.
+// Order implements Scheduler. It sorts demands in place, stably.
 func (EDF) Order(_ int, demands []Demand) []Demand {
-	out := append([]Demand(nil), demands...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Deadline < out[j].Deadline })
-	return out
+	slices.SortStableFunc(demands, func(a, b Demand) int { return cmp.Compare(a.Deadline, b.Deadline) })
+	return demands
 }
 
 // WFQ is weighted fair queuing at burst granularity: each client carries a
@@ -101,6 +103,13 @@ func (EDF) Order(_ int, demands []Demand) []Demand {
 type WFQ struct {
 	virtual map[int]float64
 	vnow    float64
+	tags    []wfqTag // scratch, reused across Order calls
+}
+
+// wfqTag is one demand with its virtual finish time.
+type wfqTag struct {
+	d      Demand
+	finish float64
 }
 
 // NewWFQ creates a weighted-fair-queuing scheduler.
@@ -109,13 +118,10 @@ func NewWFQ() *WFQ { return &WFQ{virtual: make(map[int]float64)} }
 // Name implements Scheduler.
 func (w *WFQ) Name() string { return "wfq" }
 
-// Order implements Scheduler.
+// Order implements Scheduler. It writes the finish-tag order back into
+// demands.
 func (w *WFQ) Order(_ int, demands []Demand) []Demand {
-	type tagged struct {
-		d      Demand
-		finish float64
-	}
-	tags := make([]tagged, 0, len(demands))
+	tags := w.tags[:0]
 	maxFinish := w.vnow
 	for _, d := range demands {
 		weight := d.Weight
@@ -131,15 +137,15 @@ func (w *WFQ) Order(_ int, demands []Demand) []Demand {
 		if finish > maxFinish {
 			maxFinish = finish
 		}
-		tags = append(tags, tagged{d: d, finish: finish})
+		tags = append(tags, wfqTag{d: d, finish: finish})
 	}
 	w.vnow = maxFinish
-	sort.SliceStable(tags, func(i, j int) bool { return tags[i].finish < tags[j].finish })
-	out := make([]Demand, len(tags))
+	slices.SortStableFunc(tags, func(a, b wfqTag) int { return cmp.Compare(a.finish, b.finish) })
 	for i, t := range tags {
-		out[i] = t.d
+		demands[i] = t.d
 	}
-	return out
+	w.tags = tags
+	return demands
 }
 
 // RoundRobin rotates service order each epoch: the baseline that is fair in
@@ -149,24 +155,27 @@ type RoundRobin struct{}
 // Name implements Scheduler.
 func (RoundRobin) Name() string { return "round-robin" }
 
-// Order implements Scheduler.
+// Order implements Scheduler. It sorts and rotates demands in place.
 func (RoundRobin) Order(epoch int, demands []Demand) []Demand {
-	out := append([]Demand(nil), demands...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Client < out[j].Client })
-	if len(out) == 0 {
-		return out
+	slices.SortStableFunc(demands, func(a, b Demand) int { return cmp.Compare(a.Client, b.Client) })
+	if len(demands) == 0 {
+		return demands
 	}
-	k := epoch % len(out)
-	return append(out[k:], out[:k]...)
+	// Rotate left by k: three reversals, no scratch.
+	k := epoch % len(demands)
+	slices.Reverse(demands[:k])
+	slices.Reverse(demands[k:])
+	slices.Reverse(demands)
+	return demands
 }
 
-// layoutSlots assigns sequential windows on one interface's timeline
-// starting at start and ending no later than limit. Demands that do not fit
-// are truncated to the remaining window (possibly to zero bytes): the
-// scheduler's ordering therefore decides who suffers under overload.
-func layoutSlots(ordered []Demand, start, limit sim.Time, guard sim.Time, kind SlotKind,
+// layoutSlots appends to dst sequential windows on one interface's timeline
+// starting at start and ending no later than limit, one slot per demand at
+// most and in demand order. Demands that do not fit are truncated to the
+// remaining window (possibly to zero bytes): the scheduler's ordering
+// therefore decides who suffers under overload.
+func layoutSlots(dst []Slot, ordered []Demand, start, limit sim.Time, guard sim.Time, kind SlotKind,
 	durFor func(d Demand, bytes int) sim.Time) []Slot {
-	var slots []Slot
 	cursor := start
 	for _, d := range ordered {
 		if d.Bytes <= 0 {
@@ -187,11 +196,11 @@ func layoutSlots(ordered []Demand, start, limit sim.Time, guard sim.Time, kind S
 			}
 			dur = durFor(d, bytes)
 		}
-		slots = append(slots, Slot{
+		dst = append(dst, Slot{
 			Client: d.Client, Iface: d.Iface,
 			Start: cursor, End: cursor + dur, Bytes: bytes, Kind: kind,
 		})
 		cursor += dur + guard
 	}
-	return slots
+	return dst
 }

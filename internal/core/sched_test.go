@@ -25,9 +25,9 @@ func TestEDFOrdersByDeadline(t *testing.T) {
 			t.Fatalf("order = %v, want clients %v", out, want)
 		}
 	}
-	// Input must not be mutated.
-	if ds[0].Client != 0 {
-		t.Error("EDF mutated its input")
+	// Order sorts in place and returns its argument.
+	if &out[0] != &ds[0] {
+		t.Error("EDF did not order its input in place")
 	}
 }
 
@@ -38,8 +38,8 @@ func TestEDFStableOnTies(t *testing.T) {
 		mkDemand(8, 100, 10*sim.Second, 1),
 	}
 	out := EDF{}.Order(0, ds)
-	for i, d := range out {
-		if d.Client != ds[i].Client {
+	for i, want := range []int{5, 3, 8} {
+		if out[i].Client != want {
 			t.Fatal("EDF tie-break not stable")
 		}
 	}
@@ -121,7 +121,7 @@ func TestLayoutSlotsInvariantsProperty(t *testing.T) {
 		start := sim.Time(150) * sim.Millisecond
 		limit := start + sim.Time(r.Intn(900)+100)*sim.Millisecond
 		guard := 10 * sim.Millisecond
-		slots := layoutSlots(ds, start, limit, guard, SlotBulk, durFor)
+		slots := layoutSlots(nil, ds, start, limit, guard, SlotBulk, durFor)
 		var prevEnd sim.Time
 		outBytes := 0
 		for i, s := range slots {
@@ -155,7 +155,7 @@ func TestLayoutSlotsTruncatesToWindow(t *testing.T) {
 		mkDemand(0, 50_000, 0, 1), // 500 ms
 		mkDemand(1, 50_000, 0, 1), // would need another 500 ms
 	}
-	slots := layoutSlots(ds, 0, 700*sim.Millisecond, 0, SlotBulk, durFor)
+	slots := layoutSlots(nil, ds, 0, 700*sim.Millisecond, 0, SlotBulk, durFor)
 	if len(slots) != 2 {
 		t.Fatalf("slots = %d, want 2 (second truncated)", len(slots))
 	}
@@ -169,12 +169,50 @@ func TestLayoutSlotsTruncatesToWindow(t *testing.T) {
 
 func TestLayoutSlotsSkipsZeroDemands(t *testing.T) {
 	durFor := func(d Demand, bytes int) sim.Time { return sim.Millisecond }
-	slots := layoutSlots([]Demand{
+	slots := layoutSlots(nil, []Demand{
 		mkDemand(0, 0, 0, 1),
 		mkDemand(1, 100, 0, 1),
 	}, 0, sim.Second, 0, SlotBulk, durFor)
 	if len(slots) != 1 || slots[0].Client != 1 {
 		t.Errorf("zero demand not skipped: %v", slots)
+	}
+}
+
+// layoutSlots appends after whatever dst already holds, so the rescue pass
+// can lay bulk slots out behind its rescue slots in one buffer.
+func TestLayoutSlotsAppendsToDst(t *testing.T) {
+	durFor := func(d Demand, bytes int) sim.Time { return sim.Millisecond }
+	prefix := Slot{Client: 9, Kind: SlotRescue}
+	slots := layoutSlots([]Slot{prefix}, []Demand{mkDemand(1, 100, 0, 1)},
+		0, sim.Second, 0, SlotBulk, durFor)
+	if len(slots) != 2 || slots[0] != prefix || slots[1].Client != 1 {
+		t.Errorf("layout did not append after the prefix: %v", slots)
+	}
+}
+
+// WFQ and round-robin also order in place, and round-robin's rotation
+// must match the rotate-by-epoch order for every epoch.
+func TestSchedulersOrderInPlace(t *testing.T) {
+	ds := []Demand{mkDemand(2, 100, 0, 1), mkDemand(0, 300, 0, 1), mkDemand(1, 200, 0, 1)}
+	for epoch := 0; epoch < 7; epoch++ {
+		out := RoundRobin{}.Order(epoch, ds)
+		if &out[0] != &ds[0] {
+			t.Fatal("round-robin did not order in place")
+		}
+		for i := range out {
+			if want := (epoch + i) % 3; out[i].Client != want {
+				t.Fatalf("epoch %d: order %v, want client %d at %d", epoch, out, want, i)
+			}
+		}
+	}
+	out := NewWFQ().Order(0, ds)
+	if &out[0] != &ds[0] {
+		t.Fatal("WFQ did not order in place")
+	}
+	for i, want := range []int{2, 1, 0} { // 100, 200, 300 bytes at equal weight
+		if out[i].Client != want {
+			t.Fatalf("WFQ order %v, want clients 2, 1, 0", out)
+		}
 	}
 }
 

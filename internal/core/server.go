@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/channel"
 	"repro/internal/proxy"
@@ -73,14 +74,21 @@ func (c Config) Validate() error {
 	if c.Scheduler == nil {
 		return fmt.Errorf("core: scheduler required")
 	}
-	if c.InflationCap < 1 {
-		return fmt.Errorf("core: inflation cap below 1")
+	// The comparisons are written so that NaN fails them.
+	if !(c.InflationCap >= 1) || math.IsInf(c.InflationCap, 1) {
+		return fmt.Errorf("core: inflation cap %g outside [1, +Inf)", c.InflationCap)
 	}
-	if c.RecoveryFraction < 0 || c.RecoveryFraction > 1 {
-		return fmt.Errorf("core: recovery fraction outside [0,1]")
+	if !(c.RecoveryFraction >= 0 && c.RecoveryFraction <= 1) {
+		return fmt.Errorf("core: recovery fraction %g outside [0,1]", c.RecoveryFraction)
 	}
-	if c.BTLoadFraction <= 0 || c.BTLoadFraction > 1 {
-		return fmt.Errorf("core: BT load fraction outside (0,1]")
+	if !(c.BTLoadFraction > 0 && c.BTLoadFraction <= 1) {
+		return fmt.Errorf("core: BT load fraction %g outside (0,1]", c.BTLoadFraction)
+	}
+	if !(c.MarginSeconds >= 0) || math.IsInf(c.MarginSeconds, 1) {
+		return fmt.Errorf("core: margin %g s outside [0, +Inf)", c.MarginSeconds)
+	}
+	if c.ChunkBytes <= 0 {
+		return fmt.Errorf("core: chunk size %d B not positive", c.ChunkBytes)
 	}
 	return nil
 }
@@ -101,9 +109,31 @@ type ResourceManager struct {
 	history    []Slot
 	recoveries int
 	urgents    int
-	nextFill   map[int]sim.Time
-	lastUrgent map[int]sim.Time
 	started    bool
+
+	// Per-epoch scratch, reused so the epoch loop allocates nothing in
+	// steady state: demands per interface, the two layout passes, the
+	// rescue demands and the rescue-plus-bulk layout.
+	demands     [numIfaces][]Demand
+	prelim      []Slot
+	slots       []Slot
+	rescues     []Demand
+	rescueSlots []Slot
+	durFor      func(d Demand, bytes int) sim.Time // rm.demandDur, bound once
+
+	// per memoises each interface's packet error rate for ChunkBytes,
+	// keyed by the exact bits of the channel's current BER.
+	per [numIfaces]perMemo
+
+	freeRuns []*slotRun // spent slot records
+}
+
+// perMemo caches one interface's packet error rate for the channel BER
+// whose bits it was computed from.
+type perMemo struct {
+	berBits uint64
+	per     float64
+	valid   bool
 }
 
 // NewResourceManager creates the manager over per-interface channels.
@@ -112,11 +142,8 @@ func NewResourceManager(s *sim.Simulator, cfg Config, chans map[Iface]*channel.G
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	rm := &ResourceManager{
-		sim: s, cfg: cfg, registrar: proxy.NewRegistrar(s),
-		nextFill:   make(map[int]sim.Time),
-		lastUrgent: make(map[int]sim.Time),
-	}
+	rm := &ResourceManager{sim: s, cfg: cfg, registrar: proxy.NewRegistrar(s)}
+	rm.durFor = rm.demandDur
 	for _, i := range Ifaces() {
 		ch, ok := chans[i]
 		if !ok || ch == nil {
@@ -134,11 +161,15 @@ func (rm *ResourceManager) Admit(spec ClientSpec) *Client {
 	if rm.started {
 		panic("core: admit before Start")
 	}
+	for _, c := range rm.clients {
+		if c.spec.ID == spec.ID {
+			panic(fmt.Sprintf("core: client %d admitted twice", spec.ID))
+		}
+	}
 	initial := rm.initialIface(spec)
 	c := newClient(rm.sim, spec, initial)
 	rm.clients = append(rm.clients, c)
 	rm.registrar.Register(spec.ID, spec.Stream.RateBps, 1.0)
-	rm.nextFill[spec.ID] = sim.MaxTime
 	return c
 }
 
@@ -200,10 +231,10 @@ func (rm *ResourceManager) watchdog() {
 		if tte == sim.MaxTime || tte > 3*sim.Second {
 			continue
 		}
-		if rm.nextFill[c.spec.ID] <= now+tte-sim.Second {
+		if c.nextFill <= now+tte-sim.Second {
 			continue // a fill will land in time
 		}
-		if last, ok := rm.lastUrgent[c.spec.ID]; ok && now-last < 4*sim.Second {
+		if c.urgentSeen && now-c.lastUrgent < 4*sim.Second {
 			continue
 		}
 		rm.urgentTopUp(c)
@@ -233,7 +264,7 @@ func (rm *ResourceManager) urgentTopUp(c *Client) {
 		Kind:  SlotUrgent,
 	}
 	rm.urgents++
-	rm.lastUrgent[c.spec.ID] = rm.sim.Now()
+	c.lastUrgent, c.urgentSeen = rm.sim.Now(), true
 	rm.history = append(rm.history, slot)
 	rm.execute(slot, false)
 }
@@ -253,42 +284,44 @@ func (rm *ResourceManager) runEpoch() {
 	rm.selectInterfaces()
 
 	// Demands per interface.
-	demands := make(map[Iface][]Demand)
+	for i := range rm.demands {
+		rm.demands[i] = rm.demands[i][:0]
+	}
 	for _, c := range rm.clients {
 		d := rm.demandFor(c)
 		if d.Bytes <= 0 {
 			continue
 		}
-		demands[d.Iface] = append(demands[d.Iface], d)
+		rm.demands[d.Iface] = append(rm.demands[d.Iface], d)
 	}
 
 	// Order and lay out per interface, then execute. Layout is two-pass:
 	// the first pass finds each client's fill instant, the second tops the
 	// demand up by the media the client will consume between now and that
 	// instant — without this, late-slot clients drift dry over epochs.
-	durFor := func(d Demand, bytes int) sim.Time { return rm.estimateDur(d.Iface, bytes) }
-	for _, iface := range Ifaces() {
-		ds := demands[iface]
+	start := now + rm.cfg.StartOffset
+	for iface := range rm.demands {
+		ds := rm.demands[iface]
 		if len(ds) == 0 {
 			continue
 		}
 		ordered := rm.cfg.Scheduler.Order(rm.epoch, ds)
-		prelim := layoutSlots(ordered, now+rm.cfg.StartOffset, epochEnd, rm.cfg.Guard, SlotBulk, durFor)
-		fillAt := make(map[int]sim.Time, len(prelim))
-		for _, sl := range prelim {
-			fillAt[sl.Client] = sl.End
-		}
+		rm.prelim = layoutSlots(rm.prelim[:0], ordered, start, epochEnd, rm.cfg.Guard, SlotBulk, rm.durFor)
+		// Layout keeps demand order and emits at most one slot per
+		// demand, so the prelim slots pair with ordered by position; a
+		// demand with no slot fills at the epoch end.
+		j := 0
 		for i := range ordered {
-			at, ok := fillAt[ordered[i].Client]
-			if !ok {
-				at = epochEnd
+			at := epochEnd
+			if j < len(rm.prelim) && rm.prelim[j].Client == ordered[i].Client {
+				at = rm.prelim[j].End
+				j++
 			}
 			drain := ordered[i].Weight * (at - now).Seconds()
 			ordered[i].Bytes += int(drain)
 		}
-		slots := layoutSlots(ordered, now+rm.cfg.StartOffset, epochEnd, rm.cfg.Guard, SlotBulk, durFor)
-		slots = rm.rescuePass(ordered, slots, now, epochEnd, durFor)
-		for _, slot := range slots {
+		rm.slots = layoutSlots(rm.slots[:0], ordered, start, epochEnd, rm.cfg.Guard, SlotBulk, rm.durFor)
+		for _, slot := range rm.rescuePass(ordered, rm.slots, now, epochEnd) {
 			rm.history = append(rm.history, slot)
 			rm.execute(slot, true)
 		}
@@ -301,33 +334,31 @@ func (rm *ResourceManager) runEpoch() {
 // completes (typically right after a fleet-wide switch to a slower
 // interface). Rescues are ordered by deadline and sized to bridge from the
 // deadline past the (shifted) bulk fill.
-func (rm *ResourceManager) rescuePass(ordered []Demand, slots []Slot,
-	now, epochEnd sim.Time, durFor func(Demand, int) sim.Time) []Slot {
-	deadline := make(map[int]sim.Time, len(ordered))
-	weight := make(map[int]float64, len(ordered))
-	for _, d := range ordered {
-		deadline[d.Client] = d.Deadline
-		weight[d.Client] = d.Weight
-	}
-	var rescues []Demand
+func (rm *ResourceManager) rescuePass(ordered []Demand, slots []Slot, now, epochEnd sim.Time) []Slot {
+	rescues := rm.rescues[:0]
+	j := 0 // ordered[j] is the demand behind slots[k] (see runEpoch)
 	for _, sl := range slots {
+		for ordered[j].Client != sl.Client {
+			j++
+		}
+		d := ordered[j]
 		c := rm.clientByID(sl.Client)
 		if !c.buffer.Playing() {
 			continue
 		}
-		dl := deadline[sl.Client]
-		if dl >= sl.End+sim.Second {
+		if d.Deadline >= sl.End+sim.Second {
 			continue
 		}
-		bridge := (sl.End + 2*sim.Second) - dl
+		bridge := (sl.End + 2*sim.Second) - d.Deadline
 		rescues = append(rescues, Demand{
 			Client:   sl.Client,
 			Iface:    sl.Iface,
-			Bytes:    int(weight[sl.Client] * bridge.Seconds()),
-			Deadline: dl,
-			Weight:   weight[sl.Client],
+			Bytes:    int(d.Weight * bridge.Seconds()),
+			Deadline: d.Deadline,
+			Weight:   d.Weight,
 		})
 	}
+	rm.rescues = rescues
 	if len(rescues) == 0 {
 		return slots
 	}
@@ -335,19 +366,20 @@ func (rm *ResourceManager) rescuePass(ordered []Demand, slots []Slot,
 	// rescue airtime so the bridges still reach the shifted fills.
 	var shift sim.Time
 	for _, r := range rescues {
-		shift += durFor(r, r.Bytes) + rm.cfg.Guard
+		shift += rm.durFor(r, r.Bytes) + rm.cfg.Guard
 	}
 	for i := range rescues {
 		rescues[i].Bytes += int(rescues[i].Weight * shift.Seconds())
 	}
-	rescueSlots := layoutSlots(EDF{}.Order(rm.epoch, rescues),
-		now+rm.cfg.StartOffset, epochEnd, rm.cfg.Guard, SlotRescue, durFor)
+	out := layoutSlots(rm.rescueSlots[:0], EDF{}.Order(rm.epoch, rescues),
+		now+rm.cfg.StartOffset, epochEnd, rm.cfg.Guard, SlotRescue, rm.durFor)
 	bulkStart := now + rm.cfg.StartOffset
-	if n := len(rescueSlots); n > 0 {
-		bulkStart = rescueSlots[n-1].End + rm.cfg.Guard
+	if n := len(out); n > 0 {
+		bulkStart = out[n-1].End + rm.cfg.Guard
 	}
-	bulkSlots := layoutSlots(ordered, bulkStart, epochEnd, rm.cfg.Guard, SlotBulk, durFor)
-	return append(rescueSlots, bulkSlots...)
+	out = layoutSlots(out, ordered, bulkStart, epochEnd, rm.cfg.Guard, SlotBulk, rm.durFor)
+	rm.rescueSlots = out
+	return out
 }
 
 // selectInterfaces applies the configured policy at an epoch boundary.
@@ -385,7 +417,8 @@ func (rm *ResourceManager) chooseIface(c *Client, needBytes int, btBooked, btBud
 		q     channel.Quality
 		cost  float64
 	}
-	var cands []cand
+	var cands [numIfaces]cand
+	n := 0
 	for _, i := range Ifaces() {
 		if !c.Has(i) {
 			continue
@@ -397,22 +430,23 @@ func (rm *ResourceManager) chooseIface(c *Client, needBytes int, btBooked, btBud
 		if i == BT && btBooked+float64(needBytes) > btBudget {
 			continue
 		}
-		cands = append(cands, cand{iface: i, q: q, cost: rm.epochCost(i, needBytes)})
+		cands[n] = cand{iface: i, q: q, cost: rm.epochCost(i, needBytes)}
+		n++
 	}
-	if len(cands) == 0 {
+	if n == 0 {
 		return c.assigned // nowhere better to go; ride it out
 	}
 	// During the admission epoch stay on the already-connected link the
 	// paper starts from, as long as it is usable.
 	if rm.epoch == 0 {
-		for _, cd := range cands {
+		for _, cd := range cands[:n] {
 			if cd.iface == c.assigned {
 				return cd.iface
 			}
 		}
 	}
 	best := cands[0]
-	for _, cd := range cands[1:] {
+	for _, cd := range cands[1:n] {
 		// A good link always beats a degraded one; energy breaks ties.
 		if cd.q < best.q || (cd.q == best.q && cd.cost < best.cost) {
 			best = cd
@@ -427,10 +461,11 @@ func (rm *ResourceManager) chooseIface(c *Client, needBytes int, btBooked, btBud
 func (rm *ResourceManager) epochCost(iface Iface, bytes int) float64 {
 	p := profileFor(iface)
 	burst := p.BurstTime(bytes).Seconds() * rm.inflation(iface)
-	j := burst * p.Power[radio.RX]
+	// Products are rounded explicitly so no arch fuses them into the sums.
+	j := float64(burst * p.Power[radio.RX])
 	up := p.TransitionCost(p.DeepState, radio.Idle)
 	down := p.TransitionCost(radio.Idle, p.DeepState)
-	j += up.Energy + down.Energy + up.Latency.Seconds()*p.Power[radio.Idle]
+	j += up.Energy + down.Energy + float64(up.Latency.Seconds()*p.Power[radio.Idle])
 	return j
 }
 
@@ -438,7 +473,7 @@ func (rm *ResourceManager) epochCost(iface Iface, bytes int) float64 {
 // buffer up to one epoch of media plus the safety margin.
 func (rm *ResourceManager) demandFor(c *Client) Demand {
 	rate := c.spec.Stream.BytesPerSecond()
-	target := rate * (rm.cfg.Epoch.Seconds() + rm.cfg.MarginSeconds)
+	target := float64(rate * (rm.cfg.Epoch.Seconds() + rm.cfg.MarginSeconds))
 	level := c.buffer.Level()
 	bytes := int(target - level)
 	if bytes < 0 {
@@ -460,6 +495,11 @@ func (rm *ResourceManager) demandFor(c *Client) Demand {
 	}
 }
 
+// demandDur is layoutSlots' duration estimate for a demand.
+func (rm *ResourceManager) demandDur(d Demand, bytes int) sim.Time {
+	return rm.estimateDur(d.Iface, bytes)
+}
+
 // estimateDur predicts a burst's duration on an interface from the current
 // channel state (scheduling-time estimate).
 func (rm *ResourceManager) estimateDur(iface Iface, bytes int) sim.Time {
@@ -471,7 +511,7 @@ func (rm *ResourceManager) estimateDur(iface Iface, bytes int) sim.Time {
 // inflation returns the retransmission multiplier implied by the channel's
 // instantaneous packet error rate, capped at the configured bound.
 func (rm *ResourceManager) inflation(iface Iface) float64 {
-	per := rm.channels[iface].PacketErrorProb(rm.cfg.ChunkBytes)
+	per := rm.packetErrorProb(iface)
 	if per >= 1 {
 		return rm.cfg.InflationCap
 	}
@@ -482,37 +522,83 @@ func (rm *ResourceManager) inflation(iface Iface) float64 {
 	return inf
 }
 
+// packetErrorProb returns the interface channel's current packet error
+// rate for ChunkBytes packets. The channel's BER takes one of two values,
+// so the result is memoised on the BER's exact bits: same bits, same PER.
+func (rm *ResourceManager) packetErrorProb(iface Iface) float64 {
+	ber := rm.channels[iface].BER()
+	m := &rm.per[iface]
+	if bits := math.Float64bits(ber); !m.valid || m.berBits != bits {
+		*m = perMemo{berBits: bits, per: channel.PERFromBER(ber, rm.cfg.ChunkBytes), valid: true}
+	}
+	return m.per
+}
+
 // execute drives one slot on its client. allowRecovery guards against
 // recursive recovery bursts.
 func (rm *ResourceManager) execute(slot Slot, allowRecovery bool) {
 	c := rm.clientByID(slot.Client)
-	assess := func() (sim.Time, int) {
-		p := profileFor(slot.Iface)
-		per := rm.channels[slot.Iface].PacketErrorProb(rm.cfg.ChunkBytes)
-		nominal := p.BurstTime(slot.Bytes)
-		if per < 1-1/rm.cfg.InflationCap {
-			// Retransmissions fit under the cap: everything arrives,
-			// stretched by the inflation factor.
-			return sim.FromSeconds(nominal.Seconds() / (1 - per)), slot.Bytes
-		}
-		// Channel effectively dead: the slot burns its capped window and
-		// delivers only the surviving fraction.
-		dur := sim.FromSeconds(nominal.Seconds() * rm.cfg.InflationCap)
-		return dur, int(float64(slot.Bytes) * (1 - per) * rm.cfg.InflationCap)
+	if slot.End < c.nextFill {
+		c.nextFill = slot.End
 	}
-	if slot.End < rm.nextFill[slot.Client] {
-		rm.nextFill[slot.Client] = slot.End
+	var r *slotRun
+	if n := len(rm.freeRuns); n > 0 {
+		r = rm.freeRuns[n-1]
+		rm.freeRuns = rm.freeRuns[:n-1]
+	} else {
+		r = &slotRun{rm: rm}
+		r.wakeFn, r.startFn, r.endFn = r.wake, r.start, r.end
 	}
-	c.executeSlot(slot, assess, func(got int) {
-		rm.nextFill[slot.Client] = sim.MaxTime
-		if !allowRecovery {
-			return
-		}
-		if float64(got) >= float64(slot.Bytes)*rm.cfg.RecoveryFraction {
-			return
-		}
-		rm.recover(c, slot.Bytes-got)
-	})
+	r.c, r.slot, r.allowRecovery = c, slot, allowRecovery
+	c.executeSlot(r)
+}
+
+// slotRun is one slot in flight: the pooled record behind the wake, start
+// and end events of Client.executeSlot. The event callbacks are its
+// methods, bound once per record.
+type slotRun struct {
+	rm            *ResourceManager
+	c             *Client
+	slot          Slot
+	allowRecovery bool
+	delivered     int // set at the slot start by assess
+
+	wakeFn, startFn, endFn func()
+}
+
+// assess returns the slot's actual transfer duration and delivered bytes
+// given the channel conditions at its start.
+func (r *slotRun) assess() (sim.Time, int) {
+	rm, slot := r.rm, r.slot
+	p := profileFor(slot.Iface)
+	per := rm.packetErrorProb(slot.Iface)
+	nominal := p.BurstTime(slot.Bytes)
+	if per < 1-1/rm.cfg.InflationCap {
+		// Retransmissions fit under the cap: everything arrives,
+		// stretched by the inflation factor.
+		return sim.FromSeconds(nominal.Seconds() / (1 - per)), slot.Bytes
+	}
+	// Channel effectively dead: the slot burns its capped window and
+	// delivers only the surviving fraction.
+	dur := sim.FromSeconds(nominal.Seconds() * rm.cfg.InflationCap)
+	return dur, int(float64(slot.Bytes) * (1 - per) * rm.cfg.InflationCap)
+}
+
+// finish releases the record, then runs the server's completion logic for
+// a slot that delivered got bytes: clear the client's planned fill and, if
+// allowed, recover a badly short slot on the fallback interface.
+func (r *slotRun) finish(got int) {
+	rm, c, want, allowRecovery := r.rm, r.c, r.slot.Bytes, r.allowRecovery
+	r.c = nil
+	rm.freeRuns = append(rm.freeRuns, r)
+	c.nextFill = sim.MaxTime
+	if !allowRecovery {
+		return
+	}
+	if float64(got) >= float64(want)*rm.cfg.RecoveryFraction {
+		return
+	}
+	rm.recover(c, want-got)
 }
 
 // recover schedules an immediate fallback burst on the client's other

@@ -7,6 +7,7 @@ package qos
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/sim"
 )
@@ -34,8 +35,8 @@ func MP3Stream() StreamSpec {
 
 // Validate checks the specification.
 func (s StreamSpec) Validate() error {
-	if s.RateBps <= 0 {
-		return fmt.Errorf("qos: rate must be positive")
+	if !(s.RateBps > 0) || math.IsInf(s.RateBps, 1) {
+		return fmt.Errorf("qos: rate %g must be positive and finite", s.RateBps)
 	}
 	if s.PrebufferBytes < 0 || s.CapacityBytes <= s.PrebufferBytes {
 		return fmt.Errorf("qos: capacity must exceed prebuffer")
@@ -58,6 +59,7 @@ type PlayoutBuffer struct {
 	playing    bool
 	started    bool // playback has begun at least once
 	emptyEvent sim.Handle
+	onDry      func() // b.dryOut, bound once
 
 	underruns  int
 	stallStart sim.Time
@@ -77,7 +79,9 @@ func NewPlayoutBuffer(s *sim.Simulator, spec StreamSpec) *PlayoutBuffer {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
-	return &PlayoutBuffer{sim: s, spec: spec, lastAt: s.Now(), stallStart: s.Now()}
+	b := &PlayoutBuffer{sim: s, spec: spec, lastAt: s.Now(), stallStart: s.Now()}
+	b.onDry = b.dryOut
+	return b
 }
 
 // Spec returns the stream specification.
@@ -166,19 +170,23 @@ func (b *PlayoutBuffer) rearmEmptyWatchdog() {
 		return
 	}
 	dry := sim.FromSeconds(b.level / b.spec.BytesPerSecond())
-	b.emptyEvent = b.sim.Schedule(dry, func() {
-		b.emptyEvent = sim.Handle{}
-		b.settle()
-		if b.playing && b.level <= 1e-9 {
-			b.playing = false
-			b.level = 0
-			b.underruns++
-			b.stallStart = b.sim.Now()
-			if b.OnUnderrun != nil {
-				b.OnUnderrun(b.sim.Now())
-			}
+	b.emptyEvent = b.sim.Schedule(dry, b.onDry)
+}
+
+// dryOut is the dry-out watchdog event: it stalls playback if the buffer
+// really is empty when it fires.
+func (b *PlayoutBuffer) dryOut() {
+	b.emptyEvent = sim.Handle{}
+	b.settle()
+	if b.playing && b.level <= 1e-9 {
+		b.playing = false
+		b.level = 0
+		b.underruns++
+		b.stallStart = b.sim.Now()
+		if b.OnUnderrun != nil {
+			b.OnUnderrun(b.sim.Now())
 		}
-	})
+	}
 }
 
 // TimeToEmpty returns how long playback can continue without another fill

@@ -189,3 +189,35 @@ func TestByteConservation(t *testing.T) {
 			got, b.ReceivedBytes())
 	}
 }
+
+// TestSpecValidateRejectsEveryBadField covers one bad field per case. A NaN
+// or infinite rate used to pass and poison every drain computation.
+func TestSpecValidateRejectsEveryBadField(t *testing.T) {
+	cases := []struct {
+		name string
+		bad  func(*StreamSpec)
+	}{
+		{"RateBps NaN", func(s *StreamSpec) { s.RateBps = math.NaN() }},
+		{"RateBps +Inf", func(s *StreamSpec) { s.RateBps = math.Inf(1) }},
+		{"RateBps -Inf", func(s *StreamSpec) { s.RateBps = math.Inf(-1) }},
+		{"RateBps zero", func(s *StreamSpec) { s.RateBps = 0 }},
+		{"RateBps negative", func(s *StreamSpec) { s.RateBps = -128e3 }},
+		{"PrebufferBytes negative", func(s *StreamSpec) { s.PrebufferBytes = -1 }},
+		{"CapacityBytes at prebuffer", func(s *StreamSpec) { s.CapacityBytes = s.PrebufferBytes }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := MP3Stream()
+			tc.bad(&s)
+			if err := s.Validate(); err == nil {
+				t.Fatal("Validate accepted the spec")
+			}
+			defer func() {
+				if recover() == nil {
+					t.Error("NewPlayoutBuffer accepted the spec")
+				}
+			}()
+			NewPlayoutBuffer(sim.New(1), s)
+		})
+	}
+}

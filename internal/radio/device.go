@@ -29,6 +29,19 @@ type Device struct {
 	// listeners are notified after every completed state change; the trace
 	// package uses this to build Figure 1's power-level lanes.
 	listeners []func(t sim.Time, s State)
+
+	// freeOcc holds spent occupancy records for reuse, so a steady stream
+	// of Transmit/Receive/OccupyFor calls allocates nothing.
+	freeOcc []*occupancy
+}
+
+// occupancy is one pending OccupyFor: the state to restore when it ends and
+// the caller's done callback. fn is o.fire, bound once per record.
+type occupancy struct {
+	d       *Device
+	restore State
+	done    func()
+	fn      func()
 }
 
 // NewDevice creates a WNIC in the Off state.
@@ -159,14 +172,30 @@ func (d *Device) occupy(s State, dur sim.Time, restore State, done func()) {
 	for _, fn := range d.listeners {
 		fn(d.sim.Now(), s)
 	}
-	d.sim.Schedule(dur, func() {
-		d.state = restore
-		d.meter.setState(restore)
-		for _, fn := range d.listeners {
-			fn(d.sim.Now(), restore)
-		}
-		if done != nil {
-			done()
-		}
-	})
+	var o *occupancy
+	if n := len(d.freeOcc); n > 0 {
+		o = d.freeOcc[n-1]
+		d.freeOcc = d.freeOcc[:n-1]
+	} else {
+		o = &occupancy{d: d}
+		o.fn = o.fire
+	}
+	o.restore, o.done = restore, done
+	d.sim.Schedule(dur, o.fn)
+}
+
+// fire ends the occupancy. The record goes back on the free list before
+// done runs, so a done that occupies the radio again reuses it.
+func (o *occupancy) fire() {
+	d, restore, done := o.d, o.restore, o.done
+	o.done = nil
+	d.freeOcc = append(d.freeOcc, o)
+	d.state = restore
+	d.meter.setState(restore)
+	for _, fn := range d.listeners {
+		fn(d.sim.Now(), restore)
+	}
+	if done != nil {
+		done()
+	}
 }

@@ -37,7 +37,8 @@ func (m *Meter) settle() {
 	dt := now - m.since
 	if dt > 0 {
 		m.stateTime[m.state] += dt
-		m.stateEnergy[m.state] += m.profile.Power[m.state] * dt.Seconds()
+		// Rounded before the sum so no arch fuses it into an FMA.
+		m.stateEnergy[m.state] += float64(m.profile.Power[m.state] * dt.Seconds())
 	}
 	m.since = now
 }

@@ -83,6 +83,12 @@ func MakeTransitions(m map[[2]State]Transition) TransitionTable {
 
 // Profile is the calibration data for one WNIC technology: state power draw,
 // transition costs and link-speed characteristics.
+//
+// A Device keeps the pointer it was built with and never writes through it,
+// so one Profile may back many devices; such a shared profile is read-only
+// (the Hotspot model shares one per interface across all its clients).
+// Callers that want to tweak a calibration take a fresh copy from
+// WLAN80211b or Bluetooth.
 type Profile struct {
 	Name string
 
@@ -160,11 +166,11 @@ func (p *Profile) Validate() error {
 	return nil
 }
 
-// WLAN80211b returns the calibrated 802.11b CF-card profile used for the
-// iPAQ 3970 reproduction. Values follow published measurements of that era's
-// hardware: idle listening costs nearly as much as receiving, which is the
-// paper's motivating observation ("WLANs spend as much as 90% of their time
-// listening").
+// WLAN80211b returns a fresh copy of the calibrated 802.11b CF-card profile
+// used for the iPAQ 3970 reproduction. Values follow published measurements
+// of that era's hardware: idle listening costs nearly as much as receiving,
+// which is the paper's motivating observation ("WLANs spend as much as 90%
+// of their time listening").
 func WLAN80211b() *Profile {
 	return &Profile{
 		Name: "wlan-802.11b",
@@ -188,9 +194,10 @@ func WLAN80211b() *Profile {
 	}
 }
 
-// Bluetooth returns the calibrated Bluetooth 1.1 module profile. Bluetooth's
-// low-power "park" mode maps to Sleep; exiting park is much cheaper than a
-// WLAN re-association, but active throughput is ~15x lower.
+// Bluetooth returns a fresh copy of the calibrated Bluetooth 1.1 module
+// profile. Bluetooth's low-power "park" mode maps to Sleep; exiting park is
+// much cheaper than a WLAN re-association, but active throughput is ~15x
+// lower.
 func Bluetooth() *Profile {
 	return &Profile{
 		Name: "bluetooth",

@@ -324,3 +324,24 @@ func TestBackToBackTransitionsKeepDoneOrder(t *testing.T) {
 		t.Errorf("final state %v (transitioning %v), want settled Sleep", d.State(), d.Transitioning())
 	}
 }
+
+// TestOccupyForSteadyStateAllocatesNothing pins the pooled occupancy
+// records: once a device has ended one occupancy, the next reuses its
+// record, so a steady stream of OccupyFor calls allocates nothing.
+func TestOccupyForSteadyStateAllocatesNothing(t *testing.T) {
+	s := sim.New(1)
+	d := NewDeviceInState(s, WLAN80211b(), Idle)
+	ends := 0
+	done := func() { ends++ }
+	occupy := func() {
+		d.OccupyFor(RX, sim.Millisecond, Idle, done)
+		s.Run()
+	}
+	occupy() // warm the record pool and the kernel's event pool
+	if allocs := testing.AllocsPerRun(100, occupy); allocs != 0 {
+		t.Errorf("OccupyFor allocates %v per call in steady state, want 0", allocs)
+	}
+	if ends != 102 || d.State() != Idle {
+		t.Errorf("ends = %d, state %v; want 102 ends back in idle", ends, d.State())
+	}
+}
