@@ -44,6 +44,16 @@ func main() {
 	)
 	flag.Parse()
 
+	if err := cli.CheckNumFlags(
+		cli.NumFlag{Name: "duration", Value: *duration, Seconds: true},
+		cli.NumFlag{Name: "epoch", Value: *epoch, Seconds: true},
+		cli.NumFlag{Name: "wlan-outage", Value: *outageAt, AllowZero: true, Seconds: true},
+		cli.NumFlag{Name: "outage-len", Value: *outageLen, Seconds: true},
+	); err != nil {
+		fmt.Fprintf(os.Stderr, "hotspotsim: %v\n", err)
+		os.Exit(2)
+	}
+
 	// Validate the selector flags exactly once, before any simulation (and
 	// before the Runner's workers start): mkConfig itself must stay
 	// error-free because it runs per seed on pool goroutines.

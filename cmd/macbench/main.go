@@ -42,6 +42,13 @@ func main() {
 	)
 	flag.Parse()
 
+	if err := cli.CheckNumFlags(
+		cli.NumFlag{Name: "rate", Value: *rateKBs},
+		cli.NumFlag{Name: "duration", Value: *duration, Seconds: true},
+	); err != nil {
+		fmt.Fprintf(os.Stderr, "macbench: %v\n", err)
+		os.Exit(2)
+	}
 	chunk := 2000
 	interval := sim.FromSeconds(float64(chunk) / (*rateKBs * 1024))
 	dur := sim.FromSeconds(*duration)

@@ -9,6 +9,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/scenario"
+	"repro/internal/sim"
 )
 
 // RunFlags is the shared frontend flag set: seeding, execution backend
@@ -338,4 +340,40 @@ func (f *RunFlags) StartProfiles() (stop func() error, err error) {
 		}
 		return nil
 	}, nil
+}
+
+// NumFlag is one numeric frontend flag for CheckNumFlags.
+type NumFlag struct {
+	Name      string
+	Value     float64
+	AllowZero bool // zero is meaningful ("-wlan-outage 0" means no outage)
+	Seconds   bool // a simulated time in seconds: must fit in a sim.Time
+}
+
+// maxFlagSeconds bounds seconds-valued flags at half the simulator's clock
+// range, so each converts to a sim.Time and the sum of two still fits.
+const maxFlagSeconds = float64(sim.MaxTime/2) / float64(sim.Second)
+
+// CheckNumFlags validates numeric flag values before any simulation runs.
+// NaN, ±Inf and negative values are always rejected, zero unless the flag
+// allows it, and seconds beyond half the simulator's clock range. Frontends
+// exit 2 with the returned error; without the check, the bad value panics
+// later inside a pool goroutine (or, for NaN seconds, converts to the
+// most negative sim.Time).
+func CheckNumFlags(flags ...NumFlag) error {
+	for _, f := range flags {
+		switch v := f.Value; {
+		case math.IsNaN(v) || math.IsInf(v, 0):
+			return fmt.Errorf("-%s must be finite (got %v)", f.Name, v)
+		case v < 0 || v == 0 && !f.AllowZero:
+			want := "positive"
+			if f.AllowZero {
+				want = "non-negative"
+			}
+			return fmt.Errorf("-%s must be %s (got %v)", f.Name, want, v)
+		case f.Seconds && v >= maxFlagSeconds:
+			return fmt.Errorf("-%s must be below %.4g seconds (got %v)", f.Name, maxFlagSeconds, v)
+		}
+	}
+	return nil
 }

@@ -24,11 +24,11 @@ import (
 func surveyCatalogue() []scenario.Spec {
 	return []scenario.Spec{
 		{Name: "e3", Desc: "E3: unmanaged WLAN listens ~90% of the time",
-			Tags: []string{"survey", "mac"}, RunTuned: E3ListenFraction},
+			Tags: []string{"survey", "mac"}, Run: E3ListenFraction},
 		{Name: "e4", Desc: "E4: 802.11 PSM vs CAM across loads",
-			Tags: []string{"survey", "mac"}, RunTuned: E4PSMvsCAM},
+			Tags: []string{"survey", "mac"}, Run: E4PSMvsCAM},
 		{Name: "e5", Desc: "E5: CAM vs PSM vs EC-MAC",
-			Tags: []string{"survey", "mac"}, RunTuned: E5MACComparison},
+			Tags: []string{"survey", "mac"}, Run: E5MACComparison},
 		{Name: "e6", Desc: "E6: MAC-layer aggregation sweep",
 			Tags: []string{"survey", "mac"}, Run: E6Aggregation},
 		{Name: "e7", Desc: "E7: PAMAS overhearing avoidance + battery sleep",
@@ -47,8 +47,8 @@ func surveyCatalogue() []scenario.Spec {
 // E3ListenFraction verifies the paper's motivating claim: "WLANs spend as
 // much as 90% of their time listening", so transmit-power control alone
 // cannot save much.
-func E3ListenFraction(seed int64, tun sim.Tuning) Result {
-	s := sim.NewTuned(seed, tun)
+func E3ListenFraction(seed int64) Result {
+	s := sim.New(seed)
 	m := dcf.NewMedium(s, dcf.Default80211b(), nil)
 	ap := dcf.NewStation(frame.AP, m, radio.NewDeviceInState(s, radio.WLAN80211b(), radio.Idle))
 	sta := dcf.NewStation(0, m, radio.NewDeviceInState(s, radio.WLAN80211b(), radio.Idle))
@@ -79,14 +79,14 @@ func E3ListenFraction(seed int64, tun sim.Tuning) Result {
 
 // E4PSMvsCAM compares 802.11 power-save mode to continuously-active mode
 // across offered loads and beacon intervals.
-func E4PSMvsCAM(seed int64, tun sim.Tuning) Result {
+func E4PSMvsCAM(seed int64) Result {
 	t := stats.NewTable("E4 — 802.11 PSM vs CAM (client avg power, W)",
 		"load (pkt/s)", "CAM", "PSM bi=100ms", "PSM bi=300ms", "saving @100ms")
 	vals := map[string]float64{}
 	for _, load := range []float64{0.5, 2, 8} {
-		cam := runCAMClient(seed, tun, load, 40*sim.Second)
-		psm100 := runPSMClient(seed, tun, load, 100*sim.Millisecond, 40*sim.Second)
-		psm300 := runPSMClient(seed, tun, load, 300*sim.Millisecond, 40*sim.Second)
+		cam := runCAMClient(seed, load, 40*sim.Second)
+		psm100 := runPSMClient(seed, load, 100*sim.Millisecond, 40*sim.Second)
+		psm300 := runPSMClient(seed, load, 300*sim.Millisecond, 40*sim.Second)
 		saving := 1 - psm100/cam
 		t.AddRow(fmt.Sprintf("%.1f", load),
 			fmt.Sprintf("%.3f", cam), fmt.Sprintf("%.3f", psm100),
@@ -98,8 +98,8 @@ func E4PSMvsCAM(seed int64, tun sim.Tuning) Result {
 	return Result{Name: "e4-psm-vs-cam", Table: t.String(), Values: vals}
 }
 
-func runCAMClient(seed int64, tun sim.Tuning, pktPerSec float64, dur sim.Time) float64 {
-	s := sim.NewTuned(seed, tun)
+func runCAMClient(seed int64, pktPerSec float64, dur sim.Time) float64 {
+	s := sim.New(seed)
 	m := dcf.NewMedium(s, dcf.Default80211b(), nil)
 	apDev := radio.NewDeviceInState(s, radio.WLAN80211b(), radio.Idle)
 	ap := psm.NewAP(s, m, apDev, psm.DefaultConfig())
@@ -111,8 +111,8 @@ func runCAMClient(seed int64, tun sim.Tuning, pktPerSec float64, dur sim.Time) f
 	return dev.Meter().AveragePower()
 }
 
-func runPSMClient(seed int64, tun sim.Tuning, pktPerSec float64, beacon sim.Time, dur sim.Time) float64 {
-	s := sim.NewTuned(seed, tun)
+func runPSMClient(seed int64, pktPerSec float64, beacon sim.Time, dur sim.Time) float64 {
+	s := sim.New(seed)
 	m := dcf.NewMedium(s, dcf.Default80211b(), nil)
 	cfg := psm.DefaultConfig()
 	cfg.BeaconInterval = beacon
@@ -129,15 +129,15 @@ func runPSMClient(seed int64, tun sim.Tuning, pktPerSec float64, beacon sim.Time
 // E5MACComparison pits CAM, 802.11 PSM and EC-MAC against the same downlink
 // load: EC-MAC's broadcast schedule eliminates contention and gives exact
 // doze windows.
-func E5MACComparison(seed int64, tun sim.Tuning) Result {
+func E5MACComparison(seed int64) Result {
 	const nSta = 4
 	const dur = 30 * sim.Second
 	loadBytes, loadEvery := 2000, 125*sim.Millisecond // 16 KB/s per station
 
-	camW, camColl := runDCFDownlink(seed, tun, nSta, loadBytes, loadEvery, dur, false)
-	psmW, psmColl := runDCFDownlink(seed, tun, nSta, loadBytes, loadEvery, dur, true)
+	camW, camColl := runDCFDownlink(seed, nSta, loadBytes, loadEvery, dur, false)
+	psmW, psmColl := runDCFDownlink(seed, nSta, loadBytes, loadEvery, dur, true)
 
-	s := sim.NewTuned(seed, tun)
+	s := sim.New(seed)
 	bs := radio.NewDeviceInState(s, radio.WLAN80211b(), radio.Idle)
 	net := ecmac.NewNetwork(s, ecmac.DefaultConfig(), bs)
 	for i := 0; i < nSta; i++ {
@@ -168,8 +168,8 @@ func E5MACComparison(seed int64, tun sim.Tuning) Result {
 	}}
 }
 
-func runDCFDownlink(seed int64, tun sim.Tuning, n int, bytes int, every, dur sim.Time, ps bool) (float64, int) {
-	s := sim.NewTuned(seed, tun)
+func runDCFDownlink(seed int64, n int, bytes int, every, dur sim.Time, ps bool) (float64, int) {
+	s := sim.New(seed)
 	m := dcf.NewMedium(s, dcf.Default80211b(), nil)
 	apDev := radio.NewDeviceInState(s, radio.WLAN80211b(), radio.Idle)
 	ap := psm.NewAP(s, m, apDev, psm.DefaultConfig())

@@ -8,8 +8,8 @@
 //     beacon event, one aggregated Poisson downlink stream (rate n·λ,
 //     thinned uniformly over live stations) and one aggregated death
 //     process. The event queue holds a handful of events regardless of
-//     population size — exactly the sparse regime the kernel's adaptive
-//     WheelMinPending mode keeps off the timing wheel.
+//     population size, so the kernel's heap stays within a cache line or
+//     two.
 //
 //   - Struct-of-arrays state: every per-station quantity is a column
 //     indexed by station id (pending frames, pending bytes, AP, listen
@@ -187,9 +187,9 @@ type Model struct {
 	rep Report
 }
 
-// Run executes the configuration on a fresh default-tuned simulator — the
-// one-call form used by tests. Experiments embed the model in their own
-// simulator via New for tuning control.
+// Run executes the configuration on a fresh simulator — the one-call form
+// used by tests. Experiments embed the model in their own simulator via
+// New.
 func Run(seed int64, cfg Config) Report {
 	s := sim.New(seed)
 	m := New(s, cfg)

@@ -114,41 +114,13 @@ func TestDeterministic(t *testing.T) {
 	}
 }
 
-// TestTuningInvariant checks that kernel tuning — including the adaptive
-// wheel mode the metro event mix is designed for — is invisible to the
-// model's results.
-func TestTuningInvariant(t *testing.T) {
-	cfg := churnConfig()
-	cfg.Horizon = 10 * sim.Second
-	run := func(tun sim.Tuning) Report {
-		s := sim.NewTuned(3, tun)
-		m := New(s, cfg)
-		m.Start()
-		s.RunUntil(cfg.Horizon)
-		return m.Finish()
-	}
-	base := run(sim.DefaultTuning())
-	adaptive := sim.DefaultTuning()
-	adaptive.WheelMinPending = sim.WheelAdaptive
-	heap := sim.DefaultTuning()
-	heap.WheelMinPending = 1 << 20
-	if got := run(adaptive); got != base {
-		t.Fatalf("adaptive tuning changed results:\n%+v\n%+v", got, base)
-	}
-	if got := run(heap); got != base {
-		t.Fatalf("pure-heap tuning changed results:\n%+v\n%+v", got, base)
-	}
-}
-
 // TestSteadyStateZeroAlloc pins the tentpole's memory claim: once built and
 // warmed, advancing the metro population — beacons, downlink stream, churn,
 // TIM service — performs zero allocations per simulated second.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	cfg := churnConfig()
 	cfg.Horizon = sim.Hour // never reached; the test advances manually
-	tun := sim.DefaultTuning()
-	tun.WheelMinPending = sim.WheelAdaptive
-	s := sim.NewTuned(1, tun)
+	s := sim.New(1)
 	m := New(s, cfg)
 	m.Start()
 	s.RunUntil(2 * sim.Second) // warm: slab, groups, thinning all exercised

@@ -32,11 +32,6 @@ import (
 // round-trips bit-exactly and emission stays in seed order, a warm run's
 // aggregate is bit-identical to a cold run's — the cross-backend
 // equivalence test pins exactly that.
-//
-// Kernel tuning (Spec.Tuning) is deliberately not part of the key: every
-// tuning produces the identical event order (the reference-model test
-// sweeps hostile tunings to prove it), so results cached under one tuning
-// are valid under any other.
 type Cache struct {
 	Inner Executor // backend that computes misses
 	Dir   string   // local cache root; the fallback when Addr is set

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -152,31 +151,5 @@ func TestLocalSharedPoolAcrossRuns(t *testing.T) {
 	}
 	if peak == 0 {
 		t.Error("nothing ran")
-	}
-}
-
-// TestExecuteAppliesTuning checks the Spec.Execute contract: RunTuned
-// receives the spec's tuning override, or the default when none is set.
-func TestExecuteAppliesTuning(t *testing.T) {
-	var got sim.Tuning
-	spec := Spec{
-		Name: "test-tuned", Desc: "tuned",
-		RunTuned: func(seed int64, tun sim.Tuning) Result {
-			got = tun
-			return Result{Values: map[string]float64{"seed": float64(seed)}}
-		},
-	}
-	spec.Execute(1)
-	if got != sim.DefaultTuning() {
-		t.Errorf("nil Tuning: RunTuned got %+v, want default", got)
-	}
-	override := sim.Tuning{TickShift: 0, WheelBits: 10, CompactMinDead: 64, WheelMinPending: 1 << 20}
-	spec.Tuning = &override
-	res := spec.Execute(7)
-	if got != override {
-		t.Errorf("RunTuned got %+v, want override %+v", got, override)
-	}
-	if res.Values["seed"] != 7 {
-		t.Errorf("seed not threaded: %v", res.Values)
 	}
 }

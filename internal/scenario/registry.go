@@ -17,9 +17,9 @@ var (
 )
 
 // Register adds a spec to the global registry. Registering an empty name,
-// a missing (or ambiguous) run function or a duplicate name panics: these
-// are programming errors in the experiment catalogue, not runtime
-// conditions.
+// a missing run function, a (deprecated, ignored) Tuning or a duplicate
+// name panics: these are programming errors in the experiment catalogue,
+// not runtime conditions.
 func Register(s Spec) {
 	if s.Name == "" {
 		panic("scenario: Register with empty name")
@@ -27,11 +27,8 @@ func Register(s Spec) {
 	if !s.Runnable() {
 		panic(fmt.Sprintf("scenario: Register %q with no run function", s.Name))
 	}
-	if s.Run != nil && s.RunTuned != nil {
-		panic(fmt.Sprintf("scenario: Register %q with both Run and RunTuned", s.Name))
-	}
-	if s.Run != nil && s.Tuning != nil {
-		panic(fmt.Sprintf("scenario: Register %q with Tuning but plain Run; only RunTuned receives a tuning", s.Name))
+	if s.Tuning != nil {
+		panic(fmt.Sprintf("scenario: Register %q with Tuning; the kernel has no tuning knobs", s.Name))
 	}
 	regMu.Lock()
 	defer regMu.Unlock()

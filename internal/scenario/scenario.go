@@ -31,43 +31,32 @@ type Result struct {
 // identifier), a one-line description, classification tags used for
 // filtering, and the seeded run function that produces its Result.
 //
-// Exactly one of Run and RunTuned must be set. RunTuned is for experiments
-// that accept a kernel tuning: the registry leaves Tuning nil, so they run
-// on sim.DefaultTuning, and tests set it to prove other tunings change
-// nothing (sim.Tuning trades only constant factors, never event order).
-// Execute threads it through.
-//
 // Params is an optional canonical description of any runtime parameters
 // baked into the run closure (ad-hoc specs built from CLI flags set it;
 // registry specs have their parameters in code and leave it empty). It is
 // part of the result-cache key, so two invocations with different
 // parameters never share cache entries.
 type Spec struct {
-	Name     string
-	Desc     string
-	Tags     []string
-	Params   string
-	Run      func(seed int64) Result
-	RunTuned func(seed int64, tun sim.Tuning) Result
-	Tuning   *sim.Tuning // kernel tuning passed to RunTuned; nil means sim.DefaultTuning
+	Name   string
+	Desc   string
+	Tags   []string
+	Params string
+	Run    func(seed int64) Result
+
+	// Tuning is ignored, and Register rejects a spec that sets it.
+	//
+	// Deprecated: only bench/layers.go (tuningOf) still reads it. The next
+	// benchmark change (ROADMAP.md, "Next benchmark change") drops that
+	// read and deletes the field.
+	Tuning *sim.Tuning
 }
 
 // Execute runs the spec on one seed. It is the single entry point every
-// executor, benchmark and test uses, so the tuning override is applied
-// uniformly no matter which backend runs the seed.
-func (s Spec) Execute(seed int64) Result {
-	if s.RunTuned != nil {
-		tun := sim.DefaultTuning()
-		if s.Tuning != nil {
-			tun = *s.Tuning
-		}
-		return s.RunTuned(seed, tun)
-	}
-	return s.Run(seed)
-}
+// executor, benchmark and test uses.
+func (s Spec) Execute(seed int64) Result { return s.Run(seed) }
 
 // Runnable reports whether the spec carries a run function.
-func (s Spec) Runnable() bool { return s.Run != nil || s.RunTuned != nil }
+func (s Spec) Runnable() bool { return s.Run != nil }
 
 // HasTag reports whether the spec carries the given tag.
 func (s Spec) HasTag(tag string) bool {

@@ -117,16 +117,10 @@ func TestRegisterRejectsBadSpecs(t *testing.T) {
 	}
 	mustPanic("empty name", Spec{Run: func(int64) Result { return Result{} }})
 	mustPanic("nil run", Spec{Name: "test-nil-run"})
-	mustPanic("both run forms", Spec{
-		Name:     "test-both-runs",
-		Run:      func(int64) Result { return Result{} },
-		RunTuned: func(int64, sim.Tuning) Result { return Result{} },
-	})
-	tun := sim.DefaultTuning()
-	mustPanic("tuning without RunTuned", Spec{
-		Name:   "test-tuning-plain-run",
+	mustPanic("deprecated tuning", Spec{
+		Name:   "test-tuning",
 		Run:    func(int64) Result { return Result{} },
-		Tuning: &tun,
+		Tuning: &sim.Tuning{},
 	})
 
 	Register(syntheticSpec("test-dup", nil))

@@ -83,10 +83,9 @@ func benchCancelHeavy(n int) {
 }
 
 // benchDenseStorm keeps 64 event chains in flight with staggered 1–13 µs
-// gaps — the dense-AP / micro-sleep regime the timing wheel exists for.
-// With dozens of events always pending, the front register stays out of the
-// way and every operation exercises bucket insertion, the occupancy-bitmap
-// scan and the single-event-bucket firing path.
+// gaps — a dense-AP / micro-sleep shape no registered experiment has. With
+// dozens of events always pending, the front register stays out of the way
+// and every operation is a push and a pop on a 64-deep heap.
 func benchDenseStorm(n int) {
 	s := New(1)
 	const chains = 64
@@ -107,12 +106,12 @@ func benchDenseStorm(n int) {
 	s.Run()
 }
 
-// benchBucketBoundary runs two dozen chains at a coarse 16 µs tick whose
-// gaps keep landing events on both sides of tick boundaries, so buckets
-// hold multiple events with distinct timestamps and the intra-tick due heap
-// does real (at, seq) ordering work on every staging.
+// benchBucketBoundary runs two dozen chains whose irregular 1–47 µs gaps
+// produce frequent same-instant ties, so the heap's (at, seq) ordering
+// does real work on the seq tie-break. It keeps its timing-wheel era name
+// because the repository benchmark declares it.
 func benchBucketBoundary(n int) {
-	s := NewTuned(1, Tuning{TickShift: 4, WheelBits: 6, CompactMinDead: 64})
+	s := New(1)
 	const chains = 24
 	gaps := [8]Time{13, 16, 19, 32, 15, 17, 1, 47}
 	fired := 0
@@ -132,13 +131,12 @@ func benchBucketBoundary(n int) {
 	s.Run()
 }
 
-// benchOverflowMigrate keeps 16 events in flight far beyond the wheel span,
-// so every event lives in the overflow heap until the clock closes in and
-// the staging path hands it to the due heap — the migration cost a
-// hierarchical wheel pays for far-future timers (beacons, DTIM cycles).
+// benchOverflowMigrate keeps 16 events in flight 4 ms ahead — far-future
+// timers such as beacons and DTIM cycles. It keeps its timing-wheel era
+// name because the repository benchmark declares it.
 func benchOverflowMigrate(n int) {
 	s := New(1)
-	const lead = 4096 * Microsecond // 4× the default wheel span
+	const lead = 4096 * Microsecond
 	fired := 0
 	var fn func()
 	fn = func() {
@@ -155,14 +153,10 @@ func benchOverflowMigrate(n int) {
 
 // benchMetroDense runs the metro-scale event mix: a handful of aggregated
 // processes (downlink streams, a beacon, a slow scan) instead of per-station
-// timers, under the adaptive WheelMinPending mode. The queue holds ~4
-// events, so the adaptive depth filter keeps everything off the wheel and
-// the kernel runs in its sparse heap regime — the shape 10⁵-station metro
-// scenarios put through it.
+// timers. The queue holds ~4 events — the shape 10⁵-station metro scenarios
+// put through the kernel.
 func benchMetroDense(n int) {
-	tun := DefaultTuning()
-	tun.WheelMinPending = WheelAdaptive
-	s := NewTuned(1, tun)
+	s := New(1)
 	fired := 0
 	gaps := [4]Time{37, 53, 811, 100_000} // two downlink streams, a scan, a beacon
 	var fns [4]func()
@@ -186,9 +180,7 @@ func benchMetroDense(n int) {
 // update as the population shifts), alongside a downlink stream — the
 // schedule/cancel-heavy sparse pattern of a churning metro population.
 func benchMetroChurn(n int) {
-	tun := DefaultTuning()
-	tun.WheelMinPending = WheelAdaptive
-	s := NewTuned(1, tun)
+	s := New(1)
 	fired := 0
 	death := NewTimer(s, func() {})
 	var join func()

@@ -33,6 +33,11 @@ func TestTimeString(t *testing.T) {
 		{3 * Second, "3.000s"},
 		{90 * Second, "90.0s"},
 		{MaxTime, "+inf"},
+		{-3 * Second, "-3.000s"},
+		// Negating the most negative Time overflows back to itself, so a
+		// sign-stripping String recursed until the stack overflowed. On
+		// amd64 FromSeconds(NaN) yields exactly this value.
+		{-MaxTime - 1, "-9223372036854775808us"},
 	}
 	for _, c := range cases {
 		if got := c.in.String(); got != c.want {

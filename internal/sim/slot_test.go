@@ -101,13 +101,11 @@ func TestReserveGrowthPattern(t *testing.T) {
 	s.Run()
 }
 
-// TestAdaptiveRoutingZeroAlloc extends the zero-allocation guarantee to the
-// adaptive WheelMinPending mode: the depth filter is pure integer state, so
-// adaptive routing must not cost a single allocation in steady state.
-func TestAdaptiveRoutingZeroAlloc(t *testing.T) {
-	tun := DefaultTuning()
-	tun.WheelMinPending = WheelAdaptive
-	s := NewTuned(1, tun)
+// TestDenseQueueZeroAlloc extends the zero-allocation guarantee to a
+// queue held dozens deep: once the heap's backing array has grown to the
+// burst size, pushing and draining 64 events must not allocate.
+func TestDenseQueueZeroAlloc(t *testing.T) {
+	s := New(1)
 	nop := func() {}
 	for i := 0; i < 256; i++ {
 		s.Schedule(Time(i%13+1)*Microsecond, nop)
@@ -119,49 +117,6 @@ func TestAdaptiveRoutingZeroAlloc(t *testing.T) {
 		}
 		s.Run()
 	}); a != 0 {
-		t.Errorf("adaptive steady state allocates %v per op, want 0", a)
+		t.Errorf("dense queue steady state allocates %v per op, want 0", a)
 	}
-}
-
-// TestAdaptiveEngagesWheelWhenDense checks the routing policy itself: a
-// sparse phase stays off the wheel (no bucket array allocated), a sustained
-// dense phase engages it. Policy only — order equivalence is covered by the
-// reference-model sweep in model_test.go.
-func TestAdaptiveEngagesWheelWhenDense(t *testing.T) {
-	tun := DefaultTuning()
-	tun.WheelMinPending = WheelAdaptive
-	s := NewTuned(1, tun)
-	nop := func() {}
-
-	// Sparse phase: one aggregated-process event in flight at a time, with
-	// occasional 4-deep bursts. The filter must stay below the threshold
-	// and the wheel must never materialize.
-	for i := 0; i < 500; i++ {
-		s.Schedule(Time(i%7+1)*Microsecond, nop)
-		if i%50 == 0 {
-			for j := 0; j < 4; j++ {
-				s.Schedule(Time(j+2)*Microsecond, nop)
-			}
-		}
-		s.RunUntil(s.Now() + 20*Microsecond)
-	}
-	if s.wheel != nil {
-		t.Fatal("sparse phase materialized the wheel")
-	}
-
-	// Dense phase: 64 chains pending at once, sustained. The filter must
-	// cross the threshold and route into buckets.
-	for i := 0; i < 64; i++ {
-		s.Schedule(Time(i%13+1)*Microsecond, nop)
-	}
-	for i := 0; i < 20; i++ {
-		for j := 0; j < 64; j++ {
-			s.Schedule(Time(j%13+1)*Microsecond, nop)
-		}
-		s.RunUntil(s.Now() + 5*Microsecond)
-	}
-	if s.wheel == nil {
-		t.Fatal("sustained dense phase did not engage the wheel")
-	}
-	s.Run()
 }

@@ -3,7 +3,9 @@
 // All simulated subsystems in this repository (radios, MAC protocols,
 // channels, schedulers) are driven by a single Simulator instance. Time is
 // represented as an integer count of microseconds so that event ordering is
-// exact and runs are bit-reproducible for a given seed.
+// exact and runs are bit-reproducible for a given seed. Pending events wait
+// in one (at, seq)-ordered binary heap behind a front register; the kernel
+// has no tuning knobs.
 package sim
 
 import "fmt"
@@ -36,12 +38,14 @@ func (t Time) Milliseconds() float64 { return float64(t) / float64(Millisecond) 
 func (t Time) Microseconds() int64 { return int64(t) }
 
 // FromSeconds builds a Time from floating-point seconds, rounding to the
-// nearest microsecond.
+// nearest microsecond. The explicit float64 conversions keep Go from fusing
+// the product and the half-microsecond offset into one FMA on arm64, which
+// would round ties differently than amd64 does.
 func FromSeconds(s float64) Time {
 	if s < 0 {
-		return Time(s*float64(Second) - 0.5)
+		return Time(float64(s*float64(Second)) - 0.5)
 	}
-	return Time(s*float64(Second) + 0.5)
+	return Time(float64(s*float64(Second)) + 0.5)
 }
 
 // String renders the time with a unit that keeps the value readable.
@@ -49,8 +53,8 @@ func (t Time) String() string {
 	switch {
 	case t == MaxTime:
 		return "+inf"
-	case t < 0:
-		return fmt.Sprintf("-%s", -t)
+	case t < 0 && t != -MaxTime-1: // negating the most negative Time overflows back to itself
+		return "-" + (-t).String()
 	case t < Millisecond:
 		return fmt.Sprintf("%dus", int64(t))
 	case t < Second:

@@ -2,6 +2,12 @@
 // experiment in this repository: streaming summaries, histograms,
 // time-weighted averages (the right mean for power traces) and plain-text
 // table rendering for reproducing the paper's figures as terminal output.
+//
+// Every product that feeds a sum or difference is wrapped in float64(…),
+// also where the product is assigned to a variable first (Go may fuse
+// across statements): the explicit rounding forbids fusing it into an FMA,
+// which arm64 would otherwise do and amd64 never does, so outputs stay
+// bit-identical across architectures.
 package stats
 
 import (
@@ -34,7 +40,7 @@ func (s *Summary) Add(x float64) {
 	}
 	d := x - s.mean
 	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
+	s.m2 += float64(d * (x - s.mean))
 }
 
 // AddN records the same sample value n times.
@@ -96,7 +102,7 @@ func (w *TimeWeighted) Set(t, v float64) {
 		if t < w.lastT {
 			panic("stats: TimeWeighted time went backwards")
 		}
-		w.integral += w.lastV * (t - w.lastT)
+		w.integral += float64(w.lastV * (t - w.lastT))
 		w.elapsed += t - w.lastT
 	}
 	if !w.haveLevel {
@@ -119,7 +125,7 @@ func (w *TimeWeighted) Set(t, v float64) {
 // time-weighted mean over the whole observation window.
 func (w *TimeWeighted) Finish(t float64) float64 {
 	if w.started && t > w.lastT {
-		w.integral += w.lastV * (t - w.lastT)
+		w.integral += float64(w.lastV * (t - w.lastT))
 		w.elapsed += t - w.lastT
 		w.lastT = t
 	}
@@ -214,7 +220,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if q >= 1 {
 		return h.hi
 	}
-	target := q * float64(h.n)
+	target := float64(q * float64(h.n))
 	cum := float64(h.under)
 	if cum >= target {
 		return h.lo
@@ -226,7 +232,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 			if c > 0 {
 				frac = (target - cum) / float64(c)
 			}
-			return h.lo + (float64(i)+frac)*width
+			return h.lo + float64((float64(i)+frac)*width)
 		}
 		cum += float64(c)
 	}
@@ -249,13 +255,13 @@ func Percentile(samples []float64, q float64) float64 {
 	if q >= 1 {
 		return sorted[len(sorted)-1]
 	}
-	pos := q * float64(len(sorted)-1)
+	pos := float64(q * float64(len(sorted)-1))
 	i := int(pos)
 	frac := pos - float64(i)
 	if i+1 >= len(sorted) {
 		return sorted[len(sorted)-1]
 	}
-	return sorted[i]*(1-frac) + sorted[i+1]*frac
+	return float64(sorted[i]*(1-frac)) + float64(sorted[i+1]*frac)
 }
 
 // JainFairness computes Jain's fairness index over per-entity allocations:
@@ -268,7 +274,7 @@ func JainFairness(xs []float64) float64 {
 	var sum, sumSq float64
 	for _, x := range xs {
 		sum += x
-		sumSq += x * x
+		sumSq += float64(x * x)
 	}
 	if sumSq == 0 {
 		return 1
