@@ -78,7 +78,7 @@ func (f *RunFlags) Register(fs *flag.FlagSet) {
 	fs.IntVar(&f.SeedsN, "seeds", 1, "number of consecutive seeds per experiment")
 	fs.IntVar(&f.Parallel, "parallel", runtime.NumCPU(), "worker pool size for (experiment × seed) jobs")
 	fs.StringVar(&f.Backend, "backend", "local", "execution backend: local | shard | cached (see EXPERIMENTS.md)")
-	fs.IntVar(&f.Workers, "workers", runtime.NumCPU(), "worker subprocess count for -backend shard")
+	fs.IntVar(&f.Workers, "workers", runtime.NumCPU(), fmt.Sprintf("worker subprocess count for -backend shard (at most %d)", scenario.MaxWorkers))
 	fs.StringVar(&f.CacheDir, "cache-dir", ".repro-cache", "result cache directory for -backend cached")
 	fs.BoolVar(&f.Worker, "worker", false, "internal: serve as a shard worker over stdin/stdout")
 	fs.StringVar(&f.Addrs, "addrs", "", "shard: comma-separated remote TCP worker addresses (host:port); empty means local subprocesses")
@@ -90,8 +90,8 @@ func (f *RunFlags) Register(fs *flag.FlagSet) {
 	fs.DurationVar(&f.ChunkTimeout, "chunk-timeout", def.ChunkTimeout, "shard: deadline per leased seed chunk (0 disables)")
 	fs.DurationVar(&f.RestartBackoff, "restart-backoff", def.RestartBackoff, "shard: base worker restart backoff (exponential, jittered)")
 	fs.BoolVar(&f.DegradeLocal, "degrade-local", def.DegradeToLocal, "shard: run exhausted chunks in-process instead of failing the run")
-	fs.IntVar(&f.ChunkSeeds, "chunk-seeds", def.ChunkSeeds, "shard: seeds per lease (one request frame covers the whole chunk)")
-	fs.IntVar(&f.Window, "window", def.Window, "shard: leases pipelined per worker connection (1 disables pipelining)")
+	fs.IntVar(&f.ChunkSeeds, "chunk-seeds", def.ChunkSeeds, "shard: seeds per lease, 0 = sized from the run (one request frame and one response write cover the whole chunk)")
+	fs.IntVar(&f.Window, "window", def.Window, fmt.Sprintf("shard: leases pipelined per worker connection (1 disables pipelining, at most %d)", scenario.MaxWindow))
 	fs.DurationVar(&f.DialTimeout, "dial-timeout", def.DialTimeout, "shard: TCP worker dial timeout for -addrs (0 disables)")
 	fs.DurationVar(&f.FrameTimeout, "frame-timeout", def.FrameTimeout, "shard: per-frame read deadline on TCP worker connections (0 disables)")
 	fs.StringVar(&f.Chaos, "chaos", "", "shard/serve: fault-injection schedule for workers, e.g. \"crash-after=2,gens=2\" (see EXPERIMENTS.md)")
@@ -128,6 +128,9 @@ func (f *RunFlags) Executor() (scenario.Executor, error) {
 	case "", "local":
 		return &scenario.Local{Parallel: f.Parallel}, nil
 	case "shard":
+		if err := f.checkShardFlags(); err != nil {
+			return nil, err
+		}
 		sh := &scenario.Shard{
 			Workers: f.Workers,
 			Chaos:   f.Chaos,
@@ -374,6 +377,20 @@ func CheckNumFlags(flags ...NumFlag) error {
 		case f.Seconds && v >= maxFlagSeconds:
 			return fmt.Errorf("-%s must be below %.4g seconds (got %v)", f.Name, maxFlagSeconds, v)
 		}
+	}
+	return nil
+}
+
+// checkShardFlags bounds the flags that size the shard fleet. -workers
+// slots each run a worker, and the lease queue holds -workers × -window
+// entries, so an unbounded value would panic or exhaust memory before any
+// work ran. Frontends exit 2 with the returned error.
+func (f *RunFlags) checkShardFlags() error {
+	if f.Workers > scenario.MaxWorkers {
+		return fmt.Errorf("-workers must be at most %d (got %d)", scenario.MaxWorkers, f.Workers)
+	}
+	if f.Window > scenario.MaxWindow {
+		return fmt.Errorf("-window must be at most %d (got %d)", scenario.MaxWindow, f.Window)
 	}
 	return nil
 }

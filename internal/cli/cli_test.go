@@ -50,6 +50,44 @@ func TestRegisterDefaults(t *testing.T) {
 	}
 }
 
+// TestShardFlagBounds pins the bounds on the fleet-sizing flags: values
+// too large to allocate are usage errors naming the flag, not a makechan
+// panic or an out-of-memory crash in the runtime.
+func TestShardFlagBounds(t *testing.T) {
+	cases := []struct {
+		args []string
+		bad  string // the flag the error must name; "" means accepted
+	}{
+		{[]string{"-window", "2000000000000000000"}, "-window"},
+		{[]string{"-window", "4000000000"}, "-window"},
+		{[]string{"-window", fmt.Sprint(scenario.MaxWindow + 1)}, "-window"},
+		{[]string{"-workers", "100000000000"}, "-workers"},
+		{[]string{"-workers", fmt.Sprint(scenario.MaxWorkers + 1)}, "-workers"},
+		{[]string{"-window", fmt.Sprint(scenario.MaxWindow)}, ""},
+		{[]string{"-workers", fmt.Sprint(scenario.MaxWorkers)}, ""},
+		{[]string{"-window", "-1"}, ""},
+		{[]string{"-workers", "0"}, ""},
+	}
+	for _, c := range cases {
+		var f RunFlags
+		fs := flag.NewFlagSet("x", flag.ContinueOnError)
+		f.Register(fs)
+		if err := fs.Parse(append([]string{"-backend", "shard"}, c.args...)); err != nil {
+			t.Fatal(err)
+		}
+		exec, err := f.Executor()
+		switch {
+		case c.bad == "" && err != nil:
+			t.Errorf("%v rejected: %v", c.args, err)
+		case c.bad != "" && (err == nil || !strings.Contains(err.Error(), c.bad)):
+			t.Errorf("%v: error %v, want one naming %s", c.args, err, c.bad)
+		}
+		if cl, ok := exec.(interface{ Close() error }); ok {
+			cl.Close()
+		}
+	}
+}
+
 func TestChaosFlagValidation(t *testing.T) {
 	// -chaos needs the shard backend.
 	f := RunFlags{Backend: "local", Chaos: "crash-after=1"}

@@ -120,23 +120,23 @@ func predictDense(cfg Config) Prediction {
 			if int(b%int64(k)) != phase {
 				continue
 			}
-			t := float64(b) * bsec
+			t := float64(float64(b) * bsec)
 			att := cfg.attendance(sim.FromSeconds(t - prevT))
-			wait := att.waitUnitSec * mean
+			wait := float64(att.waitUnitSec * mean)
 			sleepSec += math.Max(0, t-cfg.WakeLead.Seconds()-accEnd)
 			energy += wake + doze +
-				(cfg.WakeLead.Seconds()+wait)*p.Power[radio.Idle] +
-				(cfg.BeaconAir.Seconds()+att.rxSec)*p.Power[radio.RX] +
-				att.txSec*p.Power[radio.TX]
+				float64((cfg.WakeLead.Seconds()+wait)*p.Power[radio.Idle]) +
+				float64((cfg.BeaconAir.Seconds()+att.rxSec)*p.Power[radio.RX]) +
+				float64(att.txSec*p.Power[radio.TX])
 			accEnd = t + cfg.BeaconAir.Seconds() + wait + att.txSec + att.rxSec
-			delivered += att.f * cfg.Frame.Mean()
+			delivered += float64(att.f * cfg.Frame.Mean())
 			prevT = t
 		}
 		sleepSec += math.Max(0, hsec-accEnd)
-		energy += sleepSec * p.Power[radio.Sleep]
+		energy += float64(sleepSec * p.Power[radio.Sleep])
 
-		pred.EnergyJ += float64(m) * energy
-		pred.DeliveredBytes += float64(m) * delivered
+		pred.EnergyJ += float64(float64(m) * energy)
+		pred.DeliveredBytes += float64(float64(m) * delivered)
 	}
 	pred.StationSec = float64(cfg.Stations) * hsec
 	if pred.StationSec > 0 {
@@ -152,35 +152,35 @@ func predictDense(cfg Config) Prediction {
 func predictChurn(cfg Config) Prediction {
 	p := cfg.Profile
 	k := cfg.ListenInterval
-	cycle := cfg.BeaconInterval.Seconds() * float64(k)
+	cycle := float64(cfg.BeaconInterval.Seconds() * float64(k))
 	hsec := cfg.Horizon.Seconds()
 	tau := cfg.MeanLifetime.Seconds()
-	nbar := cfg.ArrivalRate * tau
+	nbar := float64(cfg.ArrivalRate * tau)
 	n0 := float64(cfg.Stations)
 	wakeE := p.TransitionCost(radio.Sleep, radio.Idle).Energy
 	dozeE := p.TransitionCost(radio.Idle, radio.Sleep).Energy
 
 	// ∫₀ᴴ E[n(t)] dt with E[n(t)] = n̄ + (n₀−n̄)e^(−t/τ).
-	stationSec := nbar*hsec + (n0-nbar)*tau*(1-math.Exp(-hsec/tau))
+	stationSec := float64(nbar*hsec) + float64((n0-nbar)*tau*(1-math.Exp(-hsec/tau)))
 
 	// Steady-state per-station cycle at the mean group occupancy.
 	att := cfg.attendance(sim.FromSeconds(cycle))
 	meanPos := math.Max(0, nbar/float64(cfg.APs*k)-1) / 2
-	wait := att.waitUnitSec * meanPos
+	wait := float64(att.waitUnitSec * meanPos)
 	awake := cfg.WakeLead.Seconds() + wait + cfg.BeaconAir.Seconds() + att.txSec + att.rxSec
 	cycleJ := wakeE + dozeE +
-		(cfg.WakeLead.Seconds()+wait)*p.Power[radio.Idle] +
-		(cfg.BeaconAir.Seconds()+att.rxSec)*p.Power[radio.RX] +
-		att.txSec*p.Power[radio.TX] +
-		math.Max(0, cycle-awake)*p.Power[radio.Sleep]
+		float64((cfg.WakeLead.Seconds()+wait)*p.Power[radio.Idle]) +
+		float64((cfg.BeaconAir.Seconds()+att.rxSec)*p.Power[radio.RX]) +
+		float64(att.txSec*p.Power[radio.TX]) +
+		float64(math.Max(0, cycle-awake)*p.Power[radio.Sleep])
 	avgW := cycleJ / cycle
 
 	// Delivery: arrivals are flushed at attended beacons, so each station's
 	// final partial window — at death or at the horizon — goes undelivered.
 	// Stations terminating at a phase-uniform instant lose cycle/2 of
 	// arrival time on average; every station ever alive terminates once.
-	everAlive := n0 + cfg.ArrivalRate*hsec
-	covered := math.Max(0, stationSec-everAlive*cycle/2)
+	everAlive := n0 + float64(cfg.ArrivalRate*hsec)
+	covered := math.Max(0, stationSec-float64(everAlive*cycle/2))
 	delivered := cfg.RatePerStation * cfg.Frame.Mean() * covered
 
 	return Prediction{

@@ -75,7 +75,7 @@ func (p Pareto) sampler() paretoSampler {
 }
 
 func (s paretoSampler) sample(u float64) float64 {
-	return s.min * math.Pow(1-u*s.span, s.exp)
+	return float64(s.min * math.Pow(1-float64(u*s.span), s.exp))
 }
 
 // Config parameterizes one metro scenario.
@@ -339,7 +339,7 @@ func (m *Model) detach(id int32) {
 // frameAir returns the on-air time of frames data frames totalling bytes of
 // payload at the profile's PHY rate.
 func (m *Model) frameAir(frames int32, bytes float64) sim.Time {
-	total := float64(frames)*float64(m.cfg.OverheadBytes) + bytes
+	total := float64(float64(frames)*float64(m.cfg.OverheadBytes)) + bytes
 	return sim.FromSeconds(total * 8 / m.cfg.Profile.BitRate)
 }
 

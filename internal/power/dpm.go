@@ -151,7 +151,7 @@ func (p *Predictive) ObserveIdle(idle sim.Time) {
 		p.seeded = true
 		return
 	}
-	p.pred = p.Alpha*idle.Seconds() + (1-p.Alpha)*p.pred
+	p.pred = float64(p.Alpha*idle.Seconds()) + float64((1-p.Alpha)*p.pred)
 }
 
 // Oracle knows the next arrival: it sleeps immediately exactly when the

@@ -96,7 +96,7 @@ func (l *Ledger) TimeIn(id int32, st radio.State) sim.Time {
 func (l *Ledger) EnergyJ(id int32) float64 {
 	j := l.transJ[id]
 	for st := range l.dwell {
-		j += l.dwell[st][id].Seconds() * l.profile.Power[st]
+		j += float64(l.dwell[st][id].Seconds() * l.profile.Power[st])
 	}
 	return j
 }
@@ -113,7 +113,7 @@ func (l *Ledger) TotalJ() float64 {
 		for _, d := range l.dwell[st] {
 			sec += d.Seconds()
 		}
-		j += sec * l.profile.Power[st]
+		j += float64(sec * l.profile.Power[st])
 	}
 	return j
 }

@@ -48,7 +48,8 @@ const protoVersion = 1
 
 // Worker-protocol frame types: the first payload byte of every binary
 // frame. Requests are chunk-granular (one frame carries a whole seed
-// chunk); the worker streams one result or error frame per seed back.
+// chunk); the worker answers with one result or error frame per seed,
+// written together once the chunk is done.
 const (
 	frameHello     = 0x01 // worker → coordinator: [type][protoVersion]
 	frameRequest   = 0x02 // coordinator → worker: [type][epoch][spec][uvarint n]([varint seed])*

@@ -39,15 +39,18 @@ type FaultPolicy struct {
 	// run, so a run only errors once every path is exhausted.
 	DegradeToLocal bool
 	// ChunkSeeds is the number of consecutive seeds per lease. One lease is
-	// one request frame: the worker streams one response frame per seed, so
-	// larger chunks amortize the request round trip across more seeds (at
+	// one request frame, answered with one response frame per seed that the
+	// worker writes in one go once the chunk is done, so larger chunks
+	// amortize the request round trip and the write across more seeds (at
 	// the cost of coarser retry units — a failed chunk recomputes all its
-	// seeds).
+	// seeds). Zero (the default) or negative sizes the chunk from each Run:
+	// see chunkFor.
 	ChunkSeeds int
 	// Window is the number of leases a worker slot keeps in flight on its
 	// connection: all requests of a window are written before the first
 	// response is read, so transport latency is paid once per window.
-	// Negative disables pipelining (one lease at a time).
+	// Negative disables pipelining (one lease at a time); values above
+	// MaxWindow are clamped to it.
 	Window int
 
 	// DialTimeout bounds one connection attempt to a remote TCP worker
@@ -66,10 +69,10 @@ type FaultPolicy struct {
 // three reassignments per chunk, a two-minute chunk deadline (every
 // registered experiment finishes a seed in well under a second), 100 ms
 // base restart backoff capped at 5 s, degradation to local execution
-// enabled, one seed per lease, four leases pipelined per connection, a
-// 5 s dial timeout and a 5 s per-frame read deadline (heartbeats arrive
-// every second, so only a partition — never a slow seed — can exhaust
-// it).
+// enabled, leases sized from each Run (ChunkSeeds 0), four leases
+// pipelined per connection, a 5 s dial timeout and a 5 s per-frame read
+// deadline (heartbeats arrive every second, so only a partition — never a
+// slow seed — can exhaust it).
 func DefaultFaultPolicy() FaultPolicy {
 	return FaultPolicy{
 		MaxRetries:     3,
@@ -77,7 +80,7 @@ func DefaultFaultPolicy() FaultPolicy {
 		RestartBackoff: 100 * time.Millisecond,
 		MaxBackoff:     5 * time.Second,
 		DegradeToLocal: true,
-		ChunkSeeds:     1,
+		ChunkSeeds:     0,
 		Window:         4,
 		DialTimeout:    5 * time.Second,
 		FrameTimeout:   5 * time.Second,
@@ -109,13 +112,12 @@ func (p FaultPolicy) normalized() FaultPolicy {
 	if p.MaxBackoff == 0 {
 		p.MaxBackoff = def.MaxBackoff
 	}
-	if p.ChunkSeeds < 1 {
-		p.ChunkSeeds = def.ChunkSeeds
-	}
 	if p.Window == 0 {
 		p.Window = def.Window
 	} else if p.Window < 0 {
 		p.Window = 1
+	} else if p.Window > MaxWindow {
+		p.Window = MaxWindow
 	}
 	if p.DialTimeout == 0 {
 		p.DialTimeout = def.DialTimeout
@@ -128,6 +130,51 @@ func (p FaultPolicy) normalized() FaultPolicy {
 		p.FrameTimeout = 0
 	}
 	return p
+}
+
+// Bounds on the Shard's sizing knobs. A slot is a goroutine plus a worker
+// process or connection, and the lease queue holds slots × Window entries,
+// so unbounded values would exhaust memory before any work ran. Both sit
+// far above anything useful: pipelining pays for transport latency, which
+// a few leases in flight already hide.
+const (
+	MaxWorkers = 1024 // Shard.Workers above this is a start error
+	MaxWindow  = 256  // FaultPolicy.Window above this is clamped
+)
+
+// Automatic lease sizing (ChunkSeeds 0). A Run is cut so every slot gets
+// at least leaseWindows pipelining windows of leases: a slot collects up to
+// Window queued leases per batch, so the run's tail — the last batch, which
+// may leave the other slots idle — is at most ~1/leaseWindows of a slot's
+// share. The chunk is capped at maxAutoChunk seeds: the per-lease cost (a
+// lease record, a request frame, one response write — tens of µs, the whole
+// fabric overhead of one-seed leases) is under 1% of a 64-seed lease of the
+// cheapest registered specs (fig1, ~0.1 ms a seed), so larger chunks only
+// coarsen retries. It is also capped so that a lease of the slowest
+// registered seeds finishes well inside ChunkTimeout, because the deadline
+// is per lease: e20, the slowest, takes ~0.4 s a seed on a 2-vCPU host, so
+// a budget of slowSeedBudget per seed leaves 5× headroom.
+const (
+	leaseWindows   = 8
+	maxAutoChunk   = 64
+	slowSeedBudget = 2 * time.Second
+)
+
+// chunkFor returns the seeds per lease for a Run of n seeds over slots
+// worker slots. An explicit ChunkSeeds is honoured (capped at n, which
+// yields the same single lease); zero sizes the chunk as
+// n / (slots × Window × leaseWindows), at least 1 and at most
+// min(maxAutoChunk, ChunkTimeout / slowSeedBudget). Small runs therefore
+// keep one-seed leases and the retry granularity of expensive specs.
+func (p FaultPolicy) chunkFor(n, slots int) int {
+	if p.ChunkSeeds > 0 {
+		return max(1, min(p.ChunkSeeds, n))
+	}
+	limit := maxAutoChunk
+	if p.ChunkTimeout > 0 {
+		limit = min(limit, int(p.ChunkTimeout/slowSeedBudget))
+	}
+	return max(1, min(n/(slots*p.Window*leaseWindows), limit))
 }
 
 // backoffDelay is the restart pacing schedule: capped exponential with

@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"bytes"
+	"cmp"
+	"math"
 	"os"
 	"strings"
 	"sync"
@@ -274,6 +276,126 @@ func TestShardChunkedLeases(t *testing.T) {
 	}
 	if seeds != 8 {
 		t.Errorf("seeds computed = %d, want 8", seeds)
+	}
+}
+
+// TestShardSizesLeasesFromRun pins automatic lease sizing (ChunkSeeds
+// unset): a large cheap sweep is cut into a few dozen leases that still
+// reach every slot, a small run keeps one-seed leases, a short chunk
+// deadline caps the chunk, and a crash inside an auto-sized chunk costs a
+// retry, never a bit. Two slots with the default Window of 4 make the
+// divisor 2 × 4 × leaseWindows = 64.
+func TestShardSizesLeasesFromRun(t *testing.T) {
+	cases := []struct {
+		name    string
+		chaos   string
+		timeout time.Duration
+		seeds   int
+		leases  int64
+	}{
+		{"large-sweep", "", 2 * time.Minute, 2048, 64},                        // 2048/64 = 32 seeds a lease
+		{"small-run", "", 2 * time.Minute, 16, 16},                            // 16/64 rounds down: one seed a lease
+		{"short-deadline", "", 4 * time.Second, 512, 256},                     // 512/64 = 8, capped at 4 s / 2 s = 2
+		{"crash-mid-chunk", "crash-after=5,gens=1", 2 * time.Minute, 512, 64}, // chunks of 8; first processes die on their 5th seed
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			sh := chaosShard(2, c.chaos, func(p *FaultPolicy) { p.ChunkTimeout = c.timeout })
+			defer sh.Close()
+			if sh.Policy.ChunkSeeds != 0 {
+				t.Fatalf("ChunkSeeds = %d, want the zero default", sh.Policy.ChunkSeeds)
+			}
+			requireShardMatchesLocal(t, sh, Seeds(1, c.seeds))
+
+			h := sh.Health()
+			var seeds int64
+			for _, w := range h.Workers {
+				seeds += w.Seeds
+				if w.Chunks == 0 {
+					t.Errorf("slot %d took no lease: %s", w.ID, h.Summary())
+				}
+			}
+			if h.Chunks() != c.leases || seeds != int64(c.seeds) {
+				t.Errorf("%d leases carrying %d seeds, want %d carrying %d", h.Chunks(), seeds, c.leases, c.seeds)
+			}
+			if h.Quarantined != 0 {
+				t.Errorf("no lease should have been degraded: %s", h.Summary())
+			}
+			if c.chaos != "" && (h.Retries == 0 || h.Restarts() == 0) {
+				t.Errorf("the mid-chunk crash never fired: %s", h.Summary())
+			}
+		})
+	}
+}
+
+// TestChunkFor pins the lease-size rule itself, including the bounds the
+// runs above do not reach.
+func TestChunkFor(t *testing.T) {
+	def := DefaultFaultPolicy()
+	cases := []struct {
+		name       string
+		chunkSeeds int
+		timeout    time.Duration
+		n, slots   int
+		want       int
+	}{
+		{"auto-empty", 0, def.ChunkTimeout, 0, 2, 1},
+		{"auto-capped", 0, def.ChunkTimeout, 1 << 20, 2, 60}, // 2 min / 2 s
+		{"auto-no-deadline", 0, 0, 1 << 20, 2, maxAutoChunk}, // ChunkTimeout disabled
+		{"auto-sub-budget-deadline", 0, time.Second, 1 << 20, 2, 1},
+		{"explicit-beyond-run", math.MaxInt, def.ChunkTimeout, 8, 2, 8}, // one lease either way
+	}
+	for _, c := range cases {
+		p := def
+		p.ChunkSeeds, p.ChunkTimeout = c.chunkSeeds, c.timeout
+		if got := p.chunkFor(c.n, c.slots); got != c.want {
+			t.Errorf("%s: chunkFor(%d, %d) = %d, want %d", c.name, c.n, c.slots, got, c.want)
+		}
+	}
+}
+
+// TestShardBoundsSizingKnobs pins the bounds on the sizing knobs: a
+// Window, Workers, ChunkSeeds or MaxRetries value too large to allocate
+// for used to panic in makechan or exhaust memory before any work ran.
+// Window is clamped to MaxWindow, Workers beyond MaxWorkers fails the Run
+// with an error, and neither ChunkSeeds nor MaxRetries sizes an
+// allocation any more.
+func TestShardBoundsSizingKnobs(t *testing.T) {
+	cases := []struct {
+		name    string
+		workers int
+		pol     FaultPolicy // Window, ChunkSeeds and MaxRetries override fastPolicy's
+		wantErr bool
+	}{
+		{"window-makechan-overflow", 2, FaultPolicy{Window: 2_000_000_000_000_000_000}, false},
+		{"window-out-of-memory", 2, FaultPolicy{Window: 4_000_000_000}, false},
+		{"window-at-limit", 2, FaultPolicy{Window: MaxWindow}, false},
+		{"chunk-seeds-overflow", 2, FaultPolicy{ChunkSeeds: math.MaxInt}, false},
+		{"max-retries-overflow", 2, FaultPolicy{MaxRetries: math.MaxInt}, false},
+		{"workers-out-of-memory", 100_000_000_000, FaultPolicy{}, true},
+		{"workers-over-limit", MaxWorkers + 1, FaultPolicy{}, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			sh := chaosShard(c.workers, "", func(p *FaultPolicy) {
+				p.Window = cmp.Or(c.pol.Window, p.Window)
+				p.ChunkSeeds = c.pol.ChunkSeeds
+				p.MaxRetries = cmp.Or(c.pol.MaxRetries, p.MaxRetries)
+			})
+			defer sh.Close()
+			if got := sh.Policy.normalized().Window; got > MaxWindow {
+				t.Errorf("normalized Window = %d, want at most %d", got, MaxWindow)
+			}
+			spec, _ := Lookup("test-shardable")
+			err := sh.Run(spec, Seeds(1, 3), func(int, Result) {})
+			if c.wantErr {
+				if err == nil || !strings.Contains(err.Error(), "workers") {
+					t.Errorf("Run error = %v, want one naming the workers limit", err)
+				}
+			} else if err != nil {
+				t.Errorf("Run: %v", err)
+			}
+		})
 	}
 }
 

@@ -26,14 +26,19 @@ import (
 //     same protocol over TCP (the hidden -serve addr mode, see ServeNet),
 //     so the fleet leaves the box.
 //
-// Pipelining. Requests are chunk-granular — one frame carries a whole
-// seed chunk, the worker streams one response frame per seed — so a lease
-// costs one round trip however many seeds it holds. On top of that each
-// slot keeps up to FaultPolicy.Window leases in flight on its connection:
-// all requests of a batch are written before the first response is read,
-// so transport latency is paid once per window, not once per seed.
-// Responses arrive in request order (workers are serial), and every frame
-// still echoes its (epoch, spec, seed) identity for stale matching.
+// Pipelining. The unit of I/O is the chunk, not the seed: one request
+// frame carries a whole seed chunk, and the worker answers it with one
+// response frame per seed, written together once the chunk is done, so a
+// lease costs one round trip and one write however many seeds it holds.
+// Unless FaultPolicy.ChunkSeeds fixes it, each Run sizes its chunks from
+// its own seed count and the fleet (FaultPolicy.chunkFor): one seed per
+// lease for small runs, up to tens for large sweeps of cheap specs. On top
+// of that each slot keeps up to FaultPolicy.Window leases in flight on its
+// connection: all requests of a batch are written before the first
+// response is read, so transport latency is paid once per window, not once
+// per lease. Responses arrive in request order (workers are serial), and
+// every frame still echoes its (epoch, spec, seed) identity for stale
+// matching.
 //
 // Supervision. A coordinator leases (spec, seed-chunk) units to worker
 // slots. A slot detects failure at the process level (exit, broken pipe),
@@ -67,7 +72,7 @@ import (
 // supervision counters accumulated so far, including fabric throughput
 // (seeds/sec, protocol bytes moved).
 type Shard struct {
-	Workers int         // slot count; values < 1 mean runtime.NumCPU() (or len(Addrs) for TCP)
+	Workers int         // slot count; values < 1 mean runtime.NumCPU() (or len(Addrs) for TCP), above MaxWorkers a Run error
 	Argv    []string    // worker command; nil means {os.Executable(), "-worker", os.Args[1:]...}
 	Env     []string    // extra KEY=VALUE pairs for worker subprocesses
 	Addrs   []string    // remote TCP worker addresses; non-empty selects the TCP transport
@@ -283,6 +288,10 @@ func (s *Shard) start() {
 		if n < 1 {
 			n = runtime.NumCPU()
 		}
+	}
+	if n > MaxWorkers {
+		s.startErr = fmt.Errorf("shard: %d workers exceeds the limit of %d", n, MaxWorkers)
+		return
 	}
 	// Buffered so a slot collecting its pipelining window finds queued
 	// leases without blocking on the producer.
@@ -591,18 +600,18 @@ func (s *Shard) Run(spec Spec, seeds []int64, emit Emit) error {
 	s.runStart.CompareAndSwap(0, time.Now().UnixNano())
 	defer func() { s.runEnd.Store(time.Now().UnixNano()) }()
 	pol := s.pol
-	numLeases := (len(seeds) + pol.ChunkSeeds - 1) / pol.ChunkSeeds
-	// Buffered for the worst case — every attempt of every lease replies —
-	// so no supervisor or quarantine goroutine ever blocks on the reply
-	// route, whatever order the coordinator drains it in.
-	reply := make(chan leaseResult, numLeases*(pol.MaxRetries+2))
+	chunk := pol.chunkFor(len(seeds), len(s.slots))
+	numLeases := (len(seeds) + chunk - 1) / chunk
+	// One slot per lease, so no supervisor or quarantine goroutine ever
+	// blocks on the reply route, whatever order the coordinator drains it
+	// in: a lease has at most one attempt in flight, because a retry or a
+	// quarantine starts only after the coordinator has taken the failed
+	// attempt's reply. (Sizing by MaxRetries instead let a huge retry budget
+	// overflow the channel size.)
+	reply := make(chan leaseResult, numLeases)
 	leases := make([]*lease, 0, numLeases)
-	for i := 0; i < len(seeds); i += pol.ChunkSeeds {
-		j := i + pol.ChunkSeeds
-		if j > len(seeds) {
-			j = len(seeds)
-		}
-		leases = append(leases, &lease{spec: spec, seeds: seeds[i:j], ki0: i,
+	for i := 0; i < len(seeds); i += chunk {
+		leases = append(leases, &lease{spec: spec, seeds: seeds[i:min(i+chunk, len(seeds))], ki0: i,
 			epoch: s.epochs.Add(1), reply: reply})
 	}
 	go func() {

@@ -5,7 +5,9 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -80,6 +82,119 @@ func TestServeWorkerProtocol(t *testing.T) {
 	if _, err := readRawFrame(&out, &buf); err != io.EOF {
 		t.Errorf("worker wrote extra frames: %v", err)
 	}
+}
+
+// writeLog is a worker transport that serves requests from in and keeps
+// every Write as its own record, so tests can count writes and check
+// where each one starts and ends.
+type writeLog struct {
+	in     io.Reader
+	mu     sync.Mutex // the heartbeat goroutine may write after serve returns
+	writes [][]byte
+}
+
+func (w *writeLog) Read(p []byte) (int, error) { return w.in.Read(p) }
+
+func (w *writeLog) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.writes = append(w.writes, append([]byte(nil), p...))
+	return len(p), nil
+}
+
+// frames splits every recorded Write into protocol frames, failing the
+// test unless each Write holds whole frames only.
+func (w *writeLog) frames(t *testing.T) [][]wireMsg {
+	t.Helper()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	out := make([][]wireMsg, len(w.writes))
+	for i, b := range w.writes {
+		r := bytes.NewReader(b)
+		for {
+			var buf []byte // fresh per frame: each wireMsg aliases its buffer
+			p, err := readRawFrame(r, &buf)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("write %d does not split into whole frames: %v", i, err)
+			}
+			m, err := parseWireMsg(p)
+			if err != nil {
+				t.Fatalf("write %d: %v", i, err)
+			}
+			out[i] = append(out[i], m)
+		}
+	}
+	return out
+}
+
+// TestServeCoalescesChunkResponses pins the worker's write path: a chunk's
+// response frames leave in one Write after its last seed, and a heartbeat
+// that fires mid-chunk writes the frames answered so far ahead of itself,
+// so every Write holds whole frames and the responses keep seed order.
+func TestServeCoalescesChunkResponses(t *testing.T) {
+	seeds := Seeds(1, 16)
+	var fs frameScratch
+	t.Run("one-write-per-chunk", func(t *testing.T) {
+		w := &writeLog{in: bytes.NewReader(fs.requestFrame("test-shardable", seeds, 7))}
+		if err := (session{log: io.Discard}).serve(w); err != nil {
+			t.Fatal(err)
+		}
+		writes := w.frames(t)
+		if len(writes) != 2 || len(writes[0]) != 1 || writes[0][0].ftype != frameHello {
+			t.Fatalf("got %d writes, want the hello plus one response write", len(writes))
+		}
+		if len(writes[1]) != len(seeds) {
+			t.Fatalf("response write holds %d frames, want %d", len(writes[1]), len(seeds))
+		}
+		for i, m := range writes[1] {
+			if m.ftype != frameResult || m.seed != seeds[i] || m.epoch != 7 {
+				t.Errorf("frame %d = %+v, want the result for seed %d", i, m, seeds[i])
+			}
+		}
+	})
+	t.Run("heartbeats-between-frames", func(t *testing.T) {
+		slow := Spec{Name: "test-slow", Desc: "slow", Run: func(seed int64) Result {
+			time.Sleep(3 * time.Millisecond)
+			return Result{Name: "slow", Values: map[string]float64{"seed": float64(seed)}}
+		}}
+		w := &writeLog{in: bytes.NewReader(fs.requestFrame("test-slow", seeds, 8))}
+		s := session{byName: specIndex([]Spec{slow}), heartbeat: time.Millisecond, log: io.Discard}
+		if err := s.serve(w); err != nil {
+			t.Fatal(err)
+		}
+		writes := w.frames(t)
+		var got []int64
+		beats, resultWrites := 0, 0
+		for _, frames := range writes[1:] {
+			carries := false
+			for _, m := range frames {
+				switch m.ftype {
+				case frameHeartbeat:
+					beats++
+				case frameResult:
+					got = append(got, m.seed)
+					carries = true
+				default:
+					t.Fatalf("unexpected frame %+v", m)
+				}
+			}
+			if carries {
+				resultWrites++
+			}
+		}
+		if !slices.Equal(got, seeds) {
+			t.Errorf("responses arrived for seeds %v, want %v", got, seeds)
+		}
+		// One request, so responses split across writes only where a
+		// heartbeat flushed them early.
+		if beats == 0 || resultWrites < 2 {
+			t.Errorf("%d heartbeats, responses in %d writes: no heartbeat fired mid-chunk, the test is vacuous",
+				beats, resultWrites)
+		}
+	})
 }
 
 // shardForTest returns a Shard whose workers are this test binary serving

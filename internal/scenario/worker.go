@@ -22,9 +22,10 @@ import (
 // TCP transport can connect across builds, so the version byte turns a
 // protocol skew into a loud decode fault instead of a misparse.
 //
-// One request frame carries a whole seed chunk; the worker streams one
-// result or error frame back per seed, each echoing the request's (epoch,
-// spec, seed) identity. The coordinator discards any response whose
+// One request frame carries a whole seed chunk; the worker answers with
+// one result or error frame per seed, each echoing the request's (epoch,
+// spec, seed) identity, and writes the chunk's frames together once its
+// last seed is done. The coordinator discards any response whose
 // identity does not match a lease in flight — so a zombie or partitioned
 // worker replaying a stale chunk after its lease was reassigned can never
 // double-emit a seed.
@@ -37,8 +38,8 @@ import (
 // ServeWorker runs the shard worker loop: read a chunk request, resolve
 // the spec (extra specs take precedence over the registry, mirroring how
 // macbench/hotspotsim layer their flag-built specs over the catalogue),
-// execute each seed, stream one response frame per seed. It returns nil on
-// clean EOF.
+// execute each seed, answer with one response frame per seed. It returns
+// nil on clean EOF.
 //
 // If the REPRO_CHAOS environment variable is set (the parent Shard
 // exports its -chaos schedule there), the worker misbehaves on the
@@ -78,23 +79,41 @@ type session struct {
 }
 
 // serve is the worker session loop: hello first, then chunk requests in,
-// heartbeats and per-seed responses out. Every write goes through one
-// mutex, so a heartbeat can never split a response frame, and each frame
-// is one Write — the coordinator's per-frame read deadline times the gap
-// between responses, so a chunk behind one slow seed must not look like a
-// hung worker. It returns nil on clean EOF and an error when the
-// transport fails, a request does not parse, or a chaos verb ends the
-// session.
+// heartbeats and per-seed responses out. Response frames collect in one
+// pending buffer that holds only whole frames and is written with a single
+// Write after the chunk's last seed — one write per chunk, not per seed.
+// A heartbeat writes the pending frames ahead of itself, so on TCP a chunk
+// of slow seeds still reaches the coordinator within a heartbeat interval
+// and liveness stays heartbeat-driven (stdio has no per-frame deadline).
+// A session that ends mid-chunk may drop the chunk's pending frames: the
+// coordinator fails a lease as a whole, so they could not have counted.
+// Buffer and transport share one mutex, so a heartbeat can never split a
+// frame and frames leave in the order they were queued. It returns nil on
+// clean EOF and an error when the transport fails, a request does not
+// parse, or a chaos verb ends the session.
 func (s session) serve(rw io.ReadWriter) error {
 	var wmu sync.Mutex
-	write := func(frame []byte) error {
+	var pending []byte // whole frames queued for the next write; guarded by wmu
+	queue := func(frame []byte) {
+		wmu.Lock()
+		pending = append(pending, frame...)
+		wmu.Unlock()
+	}
+	// flush writes the pending frames followed by tail (nil, a heartbeat or
+	// a chaos frame) in one Write.
+	flush := func(tail []byte) error {
 		wmu.Lock()
 		defer wmu.Unlock()
-		_, err := rw.Write(frame)
+		pending = append(pending, tail...)
+		if len(pending) == 0 {
+			return nil
+		}
+		_, err := rw.Write(pending)
+		pending = pending[:0]
 		return err
 	}
 	var fs frameScratch
-	if err := write(fs.helloFrame()); err != nil {
+	if err := flush(fs.helloFrame()); err != nil {
 		return fmt.Errorf("worker: write hello: %w", err)
 	}
 	var hbOff atomic.Bool
@@ -113,7 +132,7 @@ func (s session) serve(rw io.ReadWriter) error {
 					if hbOff.Load() {
 						continue
 					}
-					if write(hbFrame) != nil {
+					if flush(hbFrame) != nil {
 						return
 					}
 				}
@@ -184,30 +203,27 @@ func (s session) serve(rw io.ReadWriter) error {
 			// Response-stream faults: the coordinator's decoder or stale
 			// matching, not its liveness detectors, must catch these.
 			if c.TruncateAfter > 0 && n == c.TruncateAfter {
-				write(truncatedFrame) // the session ends either way
+				flush(truncatedFrame) // the session ends either way
 				return s.chaosEnd("truncating response %d", n)
 			}
 			if c.CorruptAfter > 0 && n == c.CorruptAfter {
 				s.logChaos("corrupting response %d", n)
-				if err := write(corruptFrame); err != nil {
-					return fmt.Errorf("worker: write response: %w", err)
-				}
+				queue(corruptFrame)
 				continue
 			}
 			if c.ReplayAfter > 0 && n == c.ReplayAfter && prev != nil {
 				// A stale frame ahead of the real response: the coordinator must
 				// discard it on (epoch, spec, seed) and still complete cleanly.
 				s.logChaos("replaying stale frame before response %d", n)
-				if err := write(prev); err != nil {
-					return fmt.Errorf("worker: write response: %w", err)
-				}
+				queue(prev)
 			}
-			if err := write(frame); err != nil {
-				return fmt.Errorf("worker: write response: %w", err)
-			}
+			queue(frame)
 			if c.ReplayAfter > n {
 				prev = append(prev[:0], frame...)
 			}
+		}
+		if err := flush(nil); err != nil {
+			return fmt.Errorf("worker: write response: %w", err)
 		}
 	}
 }
