@@ -2,6 +2,8 @@ package metro
 
 import (
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/radio"
@@ -116,20 +118,26 @@ func TestDeterministic(t *testing.T) {
 
 // TestSteadyStateZeroAlloc pins the tentpole's memory claim: once built and
 // warmed, advancing the metro population — beacons, downlink stream, churn,
-// TIM service — performs zero allocations per simulated second.
+// TIM service — performs zero allocations per simulated second. It holds
+// for the churning cell and for an e20-shaped dense one (10⁵ stations,
+// about 2000 downlink frames per beacon interval), so neither the arrival
+// log nor the transition-energy table grows in steady state.
 func TestSteadyStateZeroAlloc(t *testing.T) {
-	cfg := churnConfig()
-	cfg.Horizon = sim.Hour // never reached; the test advances manually
-	s := sim.New(1)
-	m := New(s, cfg)
-	m.Start()
-	s.RunUntil(2 * sim.Second) // warm: slab, groups, thinning all exercised
-	next := s.Now()
-	if a := testing.AllocsPerRun(5, func() {
-		next += sim.Second
-		s.RunUntil(next)
-	}); a != 0 {
-		t.Errorf("metro steady state allocates %v per simulated second, want 0", a)
+	e20 := testConfig()
+	e20.APs, e20.Stations = 20, 100_000
+	for name, cfg := range map[string]Config{"churn": churnConfig(), "e20": e20} {
+		cfg.Horizon = sim.Hour // never reached; the test advances manually
+		s := sim.New(1)
+		m := New(s, cfg)
+		m.Start()
+		s.RunUntil(2 * sim.Second) // warm: slab, groups, thinning all exercised
+		next := s.Now()
+		if a := testing.AllocsPerRun(5, func() {
+			next += sim.Second
+			s.RunUntil(next)
+		}); a != 0 {
+			t.Errorf("%s: metro steady state allocates %v per simulated second, want 0", name, a)
+		}
 	}
 }
 
@@ -271,6 +279,75 @@ func checkIndexes(t *testing.T, m *Model) {
 	}
 }
 
+// TestConfigValidateRejectsEveryBadField covers one bad field per case.
+// Before these checks a zero id space with traffic on panicked in Start,
+// NaN rates were accepted (a NaN ArrivalRate silently disabled churn), a
+// NaN Pareto shape gave a negative energy, and negative airtimes gave
+// negative dwell. Every case must now fail in Validate, and New must panic
+// with that same error before anything is scheduled.
+func TestConfigValidateRejectsEveryBadField(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		bad  func(*Config)
+	}{
+		{"APs zero", func(c *Config) { c.APs = 0 }},
+		{"Stations negative", func(c *Config) { c.Stations = -1 }},
+		{"MaxStations below Stations", func(c *Config) { c.MaxStations = 10 }},
+		{"MaxStations beyond int32 ids", func(c *Config) { c.MaxStations = math.MaxInt32 + 1 }},
+		{"no ids with traffic", func(c *Config) { c.Stations = 0 }},
+		{"no ids with churn", func(c *Config) {
+			c.Stations, c.RatePerStation, c.ArrivalRate, c.MeanLifetime = 0, 0, 5, sim.Second
+		}},
+		{"BeaconInterval zero", func(c *Config) { c.BeaconInterval = 0 }},
+		{"ListenInterval zero", func(c *Config) { c.ListenInterval = 0 }},
+		{"Horizon zero", func(c *Config) { c.Horizon = 0 }},
+		{"beacon index overflow", func(c *Config) { c.BeaconInterval, c.Horizon = 1, math.MaxInt32 }},
+		{"WakeLead negative", func(c *Config) { c.WakeLead = -sim.Millisecond }},
+		{"BeaconAir negative", func(c *Config) { c.BeaconAir = -sim.Millisecond }},
+		{"PollAir negative", func(c *Config) { c.PollAir = -sim.Microsecond }},
+		{"OverheadBytes negative", func(c *Config) { c.OverheadBytes = -28 }},
+		{"RatePerStation negative", func(c *Config) { c.RatePerStation = -0.2 }},
+		{"RatePerStation NaN", func(c *Config) { c.RatePerStation = nan }},
+		{"RatePerStation +Inf", func(c *Config) { c.RatePerStation = inf }},
+		{"Alpha one", func(c *Config) { c.Frame.Alpha = 1 }},
+		{"Alpha NaN", func(c *Config) { c.Frame.Alpha = nan }},
+		{"Alpha +Inf", func(c *Config) { c.Frame.Alpha = inf }},
+		{"MinBytes NaN", func(c *Config) { c.Frame.MinBytes = nan }},
+		{"MaxBytes below MinBytes", func(c *Config) { c.Frame.MaxBytes = 100 }},
+		{"MaxBytes NaN", func(c *Config) { c.Frame.MaxBytes = nan }},
+		{"MaxBytes +Inf", func(c *Config) { c.Frame.MaxBytes = inf }},
+		{"ArrivalRate negative", func(c *Config) { c.ArrivalRate = -1; c.MeanLifetime = sim.Second }},
+		{"ArrivalRate NaN", func(c *Config) { c.ArrivalRate = nan; c.MeanLifetime = sim.Second }},
+		{"ArrivalRate +Inf", func(c *Config) { c.ArrivalRate = inf; c.MeanLifetime = sim.Second }},
+		{"MeanLifetime zero under churn", func(c *Config) { c.ArrivalRate = 5; c.MeanLifetime = 0 }},
+		{"Profile nil", func(c *Config) { c.Profile = nil }},
+		{"Profile bit rate zero", func(c *Config) { c.Profile = radio.WLAN80211b(); c.Profile.BitRate = 0 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			tc.bad(&cfg)
+			err := cfg.Validate()
+			if err == nil || !strings.HasPrefix(err.Error(), "metro: ") {
+				t.Fatalf("Validate = %v, want a metro: error", err)
+			}
+			defer func() {
+				if e, ok := recover().(error); !ok || e.Error() != err.Error() {
+					t.Errorf("New panicked with %v, want %v", e, err)
+				}
+			}()
+			New(sim.New(1), cfg)
+		})
+	}
+	// An empty id space is fine while nothing would draw from it.
+	idle := testConfig()
+	idle.Stations, idle.RatePerStation = 0, 0
+	if err := idle.Validate(); err != nil {
+		t.Errorf("empty idle population rejected: %v", err)
+	}
+}
+
 func TestConfigValidate(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.APs = 0 },
@@ -293,4 +370,89 @@ func TestConfigValidate(t *testing.T) {
 	if err := testConfig().Validate(); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}
+}
+
+// TestMatchesReference runs the closed-form model and the per-attendance
+// reference (ref_test.go) on randomized configurations and requires
+// identical reports, every float bit included. The generator mixes churn
+// on and off, heavy loads whose poll service spills past the next wake,
+// wake leads longer than the listen cycle, both radio profiles and
+// horizons that end on a beacon, and the test checks that each gap the
+// reference clamps at zero — every correction the closed form makes — was
+// exercised often.
+func TestMatchesReference(t *testing.T) {
+	const configs = 1500
+	r := rand.New(rand.NewSource(1))
+	var total refClamps
+	for i := 0; i < configs; i++ {
+		cfg := randomConfig(r)
+		seed := r.Int63()
+		want, clamps := refRun(seed, cfg)
+		if got := Run(seed, cfg); got != want {
+			t.Fatalf("config %d (seed %d) %+v:\n got %+v\nwant %+v", i, seed, cfg, got, want)
+		}
+		total.firstWake += min(clamps.firstWake, 1)
+		total.spill += min(clamps.spill, 1)
+		total.everyGap += min(clamps.everyGap, 1)
+		total.settleLate += min(clamps.settleLate, 1)
+	}
+	t.Logf("configs exercising each clamp: %+v", total)
+	for name, n := range map[string]int{
+		"first wake within WakeLead of attach":     total.firstWake,
+		"service spilled past the next wake":       total.spill,
+		"WakeLead+BeaconAir > K·BeaconInterval":    total.everyGap,
+		"settled before the last attendance ended": total.settleLate,
+	} {
+		if n < configs/20 {
+			t.Errorf("only %d of %d configs exercise %q", n, configs, name)
+		}
+	}
+}
+
+// randomConfig draws a small metro configuration for TestMatchesReference.
+func randomConfig(r *rand.Rand) Config {
+	k := 1 + r.Intn(4)
+	bi := sim.Millisecond + sim.Time(r.Intn(int(20*sim.Millisecond)))
+	cfg := Config{
+		APs:            1 + r.Intn(4),
+		Stations:       r.Intn(40),
+		BeaconInterval: bi,
+		ListenInterval: k,
+		WakeLead:       sim.Time(r.Intn(int(3 * sim.Millisecond))),
+		BeaconAir:      sim.Time(r.Intn(int(2 * sim.Millisecond))),
+		PollAir:        sim.Time(r.Intn(500)),
+		OverheadBytes:  r.Intn(60),
+		Frame: Pareto{
+			Alpha:    []float64{0.7, 1.5, 2.5}[r.Intn(3)],
+			MinBytes: float64(40 + r.Intn(460)),
+		},
+		Profile: radio.WLAN80211b(),
+	}
+	cfg.Frame.MaxBytes = cfg.Frame.MinBytes * float64(2+r.Intn(40))
+	if r.Intn(2) == 0 {
+		cfg.Profile = radio.Bluetooth()
+	}
+	switch r.Intn(4) {
+	case 0: // idle cells
+	case 1: // heavy load: service runs past the next wake
+		cfg.RatePerStation = 100 + 400*r.Float64()
+	default:
+		cfg.RatePerStation = 30 * r.Float64()
+	}
+	if r.Intn(5) == 0 { // wake lead beyond the listen cycle: every gap clamps
+		cfg.WakeLead = sim.Time(k)*bi + sim.Time(r.Intn(int(bi)))
+	}
+	if r.Intn(2) == 0 { // churn, with joins landing within WakeLead of beacons
+		cfg.MaxStations = cfg.Stations + 1 + r.Intn(24)
+		cfg.ArrivalRate = 20 + 300*r.Float64()
+		cfg.MeanLifetime = 20*sim.Millisecond + sim.Time(r.Intn(int(2*sim.Second)))
+	} else if cfg.Stations == 0 {
+		cfg.Stations = 1 + r.Intn(8)
+	}
+	beacons := sim.Time(1 + r.Intn(60))
+	cfg.Horizon = beacons * bi // ends on a beacon
+	if r.Intn(2) == 0 {
+		cfg.Horizon += sim.Time(r.Intn(int(bi)))
+	}
+	return cfg
 }
