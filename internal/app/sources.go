@@ -1,7 +1,7 @@
 // Package app provides the traffic workloads the experiments stream through
-// the system: CBR audio (the paper's MP3 scenario), layered audio+video for
-// proxy adaptation, ON/OFF web-like traffic and bulk file transfers. All
-// sources are deterministic for a given simulator seed.
+// the system: CBR audio (the paper's MP3 scenario) and layered audio+video
+// for proxy adaptation. Both sources are deterministic for a given
+// simulator seed.
 package app
 
 import (
@@ -21,14 +21,6 @@ type Chunk struct {
 
 // Sink consumes emitted chunks.
 type Sink func(c Chunk)
-
-// Source is anything that can start emitting into a sink and be stopped.
-type Source interface {
-	Start(sink Sink)
-	Stop()
-	// Emitted returns total bytes emitted so far.
-	Emitted() int
-}
 
 // CBR emits fixed-size chunks at a constant interval: the shape of the
 // paper's "high-quality MP3 audio" stream.
@@ -54,7 +46,7 @@ func NewCBR(s *sim.Simulator, rateBps float64, chunkBytes int) *CBR {
 // (16 KB/s ⇒ one chunk every 250 ms).
 func MP3CBR(s *sim.Simulator) *CBR { return NewCBR(s, 128e3, 4096) }
 
-// Start implements Source.
+// Start begins emitting into sink.
 func (c *CBR) Start(sink Sink) {
 	if c.ticker != nil {
 		panic("app: CBR already started")
@@ -65,7 +57,7 @@ func (c *CBR) Start(sink Sink) {
 	})
 }
 
-// Stop implements Source.
+// Stop halts emission.
 func (c *CBR) Stop() {
 	if c.ticker != nil {
 		c.ticker.Stop()
@@ -73,7 +65,7 @@ func (c *CBR) Stop() {
 	}
 }
 
-// Emitted implements Source.
+// Emitted returns total bytes emitted so far.
 func (c *CBR) Emitted() int { return c.emitted }
 
 // Layered emits a base audio layer plus a video enhancement layer. The
@@ -103,7 +95,7 @@ func NewLayered(s *sim.Simulator, audioRate, videoRate float64) *Layered {
 	return l
 }
 
-// Start implements Source.
+// Start begins emitting into sink.
 func (l *Layered) Start(sink Sink) {
 	l.sink = sink
 	l.audio.Start(func(c Chunk) {
@@ -120,7 +112,7 @@ func (l *Layered) Start(sink Sink) {
 	})
 }
 
-// Stop implements Source.
+// Stop halts emission.
 func (l *Layered) Stop() {
 	l.audio.Stop()
 	if l.ticker != nil {
@@ -129,7 +121,7 @@ func (l *Layered) Stop() {
 	}
 }
 
-// Emitted implements Source.
+// Emitted returns total bytes emitted so far.
 func (l *Layered) Emitted() int { return l.emitted }
 
 // SetVideo enables or disables the enhancement layer.
@@ -137,117 +129,3 @@ func (l *Layered) SetVideo(on bool) { l.videoOn = on }
 
 // VideoOn reports whether the enhancement layer is emitting.
 func (l *Layered) VideoOn() bool { return l.videoOn }
-
-// OnOff is a web-like source: exponential ON periods emitting at a rate,
-// exponential OFF periods of silence.
-type OnOff struct {
-	sim     *sim.Simulator
-	MeanOn  sim.Time
-	MeanOff sim.Time
-	RateBps float64
-	Chunk   int
-	on      bool
-	stopped bool
-	emitted int
-	sink    Sink
-	ticker  *sim.Ticker
-}
-
-// NewOnOff creates an ON/OFF source.
-func NewOnOff(s *sim.Simulator, meanOn, meanOff sim.Time, rateBps float64) *OnOff {
-	if meanOn <= 0 || meanOff <= 0 || rateBps <= 0 {
-		panic("app: invalid on/off parameters")
-	}
-	return &OnOff{sim: s, MeanOn: meanOn, MeanOff: meanOff, RateBps: rateBps, Chunk: 1460}
-}
-
-// Start implements Source.
-func (o *OnOff) Start(sink Sink) {
-	o.sink = sink
-	o.enterOff()
-}
-
-func (o *OnOff) expDur(mean sim.Time) sim.Time {
-	d := sim.FromSeconds(o.sim.Rand().ExpFloat64() * mean.Seconds())
-	if d < sim.Millisecond {
-		d = sim.Millisecond
-	}
-	return d
-}
-
-func (o *OnOff) enterOn() {
-	if o.stopped {
-		return
-	}
-	o.on = true
-	interval := sim.FromSeconds(float64(o.Chunk*8) / o.RateBps)
-	o.ticker = sim.NewTicker(o.sim, interval, func() {
-		o.emitted += o.Chunk
-		o.sink(Chunk{Bytes: o.Chunk, At: o.sim.Now()})
-	})
-	o.sim.Schedule(o.expDur(o.MeanOn), func() {
-		if o.ticker != nil {
-			o.ticker.Stop()
-			o.ticker = nil
-		}
-		o.enterOff()
-	})
-}
-
-func (o *OnOff) enterOff() {
-	if o.stopped {
-		return
-	}
-	o.on = false
-	o.sim.Schedule(o.expDur(o.MeanOff), o.enterOn)
-}
-
-// Stop implements Source.
-func (o *OnOff) Stop() {
-	o.stopped = true
-	if o.ticker != nil {
-		o.ticker.Stop()
-		o.ticker = nil
-	}
-}
-
-// Emitted implements Source.
-func (o *OnOff) Emitted() int { return o.emitted }
-
-// On reports whether the source is currently in an ON period.
-func (o *OnOff) On() bool { return o.on }
-
-// File emits one bulk transfer as fixed-size chunks back to back.
-type File struct {
-	sim     *sim.Simulator
-	Total   int
-	Chunk   int
-	emitted int
-	stopped bool
-}
-
-// NewFile creates a bulk source of total bytes in 64 KB chunks.
-func NewFile(s *sim.Simulator, total int) *File {
-	if total <= 0 {
-		panic("app: file size must be positive")
-	}
-	return &File{sim: s, Total: total, Chunk: 64 * 1024}
-}
-
-// Start implements Source: the whole file is offered immediately.
-func (f *File) Start(sink Sink) {
-	for off := 0; off < f.Total && !f.stopped; off += f.Chunk {
-		n := f.Chunk
-		if off+n > f.Total {
-			n = f.Total - off
-		}
-		f.emitted += n
-		sink(Chunk{Bytes: n, At: f.sim.Now()})
-	}
-}
-
-// Stop implements Source.
-func (f *File) Stop() { f.stopped = true }
-
-// Emitted implements Source.
-func (f *File) Emitted() int { return f.emitted }

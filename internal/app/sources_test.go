@@ -94,62 +94,3 @@ func TestLayeredVideoToggle(t *testing.T) {
 		t.Error("video did not resume")
 	}
 }
-
-func TestOnOffAlternates(t *testing.T) {
-	s := sim.New(6)
-	src := NewOnOff(s, 2*sim.Second, 2*sim.Second, 1e6)
-	var total int
-	src.Start(func(c Chunk) { total += c.Bytes })
-	s.RunUntil(60 * sim.Second)
-	src.Stop()
-	if total == 0 {
-		t.Fatal("on/off source emitted nothing")
-	}
-	// ~50% duty cycle at 1 Mb/s over 60 s ≈ 3.75 MB; accept a wide band.
-	mean := 60.0 / 2 * 1e6 / 8
-	if float64(total) < mean*0.4 || float64(total) > mean*1.6 {
-		t.Errorf("emitted %d bytes, want around %.0f", total, mean)
-	}
-}
-
-func TestOnOffStops(t *testing.T) {
-	s := sim.New(7)
-	src := NewOnOff(s, sim.Second, sim.Second, 1e6)
-	n := 0
-	src.Start(func(Chunk) { n++ })
-	s.RunUntil(5 * sim.Second)
-	src.Stop()
-	before := n
-	s.RunUntil(10 * sim.Second)
-	if n != before {
-		t.Error("emitted after Stop")
-	}
-}
-
-func TestFileEmitsExactly(t *testing.T) {
-	s := sim.New(8)
-	src := NewFile(s, 200_000)
-	var total, chunks int
-	src.Start(func(c Chunk) { total += c.Bytes; chunks++ })
-	if total != 200_000 {
-		t.Errorf("emitted %d, want 200000", total)
-	}
-	if chunks != 4 { // 3 × 64 KB + 1 × remainder
-		t.Errorf("chunks = %d, want 4", chunks)
-	}
-}
-
-func TestSourcesDeterministic(t *testing.T) {
-	run := func() int {
-		s := sim.New(42)
-		src := NewOnOff(s, sim.Second, 3*sim.Second, 2e6)
-		total := 0
-		src.Start(func(c Chunk) { total += c.Bytes })
-		s.RunUntil(30 * sim.Second)
-		src.Stop()
-		return total
-	}
-	if run() != run() {
-		t.Error("same seed produced different traffic")
-	}
-}

@@ -9,7 +9,7 @@ import (
 )
 
 func TestGEParamsValidate(t *testing.T) {
-	good := DefaultGE()
+	good := defaultGE()
 	if err := good.Validate(); err != nil {
 		t.Fatalf("default params invalid: %v", err)
 	}
@@ -81,7 +81,7 @@ func TestGEStationaryDistribution(t *testing.T) {
 
 func TestGEFreezeAndForce(t *testing.T) {
 	s := sim.New(1)
-	ch := NewGilbertElliott(s, DefaultGE())
+	ch := NewGilbertElliott(s, defaultGE())
 	ch.Freeze()
 	var transitions []LinkState
 	ch.OnChange(func(_ sim.Time, st LinkState) { transitions = append(transitions, st) })
@@ -286,7 +286,7 @@ func TestPredictorAccuracyOnPersistentChannel(t *testing.T) {
 
 func TestMonitorGradesChannel(t *testing.T) {
 	s := sim.New(1)
-	ch := NewGilbertElliott(s, DefaultGE())
+	ch := NewGilbertElliott(s, defaultGE())
 	ch.Freeze()
 	mon := NewMonitor(s, ch, DefaultMonitorConfig())
 	s.RunUntil(10 * sim.Second)
@@ -321,5 +321,16 @@ func TestQualityString(t *testing.T) {
 	}
 	if Good.String() != "good" || Bad.String() != "bad" {
 		t.Error("link state names wrong")
+	}
+}
+
+// defaultGE returns a typical indoor-WLAN channel: long good periods with
+// occasional half-second fades two orders of magnitude worse.
+func defaultGE() GEParams {
+	return GEParams{
+		MeanGood: 10 * sim.Second,
+		MeanBad:  500 * sim.Millisecond,
+		BERGood:  1e-6,
+		BERBad:   1e-3,
 	}
 }

@@ -58,17 +58,6 @@ func (p GEParams) Validate() error {
 	return nil
 }
 
-// DefaultGE returns a typical indoor-WLAN channel: long good periods with
-// occasional half-second fades two orders of magnitude worse.
-func DefaultGE() GEParams {
-	return GEParams{
-		MeanGood: 10 * sim.Second,
-		MeanBad:  500 * sim.Millisecond,
-		BERGood:  1e-6,
-		BERBad:   1e-3,
-	}
-}
-
 // GilbertElliott is a time-driven two-state Markov channel. State changes
 // are scheduled on the simulator; packet-error sampling consults the state
 // at transmission time.

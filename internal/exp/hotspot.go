@@ -106,7 +106,7 @@ func E13Schedulers(seed int64) Result {
 			rm := core.NewResourceManager(s, cfg, chans)
 			for i, r := range rates {
 				spec := core.DefaultClientSpec(i)
-				spec.Stream = qos.StreamSpec{RateBps: r, PrebufferBytes: int(r / 8 * 2), CapacityBytes: int(r / 8 * 40)}
+				spec.Stream = qos.StreamSpec{RateBps: r, PrebufferBytes: int(float64(r/8) * 2), CapacityBytes: int(r / 8 * 40)}
 				clients[i] = rm.Admit(spec)
 			}
 			// Degraded-but-usable BT for 25 s: inflation triples burst
@@ -157,7 +157,7 @@ func E14BurstSize(seed int64) Result {
 		cfg.Epoch = epoch
 		spec := qos.MP3Stream()
 		burstKB := spec.BytesPerSecond() * epoch.Seconds() / 1024
-		bufferKB := spec.BytesPerSecond() * (epoch.Seconds() + cfg.MarginSeconds) / 1024
+		bufferKB := float64(spec.BytesPerSecond() * (epoch.Seconds() + cfg.MarginSeconds) / 1024)
 		// Client buffer capacity scales with the burst size (the sweep's
 		// real cost axis): twice the standing target.
 		s := sim.New(seed)

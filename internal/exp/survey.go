@@ -367,9 +367,9 @@ func E11DPM(seed int64) Result {
 		n := 3 + s0.Rand().Intn(10)
 		for i := 0; i < n; i++ {
 			trace = append(trace, power.Request{Arrival: tgen, Service: 2 * sim.Millisecond})
-			tgen += sim.FromSeconds(0.004 + s0.Rand().Float64()*0.05)
+			tgen += sim.FromSeconds(0.004 + float64(s0.Rand().Float64()*0.05))
 		}
-		tgen += sim.FromSeconds(0.5 + s0.Rand().ExpFloat64()*3)
+		tgen += sim.FromSeconds(0.5 + float64(s0.Rand().ExpFloat64()*3))
 	}
 	policies := []power.Policy{
 		power.AlwaysOn{},
@@ -469,7 +469,9 @@ func E12ProxyAdaptation(seed int64) Result {
 	}}
 }
 
-// channelAdapter toggles a layered source's video layer from link quality.
+// channelAdapter is the proxy's content adapter: it delivers the layered
+// source's video layer only while the link is good, and audio alone in
+// adverse conditions.
 type channelAdapter struct {
 	src *app.Layered
 	mon *channel.Monitor

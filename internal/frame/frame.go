@@ -51,7 +51,6 @@ const (
 	CTSSize    = 14
 	BeaconBase = 50 // beacon body before the TIM element
 	MaxPayload = 2304
-	PLCPBytes  = 24 // long preamble + PLCP header airtime equivalent at 1 Mb/s, folded into size
 )
 
 // Frame is one MAC-layer protocol data unit.

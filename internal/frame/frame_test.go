@@ -2,7 +2,6 @@ package frame
 
 import (
 	"testing"
-	"testing/quick"
 )
 
 func TestFrameSizes(t *testing.T) {
@@ -100,69 +99,6 @@ func TestTIMEncodedSizePartialBitmap(t *testing.T) {
 	tim2.Set(0)
 	if got := tim2.EncodedSize(); got != 4+26 {
 		t.Errorf("wide TIM size = %d, want 30", got)
-	}
-}
-
-func TestTIMEncodeDecodeRoundTrip(t *testing.T) {
-	tim := NewTIM(3)
-	tim.DTIMCount = 2
-	tim.Broadcast = true
-	for _, sta := range []int{1, 9, 17, 64, 65} {
-		tim.Set(sta)
-	}
-	dec, err := DecodeTIM(tim.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.DTIMCount != 2 || dec.DTIMPeriod != 3 || !dec.Broadcast {
-		t.Errorf("header fields lost: %+v", dec)
-	}
-	for _, sta := range []int{1, 9, 17, 64, 65} {
-		if !dec.Indicated(sta) {
-			t.Errorf("station %d lost in round trip", sta)
-		}
-	}
-	if dec.Stations() != 5 {
-		t.Errorf("decoded %d stations, want 5", dec.Stations())
-	}
-}
-
-func TestDecodeTIMTooShort(t *testing.T) {
-	if _, err := DecodeTIM([]byte{1, 2}); err == nil {
-		t.Error("short TIM decoded without error")
-	}
-}
-
-// Property: encode/decode round-trips arbitrary station sets (ids bounded to
-// keep octet spans reasonable).
-func TestTIMRoundTripProperty(t *testing.T) {
-	prop := func(stations []uint8, dtimCount uint8, bcast bool) bool {
-		tim := NewTIM(4)
-		tim.DTIMCount = int(dtimCount % 4)
-		tim.Broadcast = bcast
-		want := make(map[int]bool)
-		for _, s := range stations {
-			id := int(s) % 120
-			tim.Set(id)
-			want[id] = true
-		}
-		dec, err := DecodeTIM(tim.Encode())
-		if err != nil {
-			return false
-		}
-		if dec.Stations() != len(want) || dec.Broadcast != bcast ||
-			dec.DTIMCount != int(dtimCount%4) {
-			return false
-		}
-		for id := range want {
-			if !dec.Indicated(id) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -80,44 +80,3 @@ func (t *TIM) EncodedSize() int {
 	hi := t.maxSta() / 8
 	return 4 + (hi - lo + 1)
 }
-
-// Encode serializes the TIM into the partial-virtual-bitmap wire format:
-// [DTIMCount, DTIMPeriod, BitmapControl, N1, bitmap...]. Broadcast traffic is
-// flagged in bit 0 of BitmapControl per the standard.
-func (t *TIM) Encode() []byte {
-	lo, hi := 0, 0
-	if len(t.bitmap) > 0 {
-		lo = t.minSta() / 8
-		hi = t.maxSta() / 8
-	}
-	ctrl := byte(lo << 1) // N1: offset in octets, shifted past the bcast bit
-	if t.Broadcast {
-		ctrl |= 1
-	}
-	out := []byte{byte(t.DTIMCount), byte(t.DTIMPeriod), ctrl}
-	bitmap := make([]byte, hi-lo+1)
-	for sta := range t.bitmap {
-		oct := sta/8 - lo
-		bitmap[oct] |= 1 << (sta % 8)
-	}
-	return append(out, bitmap...)
-}
-
-// DecodeTIM parses the wire format produced by Encode.
-func DecodeTIM(b []byte) (*TIM, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("frame: TIM too short (%d bytes)", len(b))
-	}
-	t := NewTIM(int(b[1]))
-	t.DTIMCount = int(b[0])
-	t.Broadcast = b[2]&1 != 0
-	lo := int(b[2] >> 1)
-	for i, oct := range b[3:] {
-		for bit := 0; bit < 8; bit++ {
-			if oct&(1<<bit) != 0 {
-				t.Set((lo+i)*8 + bit)
-			}
-		}
-	}
-	return t, nil
-}

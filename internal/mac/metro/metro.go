@@ -116,6 +116,10 @@ type Config struct {
 	Profile *radio.Profile
 }
 
+// maxListenInterval is the largest value 802.11's 2-octet Listen Interval
+// field can carry.
+const maxListenInterval = 65535
+
 func (c Config) cap() int {
 	if c.MaxStations > 0 {
 		return c.MaxStations
@@ -138,6 +142,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("metro: traffic or churn needs a non-empty id space (Stations or MaxStations)")
 	case c.BeaconInterval <= 0 || c.ListenInterval <= 0:
 		return fmt.Errorf("metro: beacon/listen intervals must be positive")
+	case c.ListenInterval > maxListenInterval:
+		return fmt.Errorf("metro: ListenInterval %d above %d, the 802.11 Listen Interval field's limit", c.ListenInterval, maxListenInterval)
+	case c.APs > math.MaxInt32/c.ListenInterval:
+		return fmt.Errorf("metro: APs·ListenInterval = %d·%d wake groups overflow int32", c.APs, c.ListenInterval)
 	case c.Horizon <= 0:
 		return fmt.Errorf("metro: Horizon must be positive")
 	case c.Horizon/c.BeaconInterval >= math.MaxInt32:
@@ -247,17 +255,6 @@ type arrival struct {
 // arrivalLogLen is the arrival log's capacity: 16 KB of entries, about half
 // of e20's arrivals per beacon interval.
 const arrivalLogLen = 1024
-
-// Run executes the configuration on a fresh simulator — the one-call form
-// used by tests. Experiments embed the model in their own simulator via
-// New.
-func Run(seed int64, cfg Config) Report {
-	s := sim.New(seed)
-	m := New(s, cfg)
-	m.Start()
-	s.RunUntil(cfg.Horizon)
-	return m.Finish()
-}
 
 // New builds the population and allocates every column up front: after
 // Start, the steady state performs no allocations.

@@ -3,6 +3,7 @@ package metro
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -46,7 +47,7 @@ func relErr(sim, model float64) float64 {
 // aggregate within the advertised tolerance of its exact expectation.
 func TestDenseMatchesClosedForm(t *testing.T) {
 	cfg := testConfig()
-	rep := Run(1, cfg)
+	rep := run(1, cfg)
 	pred := Predict(cfg)
 
 	if rep.Live != cfg.Stations || rep.Arrivals != 0 || rep.Departures != 0 {
@@ -77,7 +78,7 @@ func TestDenseMatchesClosedForm(t *testing.T) {
 // against the M/M/∞ steady-state form, at its looser tolerance.
 func TestChurnMatchesClosedForm(t *testing.T) {
 	cfg := churnConfig()
-	rep := Run(1, cfg)
+	rep := run(1, cfg)
 	pred := Predict(cfg)
 
 	if rep.Arrivals == 0 || rep.Departures == 0 {
@@ -105,11 +106,11 @@ func TestChurnMatchesClosedForm(t *testing.T) {
 // report, different seed → different (the model actually uses the RNG).
 func TestDeterministic(t *testing.T) {
 	for _, cfg := range []Config{testConfig(), churnConfig()} {
-		a, b := Run(7, cfg), Run(7, cfg)
+		a, b := run(7, cfg), run(7, cfg)
 		if a != b {
 			t.Fatalf("same-seed reruns diverged:\n%+v\n%+v", a, b)
 		}
-		c := Run(8, cfg)
+		c := run(8, cfg)
 		if a.EnergyJ == c.EnergyJ && a.DeliveredBytes == c.DeliveredBytes {
 			t.Fatalf("different seeds produced identical aggregates")
 		}
@@ -323,6 +324,10 @@ func TestConfigValidateRejectsEveryBadField(t *testing.T) {
 		{"MeanLifetime zero under churn", func(c *Config) { c.ArrivalRate = 5; c.MeanLifetime = 0 }},
 		{"Profile nil", func(c *Config) { c.Profile = nil }},
 		{"Profile bit rate zero", func(c *Config) { c.Profile = radio.WLAN80211b(); c.Profile.BitRate = 0 }},
+		{"Profile sleep power NaN", func(c *Config) { c.Profile = radio.WLAN80211b(); c.Profile.Power[radio.Sleep] = nan }},
+		{"Profile sleep power +Inf", func(c *Config) { c.Profile = radio.WLAN80211b(); c.Profile.Power[radio.Sleep] = inf }},
+		{"ListenInterval above 65535", func(c *Config) { c.ListenInterval = 65536 }},
+		{"wake groups beyond int32", func(c *Config) { c.APs, c.ListenInterval = 1<<16, 1<<15 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -345,6 +350,35 @@ func TestConfigValidateRejectsEveryBadField(t *testing.T) {
 	idle.Stations, idle.RatePerStation = 0, 0
 	if err := idle.Validate(); err != nil {
 		t.Errorf("empty idle population rejected: %v", err)
+	}
+}
+
+// TestHugeGroupCountRejectedBeforeAllocation pins the group-count bound:
+// New sizes one slice per (AP, wake phase) group, so a huge ListenInterval
+// or AP count must fail Validate, and New must panic with that error
+// without allocating the group table.
+func TestHugeGroupCountRejectedBeforeAllocation(t *testing.T) {
+	for name, bad := range map[string]func(*Config){
+		"ListenInterval 1<<50": func(c *Config) { c.ListenInterval = 1 << 50 },
+		"APs 1<<40":            func(c *Config) { c.APs = 1 << 40 },
+	} {
+		cfg := testConfig()
+		bad(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Fatalf("%s: Validate accepted it", name)
+		}
+		// New may allocate its error message, nothing of the model.
+		s := sim.New(1)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		func() {
+			defer func() { _ = recover() }()
+			New(s, cfg)
+		}()
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<10 {
+			t.Errorf("%s: New allocated %d bytes before rejecting it", name, grew)
+		}
 	}
 }
 
@@ -388,7 +422,7 @@ func TestMatchesReference(t *testing.T) {
 		cfg := randomConfig(r)
 		seed := r.Int63()
 		want, clamps := refRun(seed, cfg)
-		if got := Run(seed, cfg); got != want {
+		if got := run(seed, cfg); got != want {
 			t.Fatalf("config %d (seed %d) %+v:\n got %+v\nwant %+v", i, seed, cfg, got, want)
 		}
 		total.firstWake += min(clamps.firstWake, 1)
@@ -455,4 +489,14 @@ func randomConfig(r *rand.Rand) Config {
 		cfg.Horizon += sim.Time(r.Intn(int(bi)))
 	}
 	return cfg
+}
+
+// run executes the configuration on a fresh simulator. Experiments embed
+// the model in their own simulator via New.
+func run(seed int64, cfg Config) Report {
+	s := sim.New(seed)
+	m := New(s, cfg)
+	m.Start()
+	s.RunUntil(cfg.Horizon)
+	return m.Finish()
 }

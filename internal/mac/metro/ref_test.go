@@ -54,7 +54,7 @@ type refClamps struct {
 // per power state and one transition-energy column, indexed by station id.
 type refLedger struct {
 	profile *radio.Profile
-	dwell   [radio.NumStates][]sim.Time
+	dwell   [len(radio.Profile{}.Power)][]sim.Time
 	transJ  []float64
 }
 

@@ -194,7 +194,7 @@ type nodeEnergy struct {
 // TotalEnergy implements energy.EnergySource: radio energy plus the constant
 // control-channel draw integrated over elapsed time.
 func (ne *nodeEnergy) TotalEnergy() float64 {
-	ctl := ne.net.cfg.ControlPower * ne.net.sim.Now().Seconds()
+	ctl := float64(ne.net.cfg.ControlPower * ne.net.sim.Now().Seconds())
 	return ne.node.dev.Meter().TotalEnergy() + ctl
 }
 

@@ -1,15 +1,13 @@
 // Package proxy implements the application-level proxy of the Hotspot
 // architecture: client registration (the paper: "when a new client enters
-// the Hotspot environment it registers via an application level proxy"),
-// proxy-based content adaptation (dropping the video layer and keeping
-// audio in adverse conditions) and the load-partitioning decision model
-// (execute work locally or remotely depending on energy).
+// the Hotspot environment it registers via an application level proxy").
+// The proxy's content adaptation (dropping the video layer and keeping
+// audio in adverse conditions) is E12's channelAdapter in internal/exp.
 package proxy
 
 import (
 	"fmt"
 
-	"repro/internal/channel"
 	"repro/internal/sim"
 )
 
@@ -64,110 +62,4 @@ func (r *Registrar) UpdateBattery(id int, level float64) {
 	if reg := r.clients[id]; reg != nil {
 		reg.BatteryLevel = level
 	}
-}
-
-// AdaptDecision is the content adapter's output.
-type AdaptDecision struct {
-	DeliverVideo bool
-	Reason       string
-}
-
-// ContentAdapter drops a stream's enhancement (video) layer when the link is
-// in adverse condition or the client's battery is low — exactly the simple
-// proxy adaptation the paper describes.
-type ContentAdapter struct {
-	// BatteryFloor is the level below which video is dropped.
-	BatteryFloor float64
-}
-
-// NewContentAdapter creates an adapter with the given battery floor.
-func NewContentAdapter(batteryFloor float64) *ContentAdapter {
-	if batteryFloor < 0 || batteryFloor > 1 {
-		panic(fmt.Sprintf("proxy: battery floor %g outside [0,1]", batteryFloor))
-	}
-	return &ContentAdapter{BatteryFloor: batteryFloor}
-}
-
-// Decide returns whether the video layer should be delivered given the
-// link quality and the client's battery level.
-func (a *ContentAdapter) Decide(q channel.Quality, batteryLevel float64) AdaptDecision {
-	switch {
-	case q == channel.QualityUnusable:
-		return AdaptDecision{DeliverVideo: false, Reason: "link unusable: audio only"}
-	case q == channel.QualityDegraded:
-		return AdaptDecision{DeliverVideo: false, Reason: "link degraded: audio only"}
-	case batteryLevel < a.BatteryFloor:
-		return AdaptDecision{DeliverVideo: false, Reason: "battery low: audio only"}
-	default:
-		return AdaptDecision{DeliverVideo: true, Reason: "conditions good: full stream"}
-	}
-}
-
-// Task describes a unit of client work eligible for load partitioning.
-type Task struct {
-	// LocalComputeJ is the energy of executing locally.
-	LocalComputeJ float64
-	// InputBytes and OutputBytes must cross the network if offloaded.
-	InputBytes, OutputBytes int
-}
-
-// PartitionDecision is the load partitioner's output.
-type PartitionDecision struct {
-	Offload  bool
-	LocalJ   float64
-	OffloadJ float64
-	SavingJ  float64 // positive when the chosen option saves energy
-}
-
-// LoadPartitioner decides where to run a task: the paper's "load
-// partitioning executes portions of mobile's software on more than one
-// device depending on energy and performance needs". The model charges the
-// radio's transfer energy per byte against the local compute energy.
-type LoadPartitioner struct {
-	// TxJPerByte and RxJPerByte are the client radio's marginal transfer
-	// costs (airtime × power / bytes at the effective goodput).
-	TxJPerByte, RxJPerByte float64
-	// RemoteLatencyJ is the fixed radio cost of an offload round trip
-	// (wake-up, association, idle waiting).
-	RemoteLatencyJ float64
-}
-
-// NewLoadPartitioner derives marginal costs from a goodput and radio powers.
-func NewLoadPartitioner(goodputBps, txPowerW, rxPowerW, fixedJ float64) *LoadPartitioner {
-	if goodputBps <= 0 {
-		panic("proxy: goodput must be positive")
-	}
-	perByte := 8.0 / goodputBps // seconds per byte
-	return &LoadPartitioner{
-		TxJPerByte:     perByte * txPowerW,
-		RxJPerByte:     perByte * rxPowerW,
-		RemoteLatencyJ: fixedJ,
-	}
-}
-
-// Decide compares local and offloaded energy for the task.
-func (l *LoadPartitioner) Decide(t Task) PartitionDecision {
-	offload := float64(t.InputBytes)*l.TxJPerByte +
-		float64(t.OutputBytes)*l.RxJPerByte + l.RemoteLatencyJ
-	d := PartitionDecision{LocalJ: t.LocalComputeJ, OffloadJ: offload}
-	if offload < t.LocalComputeJ {
-		d.Offload = true
-		d.SavingJ = t.LocalComputeJ - offload
-	} else {
-		d.SavingJ = offload - t.LocalComputeJ
-	}
-	return d
-}
-
-// BreakevenBytes returns the transfer size at which offloading a task with
-// the given local cost stops paying (assuming all bytes are input).
-func (l *LoadPartitioner) BreakevenBytes(localJ float64) int {
-	if l.TxJPerByte <= 0 {
-		return 0
-	}
-	b := (localJ - l.RemoteLatencyJ) / l.TxJPerByte
-	if b < 0 {
-		return 0
-	}
-	return int(b)
 }

@@ -3,7 +3,6 @@ package proxy
 import (
 	"testing"
 
-	"repro/internal/channel"
 	"repro/internal/sim"
 )
 
@@ -40,72 +39,4 @@ func TestRegistrarValidation(t *testing.T) {
 		}
 	}()
 	r.Register(1, 128e3, 1.5)
-}
-
-func TestContentAdapterDecisions(t *testing.T) {
-	a := NewContentAdapter(0.2)
-	cases := []struct {
-		q       channel.Quality
-		battery float64
-		video   bool
-	}{
-		{channel.QualityGood, 0.9, true},
-		{channel.QualityGood, 0.1, false},     // battery floor
-		{channel.QualityDegraded, 0.9, false}, // adverse link
-		{channel.QualityUnusable, 0.9, false},
-	}
-	for i, c := range cases {
-		d := a.Decide(c.q, c.battery)
-		if d.DeliverVideo != c.video {
-			t.Errorf("case %d: video=%v, want %v (%s)", i, d.DeliverVideo, c.video, d.Reason)
-		}
-		if d.Reason == "" {
-			t.Errorf("case %d: missing reason", i)
-		}
-	}
-}
-
-func TestContentAdapterValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("bad floor accepted")
-		}
-	}()
-	NewContentAdapter(-0.1)
-}
-
-func TestLoadPartitionerOffloadsExpensiveCompute(t *testing.T) {
-	// 5.8 Mb/s WLAN: ~2.3 µJ/byte TX.
-	lp := NewLoadPartitioner(5.8e6, 1.65, 1.40, 0.05)
-	// Heavy compute, tiny data: offload.
-	d := lp.Decide(Task{LocalComputeJ: 5, InputBytes: 10_000, OutputBytes: 1_000})
-	if !d.Offload {
-		t.Errorf("should offload: local %.2f J vs offload %.2f J", d.LocalJ, d.OffloadJ)
-	}
-	if d.SavingJ <= 0 {
-		t.Error("saving should be positive")
-	}
-}
-
-func TestLoadPartitionerKeepsDataHeavyLocal(t *testing.T) {
-	lp := NewLoadPartitioner(5.8e6, 1.65, 1.40, 0.05)
-	// Light compute, megabytes of data: stay local.
-	d := lp.Decide(Task{LocalComputeJ: 0.5, InputBytes: 5_000_000, OutputBytes: 0})
-	if d.Offload {
-		t.Errorf("should stay local: local %.2f J vs offload %.2f J", d.LocalJ, d.OffloadJ)
-	}
-}
-
-func TestBreakevenBytes(t *testing.T) {
-	lp := NewLoadPartitioner(5.8e6, 1.65, 1.40, 0.05)
-	be := lp.BreakevenBytes(1.0)
-	// At the breakeven size the two options should roughly tie.
-	d := lp.Decide(Task{LocalComputeJ: 1.0, InputBytes: be})
-	diff := d.OffloadJ - d.LocalJ
-	if diff < -0.01 || diff > 0.01 {
-		t.Errorf("breakeven not a tie: local %.3f offload %.3f", d.LocalJ, d.OffloadJ)
-	}
-	if lp.BreakevenBytes(0.01) != 0 {
-		t.Error("breakeven below fixed cost should clamp to 0")
-	}
 }

@@ -44,11 +44,6 @@ type occupancy struct {
 	fn      func()
 }
 
-// NewDevice creates a WNIC in the Off state.
-func NewDevice(s *sim.Simulator, p *Profile) *Device {
-	return NewDeviceInState(s, p, Off)
-}
-
 // NewDeviceInState creates a WNIC already in the given state without paying
 // any transition cost. MAC models use this for stations that are already
 // associated when the simulation starts.

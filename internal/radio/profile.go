@@ -10,6 +10,7 @@ package radio
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/sim"
 )
@@ -50,12 +51,6 @@ func (s State) String() string {
 
 // States lists all modelled states in ascending power order.
 func States() []State { return []State{Off, Sleep, Idle, RX, TX} }
-
-// NumStates is the number of modelled power states, exported so other
-// packages can size per-state accounting arrays (struct-of-arrays
-// time-in-state ledgers and the like) without a map or a slice header per
-// station.
-const NumStates = int(numStates)
 
 // Transition describes the cost of moving between two power states.
 type Transition struct {
@@ -135,18 +130,20 @@ func (p *Profile) BurstTime(bytes int) sim.Time {
 
 // Validate checks internal consistency of the calibration data.
 func (p *Profile) Validate() error {
+	// Every check is written so that NaN fails it, and +Inf is rejected
+	// explicitly: either would turn every energy it touches into NaN.
 	if p.Name == "" {
 		return fmt.Errorf("radio: profile missing name")
 	}
-	if p.BitRate <= 0 {
-		return fmt.Errorf("radio: profile %s: non-positive bit rate", p.Name)
+	if !(p.BitRate > 0) || math.IsInf(p.BitRate, 1) {
+		return fmt.Errorf("radio: profile %s: bit rate %g must be finite and positive", p.Name, p.BitRate)
 	}
-	if p.Goodput <= 0 || p.Goodput > p.BitRate {
+	if !(p.Goodput > 0 && p.Goodput <= p.BitRate) {
 		return fmt.Errorf("radio: profile %s: goodput %.0f outside (0, bitrate]", p.Name, p.Goodput)
 	}
 	for _, s := range States() {
-		if p.Power[s] < 0 {
-			return fmt.Errorf("radio: profile %s: negative power for %v", p.Name, s)
+		if !(p.Power[s] >= 0) || math.IsInf(p.Power[s], 1) {
+			return fmt.Errorf("radio: profile %s: power %g for %v must be finite and non-negative", p.Name, p.Power[s], s)
 		}
 	}
 	if p.Power[Off] != 0 {
@@ -157,8 +154,8 @@ func (p *Profile) Validate() error {
 	}
 	for from := range p.Transitions {
 		for to, t := range p.Transitions[from] {
-			if t.Latency < 0 || t.Energy < 0 {
-				return fmt.Errorf("radio: profile %s: negative transition cost %v->%v",
+			if t.Latency < 0 || !(t.Energy >= 0) || math.IsInf(t.Energy, 1) {
+				return fmt.Errorf("radio: profile %s: transition cost %v->%v must be finite and non-negative",
 					p.Name, State(from), State(to))
 			}
 		}

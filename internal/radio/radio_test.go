@@ -28,6 +28,13 @@ func TestProfileValidateCatchesErrors(t *testing.T) {
 		func(p *Profile) {
 			p.Transitions[Off][Idle] = Transition{Latency: -1}
 		},
+		func(p *Profile) { p.BitRate = math.NaN() },
+		func(p *Profile) { p.BitRate = math.Inf(1) },
+		func(p *Profile) { p.Goodput = math.NaN() },
+		func(p *Profile) { p.Power[Sleep] = math.NaN() },
+		func(p *Profile) { p.Power[TX] = math.Inf(1) },
+		func(p *Profile) { p.Transitions[Sleep][Idle].Energy = math.NaN() },
+		func(p *Profile) { p.Transitions[Sleep][Idle].Energy = math.Inf(1) },
 	}
 	for i, mutate := range cases {
 		p := WLAN80211b()
@@ -73,7 +80,7 @@ func TestBurstTime(t *testing.T) {
 
 func TestDeviceInitialState(t *testing.T) {
 	s := sim.New(1)
-	d := NewDevice(s, WLAN80211b())
+	d := newDevice(s, WLAN80211b())
 	if d.State() != Off {
 		t.Errorf("initial state = %v, want off", d.State())
 	}
@@ -85,7 +92,7 @@ func TestDeviceInitialState(t *testing.T) {
 func TestFreeTransitionIsImmediate(t *testing.T) {
 	s := sim.New(1)
 	p := WLAN80211b()
-	d := NewDevice(s, p)
+	d := newDevice(s, p)
 	done := false
 	lat := d.SetState(Idle, func() { done = true })
 	// Off->Idle has latency per profile, so pick one without cost:
@@ -99,7 +106,7 @@ func TestFreeTransitionIsImmediate(t *testing.T) {
 func TestTransitionLatencyHonored(t *testing.T) {
 	s := sim.New(1)
 	p := WLAN80211b()
-	d := NewDevice(s, p)
+	d := newDevice(s, p)
 	var doneAt sim.Time = -1
 	lat := d.SetState(Idle, func() { doneAt = s.Now() })
 	if lat != p.TransitionCost(Off, Idle).Latency {
@@ -119,7 +126,7 @@ func TestTransitionLatencyHonored(t *testing.T) {
 
 func TestSetStateDuringTransitionPanics(t *testing.T) {
 	s := sim.New(1)
-	d := NewDevice(s, WLAN80211b())
+	d := newDevice(s, WLAN80211b())
 	d.SetState(Idle, nil) // starts 100ms transition
 	defer func() {
 		if recover() == nil {
@@ -131,7 +138,7 @@ func TestSetStateDuringTransitionPanics(t *testing.T) {
 
 func TestSetStateSameStateNoop(t *testing.T) {
 	s := sim.New(1)
-	d := NewDevice(s, WLAN80211b())
+	d := newDevice(s, WLAN80211b())
 	called := false
 	if lat := d.SetState(Off, func() { called = true }); lat != 0 {
 		t.Errorf("same-state latency = %v, want 0", lat)
@@ -144,7 +151,7 @@ func TestSetStateSameStateNoop(t *testing.T) {
 func TestEnergyAccounting(t *testing.T) {
 	s := sim.New(1)
 	p := WLAN80211b()
-	d := NewDevice(s, p)
+	d := newDevice(s, p)
 	d.SetState(Idle, nil)
 	s.Run() // completes transition at 100ms; idle power charged over that window
 	s.RunUntil(1100 * sim.Millisecond)
@@ -167,7 +174,7 @@ func TestEnergyAccounting(t *testing.T) {
 func TestTransmitOccupiesTxThenRestores(t *testing.T) {
 	s := sim.New(1)
 	p := WLAN80211b()
-	d := NewDevice(s, p)
+	d := newDevice(s, p)
 	d.SetState(Idle, nil)
 	s.Run()
 	start := s.Now()
@@ -193,7 +200,7 @@ func TestTransmitOccupiesTxThenRestores(t *testing.T) {
 
 func TestReceiveOccupiesRx(t *testing.T) {
 	s := sim.New(1)
-	d := NewDevice(s, WLAN80211b())
+	d := newDevice(s, WLAN80211b())
 	d.SetState(Idle, nil)
 	s.Run()
 	d.Receive(2750, Idle, nil)
@@ -208,7 +215,7 @@ func TestReceiveOccupiesRx(t *testing.T) {
 
 func TestOccupyFromSleepPanics(t *testing.T) {
 	s := sim.New(1)
-	d := NewDevice(s, WLAN80211b())
+	d := newDevice(s, WLAN80211b())
 	defer func() {
 		if recover() == nil {
 			t.Error("transmit from off did not panic")
@@ -219,7 +226,7 @@ func TestOccupyFromSleepPanics(t *testing.T) {
 
 func TestStateChangeListeners(t *testing.T) {
 	s := sim.New(1)
-	d := NewDevice(s, WLAN80211b())
+	d := newDevice(s, WLAN80211b())
 	var states []State
 	d.OnStateChange(func(_ sim.Time, st State) { states = append(states, st) })
 	d.SetState(Idle, nil)
@@ -239,7 +246,7 @@ func TestStateChangeListeners(t *testing.T) {
 
 func TestMeterStateFractionAndReset(t *testing.T) {
 	s := sim.New(1)
-	d := NewDevice(s, WLAN80211b())
+	d := newDevice(s, WLAN80211b())
 	s.RunUntil(1 * sim.Second) // 1s in Off
 	d.SetState(Idle, nil)
 	s.Run()
@@ -283,7 +290,7 @@ func TestWLANIdleNearRX(t *testing.T) {
 func TestTransitionLatencyQuery(t *testing.T) {
 	s := sim.New(1)
 	p := WLAN80211b()
-	d := NewDevice(s, p)
+	d := newDevice(s, p)
 	if got := d.TransitionLatency(Idle); got != 100*sim.Millisecond {
 		t.Errorf("TransitionLatency(Idle) = %v, want 100ms", got)
 	}
@@ -344,4 +351,9 @@ func TestOccupyForSteadyStateAllocatesNothing(t *testing.T) {
 	if ends != 102 || d.State() != Idle {
 		t.Errorf("ends = %d, state %v; want 102 ends back in idle", ends, d.State())
 	}
+}
+
+// newDevice creates a WNIC in the Off state.
+func newDevice(s *sim.Simulator, p *Profile) *Device {
+	return NewDeviceInState(s, p, Off)
 }

@@ -27,7 +27,6 @@ package route
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 )
 
@@ -143,22 +142,6 @@ func NewGrid(w, h int, spacing, radioRange, batteryJ float64, cost RadioCost) *N
 		}
 	}
 	return n
-}
-
-// NewRandom builds a network of n nodes placed uniformly in a side×side
-// square.
-func NewRandom(rng *rand.Rand, n int, side, radioRange, batteryJ float64, cost RadioCost) *Network {
-	if n <= 0 || side <= 0 || radioRange <= 0 || batteryJ <= 0 {
-		panic("route: invalid random parameters")
-	}
-	net := &Network{rang: radioRange, cost: cost, BatteryThreshold: 0.2, firstDeathPkt: -1}
-	for i := 0; i < n; i++ {
-		net.nodes = append(net.nodes, &Node{
-			ID: i, X: rng.Float64() * side, Y: rng.Float64() * side,
-			Battery: batteryJ, capacity: batteryJ,
-		})
-	}
-	return net
 }
 
 // Node returns node i.

@@ -255,8 +255,8 @@ func TestMatchesReferenceProperty(t *testing.T) {
 	for _, size := range []int{25, 100} {
 		side := 10 * math.Sqrt(float64(size)) // same density at both sizes
 		for seed := int64(1); seed <= 30; seed++ {
-			got := NewRandom(rand.New(rand.NewSource(seed)), size, side, 18, 1, DefaultRadioCost())
-			want := NewRandom(rand.New(rand.NewSource(seed)), size, side, 18, 1, DefaultRadioCost())
+			got := newRandom(rand.New(rand.NewSource(seed)), size, side, 18, 1, DefaultRadioCost())
+			want := newRandom(rand.New(rand.NewSource(seed)), size, side, 18, 1, DefaultRadioCost())
 			rng := rand.New(rand.NewSource(-seed))
 			got.BatteryThreshold = rng.Float64() * 0.6
 			want.BatteryThreshold = got.BatteryThreshold
@@ -632,7 +632,7 @@ func TestEnergyOrderingAcrossPolicies(t *testing.T) {
 func TestRouteWellFormedProperty(t *testing.T) {
 	prop := func(seed int64, policyRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := NewRandom(rng, 25, 50, 18, 1, DefaultRadioCost())
+		n := newRandom(rng, 25, 50, 18, 1, DefaultRadioCost())
 		// Randomly deplete some nodes.
 		for i := 0; i < 5; i++ {
 			n.Node(rng.Intn(25)).Battery = 0
@@ -684,4 +684,20 @@ func TestNumAliveAndLevels(t *testing.T) {
 	if n.Size() != 4 {
 		t.Error("size wrong")
 	}
+}
+
+// newRandom builds a network of n nodes placed uniformly in a side×side
+// square.
+func newRandom(rng *rand.Rand, n int, side, radioRange, batteryJ float64, cost RadioCost) *Network {
+	if n <= 0 || side <= 0 || radioRange <= 0 || batteryJ <= 0 {
+		panic("route: invalid random parameters")
+	}
+	net := &Network{rang: radioRange, cost: cost, BatteryThreshold: 0.2, firstDeathPkt: -1}
+	for i := 0; i < n; i++ {
+		net.nodes = append(net.nodes, &Node{
+			ID: i, X: rng.Float64() * side, Y: rng.Float64() * side,
+			Battery: batteryJ, capacity: batteryJ,
+		})
+	}
+	return net
 }

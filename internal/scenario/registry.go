@@ -3,7 +3,6 @@ package scenario
 import (
 	"fmt"
 	"regexp"
-	"sort"
 	"sync"
 )
 
@@ -58,31 +57,6 @@ func Lookup(name string) (Spec, bool) {
 	defer regMu.RUnlock()
 	s, ok := registry[name]
 	return s, ok
-}
-
-// Names returns the registered names in registration order.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return append([]string(nil), order...)
-}
-
-// Tags returns the sorted union of all tags in the registry.
-func Tags() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	seen := map[string]bool{}
-	for _, s := range registry {
-		for _, t := range s.Tags {
-			seen[t] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for t := range seen {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Match selects specs from the registry, preserving registration order.

@@ -5,7 +5,7 @@ import "math/bits"
 // Batch groups events that share a lifecycle — one station's contention
 // timers, one transfer's in-flight packets, one beacon cycle's wakeups — so
 // the owner can schedule them as a group and cancel whatever is still
-// pending in one call. Scheduling through a Batch is exactly Simulator.At /
+// pending in one call. Scheduling through a Batch is exactly
 // Simulator.Schedule (same sequence numbers, same firing order, same
 // handles); the batch only records membership, so adopting it never changes
 // a simulation's event order.
@@ -36,7 +36,7 @@ func (s *Simulator) NewBatch(n int) *Batch {
 // (a station's DIFS and slot-countdown timers, a client's wakeup and doze
 // poll). Slot scheduling is a single handle store: no append, no
 // compaction, no growth — the cheapest possible group membership.
-// AtSlot/ScheduleSlot address the slots; At/Schedule still append dynamic
+// AtSlot/ScheduleSlot address the slots; Schedule still appends dynamic
 // members behind them.
 func (s *Simulator) NewSlotBatch(n int) *Batch {
 	s.Reserve(n)
@@ -60,9 +60,6 @@ func (b *Batch) ScheduleSlot(slot int, delay Time, fn func()) Handle {
 	b.handles[slot] = h
 	return h
 }
-
-// Slot returns the handle currently occupying a slot (possibly inert).
-func (b *Batch) Slot(slot int) Handle { return b.handles[slot] }
 
 // Reserve ensures capacity for n more members without reallocation, and
 // grows the simulator's event slab alongside so the scheduling hot path
@@ -106,13 +103,6 @@ func (s *Simulator) Reserve(n int) {
 	}
 }
 
-// At schedules fn at absolute time t as a member of the batch.
-func (b *Batch) At(t Time, fn func()) Handle {
-	h := b.s.At(t, fn)
-	b.add(h)
-	return h
-}
-
 // Schedule schedules fn after delay as a member of the batch.
 func (b *Batch) Schedule(delay Time, fn func()) Handle {
 	h := b.s.Schedule(delay, fn)
@@ -124,7 +114,7 @@ func (b *Batch) Schedule(delay Time, fn func()) Handle {
 // when it is about to grow — so the list length tracks the number of
 // concurrently pending events, not the number ever scheduled. The compact
 // pass lives out of line to keep add itself inlineable into the
-// At/Schedule wrappers.
+// Schedule wrapper.
 func (b *Batch) add(h Handle) {
 	if len(b.handles) == cap(b.handles) {
 		b.compact()
@@ -144,17 +134,6 @@ func (b *Batch) compact() {
 	b.handles = kept
 }
 
-// Len returns the number of members still pending.
-func (b *Batch) Len() int {
-	n := 0
-	for _, m := range b.handles {
-		if m.Pending() {
-			n++
-		}
-	}
-	return n
-}
-
 // CancelAll cancels every still-pending member — fixed slots in slot
 // order, then dynamic members in scheduling order — and empties the batch
 // (slots stay reserved, but vacant). Members that already fired or were
@@ -165,16 +144,6 @@ func (b *Batch) CancelAll() {
 		if i < b.slots {
 			b.handles[i] = Handle{}
 		}
-	}
-	b.handles = b.handles[:b.slots]
-}
-
-// Forget empties the batch without cancelling anything: pending members
-// keep their own handles and fire normally. Use it when a group's events
-// have been handed off to another owner.
-func (b *Batch) Forget() {
-	for i := 0; i < b.slots; i++ {
-		b.handles[i] = Handle{}
 	}
 	b.handles = b.handles[:b.slots]
 }

@@ -13,12 +13,12 @@ func TestBatchCancelAll(t *testing.T) {
 		b.Schedule(Time(10+i), func() { fired = append(fired, i) })
 	}
 	s.RunUntil(11) // fires members 0 and 1
-	if got := b.Len(); got != 2 {
-		t.Fatalf("Len() = %d with two members fired, want 2", got)
+	if got := pendingMembers(b); got != 2 {
+		t.Fatalf("%d members pending with two fired, want 2", got)
 	}
 	b.CancelAll()
-	if got := b.Len(); got != 0 {
-		t.Fatalf("Len() = %d after CancelAll, want 0", got)
+	if got := pendingMembers(b); got != 0 {
+		t.Fatalf("%d members pending after CancelAll, want 0", got)
 	}
 	s.Run()
 	if len(fired) != 2 {
@@ -34,17 +34,28 @@ func TestBatchCancelAll(t *testing.T) {
 	}
 }
 
+// pendingMembers counts the batch's members that have neither fired nor
+// been cancelled.
+func pendingMembers(b *Batch) int {
+	n := 0
+	for _, m := range b.handles {
+		if m.Pending() {
+			n++
+		}
+	}
+	return n
+}
+
 // TestSlotBatch checks the fixed-slot form: slot scheduling replaces the
-// previous occupant (cancelling it if still pending), Slot exposes the
-// current handle, and CancelAll vacates every slot while keeping them
-// reserved for reuse.
+// previous occupant (cancelling it if still pending), and CancelAll vacates
+// every slot while keeping them reserved for reuse.
 func TestSlotBatch(t *testing.T) {
 	s := New(1)
 	b := s.NewSlotBatch(2)
 	var fired []string
 	b.ScheduleSlot(0, 10, func() { fired = append(fired, "a") })
 	b.ScheduleSlot(1, 20, func() { fired = append(fired, "b") })
-	if !b.Slot(0).Pending() || !b.Slot(1).Pending() {
+	if !b.handles[0].Pending() || !b.handles[1].Pending() {
 		t.Fatal("slots not pending after scheduling")
 	}
 	// Rescheduling an occupied slot cancels the occupant.
@@ -57,8 +68,8 @@ func TestSlotBatch(t *testing.T) {
 	b.ScheduleSlot(0, 10, func() { t.Error("cancelled slot member fired") })
 	b.ScheduleSlot(1, 10, func() { t.Error("cancelled slot member fired") })
 	b.CancelAll()
-	if b.Len() != 0 {
-		t.Fatalf("Len() = %d after CancelAll, want 0", b.Len())
+	if got := pendingMembers(b); got != 0 {
+		t.Fatalf("%d members pending after CancelAll, want 0", got)
 	}
 	s.Run()
 
@@ -92,21 +103,21 @@ func TestSlotBatchSteadyStateAllocs(t *testing.T) {
 
 // TestBatchSchedulingIsOrderNeutral pins the adoption guarantee: scheduling
 // through a Batch produces the same firing order as scheduling directly,
-// because Batch.At/Schedule are the plain Simulator calls plus bookkeeping.
+// because Batch.Schedule is the plain Simulator call plus bookkeeping.
 func TestBatchSchedulingIsOrderNeutral(t *testing.T) {
 	direct := New(1)
 	var dOrder []int
-	direct.At(5, func() { dOrder = append(dOrder, 0) })
-	direct.At(5, func() { dOrder = append(dOrder, 1) })
-	direct.At(3, func() { dOrder = append(dOrder, 2) })
+	direct.Schedule(5, func() { dOrder = append(dOrder, 0) })
+	direct.Schedule(5, func() { dOrder = append(dOrder, 1) })
+	direct.Schedule(3, func() { dOrder = append(dOrder, 2) })
 	direct.Run()
 
 	batched := New(1)
 	b := batched.NewBatch(3)
 	var bOrder []int
-	b.At(5, func() { bOrder = append(bOrder, 0) })
-	b.At(5, func() { bOrder = append(bOrder, 1) })
-	b.At(3, func() { bOrder = append(bOrder, 2) })
+	b.Schedule(5, func() { bOrder = append(bOrder, 0) })
+	b.Schedule(5, func() { bOrder = append(bOrder, 1) })
+	b.Schedule(3, func() { bOrder = append(bOrder, 2) })
 	batched.Run()
 
 	if len(dOrder) != len(bOrder) {

@@ -47,9 +47,6 @@ func TestTimeString(t *testing.T) {
 }
 
 func TestMinMax(t *testing.T) {
-	if Min(Second, Millisecond) != Millisecond {
-		t.Error("Min wrong")
-	}
 	if Max(Second, Millisecond) != Second {
 		t.Error("Max wrong")
 	}

@@ -66,14 +66,6 @@ func (t Time) String() string {
 	}
 }
 
-// Min returns the smaller of a and b.
-func Min(a, b Time) Time {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Max returns the larger of a and b.
 func Max(a, b Time) Time {
 	if a > b {

@@ -33,14 +33,3 @@ func (s *Summary) CI95() float64 {
 	}
 	return TCritical95(int(s.n-1)) * s.StdDev() / math.Sqrt(float64(s.n))
 }
-
-// MeanCI95 returns the sample mean of xs and the half-width of its 95%
-// confidence interval: the slice-shaped companion of Summary.CI95 (which
-// the scenario Runner uses for its streaming multi-seed aggregation).
-func MeanCI95(xs []float64) (mean, half float64) {
-	var s Summary
-	for _, x := range xs {
-		s.Add(x)
-	}
-	return s.Mean(), s.CI95()
-}

@@ -61,3 +61,15 @@ func TestSummaryCI95MatchesMeanCI95(t *testing.T) {
 		t.Errorf("implausible half-width %v for range [%v, %v]", half, s.Min(), s.Max())
 	}
 }
+
+// MeanCI95 returns the sample mean of xs and the half-width of its 95%
+// confidence interval: the slice-shaped form of Summary.CI95 (which the
+// scenario Runner uses for its streaming multi-seed aggregation), kept
+// here because only these tests take a slice.
+func MeanCI95(xs []float64) (mean, half float64) {
+	var s Summary
+	for _, x := range xs {
+		s.Add(x)
+	}
+	return s.Mean(), s.CI95()
+}

@@ -76,127 +76,6 @@ func TestSummaryProperty(t *testing.T) {
 	}
 }
 
-func TestTimeWeighted(t *testing.T) {
-	var w TimeWeighted
-	w.Set(0, 10)  // 10 for 2s
-	w.Set(2, 0)   // 0 for 3s
-	w.Set(5, 100) // 100 for 5s
-	mean := w.Finish(10)
-	// (10*2 + 0*3 + 100*5) / 10 = 52
-	if !almostEq(mean, 52, 1e-12) {
-		t.Errorf("mean = %v, want 52", mean)
-	}
-	if !almostEq(w.Integral(), 520, 1e-12) {
-		t.Errorf("Integral = %v, want 520", w.Integral())
-	}
-	if w.Min() != 0 || w.Max() != 100 {
-		t.Errorf("Min/Max = %v/%v, want 0/100", w.Min(), w.Max())
-	}
-	if !almostEq(w.Elapsed(), 10, 1e-12) {
-		t.Errorf("Elapsed = %v, want 10", w.Elapsed())
-	}
-}
-
-func TestTimeWeightedEmptyAndSingle(t *testing.T) {
-	var w TimeWeighted
-	if w.Mean() != 0 {
-		t.Error("empty mean should be 0")
-	}
-	w.Set(3, 7)
-	if got := w.Finish(5); !almostEq(got, 7, 1e-12) {
-		t.Errorf("single-level mean = %v, want 7", got)
-	}
-}
-
-func TestTimeWeightedBackwardsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("backwards time did not panic")
-		}
-	}()
-	var w TimeWeighted
-	w.Set(5, 1)
-	w.Set(4, 1)
-}
-
-func TestHistogramBinsAndQuantile(t *testing.T) {
-	h := NewHistogram(0, 100, 10)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i))
-	}
-	if h.N() != 100 {
-		t.Errorf("N = %d, want 100", h.N())
-	}
-	for i := 0; i < 10; i++ {
-		if h.Bin(i) != 10 {
-			t.Errorf("bin %d = %d, want 10", i, h.Bin(i))
-		}
-	}
-	med := h.Quantile(0.5)
-	if med < 45 || med > 55 {
-		t.Errorf("median = %v, want ~50", med)
-	}
-	if q := h.Quantile(0); q != 0 {
-		t.Errorf("Quantile(0) = %v, want 0", q)
-	}
-	if q := h.Quantile(1); q != 100 {
-		t.Errorf("Quantile(1) = %v, want 100", q)
-	}
-}
-
-func TestHistogramOverUnderflow(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	h.Add(-5)
-	h.Add(15)
-	h.Add(10) // boundary: hi is exclusive
-	h.Add(5)
-	if h.N() != 4 {
-		t.Errorf("N = %d, want 4", h.N())
-	}
-	total := h.under + h.over
-	if total != 3 {
-		t.Errorf("under+over = %d, want 3", total)
-	}
-}
-
-func TestHistogramMean(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	h.Add(2)
-	h.Add(4)
-	if !almostEq(h.Mean(), 3, 1e-12) {
-		t.Errorf("Mean = %v, want 3", h.Mean())
-	}
-}
-
-func TestNewHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("invalid histogram did not panic")
-		}
-	}()
-	NewHistogram(10, 0, 5)
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{9, 1, 8, 2, 7, 3, 6, 4, 5}
-	if p := Percentile(xs, 0); p != 1 {
-		t.Errorf("p0 = %v, want 1", p)
-	}
-	if p := Percentile(xs, 1); p != 9 {
-		t.Errorf("p100 = %v, want 9", p)
-	}
-	if p := Percentile(xs, 0.5); !almostEq(p, 5, 1e-12) {
-		t.Errorf("p50 = %v, want 5", p)
-	}
-	if p := Percentile(nil, 0.5); p != 0 {
-		t.Errorf("empty percentile = %v, want 0", p)
-	}
-	// Input must not be mutated.
-	if xs[0] != 9 {
-		t.Error("Percentile mutated its input")
-	}
-}
-
 func TestJainFairness(t *testing.T) {
 	if f := JainFairness([]float64{1, 1, 1, 1}); !almostEq(f, 1, 1e-12) {
 		t.Errorf("equal allocations fairness = %v, want 1", f)

@@ -90,45 +90,6 @@ func TestNewGanttValidates(t *testing.T) {
 	NewGantt(sim.Second, sim.Second, 10)
 }
 
-func TestWritePowerCSV(t *testing.T) {
-	var p PowerTrace
-	p.Record(0, 1.35)
-	p.Record(sim.Second, 0.045)
-	var b strings.Builder
-	if err := WritePowerCSV(&b, &p, 2*sim.Second); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 4 { // header + 2 samples + closing row
-		t.Fatalf("lines = %d, want 4:\n%s", len(lines), out)
-	}
-	if lines[0] != "seconds,watts" {
-		t.Errorf("header = %q", lines[0])
-	}
-	if !strings.HasPrefix(lines[3], "2.000000,0.045") {
-		t.Errorf("closing row = %q", lines[3])
-	}
-}
-
-func TestWriteWindowsCSV(t *testing.T) {
-	var b strings.Builder
-	err := WriteWindowsCSV(&b, []Window{
-		{Lane: 1, Start: 2 * sim.Second, End: 3 * sim.Second},
-		{Lane: 0, Start: sim.Second, End: 2 * sim.Second},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("lines = %d, want 3", len(lines))
-	}
-	if !strings.HasPrefix(lines[1], "0,1.000000") {
-		t.Errorf("rows not sorted by start: %q", lines[1])
-	}
-}
-
 func TestPowerTraceMaxIn(t *testing.T) {
 	var p PowerTrace
 	p.Record(0, 0.01)
