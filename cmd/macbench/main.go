@@ -42,10 +42,7 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := cli.CheckNumFlags(
-		cli.NumFlag{Name: "rate", Value: *rateKBs},
-		cli.NumFlag{Name: "duration", Value: *duration, Seconds: true},
-	); err != nil {
+	if err := checkFlags(*stationsN, *rateKBs, *duration); err != nil {
 		fmt.Fprintf(os.Stderr, "macbench: %v\n", err)
 		os.Exit(2)
 	}
@@ -87,6 +84,16 @@ func main() {
 			fmt.Sprintf("%.1f", metric(a, "delivered").Mean))
 	}
 	fmt.Println(t)
+}
+
+// checkFlags rejects the load flags no simulation can run with: fewer than
+// one station, and non-finite or non-positive rates and durations.
+func checkFlags(stations int, rateKBs, duration float64) error {
+	return cli.CheckNumFlags(
+		cli.NumFlag{Name: "stations", Value: float64(stations)},
+		cli.NumFlag{Name: "rate", Value: rateKBs},
+		cli.NumFlag{Name: "duration", Value: duration, Seconds: true},
+	)
 }
 
 // protocolSpecs builds one scenario spec per MAC protocol, closed over the

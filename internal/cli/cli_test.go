@@ -333,6 +333,9 @@ func TestCheckNumFlags(t *testing.T) {
 		{NumFlag{Name: "rate", Value: 0}, "-rate must be positive (got 0)"},
 		{NumFlag{Name: "rate", Value: nan}, "-rate must be finite"},
 		{NumFlag{Name: "rate", Value: -inf}, "-rate must be finite"},
+		{NumFlag{Name: "stations", Value: 1}, ""},
+		{NumFlag{Name: "stations", Value: 0}, "-stations must be positive (got 0)"},
+		{NumFlag{Name: "stations", Value: -1}, "-stations must be positive (got -1)"},
 	} {
 		err := CheckNumFlags(c.flag)
 		switch {

@@ -1,6 +1,7 @@
 package dcf
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/channel"
@@ -17,19 +18,53 @@ func addStation(s *sim.Simulator, m *Medium, id int) *Station {
 	return NewStation(id, m, radio.NewDeviceInState(s, radio.WLAN80211b(), radio.Idle))
 }
 
+// TestConfigValidate breaks one field at a time: Validate must reject each
+// bad value, and NewMedium must panic with Validate's error instead of
+// failing mid-run (NaN bit rates and negative overheads used to pass and
+// then panic with "sim: negative delay").
 func TestConfigValidate(t *testing.T) {
 	if err := Default80211b().Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
-	bad := Default80211b()
-	bad.DIFS = bad.SIFS // DIFS must exceed SIFS
-	if err := bad.Validate(); err == nil {
-		t.Error("invalid IFS accepted")
+	for _, c := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"zero slot", func(c *Config) { c.SlotTime = 0 }},
+		{"zero SIFS", func(c *Config) { c.SIFS = 0 }},
+		{"DIFS = SIFS", func(c *Config) { c.DIFS = c.SIFS }},
+		{"zero CWMin", func(c *Config) { c.CWMin = 0 }},
+		{"CWMax < CWMin", func(c *Config) { c.CWMax = 1 }},
+		{"CWMax above 802.11's", func(c *Config) { c.CWMax = maxCW + 1 }},
+		{"NaN bit rate", func(c *Config) { c.BitRate = math.NaN() }},
+		{"+Inf bit rate", func(c *Config) { c.BitRate = math.Inf(1) }},
+		{"-Inf bit rate", func(c *Config) { c.BitRate = math.Inf(-1) }},
+		{"zero bit rate", func(c *Config) { c.BitRate = 0 }},
+		{"negative bit rate", func(c *Config) { c.BitRate = -11e6 }},
+		{"negative PLCP overhead", func(c *Config) { c.PLCPOverhead = -500 * sim.Microsecond }},
+		{"negative ACK timeout", func(c *Config) { c.AckTimeout = -sim.Millisecond }},
+		{"negative retry limit", func(c *Config) { c.RetryLimit = -1 }},
+	} {
+		cfg := Default80211b()
+		c.edit(&cfg)
+		err := cfg.Validate()
+		if err == nil {
+			t.Errorf("%s: accepted", c.name)
+			continue
+		}
+		func() {
+			defer func() {
+				if got, ok := recover().(error); !ok || got.Error() != err.Error() {
+					t.Errorf("%s: NewMedium panicked with %v, want Validate's error %v", c.name, got, err)
+				}
+			}()
+			NewMedium(sim.New(1), cfg, nil)
+		}()
 	}
-	bad2 := Default80211b()
-	bad2.CWMax = 1
-	if err := bad2.Validate(); err == nil {
-		t.Error("invalid CW accepted")
+	edge := Default80211b()
+	edge.CWMax, edge.PLCPOverhead, edge.AckTimeout, edge.RetryLimit = maxCW, 0, 0, 0
+	if err := edge.Validate(); err != nil {
+		t.Errorf("boundary config rejected: %v", err)
 	}
 }
 

@@ -6,10 +6,17 @@
 // the baseline "continuously active mode" (CAM) measurements that motivate
 // the paper: an unmanaged WLAN station spends nearly all of its time — and
 // therefore nearly all of its energy — listening to an idle medium.
+//
+// Backoff is slotted, but a station does not spend an event per slot: one
+// countdown event covers every slot boundary up to the simulator's next
+// queued instant (Simulator.Lookahead), since nothing else can observe a
+// boundary in between. Outputs are those of one event per slot, bit for
+// bit; ref_test.go keeps that engine as the reference.
 package dcf
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/channel"
 	"repro/internal/frame"
@@ -44,16 +51,26 @@ func Default80211b() Config {
 	}
 }
 
-// Validate checks the configuration.
+// maxCW is 802.11's largest contention window (2¹⁵ − 1 slots). Bounding
+// CWMax by it keeps the window doubling and backoff arithmetic far from
+// overflow.
+const maxCW = 32767
+
+// Validate checks every field of the configuration: a NaN bit rate or a
+// negative overhead or timeout would otherwise pass and panic mid-run with
+// a negative delay.
 func (c Config) Validate() error {
 	if c.SlotTime <= 0 || c.SIFS <= 0 || c.DIFS <= c.SIFS {
 		return fmt.Errorf("dcf: invalid IFS timing")
 	}
-	if c.CWMin <= 0 || c.CWMax < c.CWMin {
-		return fmt.Errorf("dcf: invalid contention window")
+	if c.CWMin <= 0 || c.CWMax < c.CWMin || c.CWMax > maxCW {
+		return fmt.Errorf("dcf: invalid contention window %d..%d (want 0 < CWMin ≤ CWMax ≤ %d)", c.CWMin, c.CWMax, maxCW)
 	}
-	if c.BitRate <= 0 {
-		return fmt.Errorf("dcf: invalid bit rate")
+	if math.IsNaN(c.BitRate) || math.IsInf(c.BitRate, 0) || c.BitRate <= 0 {
+		return fmt.Errorf("dcf: invalid bit rate %v", c.BitRate)
+	}
+	if c.PLCPOverhead < 0 || c.AckTimeout < 0 || c.RetryLimit < 0 {
+		return fmt.Errorf("dcf: negative PLCP overhead, ACK timeout or retry limit")
 	}
 	return nil
 }

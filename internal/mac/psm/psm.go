@@ -59,6 +59,11 @@ func (c Config) Validate() error {
 	if c.BufferLimit <= 0 {
 		return fmt.Errorf("psm: buffer limit must be positive")
 	}
+	if c.RetrieveTimeout <= 0 {
+		// Zero makes a client give up on every beacon before it airs, and
+		// a negative value re-arms the timeout at one instant forever.
+		return fmt.Errorf("psm: retrieve timeout must be positive")
+	}
 	return nil
 }
 

@@ -43,6 +43,13 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad2.Validate(); err == nil {
 		t.Error("zero listen interval accepted")
 	}
+	for _, rt := range []sim.Time{0, -sim.Millisecond} {
+		bad3 := DefaultConfig()
+		bad3.RetrieveTimeout = rt
+		if err := bad3.Validate(); err == nil {
+			t.Errorf("retrieve timeout %v accepted", rt)
+		}
+	}
 }
 
 func TestBeaconsAreSent(t *testing.T) {

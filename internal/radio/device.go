@@ -31,7 +31,7 @@ type Device struct {
 	listeners []func(t sim.Time, s State)
 
 	// freeOcc holds spent occupancy records for reuse, so a steady stream
-	// of Transmit/Receive/OccupyFor calls allocates nothing.
+	// of OccupyFor calls allocates nothing.
 	freeOcc []*occupancy
 }
 
@@ -132,35 +132,16 @@ func (d *Device) TransitionLatency(target State) sim.Time {
 	return d.profile.TransitionCost(d.state, target).Latency
 }
 
-// Transmit models occupying the radio in TX for the airtime of n bytes at
-// PHY rate, then returning to the restore state. done runs when the radio
-// has returned. The device must be usable (not mid-transition).
-func (d *Device) Transmit(bytes int, restore State, done func()) sim.Time {
-	airtime := d.profile.TxTime(bytes)
-	d.occupy(TX, airtime, restore, done)
-	return airtime
-}
-
-// Receive models occupying the radio in RX for the airtime of n bytes.
-func (d *Device) Receive(bytes int, restore State, done func()) sim.Time {
-	airtime := d.profile.TxTime(bytes)
-	d.occupy(RX, airtime, restore, done)
-	return airtime
-}
-
 // OccupyFor holds the radio in state s for duration dur then returns it to
-// restore. It is the low-level primitive behind Transmit/Receive and is also
-// used directly by MAC models that compute their own airtimes.
+// restore; done runs when the radio has returned. MAC models compute their
+// own airtimes and use it for transmissions and receptions alike. The
+// device must be usable (awake, not mid-transition).
 func (d *Device) OccupyFor(s State, dur sim.Time, restore State, done func()) {
-	d.occupy(s, dur, restore, done)
-}
-
-func (d *Device) occupy(s State, dur sim.Time, restore State, done func()) {
 	if d.Transitioning() {
-		panic(fmt.Sprintf("radio: %s: occupy(%v) during transition", d.profile.Name, s))
+		panic(fmt.Sprintf("radio: %s: OccupyFor(%v) during transition", d.profile.Name, s))
 	}
 	if d.state == Off || d.state == Sleep {
-		panic(fmt.Sprintf("radio: %s: occupy(%v) from %v: radio not awake", d.profile.Name, s, d.state))
+		panic(fmt.Sprintf("radio: %s: OccupyFor(%v) from %v: radio not awake", d.profile.Name, s, d.state))
 	}
 	d.state = s
 	d.meter.setState(s)

@@ -179,10 +179,7 @@ func TestTransmitOccupiesTxThenRestores(t *testing.T) {
 	s.Run()
 	start := s.Now()
 	var doneAt sim.Time = -1
-	air := d.Transmit(1375, Idle, func() { doneAt = s.Now() })
-	if air != sim.Millisecond {
-		t.Errorf("airtime = %v, want 1ms", air)
-	}
+	d.OccupyFor(TX, p.TxTime(1375), Idle, func() { doneAt = s.Now() })
 	if d.State() != TX {
 		t.Errorf("state during transmit = %v, want tx", d.State())
 	}
@@ -203,7 +200,7 @@ func TestReceiveOccupiesRx(t *testing.T) {
 	d := newDevice(s, WLAN80211b())
 	d.SetState(Idle, nil)
 	s.Run()
-	d.Receive(2750, Idle, nil)
+	d.OccupyFor(RX, d.Profile().TxTime(2750), Idle, nil)
 	if d.State() != RX {
 		t.Errorf("state = %v, want rx", d.State())
 	}
@@ -218,10 +215,10 @@ func TestOccupyFromSleepPanics(t *testing.T) {
 	d := newDevice(s, WLAN80211b())
 	defer func() {
 		if recover() == nil {
-			t.Error("transmit from off did not panic")
+			t.Error("OccupyFor from off did not panic")
 		}
 	}()
-	d.Transmit(100, Idle, nil)
+	d.OccupyFor(TX, sim.Millisecond, Idle, nil)
 }
 
 func TestStateChangeListeners(t *testing.T) {

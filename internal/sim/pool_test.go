@@ -48,7 +48,7 @@ func TestZeroAllocSteadyState(t *testing.T) {
 }
 
 // TestCancelAfterFireIsNoOp pins the fixed semantics: cancelling an event
-// that already fired must not make Cancelled() report true.
+// that already fired must not leave its slot marked cancelled.
 func TestCancelAfterFireIsNoOp(t *testing.T) {
 	s := New(1)
 	ran := false
@@ -58,8 +58,8 @@ func TestCancelAfterFireIsNoOp(t *testing.T) {
 		t.Fatal("event did not fire")
 	}
 	s.Cancel(h)
-	if h.Cancelled() {
-		t.Error("Cancelled() = true for a fired event")
+	if cancelled(h) {
+		t.Error("slot marked cancelled for a fired event")
 	}
 	if h.Pending() {
 		t.Error("Pending() = true for a fired event")
@@ -80,7 +80,7 @@ func TestStaleHandleIsInert(t *testing.T) {
 		t.Fatalf("slot not reused: first idx %d, second idx %d", first.idx, second.idx)
 	}
 	s.Cancel(first) // stale: must not cancel the new occupant
-	if first.Pending() || first.Cancelled() {
+	if first.Pending() || cancelled(first) {
 		t.Error("stale handle reports state")
 	}
 	s.Run()
@@ -94,7 +94,7 @@ func TestZeroHandle(t *testing.T) {
 	s := New(1)
 	var h Handle
 	s.Cancel(h) // no-op, no panic
-	if h.Pending() || h.Cancelled() || h.At() != 0 {
+	if h.Pending() || cancelled(h) || h.At() != 0 {
 		t.Error("zero handle is not inert")
 	}
 }

@@ -78,14 +78,6 @@ func (h Handle) Pending() bool {
 	return e != nil && e.state() == statePending
 }
 
-// Cancelled reports whether the event was cancelled before it fired. A
-// fired event reports false. Once the kernel reuses the underlying slot the
-// handle is inert and also reports false.
-func (h Handle) Cancelled() bool {
-	e := h.lease()
-	return e != nil && e.state() == stateCancelled
-}
-
 // At returns the instant the event is (or was) scheduled to fire, or 0 for
 // an inert handle. Guard with Pending when the distinction matters.
 func (h Handle) At() Time {
@@ -171,6 +163,10 @@ type Simulator struct {
 	seq     uint64
 	rng     *rand.Rand
 	stopped bool
+	// horizon is the latest instant the running loop may still reach: the
+	// RunUntil argument, MaxTime under Run, and now after Stop or outside
+	// any loop. Lookahead caps its answers here.
+	horizon Time
 	fired   uint64
 	limit   uint64 // safety valve against runaway event loops; 0 = unlimited
 }
@@ -329,12 +325,31 @@ func (s *Simulator) maybeCompact() {
 
 // Stop makes Run/RunUntil return after the currently executing event
 // completes. Pending events remain queued.
-func (s *Simulator) Stop() { s.stopped = true }
+func (s *Simulator) Stop() {
+	s.stopped = true
+	s.horizon = s.now
+}
 
 // limitExceeded is the event-limit panic, kept out of line so the firing
 // path in step stays small.
 func (s *Simulator) limitExceeded() {
 	panic(fmt.Sprintf("sim: event limit %d exceeded at t=%v", s.limit, s.now))
+}
+
+// collectDeadTop pops the cancelled entries off the top of the heap, so
+// its root is live (or the heap empty), as step would when they surface.
+// Collecting them early is invisible: pop order is the (at, seq) order of
+// the live entries either way.
+func (s *Simulator) collectDeadTop() {
+	for len(s.queue) > 0 {
+		idx := s.queue[0].idx
+		if s.slab[idx].state() == statePending {
+			return
+		}
+		s.heapPopTop()
+		s.dead--
+		s.release(idx, stateCancelled)
+	}
 }
 
 // step pops and fires the next event. It reports false when the queue is
@@ -380,9 +395,10 @@ func (s *Simulator) step(horizon Time) bool {
 
 // Run executes events until the queue drains or Stop is called.
 func (s *Simulator) Run() {
-	s.stopped = false
+	s.stopped, s.horizon = false, MaxTime
 	for !s.stopped && s.step(MaxTime) {
 	}
+	s.horizon = s.now
 }
 
 // RunUntil executes events with timestamps ≤ horizon, then advances the clock
@@ -391,12 +407,63 @@ func (s *Simulator) RunUntil(horizon Time) {
 	if horizon < s.now {
 		panic(fmt.Sprintf("sim: RunUntil(%v) before now %v", horizon, s.now))
 	}
-	s.stopped = false
+	s.stopped, s.horizon = false, horizon
 	for !s.stopped && s.step(horizon) {
 	}
 	if !s.stopped && s.now < horizon {
 		s.now = horizon
 	}
+	s.horizon = s.now
+}
+
+// Lookahead reports what the queue holds next, as far as the running loop
+// can see: first is the earliest queued instant, n how many entries are
+// queued at first, and next the earliest queued instant after first. Each
+// instant is capped at the loop's horizon (the RunUntil argument, MaxTime
+// under Run, now after Stop or outside any loop), and n is 0 when the
+// earliest entry lies beyond it. Cancelled entries still in the heap may
+// be counted (the walk first collects those on top of the heap), so n and
+// next are conservative: n may be larger and next earlier than the live
+// events alone would give.
+//
+// A model may use the answer to batch work it would otherwise spread over
+// events at instants before first: no other code can act in between, and
+// nothing outside the event loop can act before the horizon.
+func (s *Simulator) Lookahead() (first Time, n int, next Time) {
+	first, next = MaxTime, MaxTime
+	s.collectDeadTop()
+	if s.hasFront {
+		first, n = s.front.at, 1
+	}
+	if len(s.queue) > 0 {
+		// The front register is ≤ every heap entry, so the heap can only
+		// tie it or, with the register vacant, supply the minimum.
+		if top := s.queue[0].at; top > first {
+			next = top
+		} else {
+			first = top
+			n += s.countAt(0, top, &next)
+		}
+	}
+	if first > s.horizon {
+		return s.horizon, 0, s.horizon
+	}
+	return first, n, min(next, s.horizon)
+}
+
+// countAt counts the heap entries at t, the heap's minimum instant, in the
+// subtree rooted at i, and lowers *next to the earliest later instant it
+// meets. The entries at the minimum form a connected subtree under the
+// root, so the walk visits only them and their children.
+func (s *Simulator) countAt(i int, t Time, next *Time) int {
+	if i >= len(s.queue) {
+		return 0
+	}
+	if at := s.queue[i].at; at != t {
+		*next = min(*next, at)
+		return 0
+	}
+	return 1 + s.countAt(2*i+1, t, next) + s.countAt(2*i+2, t, next)
 }
 
 // --- the (at, seq) binary heap ---

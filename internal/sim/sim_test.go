@@ -108,8 +108,8 @@ func TestCancel(t *testing.T) {
 	if ran {
 		t.Error("cancelled event ran")
 	}
-	if !e.Cancelled() {
-		t.Error("Cancelled() = false after Cancel")
+	if !cancelled(e) {
+		t.Error("slot not marked cancelled after Cancel")
 	}
 }
 

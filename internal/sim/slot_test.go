@@ -29,7 +29,7 @@ func TestPackedGenerationState(t *testing.T) {
 		t.Fatal("fresh handle not pending")
 	}
 	s.Cancel(h1)
-	if !h1.Cancelled() || h1.Pending() {
+	if !cancelled(h1) || h1.Pending() {
 		t.Fatal("cancelled handle misreports")
 	}
 	// Reuse the slot many times; each lease must invalidate prior handles.
@@ -39,7 +39,7 @@ func TestPackedGenerationState(t *testing.T) {
 		if h.idx == prev.idx && h.gen == prev.gen {
 			t.Fatalf("lease %d: generation not bumped on slot reuse", i)
 		}
-		if prev.Pending() || prev.Cancelled() {
+		if prev.Pending() || cancelled(prev) {
 			t.Fatalf("lease %d: stale handle still answers", i)
 		}
 		s.Run()
@@ -52,6 +52,14 @@ func TestPackedGenerationState(t *testing.T) {
 
 // isFired is a test helper reading the packed state.
 func (e *event) isFired() bool { return e.state() == stateFired }
+
+// cancelled reports whether h still refers to its own lease and that lease
+// was cancelled before it fired. A fired event, an inert handle and the
+// zero Handle report false.
+func cancelled(h Handle) bool {
+	e := h.lease()
+	return e != nil && e.state() == stateCancelled
+}
 
 // TestReserveGrowthPattern pins the power-of-two slab growth: n repeated
 // small reserves must trigger O(log n) reallocations, not one per call.
