@@ -83,7 +83,7 @@ func (c CPU) Power(f float64) float64 {
 		return c.StaticW
 	}
 	r := f / c.FMax()
-	return c.StaticW + c.DynCoeffW*r*r*r
+	return c.StaticW + float64(c.DynCoeffW*r*r*r)
 }
 
 // StepFor returns the lowest ladder frequency ≥ want (or FMax).
@@ -224,7 +224,7 @@ func (e *engine) settle() {
 			f = e.runFreq
 			e.busy += now - e.lastAt
 		}
-		e.energy += e.cpu.Power(f) * dt
+		e.energy += float64(e.cpu.Power(f) * dt)
 	}
 	e.lastAt = now
 }
@@ -277,7 +277,7 @@ func (e *engine) reschedule() {
 		e.s.Cancel(e.runEvent)
 		e.runEvent = sim.Handle{}
 		elapsed := (e.s.Now() - e.runStart).Seconds()
-		e.running.remaining -= elapsed * e.runFreq
+		e.running.remaining -= float64(elapsed * e.runFreq)
 		if e.running.remaining < 0 {
 			e.running.remaining = 0
 		}

@@ -9,7 +9,9 @@
 //     thinned uniformly over live stations) and one aggregated death
 //     process. The event queue holds a handful of events regardless of
 //     population size, so the kernel's heap stays within a cache line or
-//     two.
+//     two. The downlink stream draws every frame up to the next queued
+//     event in one firing, so a beacon interval costs about one frame
+//     event, not one per frame.
 //
 //   - Struct-of-arrays state: every per-station quantity lives in a column
 //     indexed by station id (AP, listen phase, attach time, and one packed
@@ -423,6 +425,17 @@ func (m *Model) frameAir(frames int32, bytes float64) sim.Time {
 // Start arms the aggregated processes: the beacon, the downlink stream and
 // (under churn) the station arrival and death streams. The pending-event
 // count stays at 3–4 for any population size.
+//
+// The downlink stream fires one event per quiet stretch, not one per
+// frame. A frame only logs (id, bytes) and reads no clock, so one event
+// draws every arrival strictly before the simulator's next queued instant
+// (Simulator.Lookahead), and at most up to Horizon; the first arrival past
+// either bound gets the next event. The draws, the log and every sum are
+// those of one event per frame, bit for bit: an event already queued at
+// the bound was scheduled earlier, so it fires before a frame at the same
+// instant either way, and the bound never crosses a RunUntil split. Joins
+// and deaths stay one event each, because attach and detach read the
+// clock.
 func (m *Model) Start() {
 	cfg := m.cfg
 	m.s.Reserve(4)
@@ -447,13 +460,21 @@ func (m *Model) Start() {
 		r := m.s.Rand()
 		var onFrame func()
 		onFrame = func() {
-			if j := r.Intn(cfg.cap()); j < len(m.live) {
-				if len(m.arrivals) == cap(m.arrivals) {
-					m.flush()
+			first, _, _ := m.s.Lookahead()
+			at := m.s.Now()
+			for {
+				if j := r.Intn(cfg.cap()); j < len(m.live) {
+					if len(m.arrivals) == cap(m.arrivals) {
+						m.flush()
+					}
+					m.arrivals = append(m.arrivals, arrival{m.live[j], frame.sample(r.Float64())})
 				}
-				m.arrivals = append(m.arrivals, arrival{m.live[j], frame.sample(r.Float64())})
+				at += expDelay(r.ExpFloat64(), maxRate)
+				if at >= first || at > cfg.Horizon {
+					break
+				}
 			}
-			m.s.Schedule(expDelay(r.ExpFloat64(), maxRate), onFrame)
+			m.s.At(at, onFrame)
 		}
 		m.s.Schedule(expDelay(r.ExpFloat64(), maxRate), onFrame)
 	}

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/radio"
 	"repro/internal/sim"
@@ -440,6 +441,137 @@ func TestMatchesReference(t *testing.T) {
 		if n < configs/20 {
 			t.Errorf("only %d of %d configs exercise %q", n, configs, name)
 		}
+	}
+}
+
+// tieConfig is a cell whose downlink gaps all floor to one time unit: a
+// frame arrives at every microsecond, so frames land on every beacon,
+// join, death and RunUntil instant, and the arrival log fills up between
+// beacons.
+func tieConfig(churn bool) Config {
+	cfg := Config{
+		APs:            2,
+		Stations:       6,
+		BeaconInterval: 3 * sim.Millisecond,
+		ListenInterval: 2,
+		WakeLead:       200 * sim.Microsecond,
+		BeaconAir:      100 * sim.Microsecond,
+		PollAir:        5 * sim.Microsecond,
+		OverheadBytes:  28,
+		RatePerStation: 1e12,
+		Frame:          Pareto{Alpha: 1.5, MinBytes: 40, MaxBytes: 400},
+		Horizon:        8*3*sim.Millisecond + 1500*sim.Microsecond,
+		Profile:        radio.WLAN80211b(),
+	}
+	if churn {
+		cfg.MaxStations = 10
+		cfg.ArrivalRate = 2e4
+		cfg.MeanLifetime = sim.Millisecond
+	}
+	return cfg
+}
+
+// drawnFrames counts the downlink frames the model has drawn for live
+// stations: delivered, logged or buffered.
+func drawnFrames(m *Model) int64 {
+	n := m.rep.DeliveredFrames + int64(len(m.arrivals))
+	for _, st := range m.sta {
+		n += int64(st.pendFrames)
+	}
+	return n
+}
+
+// TestFrameStretchTiesAndSplits runs the frame stream where every instant
+// holds an arrival, so each stretch ends exactly on a beacon, a join, a
+// death or a RunUntil split. The model runs in random splits, half of them
+// on beacon instants, and its report must equal the per-frame-event
+// reference's, bit for bit. Without churn, the frames drawn by each split
+// must also match the reference's: no stretch may draw past a split.
+func TestFrameStretchTiesAndSplits(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for _, churn := range []bool{false, true} {
+		cfg := tieConfig(churn)
+		for trial := 0; trial < 20; trial++ {
+			seed := r.Int63()
+			want, _ := refRun(seed, cfg)
+			s, rs := sim.New(seed), sim.New(seed)
+			m, ref := New(s, cfg), newRef(rs, cfg)
+			m.Start()
+			ref.start()
+			for at := sim.Time(0); at < cfg.Horizon; {
+				if r.Intn(2) == 0 {
+					at = (at/cfg.BeaconInterval + 1) * cfg.BeaconInterval
+				} else {
+					at += 1 + sim.Time(r.Intn(int(cfg.BeaconInterval)))
+				}
+				at = min(at, cfg.Horizon)
+				s.RunUntil(at)
+				rs.RunUntil(at)
+				if churn {
+					continue
+				}
+				refDrawn := ref.rep.DeliveredFrames
+				for _, f := range ref.pendFrames {
+					refDrawn += int64(f)
+				}
+				if got := drawnFrames(m); got != refDrawn || got != int64(at) {
+					t.Fatalf("seed %d, split at %v: %d frames drawn, reference %d, one per instant %d",
+						seed, at, got, refDrawn, at)
+				}
+			}
+			if got := m.Finish(); got != want {
+				t.Fatalf("churn %v, seed %d:\n got %+v\nwant %+v", churn, seed, got, want)
+			}
+		}
+	}
+}
+
+// TestFrameStretchStopsAtHorizon runs a model under Run, whose horizon is
+// MaxTime, so once the beacons end nothing else bounds a stretch. The
+// frame stream must fall back to one event per frame past Horizon and trip
+// the event limit, not spin inside one event.
+func TestFrameStretchStopsAtHorizon(t *testing.T) {
+	cfg := testConfig()
+	cfg.Stations, cfg.Horizon = 100, 2*sim.Second
+	s := sim.New(1)
+	New(s, cfg).Start()
+	s.SetEventLimit(10_000)
+	// Run on its own goroutine so that a stretch that never ends fails
+	// the test instead of hanging it.
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		s.Run()
+	}()
+	select {
+	case p := <-done:
+		if msg, _ := p.(string); !strings.Contains(msg, "event limit") {
+			t.Fatalf("Run ended with %v, want the event-limit panic", p)
+		}
+		if s.Now() <= cfg.Horizon {
+			t.Fatalf("event limit tripped at %v, before the %v horizon", s.Now(), cfg.Horizon)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run past the horizon did not reach the event limit: a frame stretch runs unbounded")
+	}
+}
+
+// TestFrameStreamFiresOncePerBeacon pins the event budget of an
+// e20-shaped cell, about 2000 frames per beacon interval: the downlink
+// stream fires once per stretch between beacons, not once per frame.
+func TestFrameStreamFiresOncePerBeacon(t *testing.T) {
+	cfg := testConfig()
+	cfg.APs, cfg.Stations, cfg.Horizon = 20, 100_000, 10*sim.Second
+	s := sim.New(1)
+	m := New(s, cfg)
+	m.Start()
+	s.RunUntil(cfg.Horizon)
+	beacons := uint64(cfg.Horizon / cfg.BeaconInterval)
+	if rep := m.Finish(); rep.DeliveredFrames < 1000*int64(beacons) {
+		t.Fatalf("only %d frames delivered over %d beacons", rep.DeliveredFrames, beacons)
+	}
+	if s.Fired() > 2*beacons+1 {
+		t.Errorf("%d events fired over %d beacons, want at most %d", s.Fired(), beacons, 2*beacons+1)
 	}
 }
 

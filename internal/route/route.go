@@ -76,12 +76,12 @@ func DefaultRadioCost() RadioCost {
 
 // TxEnergy returns the cost of transmitting bits over distance d.
 func (r RadioCost) TxEnergy(bits int, d float64) float64 {
-	return float64(bits) * (r.ElecJPerBit + r.AmpJPerBitM2*d*d)
+	return float64(float64(bits) * (r.ElecJPerBit + float64(r.AmpJPerBitM2*d*d)))
 }
 
 // RxEnergy returns the cost of receiving bits.
 func (r RadioCost) RxEnergy(bits int) float64 {
-	return float64(bits) * r.ElecJPerBit
+	return float64(float64(bits) * r.ElecJPerBit)
 }
 
 // Node is one network participant.
@@ -169,7 +169,7 @@ func (n *Network) Stats() (delivered, failed int, energyJ float64, firstDeathPkt
 
 func (n *Network) dist(a, b *Node) float64 {
 	dx, dy := a.X-b.X, a.Y-b.Y
-	return math.Sqrt(dx*dx + dy*dy)
+	return math.Sqrt(float64(dx*dx) + float64(dy*dy))
 }
 
 // Route computes a path from src to dst under the policy, or nil when no

@@ -5,11 +5,16 @@ import (
 	"testing"
 )
 
-// scanQueue is the brute-force Lookahead: a scan of every queued entry,
-// the front register and cancelled heap entries included, capped at
-// horizon.
-func scanQueue(s *Simulator, horizon Time) (first Time, n int, next Time) {
-	entries := append([]heapEntry(nil), s.queue...)
+// scanQueue is a scan of every queued entry, the front register and
+// cancelled heap entries included, capped at horizon; with live set, it
+// skips the cancelled entries.
+func scanQueue(s *Simulator, horizon Time, live bool) (first Time, n int, next Time) {
+	var entries []heapEntry
+	for _, en := range s.queue {
+		if !live || s.slab[en.idx].state() == statePending {
+			entries = append(entries, en)
+		}
+	}
 	if s.hasFront {
 		entries = append(entries, s.front)
 	}
@@ -38,8 +43,8 @@ func scanTimes(entries []heapEntry, horizon Time) (first Time, n int, next Time)
 // TestLookaheadMatchesBruteForce drives random queues — ties at the
 // current instant, the front register, lazily cancelled entries, RunUntil
 // horizons, Run, Stop and calls outside the loop — and checks Lookahead
-// against a scan of the whole queue after every event. Against the live
-// events alone it must be exact in first and conservative in n and next.
+// after every event against a scan of the queue's live entries and against
+// the live events' own handles. It must be exact against both.
 func TestLookaheadMatchesBruteForce(t *testing.T) {
 	// corners counts the checks that reached each case the test exists for.
 	corners := map[string]int{}
@@ -59,7 +64,7 @@ func TestLookaheadMatchesBruteForce(t *testing.T) {
 				corners["after Stop"]++
 			}
 			first, n, next := s.Lookahead()
-			wf, wn, wnext := scanQueue(s, horizon)
+			wf, wn, wnext := scanQueue(s, horizon, true)
 			if first != wf || n != wn || next != wnext {
 				t.Fatalf("trial %d at %v (horizon %v): Lookahead = (%v, %d, %v), scan = (%v, %d, %v)",
 					trial, s.Now(), horizon, first, n, next, wf, wn, wnext)
@@ -71,12 +76,12 @@ func TestLookaheadMatchesBruteForce(t *testing.T) {
 				}
 			}
 			lf, ln, lnext := scanTimes(live, horizon)
-			if first != lf || n < ln || next > lnext {
+			if first != lf || n != ln || next != lnext {
 				t.Fatalf("trial %d at %v (horizon %v): Lookahead = (%v, %d, %v), live events give (%v, %d, %v)",
 					trial, s.Now(), horizon, first, n, next, lf, ln, lnext)
 			}
-			if n > ln || next < lnext {
-				corners["dead entry counted"]++
+			if _, an, anext := scanQueue(s, horizon, false); an != n || anext != next {
+				corners["dead entry skipped"]++
 			}
 			if s.Pending() > 0 && n == 0 {
 				corners["capped at the horizon"]++
@@ -120,9 +125,46 @@ func TestLookaheadMatchesBruteForce(t *testing.T) {
 			check()
 		}
 	}
-	for _, c := range []string{"front register", "dead entries", "after Stop", "dead entry counted", "capped at the horizon"} {
+	for _, c := range []string{"front register", "dead entries", "after Stop", "dead entry skipped", "capped at the horizon"} {
 		if corners[c] == 0 {
 			t.Errorf("no check reached the %s case", c)
+		}
+	}
+}
+
+// TestLookaheadSkipsDeadEntries pins the heap shapes where a cancelled
+// entry hides below a live top: at first itself, and between first and
+// the earliest later live entry, directly or with live entries under it.
+// An event at 1 holds the front register, so every other entry sits in
+// the heap, and Lookahead is read from inside that event.
+func TestLookaheadSkipsDeadEntries(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		at     []Time // no push sifts up, so at[i] sits in heap slot i
+		cancel []int  // indexes into at
+		n      int
+		next   Time
+	}{
+		{"dead entry at first under a live top", []Time{10, 10, 20}, []int{1}, 1, 20},
+		{"dead leaf between first and next", []Time{10, 15, 20}, []int{1}, 1, 20},
+		{"live entry under a dead one", []Time{10, 15, 20, 17}, []int{1}, 1, 17},
+		{"dead chain down to a leaf", []Time{10, 15, 20, 17}, []int{1, 3}, 1, 20},
+		{"dead entries at first and after", []Time{10, 10, 10, 15, 16}, []int{1, 3}, 2, 16},
+	} {
+		s := New(1)
+		var first, next Time
+		var n int
+		s.At(1, func() { first, n, next = s.Lookahead() })
+		var hs []Handle
+		for _, at := range tc.at {
+			hs = append(hs, s.At(at, func() {}))
+		}
+		for _, i := range tc.cancel {
+			s.Cancel(hs[i])
+		}
+		s.Run()
+		if first != 10 || n != tc.n || next != tc.next {
+			t.Errorf("%s: Lookahead = (%v, %d, %v), want (10us, %d, %v)", tc.name, first, n, next, tc.n, tc.next)
 		}
 	}
 }

@@ -417,14 +417,13 @@ func (s *Simulator) RunUntil(horizon Time) {
 }
 
 // Lookahead reports what the queue holds next, as far as the running loop
-// can see: first is the earliest queued instant, n how many entries are
-// queued at first, and next the earliest queued instant after first. Each
-// instant is capped at the loop's horizon (the RunUntil argument, MaxTime
-// under Run, now after Stop or outside any loop), and n is 0 when the
-// earliest entry lies beyond it. Cancelled entries still in the heap may
-// be counted (the walk first collects those on top of the heap), so n and
-// next are conservative: n may be larger and next earlier than the live
-// events alone would give.
+// can see: first is the earliest queued instant, n how many live entries
+// are queued at first, and next the earliest live instant after first.
+// Each instant is capped at the loop's horizon (the RunUntil argument,
+// MaxTime under Run, now after Stop or outside any loop), and n is 0 when
+// the earliest entry lies beyond it. Cancelled entries still in the heap
+// count for nothing: the walk collects those on top of the heap and steps
+// over the rest, so the answer is exact for the live events.
 //
 // A model may use the answer to batch work it would otherwise spread over
 // events at instants before first: no other code can act in between, and
@@ -451,19 +450,46 @@ func (s *Simulator) Lookahead() (first Time, n int, next Time) {
 	return first, n, min(next, s.horizon)
 }
 
-// countAt counts the heap entries at t, the heap's minimum instant, in the
-// subtree rooted at i, and lowers *next to the earliest later instant it
-// meets. The entries at the minimum form a connected subtree under the
-// root, so the walk visits only them and their children.
+// countAt counts the live heap entries at t, the heap's minimum instant, in
+// the subtree rooted at i, and lowers *next to the earliest later live
+// instant it meets. The entries at the minimum form a connected subtree
+// under the root, so the walk visits only them and, below them, what
+// earliestLive visits.
 func (s *Simulator) countAt(i int, t Time, next *Time) int {
 	if i >= len(s.queue) {
 		return 0
 	}
-	if at := s.queue[i].at; at != t {
-		*next = min(*next, at)
+	en := s.queue[i]
+	if en.at != t {
+		s.earliestLive(i, next)
 		return 0
 	}
-	return 1 + s.countAt(2*i+1, t, next) + s.countAt(2*i+2, t, next)
+	n := s.countAt(2*i+1, t, next) + s.countAt(2*i+2, t, next)
+	if s.slab[en.idx].state() == statePending {
+		n++
+	}
+	return n
+}
+
+// earliestLive lowers *next to the earliest live instant in the subtree
+// rooted at i. No descendant precedes its ancestor, so the walk stops at a
+// live entry, at an entry no earlier than *next, and at a leaf: it only
+// descends through cancelled entries, and compaction keeps those to at
+// most half the heap (or fewer than compactMinDead).
+func (s *Simulator) earliestLive(i int, next *Time) {
+	if i >= len(s.queue) {
+		return
+	}
+	en := s.queue[i]
+	if en.at >= *next {
+		return
+	}
+	if s.slab[en.idx].state() == statePending {
+		*next = en.at
+		return
+	}
+	s.earliestLive(2*i+1, next)
+	s.earliestLive(2*i+2, next)
 }
 
 // --- the (at, seq) binary heap ---
