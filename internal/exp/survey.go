@@ -48,19 +48,7 @@ func surveyCatalogue() []scenario.Spec {
 // much as 90% of their time listening", so transmit-power control alone
 // cannot save much.
 func E3ListenFraction(seed int64) Result {
-	s := sim.New(seed)
-	m := dcf.NewMedium(s, dcf.Default80211b(), nil)
-	ap := dcf.NewStation(frame.AP, m, radio.NewDeviceInState(s, radio.WLAN80211b(), radio.Idle))
-	sta := dcf.NewStation(0, m, radio.NewDeviceInState(s, radio.WLAN80211b(), radio.Idle))
-	_ = ap
-	// Interactive-style load: ~10 uplink frames/s of 1 KB.
-	seq := 0
-	sim.NewTicker(s, 100*sim.Millisecond, func() {
-		seq++
-		sta.Enqueue(frame.NewData(0, frame.AP, seq, 1000))
-	})
-	s.RunUntil(60 * sim.Second)
-	meter := sta.Device().Meter()
+	meter := runUplinkStation(seed, 60*sim.Second)
 	idle := meter.StateFraction(radio.Idle)
 	rx := meter.StateFraction(radio.RX)
 	tx := meter.StateFraction(radio.TX)
@@ -75,6 +63,23 @@ func E3ListenFraction(seed int64) Result {
 	return Result{Name: "e3-listen-fraction", Table: t.String(), Values: map[string]float64{
 		"idleFraction": idle, "idleEnergyShare": idleEnergy,
 	}}
+}
+
+// runUplinkStation runs e3's unmanaged station for dur: one always-awake
+// DCF station sending an interactive-style load of ~10 uplink frames/s of
+// 1 KB to its AP. It returns the station radio's meter.
+func runUplinkStation(seed int64, dur sim.Time) *radio.Meter {
+	s := sim.New(seed)
+	m := dcf.NewMedium(s, dcf.Default80211b(), nil)
+	dcf.NewStation(frame.AP, m, radio.NewDeviceInState(s, radio.WLAN80211b(), radio.Idle))
+	sta := dcf.NewStation(0, m, radio.NewDeviceInState(s, radio.WLAN80211b(), radio.Idle))
+	seq := 0
+	sim.NewTicker(s, 100*sim.Millisecond, func() {
+		seq++
+		sta.Enqueue(frame.NewData(0, frame.AP, seq, 1000))
+	})
+	s.RunUntil(dur)
+	return sta.Device().Meter()
 }
 
 // E4PSMvsCAM compares 802.11 power-save mode to continuously-active mode
@@ -136,25 +141,7 @@ func E5MACComparison(seed int64) Result {
 
 	camW, camColl := runDCFDownlink(seed, nSta, loadBytes, loadEvery, dur, false)
 	psmW, psmColl := runDCFDownlink(seed, nSta, loadBytes, loadEvery, dur, true)
-
-	s := sim.New(seed)
-	bs := radio.NewDeviceInState(s, radio.WLAN80211b(), radio.Idle)
-	net := ecmac.NewNetwork(s, ecmac.DefaultConfig(), bs)
-	for i := 0; i < nSta; i++ {
-		net.Register(i, radio.NewDeviceInState(s, radio.WLAN80211b(), radio.Idle))
-	}
-	net.Start()
-	sim.NewTicker(s, loadEvery, func() {
-		for i := 0; i < nSta; i++ {
-			net.Deliver(i, loadBytes)
-		}
-	})
-	s.RunUntil(dur)
-	var ecW float64
-	for i := 0; i < nSta; i++ {
-		ecW += net.StationEnergy(i)
-	}
-	ecW /= nSta
+	ecW := runECMACDownlink(seed, nSta, loadBytes, loadEvery, dur)
 
 	t := stats.NewTable("E5 — MAC protocol comparison (4 stations, 16 KB/s each downlink)",
 		"protocol", "client avg W", "collisions", "property")
@@ -168,6 +155,33 @@ func E5MACComparison(seed int64) Result {
 	}}
 }
 
+// runECMACDownlink is e5's EC-MAC leg: n stations each receiving bytes of
+// downlink every period, for dur. It returns the stations' mean power.
+func runECMACDownlink(seed int64, n int, bytes int, every, dur sim.Time) float64 {
+	s := sim.New(seed)
+	bs := radio.NewDeviceInState(s, radio.WLAN80211b(), radio.Idle)
+	net := ecmac.NewNetwork(s, ecmac.DefaultConfig(), bs)
+	for i := 0; i < n; i++ {
+		net.Register(i, radio.NewDeviceInState(s, radio.WLAN80211b(), radio.Idle))
+	}
+	net.Start()
+	sim.NewTicker(s, every, func() {
+		for i := 0; i < n; i++ {
+			net.Deliver(i, bytes)
+		}
+	})
+	s.RunUntil(dur)
+	var w float64
+	for i := 0; i < n; i++ {
+		w += net.StationEnergy(i)
+	}
+	return w / float64(n)
+}
+
+// runDCFDownlink is e5's CAM (ps false) or PSM (ps true) leg: an AP
+// delivering bytes to each of n stations every period, and 200 B uplink
+// status reports from every station each 250 ms, for dur. It returns the
+// stations' mean power and the medium's collision count.
 func runDCFDownlink(seed int64, n int, bytes int, every, dur sim.Time, ps bool) (float64, int) {
 	s := sim.New(seed)
 	m := dcf.NewMedium(s, dcf.Default80211b(), nil)

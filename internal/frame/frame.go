@@ -2,6 +2,13 @@
 // DCF/PSM, EC-MAC and PAMAS models: data frames, acknowledgements, beacons
 // carrying traffic indication maps (TIM), and PS-Poll frames. Sizes follow
 // 802.11b conventions so airtime computations are realistic.
+//
+// Frames travel by value: a MAC queue, a pending response or an in-flight
+// transmission holds its own copy, so the steady state allocates no
+// frames. A *Frame handed to a callback points into such a copy and is
+// valid only for the duration of the call; a callback that keeps a frame
+// must copy it. A beacon's TIM is shared by reference with every copy of
+// the beacon, and its owner may reuse it once the beacon has been sent.
 package frame
 
 import "fmt"
@@ -95,25 +102,34 @@ func (f *Frame) Size() int {
 	}
 }
 
-// NewData builds a data frame.
+// NewData builds a data frame. It inlines, so a frame handed straight to
+// a queue that copies it (dcf.Station.Enqueue) stays on the stack.
 func NewData(from, to, seq, payload int) *Frame {
-	if payload < 0 || payload > MaxPayload {
-		panic(fmt.Sprintf("frame: payload %d outside [0, %d]", payload, MaxPayload))
+	if uint(payload) > MaxPayload { // negative payloads wrap above it
+		badPayload(payload)
 	}
 	return &Frame{Kind: Data, From: from, To: to, Seq: seq, Payload: payload}
 }
 
+// badPayload panics out of line, keeping NewData within the inlining
+// budget.
+//
+//go:noinline
+func badPayload(payload int) {
+	panic(fmt.Sprintf("frame: payload %d outside [0, %d]", payload, MaxPayload))
+}
+
 // NewAck builds an acknowledgement for the given destination.
-func NewAck(from, to int) *Frame { return &Frame{Kind: Ack, From: from, To: to} }
+func NewAck(from, to int) Frame { return Frame{Kind: Ack, From: from, To: to} }
 
 // NewPSPoll builds a PS-Poll frame from a dozing station to the AP. The
 // sequence number lets the AP suppress duplicated polls caused by MAC-level
 // retransmission of the poll itself.
-func NewPSPoll(from, seq int) *Frame {
-	return &Frame{Kind: PSPoll, From: from, To: AP, Seq: seq}
+func NewPSPoll(from, seq int) Frame {
+	return Frame{Kind: PSPoll, From: from, To: AP, Seq: seq}
 }
 
 // NewBeacon builds a beacon carrying the given TIM.
-func NewBeacon(tim *TIM) *Frame {
-	return &Frame{Kind: Beacon, From: AP, To: Broadcast, TIM: tim}
+func NewBeacon(tim *TIM) Frame {
+	return Frame{Kind: Beacon, From: AP, To: Broadcast, TIM: tim}
 }

@@ -6,15 +6,15 @@ import (
 
 func TestFrameSizes(t *testing.T) {
 	cases := []struct {
-		f    *Frame
+		f    Frame
 		want int
 	}{
 		{NewAck(0, 1), AckSize},
 		{NewPSPoll(3, 1), PSPollSize},
-		{&Frame{Kind: RTS}, RTSSize},
-		{&Frame{Kind: CTS}, CTSSize},
-		{NewData(0, 1, 0, 1500), MACHeader + 1500},
-		{NewData(0, 1, 0, 0), MACHeader},
+		{Frame{Kind: RTS}, RTSSize},
+		{Frame{Kind: CTS}, CTSSize},
+		{*NewData(0, 1, 0, 1500), MACHeader + 1500},
+		{*NewData(0, 1, 0, 0), MACHeader},
 		{NewBeacon(nil), BeaconBase},
 	}
 	for i, c := range cases {
@@ -67,6 +67,57 @@ func TestTIMSetClearIndicated(t *testing.T) {
 	}
 	if !tim.Any() {
 		t.Error("Any false with one station set")
+	}
+	tim.Set(12) // already set: the count must not move
+	tim.Clear(5)
+	if tim.Stations() != 1 {
+		t.Errorf("Stations = %d after a repeated Set and Clear, want 1", tim.Stations())
+	}
+	tim.Reset()
+	if tim.Any() || tim.Indicated(12) || tim.Stations() != 0 {
+		t.Error("Reset left stations indicated")
+	}
+	if tim.Indicated(-1) || tim.Indicated(1<<20) {
+		t.Error("ids outside the bitmap indicated")
+	}
+}
+
+// The bitset's partial-bitmap size matches the octet range of its lowest
+// and highest ids, including ids on either side of a 64-bit word boundary.
+func TestTIMEncodedSizeAcrossWords(t *testing.T) {
+	for _, c := range []struct {
+		ids  []int
+		want int
+	}{
+		{[]int{63}, 5},
+		{[]int{64}, 5},
+		{[]int{63, 64}, 4 + 2},
+		{[]int{8, 191}, 4 + 23 - 1 + 1},
+		{[]int{130, 2007}, 4 + 250 - 16 + 1},
+	} {
+		tim := NewTIM(1)
+		for _, id := range c.ids {
+			tim.Set(id)
+		}
+		if got := tim.EncodedSize(); got != c.want {
+			t.Errorf("ids %v: EncodedSize = %d, want %d", c.ids, got, c.want)
+		}
+	}
+}
+
+// A TIM reused across beacons allocates nothing once its bitset covers
+// the highest id it is asked to mark.
+func TestTIMReuseAllocatesNothing(t *testing.T) {
+	tim := NewTIM(3)
+	allocs := testing.AllocsPerRun(100, func() {
+		tim.Reset()
+		for _, id := range []int{0, 5, 70, 129} {
+			tim.Set(id)
+		}
+		_ = tim.EncodedSize()
+	})
+	if allocs != 0 {
+		t.Errorf("reset and refill allocated %.1f times per run, want 0", allocs)
 	}
 }
 

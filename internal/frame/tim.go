@@ -1,22 +1,28 @@
 package frame
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // TIM is the 802.11 traffic indication map: a partial virtual bitmap telling
 // power-saving stations whether the AP buffers traffic for them. The paper's
 // description of the PSM standard — "a device enter[s] doze mode whenever
 // there is no traffic for it in the traffic indication map sent by the
 // access point" — is implemented on top of this type.
+//
+// The bitmap is a bitset indexed by station id, so its storage grows with
+// the highest id set: ids are meant to be association ids, which 802.11
+// caps at 2007. Reset empties the bitset but keeps its words, so an AP
+// reusing its TIMs stops allocating once they cover its highest id.
 type TIM struct {
 	// DTIMCount counts down beacons until the next DTIM (0 = this beacon is
-	// a DTIM and broadcast traffic follows).
+	// a DTIM).
 	DTIMCount int
 	// DTIMPeriod is the DTIM interval in beacons.
 	DTIMPeriod int
-	// Broadcast indicates buffered broadcast/multicast traffic (delivered
-	// after DTIM beacons).
-	Broadcast bool
-	bitmap    map[int]bool
+	words      []uint64 // bit sta%64 of words[sta/64] marks station sta
+	n          int      // stations indicated
 }
 
 // NewTIM creates an empty TIM with the given DTIM period.
@@ -24,7 +30,13 @@ func NewTIM(dtimPeriod int) *TIM {
 	if dtimPeriod <= 0 {
 		panic(fmt.Sprintf("frame: DTIM period %d must be positive", dtimPeriod))
 	}
-	return &TIM{DTIMPeriod: dtimPeriod, bitmap: make(map[int]bool)}
+	return &TIM{DTIMPeriod: dtimPeriod}
+}
+
+// Reset unmarks every station, keeping the bitmap's storage for reuse.
+func (t *TIM) Reset() {
+	clear(t.words)
+	t.n = 0
 }
 
 // Set marks station sta as having buffered traffic.
@@ -32,48 +44,65 @@ func (t *TIM) Set(sta int) {
 	if sta < 0 {
 		panic("frame: TIM station ids must be non-negative")
 	}
-	t.bitmap[sta] = true
+	w := sta / 64
+	if w >= len(t.words) {
+		t.words = append(t.words, make([]uint64, w+1-len(t.words))...)
+	}
+	bit := uint64(1) << (sta % 64)
+	if t.words[w]&bit == 0 {
+		t.words[w] |= bit
+		t.n++
+	}
 }
 
 // Clear unmarks station sta.
-func (t *TIM) Clear(sta int) { delete(t.bitmap, sta) }
+func (t *TIM) Clear(sta int) {
+	if !t.Indicated(sta) {
+		return
+	}
+	t.words[sta/64] &^= uint64(1) << (sta % 64)
+	t.n--
+}
 
 // Indicated reports whether sta has buffered traffic per this TIM.
-func (t *TIM) Indicated(sta int) bool { return t.bitmap[sta] }
+func (t *TIM) Indicated(sta int) bool {
+	if sta < 0 || sta/64 >= len(t.words) {
+		return false
+	}
+	return t.words[sta/64]&(uint64(1)<<(sta%64)) != 0
+}
 
 // Stations returns the number of stations indicated.
-func (t *TIM) Stations() int { return len(t.bitmap) }
+func (t *TIM) Stations() int { return t.n }
 
 // Any reports whether any station is indicated.
-func (t *TIM) Any() bool { return len(t.bitmap) > 0 }
+func (t *TIM) Any() bool { return t.n > 0 }
 
 // maxSta returns the highest indicated station id, or -1.
 func (t *TIM) maxSta() int {
-	max := -1
-	for sta := range t.bitmap {
-		if sta > max {
-			max = sta
+	for w := len(t.words) - 1; w >= 0; w-- {
+		if t.words[w] != 0 {
+			return w*64 + 63 - bits.LeadingZeros64(t.words[w])
 		}
 	}
-	return max
+	return -1
 }
 
 // minSta returns the lowest indicated station id, or -1.
 func (t *TIM) minSta() int {
-	min := -1
-	for sta := range t.bitmap {
-		if min == -1 || sta < min {
-			min = sta
+	for w, x := range t.words {
+		if x != 0 {
+			return w*64 + bits.TrailingZeros64(x)
 		}
 	}
-	return min
+	return -1
 }
 
 // EncodedSize returns the on-air size of the TIM element in bytes using the
 // 802.11 partial-virtual-bitmap encoding: 4 fixed bytes plus only the octet
 // range [floor(min/8), floor(max/8)] of the bitmap.
 func (t *TIM) EncodedSize() int {
-	if len(t.bitmap) == 0 {
+	if t.n == 0 {
 		return 4 + 1 // standard: at least one bitmap octet present
 	}
 	lo := t.minSta() / 8

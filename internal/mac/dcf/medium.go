@@ -12,6 +12,11 @@
 // queued instant (Simulator.Lookahead), since nothing else can observe a
 // boundary in between. Outputs are those of one event per slot, bit for
 // bit; ref_test.go keeps that engine as the reference.
+//
+// Frames are held by value: Enqueue and SendAfter copy the frame they are
+// given, and the Medium copies it again into its in-flight record. The
+// *frame.Frame that OnReceive and OnSent receive points into one of those
+// copies and is valid only for the duration of the call.
 package dcf
 
 import (
@@ -80,11 +85,12 @@ func (c Config) AirTime(bytes int) sim.Time {
 	return c.PLCPOverhead + sim.FromSeconds(float64(bytes*8)/c.BitRate)
 }
 
-// transmission is one in-flight frame on the medium. Records are pooled by
-// the Medium; fire is bound once, when the record is first allocated.
+// transmission is one in-flight frame on the medium, with its own copy of
+// the frame. Records are pooled by the Medium; fire is bound once, when the
+// record is first allocated.
 type transmission struct {
 	m        *Medium
-	f        *frame.Frame
+	f        frame.Frame
 	from     *Station
 	collided bool
 	fire     func()
@@ -148,7 +154,8 @@ func (m *Medium) attach(st *Station) {
 // Station returns the attached station with the given id, or nil.
 func (m *Medium) Station(id int) *Station { return m.nodes[id] }
 
-// begin puts a frame on the air. Any overlap collides every frame involved.
+// begin puts a copy of f on the air. Any overlap collides every frame
+// involved.
 func (m *Medium) begin(st *Station, f *frame.Frame) {
 	dur := m.cfg.AirTime(f.Size())
 	var tx *transmission
@@ -159,7 +166,7 @@ func (m *Medium) begin(st *Station, f *frame.Frame) {
 		tx = &transmission{m: m}
 		tx.fire = tx.finish
 	}
-	tx.f, tx.from, tx.collided = f, st, false
+	tx.f, tx.from, tx.collided = *f, st, false
 	if len(m.active) > 0 {
 		tx.collided = true
 		for _, other := range m.active {
@@ -214,10 +221,10 @@ func (m *Medium) finish(tx *transmission) {
 	if delivered {
 		m.stats.Delivered++
 	}
-	tx.from.txDone(tx.f, delivered)
+	tx.from.txDone(&tx.f, delivered)
 	// Recycle only after txDone has returned: until then the record's
 	// frame and sender are still in use.
-	tx.f, tx.from = nil, nil
+	tx.from = nil
 	m.free = append(m.free, tx)
 
 	if nowIdle {
@@ -231,12 +238,12 @@ func (m *Medium) deliver(tx *transmission) {
 	if tx.f.To == frame.Broadcast {
 		for _, n := range m.order {
 			if n != tx.from && n.Awake() {
-				n.receive(tx.f)
+				n.receive(&tx.f)
 			}
 		}
 		return
 	}
 	if dst, ok := m.nodes[tx.f.To]; ok && dst.Awake() {
-		dst.receive(tx.f)
+		dst.receive(&tx.f)
 	}
 }

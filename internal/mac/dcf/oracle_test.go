@@ -195,7 +195,10 @@ func runOracle(c oracleCase, ref bool) oracleOutcome {
 	// of each, and once the beacon is heard they doze as soon as they are
 	// quiescent, retrying every millisecond until 2 ms before the next wake.
 	const beacon, lead = 20 * sim.Millisecond, 2 * sim.Millisecond
-	sim.NewTicker(s, beacon, func() { ap.SendAfter(0, frame.NewBeacon(frame.NewTIM(1))) })
+	sim.NewTicker(s, beacon, func() {
+		b := frame.NewBeacon(frame.NewTIM(1))
+		ap.SendAfter(0, &b)
+	})
 	for i := range c.stations {
 		st := nodes[i+1]
 		var attemptDoze func()

@@ -591,7 +591,8 @@ func (st *refStation) receive(f *frame.Frame) {
 	// Unicast data and PS-Polls get a SIFS-separated ACK — including
 	// MAC-level retransmissions, whose original ACK may have been lost.
 	if (f.Kind == frame.Data || f.Kind == frame.PSPoll) && f.To == st.id {
-		st.SendAfter(st.cfg.SIFS, frame.NewAck(st.id, f.From))
+		ack := frame.NewAck(st.id, f.From)
+		st.SendAfter(st.cfg.SIFS, &ack)
 		if last, seen := st.lastSeq[f.From]; seen && last == f.Seq {
 			return // duplicate retransmission: ACKed but not re-delivered
 		}

@@ -1,12 +1,19 @@
 // Package ecmac implements an EC-MAC-style energy-conserving MAC: a base
 // station broadcasts a centrally determined TDMA schedule at the start of
-// every superframe, stations announce uplink demand in collision-free
-// reservation minislots, and data flows in assigned slots. Because every
+// every superframe, a reservation phase of one minislot per station
+// follows, and downlink data flows in assigned slots. Because every
 // station learns the exact schedule, it knows precisely when to wake and can
 // sleep the rest of the superframe — the property the paper highlights:
 // "EC-MAC extends this by broadcasting a centrally determined schedule of
 // data transmission times to reduce collisions and to provide exact times
 // for entry into doze state."
+//
+// The model carries downlink traffic only: the reservation minislots keep
+// their place in the superframe, but no station transmits in them.
+//
+// A superframe allocates nothing once the network is warm: the schedule
+// lives in buffers reused on the Network, every event callback is bound
+// once per network or per station, and packets are queued by value.
 package ecmac
 
 import (
@@ -30,8 +37,6 @@ type Config struct {
 	ScheduleBytes int
 	// PerEntryBytes is the per-station schedule entry size.
 	PerEntryBytes int
-	// RequestBytes is the size of an uplink reservation request.
-	RequestBytes int
 	// BitRate is the PHY rate in bits/second.
 	BitRate float64
 	// WakeLead is how long before a scheduled activity a station begins its
@@ -48,7 +53,6 @@ func DefaultConfig() Config {
 		ReqSlotTime:   200 * sim.Microsecond,
 		ScheduleBytes: 60,
 		PerEntryBytes: 6,
-		RequestBytes:  40,
 		BitRate:       11e6,
 		WakeLead:      3 * sim.Millisecond,
 	}
@@ -76,25 +80,31 @@ func (c Config) BytesPerSlot() int {
 	return int(c.SlotTime.Seconds() * c.BitRate / 8)
 }
 
-// packet is one queued application payload.
+// packet is one queued downlink payload.
 type packet struct {
-	bytes     int
 	remaining int
 	enqueued  sim.Time
 }
 
 // stationState is the base station's view of one registered client.
 type stationState struct {
+	n        *Network
 	id       int
 	dev      *radio.Device
-	downlink []*packet
-	uplink   []*packet
-	// uplinkGranted is the uplink demand (bytes) the BS learned from the
-	// most recent reservation phase.
-	uplinkGranted int
+	downlink []packet
+	queued   int // bytes left across downlink
 
 	recvBytes int
-	sentBytes int
+
+	// This superframe's schedule for the station: whether it has a data
+	// window and, if so, how many slots.
+	hasWindow bool
+	slots     int
+
+	// Event callbacks bound once in Register.
+	afterBeaconFn func()
+	windowFn      func()
+	windowEndFn   func()
 }
 
 // Stats aggregates network-wide EC-MAC counters.
@@ -102,11 +112,16 @@ type Stats struct {
 	Superframes    int
 	PacketsDeliv   int
 	BytesDownlink  int
-	BytesUplink    int
 	Collisions     int // always 0: TDMA is collision-free by construction
 	MeanDelay      sim.Time
 	totalDelay     sim.Time
 	delayedPackets int
+}
+
+// window is one station's contiguous run of data slots in a superframe.
+type window struct {
+	st         *stationState
+	start, end sim.Time
 }
 
 // Network is a complete EC-MAC cell: one base station plus registered
@@ -121,6 +136,17 @@ type Network struct {
 	rotation int
 	stats    Stats
 	started  bool
+
+	// The current superframe's schedule, rebuilt by runSuperframe into
+	// reused storage. Every callback of a superframe fires before the next
+	// one starts: data windows end by nextWake.
+	windows  []window
+	nextWake sim.Time
+
+	// Event callbacks bound once in NewNetwork.
+	bsTXFn, bsIdleFn func()
+	wakeAllFn        func()
+	runSuperframeFn  func()
 }
 
 // NewNetwork creates an EC-MAC cell. The base-station device models the
@@ -132,7 +158,12 @@ func NewNetwork(s *sim.Simulator, cfg Config, bsDev *radio.Device) *Network {
 	if bsDev.State() != radio.Idle {
 		panic("ecmac: base station radio must start Idle")
 	}
-	return &Network{sim: s, cfg: cfg, bs: bsDev, byID: make(map[int]*stationState)}
+	n := &Network{sim: s, cfg: cfg, bs: bsDev, byID: make(map[int]*stationState)}
+	n.bsTXFn = n.bsTX
+	n.bsIdleFn = n.bsIdle
+	n.wakeAllFn = n.wakeAll
+	n.runSuperframeFn = n.runSuperframe
+	return n
 }
 
 // Register adds a station; its radio must start Idle (it will be put to
@@ -147,7 +178,10 @@ func (n *Network) Register(id int, dev *radio.Device) {
 	if dev.State() != radio.Idle {
 		panic("ecmac: station radio must start Idle")
 	}
-	st := &stationState{id: id, dev: dev}
+	st := &stationState{n: n, id: id, dev: dev}
+	st.afterBeaconFn = st.afterBeacon
+	st.windowFn = st.openWindow
+	st.windowEndFn = st.closeWindow
 	n.stations = append(n.stations, st)
 	n.byID[id] = st
 	sort.Slice(n.stations, func(i, j int) bool { return n.stations[i].id < n.stations[j].id })
@@ -163,8 +197,8 @@ func (n *Network) Start() {
 		st.dev.SetState(radio.Sleep, nil)
 	}
 	first := n.cfg.SuperframeLen
-	n.sim.At(first-n.cfg.WakeLead, n.wakeAll)
-	n.sim.At(first, n.runSuperframe)
+	n.sim.At(first-n.cfg.WakeLead, n.wakeAllFn)
+	n.sim.At(first, n.runSuperframeFn)
 }
 
 // Deliver queues downlink payload for a station.
@@ -173,16 +207,8 @@ func (n *Network) Deliver(to int, bytes int) {
 	if !ok {
 		panic(fmt.Sprintf("ecmac: unknown station %d", to))
 	}
-	st.downlink = append(st.downlink, &packet{bytes: bytes, remaining: bytes, enqueued: n.sim.Now()})
-}
-
-// SendUplink queues uplink payload at a station.
-func (n *Network) SendUplink(from int, bytes int) {
-	st, ok := n.byID[from]
-	if !ok {
-		panic(fmt.Sprintf("ecmac: unknown station %d", from))
-	}
-	st.uplink = append(st.uplink, &packet{bytes: bytes, remaining: bytes, enqueued: n.sim.Now()})
+	st.downlink = append(st.downlink, packet{remaining: bytes, enqueued: n.sim.Now()})
+	st.queued += bytes
 }
 
 // Stats returns aggregate counters with the mean delay computed.
@@ -202,9 +228,6 @@ func (n *Network) StationEnergy(id int) float64 {
 // StationRecvBytes returns delivered downlink bytes for a station.
 func (n *Network) StationRecvBytes(id int) int { return n.byID[id].recvBytes }
 
-// StationSentBytes returns delivered uplink bytes for a station.
-func (n *Network) StationSentBytes(id int) int { return n.byID[id].sentBytes }
-
 // wakeAll begins every station's sleep→idle transition ahead of the beacon.
 func (n *Network) wakeAll() {
 	for _, st := range n.stations {
@@ -213,6 +236,9 @@ func (n *Network) wakeAll() {
 		}
 	}
 }
+
+func (n *Network) bsTX()   { n.bs.SetState(radio.TX, nil) }
+func (n *Network) bsIdle() { n.bs.SetState(radio.Idle, nil) }
 
 // dozeStation puts a station to sleep if it is idle and the sleep transition
 // completes before nextWake (otherwise sleeping would race the wakeup).
@@ -242,7 +268,7 @@ func (n *Network) airTime(bytes int) sim.Time {
 func (n *Network) runSuperframe() {
 	cfg := n.cfg
 	frameStart := n.sim.Now()
-	nextWake := frameStart + cfg.SuperframeLen - cfg.WakeLead
+	n.nextWake = frameStart + cfg.SuperframeLen - cfg.WakeLead
 	n.stats.Superframes++
 
 	// --- Build the schedule ---
@@ -256,180 +282,89 @@ func (n *Network) runSuperframe() {
 	}
 	bps := cfg.BytesPerSlot()
 
-	// Rotate service order each frame for long-run fairness.
-	order := make([]*stationState, len(n.stations))
-	for i := range n.stations {
-		order[i] = n.stations[(i+n.rotation)%len(n.stations)]
+	// Serve stations in an order rotated each frame, for long-run fairness.
+	for _, st := range n.stations {
+		st.hasWindow = false
 	}
-	n.rotation++
-
-	type window struct {
-		st         *stationState
-		start, end sim.Time
-		down, up   int // slots
-	}
-	var windows []window
+	n.windows = n.windows[:0]
 	remaining := avail
-	slotCursor := 0
-	for _, st := range order {
+	for i := range n.stations {
 		if remaining == 0 {
 			break
 		}
-		down := (queuedBytes(st.downlink) + bps - 1) / bps
-		up := (st.uplinkGranted + bps - 1) / bps
-		if down > remaining {
-			down = remaining
-		}
-		remaining -= down
-		if up > remaining {
-			up = remaining
-		}
-		remaining -= up
-		if down+up == 0 {
+		st := n.stations[(i+n.rotation)%len(n.stations)]
+		down := min((st.queued+bps-1)/bps, remaining)
+		if down == 0 {
 			continue
 		}
-		start := frameStart + dataStart + cfg.SlotTime*sim.Time(slotCursor)
-		slotCursor += down + up
-		windows = append(windows, window{
-			st: st, start: start,
-			end:  start + cfg.SlotTime*sim.Time(down+up),
-			down: down, up: up,
-		})
+		start := frameStart + dataStart + cfg.SlotTime*sim.Time(avail-remaining)
+		remaining -= down
+		st.hasWindow, st.slots = true, down
+		n.windows = append(n.windows, window{st: st, start: start, end: start + cfg.SlotTime*sim.Time(down)})
 	}
-	hasWindow := make(map[int]bool, len(windows))
-	for _, w := range windows {
-		hasWindow[w.st.id] = true
-	}
-	requesting := make(map[int]bool, len(n.stations))
-	for _, st := range n.stations {
-		if queuedBytes(st.uplink) > 0 {
-			requesting[st.id] = true
-		}
-	}
+	n.rotation++
 
 	// --- Base-station radio timeline (chronological scheduling order) ---
 	n.bs.SetState(radio.TX, nil) // beacon
-	n.sim.At(frameStart+beaconDur, func() { n.bs.SetState(radio.Idle, nil) })
-	reqDur := n.airTime(cfg.RequestBytes)
-	if reqDur > cfg.ReqSlotTime {
-		reqDur = cfg.ReqSlotTime
-	}
-	for i, st := range n.stations {
-		if !requesting[st.id] {
-			continue
-		}
-		slotAt := frameStart + beaconDur + cfg.ReqSlotTime*sim.Time(i)
-		n.sim.At(slotAt, func() { n.bs.SetState(radio.RX, nil) })
-		n.sim.At(slotAt+reqDur, func() { n.bs.SetState(radio.Idle, nil) })
-	}
-	for _, w := range windows {
-		w := w
-		downEnd := w.start + cfg.SlotTime*sim.Time(w.down)
-		if w.down > 0 {
-			n.sim.At(w.start, func() { n.bs.SetState(radio.TX, nil) })
-		}
-		if w.up > 0 {
-			n.sim.At(downEnd, func() { n.bs.SetState(radio.RX, nil) })
-		}
-		n.sim.At(w.end, func() { n.bs.SetState(radio.Idle, nil) })
+	n.sim.At(frameStart+beaconDur, n.bsIdleFn)
+	for _, w := range n.windows {
+		n.sim.At(w.start, n.bsTXFn)
+		n.sim.At(w.end, n.bsIdleFn)
 	}
 
 	// --- Station radio timelines ---
 	for _, st := range n.stations {
-		st := st
 		if st.dev.State() != radio.Idle || st.dev.Transitioning() {
 			continue // missed wakeup; sits out this frame, retried next wakeAll
 		}
-		afterBeacon := func() {
-			// Idle until minislot / window; doze immediately if neither.
-			if !requesting[st.id] && !hasWindow[st.id] {
-				n.dozeStation(st, nextWake)
-			}
-		}
-		st.dev.OccupyFor(radio.RX, beaconDur, radio.Idle, afterBeacon)
+		st.dev.OccupyFor(radio.RX, beaconDur, radio.Idle, st.afterBeaconFn)
 	}
-	for i, st := range n.stations {
-		st := st
-		if !requesting[st.id] {
-			continue
-		}
-		slotAt := frameStart + beaconDur + cfg.ReqSlotTime*sim.Time(i)
-		n.sim.At(slotAt, func() {
-			st.uplinkGranted = queuedBytes(st.uplink)
-			st.dev.OccupyFor(radio.TX, reqDur, radio.Idle, func() {
-				if !hasWindow[st.id] {
-					n.dozeStation(st, nextWake)
-				}
-			})
-		})
-	}
-	for _, w := range windows {
-		w := w
-		st := w.st
-		n.sim.At(w.start, func() {
-			downDur := cfg.SlotTime * sim.Time(w.down)
-			upDur := cfg.SlotTime * sim.Time(w.up)
-			finish := func() { n.dozeStation(st, nextWake) }
-			runUp := func() {
-				if w.up == 0 {
-					finish()
-					return
-				}
-				st.dev.OccupyFor(radio.TX, upDur, radio.Idle, func() {
-					n.drain(st, &st.uplink, w.up*bps, false)
-					st.uplinkGranted = 0
-					finish()
-				})
-			}
-			if w.down > 0 {
-				st.dev.OccupyFor(radio.RX, downDur, radio.Idle, func() {
-					n.drain(st, &st.downlink, w.down*bps, true)
-					runUp()
-				})
-			} else {
-				runUp()
-			}
-		})
+	for _, w := range n.windows {
+		n.sim.At(w.start, w.st.windowFn)
 	}
 
 	// --- Next frame ---
-	next := frameStart + cfg.SuperframeLen
-	n.sim.At(nextWake, n.wakeAll)
-	n.sim.At(next, n.runSuperframe)
+	n.sim.At(n.nextWake, n.wakeAllFn)
+	n.sim.At(frameStart+cfg.SuperframeLen, n.runSuperframeFn)
 }
 
-// drain moves up to budget bytes out of a packet queue, recording delivery
-// delays for packets that complete.
-func (n *Network) drain(st *stationState, q *[]*packet, budget int, downlink bool) {
+// afterBeacon leaves a station idle until its data window, or dozes it
+// at once if it has none.
+func (st *stationState) afterBeacon() {
+	if !st.hasWindow {
+		st.n.dozeStation(st, st.n.nextWake)
+	}
+}
+
+// openWindow starts receiving the station's downlink slots.
+func (st *stationState) openWindow() {
+	st.dev.OccupyFor(radio.RX, st.n.cfg.SlotTime*sim.Time(st.slots), radio.Idle, st.windowEndFn)
+}
+
+// closeWindow drains what the window carried and dozes the station.
+func (st *stationState) closeWindow() {
+	st.n.drain(st, st.slots*st.n.cfg.BytesPerSlot())
+	st.n.dozeStation(st, st.n.nextWake)
+}
+
+// drain moves up to budget bytes out of a station's downlink queue,
+// recording delivery delays for packets that complete.
+func (n *Network) drain(st *stationState, budget int) {
 	now := n.sim.Now()
-	for budget > 0 && len(*q) > 0 {
-		p := (*q)[0]
-		take := p.remaining
-		if take > budget {
-			take = budget
-		}
+	for budget > 0 && len(st.downlink) > 0 {
+		p := &st.downlink[0]
+		take := min(p.remaining, budget)
 		p.remaining -= take
 		budget -= take
-		if downlink {
-			st.recvBytes += take
-			n.stats.BytesDownlink += take
-		} else {
-			st.sentBytes += take
-			n.stats.BytesUplink += take
-		}
+		st.queued -= take
+		st.recvBytes += take
+		n.stats.BytesDownlink += take
 		if p.remaining == 0 {
-			*q = (*q)[1:]
 			n.stats.PacketsDeliv++
 			n.stats.totalDelay += now - p.enqueued
 			n.stats.delayedPackets++
+			// Shift in place so the queue keeps its capacity for Deliver.
+			st.downlink = st.downlink[:copy(st.downlink, st.downlink[1:])]
 		}
 	}
-}
-
-func queuedBytes(q []*packet) int {
-	total := 0
-	for _, p := range q {
-		total += p.remaining
-	}
-	return total
 }

@@ -57,18 +57,20 @@ func TestDownlinkDelivery(t *testing.T) {
 	}
 }
 
-func TestUplinkNeedsReservationRoundTrip(t *testing.T) {
+func TestDownlinkWaitsForNextSchedule(t *testing.T) {
 	s, n := newNet(2, 1, DefaultConfig())
 	n.Start()
-	n.SendUplink(0, 3000)
-	// Frame 1 (50ms): request sent. Frame 2 (100ms): granted and drained.
+	// The 50 ms superframe's schedule is already out: a payload queued
+	// after it waits for the 100 ms one, which gives it two slots.
+	s.RunUntil(60 * sim.Millisecond)
+	n.Deliver(0, 3000)
 	s.RunUntil(90 * sim.Millisecond)
-	if got := n.StationSentBytes(0); got != 0 {
-		t.Errorf("uplink drained before grant: %d bytes", got)
+	if got := n.StationRecvBytes(0); got != 0 {
+		t.Errorf("downlink drained before it was scheduled: %d bytes", got)
 	}
 	s.RunUntil(160 * sim.Millisecond)
-	if got := n.StationSentBytes(0); got != 3000 {
-		t.Errorf("uplink delivered %d, want 3000", got)
+	if got := n.StationRecvBytes(0); got != 3000 {
+		t.Errorf("downlink delivered %d, want 3000", got)
 	}
 }
 
@@ -178,31 +180,38 @@ func TestDeliverUnknownStationPanics(t *testing.T) {
 }
 
 func TestLongRunStability(t *testing.T) {
-	// Soak: mixed up/downlink over many superframes without panics and with
+	// Soak: random downlink over many superframes without panics and with
 	// conservation of bytes.
 	cfg := DefaultConfig()
 	s, n := newNet(10, 5, cfg)
 	n.Start()
-	var sentDown, sentUp int
+	var sent int
+	sentTo := make([]int, 5)
 	sim.NewTicker(s, 120*sim.Millisecond, func() {
-		n.Deliver(s.Rand().Intn(5), 4000)
-		sentDown += 4000
-	})
-	sim.NewTicker(s, 180*sim.Millisecond, func() {
-		n.SendUplink(s.Rand().Intn(5), 1500)
-		sentUp += 1500
+		to, bytes := s.Rand().Intn(5), 1500+s.Rand().Intn(4000)
+		n.Deliver(to, bytes)
+		sent += bytes
+		sentTo[to] += bytes
 	})
 	s.RunUntil(60 * sim.Second)
 	st := n.Stats()
-	if st.BytesDownlink > sentDown {
-		t.Errorf("delivered more downlink (%d) than sent (%d)", st.BytesDownlink, sentDown)
+	if st.BytesDownlink > sent {
+		t.Errorf("delivered more downlink (%d) than sent (%d)", st.BytesDownlink, sent)
 	}
-	if st.BytesUplink > sentUp {
-		t.Errorf("delivered more uplink (%d) than sent (%d)", st.BytesUplink, sentUp)
+	sum := 0
+	for i := range 5 {
+		got := n.StationRecvBytes(i)
+		if got > sentTo[i] {
+			t.Errorf("station %d received %d of %d bytes sent to it", i, got, sentTo[i])
+		}
+		sum += got
+	}
+	if sum != st.BytesDownlink {
+		t.Errorf("stations received %d bytes in total, network counted %d", sum, st.BytesDownlink)
 	}
 	// Nearly everything should drain (load ≪ capacity).
-	if float64(st.BytesDownlink) < 0.95*float64(sentDown)-8000 {
-		t.Errorf("downlink drained %d of %d", st.BytesDownlink, sentDown)
+	if float64(st.BytesDownlink) < 0.95*float64(sent)-8000 {
+		t.Errorf("downlink drained %d of %d", st.BytesDownlink, sent)
 	}
 	if st.Superframes < 1000 {
 		t.Errorf("superframes = %d, want ≥ 1000", st.Superframes)

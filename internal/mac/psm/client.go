@@ -9,12 +9,11 @@ import (
 
 // ClientStats counts station-side PSM activity.
 type ClientStats struct {
-	BeaconsHeard   int
-	BeaconsMissed  int
-	PollsSent      int
-	FramesRecv     int
-	BytesRecv      int
-	BroadcastsRecv int
+	BeaconsHeard  int
+	BeaconsMissed int
+	PollsSent     int
+	FramesRecv    int
+	BytesRecv     int
 }
 
 // Client is a power-saving 802.11 station. Its lifecycle is a loop:
@@ -29,7 +28,6 @@ type Client struct {
 	id  int
 
 	retrieving bool
-	bcastWait  bool
 	// cycle groups the client's beacon-cycle events — the pre-TBTT wakeup
 	// and the doze-retry polls — per station, so a future protocol change
 	// (listen-interval renegotiation, association teardown) can drop a
@@ -48,7 +46,8 @@ type Client struct {
 	onWakeFn      func()
 	attemptDozeFn func()
 
-	// OnData is invoked for every retrieved data frame.
+	// OnData is invoked for every retrieved data frame. f is valid only for
+	// the duration of the call.
 	OnData func(f *frame.Frame)
 }
 
@@ -106,13 +105,6 @@ func (c *Client) onWake() {
 }
 
 func (c *Client) onRetrieveTimeout() {
-	if c.bcastWait {
-		// The post-DTIM broadcast window closed; this is the normal end of
-		// a broadcast wait, not a missed beacon.
-		c.bcastWait = false
-		c.dozeUntilNext()
-		return
-	}
 	c.stats.BeaconsMissed++
 	c.retrieving = false
 	c.dozeUntilNext()
@@ -143,27 +135,14 @@ func (c *Client) onReceive(f *frame.Frame) {
 	case frame.Beacon:
 		c.stats.BeaconsHeard++
 		c.timeout.Stop()
-		c.bcastWait = f.TIM != nil && f.TIM.Broadcast && f.TIM.DTIMCount == 0
-		switch {
-		case f.TIM != nil && f.TIM.Indicated(c.id):
+		if f.TIM != nil && f.TIM.Indicated(c.id) {
 			c.retrieving = true
 			c.poll()
-		case c.bcastWait:
-			// Stay awake through the post-DTIM broadcast window.
-			c.timeout.Reset(c.cfg.RetrieveTimeout)
-		default:
+		} else {
 			c.dozeUntilNext()
 		}
 	case frame.Data:
-		if f.To == frame.Broadcast {
-			c.stats.BroadcastsRecv++
-			c.stats.BytesRecv += f.Payload
-			if c.OnData != nil {
-				c.OnData(f)
-			}
-			return
-		}
-		if !c.retrieving {
+		if !c.retrieving || f.To != c.id {
 			return
 		}
 		c.stats.FramesRecv++
@@ -184,6 +163,7 @@ func (c *Client) onReceive(f *frame.Frame) {
 func (c *Client) poll() {
 	c.stats.PollsSent++
 	c.seq++
-	c.sta.Enqueue(frame.NewPSPoll(c.id, c.seq))
+	p := frame.NewPSPoll(c.id, c.seq)
+	c.sta.Enqueue(&p)
 	c.timeout.Reset(c.cfg.RetrieveTimeout)
 }

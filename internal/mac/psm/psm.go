@@ -6,6 +6,12 @@
 // "802.11 power saving standard has a device entering doze mode whenever
 // there is no traffic for it in the traffic indication map sent by the
 // access point".
+//
+// Frames follow dcf's lifetime rule: the AP buffers frames by value and
+// retires a buffered head by its sequence number, and the *frame.Frame a
+// Client's OnData receives is valid only for the duration of the call.
+// The AP reuses a pool of TIMs, taking a beacon's TIM back once the beacon
+// has been sent.
 package psm
 
 import (
@@ -69,12 +75,11 @@ func (c Config) Validate() error {
 
 // APStats counts access-point-side PSM activity.
 type APStats struct {
-	Beacons        int
-	Buffered       int
-	BufferDrops    int
-	PollsServed    int
-	DirectSends    int // frames sent to CAM (non-PS) stations
-	BroadcastsSent int
+	Beacons     int
+	Buffered    int
+	BufferDrops int
+	PollsServed int
+	DirectSends int // frames sent to CAM (non-PS) stations
 }
 
 // AP is a power-save-aware access point. Downlink traffic for stations in PS
@@ -85,14 +90,23 @@ type AP struct {
 	cfg Config
 	sta *dcf.Station
 
-	psMode   map[int]bool
-	psOrder  []int // stations in first SetPSMode order: the TIM walk order
-	buffers  map[int][]*frame.Frame
-	bcastBuf []*frame.Frame
-	inFlight map[int]bool
+	stations map[int]*apStation
+	psOrder  []*apStation // in first SetPSMode order: the TIM walk order
+	// freeTIMs holds TIMs whose beacons have been sent. A beacon can wait
+	// in the AP's queue past the next TBTT, so one TIM per AP is not
+	// enough.
+	freeTIMs []*frame.TIM
 	beaconN  int
 	seq      int
 	stats    APStats
+}
+
+// apStation is the AP's state for one station registered with SetPSMode.
+type apStation struct {
+	id       int
+	ps       bool          // power-saving: downlink is buffered
+	inFlight bool          // the buffer head is in the AP's queue or on the air
+	buf      []frame.Frame // buffered downlink, oldest first
 }
 
 // NewAP creates the access point on the given medium and starts beaconing.
@@ -100,13 +114,7 @@ func NewAP(s *sim.Simulator, m *dcf.Medium, dev *radio.Device, cfg Config) *AP {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	ap := &AP{
-		sim:      s,
-		cfg:      cfg,
-		psMode:   make(map[int]bool),
-		buffers:  make(map[int][]*frame.Frame),
-		inFlight: make(map[int]bool),
-	}
+	ap := &AP{sim: s, cfg: cfg, stations: make(map[int]*apStation)}
 	ap.sta = dcf.NewStation(frame.AP, m, dev)
 	ap.sta.OnReceive = ap.onReceive
 	ap.sta.OnSent = ap.onSent
@@ -124,65 +132,64 @@ func (ap *AP) Stats() APStats { return ap.stats }
 // In a real network the station signals this with the power-management bit;
 // here registration is explicit.
 func (ap *AP) SetPSMode(sta int, on bool) {
-	if _, seen := ap.psMode[sta]; !seen {
-		ap.psOrder = append(ap.psOrder, sta)
+	st := ap.stations[sta]
+	if st == nil {
+		st = &apStation{id: sta}
+		ap.stations[sta] = st
+		ap.psOrder = append(ap.psOrder, st)
 	}
-	ap.psMode[sta] = on
+	st.ps = on
 }
 
 // Buffered returns the number of frames currently buffered for a station.
-func (ap *AP) Buffered(sta int) int { return len(ap.buffers[sta]) }
+func (ap *AP) Buffered(sta int) int {
+	if st := ap.stations[sta]; st != nil {
+		return len(st.buf)
+	}
+	return 0
+}
 
 // Deliver hands the AP a downlink payload for a station. PS stations get it
 // buffered for TIM-announced retrieval; CAM stations get it sent directly.
 func (ap *AP) Deliver(to int, payload int) {
 	ap.seq++
 	f := frame.NewData(frame.AP, to, ap.seq, payload)
-	if !ap.psMode[to] {
+	st := ap.stations[to]
+	if st == nil || !st.ps {
 		ap.stats.DirectSends++
 		ap.sta.Enqueue(f)
 		return
 	}
-	if len(ap.buffers[to]) >= ap.cfg.BufferLimit {
+	if len(st.buf) >= ap.cfg.BufferLimit {
 		ap.stats.BufferDrops++
 		return
 	}
-	ap.buffers[to] = append(ap.buffers[to], f)
+	st.buf = append(st.buf, *f)
 	ap.stats.Buffered++
 }
 
-// DeliverBroadcast queues a broadcast payload; it airs right after the next
-// DTIM beacon, when every power-saving station is awake to hear it.
-func (ap *AP) DeliverBroadcast(payload int) {
-	ap.seq++
-	f := frame.NewData(frame.AP, frame.Broadcast, ap.seq, payload)
-	ap.bcastBuf = append(ap.bcastBuf, f)
-}
-
 func (ap *AP) sendBeacon() {
-	tim := frame.NewTIM(ap.cfg.DTIMPeriod)
+	var tim *frame.TIM
+	if n := len(ap.freeTIMs); n > 0 {
+		tim = ap.freeTIMs[n-1]
+		ap.freeTIMs = ap.freeTIMs[:n-1]
+		tim.Reset()
+	} else {
+		tim = frame.NewTIM(ap.cfg.DTIMPeriod)
+	}
 	tim.DTIMCount = ap.beaconN % ap.cfg.DTIMPeriod
-	tim.Broadcast = len(ap.bcastBuf) > 0
 	// Only registered stations are ever buffered for (Deliver checks
-	// psMode), so walking them in registration order covers every buffer
-	// without ranging over a map.
-	for _, sta := range ap.psOrder {
-		if len(ap.buffers[sta]) > 0 {
-			tim.Set(sta)
+	// their PS mode), so walking them in registration order covers every
+	// buffer without ranging over a map.
+	for _, st := range ap.psOrder {
+		if len(st.buf) > 0 {
+			tim.Set(st.id)
 		}
 	}
-	isDTIM := tim.DTIMCount == 0
 	ap.beaconN++
 	ap.stats.Beacons++
-	ap.sta.Enqueue(frame.NewBeacon(tim))
-	// Broadcast traffic follows DTIM beacons while all PS stations listen.
-	if isDTIM {
-		for _, f := range ap.bcastBuf {
-			ap.stats.BroadcastsSent++
-			ap.sta.Enqueue(f)
-		}
-		ap.bcastBuf = nil
-	}
+	beacon := frame.NewBeacon(tim)
+	ap.sta.Enqueue(&beacon)
 }
 
 func (ap *AP) onReceive(f *frame.Frame) {
@@ -195,32 +202,33 @@ func (ap *AP) onReceive(f *frame.Frame) {
 // servePoll releases the head buffered frame for a station in response to a
 // PS-Poll, setting the More bit when further frames wait.
 func (ap *AP) servePoll(sta int) {
-	buf := ap.buffers[sta]
-	if len(buf) == 0 || ap.inFlight[sta] {
+	st := ap.stations[sta]
+	if st == nil || len(st.buf) == 0 || st.inFlight {
 		return
 	}
-	head := buf[0]
-	head.More = len(buf) > 1
-	ap.inFlight[sta] = true
+	st.buf[0].More = len(st.buf) > 1
+	st.inFlight = true
 	ap.stats.PollsServed++
-	ap.sta.Enqueue(head)
+	ap.sta.Enqueue(&st.buf[0])
 }
 
-// onSent retires a successfully delivered buffered frame, or re-queues the
-// head for the next poll on failure.
+// onSent takes back a sent beacon's TIM, and retires a successfully
+// delivered buffered frame or re-queues the head for the next poll on
+// failure. The station queue holds a copy of the head, so the head is
+// matched by sequence number: Deliver numbers every frame afresh.
 func (ap *AP) onSent(f *frame.Frame, ok bool) {
-	if f.Kind != frame.Data || !ap.psMode[f.To] {
+	if f.Kind == frame.Beacon {
+		ap.freeTIMs = append(ap.freeTIMs, f.TIM)
 		return
 	}
-	ap.inFlight[f.To] = false
-	if ok {
-		buf := ap.buffers[f.To]
-		if len(buf) > 0 && buf[0] == f {
-			// Shift in place so the buffer keeps its capacity for Deliver.
-			n := copy(buf, buf[1:])
-			buf[n] = nil
-			ap.buffers[f.To] = buf[:n]
-		}
+	st := ap.stations[f.To]
+	if f.Kind != frame.Data || st == nil || !st.ps {
+		return
+	}
+	st.inFlight = false
+	if ok && len(st.buf) > 0 && st.buf[0].Seq == f.Seq {
+		// Shift in place so the buffer keeps its capacity for Deliver.
+		st.buf = st.buf[:copy(st.buf, st.buf[1:])]
 	}
 	// On failure the frame stays at the head; the station's TIM bit remains
 	// set and the next beacon/poll retries it.

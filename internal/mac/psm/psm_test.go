@@ -254,67 +254,109 @@ func TestTwoClientsIndependentBuffers(t *testing.T) {
 	}
 }
 
-func TestBroadcastDeliveredAfterDTIM(t *testing.T) {
-	cfg := DefaultConfig() // DTIM period 3
-	r := newRig(20, cfg, nil)
-	c0 := r.addClient(0, cfg)
-	c1 := r.addClient(1, cfg)
-	var got0, got1 int
-	c0.OnData = func(f *frame.Frame) {
-		if f.To == frame.Broadcast {
-			got0++
+// Frames travel by value, so the AP matches the station queue's copy of a
+// served head by sequence number. On a bursty Gilbert–Elliott channel
+// poll responses are retried, some are dropped after the retry limit and
+// served again under the same sequence number, and ACK losses make the
+// client's MAC discard duplicates. The AP must still retire exactly the
+// acknowledged head: the counters below are those of the earlier
+// implementation, which held frames by pointer and matched the head by
+// pointer identity.
+func TestLossyPollResponsesRetireAckedHead(t *testing.T) {
+	cfg := DefaultConfig()
+	s := sim.New(31)
+	ch := channel.NewGilbertElliott(s, channel.GEParams{
+		MeanGood: 2 * sim.Second, MeanBad: 400 * sim.Millisecond, BERGood: 2e-5, BERBad: 1e-3})
+	m := dcf.NewMedium(s, dcf.Default80211b(), ch)
+	ap := NewAP(s, m, radio.NewDeviceInState(s, radio.WLAN80211b(), radio.Idle), cfg)
+	var cls []*Client
+	last := []int{0, 0}
+	for id := range 2 {
+		cl := NewClient(s, m, radio.NewDeviceInState(s, radio.WLAN80211b(), radio.Idle), ap, id, cfg)
+		cl.OnData = func(f *frame.Frame) {
+			if f.To != id || f.Seq <= last[id] {
+				t.Errorf("client %d got frame to %d seq %d after seq %d", id, f.To, f.Seq, last[id])
+			}
+			last[id] = f.Seq
 		}
+		cls = append(cls, cl)
 	}
-	c1.OnData = func(f *frame.Frame) {
-		if f.To == frame.Broadcast {
-			got1++
+	// Watch the AP's own completions: a poll response dropped after the
+	// retry limit stays at the buffer head and goes out again later.
+	dropped := map[int]bool{}
+	resent := 0
+	onSent := ap.Station().OnSent
+	ap.Station().OnSent = func(f *frame.Frame, ok bool) {
+		if f.Kind == frame.Data {
+			if !ok {
+				dropped[f.Seq] = true
+			} else if dropped[f.Seq] {
+				resent++
+			}
 		}
+		onSent(f, ok)
 	}
-	r.s.Schedule(10*sim.Millisecond, func() { r.ap.DeliverBroadcast(600) })
-	// Worst case: wait out a full DTIM period plus slack.
-	r.s.RunUntil(700 * sim.Millisecond)
-	if got0 != 1 || got1 != 1 {
-		t.Fatalf("broadcast receipt = %d/%d, want 1/1", got0, got1)
+	sim.NewTicker(s, 70*sim.Millisecond, func() {
+		ap.Deliver(0, 1000)
+		ap.Deliver(1, 600)
+	})
+	s.RunUntil(60 * sim.Second)
+
+	if st := ap.Station().Stats(); st.Retries == 0 || st.Dropped == 0 || resent == 0 {
+		t.Fatalf("channel too clean: AP retries %d, drops %d, re-served heads %d", st.Retries, st.Dropped, resent)
 	}
-	if r.ap.Stats().BroadcastsSent != 1 {
-		t.Errorf("BroadcastsSent = %d, want 1", r.ap.Stats().BroadcastsSent)
+	if got := ap.Stats().PollsServed; got != 1868 {
+		t.Errorf("PollsServed = %d, want 1868", got)
 	}
-	if c0.Stats().BroadcastsRecv != 1 {
-		t.Errorf("client stats missed the broadcast")
+	for id, want := range []struct{ buffered, frames, bytes int }{{2, 851, 851000}, {2, 853, 511800}} {
+		st := cls[id].Stats()
+		if got := ap.Buffered(id); got != want.buffered {
+			t.Errorf("client %d: AP buffers %d frames, want %d", id, got, want.buffered)
+		}
+		if st.FramesRecv != want.frames || st.BytesRecv != want.bytes {
+			t.Errorf("client %d: received %d frames / %d bytes, want %d / %d",
+				id, st.FramesRecv, st.BytesRecv, want.frames, want.bytes)
+		}
 	}
 }
 
-func TestBroadcastWaitsForDTIMBeacon(t *testing.T) {
+// A beacon can wait in the AP's queue past the next TBTT, behind a
+// backlog of direct frames to a CAM station. Each queued beacon must still
+// air the TIM it was built with, not the one a later beacon rebuilt: the
+// AP gives every beacon in flight its own TIM.
+func TestQueuedBeaconsKeepTheirTIM(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.DTIMPeriod = 5
-	r := newRig(21, cfg, nil)
-	cl := r.addClient(0, cfg)
-	got := 0
-	cl.OnData = func(f *frame.Frame) {
-		if f.To == frame.Broadcast {
-			got++
+	cfg.DTIMPeriod = 1000 // DTIMCount numbers the beacons
+	r := newRig(23, cfg, nil)
+	r.addClient(0, cfg)
+	var want []bool // per beacon: whether client 0 had frames buffered
+	sim.NewTicker(r.s, cfg.BeaconInterval, func() { want = append(want, r.ap.Buffered(0) > 0) })
+	sniffer := dcf.NewStation(7, r.m, radio.NewDeviceInState(r.s, radio.WLAN80211b(), radio.Idle))
+	late, heard := 0, map[int]bool{}
+	sniffer.OnReceive = func(f *frame.Frame) {
+		if f.Kind != frame.Beacon {
+			return
+		}
+		k := f.TIM.DTIMCount
+		if heard[k] {
+			t.Errorf("beacon %d heard twice: a later beacon rebuilt the TIM it aired", k)
+		}
+		heard[k] = true
+		if r.s.Now() > sim.Time(k+2)*cfg.BeaconInterval {
+			late++
+		}
+		if got := f.TIM.Indicated(0); got != want[k] {
+			t.Errorf("beacon %d aired at %v indicates client 0 = %v, built with %v", k, r.s.Now(), got, want[k])
 		}
 	}
-	// Queue right after a DTIM beacon (beacon 0 at 100 ms is DTIM since
-	// beaconN starts at 0): the broadcast must wait for the NEXT DTIM.
-	r.s.Schedule(110*sim.Millisecond, func() { r.ap.DeliverBroadcast(600) })
-	r.s.RunUntil(400 * sim.Millisecond) // beacons 1,2,3 are non-DTIM
-	if got != 0 {
-		t.Fatalf("broadcast delivered before DTIM")
-	}
-	r.s.RunUntil(800 * sim.Millisecond) // beacon at 600 ms is DTIM (count 0)
-	if got != 1 {
-		t.Errorf("broadcast not delivered after DTIM: got %d", got)
-	}
-}
-
-func TestBroadcastWindowDoesNotCountAsMissedBeacon(t *testing.T) {
-	cfg := DefaultConfig()
-	r := newRig(22, cfg, nil)
-	cl := r.addClient(0, cfg)
-	r.s.Schedule(10*sim.Millisecond, func() { r.ap.DeliverBroadcast(600) })
+	r.s.At(50*sim.Millisecond, func() {
+		for range 300 {
+			r.ap.Deliver(7, frame.MaxPayload)
+		}
+	})
+	r.s.At(150*sim.Millisecond, func() { r.ap.Deliver(0, 500) })
 	r.s.RunUntil(2 * sim.Second)
-	if missed := cl.Stats().BeaconsMissed; missed != 0 {
-		t.Errorf("broadcast wait recorded %d missed beacons", missed)
+	if late == 0 || len(heard) < 15 {
+		t.Fatalf("heard %d beacons, %d of them after the next TBTT: the backlog did not delay them", len(heard), late)
 	}
 }
