@@ -11,6 +11,7 @@ import (
 	"math/rand"
 
 	"repro/internal/sim"
+	"repro/internal/xmath"
 )
 
 // LinkState identifies the Gilbert–Elliott channel state.
@@ -229,7 +230,7 @@ func sampleBinomial(rng *rand.Rand, n int, p float64) int {
 		for {
 			// Float64 scales by 2^-63, which arm64 would fuse with the
 			// subtraction; the conversion keeps it a separate rounding.
-			gap := int(math.Floor(math.Log(1-float64(rng.Float64())) / logq))
+			gap := int(math.Floor(xmath.Log(1-float64(rng.Float64())) / logq))
 			i += gap + 1
 			if i > n {
 				break

@@ -53,32 +53,3 @@ func (c Code) Validate() error {
 	}
 	return nil
 }
-
-// BlockErrorProb returns the probability that a block fails to decode under
-// independent bit errors at the given BER: P(#errors > T) over N·8 bits.
-func (c Code) BlockErrorProb(ber float64) float64 {
-	if ber <= 0 {
-		return 0
-	}
-	if ber >= 1 {
-		return 1
-	}
-	n := c.N * 8
-	// Sum the binomial tail: 1 - Σ_{i=0..T} C(n,i) p^i (1-p)^(n-i),
-	// computed in log space to survive large n.
-	logP := math.Log(ber)
-	logQ := math.Log1p(-ber)
-	cum := 0.0
-	logC := 0.0 // log C(n, 0)
-	for i := 0; i <= c.T; i++ {
-		if i > 0 {
-			logC += math.Log(float64(n-i+1)) - math.Log(float64(i))
-		}
-		// Rounding each product forbids fusing it into the sum (FMA).
-		cum += math.Exp(logC + float64(float64(i)*logP) + float64(float64(n-i)*logQ))
-	}
-	if cum > 1 {
-		cum = 1
-	}
-	return 1 - cum
-}

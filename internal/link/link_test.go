@@ -53,48 +53,6 @@ func TestNewBCHLikePanics(t *testing.T) {
 	NewBCHLike(0, 3)
 }
 
-func TestBlockErrorProb(t *testing.T) {
-	c := NoCode(1000)
-	if got := c.BlockErrorProb(0); got != 0 {
-		t.Errorf("BER 0 → %v", got)
-	}
-	if got := c.BlockErrorProb(1); got != 1 {
-		t.Errorf("BER 1 → %v", got)
-	}
-	// With no correction, block error ≈ PER.
-	got := c.BlockErrorProb(1e-6)
-	want := channel.PERFromBER(1e-6, 1000)
-	if math.Abs(got-want)/want > 1e-6 {
-		t.Errorf("uncoded block error %v != PER %v", got, want)
-	}
-	// Stronger codes have strictly lower block error rates.
-	weak := NewBCHLike(1000, 2)
-	strong := NewBCHLike(1000, 16)
-	ber := 1e-4
-	if !(strong.BlockErrorProb(ber) < weak.BlockErrorProb(ber)) {
-		t.Error("stronger code not better")
-	}
-}
-
-// Property: BlockErrorProb is within [0,1] and decreasing in T.
-func TestBlockErrorProbProperty(t *testing.T) {
-	prop := func(berRaw uint16, tRaw uint8) bool {
-		ber := float64(berRaw%1000)/1e6 + 1e-9 // up to 1e-3
-		t1 := int(tRaw % 16)
-		c1 := NewBCHLike(512, t1)
-		c2 := NewBCHLike(512, t1+4)
-		p1 := c1.BlockErrorProb(ber)
-		p2 := c2.BlockErrorProb(ber)
-		if p1 < 0 || p1 > 1 || p2 < 0 || p2 > 1 {
-			return false
-		}
-		return p2 <= p1+1e-12
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestParamsValidate(t *testing.T) {
 	p := DefaultParams()
 	if err := p.Validate(); err != nil {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/radio"
 	"repro/internal/sim"
+	"repro/internal/xmath"
 )
 
 // Closed-form expectations for the metro model, in the style of the
@@ -68,11 +69,18 @@ type perAttendance struct {
 	f, q, txSec, rxSec, waitUnitSec float64 // waitUnitSec = q·F·t̄: wait per unit position
 }
 
-func (cfg Config) attendance(w sim.Time) perAttendance {
+// frameTerms returns the bounded-Pareto mean E[L] and one data frame's
+// expected airtime, (OH+E[L])·8/rate. Both are fixed per configuration, so
+// Predict computes them once, not once per attended beacon.
+func (cfg Config) frameTerms() (mean, perFrameRx float64) {
+	mean = cfg.Frame.Mean()
+	return mean, (float64(cfg.OverheadBytes) + mean) * 8 / cfg.Profile.BitRate
+}
+
+func (cfg Config) attendance(w sim.Time, perFrameRx float64) perAttendance {
 	lam := cfg.RatePerStation
 	f := lam * w.Seconds()
-	q := 1 - math.Exp(-f)
-	perFrameRx := (float64(cfg.OverheadBytes) + cfg.Frame.Mean()) * 8 / cfg.Profile.BitRate
+	q := 1 - xmath.Exp(-f)
 	tbar := cfg.PollAir.Seconds() + perFrameRx
 	return perAttendance{
 		f: f, q: q,
@@ -95,6 +103,7 @@ func predictDense(cfg Config) Prediction {
 	nb := int64(cfg.Horizon / cfg.BeaconInterval)
 	wake := p.TransitionCost(radio.Sleep, radio.Idle).Energy
 	doze := p.TransitionCost(radio.Idle, radio.Sleep).Energy
+	frameMean, perFrameRx := cfg.frameTerms()
 
 	// Group sizes from the attach lattice.
 	sizes := make([]int, cfg.APs*k)
@@ -121,7 +130,7 @@ func predictDense(cfg Config) Prediction {
 				continue
 			}
 			t := float64(float64(b) * bsec)
-			att := cfg.attendance(sim.FromSeconds(t - prevT))
+			att := cfg.attendance(sim.FromSeconds(t-prevT), perFrameRx)
 			wait := float64(att.waitUnitSec * mean)
 			sleepSec += math.Max(0, t-cfg.WakeLead.Seconds()-accEnd)
 			energy += wake + doze +
@@ -129,7 +138,7 @@ func predictDense(cfg Config) Prediction {
 				float64((cfg.BeaconAir.Seconds()+att.rxSec)*p.Power[radio.RX]) +
 				float64(att.txSec*p.Power[radio.TX])
 			accEnd = t + cfg.BeaconAir.Seconds() + wait + att.txSec + att.rxSec
-			delivered += float64(att.f * cfg.Frame.Mean())
+			delivered += float64(att.f * frameMean)
 			prevT = t
 		}
 		sleepSec += math.Max(0, hsec-accEnd)
@@ -161,10 +170,11 @@ func predictChurn(cfg Config) Prediction {
 	dozeE := p.TransitionCost(radio.Idle, radio.Sleep).Energy
 
 	// ∫₀ᴴ E[n(t)] dt with E[n(t)] = n̄ + (n₀−n̄)e^(−t/τ).
-	stationSec := float64(nbar*hsec) + float64((n0-nbar)*tau*(1-math.Exp(-hsec/tau)))
+	stationSec := float64(nbar*hsec) + float64((n0-nbar)*tau*(1-xmath.Exp(-hsec/tau)))
 
 	// Steady-state per-station cycle at the mean group occupancy.
-	att := cfg.attendance(sim.FromSeconds(cycle))
+	frameMean, perFrameRx := cfg.frameTerms()
+	att := cfg.attendance(sim.FromSeconds(cycle), perFrameRx)
 	meanPos := math.Max(0, nbar/float64(cfg.APs*k)-1) / 2
 	wait := float64(att.waitUnitSec * meanPos)
 	awake := cfg.WakeLead.Seconds() + wait + cfg.BeaconAir.Seconds() + att.txSec + att.rxSec
@@ -181,7 +191,7 @@ func predictChurn(cfg Config) Prediction {
 	// arrival time on average; every station ever alive terminates once.
 	everAlive := n0 + float64(cfg.ArrivalRate*hsec)
 	covered := math.Max(0, stationSec-float64(everAlive*cycle/2))
-	delivered := cfg.RatePerStation * cfg.Frame.Mean() * covered
+	delivered := cfg.RatePerStation * frameMean * covered
 
 	return Prediction{
 		EnergyJ:        avgW * stationSec,

@@ -39,6 +39,16 @@
 // Every aggregate the simulation produces has a closed-form expectation in
 // the style of Agrawal et al.'s analytical PSM energy models; see
 // analytic.go. Experiments tagged [analytic] assert sim-vs-model agreement.
+//
+// Accuracy and determinism: the model's own transcendentals — the
+// per-frame bounded-Pareto draw, the Pareto mean and the closed form's
+// exponentials — come from package xmath, not from math.Pow and math.Exp,
+// whose assembly kernels differ by CPU. A frame size is the inverse CDF
+// l·(1 − u·(1 − (l/h)^α))^(−1/α) rounded twice (the power, then the
+// product with l): within about 1.3 ulp of the exact value at the
+// sampler's own base, and the same bits on every CPU and GOARCH.
+// TestParetoSamplerAccuracy bounds it at 8 ulp against math/big, and
+// TestParetoSamplerBitHash pins its bits.
 package metro
 
 import (
@@ -47,6 +57,7 @@ import (
 
 	"repro/internal/radio"
 	"repro/internal/sim"
+	"repro/internal/xmath"
 )
 
 // Pareto is a bounded Pareto frame-size distribution in bytes — the
@@ -61,8 +72,8 @@ type Pareto struct {
 // Mean returns the distribution's expected value in closed form.
 func (p Pareto) Mean() float64 {
 	a, l, h := p.Alpha, p.MinBytes, p.MaxBytes
-	return math.Pow(l, a) / (1 - math.Pow(l/h, a)) * a / (a - 1) *
-		(math.Pow(l, 1-a) - math.Pow(h, 1-a))
+	pa, pb := xmath.NewPower(a), xmath.NewPower(1-a)
+	return pa.Of(l) / (1 - pa.Of(l/h)) * a / (a - 1) * (pb.Of(l) - pb.Of(h))
 }
 
 // Sample inverts the CDF at u ∈ [0, 1).
@@ -70,21 +81,22 @@ func (p Pareto) Sample(u float64) float64 {
 	return p.sampler().sample(u)
 }
 
-// paretoSampler is a Pareto's inverse CDF with its draw-independent terms
-// precomputed, so each sample costs one Pow instead of two.
+// paretoSampler is a Pareto's inverse CDF, l·(1 − u·(1 − (l/h)^α))^(−1/α),
+// with its draw-independent terms precomputed: each sample costs one
+// fixed-exponent power of a base in (0, 1] and no division.
 type paretoSampler struct {
-	min  float64 // l
-	span float64 // 1 − (l/h)^α
-	exp  float64 // −1/α
+	min  float64     // l
+	span float64     // 1 − (l/h)^α
+	pow  xmath.Power // x ↦ x^(−1/α)
 }
 
 func (p Pareto) sampler() paretoSampler {
 	a, l, h := p.Alpha, p.MinBytes, p.MaxBytes
-	return paretoSampler{min: l, span: 1 - math.Pow(l/h, a), exp: -1 / a}
+	return paretoSampler{min: l, span: 1 - xmath.NewPower(a).Of(l/h), pow: xmath.NewPower(-1 / a)}
 }
 
 func (s paretoSampler) sample(u float64) float64 {
-	return float64(s.min * math.Pow(1-float64(u*s.span), s.exp))
+	return float64(s.min * s.pow.Of(1-float64(u*s.span)))
 }
 
 // Config parameterizes one metro scenario.

@@ -164,36 +164,6 @@ func TestParetoMoments(t *testing.T) {
 	}
 }
 
-// TestParetoSamplerBitIdentical pins the one-Pow sampler to the textbook
-// bounded-Pareto inverse CDF, written out here as the oracle, bit for bit.
-func TestParetoSamplerBitIdentical(t *testing.T) {
-	oracle := func(p Pareto, u float64) float64 {
-		a, l, h := p.Alpha, p.MinBytes, p.MaxBytes
-		return l * math.Pow(1-u*(1-math.Pow(l/h, a)), -1/a)
-	}
-	r := sim.New(1).Rand()
-	for _, p := range []Pareto{
-		testConfig().Frame,
-		{Alpha: 0.7, MinBytes: 40, MaxBytes: 1500},
-		{Alpha: 2.5, MinBytes: 1, MaxBytes: 1e6},
-	} {
-		us := []float64{0, 0.5, math.Nextafter(1, 0)}
-		for i := 0; i < 100_000; i++ {
-			us = append(us, r.Float64())
-		}
-		s := p.sampler()
-		for _, u := range us {
-			want := math.Float64bits(oracle(p, u))
-			if got := math.Float64bits(s.sample(u)); got != want {
-				t.Fatalf("%+v: sampler(%v) bits %#x, oracle %#x", p, u, got, want)
-			}
-			if got := math.Float64bits(p.Sample(u)); got != want {
-				t.Fatalf("%+v: Sample(%v) bits %#x, oracle %#x", p, u, got, want)
-			}
-		}
-	}
-}
-
 // TestGroupIDsContiguous pins the id layout New seeds: the initial
 // population's groups, concatenated in group order, are exactly the ids
 // 0, 1, …, Stations−1, so each group is one ascending run of consecutive
