@@ -167,7 +167,7 @@ func TestParetoMoments(t *testing.T) {
 // TestGroupIDsContiguous pins the id layout New seeds: the initial
 // population's groups, concatenated in group order, are exactly the ids
 // 0, 1, …, Stations−1, so each group is one ascending run of consecutive
-// ids and a beacon scans every column sequentially.
+// ids: the range a churn-free beacon reads from the traffic bitmap.
 func TestGroupIDsContiguous(t *testing.T) {
 	e20 := testConfig()
 	e20.APs, e20.Stations = 20, 100_000
@@ -187,6 +187,69 @@ func TestGroupIDsContiguous(t *testing.T) {
 			t.Fatalf("groups hold %d ids, want %d", next, cfg.Stations)
 		}
 		checkIndexes(t, m)
+	}
+}
+
+// TestTrafficBitmapInvariant pins the TIM bitmap beacons read on random
+// configurations, churn on and off. At random RunUntil splits, before and
+// after a flush, a live station's bit is set exactly when its row holds
+// buffered frames. A probe queued behind every beacon checks that the
+// beacon left no bit set in the groups it served and served no station of
+// another listen phase: a beacon that reads a word past either end of a
+// group's id range, or reads words for a group whose ids churn scattered,
+// fails one of the two.
+func TestTrafficBitmapInvariant(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	for i := 0; i < 400; i++ {
+		cfg := randomConfig(r)
+		s := sim.New(r.Int63())
+		m := New(s, cfg)
+		m.Start()
+		var probe func()
+		probe = func() {
+			if want := int32(s.Now() / cfg.BeaconInterval); m.beaconIdx != want {
+				t.Fatalf("config %d: probe at %v after %d beacons, want %d", i, s.Now(), m.beaconIdx, want)
+			}
+			checkTrafficBits(t, m, true)
+			if s.Now()+cfg.BeaconInterval <= cfg.Horizon {
+				s.Schedule(cfg.BeaconInterval, probe)
+			}
+		}
+		s.Schedule(cfg.BeaconInterval, probe) // queued behind the first beacon
+		for at := sim.Time(0); at < cfg.Horizon; {
+			at = min(cfg.Horizon, at+1+sim.Time(r.Int63n(int64(cfg.BeaconInterval))))
+			s.RunUntil(at)
+			checkTrafficBits(t, m, false)
+			m.flush()
+			checkTrafficBits(t, m, false)
+		}
+	}
+}
+
+// checkTrafficBits asserts that every live station's traffic bit is set
+// exactly when its row holds buffered frames. Right after a beacon it also
+// asserts that the due listen phase's stations hold no bit and that no
+// station of another phase was served.
+func checkTrafficBits(t *testing.T, m *Model, afterBeacon bool) {
+	t.Helper()
+	k := m.cfg.ListenInterval
+	due := int(m.beaconIdx % int32(k))
+	for g, grp := range m.groups {
+		for _, id := range grp {
+			st := &m.sta[id]
+			set := m.tim[id>>6]>>(id&63)&1 == 1
+			switch {
+			case set != (st.pendFrames > 0):
+				t.Fatalf("%v, beacon %d: station %d has bit %v and %d pending frames",
+					m.s.Now(), m.beaconIdx, id, set, st.pendFrames)
+			case afterBeacon && g%k == due && set:
+				t.Fatalf("%v: beacon %d served phase %d but station %d keeps its bit",
+					m.s.Now(), m.beaconIdx, due, id)
+			case afterBeacon && g%k != due && st.lastFrame == m.beaconIdx:
+				t.Fatalf("%v: beacon %d of phase %d served station %d of phase %d",
+					m.s.Now(), m.beaconIdx, due, id, g%k)
+			}
+		}
 	}
 }
 

