@@ -16,7 +16,6 @@ type Chunk struct {
 	// Layer tags layered streams: 0 = base (audio), 1 = enhancement
 	// (video). Single-layer sources always emit layer 0.
 	Layer int
-	At    sim.Time
 }
 
 // Sink consumes emitted chunks.
@@ -29,7 +28,6 @@ type CBR struct {
 	ChunkBytes int
 	Interval   sim.Time
 	ticker     *sim.Ticker
-	emitted    int
 }
 
 // NewCBR creates a constant-bit-rate source. rateBps/chunkBytes determine
@@ -52,21 +50,9 @@ func (c *CBR) Start(sink Sink) {
 		panic("app: CBR already started")
 	}
 	c.ticker = sim.NewTicker(c.sim, c.Interval, func() {
-		c.emitted += c.ChunkBytes
-		sink(Chunk{Bytes: c.ChunkBytes, At: c.sim.Now()})
+		sink(Chunk{Bytes: c.ChunkBytes})
 	})
 }
-
-// Stop halts emission.
-func (c *CBR) Stop() {
-	if c.ticker != nil {
-		c.ticker.Stop()
-		c.ticker = nil
-	}
-}
-
-// Emitted returns total bytes emitted so far.
-func (c *CBR) Emitted() int { return c.emitted }
 
 // Layered emits a base audio layer plus a video enhancement layer. The
 // enhancement layer can be toggled off by a proxy adapter ("dropping video
@@ -76,10 +62,7 @@ type Layered struct {
 	audio     *CBR
 	videoRate float64
 	videoSize int
-	ticker    *sim.Ticker
 	videoOn   bool
-	emitted   int
-	sink      Sink
 }
 
 // NewLayered creates a layered source: audioRate base + videoRate
@@ -97,35 +80,15 @@ func NewLayered(s *sim.Simulator, audioRate, videoRate float64) *Layered {
 
 // Start begins emitting into sink.
 func (l *Layered) Start(sink Sink) {
-	l.sink = sink
-	l.audio.Start(func(c Chunk) {
-		l.emitted += c.Bytes
-		sink(c)
-	})
+	l.audio.Start(sink)
 	interval := sim.FromSeconds(float64(l.videoSize*8) / l.videoRate)
-	l.ticker = sim.NewTicker(l.sim, interval, func() {
+	sim.NewTicker(l.sim, interval, func() {
 		if !l.videoOn {
 			return
 		}
-		l.emitted += l.videoSize
-		sink(Chunk{Bytes: l.videoSize, Layer: 1, At: l.sim.Now()})
+		sink(Chunk{Bytes: l.videoSize, Layer: 1})
 	})
 }
 
-// Stop halts emission.
-func (l *Layered) Stop() {
-	l.audio.Stop()
-	if l.ticker != nil {
-		l.ticker.Stop()
-		l.ticker = nil
-	}
-}
-
-// Emitted returns total bytes emitted so far.
-func (l *Layered) Emitted() int { return l.emitted }
-
 // SetVideo enables or disables the enhancement layer.
 func (l *Layered) SetVideo(on bool) { l.videoOn = on }
-
-// VideoOn reports whether the enhancement layer is emitting.
-func (l *Layered) VideoOn() bool { return l.videoOn }

@@ -63,17 +63,9 @@ func (p GEParams) Validate() error {
 // are scheduled on the simulator; packet-error sampling consults the state
 // at transmission time.
 type GilbertElliott struct {
-	sim    *sim.Simulator
 	params GEParams
 	rng    *rand.Rand
-
-	state     LinkState
-	changes   int
-	listeners []func(t sim.Time, s LinkState)
-
-	timeGood sim.Time
-	timeBad  sim.Time
-	lastAt   sim.Time
+	state  LinkState
 
 	frozen bool       // when scripted control takes over, stop autonomous flips
 	flips  *sim.Batch // the autonomous state-transition events (one live at a time)
@@ -85,7 +77,7 @@ func NewGilbertElliott(s *sim.Simulator, p GEParams) *GilbertElliott {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	c := &GilbertElliott{sim: s, params: p, rng: s.Rand(), state: Good, lastAt: s.Now()}
+	c := &GilbertElliott{params: p, rng: s.Rand(), state: Good}
 	c.flips = s.NewBatch(1)
 	c.scheduleFlip()
 	return c
@@ -93,17 +85,6 @@ func NewGilbertElliott(s *sim.Simulator, p GEParams) *GilbertElliott {
 
 // State returns the current channel state.
 func (c *GilbertElliott) State() LinkState { return c.state }
-
-// Params returns the channel parameters.
-func (c *GilbertElliott) Params() GEParams { return c.params }
-
-// Changes returns the number of state transitions so far.
-func (c *GilbertElliott) Changes() int { return c.changes }
-
-// OnChange registers a callback invoked on every state transition.
-func (c *GilbertElliott) OnChange(fn func(t sim.Time, s LinkState)) {
-	c.listeners = append(c.listeners, fn)
-}
 
 // BER returns the bit error rate of the current state.
 func (c *GilbertElliott) BER() float64 {
@@ -140,33 +121,7 @@ func (c *GilbertElliott) Freeze() {
 
 // ForceState sets the channel state directly (for scripted scenarios such as
 // the paper's "conditions in the link change" episode).
-func (c *GilbertElliott) ForceState(s LinkState) {
-	if s != c.state {
-		c.transitionTo(s)
-	}
-}
-
-// TimeIn returns cumulative time spent in the given state.
-func (c *GilbertElliott) TimeIn(s LinkState) sim.Time {
-	c.accrue()
-	if s == Good {
-		return c.timeGood
-	}
-	return c.timeBad
-}
-
-func (c *GilbertElliott) accrue() {
-	now := c.sim.Now()
-	dt := now - c.lastAt
-	if dt > 0 {
-		if c.state == Good {
-			c.timeGood += dt
-		} else {
-			c.timeBad += dt
-		}
-	}
-	c.lastAt = now
-}
+func (c *GilbertElliott) ForceState(s LinkState) { c.state = s }
 
 func (c *GilbertElliott) scheduleFlip() {
 	mean := c.params.MeanGood
@@ -182,21 +137,12 @@ func (c *GilbertElliott) scheduleFlip() {
 			return
 		}
 		if c.state == Good {
-			c.transitionTo(Bad)
+			c.state = Bad
 		} else {
-			c.transitionTo(Good)
+			c.state = Good
 		}
 		c.scheduleFlip()
 	})
-}
-
-func (c *GilbertElliott) transitionTo(s LinkState) {
-	c.accrue()
-	c.state = s
-	c.changes++
-	for _, fn := range c.listeners {
-		fn(c.sim.Now(), s)
-	}
 }
 
 // PERFromBER converts a bit error rate into the packet error probability for

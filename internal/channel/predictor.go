@@ -99,13 +99,6 @@ func (p *Markov) Name() string { return "markov" }
 // Cost implements Predictor; matrix maintenance costs four units.
 func (p *Markov) Cost() float64 { return 4 }
 
-// TransitionProb returns the estimated probability of moving from state a to
-// state b (with Laplace smoothing).
-func (p *Markov) TransitionProb(a, b LinkState) float64 {
-	total := p.counts[a][Good] + p.counts[a][Bad] + 2
-	return (p.counts[a][b] + 1) / total
-}
-
 // Window predicts the majority state over the most recent w observations.
 // It smooths noise but reacts slowly — the "accuracy vs cost vs agility"
 // corner of the design space.

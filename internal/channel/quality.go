@@ -29,17 +29,14 @@ func (q Quality) String() string {
 }
 
 // Monitor observes a Gilbert–Elliott channel through periodic probes and
-// exposes a smoothed quality grade plus loss statistics. The resource
-// manager owns one Monitor per (client, interface) pair.
+// exposes a smoothed quality grade. The resource manager owns one Monitor
+// per (client, interface) pair.
 type Monitor struct {
-	sim     *sim.Simulator
-	ch      *GilbertElliott
-	period  sim.Time
-	ewma    float64 // smoothed bad-state indicator in [0,1]
-	alpha   float64
-	probes  int
-	badSeen int
-	ticker  *sim.Ticker
+	ch     *GilbertElliott
+	ewma   float64 // smoothed bad-state indicator in [0,1]
+	alpha  float64
+	probes int
+	ticker *sim.Ticker
 }
 
 // MonitorConfig tunes a link monitor.
@@ -61,7 +58,7 @@ func NewMonitor(s *sim.Simulator, ch *GilbertElliott, cfg MonitorConfig) *Monito
 	if cfg.Period <= 0 {
 		cfg = DefaultMonitorConfig()
 	}
-	m := &Monitor{sim: s, ch: ch, period: cfg.Period, alpha: cfg.Alpha}
+	m := &Monitor{ch: ch, alpha: cfg.Alpha}
 	m.ticker = sim.NewTicker(s, cfg.Period, m.probe)
 	return m
 }
@@ -71,19 +68,9 @@ func (m *Monitor) probe() {
 	obs := 0.0
 	if m.ch.State() == Bad {
 		obs = 1.0
-		m.badSeen++
 	}
 	m.ewma = float64(m.alpha*obs) + float64((1-m.alpha)*m.ewma)
 }
-
-// Stop halts probing.
-func (m *Monitor) Stop() { m.ticker.Stop() }
-
-// BadFraction returns the smoothed bad-state indicator in [0,1].
-func (m *Monitor) BadFraction() float64 { return m.ewma }
-
-// Probes returns the number of probes taken.
-func (m *Monitor) Probes() int { return m.probes }
 
 // Quality maps the smoothed indicator to a grade. Thresholds chosen so that
 // a single isolated fade degrades but does not condemn a link, while a

@@ -17,9 +17,7 @@ type ClientSpec struct {
 	// the paper has both).
 	HasWLAN, HasBT bool
 	// BatteryJ, when positive, gives the client a finite battery that the
-	// WNICs drain; the resource manager reports its level to the proxy
-	// each epoch (the paper: the server "knows more about the clients …
-	// such as their QoS needs, battery levels").
+	// WNICs drain.
 	BatteryJ float64
 }
 
@@ -111,17 +109,6 @@ type clientEnergy struct{ c *Client }
 
 // TotalEnergy implements energy.EnergySource.
 func (ce clientEnergy) TotalEnergy() float64 { return ce.c.TotalEnergy() }
-
-// Battery returns the client's battery, or nil when unmetered.
-func (c *Client) Battery() *energy.Battery { return c.battery }
-
-// BatteryLevel returns the remaining fraction (1.0 when unmetered).
-func (c *Client) BatteryLevel() float64 {
-	if c.battery == nil {
-		return 1.0
-	}
-	return c.battery.Level()
-}
 
 // ID returns the client identifier.
 func (c *Client) ID() int { return c.spec.ID }

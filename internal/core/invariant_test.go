@@ -114,3 +114,6 @@ func TestHotspotMarginalMinutesAllocateOnlyHistory(t *testing.T) {
 			four, eight, eight-four)
 	}
 }
+
+// History returns every slot scheduled so far (Figure 1's raw data).
+func (rm *ResourceManager) History() []Slot { return rm.history }

@@ -53,7 +53,6 @@ func (r Report) QoSMaintained() bool { return r.TotalUnderruns == 0 }
 // resource manager and admitted clients.
 type Hotspot struct {
 	sim      *sim.Simulator
-	cfg      Config
 	channels map[Iface]*channel.GilbertElliott
 	rm       *ResourceManager
 }
@@ -86,7 +85,7 @@ func NewHotspot(seed int64, cfg Config, nClients int) *Hotspot {
 	for i := 0; i < nClients; i++ {
 		rm.Admit(DefaultClientSpec(i))
 	}
-	return &Hotspot{sim: s, cfg: cfg, channels: chans, rm: rm}
+	return &Hotspot{sim: s, channels: chans, rm: rm}
 }
 
 // Sim returns the scenario's simulator.

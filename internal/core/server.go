@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/channel"
-	"repro/internal/proxy"
 	"repro/internal/radio"
 	"repro/internal/sim"
 )
@@ -100,10 +99,9 @@ type ResourceManager struct {
 	sim *sim.Simulator
 	cfg Config
 
-	clients   []*Client
-	channels  [numIfaces]*channel.GilbertElliott
-	monitors  [numIfaces]*channel.Monitor
-	registrar *proxy.Registrar
+	clients  []*Client
+	channels [numIfaces]*channel.GilbertElliott
+	monitors [numIfaces]*channel.Monitor
 
 	epoch      int
 	history    []Slot
@@ -142,7 +140,7 @@ func NewResourceManager(s *sim.Simulator, cfg Config, chans map[Iface]*channel.G
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	rm := &ResourceManager{sim: s, cfg: cfg, registrar: proxy.NewRegistrar(s)}
+	rm := &ResourceManager{sim: s, cfg: cfg}
 	rm.durFor = rm.demandDur
 	for _, i := range Ifaces() {
 		ch, ok := chans[i]
@@ -155,8 +153,7 @@ func NewResourceManager(s *sim.Simulator, cfg Config, chans map[Iface]*channel.G
 	return rm
 }
 
-// Admit registers a client with the Hotspot proxy and attaches it to the
-// scheduler. Must be called before Start.
+// Admit attaches a client to the scheduler. Must be called before Start.
 func (rm *ResourceManager) Admit(spec ClientSpec) *Client {
 	if rm.started {
 		panic("core: admit before Start")
@@ -169,7 +166,6 @@ func (rm *ResourceManager) Admit(spec ClientSpec) *Client {
 	initial := rm.initialIface(spec)
 	c := newClient(rm.sim, spec, initial)
 	rm.clients = append(rm.clients, c)
-	rm.registrar.Register(spec.ID, spec.Stream.RateBps, 1.0)
 	return c
 }
 
@@ -196,15 +192,6 @@ func (rm *ResourceManager) initialIface(spec ClientSpec) Iface {
 
 // Clients returns the admitted clients.
 func (rm *ResourceManager) Clients() []*Client { return rm.clients }
-
-// Registrar exposes the proxy registration table.
-func (rm *ResourceManager) Registrar() *proxy.Registrar { return rm.registrar }
-
-// History returns every slot scheduled so far (Figure 1's raw data).
-func (rm *ResourceManager) History() []Slot { return rm.history }
-
-// Recoveries counts reactive fallback bursts.
-func (rm *ResourceManager) Recoveries() int { return rm.recoveries }
 
 // Start begins the epoch loop and the QoS watchdog.
 func (rm *ResourceManager) Start() {
@@ -274,12 +261,6 @@ func (rm *ResourceManager) urgentTopUp(c *Client) {
 func (rm *ResourceManager) runEpoch() {
 	now := rm.sim.Now()
 	epochEnd := now + rm.cfg.Epoch
-
-	// Clients report their battery levels at each epoch (the aggregated
-	// state the paper says improves the server's policies).
-	for _, c := range rm.clients {
-		rm.registrar.UpdateBattery(c.spec.ID, c.BatteryLevel())
-	}
 
 	rm.selectInterfaces()
 

@@ -126,14 +126,12 @@ func (p PolicyKind) String() string {
 
 // Result reports a schedule run.
 type Result struct {
-	Policy          string
-	EnergyJ         float64
-	AvgPowerW       float64
-	Jobs            int
-	DeadlineMisses  int
-	MeanResponse    sim.Time
-	UtilizationWCET float64 // Σ WCET/period at fmax
-	BusyFraction    float64
+	Policy         string
+	EnergyJ        float64
+	Jobs           int
+	DeadlineMisses int
+	MeanResponse   sim.Time
+	BusyFraction   float64
 }
 
 // job is one released instance.
@@ -173,14 +171,12 @@ func Run(s *sim.Simulator, cpu CPU, policy PolicyKind, tasks []Task, horizon sim
 	e.settle()
 
 	res := Result{
-		Policy:          policy.String(),
-		EnergyJ:         e.energy,
-		Jobs:            e.jobs,
-		DeadlineMisses:  e.misses,
-		UtilizationWCET: util,
+		Policy:         policy.String(),
+		EnergyJ:        e.energy,
+		Jobs:           e.jobs,
+		DeadlineMisses: e.misses,
 	}
 	if horizon > 0 {
-		res.AvgPowerW = e.energy / horizon.Seconds()
 		res.BusyFraction = e.busy.Seconds() / horizon.Seconds()
 	}
 	if e.completed > 0 {

@@ -28,9 +28,6 @@ func NewBattery(capacityJ float64) *Battery {
 	return &Battery{capacity: capacityJ}
 }
 
-// Capacity returns the battery's full capacity in joules.
-func (b *Battery) Capacity() float64 { return b.capacity }
-
 // Remaining returns the remaining energy in joules.
 func (b *Battery) Remaining() float64 {
 	r := b.capacity - b.drained
@@ -45,14 +42,6 @@ func (b *Battery) Level() float64 { return b.Remaining() / b.capacity }
 
 // Dead reports whether the battery has emptied.
 func (b *Battery) Dead() bool { return b.dead }
-
-// DeadAt returns when the battery emptied (sim.MaxTime if alive).
-func (b *Battery) DeadAt() sim.Time {
-	if !b.dead {
-		return sim.MaxTime
-	}
-	return b.deadAt
-}
 
 // Drain removes j joules at time at. It reports whether the battery could
 // supply the full amount; draining a dead battery is a no-op returning false.
@@ -86,16 +75,14 @@ type EnergySource interface {
 // It decouples devices (which meter freely) from batteries (which enforce
 // a finite budget) at a configurable sampling period.
 type Tracker struct {
-	battery *Battery
-	source  EnergySource
-	last    float64
-	ticker  *sim.Ticker
+	last   float64
+	ticker *sim.Ticker
 }
 
 // NewTracker starts draining battery by the source's consumption, sampled
 // every period.
 func NewTracker(s *sim.Simulator, src EnergySource, b *Battery, period sim.Time) *Tracker {
-	t := &Tracker{battery: b, source: src, last: src.TotalEnergy()}
+	t := &Tracker{last: src.TotalEnergy()}
 	t.ticker = sim.NewTicker(s, period, func() {
 		cur := src.TotalEnergy()
 		delta := cur - t.last
@@ -109,6 +96,3 @@ func NewTracker(s *sim.Simulator, src EnergySource, b *Battery, period sim.Time)
 	})
 	return t
 }
-
-// Stop halts tracking.
-func (t *Tracker) Stop() { t.ticker.Stop() }

@@ -118,3 +118,14 @@ func TestTrackerStopsAtDeath(t *testing.T) {
 		t.Errorf("died at %v, want ≈ 1s", at)
 	}
 }
+
+// Capacity returns the battery's full capacity in joules.
+func (b *Battery) Capacity() float64 { return b.capacity }
+
+// DeadAt returns when the battery emptied (sim.MaxTime if alive).
+func (b *Battery) DeadAt() sim.Time {
+	if !b.dead {
+		return sim.MaxTime
+	}
+	return b.deadAt
+}

@@ -22,9 +22,6 @@ const (
 	Ack
 	Beacon
 	PSPoll
-	RTS
-	CTS
-	Schedule // EC-MAC schedule broadcast
 )
 
 // String names the frame kind.
@@ -38,12 +35,6 @@ func (k Kind) String() string {
 		return "beacon"
 	case PSPoll:
 		return "ps-poll"
-	case RTS:
-		return "rts"
-	case CTS:
-		return "cts"
-	case Schedule:
-		return "schedule"
 	default:
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
@@ -54,8 +45,6 @@ const (
 	MACHeader  = 34 // 30-byte header + 4-byte FCS
 	AckSize    = 14
 	PSPollSize = 20
-	RTSSize    = 20
-	CTSSize    = 14
 	BeaconBase = 50 // beacon body before the TIM element
 	MaxPayload = 2304
 )
@@ -85,18 +74,12 @@ func (f *Frame) Size() int {
 		return AckSize
 	case PSPoll:
 		return PSPollSize
-	case RTS:
-		return RTSSize
-	case CTS:
-		return CTSSize
 	case Beacon:
 		n := BeaconBase
 		if f.TIM != nil {
 			n += f.TIM.EncodedSize()
 		}
 		return n
-	case Data, Schedule:
-		return MACHeader + f.Payload
 	default:
 		return MACHeader + f.Payload
 	}

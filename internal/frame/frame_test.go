@@ -11,8 +11,6 @@ func TestFrameSizes(t *testing.T) {
 	}{
 		{NewAck(0, 1), AckSize},
 		{NewPSPoll(3, 1), PSPollSize},
-		{Frame{Kind: RTS}, RTSSize},
-		{Frame{Kind: CTS}, CTSSize},
 		{*NewData(0, 1, 0, 1500), MACHeader + 1500},
 		{*NewData(0, 1, 0, 0), MACHeader},
 		{NewBeacon(nil), BeaconBase},
@@ -38,7 +36,7 @@ func TestNewDataValidatesPayload(t *testing.T) {
 }
 
 func TestKindString(t *testing.T) {
-	for _, k := range []Kind{Data, Ack, Beacon, PSPoll, RTS, CTS, Schedule} {
+	for _, k := range []Kind{Data, Ack, Beacon, PSPoll} {
 		if k.String() == "" {
 			t.Errorf("kind %d has empty name", int(k))
 		}
@@ -49,32 +47,18 @@ func TestKindString(t *testing.T) {
 }
 
 func TestTIMSetClearIndicated(t *testing.T) {
-	tim := NewTIM(3)
-	if tim.Any() {
+	tim := NewTIM()
+	if tim.Indicated(5) || tim.EncodedSize() != 5 {
 		t.Error("fresh TIM indicates traffic")
 	}
 	tim.Set(5)
 	tim.Set(12)
+	tim.Set(12) // already set
 	if !tim.Indicated(5) || !tim.Indicated(12) || tim.Indicated(3) {
 		t.Error("Indicated wrong")
 	}
-	if tim.Stations() != 2 {
-		t.Errorf("Stations = %d, want 2", tim.Stations())
-	}
-	tim.Clear(5)
-	if tim.Indicated(5) {
-		t.Error("Clear did not clear")
-	}
-	if !tim.Any() {
-		t.Error("Any false with one station set")
-	}
-	tim.Set(12) // already set: the count must not move
-	tim.Clear(5)
-	if tim.Stations() != 1 {
-		t.Errorf("Stations = %d after a repeated Set and Clear, want 1", tim.Stations())
-	}
 	tim.Reset()
-	if tim.Any() || tim.Indicated(12) || tim.Stations() != 0 {
+	if tim.Indicated(5) || tim.Indicated(12) || tim.EncodedSize() != 5 {
 		t.Error("Reset left stations indicated")
 	}
 	if tim.Indicated(-1) || tim.Indicated(1<<20) {
@@ -95,7 +79,7 @@ func TestTIMEncodedSizeAcrossWords(t *testing.T) {
 		{[]int{8, 191}, 4 + 23 - 1 + 1},
 		{[]int{130, 2007}, 4 + 250 - 16 + 1},
 	} {
-		tim := NewTIM(1)
+		tim := NewTIM()
 		for _, id := range c.ids {
 			tim.Set(id)
 		}
@@ -108,7 +92,7 @@ func TestTIMEncodedSizeAcrossWords(t *testing.T) {
 // A TIM reused across beacons allocates nothing once its bitset covers
 // the highest id it is asked to mark.
 func TestTIMReuseAllocatesNothing(t *testing.T) {
-	tim := NewTIM(3)
+	tim := NewTIM()
 	allocs := testing.AllocsPerRun(100, func() {
 		tim.Reset()
 		for _, id := range []int{0, 5, 70, 129} {
@@ -127,11 +111,11 @@ func TestTIMNegativeStationPanics(t *testing.T) {
 			t.Error("negative station did not panic")
 		}
 	}()
-	NewTIM(1).Set(-1)
+	NewTIM().Set(-1)
 }
 
 func TestTIMEncodedSizePartialBitmap(t *testing.T) {
-	tim := NewTIM(1)
+	tim := NewTIM()
 	if got := tim.EncodedSize(); got != 5 {
 		t.Errorf("empty TIM size = %d, want 5", got)
 	}
@@ -140,7 +124,7 @@ func TestTIMEncodedSizePartialBitmap(t *testing.T) {
 		t.Errorf("one-station TIM size = %d, want 5", got)
 	}
 	// Stations 200..207 live in octet 25; partial bitmap still 1 octet.
-	tim2 := NewTIM(1)
+	tim2 := NewTIM()
 	tim2.Set(200)
 	tim2.Set(207)
 	if got := tim2.EncodedSize(); got != 5 {
@@ -154,7 +138,7 @@ func TestTIMEncodedSizePartialBitmap(t *testing.T) {
 }
 
 func TestBeaconSizeGrowsWithTIM(t *testing.T) {
-	tim := NewTIM(1)
+	tim := NewTIM()
 	b := NewBeacon(tim)
 	small := b.Size()
 	tim.Set(0)

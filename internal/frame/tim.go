@@ -1,9 +1,6 @@
 package frame
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
 // TIM is the 802.11 traffic indication map: a partial virtual bitmap telling
 // power-saving stations whether the AP buffers traffic for them. The paper's
@@ -16,28 +13,14 @@ import (
 // caps at 2007. Reset empties the bitset but keeps its words, so an AP
 // reusing its TIMs stops allocating once they cover its highest id.
 type TIM struct {
-	// DTIMCount counts down beacons until the next DTIM (0 = this beacon is
-	// a DTIM).
-	DTIMCount int
-	// DTIMPeriod is the DTIM interval in beacons.
-	DTIMPeriod int
-	words      []uint64 // bit sta%64 of words[sta/64] marks station sta
-	n          int      // stations indicated
+	words []uint64 // bit sta%64 of words[sta/64] marks station sta
 }
 
-// NewTIM creates an empty TIM with the given DTIM period.
-func NewTIM(dtimPeriod int) *TIM {
-	if dtimPeriod <= 0 {
-		panic(fmt.Sprintf("frame: DTIM period %d must be positive", dtimPeriod))
-	}
-	return &TIM{DTIMPeriod: dtimPeriod}
-}
+// NewTIM creates an empty TIM.
+func NewTIM() *TIM { return &TIM{} }
 
 // Reset unmarks every station, keeping the bitmap's storage for reuse.
-func (t *TIM) Reset() {
-	clear(t.words)
-	t.n = 0
-}
+func (t *TIM) Reset() { clear(t.words) }
 
 // Set marks station sta as having buffered traffic.
 func (t *TIM) Set(sta int) {
@@ -48,20 +31,7 @@ func (t *TIM) Set(sta int) {
 	if w >= len(t.words) {
 		t.words = append(t.words, make([]uint64, w+1-len(t.words))...)
 	}
-	bit := uint64(1) << (sta % 64)
-	if t.words[w]&bit == 0 {
-		t.words[w] |= bit
-		t.n++
-	}
-}
-
-// Clear unmarks station sta.
-func (t *TIM) Clear(sta int) {
-	if !t.Indicated(sta) {
-		return
-	}
-	t.words[sta/64] &^= uint64(1) << (sta % 64)
-	t.n--
+	t.words[w] |= uint64(1) << (sta % 64)
 }
 
 // Indicated reports whether sta has buffered traffic per this TIM.
@@ -71,12 +41,6 @@ func (t *TIM) Indicated(sta int) bool {
 	}
 	return t.words[sta/64]&(uint64(1)<<(sta%64)) != 0
 }
-
-// Stations returns the number of stations indicated.
-func (t *TIM) Stations() int { return t.n }
-
-// Any reports whether any station is indicated.
-func (t *TIM) Any() bool { return t.n > 0 }
 
 // maxSta returns the highest indicated station id, or -1.
 func (t *TIM) maxSta() int {
@@ -102,10 +66,9 @@ func (t *TIM) minSta() int {
 // 802.11 partial-virtual-bitmap encoding: 4 fixed bytes plus only the octet
 // range [floor(min/8), floor(max/8)] of the bitmap.
 func (t *TIM) EncodedSize() int {
-	if t.n == 0 {
+	lo := t.minSta()
+	if lo < 0 {
 		return 4 + 1 // standard: at least one bitmap octet present
 	}
-	lo := t.minSta() / 8
-	hi := t.maxSta() / 8
-	return 4 + (hi - lo + 1)
+	return 4 + (t.maxSta()/8 - lo/8 + 1)
 }

@@ -15,10 +15,6 @@ type ARQKind int
 const (
 	// NoARQ sends each packet once; uncorrectable packets are lost.
 	NoARQ ARQKind = iota
-	// StopAndWait waits for each packet's acknowledgement before the next.
-	StopAndWait
-	// GoBackN pipelines a window and rewinds to the first loss.
-	GoBackN
 	// SelectiveRepeat pipelines a window and retransmits only losses.
 	SelectiveRepeat
 )
@@ -28,10 +24,6 @@ func (k ARQKind) String() string {
 	switch k {
 	case NoARQ:
 		return "no-arq"
-	case StopAndWait:
-		return "stop-and-wait"
-	case GoBackN:
-		return "go-back-n"
 	case SelectiveRepeat:
 		return "selective-repeat"
 	default:
@@ -50,7 +42,7 @@ type Params struct {
 	Code Code
 	// ARQ is the retransmission discipline.
 	ARQ ARQKind
-	// Window is the pipeline depth for GoBackN/SelectiveRepeat.
+	// Window is the pipeline depth for SelectiveRepeat.
 	Window int
 	// BitRate is the link rate in bits/second.
 	BitRate float64
@@ -111,7 +103,7 @@ func (p Params) Validate() error {
 	if p.Code.K != p.PacketBytes {
 		return fmt.Errorf("link: code block (%d) must equal packet payload (%d)", p.Code.K, p.PacketBytes)
 	}
-	if (p.ARQ == GoBackN || p.ARQ == SelectiveRepeat) && p.Window <= 0 {
+	if p.ARQ == SelectiveRepeat && p.Window <= 0 {
 		return fmt.Errorf("link: window must be positive for pipelined ARQ")
 	}
 	return nil
@@ -165,7 +157,7 @@ func Transfer(s *sim.Simulator, ch *channel.GilbertElliott, p Params, totalPacke
 // window returns the number of concurrently outstanding events a transfer
 // keeps in flight, used to size the engine's event batch up front.
 func window(p Params) int {
-	if p.ARQ == GoBackN || p.ARQ == SelectiveRepeat {
+	if p.ARQ == SelectiveRepeat {
 		return p.Window + 1 // pipelined data plus one ACK in flight
 	}
 	return 2
@@ -202,17 +194,13 @@ type engine struct {
 
 	free []*xmit // recycled transmission records
 
-	// Discipline state. Stop-and-wait retries only its one outstanding
-	// packet and go-back-N only its window head, so each keeps one retry
-	// count in attempt.
-	attempt  int
-	base     int // GBN/SR: oldest unresolved packet
-	next     int // GBN/SR: next packet to put on the air
-	expected int // GBN: receiver's in-order expectation
-	sending  bool
-	ring     []srSlot // SR: packet seq's state is ring[seq%Window]
-	queue    []int    // SR retransmission queue, consumed from qHead
-	qHead    int
+	// Selective repeat's window. NoARQ keeps no discipline state.
+	base    int // oldest unresolved packet
+	next    int // next packet to put on the air
+	sending bool
+	ring    []srSlot // packet seq's state is ring[seq%Window]
+	queue   []int    // retransmission queue, consumed from qHead
+	qHead   int
 }
 
 // srSlot is selective repeat's state for one packet in [base, next). Every
@@ -225,15 +213,14 @@ type srSlot struct {
 }
 
 // xmit is one data packet's transmission, pooled on its engine's free
-// list. airFn fires at the end of its airtime, rxFn (go-back-N only) when
-// it reaches the receiver, ackFn when the receiver's reply reaches the
-// sender. All are bound once, when the record is first allocated.
+// list. airFn fires at the end of its airtime, ackFn (selective repeat
+// only) when the receiver's reply reaches the sender. Both are bound once,
+// when the record is first allocated.
 type xmit struct {
 	e     *engine
 	seq   int
 	ok    bool // the FEC decoded the block
 	airFn func()
-	rxFn  func()
 	ackFn func()
 }
 
@@ -253,10 +240,8 @@ func newEngine(s *sim.Simulator, ch *channel.GilbertElliott, p Params, total int
 
 func (e *engine) run() {
 	switch e.p.ARQ {
-	case NoARQ, StopAndWait:
+	case NoARQ:
 		e.sendIdx(0)
-	case GoBackN:
-		e.pumpGBN()
 	case SelectiveRepeat:
 		e.pumpSR()
 	}
@@ -301,9 +286,6 @@ func (e *engine) sendPacket(seq int) {
 		x = &xmit{e: e}
 		x.airFn = x.onAir
 		x.ackFn = x.onAck
-		if e.p.ARQ == GoBackN {
-			x.rxFn = x.onArrival
-		}
 	}
 	x.seq = seq
 	e.s.Schedule(e.air, x.airFn)
@@ -320,8 +302,7 @@ func (x *xmit) onAir() {
 		e.release(x)
 		return
 	}
-	switch e.p.ARQ {
-	case NoARQ:
+	if e.p.ARQ == NoARQ {
 		if x.ok {
 			e.delivered++
 		} else {
@@ -330,19 +311,11 @@ func (x *xmit) onAir() {
 		seq := x.seq
 		e.release(x)
 		e.sendIdx(seq + 1)
-	case StopAndWait:
-		// Receiver replies with an ACK/NACK after the round trip.
-		e.ackCount++
-		e.s.Schedule(e.ackDelay, x.ackFn)
-	case GoBackN:
-		e.sending = false
-		e.s.Schedule(e.p.PropDelay, x.rxFn)
-		e.pumpGBN()
-	case SelectiveRepeat:
-		e.sending = false
-		e.s.Schedule(e.ackDelay, x.ackFn)
-		e.pumpSR()
+		return
 	}
+	e.sending = false
+	e.s.Schedule(e.ackDelay, x.ackFn)
+	e.pumpSR()
 }
 
 // onAck handles the receiver's reply at the sender.
@@ -352,14 +325,7 @@ func (x *xmit) onAck() {
 	if e.done {
 		return
 	}
-	switch e.p.ARQ {
-	case StopAndWait:
-		e.ackStopAndWait(seq, ok)
-	case GoBackN:
-		e.ackGBN(seq)
-	case SelectiveRepeat:
-		e.ackSR(seq, ok)
-	}
+	e.ackSR(seq, ok)
 }
 
 func (e *engine) result() Result {
@@ -396,7 +362,7 @@ func (e *engine) result() Result {
 	return r
 }
 
-// --- NoARQ (fire and forget) and stop-and-wait ---
+// --- NoARQ (fire and forget) ---
 
 // sendIdx puts packet i on the air, or finishes when none is left or the
 // deadline has passed.
@@ -409,90 +375,6 @@ func (e *engine) sendIdx(i int) {
 		return
 	}
 	e.sendPacket(i)
-}
-
-func (e *engine) ackStopAndWait(seq int, ok bool) {
-	if ok {
-		e.delivered++
-		e.attempt = 0
-		e.sendIdx(seq + 1)
-		return
-	}
-	if e.attempt+1 > e.p.RetryLimit {
-		e.lost++
-		e.attempt = 0
-		e.sendIdx(seq + 1)
-		return
-	}
-	e.attempt++
-	e.sendIdx(seq)
-}
-
-// --- Go-back-N ---
-
-func (e *engine) pumpGBN() {
-	if e.done || e.sending {
-		return
-	}
-	if e.base >= e.total || (e.expired() && e.next <= e.base) {
-		e.finish()
-		return
-	}
-	if e.expired() || e.next >= e.base+e.p.Window || e.next >= e.total {
-		return // window full or deadline passed; wait for ACK drainage
-	}
-	seq := e.next
-	e.next++
-	e.sending = true
-	e.sendPacket(seq)
-}
-
-// onArrival is the go-back-N receiver: in-order acceptance only, then a
-// cumulative ACK for everything below expected.
-func (x *xmit) onArrival() {
-	e := x.e
-	if e.done {
-		e.release(x)
-		return
-	}
-	if x.ok && x.seq == e.expected {
-		e.expected++
-		e.delivered++
-	}
-	e.ackCount++
-	e.s.Schedule(e.p.PropDelay+e.ackAir, x.ackFn)
-}
-
-func (e *engine) ackGBN(seq int) {
-	if e.expired() {
-		// Account the final in-flight state, then stop.
-		if e.expected > e.base {
-			e.base = e.expected
-		}
-		e.finish()
-		return
-	}
-	if e.expected > e.base {
-		e.base = e.expected
-		e.attempt = 0
-		e.pumpGBN()
-		return
-	}
-	// Duplicate ACK: the window's head was lost — go back.
-	if seq >= e.base {
-		e.attempt++
-		if e.attempt > e.p.RetryLimit {
-			// Skip the poisoned head to avoid livelock; counts lost.
-			e.lost++
-			e.base++
-			e.attempt = 0
-			if e.expected < e.base {
-				e.expected = e.base
-			}
-		}
-		e.next = e.base
-		e.pumpGBN()
-	}
 }
 
 // --- Selective repeat ---

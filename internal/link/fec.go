@@ -1,7 +1,7 @@
 // Package link implements the logical-link-layer energy trade-offs the
-// paper surveys: ARQ retransmission schemes (stop-and-wait, go-back-N,
-// selective repeat), block forward error correction, hybrid combinations,
-// and channel-prediction-driven adaptive ARQ. Its experiments answer the
+// paper surveys: selective-repeat ARQ retransmission, block forward error
+// correction, hybrid combinations, and channel-prediction-driven adaptive
+// ARQ. Its experiments answer the
 // question the paper poses — when is it cheaper to retransmit, and when to
 // pay constant FEC overhead for longer packets?
 package link
@@ -38,9 +38,6 @@ func NewBCHLike(k, t int) Code {
 	parityBits := m * t
 	return Code{K: k, N: k + (parityBits+7)/8, T: t}
 }
-
-// Overhead returns the expansion ratio N/K (≥ 1).
-func (c Code) Overhead() float64 { return float64(c.N) / float64(c.K) }
 
 // Corrects reports whether a block with the given number of bit errors
 // decodes successfully.

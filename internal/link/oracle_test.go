@@ -59,7 +59,7 @@ func TestTransferMatchesReference(t *testing.T) {
 	bers := []float64{1e-7, 1e-6, 1e-5, 1e-4, 5e-4}
 	codes := []Code{NoCode(1400), NewBCHLike(1400, 12)}
 	props := []sim.Time{5 * sim.Microsecond, 2 * sim.Millisecond, 20 * sim.Millisecond}
-	for _, arq := range []ARQKind{NoARQ, StopAndWait, GoBackN, SelectiveRepeat} {
+	for _, arq := range []ARQKind{NoARQ, SelectiveRepeat} {
 		for ci, code := range codes {
 			for _, ber := range bers {
 				for seed := int64(1); seed <= 32; seed++ {
@@ -101,7 +101,7 @@ func TestRunAdaptiveMatchesReference(t *testing.T) {
 		func() channel.Predictor { return channel.NewWindow(5) },
 		func() channel.Predictor { return channel.NewOracle() },
 	}
-	for _, arq := range []ARQKind{NoARQ, StopAndWait, GoBackN, SelectiveRepeat} {
+	for _, arq := range []ARQKind{NoARQ, SelectiveRepeat} {
 		for pi, mk := range preds {
 			for seed := int64(1); seed <= 8; seed++ {
 				run := func(adaptive func(*sim.Simulator, *channel.GilbertElliott, channel.Predictor, AdaptiveConfig) AdaptiveResult) (AdaptiveResult, simState) {

@@ -7,7 +7,7 @@ import (
 
 // refTransfer, refRunAdaptive and refEngine are the package's original
 // transfer engine: one closure per airtime completion and per ACK, map
-// retry counts in go-back-N and selective repeat, and a re-sliced
+// retry counts in selective repeat, and a re-sliced
 // retransmission queue. They are kept verbatim as the oracle the pooled
 // engine must match bit for bit (oracle_test.go); only the energy sum
 // carries the explicit product rounding engine.result has, so the two
@@ -27,10 +27,6 @@ func refTransfer(s *sim.Simulator, ch *channel.GilbertElliott, p Params, totalPa
 	switch p.ARQ {
 	case NoARQ:
 		eng.runNoARQ()
-	case StopAndWait:
-		eng.runStopAndWait()
-	case GoBackN:
-		eng.runGoBackN()
 	case SelectiveRepeat:
 		eng.runSelectiveRepeat()
 	}
@@ -158,134 +154,6 @@ func (e *refEngine) runNoARQ() {
 		})
 	}
 	sendNext(0)
-}
-
-// --- Stop-and-wait ---
-
-func (e *refEngine) runStopAndWait() {
-	var sendIdx func(i, attempt int)
-	sendIdx = func(i, attempt int) {
-		if e.done {
-			return
-		}
-		if i >= e.total || e.expired() {
-			e.finish()
-			return
-		}
-		e.sendPacket(func(ok bool) {
-			if e.done {
-				return
-			}
-			// Receiver replies with an ACK/NACK after the round trip.
-			e.ackCount++
-			e.s.Schedule(e.ackDelay(), func() {
-				if e.done {
-					return
-				}
-				if ok {
-					e.delivered++
-					sendIdx(i+1, 0)
-					return
-				}
-				if attempt+1 > e.p.RetryLimit {
-					e.lost++
-					sendIdx(i+1, 0)
-					return
-				}
-				sendIdx(i, attempt+1)
-			})
-		})
-	}
-	sendIdx(0, 0)
-}
-
-// --- Go-back-N ---
-
-func (e *refEngine) runGoBackN() {
-	base, next := 0, 0
-	expected := 0 // receiver's in-order expectation
-	attempts := make(map[int]int)
-	sending := false
-
-	var pump func()
-	var onDataArrival func(seq int, ok bool)
-
-	pump = func() {
-		if e.done || sending {
-			return
-		}
-		if base >= e.total || (e.expired() && next <= base) {
-			e.finish()
-			return
-		}
-		if e.expired() || next >= base+e.p.Window || next >= e.total {
-			return // window full or deadline passed; wait for ACK drainage
-		}
-		seq := next
-		next++
-		sending = true
-		e.sendPacket(func(ok bool) {
-			if e.done {
-				return
-			}
-			sending = false
-			e.s.Schedule(e.p.PropDelay, func() { onDataArrival(seq, ok) })
-			pump()
-		})
-	}
-
-	onDataArrival = func(seq int, ok bool) {
-		if e.done {
-			return
-		}
-		// Receiver: in-order acceptance only.
-		if ok && seq == expected {
-			expected++
-			e.delivered++
-		}
-		// Cumulative ACK for everything below `expected`.
-		e.ackCount++
-		e.s.Schedule(e.p.PropDelay+e.p.ackTime(), func() {
-			if e.done {
-				return
-			}
-			if e.expired() {
-				// Account the final in-flight state, then stop.
-				if expected > base {
-					base = expected
-				}
-				e.finish()
-				return
-			}
-			if expected > base {
-				base = expected
-				for k := range attempts {
-					if k < base {
-						delete(attempts, k)
-					}
-				}
-				pump()
-				return
-			}
-			// Duplicate ACK: the window's head was lost — go back.
-			if seq >= base {
-				attempts[base]++
-				if attempts[base] > e.p.RetryLimit {
-					// Skip the poisoned head to avoid livelock; counts lost.
-					e.lost++
-					delete(attempts, base)
-					base++
-					if expected < base {
-						expected = base
-					}
-				}
-				next = base
-				pump()
-			}
-		})
-	}
-
-	pump()
 }
 
 // --- Selective repeat ---

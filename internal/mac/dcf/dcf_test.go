@@ -476,3 +476,12 @@ func TestWakeDuringPendingWakeEndCompletesFirst(t *testing.T) {
 		t.Fatalf("wake dones ran as %v, want [2 1]", got)
 	}
 }
+
+// Config returns the medium's timing configuration.
+func (m *Medium) Config() Config { return m.cfg }
+
+// Station returns the attached station with the given id, or nil.
+func (m *Medium) Station(id int) *Station { return m.nodes[id] }
+
+// QueueLen returns the number of frames waiting (including one in flight).
+func (st *Station) QueueLen() int { return len(st.queue) }

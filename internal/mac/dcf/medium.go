@@ -104,7 +104,6 @@ type Stats struct {
 	Collisions    int
 	Corrupted     int
 	Delivered     int
-	AcksSent      int
 }
 
 // Medium is the shared broadcast channel all stations attach to. It detects
@@ -119,8 +118,6 @@ type Medium struct {
 	active []*transmission
 	free   []*transmission // recycled records, reused by begin
 	stats  Stats
-
-	idleSince sim.Time
 }
 
 // NewMedium creates an empty medium. ch may be nil for a perfect channel.
@@ -131,17 +128,11 @@ func NewMedium(s *sim.Simulator, cfg Config, ch *channel.GilbertElliott) *Medium
 	return &Medium{sim: s, cfg: cfg, ch: ch, nodes: make(map[int]*Station)}
 }
 
-// Config returns the medium's timing configuration.
-func (m *Medium) Config() Config { return m.cfg }
-
 // Stats returns a copy of the medium counters.
 func (m *Medium) Stats() Stats { return m.stats }
 
 // Busy reports whether any transmission is in flight.
 func (m *Medium) Busy() bool { return len(m.active) > 0 }
-
-// IdleSince returns when the medium last became idle (valid only when idle).
-func (m *Medium) IdleSince() sim.Time { return m.idleSince }
 
 func (m *Medium) attach(st *Station) {
 	if _, dup := m.nodes[st.id]; dup {
@@ -150,9 +141,6 @@ func (m *Medium) attach(st *Station) {
 	m.nodes[st.id] = st
 	m.order = append(m.order, st)
 }
-
-// Station returns the attached station with the given id, or nil.
-func (m *Medium) Station(id int) *Station { return m.nodes[id] }
 
 // begin puts a copy of f on the air. Any overlap collides every frame
 // involved.
@@ -202,9 +190,6 @@ func (m *Medium) finish(tx *transmission) {
 		}
 	}
 	nowIdle := len(m.active) == 0
-	if nowIdle {
-		m.idleSince = m.sim.Now()
-	}
 
 	delivered := false
 	if !tx.collided {

@@ -196,7 +196,7 @@ func runOracle(c oracleCase, ref bool) oracleOutcome {
 	// quiescent, retrying every millisecond until 2 ms before the next wake.
 	const beacon, lead = 20 * sim.Millisecond, 2 * sim.Millisecond
 	sim.NewTicker(s, beacon, func() {
-		b := frame.NewBeacon(frame.NewTIM(1))
+		b := frame.NewBeacon(frame.NewTIM())
 		ap.SendAfter(0, &b)
 	})
 	for i := range c.stations {

@@ -108,17 +108,11 @@ func NewStation(id int, m *Medium, dev *radio.Device) *Station {
 	return st
 }
 
-// ID returns the station identifier.
-func (st *Station) ID() int { return st.id }
-
 // Device returns the station's radio.
 func (st *Station) Device() *radio.Device { return st.dev }
 
 // Stats returns a copy of the station counters.
 func (st *Station) Stats() StationStats { return st.stats }
-
-// QueueLen returns the number of frames waiting (including one in flight).
-func (st *Station) QueueLen() int { return len(st.queue) }
 
 // Awake reports whether the station is listening to the medium.
 func (st *Station) Awake() bool { return st.awake }

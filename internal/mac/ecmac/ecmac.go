@@ -225,9 +225,6 @@ func (n *Network) StationEnergy(id int) float64 {
 	return n.byID[id].dev.Meter().AveragePower()
 }
 
-// StationRecvBytes returns delivered downlink bytes for a station.
-func (n *Network) StationRecvBytes(id int) int { return n.byID[id].recvBytes }
-
 // wakeAll begins every station's sleep→idle transition ahead of the beacon.
 func (n *Network) wakeAll() {
 	for _, st := range n.stations {

@@ -217,3 +217,6 @@ func TestLongRunStability(t *testing.T) {
 		t.Errorf("superframes = %d, want ≥ 1000", st.Superframes)
 	}
 }
+
+// StationRecvBytes returns delivered downlink bytes for a station.
+func (n *Network) StationRecvBytes(id int) int { return n.byID[id].recvBytes }

@@ -66,7 +66,7 @@ func Predict(cfg Config) Prediction {
 
 // perAttendance bundles the window-dependent expectations above.
 type perAttendance struct {
-	f, q, txSec, rxSec, waitUnitSec float64 // waitUnitSec = q·F·t̄: wait per unit position
+	f, txSec, rxSec, waitUnitSec float64 // waitUnitSec = q·F·t̄: wait per unit position
 }
 
 // frameTerms returns the bounded-Pareto mean E[L] and one data frame's
@@ -83,7 +83,7 @@ func (cfg Config) attendance(w sim.Time, perFrameRx float64) perAttendance {
 	q := 1 - xmath.Exp(-f)
 	tbar := cfg.PollAir.Seconds() + perFrameRx
 	return perAttendance{
-		f: f, q: q,
+		f:           f,
 		txSec:       f * cfg.PollAir.Seconds(),
 		rxSec:       f * perFrameRx,
 		waitUnitSec: q * f * tbar,

@@ -82,11 +82,6 @@ func (p Pareto) Mean() float64 {
 	return pa.Of(l) / (1 - pa.Of(l/h)) * a / (a - 1) * (pb.Of(l) - pb.Of(h))
 }
 
-// Sample inverts the CDF at u ∈ [0, 1).
-func (p Pareto) Sample(u float64) float64 {
-	return p.sampler().sample(u)
-}
-
 // paretoSampler is a Pareto's inverse CDF, l·(1 − u·(1 − (l/h)^α))^(−1/α),
 // with its draw-independent terms precomputed: each sample costs one
 // fixed-exponent power of a base in (0, 1] and no division.

@@ -665,3 +665,8 @@ func run(seed int64, cfg Config) Report {
 	s.RunUntil(cfg.Horizon)
 	return m.Finish()
 }
+
+// Sample inverts the CDF at u ∈ [0, 1).
+func (p Pareto) Sample(u float64) float64 {
+	return p.sampler().sample(u)
+}

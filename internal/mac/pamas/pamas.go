@@ -89,10 +89,8 @@ func (c Config) Validate() error {
 
 // Node is one ad-hoc network participant.
 type Node struct {
-	id      int
 	dev     *radio.Device
 	battery *energy.Battery
-	net     *Network
 
 	sleepUntil sim.Time // data radio forced asleep through here
 	idleSleeps int
@@ -100,21 +98,6 @@ type Node struct {
 	recv       int
 	alive      bool
 }
-
-// ID returns the node id.
-func (n *Node) ID() int { return n.id }
-
-// Battery returns the node's battery.
-func (n *Node) Battery() *energy.Battery { return n.battery }
-
-// Alive reports whether the node still has energy.
-func (n *Node) Alive() bool { return n.alive }
-
-// IdleSleeps counts battery-driven idle sleep episodes.
-func (n *Node) IdleSleeps() int { return n.idleSleeps }
-
-// Stats returns packets sent and received.
-func (n *Node) Stats() (sent, recv int) { return n.sent, n.recv }
 
 // Network is a single-collision-domain ad-hoc network. The signalling
 // channel serializes data transmissions (RTS/CTS wins the channel), so data
@@ -127,13 +110,10 @@ type Network struct {
 
 	busy     bool
 	backlog  []func()
-	deaths   int
 	firstDie sim.Time
 
 	delivered      int
 	deliveredBytes int
-	controlEnergy  float64
-	lastControlAcc sim.Time
 }
 
 // NewNetwork creates a PAMAS network with n nodes.
@@ -145,10 +125,9 @@ func NewNetwork(s *sim.Simulator, cfg Config, n int) *Network {
 	for i := 0; i < n; i++ {
 		dev := radio.NewDeviceInState(s, adHocProfile(cfg.BitRate), radio.Idle)
 		b := energy.NewBattery(cfg.BatteryCapacity)
-		node := &Node{id: i, dev: dev, battery: b, net: net, alive: true}
+		node := &Node{dev: dev, battery: b, alive: true}
 		b.OnDeath = func(at sim.Time) {
 			node.alive = false
-			net.deaths++
 			if at < net.firstDie {
 				net.firstDie = at
 			}
@@ -173,10 +152,10 @@ func adHocProfile(bitRate float64) *radio.Profile {
 			radio.RX:    0.90,
 			radio.TX:    1.20,
 		},
-		Transitions: radio.MakeTransitions(map[[2]radio.State]radio.Transition{
-			{radio.Sleep, radio.Idle}: {Latency: 800 * sim.Microsecond, Energy: 0.0005},
-			{radio.Idle, radio.Sleep}: {Latency: 400 * sim.Microsecond, Energy: 0.0002},
-		}),
+		Transitions: radio.TransitionTable{
+			radio.Sleep: {radio.Idle: {Latency: 800 * sim.Microsecond, Energy: 0.0005}},
+			radio.Idle:  {radio.Sleep: {Latency: 400 * sim.Microsecond, Energy: 0.0002}},
+		},
 		BitRate:          bitRate,
 		Goodput:          bitRate * 0.8,
 		PerBurstOverhead: sim.Millisecond,
@@ -197,9 +176,6 @@ func (ne *nodeEnergy) TotalEnergy() float64 {
 	ctl := float64(ne.net.cfg.ControlPower * ne.net.sim.Now().Seconds())
 	return ne.node.dev.Meter().TotalEnergy() + ctl
 }
-
-// Node returns node i.
-func (n *Network) Node(i int) *Node { return n.nodes[i] }
 
 // NumAlive counts nodes with remaining energy.
 func (n *Network) NumAlive() int {

@@ -163,3 +163,12 @@ func TestFirstDeathMaxTimeWhenAlive(t *testing.T) {
 		t.Error("FirstDeath should be MaxTime while all alive")
 	}
 }
+
+// IdleSleeps counts battery-driven idle sleep episodes.
+func (n *Node) IdleSleeps() int { return n.idleSleeps }
+
+// Stats returns packets sent and received.
+func (n *Node) Stats() (sent, recv int) { return n.sent, n.recv }
+
+// Node returns node i.
+func (n *Network) Node(i int) *Node { return n.nodes[i] }

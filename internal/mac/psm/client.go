@@ -9,11 +9,10 @@ import (
 
 // ClientStats counts station-side PSM activity.
 type ClientStats struct {
-	BeaconsHeard  int
-	BeaconsMissed int
-	PollsSent     int
-	FramesRecv    int
-	BytesRecv     int
+	BeaconsHeard int
+	PollsSent    int
+	FramesRecv   int
+	BytesRecv    int
 }
 
 // Client is a power-saving 802.11 station. Its lifecycle is a loop:
@@ -23,7 +22,6 @@ type ClientStats struct {
 type Client struct {
 	sim *sim.Simulator
 	cfg Config
-	ap  *AP
 	sta *dcf.Station
 	id  int
 
@@ -57,7 +55,7 @@ func NewClient(s *sim.Simulator, m *dcf.Medium, dev *radio.Device, ap *AP, id in
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	c := &Client{sim: s, cfg: cfg, ap: ap, id: id}
+	c := &Client{sim: s, cfg: cfg, id: id}
 	c.sta = dcf.NewStation(id, m, dev)
 	c.sta.OnReceive = c.onReceive
 	c.cycle = s.NewSlotBatch(2) // slot 0: pre-TBTT wakeup, slot 1: doze retry
@@ -72,9 +70,6 @@ func NewClient(s *sim.Simulator, m *dcf.Medium, dev *radio.Device, ap *AP, id in
 
 // Station exposes the underlying DCF station.
 func (c *Client) Station() *dcf.Station { return c.sta }
-
-// Stats returns a copy of the client counters.
-func (c *Client) Stats() ClientStats { return c.stats }
 
 // nextTBTT returns the next target beacon transmission time this client
 // attends, honoring its listen interval.
@@ -105,7 +100,6 @@ func (c *Client) onWake() {
 }
 
 func (c *Client) onRetrieveTimeout() {
-	c.stats.BeaconsMissed++
 	c.retrieving = false
 	c.dozeUntilNext()
 }

@@ -27,8 +27,6 @@ import (
 type Config struct {
 	// BeaconInterval is the TBTT spacing (default 100 ms).
 	BeaconInterval sim.Time
-	// DTIMPeriod is the DTIM interval in beacons.
-	DTIMPeriod int
 	// ListenInterval is how many beacon intervals a station may skip
 	// between wakeups (1 = wake for every beacon).
 	ListenInterval int
@@ -46,7 +44,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		BeaconInterval:  100 * sim.Millisecond,
-		DTIMPeriod:      3,
 		ListenInterval:  1,
 		WakeLead:        3 * sim.Millisecond,
 		BufferLimit:     64,
@@ -56,7 +53,7 @@ func DefaultConfig() Config {
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.BeaconInterval <= 0 || c.DTIMPeriod <= 0 || c.ListenInterval <= 0 {
+	if c.BeaconInterval <= 0 || c.ListenInterval <= 0 {
 		return fmt.Errorf("psm: intervals must be positive")
 	}
 	if c.WakeLead <= 0 || c.WakeLead >= c.BeaconInterval {
@@ -86,7 +83,6 @@ type APStats struct {
 // mode is buffered and advertised via the TIM; PS-Polls release it one frame
 // at a time with the More bit chaining further retrievals.
 type AP struct {
-	sim *sim.Simulator
 	cfg Config
 	sta *dcf.Station
 
@@ -96,7 +92,6 @@ type AP struct {
 	// in the AP's queue past the next TBTT, so one TIM per AP is not
 	// enough.
 	freeTIMs []*frame.TIM
-	beaconN  int
 	seq      int
 	stats    APStats
 }
@@ -114,19 +109,13 @@ func NewAP(s *sim.Simulator, m *dcf.Medium, dev *radio.Device, cfg Config) *AP {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	ap := &AP{sim: s, cfg: cfg, stations: make(map[int]*apStation)}
+	ap := &AP{cfg: cfg, stations: make(map[int]*apStation)}
 	ap.sta = dcf.NewStation(frame.AP, m, dev)
 	ap.sta.OnReceive = ap.onReceive
 	ap.sta.OnSent = ap.onSent
 	sim.NewTicker(s, cfg.BeaconInterval, ap.sendBeacon)
 	return ap
 }
-
-// Station exposes the AP's underlying DCF station (for stats and tests).
-func (ap *AP) Station() *dcf.Station { return ap.sta }
-
-// Stats returns a copy of the AP counters.
-func (ap *AP) Stats() APStats { return ap.stats }
 
 // SetPSMode marks a station as power-saving (true) or CAM (false).
 // In a real network the station signals this with the power-management bit;
@@ -139,14 +128,6 @@ func (ap *AP) SetPSMode(sta int, on bool) {
 		ap.psOrder = append(ap.psOrder, st)
 	}
 	st.ps = on
-}
-
-// Buffered returns the number of frames currently buffered for a station.
-func (ap *AP) Buffered(sta int) int {
-	if st := ap.stations[sta]; st != nil {
-		return len(st.buf)
-	}
-	return 0
 }
 
 // Deliver hands the AP a downlink payload for a station. PS stations get it
@@ -175,9 +156,8 @@ func (ap *AP) sendBeacon() {
 		ap.freeTIMs = ap.freeTIMs[:n-1]
 		tim.Reset()
 	} else {
-		tim = frame.NewTIM(ap.cfg.DTIMPeriod)
+		tim = frame.NewTIM()
 	}
-	tim.DTIMCount = ap.beaconN % ap.cfg.DTIMPeriod
 	// Only registered stations are ever buffered for (Deliver checks
 	// their PS mode), so walking them in registration order covers every
 	// buffer without ranging over a map.
@@ -186,7 +166,6 @@ func (ap *AP) sendBeacon() {
 			tim.Set(st.id)
 		}
 	}
-	ap.beaconN++
 	ap.stats.Beacons++
 	beacon := frame.NewBeacon(tim)
 	ap.sta.Enqueue(&beacon)

@@ -94,9 +94,6 @@ func (p *AdaptiveTimeout) Name() string { return "adaptive-timeout" }
 // SleepDelay implements Policy.
 func (p *AdaptiveTimeout) SleepDelay(sim.Time) sim.Time { return p.cur }
 
-// Current returns the present timeout value (for tests).
-func (p *AdaptiveTimeout) Current() sim.Time { return p.cur }
-
 // ObserveIdle implements Policy: a "bad sleep" is an idle period that
 // exceeded the timeout by less than the breakeven (we paid the transition
 // without amortizing it) — back off. Long idles mean we slept too late —

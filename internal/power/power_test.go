@@ -191,3 +191,6 @@ func TestEnergyDelayTradeoffAcrossTimeouts(t *testing.T) {
 		t.Errorf("short timeout delay %v should exceed long %v", short.MeanDelay, long.MeanDelay)
 	}
 }
+
+// Current returns the present timeout value.
+func (p *AdaptiveTimeout) Current() sim.Time { return p.cur }

@@ -84,9 +84,6 @@ func NewPlayoutBuffer(s *sim.Simulator, spec StreamSpec) *PlayoutBuffer {
 	return b
 }
 
-// Spec returns the stream specification.
-func (b *PlayoutBuffer) Spec() StreamSpec { return b.spec }
-
 // settle advances the analytic drain to the current instant.
 func (b *PlayoutBuffer) settle() {
 	now := b.sim.Now()

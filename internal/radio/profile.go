@@ -66,16 +66,6 @@ type Transition struct {
 // run), where hashing a 16-byte map key was ~30% of the whole simulation.
 type TransitionTable [numStates][numStates]Transition
 
-// MakeTransitions builds a TransitionTable from the sparse map form, for
-// callers that want to list only the transitions with nonzero cost.
-func MakeTransitions(m map[[2]State]Transition) TransitionTable {
-	var t TransitionTable
-	for k, tr := range m {
-		t[k[0]][k[1]] = tr
-	}
-	return t
-}
-
 // Profile is the calibration data for one WNIC technology: state power draw,
 // transition costs and link-speed characteristics.
 //
@@ -178,12 +168,14 @@ func WLAN80211b() *Profile {
 			RX:    1.40,
 			TX:    1.65,
 		},
-		Transitions: MakeTransitions(map[[2]State]Transition{
-			{Off, Idle}:   {Latency: 100 * sim.Millisecond, Energy: 0.135}, // power-up + re-associate
-			{Idle, Off}:   {Latency: 10 * sim.Millisecond, Energy: 0.005},
-			{Sleep, Idle}: {Latency: 2 * sim.Millisecond, Energy: 0.002},
-			{Idle, Sleep}: {Latency: 1 * sim.Millisecond, Energy: 0.001},
-		}),
+		Transitions: TransitionTable{
+			Off: {Idle: {Latency: 100 * sim.Millisecond, Energy: 0.135}}, // power-up + re-associate
+			Idle: {
+				Off:   {Latency: 10 * sim.Millisecond, Energy: 0.005},
+				Sleep: {Latency: 1 * sim.Millisecond, Energy: 0.001},
+			},
+			Sleep: {Idle: {Latency: 2 * sim.Millisecond, Energy: 0.002}},
+		},
 		BitRate:          11e6,
 		Goodput:          5.8e6, // MAC+TCP efficiency of 802.11b bulk transfer
 		PerBurstOverhead: 8 * sim.Millisecond,
@@ -205,12 +197,14 @@ func Bluetooth() *Profile {
 			RX:    0.425,
 			TX:    0.465,
 		},
-		Transitions: MakeTransitions(map[[2]State]Transition{
-			{Off, Idle}:   {Latency: 2 * sim.Second, Energy: 0.6}, // inquiry+page: why BT uses park, not off
-			{Idle, Off}:   {Latency: 5 * sim.Millisecond, Energy: 0.001},
-			{Sleep, Idle}: {Latency: 20 * sim.Millisecond, Energy: 0.004},
-			{Idle, Sleep}: {Latency: 10 * sim.Millisecond, Energy: 0.002},
-		}),
+		Transitions: TransitionTable{
+			Off: {Idle: {Latency: 2 * sim.Second, Energy: 0.6}}, // inquiry+page: why BT uses park, not off
+			Idle: {
+				Off:   {Latency: 5 * sim.Millisecond, Energy: 0.001},
+				Sleep: {Latency: 10 * sim.Millisecond, Energy: 0.002},
+			},
+			Sleep: {Idle: {Latency: 20 * sim.Millisecond, Energy: 0.004}},
+		},
 		BitRate:          723.2e3,
 		Goodput:          560e3,
 		PerBurstOverhead: 25 * sim.Millisecond,

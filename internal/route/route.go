@@ -119,7 +119,6 @@ type Network struct {
 	failedPkts    int
 	totalEnergyJ  float64
 	firstDeathPkt int // packet count at first node death, -1 while none
-	deaths        int
 
 	g *graph // built by the first search
 }
@@ -143,9 +142,6 @@ func NewGrid(w, h int, spacing, radioRange, batteryJ float64, cost RadioCost) *N
 	}
 	return n
 }
-
-// Node returns node i.
-func (n *Network) Node(i int) *Node { return n.nodes[i] }
 
 // Size returns the node count.
 func (n *Network) Size() int { return len(n.nodes) }
@@ -232,7 +228,6 @@ func (n *Network) drain(nd *Node, j float64) {
 	nd.Battery -= j
 	if nd.Battery <= 0 {
 		nd.Battery = 0
-		n.deaths++
 		if n.firstDeathPkt == -1 {
 			n.firstDeathPkt = n.deliveredPkts
 		}

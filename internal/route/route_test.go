@@ -131,7 +131,6 @@ func refDrain(n *Network, nd *Node, j float64) {
 	nd.Battery -= j
 	if nd.Battery <= 0 {
 		nd.Battery = 0
-		n.deaths++
 		if n.firstDeathPkt == -1 {
 			n.firstDeathPkt = n.deliveredPkts
 		}
@@ -233,9 +232,9 @@ func refUnwind(prev []int, src, dst int) []int {
 func diffState(got, want *Network) string {
 	gd, gf, ge, gfd := got.Stats()
 	wd, wf, we, wfd := want.Stats()
-	if gd != wd || gf != wf || math.Float64bits(ge) != math.Float64bits(we) || gfd != wfd || got.deaths != want.deaths {
-		return fmt.Sprintf("stats (%d, %d, %v, %d, deaths %d), reference (%d, %d, %v, %d, deaths %d)",
-			gd, gf, ge, gfd, got.deaths, wd, wf, we, wfd, want.deaths)
+	if gd != wd || gf != wf || math.Float64bits(ge) != math.Float64bits(we) || gfd != wfd {
+		return fmt.Sprintf("stats (%d, %d, %v, %d), reference (%d, %d, %v, %d)",
+			gd, gf, ge, gfd, wd, wf, we, wfd)
 	}
 	for i, nd := range got.nodes {
 		if g, w := nd.Battery, want.nodes[i].Battery; math.Float64bits(g) != math.Float64bits(w) {
@@ -687,3 +686,6 @@ func newRandom(rng *rand.Rand, n int, side, radioRange, batteryJ float64, cost R
 	}
 	return net
 }
+
+// Node returns node i.
+func (n *Network) Node(i int) *Node { return n.nodes[i] }

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -52,13 +53,6 @@ type Chaos struct {
 	ReplayAfter    int           // before responding to seed N, replay the previous response frame (stale epoch)
 }
 
-// active reports whether any fault is configured.
-func (c Chaos) active() bool {
-	return c.CrashAfter > 0 || c.HangAfter > 0 || c.CorruptAfter > 0 ||
-		c.TruncateAfter > 0 || c.DelayEvery > 0 ||
-		c.DropConnAfter > 0 || c.BlackholeAfter > 0 || c.SlowLink > 0 || c.ReplayAfter > 0
-}
-
 // Environment variables of the shard worker protocol. The parent sets all
 // three on every worker it spawns; ServeWorker reads them.
 const (
@@ -83,6 +77,7 @@ const (
 // Keys: crash-after, hang-after, hang-ms, corrupt-after, trunc-after,
 // delay-every, delay-ms, gens, and the network verbs drop-conn-after,
 // blackhole-after, slowlink-ms, replay-after. The empty spec is no chaos.
+// A -ms value must fit a time.Duration.
 func ParseChaos(spec string, gen int) (Chaos, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
@@ -122,6 +117,9 @@ func ParseChaos(spec string, gen int) (Chaos, error) {
 	return c, nil
 }
 
+// maxChaosMS is the largest -ms value whose time.Duration does not wrap.
+const maxChaosMS = math.MaxInt64 / int64(time.Millisecond)
+
 func parseChaosClause(clause string) (Chaos, error) {
 	var c Chaos
 	hangMS, delayMS, slowMS := -1, -1, -1
@@ -137,6 +135,9 @@ func parseChaosClause(clause string) (Chaos, error) {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
 			return Chaos{}, fmt.Errorf("chaos: %s=%q is not a non-negative integer", k, v)
+		}
+		if strings.HasSuffix(k, "-ms") && int64(n) > maxChaosMS {
+			return Chaos{}, fmt.Errorf("chaos: %s=%d overflows a duration (at most %d)", k, n, maxChaosMS)
 		}
 		switch k {
 		case "crash-after":

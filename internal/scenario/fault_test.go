@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"math"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -72,19 +73,52 @@ func TestParseChaos(t *testing.T) {
 	}
 
 	for _, bad := range []string{
-		"crash-after",        // not key=value
-		"crash-after=x",      // not an integer
-		"crash-after=-1",     // negative
-		"no-such-key=1",      // unknown key
-		"gen:crash-after=1",  // bad generation label
-		"genx:crash-after=1", // bad generation label
-		"0:crash-after=1",    // clause without gen prefix
-		"gen0:crash-after",   // bad body inside a schedule
+		"crash-after",                           // not key=value
+		"crash-after=x",                         // not an integer
+		"crash-after=-1",                        // negative
+		"no-such-key=1",                         // unknown key
+		"gen:crash-after=1",                     // bad generation label
+		"genx:crash-after=1",                    // bad generation label
+		"0:crash-after=1",                       // clause without gen prefix
+		"gen0:crash-after",                      // bad body inside a schedule
+		"delay-every=1,delay-ms=18446744073709", // Delay would wrap negative
+		"slowlink-ms=9300000000000000",          // SlowLink would wrap
+		"hang-ms=9223372036855",                 // one past the largest duration
 	} {
 		if _, err := ParseChaos(bad, 0); err == nil {
 			t.Errorf("ParseChaos(%q) should fail", bad)
 		}
 	}
+	if c, err := ParseChaos("hang-ms=9223372036854", 0); err != nil || c.HangFor <= 0 {
+		t.Errorf("largest hang-ms: %v / %v", c.HangFor, err)
+	}
+}
+
+// FuzzParseChaos feeds ParseChaos outside input (the -chaos flag and
+// REPRO_CHAOS): it must never panic, and a schedule it accepts has no
+// negative duration.
+func FuzzParseChaos(f *testing.F) {
+	for _, seed := range []string{
+		"crash-after=3,gens=2",
+		"gen0:crash-after=3;gen1:corrupt-after=2;gen2:hang-after=1",
+		"delay-every=1,delay-ms=18446744073709",
+		"slowlink-ms=9300000000000000",
+	} {
+		f.Add(seed, 0)
+		f.Add(seed, 1)
+	}
+	f.Fuzz(func(t *testing.T, spec string, gen int) {
+		c, err := ParseChaos(spec, gen)
+		if err != nil {
+			return
+		}
+		v := reflect.ValueOf(c)
+		for i := 0; i < v.NumField(); i++ {
+			if d, ok := v.Field(i).Interface().(time.Duration); ok && d < 0 {
+				t.Errorf("ParseChaos(%q, %d).%s = %v", spec, gen, v.Type().Field(i).Name, d)
+			}
+		}
+	})
 }
 
 func TestChaosFromEnvRejectsBadSchedule(t *testing.T) {
@@ -555,4 +589,11 @@ func TestCacheCountsWriteErrors(t *testing.T) {
 	if !strings.Contains(s.String(), "3 write errors") {
 		t.Errorf("stats line should carry write errors: %s", s)
 	}
+}
+
+// active reports whether any fault is configured.
+func (c Chaos) active() bool {
+	return c.CrashAfter > 0 || c.HangAfter > 0 || c.CorruptAfter > 0 ||
+		c.TruncateAfter > 0 || c.DelayEvery > 0 ||
+		c.DropConnAfter > 0 || c.BlackholeAfter > 0 || c.SlowLink > 0 || c.ReplayAfter > 0
 }

@@ -41,7 +41,7 @@ func dialWorker(addr string, pol FaultPolicy, w *workerSlot) (slotConn, error) {
 
 // newNetConn wraps an established connection as a TCP slot transport.
 func newNetConn(conn net.Conn, pol FaultPolicy, stales, sent, recvd *atomic.Int64) *netConn {
-	c := &netConn{conn: conn, pol: pol}
+	c := &netConn{conn: conn}
 	c.connCore = connCore{
 		w:        conn,
 		br:       bufio.NewReader(conn),
@@ -72,7 +72,6 @@ func newNetConn(conn net.Conn, pol FaultPolicy, stales, sent, recvd *atomic.Int6
 type netConn struct {
 	connCore
 	conn net.Conn
-	pol  FaultPolicy
 }
 
 func (c *netConn) interrupt() { c.conn.Close() }

@@ -58,29 +58,6 @@ type Runner struct {
 	Executor    Executor // nil means an in-process Local pool of size Parallel
 }
 
-// HealthReporter is implemented by executors that keep supervision
-// counters (the Shard backend, whatever its transport).
-type HealthReporter interface {
-	Health() ShardHealth
-}
-
-// Health returns the supervision counters of the configured backend, or
-// of the backend it decorates (a Cache over a Shard), when one reports
-// them — the structured alternative to grepping the stderr health block.
-func (r *Runner) Health() (ShardHealth, bool) {
-	for e := r.Executor; e != nil; {
-		switch x := e.(type) {
-		case HealthReporter:
-			return x.Health(), true
-		case *Cache:
-			e = x.Inner
-		default:
-			return ShardHealth{}, false
-		}
-	}
-	return ShardHealth{}, false
-}
-
 // Seeds returns the canonical seed set used by the CLIs: n consecutive
 // seeds starting at base.
 func Seeds(base int64, n int) []int64 {

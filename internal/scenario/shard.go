@@ -115,12 +115,11 @@ type lease struct {
 }
 
 type leaseResult struct {
-	l      *lease
-	epoch  int64    // the epoch this attempt ran under
-	res    []Result // len(l.seeds) on success
-	worker int      // slot id; -1 for quarantined in-process execution
-	kind   failKind
-	err    error
+	l     *lease
+	epoch int64    // the epoch this attempt ran under
+	res   []Result // len(l.seeds) on success
+	kind  failKind
+	err   error
 }
 
 // slotConn is one live transport session filling a worker slot: a
@@ -427,7 +426,7 @@ func (w *workerSlot) runBatch(batch []*lease) {
 		// spawn failure to the first lease and put the rest back untouched.
 		w.spawnFails.Add(1)
 		w.consecFails++
-		batch[0].reply <- leaseResult{l: batch[0], epoch: batch[0].epoch, worker: w.id, kind: failSpawn,
+		batch[0].reply <- leaseResult{l: batch[0], epoch: batch[0].epoch, kind: failSpawn,
 			err: fmt.Errorf("shard: [w%d] open worker: %w", w.id, err)}
 		for _, l := range batch[1:] {
 			go func(l *lease) { w.sh.jobs <- l }(l)
@@ -462,7 +461,7 @@ func (w *workerSlot) runBatch(batch []*lease) {
 		w.consecFails++
 		w.kill()
 		for _, l := range batch[from:] {
-			l.reply <- leaseResult{l: l, epoch: l.epoch, worker: w.id, kind: kind, err: err}
+			l.reply <- leaseResult{l: l, epoch: l.epoch, kind: kind, err: err}
 		}
 		w.backoff()
 	}
@@ -495,11 +494,11 @@ func (w *workerSlot) runBatch(batch []*lease) {
 			out[si] = res
 		}
 		if appErr != nil {
-			l.reply <- leaseResult{l: l, epoch: l.epoch, worker: w.id, kind: failApp, err: appErr}
+			l.reply <- leaseResult{l: l, epoch: l.epoch, kind: failApp, err: appErr}
 		} else {
 			w.chunks.Add(1)
 			w.seeds.Add(int64(len(l.seeds)))
-			l.reply <- leaseResult{l: l, epoch: l.epoch, worker: w.id, res: out}
+			l.reply <- leaseResult{l: l, epoch: l.epoch, res: out}
 		}
 		if timer != nil {
 			timer.Reset(to)
@@ -688,14 +687,14 @@ func (s *Shard) runQuarantined(l *lease) {
 	for i, seed := range l.seeds {
 		r, err := executeSafe(l.spec, seed)
 		if err != nil {
-			l.reply <- leaseResult{l: l, epoch: l.epoch, worker: -1, kind: failApp,
+			l.reply <- leaseResult{l: l, epoch: l.epoch, kind: failApp,
 				err: fmt.Errorf("shard: quarantined chunk: %w", err)}
 			return
 		}
 		res[i] = r
 	}
 	s.degraded.Add(int64(len(l.seeds)))
-	l.reply <- leaseResult{l: l, epoch: l.epoch, worker: -1, res: res}
+	l.reply <- leaseResult{l: l, epoch: l.epoch, res: res}
 }
 
 // Health snapshots the supervision counters: per-slot worker health plus

@@ -183,23 +183,8 @@ func (s *Simulator) Now() Time { return s.now }
 // randomness must come from here; do not use the global rand functions.
 func (s *Simulator) Rand() *rand.Rand { return s.rng }
 
-// Pending returns the number of live (non-cancelled) events currently
-// queued.
-func (s *Simulator) Pending() int {
-	n := len(s.queue) - s.dead
-	if s.hasFront {
-		n++
-	}
-	return n
-}
-
 // Fired returns the number of events executed so far.
 func (s *Simulator) Fired() uint64 { return s.fired }
-
-// SetEventLimit installs a safety valve: Run panics after firing more than n
-// events, which turns accidental infinite event loops into a loud failure.
-// n = 0 disables the limit.
-func (s *Simulator) SetEventLimit(n uint64) { s.limit = n }
 
 // acquire leases a slot for a new pending event, reusing a released slot
 // when one is available. The steady-state (free-list) path must stay
@@ -329,6 +314,11 @@ func (s *Simulator) Stop() {
 	s.stopped = true
 	s.horizon = s.now
 }
+
+// SetEventLimit installs a safety valve: Run panics after firing more than n
+// events, which turns accidental infinite event loops into a loud failure.
+// n = 0 disables the limit.
+func (s *Simulator) SetEventLimit(n uint64) { s.limit = n }
 
 // limitExceeded is the event-limit panic, kept out of line so the firing
 // path in step stays small.

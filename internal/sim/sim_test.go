@@ -294,3 +294,13 @@ func TestCancelSubsetProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Pending returns the number of live (non-cancelled) events currently
+// queued.
+func (s *Simulator) Pending() int {
+	n := len(s.queue) - s.dead
+	if s.hasFront {
+		n++
+	}
+	return n
+}

@@ -34,9 +34,6 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // Milliseconds converts t to floating-point milliseconds.
 func (t Time) Milliseconds() float64 { return float64(t) / float64(Millisecond) }
 
-// Microseconds returns t as an integer number of microseconds.
-func (t Time) Microseconds() int64 { return int64(t) }
-
 // FromSeconds builds a Time from floating-point seconds, rounding to the
 // nearest microsecond. The explicit float64 conversions keep Go from fusing
 // the product and the half-microsecond offset into one FMA on arm64, which

@@ -42,13 +42,6 @@ func (s *Summary) Add(x float64) {
 	s.m2 += float64(d * (x - s.mean))
 }
 
-// AddN records the same sample value n times.
-func (s *Summary) AddN(x float64, n int64) {
-	for i := int64(0); i < n; i++ {
-		s.Add(x)
-	}
-}
-
 // N returns the number of samples recorded.
 func (s *Summary) N() int64 { return s.n }
 
@@ -71,9 +64,6 @@ func (s *Summary) Variance() float64 {
 
 // StdDev returns the sample standard deviation.
 func (s *Summary) StdDev() float64 { return math.Sqrt(s.Variance()) }
-
-// Sum returns mean*n, the total of all samples.
-func (s *Summary) Sum() float64 { return s.mean * float64(s.n) }
 
 // String formats the summary compactly.
 func (s *Summary) String() string {

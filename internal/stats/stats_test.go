@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -140,3 +141,27 @@ func TestTableExtraCells(t *testing.T) {
 		t.Errorf("extra cells dropped:\n%s", out)
 	}
 }
+
+// AddN records the same sample value n times.
+func (s *Summary) AddN(x float64, n int64) {
+	for i := int64(0); i < n; i++ {
+		s.Add(x)
+	}
+}
+
+// Sum returns mean*n, the total of all samples.
+func (s *Summary) Sum() float64 { return s.mean * float64(s.n) }
+
+// AddRowf appends a row where each cell is built with fmt.Sprintf over one
+// value, using a shared verb such as "%.3f" for numeric columns.
+func (t *Table) AddRowf(label string, verb string, values ...float64) {
+	cells := make([]string, 0, len(values)+1)
+	cells = append(cells, label)
+	for _, v := range values {
+		cells = append(cells, fmt.Sprintf(verb, v))
+	}
+	t.rows = append(t.rows, cells)
+}
+
+// NumRows returns the number of body rows added so far.
+func (t *Table) NumRows() int { return len(t.rows) }

@@ -26,24 +26,10 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, cells)
 }
 
-// AddRowf appends a row where each cell is built with fmt.Sprintf over one
-// value, using a shared verb such as "%.3f" for numeric columns.
-func (t *Table) AddRowf(label string, verb string, values ...float64) {
-	cells := make([]string, 0, len(values)+1)
-	cells = append(cells, label)
-	for _, v := range values {
-		cells = append(cells, fmt.Sprintf(verb, v))
-	}
-	t.rows = append(t.rows, cells)
-}
-
 // AddNote attaches a footnote line rendered after the table body.
 func (t *Table) AddNote(format string, args ...any) {
 	t.notes = append(t.notes, fmt.Sprintf(format, args...))
 }
-
-// NumRows returns the number of body rows added so far.
-func (t *Table) NumRows() int { return len(t.rows) }
 
 // String renders the table.
 func (t *Table) String() string {

@@ -18,7 +18,6 @@ type Packet struct {
 	Seq    int // first payload byte offset
 	Len    int // payload length (0 for pure ACKs)
 	Ack    int // cumulative acknowledgement (next expected byte)
-	IsAck  bool
 	SentAt sim.Time
 }
 
@@ -49,8 +48,6 @@ type Link struct {
 	free      []*inFlight // recycled delivery records
 
 	// Counters for energy/goodput accounting.
-	Packets  int
-	Bytes    int
 	Lost     int
 	Repairs  int
 	BusyTime sim.Time
@@ -79,9 +76,6 @@ func NewLink(s *sim.Simulator, rate float64, delay sim.Time) *Link {
 	return &Link{sim: s, rate: rate, delay: delay}
 }
 
-// Delay returns the link's one-way propagation delay.
-func (l *Link) Delay() sim.Time { return l.delay }
-
 // Send serializes the packet onto the link and schedules delivery. Packets
 // queue behind in-flight ones (FIFO); lost packets still consume airtime.
 // Send copies *p, so the caller may reuse it at once; the *Packet handed
@@ -91,8 +85,6 @@ func (l *Link) Send(p *Packet, deliver func(*Packet)) {
 	start := sim.Max(l.sim.Now(), l.busyUntil)
 	end := start + tx
 	l.busyUntil = end
-	l.Packets++
-	l.Bytes += p.wireBytes()
 	l.BusyTime += tx
 	lost := l.Loss != nil && l.Loss(p.wireBytes())
 	if lost {
@@ -144,8 +136,6 @@ func (l *Link) SendDatagram(bytes int, deliver func()) bool {
 	start := sim.Max(l.sim.Now(), l.busyUntil)
 	end := start + tx
 	l.busyUntil = end
-	l.Packets++
-	l.Bytes += bytes
 	l.BusyTime += tx
 	if l.Loss != nil && l.Loss(bytes) {
 		l.Lost++

@@ -243,7 +243,7 @@ func (c *refTCPConn) onDataArrival(p *Packet) {
 	} else if p.Seq > c.rcvNxt {
 		c.ooo[p.Seq] = p.Len
 	}
-	ack := &Packet{Ack: c.rcvNxt, IsAck: true, SentAt: p.SentAt}
+	ack := &Packet{Ack: c.rcvNxt, SentAt: p.SentAt}
 	c.rev.Send(ack, c.onAck)
 }
 

@@ -111,15 +111,6 @@ func (c *TCPConn) Close() {
 // Stats returns a copy of the connection counters.
 func (c *TCPConn) Stats() TCPStats { return c.stats }
 
-// Cwnd returns the current congestion window in bytes.
-func (c *TCPConn) Cwnd() float64 { return c.cwnd }
-
-// Delivered returns the bytes delivered in order at the receiver.
-func (c *TCPConn) Delivered() int { return c.rcvNxt }
-
-// Acked returns the bytes acknowledged back to the sender.
-func (c *TCPConn) Acked() int { return c.sndUna }
-
 // pump transmits as much as the window and available data allow.
 func (c *TCPConn) pump() {
 	for {
@@ -176,7 +167,7 @@ func (c *TCPConn) onDataArrival(p *Packet) {
 	} else if p.Seq > c.rcvNxt {
 		c.ooo[p.Seq] = p.Len
 	}
-	ack := Packet{Ack: c.rcvNxt, IsAck: true, SentAt: p.SentAt}
+	ack := Packet{Ack: c.rcvNxt, SentAt: p.SentAt}
 	c.rev.Send(&ack, c.ackFn)
 }
 

@@ -291,3 +291,9 @@ func TestTransferMarginalByteAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// Cwnd returns the current congestion window in bytes.
+func (c *TCPConn) Cwnd() float64 { return c.cwnd }
+
+// Delivered returns the bytes delivered in order at the receiver.
+func (c *TCPConn) Delivered() int { return c.rcvNxt }

@@ -1,4 +1,4 @@
-// CPU-independence guard: no output path may call math.Exp, math.Log or
+// CPU-independence guard: no output path may use math.Exp, math.Log or
 // math.Pow. Those are assembly on amd64, arm64 and s390x, and amd64's Exp
 // picks its code path by the CPU's FMA support, so their last bits depend
 // on the host. internal/xmath holds the pure-Go replacements; the rest of
@@ -6,10 +6,6 @@
 package repro
 
 import (
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"path"
 	"sort"
 	"strconv"
 	"strings"
@@ -20,25 +16,36 @@ import (
 var hostMathFuncs = map[string]bool{"Exp": true, "Log": true, "Pow": true}
 
 func TestNoHostMathOnOutputPaths(t *testing.T) {
-	fset, files, err := loadModule(".")
+	prog, err := loadModule()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range hostMathCalls(fset, files) {
+	for _, c := range hostMathCalls(prog) {
 		t.Errorf("%s: use repro/internal/xmath instead", c)
 	}
 }
 
-// TestHostMathCallsDetector pins the detector on a small file set: a call
-// through the plain import and one through an alias are reported; math's
-// pure-Go functions, bench/ and internal/xmath itself are not.
+// TestHostMathCallsDetector pins the detector on a small module: a call
+// through the plain import, one through an alias, one through a dot import
+// and function values taken at package level and inside a function are
+// reported; math's pure-Go functions, bench/ and internal/xmath itself are
+// not.
 func TestHostMathCallsDetector(t *testing.T) {
-	src := map[string]string{
+	prog, err := parseSources("repro", map[string]string{
 		"repro/internal/a/a.go": `package a
 
 import "math"
 
 func f(x float64) float64 { return math.Pow(x, 2) + math.Log1p(x) + math.Sqrt(x) }
+`,
+		"repro/internal/d/d.go": `package d
+
+import . "math"
+
+func g(x float64) float64 {
+	exp := Exp
+	return exp(x) + Sqrt(x)
+}
 `,
 		"repro/cmd/c/main.go": `package main
 
@@ -60,65 +67,38 @@ import "math"
 
 var k = math.Pow(2, 0.5)
 `,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	fset := token.NewFileSet()
-	var files []srcFile
-	for name, body := range src {
-		f, err := parser.ParseFile(fset, name, body, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files = append(files, srcFile{pkgPath: path.Dir(name), file: f})
-	}
-	got := strings.Join(hostMathCalls(fset, files), "\n")
+	got := strings.Join(hostMathCalls(prog), "\n")
 	want := strings.Join([]string{
-		"repro/cmd/c/main.go:5: m.Exp",
-		"repro/cmd/c/main.go:7: m.Log",
+		"repro/cmd/c/main.go:5: math.Exp",
+		"repro/cmd/c/main.go:7: math.Log",
 		"repro/internal/a/a.go:5: math.Pow",
+		"repro/internal/d/d.go:6: math.Exp",
 	}, "\n")
 	if got != want {
 		t.Errorf("detector reported\n%s\nwant\n%s", got, want)
 	}
 }
 
-// hostMathCalls returns "file:line: name.Func" for every selector of a
-// hostMathFuncs function through an import of "math" in the files of
-// packages under internal/, cmd/ and examples/ other than internal/xmath,
-// sorted.
-func hostMathCalls(fset *token.FileSet, files []srcFile) []string {
+// hostMathCalls returns "file:line: math.Func" for every use, called or
+// not, of a hostMathFuncs function in packages under internal/, cmd/ and
+// examples/ other than internal/xmath, sorted. Uses are resolved by type
+// checking, so aliased and dot imports and function values are all seen.
+func hostMathCalls(prog *program) []string {
 	var out []string
-	for _, sf := range files {
-		_, rel, _ := strings.Cut(sf.pkgPath, "/") // drop the module path
-		scoped := false
-		for _, dir := range []string{"internal", "cmd", "examples"} {
-			scoped = scoped || rel == dir || strings.HasPrefix(rel, dir+"/")
-		}
-		if !scoped || rel == "internal/xmath" {
+	for _, p := range prog.pkgs {
+		if !prog.underDir(p.path, "internal", "cmd", "examples") || prog.underDir(p.path, "internal/xmath") {
 			continue
 		}
-		name := ""
-		for _, imp := range sf.file.Imports {
-			if p, _ := strconv.Unquote(imp.Path.Value); p == "math" {
-				name = "math"
-				if imp.Name != nil {
-					name = imp.Name.Name
-				}
+		for id, obj := range p.info.Uses {
+			if obj.Pkg() != nil && obj.Pkg().Path() == "math" && hostMathFuncs[obj.Name()] {
+				pos := prog.fset.Position(id.Pos())
+				out = append(out, pos.Filename+":"+strconv.Itoa(pos.Line)+": math."+obj.Name())
 			}
 		}
-		if name == "" {
-			continue
-		}
-		ast.Inspect(sf.file, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			if id, ok := sel.X.(*ast.Ident); ok && id.Name == name && hostMathFuncs[sel.Sel.Name] {
-				pos := fset.Position(sel.Pos())
-				out = append(out, pos.Filename+":"+strconv.Itoa(pos.Line)+": "+name+"."+sel.Sel.Name)
-			}
-			return true
-		})
 	}
 	sort.Strings(out)
 	return out
