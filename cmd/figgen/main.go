@@ -86,8 +86,7 @@ func run(w io.Writer, o options) error {
 	if served, err := o.rf.ServeMode(); served {
 		// Server modes — shard worker over stdin/stdout (-worker), TCP shard
 		// worker (-serve), shared result store (-serve-store) — do nothing
-		// else. Checked before any other mode so a re-exec'd command line can
-		// carry whatever flags the parent had.
+		// else, and read no other flag.
 		return err
 	}
 	if o.list {

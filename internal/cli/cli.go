@@ -9,7 +9,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -17,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/scenario"
-	"repro/internal/sim"
 )
 
 // RunFlags is the shared frontend flag set: seeding, execution backend
@@ -201,37 +199,23 @@ func (f *RunFlags) flagSet(name string) bool {
 	return set
 }
 
-// ServeWorker runs the shard worker protocol over this process's
-// stdin/stdout. Frontends call it (before doing anything else with their
-// parsed flags) when -worker is set; extra specs let commands that build
-// ad-hoc flag-parameterized specs make them resolvable by name.
-func (f *RunFlags) ServeWorker(extra ...scenario.Spec) error {
-	return scenario.ServeWorker(os.Stdin, os.Stdout, extra...)
-}
-
 // ServeMode runs whichever server mode the flags request — -worker (stdio
 // shard worker), -serve (TCP shard worker), -serve-store (shared result
 // store on -cache-dir) — and reports whether one ran. Frontends call it
-// first thing after flag parsing; when it reports true the process was a
-// server and must exit with the returned error.
-func (f *RunFlags) ServeMode(extra ...scenario.Spec) (bool, error) {
+// first thing after flag parsing, before checking any other flag: a worker
+// rebuilds every spec from its chunk requests, so it needs none of them.
+// When it reports true the process was a server and must exit with the
+// returned error.
+func (f *RunFlags) ServeMode() (bool, error) {
 	switch {
 	case f.Worker:
-		return true, f.ServeWorker(extra...)
+		return true, scenario.ServeWorker(os.Stdin, os.Stdout)
 	case f.Serve != "":
-		return true, scenario.ListenAndServeNet(f.Serve, scenario.NetServeOptions{
-			ChaosSpec: f.Chaos,
-			Extra:     extra,
-		})
+		return true, scenario.ListenAndServeNet(f.Serve, scenario.NetServeOptions{ChaosSpec: f.Chaos})
 	case f.ServeStore != "":
 		return true, scenario.ListenAndServeStore(f.ServeStore, f.CacheDir)
 	}
 	return false, nil
-}
-
-// Runner builds a scenario.Runner on the given backend.
-func (f *RunFlags) Runner(exec scenario.Executor, keepPerSeed bool) *scenario.Runner {
-	return &scenario.Runner{Parallel: f.Parallel, KeepPerSeed: keepPerSeed, Executor: exec}
 }
 
 // Run executes specs across the selected seeds on the selected backend,
@@ -258,7 +242,7 @@ func (f *RunFlags) Run(specs []scenario.Spec, keepPerSeed bool) ([]scenario.AggR
 	if err != nil {
 		return nil, err
 	}
-	aggs, runErr := f.Runner(exec, keepPerSeed).Run(specs, f.Seeds())
+	aggs, runErr := (&scenario.Runner{Parallel: f.Parallel, KeepPerSeed: keepPerSeed, Executor: exec}).Run(specs, f.Seeds())
 	if c, ok := exec.(io.Closer); ok {
 		if err := c.Close(); err != nil && runErr == nil {
 			runErr = err
@@ -343,42 +327,6 @@ func (f *RunFlags) StartProfiles() (stop func() error, err error) {
 		}
 		return nil
 	}, nil
-}
-
-// NumFlag is one numeric frontend flag for CheckNumFlags.
-type NumFlag struct {
-	Name      string
-	Value     float64
-	AllowZero bool // zero is meaningful ("-wlan-outage 0" means no outage)
-	Seconds   bool // a simulated time in seconds: must fit in a sim.Time
-}
-
-// maxFlagSeconds bounds seconds-valued flags at half the simulator's clock
-// range, so each converts to a sim.Time and the sum of two still fits.
-const maxFlagSeconds = float64(sim.MaxTime/2) / float64(sim.Second)
-
-// CheckNumFlags validates numeric flag values before any simulation runs.
-// NaN, ±Inf and negative values are always rejected, zero unless the flag
-// allows it, and seconds beyond half the simulator's clock range. Frontends
-// exit 2 with the returned error; without the check, the bad value panics
-// later inside a pool goroutine (or, for NaN seconds, converts to the
-// most negative sim.Time).
-func CheckNumFlags(flags ...NumFlag) error {
-	for _, f := range flags {
-		switch v := f.Value; {
-		case math.IsNaN(v) || math.IsInf(v, 0):
-			return fmt.Errorf("-%s must be finite (got %v)", f.Name, v)
-		case v < 0 || v == 0 && !f.AllowZero:
-			want := "positive"
-			if f.AllowZero {
-				want = "non-negative"
-			}
-			return fmt.Errorf("-%s must be %s (got %v)", f.Name, want, v)
-		case f.Seconds && v >= maxFlagSeconds:
-			return fmt.Errorf("-%s must be below %.4g seconds (got %v)", f.Name, maxFlagSeconds, v)
-		}
-	}
-	return nil
 }
 
 // checkShardFlags bounds the flags that size the shard fleet. -workers

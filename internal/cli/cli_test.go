@@ -3,7 +3,6 @@ package cli
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -305,49 +304,5 @@ func TestStartProfilesErrorOnBadPath(t *testing.T) {
 	f := RunFlags{CPUProfile: filepath.Join(t.TempDir(), "no", "such", "dir", "cpu.out")}
 	if _, err := f.StartProfiles(); err == nil {
 		t.Fatal("StartProfiles accepted an unwritable path")
-	}
-}
-
-func TestCheckNumFlags(t *testing.T) {
-	nan, inf := math.NaN(), math.Inf(1)
-	for _, c := range []struct {
-		flag NumFlag
-		want string // substring of the error; empty means accepted
-	}{
-		{NumFlag{Name: "duration", Value: 120, Seconds: true}, ""},
-		{NumFlag{Name: "duration", Value: 1e-6, Seconds: true}, ""},
-		{NumFlag{Name: "duration", Value: 0, Seconds: true}, "-duration must be positive (got 0)"},
-		{NumFlag{Name: "duration", Value: -5, Seconds: true}, "-duration must be positive (got -5)"},
-		{NumFlag{Name: "duration", Value: nan, Seconds: true}, "-duration must be finite (got NaN)"},
-		{NumFlag{Name: "duration", Value: inf, Seconds: true}, "-duration must be finite (got +Inf)"},
-		{NumFlag{Name: "duration", Value: -inf, Seconds: true}, "-duration must be finite (got -Inf)"},
-		{NumFlag{Name: "duration", Value: 1e13, Seconds: true}, "-duration must be below"},
-		{NumFlag{Name: "epoch", Value: math.Copysign(0, -1), Seconds: true}, "-epoch must be positive"},
-		{NumFlag{Name: "outage-len", Value: -10, Seconds: true}, "-outage-len must be positive (got -10)"},
-		{NumFlag{Name: "wlan-outage", Value: 0, AllowZero: true, Seconds: true}, ""},
-		{NumFlag{Name: "wlan-outage", Value: 5, AllowZero: true, Seconds: true}, ""},
-		{NumFlag{Name: "wlan-outage", Value: -1, AllowZero: true, Seconds: true}, "-wlan-outage must be non-negative (got -1)"},
-		{NumFlag{Name: "wlan-outage", Value: nan, AllowZero: true, Seconds: true}, "-wlan-outage must be finite"},
-		{NumFlag{Name: "rate", Value: 16}, ""},
-		{NumFlag{Name: "rate", Value: 1e300}, ""},
-		{NumFlag{Name: "rate", Value: 0}, "-rate must be positive (got 0)"},
-		{NumFlag{Name: "rate", Value: nan}, "-rate must be finite"},
-		{NumFlag{Name: "rate", Value: -inf}, "-rate must be finite"},
-		{NumFlag{Name: "stations", Value: 1}, ""},
-		{NumFlag{Name: "stations", Value: 0}, "-stations must be positive (got 0)"},
-		{NumFlag{Name: "stations", Value: -1}, "-stations must be positive (got -1)"},
-	} {
-		err := CheckNumFlags(c.flag)
-		switch {
-		case c.want == "" && err != nil:
-			t.Errorf("%+v rejected: %v", c.flag, err)
-		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
-			t.Errorf("%+v: error %v, want one containing %q", c.flag, err, c.want)
-		}
-	}
-	// Several flags: the first bad one is reported.
-	err := CheckNumFlags(NumFlag{Name: "a", Value: 1}, NumFlag{Name: "b", Value: -1}, NumFlag{Name: "c", Value: nan})
-	if err == nil || !strings.HasPrefix(err.Error(), "-b ") {
-		t.Errorf("CheckNumFlags(ok, bad b, bad c) = %v, want the -b error", err)
 	}
 }

@@ -48,6 +48,7 @@ func init() {
 	for _, s := range all {
 		scenario.Register(s)
 	}
+	registerBuilders()
 }
 
 // catalogueRank orders experiment names the way the paper presents them:

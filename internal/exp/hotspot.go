@@ -96,29 +96,18 @@ func E13Schedulers(seed int64) Result {
 			cfg := core.DefaultConfig()
 			cfg.Scheduler = sched
 			cfg.Policy = core.PolicyBTOnly
-			s := sim.New(seed + k)
-			chans := map[core.Iface]*channel.GilbertElliott{}
-			for _, i := range core.Ifaces() {
-				ch := channel.NewGilbertElliott(s, core.GoodChannelParams())
-				ch.Freeze()
-				chans[i] = ch
-			}
-			rm := core.NewResourceManager(s, cfg, chans)
+			h := core.NewHotspot(seed+k, cfg, 0)
 			for i, r := range rates {
 				spec := core.DefaultClientSpec(i)
 				spec.Stream = qos.StreamSpec{RateBps: r, PrebufferBytes: int(float64(r/8) * 2), CapacityBytes: int(r / 8 * 40)}
-				clients[i] = rm.Admit(spec)
+				clients[i] = h.RM().Admit(spec)
 			}
 			// Degraded-but-usable BT for 25 s: inflation triples burst
 			// durations, cutting usable capacity below aggregate demand.
-			s.Schedule(40*sim.Second, func() {
-				chans[core.BT].ForceState(channel.Bad)
-			})
-			s.Schedule(65*sim.Second, func() {
-				chans[core.BT].ForceState(channel.Good)
-			})
-			rm.Start()
-			s.RunUntil(3 * sim.Minute)
+			h.Sim().Schedule(40*sim.Second, func() { h.Channel(core.BT).ForceState(channel.Bad) })
+			h.Sim().Schedule(65*sim.Second, func() { h.Channel(core.BT).ForceState(channel.Good) })
+			h.RM().Start()
+			h.Sim().RunUntil(3 * sim.Minute)
 
 			u, st := 0, sim.Time(0)
 			var w stats.Summary
@@ -160,22 +149,13 @@ func E14BurstSize(seed int64) Result {
 		bufferKB := float64(spec.BytesPerSecond() * (epoch.Seconds() + cfg.MarginSeconds) / 1024)
 		// Client buffer capacity scales with the burst size (the sweep's
 		// real cost axis): twice the standing target.
-		s := sim.New(seed)
-		chans := map[core.Iface]*channel.GilbertElliott{}
-		for _, i := range core.Ifaces() {
-			ch := channel.NewGilbertElliott(s, core.GoodChannelParams())
-			ch.Freeze()
-			chans[i] = ch
-		}
-		rm := core.NewResourceManager(s, cfg, chans)
+		h := core.NewHotspot(seed, cfg, 0)
 		for i := 0; i < 3; i++ {
 			cs := core.DefaultClientSpec(i)
 			cs.Stream.CapacityBytes = int(2 * bufferKB * 1024)
-			rm.Admit(cs)
+			h.RM().Admit(cs)
 		}
-		rm.Start()
-		s.RunUntil(4 * sim.Minute)
-		rep := rm.Report()
+		rep := h.Run(4 * sim.Minute)
 		t.AddRow(fmt.Sprintf("%.0f", epoch.Seconds()),
 			fmt.Sprintf("%.0f", burstKB),
 			fmt.Sprintf("%.4f", rep.MeanPowerW),
@@ -187,34 +167,22 @@ func E14BurstSize(seed int64) Result {
 	return Result{Name: "e14-burst-size", Table: t.String(), Values: vals}
 }
 
-// E15InterfaceSwitch scripts the paper's link episode: Bluetooth serves
-// initially, its conditions degrade, the server switches clients to WLAN,
-// and QoS holds throughout.
+// E15InterfaceSwitch scripts the paper's link episode as a HotspotRun:
+// WLAN dies mid-run, the fleet falls back to Bluetooth, then returns when
+// WLAN recovers, and QoS holds throughout.
 func E15InterfaceSwitch(seed int64) Result {
-	cfg := core.DefaultConfig()
-	h := core.NewHotspot(seed, cfg, 3)
-	// Keep everyone on BT initially by making WLAN look unattractive?
-	// No — the energy model already moves bulk delivery to WLAN. Script
-	// instead the other observable episode: WLAN dies mid-run, the fleet
-	// falls back to Bluetooth, then returns when WLAN recovers.
-	h.Sim().Schedule(40*sim.Second, func() { h.Channel(core.WLAN).ForceState(channel.Bad) })
-	h.Sim().Schedule(80*sim.Second, func() { h.Channel(core.WLAN).ForceState(channel.Good) })
-	rep := h.Run(2 * sim.Minute)
-
-	switches := 0
-	for _, c := range h.RM().Clients() {
-		switches += c.Switches()
-	}
+	h, rep := e15Run.Run(seed)
+	n := switches(h)
 	t := stats.NewTable("E15 — seamless interface switching (WLAN outage 40-80 s)",
 		"metric", "value")
-	t.AddRow("interface switches (total)", fmt.Sprintf("%d", switches))
+	t.AddRow("interface switches (total)", fmt.Sprintf("%d", n))
 	t.AddRow("reactive recoveries", fmt.Sprintf("%d", rep.Recoveries))
 	t.AddRow("urgent top-ups", fmt.Sprintf("%d", h.RM().Urgents()))
 	t.AddRow("underruns", fmt.Sprintf("%d", rep.TotalUnderruns))
 	t.AddRow("mean power (W)", fmt.Sprintf("%.4f", rep.MeanPowerW))
 	t.AddNote("paper: 'as conditions in the link change, it seamlessly switches communication over' — QoS holds across both handoffs")
 	return Result{Name: "e15-interface-switch", Table: t.String(), Values: map[string]float64{
-		"switches": float64(switches), "underruns": float64(rep.TotalUnderruns),
+		"switches": float64(n), "underruns": float64(rep.TotalUnderruns),
 		"meanW": rep.MeanPowerW,
 	}}
 }
@@ -223,16 +191,11 @@ func E15InterfaceSwitch(seed int64) Result {
 // pinned to WLAN ride out a WLAN fade with inflated (capped) retransmission
 // energy and QoS damage, while the adaptive policy sidesteps it via BT.
 func AblationInterfaceSelection(seed int64) Result {
-	run := func(policy core.IfacePolicy) core.Report {
-		cfg := core.DefaultConfig()
-		cfg.Policy = policy
-		h := core.NewHotspot(seed, cfg, 3)
-		h.Sim().Schedule(30*sim.Second, func() { h.Channel(core.WLAN).ForceState(channel.Bad) })
-		h.Sim().Schedule(70*sim.Second, func() { h.Channel(core.WLAN).ForceState(channel.Good) })
-		return h.Run(2 * sim.Minute)
-	}
-	adaptive := run(core.PolicyAdaptive)
-	pinned := run(core.PolicyWLANOnly)
+	run := HotspotRun{Clients: 3, Scheduler: "edf", Policy: "adaptive",
+		Epoch: 10, Duration: 120, OutageAt: 30, OutageLen: 40}
+	_, adaptive := run.Run(seed)
+	run.Policy = "wlan"
+	_, pinned := run.Run(seed)
 	t := stats.NewTable("Ablation — interface selection during a WLAN outage (30-70 s)",
 		"policy", "underruns", "stall (s)", "mean W")
 	t.AddRow("adaptive (paper)", fmt.Sprintf("%d", adaptive.TotalUnderruns),
@@ -278,14 +241,10 @@ func AblationMargin(seed int64) Result {
 // near-continuous 1 s epochs: scheduling without large bursts loses most of
 // the saving to wake overheads.
 func AblationBurstAggregation(seed int64) Result {
-	run := func(epoch sim.Time) core.Report {
-		cfg := core.DefaultConfig()
-		cfg.Epoch = epoch
-		h := core.NewHotspot(seed, cfg, 3)
-		return h.Run(2 * sim.Minute)
-	}
-	big := run(10 * sim.Second)
-	small := run(1 * sim.Second)
+	run := HotspotRun{Clients: 3, Scheduler: "edf", Policy: "adaptive", Epoch: 10, Duration: 120}
+	_, big := run.Run(seed)
+	run.Epoch = 1
+	_, small := run.Run(seed)
 	t := stats.NewTable("Ablation — burst aggregation", "epoch", "mean W", "underruns")
 	t.AddRow("10 s (paper-scale bursts)", fmt.Sprintf("%.4f", big.MeanPowerW), fmt.Sprintf("%d", big.TotalUnderruns))
 	t.AddRow("1 s (small bursts)", fmt.Sprintf("%.4f", small.MeanPowerW), fmt.Sprintf("%d", small.TotalUnderruns))

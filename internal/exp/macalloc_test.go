@@ -3,6 +3,7 @@ package exp
 import (
 	"testing"
 
+	"repro/internal/mac/psm"
 	"repro/internal/sim"
 )
 
@@ -12,14 +13,15 @@ import (
 // time costs no more allocations than the same leg run once: all it
 // allocates is its set-up and the warm-up of its pools.
 func TestMACLegsMarginalTimeAllocatesNothing(t *testing.T) {
-	const seed, n, bytes, every = 1, 4, 2000, 125 * sim.Millisecond
+	const seed, n, bytes, every, uplink = 1, 4, 2000, 125 * sim.Millisecond, 250 * sim.Millisecond
+	cfg := psm.DefaultConfig()
 	for _, leg := range []struct {
 		name string
 		run  func(dur sim.Time)
 	}{
 		{"e3 uplink station", func(d sim.Time) { runUplinkStation(seed, d) }},
-		{"e5 CAM", func(d sim.Time) { runDCFDownlink(seed, n, bytes, every, d, false) }},
-		{"e5 PSM", func(d sim.Time) { runDCFDownlink(seed, n, bytes, every, d, true) }},
+		{"e5 CAM", func(d sim.Time) { runDCFDownlink(seed, n, bytes, every, uplink, d, nil) }},
+		{"e5 PSM", func(d sim.Time) { runDCFDownlink(seed, n, bytes, every, uplink, d, &cfg) }},
 		{"e5 EC-MAC", func(d sim.Time) { runECMACDownlink(seed, n, bytes, every, d) }},
 	} {
 		const dur = 10 * sim.Second

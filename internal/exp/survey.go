@@ -88,10 +88,13 @@ func E4PSMvsCAM(seed int64) Result {
 	t := stats.NewTable("E4 — 802.11 PSM vs CAM (client avg power, W)",
 		"load (pkt/s)", "CAM", "PSM bi=100ms", "PSM bi=300ms", "saving @100ms")
 	vals := map[string]float64{}
+	bi100, bi300 := psm.DefaultConfig(), psm.DefaultConfig()
+	bi300.BeaconInterval = 300 * sim.Millisecond
 	for _, load := range []float64{0.5, 2, 8} {
-		cam := runCAMClient(seed, load, 40*sim.Second)
-		psm100 := runPSMClient(seed, load, 100*sim.Millisecond, 40*sim.Second)
-		psm300 := runPSMClient(seed, load, 300*sim.Millisecond, 40*sim.Second)
+		every := sim.FromSeconds(1 / load)
+		cam, _, _ := runDCFDownlink(seed, 1, 1000, every, 0, 40*sim.Second, nil)
+		psm100, _, _ := runDCFDownlink(seed, 1, 1000, every, 0, 40*sim.Second, &bi100)
+		psm300, _, _ := runDCFDownlink(seed, 1, 1000, every, 0, 40*sim.Second, &bi300)
 		saving := 1 - psm100/cam
 		t.AddRow(fmt.Sprintf("%.1f", load),
 			fmt.Sprintf("%.3f", cam), fmt.Sprintf("%.3f", psm100),
@@ -103,34 +106,6 @@ func E4PSMvsCAM(seed int64) Result {
 	return Result{Name: "e4-psm-vs-cam", Table: t.String(), Values: vals}
 }
 
-func runCAMClient(seed int64, pktPerSec float64, dur sim.Time) float64 {
-	s := sim.New(seed)
-	m := dcf.NewMedium(s, dcf.Default80211b(), nil)
-	apDev := radio.NewDeviceInState(s, radio.WLAN80211b(), radio.Idle)
-	ap := psm.NewAP(s, m, apDev, psm.DefaultConfig())
-	dev := radio.NewDeviceInState(s, radio.WLAN80211b(), radio.Idle)
-	dcf.NewStation(0, m, dev)
-	interval := sim.FromSeconds(1 / pktPerSec)
-	sim.NewTicker(s, interval, func() { ap.Deliver(0, 1000) })
-	s.RunUntil(dur)
-	return dev.Meter().AveragePower()
-}
-
-func runPSMClient(seed int64, pktPerSec float64, beacon sim.Time, dur sim.Time) float64 {
-	s := sim.New(seed)
-	m := dcf.NewMedium(s, dcf.Default80211b(), nil)
-	cfg := psm.DefaultConfig()
-	cfg.BeaconInterval = beacon
-	apDev := radio.NewDeviceInState(s, radio.WLAN80211b(), radio.Idle)
-	ap := psm.NewAP(s, m, apDev, cfg)
-	dev := radio.NewDeviceInState(s, radio.WLAN80211b(), radio.Idle)
-	psm.NewClient(s, m, dev, ap, 0, cfg)
-	interval := sim.FromSeconds(1 / pktPerSec)
-	sim.NewTicker(s, interval, func() { ap.Deliver(0, 1000) })
-	s.RunUntil(dur)
-	return dev.Meter().AveragePower()
-}
-
 // E5MACComparison pits CAM, 802.11 PSM and EC-MAC against the same downlink
 // load: EC-MAC's broadcast schedule eliminates contention and gives exact
 // doze windows.
@@ -138,10 +113,12 @@ func E5MACComparison(seed int64) Result {
 	const nSta = 4
 	const dur = 30 * sim.Second
 	loadBytes, loadEvery := 2000, 125*sim.Millisecond // 16 KB/s per station
+	const uplink = 250 * sim.Millisecond
 
-	camW, camColl := runDCFDownlink(seed, nSta, loadBytes, loadEvery, dur, false)
-	psmW, psmColl := runDCFDownlink(seed, nSta, loadBytes, loadEvery, dur, true)
-	ecW := runECMACDownlink(seed, nSta, loadBytes, loadEvery, dur)
+	def := psm.DefaultConfig()
+	camW, camColl, _ := runDCFDownlink(seed, nSta, loadBytes, loadEvery, uplink, dur, nil)
+	psmW, psmColl, _ := runDCFDownlink(seed, nSta, loadBytes, loadEvery, uplink, dur, &def)
+	ecW, _ := runECMACDownlink(seed, nSta, loadBytes, loadEvery, dur)
 
 	t := stats.NewTable("E5 — MAC protocol comparison (4 stations, 16 KB/s each downlink)",
 		"protocol", "client avg W", "collisions", "property")
@@ -155,9 +132,10 @@ func E5MACComparison(seed int64) Result {
 	}}
 }
 
-// runECMACDownlink is e5's EC-MAC leg: n stations each receiving bytes of
-// downlink every period, for dur. It returns the stations' mean power.
-func runECMACDownlink(seed int64, n int, bytes int, every, dur sim.Time) float64 {
+// runECMACDownlink is the EC-MAC leg of e5 and of MACLoad: n stations each
+// receiving bytes of downlink every period, for dur. It returns the
+// stations' mean power and the packets the network delivered.
+func runECMACDownlink(seed int64, n int, bytes int, every, dur sim.Time) (float64, int) {
 	s := sim.New(seed)
 	bs := radio.NewDeviceInState(s, radio.WLAN80211b(), radio.Idle)
 	net := ecmac.NewNetwork(s, ecmac.DefaultConfig(), bs)
@@ -175,26 +153,41 @@ func runECMACDownlink(seed int64, n int, bytes int, every, dur sim.Time) float64
 	for i := 0; i < n; i++ {
 		w += net.StationEnergy(i)
 	}
-	return w / float64(n)
+	return w / float64(n), net.Stats().PacketsDeliv
 }
 
-// runDCFDownlink is e5's CAM (ps false) or PSM (ps true) leg: an AP
-// delivering bytes to each of n stations every period, and 200 B uplink
-// status reports from every station each 250 ms, for dur. It returns the
-// stations' mean power and the medium's collision count.
-func runDCFDownlink(seed int64, n int, bytes int, every, dur sim.Time, ps bool) (float64, int) {
+// runDCFDownlink is the DCF leg of e4, e5 and MACLoad: an AP delivering
+// bytes to each of n stations every period for dur, plus, when uplink is
+// positive, a 200 B status report from every station each uplink period.
+// The stations stay awake (CAM) when ps is nil; otherwise they are 802.11
+// PSM clients, and the AP runs *ps. It returns the stations' mean power,
+// the medium's collision count and the data frames the stations received.
+func runDCFDownlink(seed int64, n int, bytes int, every, uplink, dur sim.Time, ps *psm.Config) (float64, int, int) {
+	cfg := psm.DefaultConfig()
+	if ps != nil {
+		cfg = *ps
+	}
 	s := sim.New(seed)
 	m := dcf.NewMedium(s, dcf.Default80211b(), nil)
 	apDev := radio.NewDeviceInState(s, radio.WLAN80211b(), radio.Idle)
-	ap := psm.NewAP(s, m, apDev, psm.DefaultConfig())
+	ap := psm.NewAP(s, m, apDev, cfg)
 	devs := make([]*radio.Device, n)
 	stations := make([]*dcf.Station, n)
+	delivered := 0
+	count := func(f *frame.Frame) {
+		if f.Kind == frame.Data {
+			delivered++
+		}
+	}
 	for i := 0; i < n; i++ {
 		devs[i] = radio.NewDeviceInState(s, radio.WLAN80211b(), radio.Idle)
-		if ps {
-			stations[i] = psm.NewClient(s, m, devs[i], ap, i, psm.DefaultConfig()).Station()
+		if ps != nil {
+			cl := psm.NewClient(s, m, devs[i], ap, i, cfg)
+			cl.OnData = count
+			stations[i] = cl.Station()
 		} else {
 			stations[i] = dcf.NewStation(i, m, devs[i])
+			stations[i].OnReceive = count
 		}
 	}
 	sim.NewTicker(s, every, func() {
@@ -202,22 +195,24 @@ func runDCFDownlink(seed int64, n int, bytes int, every, dur sim.Time, ps bool) 
 			ap.Deliver(i, bytes)
 		}
 	})
-	// Uplink status reports create genuine contention: stations that wake
-	// at the same instant draw backoffs from the same window and sometimes
-	// pick the same slot.
-	seq := 0
-	sim.NewTicker(s, 250*sim.Millisecond, func() {
-		seq++
-		for i := 0; i < n; i++ {
-			stations[i].Enqueue(frame.NewData(i, frame.AP, seq, 200))
-		}
-	})
+	if uplink > 0 {
+		// Uplink status reports create genuine contention: stations that
+		// wake at the same instant draw backoffs from the same window and
+		// sometimes pick the same slot.
+		seq := 0
+		sim.NewTicker(s, uplink, func() {
+			seq++
+			for i := 0; i < n; i++ {
+				stations[i].Enqueue(frame.NewData(i, frame.AP, seq, 200))
+			}
+		})
+	}
 	s.RunUntil(dur)
 	var w float64
 	for _, d := range devs {
 		w += d.Meter().AveragePower()
 	}
-	return w / float64(n), m.Stats().Collisions
+	return w / float64(n), m.Stats().Collisions, delivered
 }
 
 // E6Aggregation sweeps the MAC aggregation factor: energy per bit falls and

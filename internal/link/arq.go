@@ -103,6 +103,9 @@ func (p Params) Validate() error {
 	if p.Code.K != p.PacketBytes {
 		return fmt.Errorf("link: code block (%d) must equal packet payload (%d)", p.Code.K, p.PacketBytes)
 	}
+	if p.ARQ != NoARQ && p.ARQ != SelectiveRepeat {
+		return fmt.Errorf("link: unknown ARQ discipline %v", p.ARQ)
+	}
 	if p.ARQ == SelectiveRepeat && p.Window <= 0 {
 		return fmt.Errorf("link: window must be positive for pipelined ARQ")
 	}

@@ -282,6 +282,10 @@ func TestParamsValidateRejectsEveryBadField(t *testing.T) {
 		{"PropDelay negative", func(p *Params) { p.PropDelay = -sim.Millisecond }},
 		{"RetryLimit negative", func(p *Params) { p.RetryLimit = -1 }},
 		{"Deadline negative", func(p *Params) { p.Deadline = -sim.Second }},
+		// An unknown discipline put no packet on the air, so on a live
+		// channel Transfer never returned.
+		{"ARQ unknown", func(p *Params) { p.ARQ = 7 }},
+		{"ARQ negative", func(p *Params) { p.ARQ = -1 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

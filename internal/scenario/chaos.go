@@ -3,7 +3,6 @@ package scenario
 import (
 	"fmt"
 	"math"
-	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -18,9 +17,9 @@ import (
 //
 // The configuration travels to subprocess workers via the REPRO_CHAOS
 // environment variable (a TCP server takes it as NetServeOptions.ChaosSpec);
-// the parent Shard also exports each worker's slot id and
-// process generation (REPRO_WORKER_ID / REPRO_WORKER_GEN), so a schedule
-// can target specific generations — e.g. "every worker's first process
+// the parent Shard also exports each worker's process generation within
+// its slot (REPRO_WORKER_GEN), so a schedule can target specific
+// generations — e.g. "every worker's first process
 // crashes, its replacement runs clean", which is exactly the shape the
 // chaos-injected equivalence test uses.
 //
@@ -53,11 +52,10 @@ type Chaos struct {
 	ReplayAfter    int           // before responding to seed N, replay the previous response frame (stale epoch)
 }
 
-// Environment variables of the shard worker protocol. The parent sets all
-// three on every worker it spawns; ServeWorker reads them.
+// Environment variables of the shard worker protocol. The parent sets
+// them on the workers it spawns; ServeWorker reads them.
 const (
 	chaosEnv     = "REPRO_CHAOS"      // fault-injection schedule (ParseChaos grammar)
-	workerIDEnv  = "REPRO_WORKER_ID"  // stable worker slot id, 0-based
 	workerGenEnv = "REPRO_WORKER_GEN" // process generation within the slot, 0-based
 )
 
@@ -180,15 +178,4 @@ func parseChaosClause(clause string) (Chaos, error) {
 		c.SlowLink = time.Duration(slowMS) * time.Millisecond
 	}
 	return c, nil
-}
-
-// ChaosFromEnv builds the worker's fault-injection configuration from
-// REPRO_CHAOS and REPRO_WORKER_GEN. No environment means no chaos.
-func ChaosFromEnv() (Chaos, error) {
-	spec := os.Getenv(chaosEnv)
-	if spec == "" {
-		return Chaos{}, nil
-	}
-	gen, _ := strconv.Atoi(os.Getenv(workerGenEnv))
-	return ParseChaos(spec, gen)
 }

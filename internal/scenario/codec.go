@@ -43,8 +43,9 @@ const (
 // protoVersion is the worker wire-protocol version. A worker announces it
 // in the hello frame that opens every session (subprocess and TCP alike);
 // the coordinator rejects a mismatch as a decode fault instead of
-// misparsing frames from an incompatible build.
-const protoVersion = 1
+// misparsing frames from an incompatible build. Version 2 added the spec's
+// params to the chunk request.
+const protoVersion = 2
 
 // Worker-protocol frame types: the first payload byte of every binary
 // frame. Requests are chunk-granular (one frame carries a whole seed
@@ -52,7 +53,7 @@ const protoVersion = 1
 // written together once the chunk is done.
 const (
 	frameHello     = 0x01 // worker → coordinator: [type][protoVersion]
-	frameRequest   = 0x02 // coordinator → worker: [type][epoch][spec][uvarint n]([varint seed])*
+	frameRequest   = 0x02 // coordinator → worker: [type][epoch][spec][params][uvarint n]([varint seed])*
 	frameResult    = 0x03 // worker → coordinator: [type][epoch][spec][varint seed][binary Result]
 	frameError     = 0x04 // worker → coordinator: [type][epoch][spec][varint seed][msg]
 	frameHeartbeat = 0x05 // worker → coordinator: [type] — liveness only
@@ -286,13 +287,15 @@ func (f *frameScratch) heartbeatFrame() []byte {
 	return f.finish()
 }
 
-// requestFrame is one chunk-granular work order: every seed of the lease
-// in a single frame, so a lease costs one coordinator→worker round trip
-// however many seeds it carries.
-func (f *frameScratch) requestFrame(spec string, seeds []int64, epoch int64) []byte {
+// requestFrame is one chunk-granular work order: the spec's name and
+// params (empty for a registered spec) and every seed of the lease in a
+// single frame, so a lease costs one coordinator→worker round trip however
+// many seeds it carries.
+func (f *frameScratch) requestFrame(spec, params string, seeds []int64, epoch int64) []byte {
 	f.begin(frameRequest)
 	f.buf = binary.AppendVarint(f.buf, epoch)
 	f.buf = appendLenBytes(f.buf, spec)
+	f.buf = appendLenBytes(f.buf, params)
 	f.buf = binary.AppendUvarint(f.buf, uint64(len(seeds)))
 	for _, s := range seeds {
 		f.buf = binary.AppendVarint(f.buf, s)
@@ -447,12 +450,13 @@ func parseWireMsg(p []byte) (wireMsg, error) {
 	}
 }
 
-// wireRequest is one parsed coordinator→worker chunk request. spec
-// aliases the frame buffer; seeds alias the caller's scratch.
+// wireRequest is one parsed coordinator→worker chunk request. spec and
+// params alias the frame buffer; seeds alias the caller's scratch.
 type wireRequest struct {
-	epoch int64
-	spec  []byte
-	seeds []int64
+	epoch  int64
+	spec   []byte
+	params []byte
+	seeds  []int64
 }
 
 // parseWireRequest decodes a chunk request payload, appending the seeds
@@ -472,6 +476,9 @@ func parseWireRequest(p []byte, scratch []int64) (wireRequest, error) {
 	}
 	if req.spec, b, ok = getLenBytes(b); !ok {
 		return fail("truncated spec")
+	}
+	if req.params, b, ok = getLenBytes(b); !ok {
+		return fail("truncated params")
 	}
 	count, b, ok := getUvarint(b)
 	if !ok || count > uint64(len(b))+1 {

@@ -52,7 +52,12 @@ func FuzzDecodeFrame(f *testing.F) {
 	badHello := append([]byte(nil), fs.helloFrame()...)
 	badHello[len(badHello)-1] = protoVersion + 1 // version-byte mismatch
 	f.Add(badHello)
-	f.Add(append([]byte(nil), fs.requestFrame("spec", []int64{1, -7, 1 << 40}, 5)...))
+	f.Add(append([]byte(nil), fs.requestFrame("spec", "", []int64{1, -7, 1 << 40}, 5)...))
+	withParams := append([]byte(nil), fs.requestFrame("hotspot",
+		"clients=3 scheduler=edf policy=adaptive epoch=10 duration=120 outage=20 outage-len=40", []int64{1, 2}, 6)...)
+	f.Add(withParams)
+	f.Add(withParams[:20]) // truncated inside the params
+	f.Add(append([]byte(nil), fs.requestFrame("psm", "stations=8 rate=16 duration=30", nil, 7)...))
 	f.Add(resp[:len(resp)-3])                        // truncated mid-payload
 	f.Add(resp[:2])                                  // truncated mid-header
 	f.Add([]byte("chaos! not a frame {{{"))          // garbage

@@ -308,12 +308,12 @@ func TestFrameRoundTrip(t *testing.T) {
 
 	// Request frames: the chunk-granular coordinator→worker direction.
 	seeds := []int64{1, -7, 1 << 40}
-	full := append([]byte(nil), fs.requestFrame("spec-c", seeds, 9)...)
+	full := append([]byte(nil), fs.requestFrame("spec-c", "k=2 mode=x", seeds, 9)...)
 	req, err := parseWireRequest(full[4:], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(req.spec) != "spec-c" || req.epoch != 9 || len(req.seeds) != 3 ||
+	if string(req.spec) != "spec-c" || string(req.params) != "k=2 mode=x" || req.epoch != 9 || len(req.seeds) != 3 ||
 		req.seeds[0] != 1 || req.seeds[1] != -7 || req.seeds[2] != 1<<40 {
 		t.Fatalf("request = %+v", req)
 	}

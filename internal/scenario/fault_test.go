@@ -123,9 +123,6 @@ func FuzzParseChaos(f *testing.F) {
 
 func TestChaosFromEnvRejectsBadSchedule(t *testing.T) {
 	t.Setenv(chaosEnv, "definitely not a schedule")
-	if _, err := ChaosFromEnv(); err == nil {
-		t.Fatal("malformed REPRO_CHAOS should be an error")
-	}
 	var in, out bytes.Buffer
 	if err := ServeWorker(&in, &out); err == nil || !strings.Contains(err.Error(), "chaos") {
 		t.Errorf("ServeWorker should refuse to start under a malformed schedule, got %v", err)
@@ -319,6 +316,12 @@ func TestShardChunkedLeases(t *testing.T) {
 // deadline caps the chunk, and a crash inside an auto-sized chunk costs a
 // retry, never a bit. Two slots with the default Window of 4 make the
 // divisor 2 × 4 × leaseWindows = 64.
+//
+// Every slot must complete a lease in every case. The crash therefore
+// comes on the 13th seed, the 5th of a process's second chunk: each
+// slot's first process completes its first chunk before dying. A crash on
+// the first chunk let one slot's replacement drain all 64 leases before
+// the other slot had restarted, about once in eight runs.
 func TestShardSizesLeasesFromRun(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -327,10 +330,10 @@ func TestShardSizesLeasesFromRun(t *testing.T) {
 		seeds   int
 		leases  int64
 	}{
-		{"large-sweep", "", 2 * time.Minute, 2048, 64},                        // 2048/64 = 32 seeds a lease
-		{"small-run", "", 2 * time.Minute, 16, 16},                            // 16/64 rounds down: one seed a lease
-		{"short-deadline", "", 4 * time.Second, 512, 256},                     // 512/64 = 8, capped at 4 s / 2 s = 2
-		{"crash-mid-chunk", "crash-after=5,gens=1", 2 * time.Minute, 512, 64}, // chunks of 8; first processes die on their 5th seed
+		{"large-sweep", "", 2 * time.Minute, 2048, 64},                         // 2048/64 = 32 seeds a lease
+		{"small-run", "", 2 * time.Minute, 16, 16},                             // 16/64 rounds down: one seed a lease
+		{"short-deadline", "", 4 * time.Second, 512, 256},                      // 512/64 = 8, capped at 4 s / 2 s = 2
+		{"crash-mid-chunk", "crash-after=13,gens=1", 2 * time.Minute, 512, 64}, // chunks of 8; first processes die on their 13th seed
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -98,9 +98,6 @@ type NetServeOptions struct {
 	// clauses target the N-th accepted connection — a dropped connection's
 	// replacement is the next generation, mirroring subprocess restarts.
 	ChaosSpec string
-	// Extra specs are resolvable by name ahead of the registry, mirroring
-	// ServeWorker — frontends pass their flag-built ad-hoc specs here.
-	Extra []Spec
 	// Heartbeat is the liveness-frame interval; 0 means heartbeatEvery,
 	// negative disables heartbeats (tests only — a real worker without
 	// heartbeats is indistinguishable from a partitioned one on long seeds).
@@ -125,7 +122,6 @@ func ServeNet(ln net.Listener, o NetServeOptions) error {
 	if logw == nil {
 		logw = os.Stderr
 	}
-	byName := specIndex(o.Extra)
 	for gen := 0; ; gen++ {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -135,7 +131,7 @@ func ServeNet(ln net.Listener, o NetServeOptions) error {
 			return fmt.Errorf("worker: accept: %w", err)
 		}
 		chaos, _ := ParseChaos(o.ChaosSpec, gen) // validated above
-		s := session{chaos: chaos, byName: byName, heartbeat: hb, log: logw, gen: gen}
+		s := session{chaos: chaos, heartbeat: hb, log: logw, gen: gen}
 		go func() {
 			defer conn.Close()
 			s.serve(conn) // a session's end is its own: the coordinator sees the closed connection

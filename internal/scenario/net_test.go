@@ -88,6 +88,41 @@ func TestNetShardMatchesLocalClean(t *testing.T) {
 	}
 }
 
+// TestNetWorkerServesTwoParameterisations: one TCP worker session answers
+// two specs that share a name and differ only in Params, and each comes
+// back with the bits it computes locally. The worker rebuilds every spec
+// from its request, so no flag of its own can stand in for either.
+func TestNetWorkerServesTwoParameterisations(t *testing.T) {
+	addr := startNetServer(t, NetServeOptions{})
+	sh := netShard(1, addr, nil) // one slot: one connection, one session
+	defer sh.Close()
+	var specs []Spec
+	for _, params := range []string{"k=2", "k=5"} {
+		spec, err := paramSpec(params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, spec)
+	}
+	seeds := Seeds(1, 6)
+	aggs := mustRun(t, &Runner{KeepPerSeed: true, Executor: sh}, specs, seeds)
+	for i, spec := range specs {
+		for j, seed := range seeds {
+			want, _ := EncodeResult(spec.Execute(seed))
+			got, _ := EncodeResult(aggs[i].PerSeed[j])
+			if string(got) != string(want) {
+				t.Errorf("%s %s seed %d: worker result differs from local execution", spec.Name, spec.Params, seed)
+			}
+		}
+	}
+	if metricsEqualBits(aggs[0].Metrics, aggs[1].Metrics) {
+		t.Error("the two parameterisations aggregated identically: the test cannot tell them apart")
+	}
+	if h := sh.Health(); len(h.Workers) != 1 || h.Restarts() != 0 || h.Failures() != 0 || h.Chunks() == 0 {
+		t.Errorf("want one clean session serving both specs: %s", h.Summary())
+	}
+}
+
 // TestNetShardDropConnReconnects: the server drops each of the first two
 // connections mid-sweep; the slots must reconnect (next generation runs
 // clean) and the sweep must stay lossless and bit-identical.

@@ -13,6 +13,7 @@ var (
 	regMu    sync.RWMutex
 	registry = map[string]Spec{}
 	order    []string
+	builders = map[string]func(params string) (Spec, error){}
 )
 
 // Register adds a spec to the global registry. Registering an empty name,
@@ -57,6 +58,40 @@ func Lookup(name string) (Spec, bool) {
 	defer regMu.RUnlock()
 	s, ok := registry[name]
 	return s, ok
+}
+
+// RegisterBuilder adds the builder of a parameterised spec: build turns
+// the spec's canonical Params back into the spec, or rejects them. It is
+// how a shard worker rebuilds a spec a frontend made from its flags.
+// Builders stay out of All, so the catalogue, the golden and the registry
+// fingerprint list only registered specs. A duplicate name panics.
+func RegisterBuilder(name string, build func(params string) (Spec, error)) {
+	regMu.Lock()
+	defer regMu.Unlock()
+	if _, dup := builders[name]; dup {
+		panic(fmt.Sprintf("scenario: duplicate builder %q", name))
+	}
+	builders[name] = build
+}
+
+// resolve returns the spec a chunk request names: the registered spec
+// when params is empty, else what the name's builder makes of params.
+func resolve(name, params string) (Spec, error) {
+	regMu.RLock()
+	s, ok := registry[name]
+	build := builders[name]
+	regMu.RUnlock()
+	if params == "" && ok {
+		return s, nil
+	}
+	if params == "" || build == nil {
+		return Spec{}, fmt.Errorf("unknown experiment %q with params %q", name, params)
+	}
+	s, err := build(params)
+	if err != nil {
+		return Spec{}, fmt.Errorf("experiment %q params %q: %w", name, params, err)
+	}
+	return s, nil
 }
 
 // Match selects specs from the registry, preserving registration order.

@@ -31,11 +31,11 @@ type Result struct {
 // identifier), a one-line description, classification tags used for
 // filtering, and the seeded run function that produces its Result.
 //
-// Params is an optional canonical description of any runtime parameters
-// baked into the run closure (ad-hoc specs built from CLI flags set it;
-// registry specs have their parameters in code and leave it empty). It is
-// part of the result-cache key, so two invocations with different
-// parameters never share cache entries.
+// Params is empty for a registered spec. A parameterised spec (built from
+// a frontend's flags) sets it to its parameters' canonical encoding: a
+// shard worker rebuilds the spec from Name and Params with the builder
+// registered under Name, and Params is part of the result-cache key, so
+// two parameterisations never share cache entries.
 type Spec struct {
 	Name   string
 	Desc   string

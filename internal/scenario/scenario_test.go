@@ -5,8 +5,11 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 )
@@ -21,8 +24,9 @@ const (
 )
 
 func TestMain(m *testing.M) {
-	// Registered up front so parent and worker processes share it.
+	// Registered up front so parent and worker processes share them.
 	Register(shardableSpec())
+	RegisterBuilder("test-param", paramSpec)
 	for _, a := range os.Args[1:] {
 		switch a {
 		case workerSentinel:
@@ -69,6 +73,35 @@ func shardableSpec() Spec {
 			}
 		},
 	}
+}
+
+// paramSpec is the builder registered as "test-param", a parameterised
+// spec for the worker tests: params "k=N", optionally followed by
+// " sleep-ms=M", build a spec whose value v is seed × N and whose seeds
+// each take M ms. Seed 99 panics. Anything else is rejected.
+func paramSpec(params string) (Spec, error) {
+	kStr, msStr, slow := strings.Cut(params, " sleep-ms=")
+	k, err := strconv.Atoi(strings.TrimPrefix(kStr, "k="))
+	if err != nil || !strings.HasPrefix(kStr, "k=") {
+		return Spec{}, fmt.Errorf("want k=N, got %q", kStr)
+	}
+	var sleep time.Duration
+	if slow {
+		ms, err := strconv.Atoi(msStr)
+		if err != nil {
+			return Spec{}, fmt.Errorf("want sleep-ms=M, got %q", msStr)
+		}
+		sleep = time.Duration(ms) * time.Millisecond
+	}
+	return Spec{Name: "test-param", Desc: "built from " + params, Params: params, Run: func(seed int64) Result {
+		if seed == 99 {
+			panic("boom")
+		}
+		time.Sleep(sleep)
+		return Result{Name: "test-param", Table: params, Values: map[string]float64{
+			"v": float64(seed * int64(k)), "root": math.Sqrt(float64(seed)) * float64(k),
+		}}
+	}}, nil
 }
 
 // mustRun fails the test on a backend error — most tests exercise the

@@ -19,12 +19,14 @@ import (
 // transport is one of two interchangeable kinds speaking the same binary
 // frame protocol (versioned via the hello frame — see codec.go):
 //
-//   - subprocess (default): the current binary re-executed with the hidden
-//     -worker flag (plus the original command line, so workers rebuild any
-//     flag-parameterized specs identically) over stdin/stdout;
+//   - subprocess (default): the current binary started with the hidden
+//     -worker flag, speaking over stdin/stdout;
 //   - remote TCP (Addrs set): a connection dialed to a worker serving the
 //     same protocol over TCP (the hidden -serve addr mode, see ServeNet),
 //     so the fleet leaves the box.
+//
+// Either kind rebuilds each spec from the (name, Params) pair its chunk
+// request carries, so a worker needs none of the coordinator's flags.
 //
 // Pipelining. The unit of I/O is the chunk, not the seed: one request
 // frame carries a whole seed chunk, and the worker answers it with one
@@ -60,8 +62,8 @@ import (
 // crashes, hangs, partitions and corrupt frames without costing a single
 // output bit (the chaos-injected cross-backend equivalence test pins
 // exactly that). Worker-reported application errors (unknown spec,
-// experiment panic) are terminal: the fleet is healthy, so retrying
-// cannot fix the request.
+// rejected params, experiment panic) are terminal: the fleet is healthy,
+// so retrying cannot fix the request.
 //
 // The pool starts lazily on the first Run and is shared across concurrent
 // Run calls, so a Runner fanning the whole registry over one Shard keeps
@@ -73,8 +75,7 @@ import (
 // (seeds/sec, protocol bytes moved).
 type Shard struct {
 	Workers int         // slot count; values < 1 mean runtime.NumCPU() (or len(Addrs) for TCP), above MaxWorkers a Run error
-	Argv    []string    // worker command; nil means {os.Executable(), "-worker", os.Args[1:]...}
-	Env     []string    // extra KEY=VALUE pairs for worker subprocesses
+	Argv    []string    // worker command; nil means {os.Executable(), "-worker"}
 	Addrs   []string    // remote TCP worker addresses; non-empty selects the TCP transport
 	Chaos   string      // fault-injection schedule exported to subprocess workers as REPRO_CHAOS (see ParseChaos)
 	Policy  FaultPolicy // supervision knobs; zero value means DefaultFaultPolicy
@@ -130,7 +131,7 @@ type leaseResult struct {
 // now (the chunk-deadline enforcement); abort is the hard teardown after
 // a fault; shutdown the graceful close at pool shutdown.
 type slotConn interface {
-	send(spec string, seeds []int64, epoch int64) (failKind, error)
+	send(spec Spec, seeds []int64, epoch int64) (failKind, error)
 	recv(spec string, seed, epoch int64) (Result, failKind, error)
 	interrupt()
 	abort()
@@ -166,15 +167,16 @@ type connCore struct {
 	helloOK bool
 }
 
-// send writes one chunk request as a single frame (header and payload in
-// one Write — no torn-frame window, no per-seed round trips).
-func (c *connCore) send(spec string, seeds []int64, epoch int64) (failKind, error) {
-	frame := c.fs.requestFrame(spec, seeds, epoch)
+// send writes one chunk request for spec, named by its Name and Params, as
+// a single frame (header and payload in one Write — no torn-frame window,
+// no per-seed round trips).
+func (c *connCore) send(spec Spec, seeds []int64, epoch int64) (failKind, error) {
+	frame := c.fs.requestFrame(spec.Name, spec.Params, seeds, epoch)
 	if c.arm != nil {
 		c.arm(false)
 	}
 	if _, err := c.w.Write(frame); err != nil {
-		return c.classify(err), fmt.Errorf("%s: send %s chunk: %w", c.tag, spec, err)
+		return c.classify(err), fmt.Errorf("%s: send %s chunk: %w", c.tag, spec.Name, err)
 	}
 	c.sent.Add(int64(len(frame)))
 	return 0, nil
@@ -257,17 +259,6 @@ type workerSlot struct {
 	spawnFails, exits, timeouts, decodes, stales atomic.Int64
 }
 
-// workerArgv builds the default worker command line. The -worker flag goes
-// immediately after the program name — before any positional arguments —
-// so flag parsing in the child is guaranteed to see it.
-func workerArgv() ([]string, error) {
-	exe, err := os.Executable()
-	if err != nil {
-		return nil, fmt.Errorf("shard: resolve executable: %w", err)
-	}
-	return append([]string{exe, "-worker"}, os.Args[1:]...), nil
-}
-
 func (s *Shard) start() {
 	s.pol = s.Policy.normalized()
 	n := s.Workers
@@ -276,14 +267,15 @@ func (s *Shard) start() {
 			n = len(s.Addrs)
 		}
 	} else {
-		argv := s.Argv
-		if argv == nil {
-			argv, s.startErr = workerArgv()
-			if s.startErr != nil {
+		s.argv = s.Argv
+		if s.argv == nil {
+			exe, err := os.Executable()
+			if err != nil {
+				s.startErr = fmt.Errorf("shard: resolve executable: %w", err)
 				return
 			}
+			s.argv = []string{exe, "-worker"}
 		}
-		s.argv = argv
 		if n < 1 {
 			n = runtime.NumCPU()
 		}
@@ -353,20 +345,16 @@ func (w *workerSlot) ensureStarted() error {
 }
 
 // spawnWorker starts one worker subprocess for the slot. The process gets
-// the slot id and its generation in the environment (plus any chaos
-// schedule), and its stderr is streamed to the shard's sink with a stable
-// "[wN] " prefix so interleaved diagnostics from a restarted fleet stay
-// attributable.
+// its generation in the environment (plus any chaos schedule), and its
+// stderr is streamed to the shard's sink with a stable "[wN] " prefix so
+// interleaved diagnostics from a restarted fleet stay attributable.
 func (w *workerSlot) spawnWorker() (slotConn, error) {
 	argv := w.sh.argv
 	cmd := exec.Command(argv[0], argv[1:]...)
-	env := append(os.Environ(),
-		workerIDEnv+"="+strconv.Itoa(w.id),
-		workerGenEnv+"="+strconv.Itoa(w.gen))
+	cmd.Env = append(os.Environ(), workerGenEnv+"="+strconv.Itoa(w.gen))
 	if w.sh.Chaos != "" {
-		env = append(env, chaosEnv+"="+w.sh.Chaos)
+		cmd.Env = append(cmd.Env, chaosEnv+"="+w.sh.Chaos)
 	}
-	cmd.Env = append(env, w.sh.Env...)
 
 	// A manual pipe (not cmd.StderrPipe) so our reader, not Wait, owns the
 	// read end: Wait never races the prefix goroutine out of the tail of a
@@ -466,7 +454,7 @@ func (w *workerSlot) runBatch(batch []*lease) {
 		w.backoff()
 	}
 	for _, l := range batch {
-		if kind, err := conn.send(l.spec.Name, l.seeds, l.epoch); err != nil {
+		if kind, err := conn.send(l.spec, l.seeds, l.epoch); err != nil {
 			// Nothing was received yet, so no lease of this batch completed:
 			// the dead transport fails them all.
 			fail(0, kind, err)

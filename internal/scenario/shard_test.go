@@ -14,25 +14,20 @@ import (
 
 // TestServeWorkerProtocol drives the worker loop over in-memory pipes —
 // no subprocess — checking the hello handshake, chunk-request framing
-// with per-seed streamed responses, extra-spec precedence, unknown names
-// and panic conversion.
+// with per-seed streamed responses, registry and builder resolution
+// (good params, params the builder rejects, params for a name with no
+// builder, an unknown name) and panic conversion.
 func TestServeWorkerProtocol(t *testing.T) {
-	extra := Spec{
-		Name: "test-extra", Desc: "extra",
-		Run: func(seed int64) Result {
-			if seed == 99 {
-				panic("boom")
-			}
-			return Result{Name: "extra", Table: "x", Values: map[string]float64{"v": float64(seed) * 2}}
-		},
-	}
 	var in, out bytes.Buffer
 	var fs frameScratch
-	in.Write(fs.requestFrame("test-extra", []int64{4, 6}, 41)) // one chunk, two seeds
-	in.Write(fs.requestFrame("test-shardable", []int64{13}, 42))
-	in.Write(fs.requestFrame("test-no-such-spec", []int64{1}, 43))
-	in.Write(fs.requestFrame("test-extra", []int64{99}, 44))
-	if err := ServeWorker(&in, &out, extra); err != nil {
+	in.Write(fs.requestFrame("test-param", "k=2", []int64{4, 6}, 41)) // one chunk, two seeds
+	in.Write(fs.requestFrame("test-shardable", "", []int64{13}, 42))
+	in.Write(fs.requestFrame("test-no-such-spec", "", []int64{1}, 43))
+	in.Write(fs.requestFrame("test-param", "k=2", []int64{99}, 44))
+	in.Write(fs.requestFrame("test-param", "k=two", []int64{5}, 45))
+	in.Write(fs.requestFrame("test-shardable", "k=2", []int64{5}, 46))
+	in.Write(fs.requestFrame("test-param", "k=3", []int64{4}, 47))
+	if err := ServeWorker(&in, &out); err != nil {
 		t.Fatal(err)
 	}
 
@@ -64,20 +59,33 @@ func TestServeWorkerProtocol(t *testing.T) {
 		}
 		return res
 	}
-	if res := readResult("test-extra", 4, 41); res.Values["v"] != 8 {
-		t.Errorf("extra spec seed 4: %+v", res)
+	if res := readResult("test-param", 4, 41); res.Values["v"] != 8 {
+		t.Errorf("built spec k=2 seed 4: %+v", res)
 	}
-	if res := readResult("test-extra", 6, 41); res.Values["v"] != 12 {
-		t.Errorf("extra spec seed 6 (same chunk): %+v", res)
+	if res := readResult("test-param", 6, 41); res.Values["v"] != 12 {
+		t.Errorf("built spec k=2 seed 6 (same chunk): %+v", res)
 	}
 	if res := readResult("test-shardable", 13, 42); !math.IsNaN(res.Values["nan"]) {
 		t.Errorf("registry spec seed 13: %+v", res)
 	}
-	if m := read(); m.ftype != frameError || !strings.Contains(string(m.errMsg), "test-no-such-spec") {
-		t.Errorf("unknown spec frame = %+v", m)
+	readError := func(epoch int64, want ...string) {
+		t.Helper()
+		m := read()
+		if m.ftype != frameError || m.epoch != epoch {
+			t.Fatalf("frame = %+v, want an error frame for epoch %d", m, epoch)
+		}
+		for _, w := range want {
+			if !strings.Contains(string(m.errMsg), w) {
+				t.Errorf("epoch %d error %q does not name %q", epoch, m.errMsg, w)
+			}
+		}
 	}
-	if m := read(); m.ftype != frameError || !strings.Contains(string(m.errMsg), "boom") {
-		t.Errorf("panic not converted to error frame: %+v", m)
+	readError(43, `"test-no-such-spec"`)
+	readError(44, "boom")
+	readError(45, `"test-param"`, `"k=two"`)
+	readError(46, `"test-shardable"`, `"k=2"`)
+	if res := readResult("test-param", 4, 47); res.Values["v"] != 12 {
+		t.Errorf("built spec k=3 seed 4, after k=2 in the same session: %+v", res)
 	}
 	if _, err := readRawFrame(&out, &buf); err != io.EOF {
 		t.Errorf("worker wrote extra frames: %v", err)
@@ -138,7 +146,7 @@ func TestServeCoalescesChunkResponses(t *testing.T) {
 	seeds := Seeds(1, 16)
 	var fs frameScratch
 	t.Run("one-write-per-chunk", func(t *testing.T) {
-		w := &writeLog{in: bytes.NewReader(fs.requestFrame("test-shardable", seeds, 7))}
+		w := &writeLog{in: bytes.NewReader(fs.requestFrame("test-shardable", "", seeds, 7))}
 		if err := (session{log: io.Discard}).serve(w); err != nil {
 			t.Fatal(err)
 		}
@@ -156,12 +164,8 @@ func TestServeCoalescesChunkResponses(t *testing.T) {
 		}
 	})
 	t.Run("heartbeats-between-frames", func(t *testing.T) {
-		slow := Spec{Name: "test-slow", Desc: "slow", Run: func(seed int64) Result {
-			time.Sleep(3 * time.Millisecond)
-			return Result{Name: "slow", Values: map[string]float64{"seed": float64(seed)}}
-		}}
-		w := &writeLog{in: bytes.NewReader(fs.requestFrame("test-slow", seeds, 8))}
-		s := session{byName: specIndex([]Spec{slow}), heartbeat: time.Millisecond, log: io.Discard}
+		w := &writeLog{in: bytes.NewReader(fs.requestFrame("test-param", "k=1 sleep-ms=3", seeds, 8))}
+		s := session{heartbeat: time.Millisecond, log: io.Discard}
 		if err := s.serve(w); err != nil {
 			t.Fatal(err)
 		}

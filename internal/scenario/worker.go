@@ -13,19 +13,19 @@ import (
 	"time"
 )
 
-// The worker side of the shard protocol. A worker is the same binary as
-// the parent, re-executed with the hidden -worker flag: it parses the same
-// command line (so ad-hoc specs built from CLI parameters are
-// reconstructed identically), then serves chunk requests over stdin/stdout
-// as binary frames until EOF. The session opens with a hello frame
-// announcing protoVersion — both ends are normally the same build, but the
-// TCP transport can connect across builds, so the version byte turns a
-// protocol skew into a loud decode fault instead of a misparse.
+// The worker side of the shard protocol. A subprocess worker is the
+// parent's binary started with the hidden -worker flag alone; it serves
+// chunk requests over stdin/stdout as binary frames until EOF. The
+// session opens with a hello frame announcing protoVersion — both ends
+// are normally the same build, but the TCP transport can connect across
+// builds, so the version byte turns a protocol skew into a loud decode
+// fault instead of a misparse.
 //
-// One request frame carries a whole seed chunk; the worker answers with
-// one result or error frame per seed, each echoing the request's (epoch,
-// spec, seed) identity, and writes the chunk's frames together once its
-// last seed is done. The coordinator discards any response whose
+// One request frame carries a whole seed chunk and the spec's name and
+// params, which the worker resolves once per chunk (see resolve) whatever
+// flags it was started with. It answers with one result or error frame per
+// seed, each echoing the request's (epoch, spec, seed) identity, and
+// writes the chunk's frames together once its last seed is done. The coordinator discards any response whose
 // identity does not match a lease in flight — so a zombie or partitioned
 // worker replaying a stale chunk after its lease was reassigned can never
 // double-emit a seed.
@@ -36,10 +36,10 @@ import (
 // to feed the coordinator's per-frame read deadline.
 
 // ServeWorker runs the shard worker loop: read a chunk request, resolve
-// the spec (extra specs take precedence over the registry, mirroring how
-// macbench/hotspotsim layer their flag-built specs over the catalogue),
-// execute each seed, answer with one response frame per seed. It returns
-// nil on clean EOF.
+// its spec, execute each seed, answer with one response frame per seed.
+// A spec that does not resolve (unknown name, params its builder rejects)
+// gets an error frame per seed naming spec and params, which the
+// coordinator treats as terminal. It returns nil on clean EOF.
 //
 // If the REPRO_CHAOS environment variable is set (the parent Shard
 // exports its -chaos schedule there), the worker misbehaves on the
@@ -53,26 +53,25 @@ import (
 // Nothing but protocol frames may be written to w — a worker whose
 // experiments print to stdout would corrupt the stream — which holds
 // because experiments return rendered tables instead of printing them.
-func ServeWorker(r io.Reader, w io.Writer, extra ...Spec) error {
-	chaos, err := ChaosFromEnv()
+func ServeWorker(r io.Reader, w io.Writer) error {
+	gen, _ := strconv.Atoi(os.Getenv(workerGenEnv))
+	chaos, err := ParseChaos(os.Getenv(chaosEnv), gen)
 	if err != nil {
 		return fmt.Errorf("worker: %w", err)
 	}
-	gen, _ := strconv.Atoi(os.Getenv(workerGenEnv))
-	s := session{chaos: chaos, byName: specIndex(extra), log: os.Stderr, gen: gen}
+	s := session{chaos: chaos, log: os.Stderr, gen: gen}
 	return s.serve(struct {
 		io.Reader
 		io.Writer
 	}{r, w})
 }
 
-// session is one worker session's configuration: its chaos schedule, the
-// extra-spec precedence map, its heartbeat interval (0 disables — stdio
-// workers have no per-frame deadline to feed), the diagnostics sink and
-// the generation named in chaos diagnostics.
+// session is one worker session's configuration: its chaos schedule, its
+// heartbeat interval (0 disables — stdio workers have no per-frame
+// deadline to feed), the diagnostics sink and the generation named in
+// chaos diagnostics.
 type session struct {
 	chaos     Chaos
-	byName    map[string]Spec
 	heartbeat time.Duration
 	log       io.Writer
 	gen       int
@@ -162,10 +161,7 @@ func (s session) serve(rw io.ReadWriter) error {
 		if blackholed {
 			continue // swallow everything; the coordinator's deadline reaps us
 		}
-		spec, ok := s.byName[string(req.spec)]
-		if !ok {
-			spec, ok = Lookup(string(req.spec))
-		}
+		spec, resolveErr := resolve(string(req.spec), string(req.params))
 		for _, seed := range req.seeds {
 			n++
 			// Pre-response faults: the coordinator sees a dead session, a
@@ -193,8 +189,8 @@ func (s session) serve(rw io.ReadWriter) error {
 				break // the rest of the chunk vanishes too
 			}
 			var frame []byte
-			if !ok {
-				frame = fs.errorFrame(req.spec, seed, req.epoch, fmt.Sprintf("unknown experiment %q", req.spec))
+			if resolveErr != nil {
+				frame = fs.errorFrame(req.spec, seed, req.epoch, resolveErr.Error())
 			} else if res, err := executeSafe(spec, seed); err != nil {
 				frame = fs.errorFrame(req.spec, seed, req.epoch, err.Error())
 			} else {
@@ -252,16 +248,6 @@ var corruptFrame = func() []byte {
 	payload := "chaos! not a frame {{{"
 	return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
 }()
-
-// specIndex builds the extra-spec precedence map sessions resolve
-// requests against.
-func specIndex(extra []Spec) map[string]Spec {
-	byName := make(map[string]Spec, len(extra))
-	for _, s := range extra {
-		byName[s.Name] = s
-	}
-	return byName
-}
 
 // executeSafe converts a panicking experiment into a protocol error, so
 // the parent reports the real failure instead of an opaque broken pipe.
