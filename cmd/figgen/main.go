@@ -20,18 +20,18 @@
 //
 // With no selection flags every experiment runs in order. All (experiment
 // × seed) jobs run on the backend selected by -backend: the in-process
-// pool sized by -parallel (default), -workers supervised subprocesses
-// speaking the internal shard protocol (or, with -addrs, TCP connections
-// to figgen -serve worker servers), or the local pool behind the
-// on-disk result cache at -cache-dir (optionally shared across machines
-// via -store pointing at a figgen -serve-store server; see EXPERIMENTS.md,
-// "Execution backends" and "Distributed mode"). The output is identical
-// for every backend, transport and pool size, only the wall clock changes
-// — the shard backend retries, restarts and degrades around worker
-// failures (tunable via -max-retries, -chunk-timeout, -restart-backoff,
-// -dial-timeout and -frame-timeout; fault injection for testing via
-// -chaos) without costing a single output bit (see EXPERIMENTS.md, "Fault
-// tolerance"). With -seeds N > 1 each selected experiment runs on N
+// pool sized by -parallel (default), -workers supervised worker processes
+// this binary spawns (or, with -addrs, connections to figgen -serve worker
+// servers) speaking the internal shard protocol over TCP, or the local
+// pool behind the on-disk result cache at -cache-dir (optionally shared
+// across machines via -store pointing at a figgen -serve-store server; see
+// EXPERIMENTS.md, "Execution backends" and "Distributed mode"). The output
+// is identical for every backend, worker kind and pool size, only the wall
+// clock changes — the shard backend retries, restarts and degrades around
+// worker failures (tunable via -max-retries, -chunk-timeout,
+// -restart-backoff, -dial-timeout and -frame-timeout; fault injection for
+// testing via -chaos) without costing a single output bit (see
+// EXPERIMENTS.md, "Fault tolerance"). With -seeds N > 1 each selected experiment runs on N
 // consecutive seeds (base -seed) and figgen reports each metric's mean ±
 // 95% confidence interval. After the tables, table mode appends the
 // backend's run summary (shard worker health, cache hit/miss/write-error
@@ -84,9 +84,10 @@ func main() {
 // run executes figgen against the global registry, writing all output to w.
 func run(w io.Writer, o options) error {
 	if served, err := o.rf.ServeMode(); served {
-		// Server modes — shard worker over stdin/stdout (-worker), TCP shard
-		// worker (-serve), shared result store (-serve-store) — do nothing
-		// else, and read no other flag.
+		// Server modes — spawned shard worker on a loopback port it
+		// announces on stdout (-worker), remote shard worker (-serve),
+		// shared result store (-serve-store) — do nothing else, and read no
+		// other flag.
 		return err
 	}
 	if o.list {

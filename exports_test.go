@@ -43,15 +43,12 @@ var exportAllowlist = map[string]string{
 	"aggregate.Result.*":          resultReason,
 	"dvs.Result.*":                resultReason,
 	"link.AdaptiveResult.*":       resultReason,
-	"link.Result.GoodputBps":      resultReason,
 	"power.RunResult.*":           resultReason,
 	"transport.TransferResult.*":  resultReason,
 	"transport.UDPStreamResult.*": resultReason,
 
 	// State only accessors in the package's _test.go files read.
-	"channel.Monitor.probes": "Probes in channel_test.go shows that Stop halts probing",
 	"channel.Monitor.ticker": "Stop in channel_test.go halts probing",
-	"energy.Battery.deadAt":  "DeadAt in battery_test.go pins the instant the battery empties",
 	"pamas.Node.idleSleeps":  "IdleSleeps in pamas_test.go counts battery-driven idle sleeps",
 	"pamas.Node.sent":        "Stats in pamas_test.go counts each node's packets",
 	"pamas.Node.recv":        "Stats in pamas_test.go counts each node's packets",

@@ -35,7 +35,6 @@ type Monitor struct {
 	ch     *GilbertElliott
 	ewma   float64 // smoothed bad-state indicator in [0,1]
 	alpha  float64
-	probes int
 	ticker *sim.Ticker
 }
 
@@ -64,7 +63,6 @@ func NewMonitor(s *sim.Simulator, ch *GilbertElliott, cfg MonitorConfig) *Monito
 }
 
 func (m *Monitor) probe() {
-	m.probes++
 	obs := 0.0
 	if m.ch.State() == Bad {
 		obs = 1.0

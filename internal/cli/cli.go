@@ -27,7 +27,7 @@ type RunFlags struct {
 	Parallel int
 
 	Backend    string // local | shard | cached
-	Workers    int    // shard: worker subprocess count
+	Workers    int    // shard: worker count (spawned processes, or slots over -addrs)
 	CacheDir   string // cached: cache root directory
 	Worker     bool   // internal: this process is a shard worker
 	Addrs      string // shard: comma-separated remote TCP worker addresses
@@ -76,10 +76,10 @@ func (f *RunFlags) Register(fs *flag.FlagSet) {
 	fs.IntVar(&f.SeedsN, "seeds", 1, "number of consecutive seeds per experiment")
 	fs.IntVar(&f.Parallel, "parallel", runtime.NumCPU(), "worker pool size for (experiment × seed) jobs")
 	fs.StringVar(&f.Backend, "backend", "local", "execution backend: local | shard | cached (see EXPERIMENTS.md)")
-	fs.IntVar(&f.Workers, "workers", runtime.NumCPU(), fmt.Sprintf("worker subprocess count for -backend shard (at most %d)", scenario.MaxWorkers))
+	fs.IntVar(&f.Workers, "workers", runtime.NumCPU(), fmt.Sprintf("worker count for -backend shard: spawned processes, or slots over -addrs (at most %d)", scenario.MaxWorkers))
 	fs.StringVar(&f.CacheDir, "cache-dir", ".repro-cache", "result cache directory for -backend cached")
-	fs.BoolVar(&f.Worker, "worker", false, "internal: serve as a shard worker over stdin/stdout")
-	fs.StringVar(&f.Addrs, "addrs", "", "shard: comma-separated remote TCP worker addresses (host:port); empty means local subprocesses")
+	fs.BoolVar(&f.Worker, "worker", false, "internal: serve as a spawned shard worker (announces a loopback address on stdout, exits when stdin closes)")
+	fs.StringVar(&f.Addrs, "addrs", "", "shard: comma-separated remote TCP worker addresses (host:port); empty means spawned local workers")
 	fs.StringVar(&f.Serve, "serve", "", "serve as a TCP shard worker on this address (host:port) until killed")
 	fs.StringVar(&f.Store, "store", "", "cached: remote result store address (host:port); -cache-dir becomes the outage fallback")
 	fs.StringVar(&f.ServeStore, "serve-store", "", "serve the shared result store on this address, backed by -cache-dir")
@@ -90,8 +90,8 @@ func (f *RunFlags) Register(fs *flag.FlagSet) {
 	fs.BoolVar(&f.DegradeLocal, "degrade-local", def.DegradeToLocal, "shard: run exhausted chunks in-process instead of failing the run")
 	fs.IntVar(&f.ChunkSeeds, "chunk-seeds", def.ChunkSeeds, "shard: seeds per lease, 0 = sized from the run (one request frame and one response write cover the whole chunk)")
 	fs.IntVar(&f.Window, "window", def.Window, fmt.Sprintf("shard: leases pipelined per worker connection (1 disables pipelining, at most %d)", scenario.MaxWindow))
-	fs.DurationVar(&f.DialTimeout, "dial-timeout", def.DialTimeout, "shard: TCP worker dial timeout for -addrs (0 disables)")
-	fs.DurationVar(&f.FrameTimeout, "frame-timeout", def.FrameTimeout, "shard: per-frame read deadline on TCP worker connections (0 disables)")
+	fs.DurationVar(&f.DialTimeout, "dial-timeout", def.DialTimeout, "shard: worker dial timeout, and how long a spawned worker may take to announce its address (0 disables)")
+	fs.DurationVar(&f.FrameTimeout, "frame-timeout", def.FrameTimeout, "shard: per-frame read deadline on worker connections (0 disables)")
 	fs.StringVar(&f.Chaos, "chaos", "", "shard/serve: fault-injection schedule for workers, e.g. \"crash-after=2,gens=2\" (see EXPERIMENTS.md)")
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write a heap profile at the end of the run to this file")
@@ -199,9 +199,9 @@ func (f *RunFlags) flagSet(name string) bool {
 	return set
 }
 
-// ServeMode runs whichever server mode the flags request — -worker (stdio
-// shard worker), -serve (TCP shard worker), -serve-store (shared result
-// store on -cache-dir) — and reports whether one ran. Frontends call it
+// ServeMode runs whichever server mode the flags request — -worker
+// (spawned shard worker), -serve (remote shard worker), -serve-store
+// (shared result store on -cache-dir) — and reports whether one ran. Frontends call it
 // first thing after flag parsing, before checking any other flag: a worker
 // rebuilds every spec from its chunk requests, so it needs none of them.
 // When it reports true the process was a server and must exit with the
@@ -224,7 +224,7 @@ func (f *RunFlags) ServeMode() (bool, error) {
 //
 //	figgen -cpuprofile cpu.out -run e5 -seeds 32
 //
-// Backend resources (shard worker subprocesses) are released before Run
+// Backend resources (shard worker processes) are released before Run
 // returns, and backend counters are reported to stderr — a caching
 // backend's hit/miss/write-error line, a shard backend's supervision
 // health block — while stdout stays parseable (-json). The same counters

@@ -14,7 +14,6 @@ type Battery struct {
 	capacity float64
 	drained  float64
 	dead     bool
-	deadAt   sim.Time
 
 	// OnDeath is invoked exactly once when the battery empties.
 	OnDeath func(at sim.Time)
@@ -56,7 +55,6 @@ func (b *Battery) Drain(j float64, at sim.Time) bool {
 	if b.drained >= b.capacity {
 		b.drained = b.capacity
 		b.dead = true
-		b.deadAt = at
 		if b.OnDeath != nil {
 			b.OnDeath(at)
 		}

@@ -35,8 +35,8 @@ func TestBatteryDeath(t *testing.T) {
 	if !b.Dead() || b.Remaining() != 0 {
 		t.Error("battery should be dead and empty")
 	}
-	if diedAt != 3*sim.Second || b.DeadAt() != 3*sim.Second {
-		t.Errorf("death time = %v/%v, want 3s", diedAt, b.DeadAt())
+	if diedAt != 3*sim.Second {
+		t.Errorf("death time = %v, want 3s", diedAt)
 	}
 	// Further drains are no-ops.
 	if b.Drain(1, 4*sim.Second) {
@@ -46,8 +46,9 @@ func TestBatteryDeath(t *testing.T) {
 
 func TestBatteryAliveDeadAt(t *testing.T) {
 	b := NewBattery(5)
-	if b.DeadAt() != sim.MaxTime {
-		t.Error("alive battery DeadAt should be MaxTime")
+	b.OnDeath = func(sim.Time) { t.Error("OnDeath fired for a battery that never emptied") }
+	if !b.Drain(4.9, sim.Second) || b.Dead() {
+		t.Error("a battery with charge left should be alive")
 	}
 }
 
@@ -106,14 +107,13 @@ func TestTrackerStopsAtDeath(t *testing.T) {
 	s := sim.New(2)
 	dev := radio.NewDeviceInState(s, radio.WLAN80211b(), radio.Idle)
 	b := NewBattery(1.35) // exactly 1 second of idle
-	died := false
-	b.OnDeath = func(sim.Time) { died = true }
+	var at sim.Time = -1
+	b.OnDeath = func(d sim.Time) { at = d }
 	NewTracker(s, dev.Meter(), b, 100*sim.Millisecond)
 	s.RunUntil(5 * sim.Second)
-	if !died {
-		t.Error("battery did not die")
+	if at < 0 {
+		t.Fatal("battery did not die")
 	}
-	at := b.DeadAt()
 	if at < 900*sim.Millisecond || at > 1200*sim.Millisecond {
 		t.Errorf("died at %v, want ≈ 1s", at)
 	}
@@ -121,11 +121,3 @@ func TestTrackerStopsAtDeath(t *testing.T) {
 
 // Capacity returns the battery's full capacity in joules.
 func (b *Battery) Capacity() float64 { return b.capacity }
-
-// DeadAt returns when the battery emptied (sim.MaxTime if alive).
-func (b *Battery) DeadAt() sim.Time {
-	if !b.dead {
-		return sim.MaxTime
-	}
-	return b.deadAt
-}

@@ -132,7 +132,6 @@ type Result struct {
 	Transmissions    int // data packets put on the air, incl. retransmissions
 	Acks             int
 	Duration         sim.Time
-	GoodputBps       float64
 	EnergyJ          float64 // sender + receiver
 	EnergyPerBitJ    float64 // per *delivered* payload bit
 }
@@ -344,7 +343,6 @@ func (e *engine) result() Result {
 		return r
 	}
 	payloadBits := float64(e.delivered * e.p.PacketBytes * 8)
-	r.GoodputBps = payloadBits / dur.Seconds()
 
 	air := e.air.Seconds()
 	ack := e.ackAir.Seconds()

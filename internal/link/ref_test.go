@@ -111,7 +111,6 @@ func (e *refEngine) result() Result {
 		return r
 	}
 	payloadBits := float64(e.delivered * e.p.PacketBytes * 8)
-	r.GoodputBps = payloadBits / dur.Seconds()
 
 	air := e.p.airTime().Seconds()
 	ack := e.p.ackTime().Seconds()

@@ -15,26 +15,26 @@ import (
 // supervisor's three failure detectors and the retry/degrade machinery
 // can be exercised deterministically, in tests and from the CLI (-chaos).
 //
-// The configuration travels to subprocess workers via the REPRO_CHAOS
-// environment variable (a TCP server takes it as NetServeOptions.ChaosSpec);
-// the parent Shard also exports each worker's process generation within
-// its slot (REPRO_WORKER_GEN), so a schedule can target specific
-// generations — e.g. "every worker's first process
+// The configuration travels to spawned workers via the REPRO_CHAOS
+// environment variable (a worker server takes it as
+// NetServeOptions.ChaosSpec); the parent Shard also exports each worker's
+// process generation within its slot (REPRO_WORKER_GEN), so a schedule
+// can target specific generations — e.g. "every worker's first process
 // crashes, its replacement runs clean", which is exactly the shape the
 // chaos-injected equivalence test uses.
 //
 // All counts are 1-based indices into the stream of seeds one worker
 // process executes — per seed, not per frame, so a schedule keeps its
 // meaning whatever ChunkSeeds batches requests into; zero disables that
-// fault. For a TCP worker
-// (ServeNet) a "generation" is the accept-order index of the connection on
-// the listener — a dropped or blackholed connection's replacement is the
-// next generation, exactly like a crashed subprocess's restart.
+// fault. For a worker server (ServeNet) a "generation" is the accept-order
+// index of the connection on the listener — a dropped or blackholed
+// connection's replacement is the next generation, exactly like a crashed
+// spawned worker's restart.
 //
-// Every verb applies to both transports: stdio workers and TCP sessions
-// run the same session loop. A verb that ends the session (crash-after,
-// trunc-after, drop-conn-after) makes a stdio worker exit non-zero and
-// closes a TCP session's connection.
+// Spawned workers and worker servers run the same session loop, so every
+// verb applies to both. A verb that ends the session (crash-after,
+// trunc-after, drop-conn-after) makes a spawned worker exit non-zero and
+// closes a server session's connection.
 type Chaos struct {
 	CrashAfter    int           // end the session when asked for seed N, before responding
 	HangAfter     int           // sleep HangFor before responding to seed N
@@ -45,7 +45,7 @@ type Chaos struct {
 	Delay         time.Duration // benign delay; defaults to 10ms
 	Gens          int           // apply faults only to worker generations < Gens; 0 means every generation
 
-	// Network-shaped verbs; like the rest, they apply on both transports.
+	// Network-shaped verbs; like the rest, they apply to every worker.
 	DropConnAfter  int           // end the session on seed N without responding
 	BlackholeAfter int           // from seed N on: keep the session open, stop responding and heartbeating (rest of the chunk vanishes too)
 	SlowLink       time.Duration // delay every response by this much while heartbeats keep flowing (benign)

@@ -10,8 +10,8 @@ import (
 )
 
 // ErrDecode marks stream-corruption failures: an oversized frame header,
-// a frame whose payload is not a protocol message, a protocol-version
-// mismatch in a worker hello, or a Result whose encoding does not parse.
+// a frame whose payload is not a protocol message, or a Result whose
+// encoding does not parse.
 // The shard supervisor classifies lease failures wrapping ErrDecode as
 // corrupt-frame faults (the worker is killed and the chunk retried)
 // rather than process deaths. It is never returned for plain transport
@@ -19,7 +19,7 @@ import (
 var ErrDecode = errors.New("decode error")
 
 // The result codec. Results cross three boundaries that must not change a
-// single bit: the shard worker protocol (subprocess stdout / TCP → parent),
+// single bit: the shard worker protocol (worker → coordinator over TCP),
 // the result-store protocol and the on-disk result cache (cold write →
 // warm read). The wire form is a compact binary encoding:
 // length-delimited name/table strings and name-sorted values carried as
@@ -41,9 +41,9 @@ const (
 )
 
 // protoVersion is the worker wire-protocol version. A worker announces it
-// in the hello frame that opens every session (subprocess and TCP alike);
-// the coordinator rejects a mismatch as a decode fault instead of
-// misparsing frames from an incompatible build. Version 2 added the spec's
+// in the hello frame that opens every session; the coordinator ends the
+// run on a mismatch instead of misparsing frames from an incompatible
+// build. Version 2 added the spec's
 // params to the chunk request.
 const protoVersion = 2
 
@@ -275,7 +275,7 @@ func (f *frameScratch) finish() []byte {
 }
 
 // helloFrame announces the wire-protocol version — the first frame of
-// every worker session, on both transports.
+// every worker session.
 func (f *frameScratch) helloFrame() []byte {
 	f.begin(frameHello)
 	f.buf = append(f.buf, protoVersion)

@@ -1,14 +1,14 @@
 package scenario
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
+	"net"
 	"strings"
-	"sync/atomic"
 	"testing"
 )
 
@@ -364,24 +364,23 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// newTestConnCore wraps a canned byte stream as a coordinator-side
-// connection core, for driving recv against synthetic worker output.
-func newTestConnCore(stream []byte) *connCore {
-	return &connCore{
-		br:       bufio.NewReader(bytes.NewReader(stream)),
-		tag:      "test",
-		stales:   new(atomic.Int64),
-		sent:     new(atomic.Int64),
-		recvd:    new(atomic.Int64),
-		classify: func(error) failKind { return failExit },
-		dec:      newResultDecoder(),
-	}
+// newTestConn wraps a canned byte stream, written by a fake worker into
+// an in-memory connection, as a coordinator-side session with no frame
+// deadline, for driving recv against synthetic worker output.
+func newTestConn(t *testing.T, stream []byte) *netConn {
+	coord, worker := net.Pipe()
+	go func() {
+		worker.Write(stream)
+		worker.Close()
+	}()
+	t.Cleanup(func() { coord.Close() }) // unblocks a fake worker whose stream recv left unread
+	return (&workerSlot{sh: &Shard{}}).newConn(coord)
 }
 
 // TestRecvHelloNegotiation pins the version handshake: a worker
-// announcing a different protocol version is a decode fault (the
-// supervisor kills and retries elsewhere, never misparses), as is any
-// response arriving before the hello.
+// announcing a different protocol version is a terminal failVersion that
+// names both versions (the Run ends; no retry could fix a build skew),
+// and a response arriving before the hello is a decode fault.
 func TestRecvHelloNegotiation(t *testing.T) {
 	var fs frameScratch
 	res := Result{Name: "r", Values: map[string]float64{"v": 1}}
@@ -391,22 +390,24 @@ func TestRecvHelloNegotiation(t *testing.T) {
 	ok.Write(fs.helloFrame())
 	ok.Write(fs.heartbeatFrame())
 	ok.Write(fs.resultFrame([]byte("s"), 1, 10, res))
-	c := newTestConnCore(ok.Bytes())
+	c := newTestConn(t, ok.Bytes())
 	got, kind, err := c.recv("s", 1, 10)
 	if err != nil || kind != 0 || got.Values["v"] != 1 {
 		t.Fatalf("healthy recv = %+v, %v, %v", got, kind, err)
 	}
 
-	// Version skew: ErrDecode, classified failDecode.
+	// Version skew: terminal, and the error names both versions.
 	bad := append([]byte(nil), fs.helloFrame()...)
 	bad[len(bad)-1] = protoVersion + 1
-	c = newTestConnCore(bad)
-	if _, kind, err := c.recv("s", 1, 10); kind != failDecode || !errors.Is(err, ErrDecode) {
-		t.Errorf("version skew: kind %v err %v, want failDecode/ErrDecode", kind, err)
+	c = newTestConn(t, bad)
+	_, kind, err = c.recv("s", 1, 10)
+	want := fmt.Sprintf("protocol version %d, coordinator version %d", protoVersion+1, protoVersion)
+	if kind != failVersion || !kind.terminal() || err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("version skew: kind %v err %v, want terminal failVersion naming %q", kind, err, want)
 	}
 
-	// A response with no hello first: same fault class.
-	c = newTestConnCore(append([]byte(nil), fs.resultFrame([]byte("s"), 1, 10, res)...))
+	// A response with no hello first: a decode fault.
+	c = newTestConn(t, append([]byte(nil), fs.resultFrame([]byte("s"), 1, 10, res)...))
 	if _, kind, err := c.recv("s", 1, 10); kind != failDecode || !errors.Is(err, ErrDecode) {
 		t.Errorf("response before hello: kind %v err %v, want failDecode/ErrDecode", kind, err)
 	}
@@ -424,12 +425,12 @@ func TestRecvSkipsStaleFrames(t *testing.T) {
 	stream.Write(fs.errorFrame([]byte("s"), 2, 10, "x"))  // stale seed
 	stream.Write(fs.resultFrame([]byte("t"), 1, 10, res)) // stale spec
 	stream.Write(fs.resultFrame([]byte("s"), 1, 10, res)) // the live one
-	c := newTestConnCore(stream.Bytes())
+	c := newTestConn(t, stream.Bytes())
 	got, kind, err := c.recv("s", 1, 10)
 	if err != nil || kind != 0 || got.Values["v"] != 42 {
 		t.Fatalf("recv = %+v, %v, %v", got, kind, err)
 	}
-	if n := c.stales.Load(); n != 3 {
+	if n := c.w.stales.Load(); n != 3 {
 		t.Errorf("stale frames counted = %d, want 3", n)
 	}
 }

@@ -26,8 +26,7 @@ type Executor interface {
 }
 
 // Local executes seeds in-process on a bounded goroutine pool. It is the
-// default backend and the innermost rung of the others: Shard runs one
-// Local per worker subprocess, Cache usually decorates a Local.
+// default backend, and Cache usually decorates a Local.
 //
 // The pool is shared across concurrent Run calls, so a Runner fanning many
 // specs over one Local never exceeds Parallel simulations in flight.

@@ -53,15 +53,16 @@ type FaultPolicy struct {
 	// MaxWindow are clamped to it.
 	Window int
 
-	// DialTimeout bounds one connection attempt to a remote TCP worker
-	// (Shard.Addrs). Connection-level failure detection starts here: an
-	// unreachable host fails the attempt instead of hanging the slot.
+	// DialTimeout bounds one connection attempt to a worker, and a spawned
+	// worker's wait for its announced address. Connection-level failure
+	// detection starts here: an unreachable host or a worker that never
+	// announces fails the attempt instead of hanging the slot.
 	DialTimeout time.Duration
-	// FrameTimeout is the per-frame read deadline on a TCP worker
-	// connection: if no frame (response or heartbeat) arrives within it,
-	// the worker is declared partitioned and the connection is torn down.
-	// Healthy remote workers heartbeat every heartbeatEvery, far inside
-	// this deadline, so a long-running seed never trips it.
+	// FrameTimeout is the per-frame read deadline on a worker connection:
+	// if no frame (response or heartbeat) arrives within it, the worker is
+	// declared partitioned and the connection is torn down. Healthy
+	// workers heartbeat every heartbeatEvery, far inside this deadline, so
+	// a long-running seed never trips it.
 	FrameTimeout time.Duration
 }
 
@@ -204,19 +205,25 @@ func (p FaultPolicy) backoffDelay(consecFails int, rnd func(n int64) int64) time
 }
 
 // failKind classifies one failed lease attempt. The supervisor detects
-// worker failure three ways — process exit (or broken pipe), per-chunk
-// deadline timeout, and frame/result decode error — and failApp marks
-// worker-reported application errors (unknown spec, experiment panic)
-// that retrying a healthy fleet cannot fix.
+// worker failure four ways — process exit or dropped connection, failed
+// start, deadline timeout, and frame/result decode error — and two kinds
+// are terminal: failApp marks worker-reported application errors (unknown
+// spec, experiment panic) and failVersion a worker speaking another
+// protocol version, which retrying a live fleet cannot fix.
 type failKind int
 
 const (
-	failExit    failKind = iota // process died / pipe broke / connection dropped mid-exchange
-	failSpawn                   // worker process could not be started / connection could not be dialed
-	failTimeout                 // chunk deadline or per-frame read deadline exceeded; worker killed
+	failExit    failKind = iota // worker died or connection dropped, before announcing or mid-exchange
+	failSpawn                   // worker process could not be started or announce, or connection could not be dialed
+	failTimeout                 // chunk deadline or per-frame deadline exceeded; worker killed
 	failDecode                  // corrupt frame or undecodable Result
 	failApp                     // worker-reported error; terminal, never retried
+	failVersion                 // worker hello carries another protoVersion; terminal, never retried
 )
+
+// terminal reports whether a failure ends the Run instead of being
+// retried.
+func (k failKind) terminal() bool { return k == failApp || k == failVersion }
 
 func (k failKind) String() string {
 	switch k {
@@ -230,20 +237,22 @@ func (k failKind) String() string {
 		return "decode"
 	case failApp:
 		return "app"
+	case failVersion:
+		return "version"
 	}
 	return "unknown"
 }
 
 // WorkerHealth is one worker slot's counters. A slot keeps its id across
 // restarts — the [wN] stderr prefix and these counters describe the slot,
-// however many subprocesses have filled it.
+// however many worker processes or connections have filled it.
 type WorkerHealth struct {
 	ID         int
 	Restarts   int64 // process starts / reconnects beyond the slot's first
 	Chunks     int64 // leases completed
 	Seeds      int64 // seeds computed
-	SpawnFails int64 // failed process starts / failed dials
-	Exits      int64 // leases failed by process exit / broken pipe / dropped connection
+	SpawnFails int64 // failed process starts or announcements / failed dials
+	Exits      int64 // leases failed by process exit / dropped connection
 	Timeouts   int64 // leases failed by chunk deadline or per-frame read deadline
 	DecodeErrs int64 // leases failed by corrupt frames / undecodable Results
 	Stales     int64 // stale frames discarded (wrong epoch/seed — zombie replays)

@@ -206,12 +206,13 @@ type transportCase struct {
 	sh   *Shard
 }
 
-// chaosTransports builds a two-slot Shard per transport: subprocess
-// workers read procChaos from the environment, an in-process ServeNet
-// takes netChaos as its ChaosSpec. Both run the same session loop, so
-// every verb must behave the same on either. A subprocess generation
-// counts per slot but a TCP one per accepted connection, so with two
-// slots "gens=1" on subprocesses is "gens=2" over TCP.
+// chaosTransports builds a two-slot Shard per kind of worker: spawned
+// workers ("subprocess") read procChaos from the environment, an
+// in-process ServeNet ("tcp") takes netChaos as its ChaosSpec. Both run
+// the same session loop, so every verb must behave the same on either. A
+// spawned worker's generation counts per slot but a server's per accepted
+// connection, so with two slots "gens=1" on spawned workers is "gens=2"
+// on the server.
 func chaosTransports(t *testing.T, procChaos, netChaos string) []transportCase {
 	return []transportCase{
 		{"subprocess", chaosShard(2, procChaos, nil)},

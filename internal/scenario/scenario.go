@@ -7,7 +7,7 @@
 //
 // Execution is layered: an Executor turns (spec, seeds) into per-seed
 // Results — in-process on a bounded worker pool (Local), fanned across
-// worker subprocesses (Shard), or memoized on disk keyed by a code-version
+// worker processes (Shard), or memoized on disk keyed by a code-version
 // digest (Cache) — and the Runner aggregates whatever an Executor emits
 // into mean ± 95% confidence intervals. Every executor delivers results in
 // seed order, so changing the backend or the parallelism changes only the

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"reflect"
@@ -21,6 +22,7 @@ const (
 	workerSentinel      = "-run-as-scenario-worker"
 	workerExitSentinel  = "-run-as-scenario-worker-exit"
 	workerNoisySentinel = "-run-as-scenario-worker-noisy"
+	workerMuteSentinel  = "-run-as-scenario-worker-mute"
 )
 
 func TestMain(m *testing.M) {
@@ -37,6 +39,10 @@ func TestMain(m *testing.M) {
 			os.Exit(0)
 		case workerExitSentinel: // simulates a worker that dies immediately
 			os.Exit(0)
+		case workerMuteSentinel: // a worker that names its pid and never announces an address
+			fmt.Fprintln(os.Stderr, "pid", os.Getpid())
+			io.Copy(io.Discard, os.Stdin) // until its coordinator closes stdin or kills it
+			os.Exit(0)
 		case workerNoisySentinel: // a worker that writes diagnostics to stderr
 			fmt.Fprintln(os.Stderr, "noisy diagnostic line")
 			if err := ServeWorker(os.Stdin, os.Stdout); err != nil {
@@ -50,7 +56,7 @@ func TestMain(m *testing.M) {
 }
 
 // shardableSpec is a registered deterministic spec cheap enough to fan
-// across subprocesses in tests. It exercises the full float path,
+// across worker processes in tests. It exercises the full float path,
 // including values JSON cannot carry (±Inf, NaN at seed 13).
 func shardableSpec() Spec {
 	return Spec{

@@ -10,23 +10,26 @@ import (
 	"os/exec"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Shard executes seeds on a supervised pool of worker slots. A slot's
-// transport is one of two interchangeable kinds speaking the same binary
-// frame protocol (versioned via the hello frame — see codec.go):
+// Shard executes seeds on a supervised pool of worker slots. Every slot
+// holds one TCP session speaking the binary frame protocol (versioned via
+// the hello frame — see codec.go) to a worker that is either
 //
-//   - subprocess (default): the current binary started with the hidden
-//     -worker flag, speaking over stdin/stdout;
-//   - remote TCP (Addrs set): a connection dialed to a worker serving the
-//     same protocol over TCP (the hidden -serve addr mode, see ServeNet),
-//     so the fleet leaves the box.
+//   - spawned (default): the current binary started with the hidden
+//     -worker flag, which listens on a loopback port, announces it as its
+//     first stdout line and exits when its stdin closes; or
+//   - remote (Addrs set): a worker serving the protocol on a TCP address
+//     (the hidden -serve addr mode, see ServeNet), so the fleet leaves the
+//     box.
 //
-// Either kind rebuilds each spec from the (name, Params) pair its chunk
-// request carries, so a worker needs none of the coordinator's flags.
+// Both are the same session (netConn) under the same liveness model, and
+// either rebuilds each spec from the (name, Params) pair its chunk request
+// carries, so a worker needs none of the coordinator's flags.
 //
 // Pipelining. The unit of I/O is the chunk, not the seed: one request
 // frame carries a whole seed chunk, and the worker answers it with one
@@ -43,41 +46,43 @@ import (
 // matching.
 //
 // Supervision. A coordinator leases (spec, seed-chunk) units to worker
-// slots. A slot detects failure at the process level (exit, broken pipe),
-// the connection level (dial timeout, dropped connection, per-frame read
-// deadline with heartbeat keep-alive — a partitioned TCP worker stops
-// heartbeating and is torn down), the time level (per-chunk deadline), and
-// the stream level (frame/Result decode error, protocol-version mismatch);
-// on any of them the dead transport is reaped, the slot reconnects or
-// respawns on demand with capped exponential backoff plus jitter, and the
-// chunk is reassigned. Every lease attempt carries a fresh epoch:
-// responses are matched on (epoch, spec, seed), so a zombie or partitioned
-// worker replaying a stale chunk after its lease was reassigned is
-// discarded — counted, never double-emitted. A chunk that exhausts its
-// retry budget is quarantined to in-process execution (graceful
-// degradation to the Local path) when the policy allows, so a run only
-// errors when every path is exhausted. Because every seed is deterministic
-// and Results cross the boundary bit-exactly, a retried or degraded chunk
-// is indistinguishable from a first-attempt one: the fabric tolerates
-// crashes, hangs, partitions and corrupt frames without costing a single
-// output bit (the chaos-injected cross-backend equivalence test pins
-// exactly that). Worker-reported application errors (unknown spec,
-// rejected params, experiment panic) are terminal: the fleet is healthy,
-// so retrying cannot fix the request.
+// slots. A slot detects failure at the process level (a spawned worker
+// that exits before announcing its address), the connection level (dial
+// timeout, dropped connection, per-frame read deadline with heartbeat
+// keep-alive — a partitioned worker stops heartbeating and is torn down),
+// the time level (per-chunk deadline), and the stream level (frame/Result
+// decode error); on any of them the dead session is reaped, the slot
+// respawns or redials on demand with capped exponential backoff plus
+// jitter, and the chunk is reassigned. Every lease attempt carries a fresh
+// epoch: responses are matched on (epoch, spec, seed), so a zombie or
+// partitioned worker replaying a stale chunk after its lease was
+// reassigned is discarded — counted, never double-emitted. A chunk that
+// exhausts its retry budget is quarantined to in-process execution
+// (graceful degradation to the Local path) when the policy allows, so a
+// run only errors when every path is exhausted. Because every seed is
+// deterministic and Results cross the boundary bit-exactly, a retried or
+// degraded chunk is indistinguishable from a first-attempt one: the fabric
+// tolerates crashes, hangs, partitions and corrupt frames without costing
+// a single output bit (the chaos-injected cross-backend equivalence test
+// pins exactly that). Worker-reported application errors (unknown spec,
+// rejected params, experiment panic) and a worker speaking another
+// protocol version are terminal: the fleet is up, so retrying cannot fix
+// the request, and the Run's leases not yet attempted are answered
+// without one.
 //
 // The pool starts lazily on the first Run and is shared across concurrent
 // Run calls, so a Runner fanning the whole registry over one Shard keeps
-// exactly Workers transports busy. Results are reordered into seed order
+// exactly Workers sessions busy. Results are reordered into seed order
 // before emission, so the aggregate is bit-identical to the Local
 // backend's. Close shuts the workers down; callers that finished running
-// should Close to reap subprocesses and connections. Health returns the
-// supervision counters accumulated so far, including fabric throughput
+// should Close to reap worker processes and connections. Health returns
+// the supervision counters accumulated so far, including fabric throughput
 // (seeds/sec, protocol bytes moved).
 type Shard struct {
 	Workers int         // slot count; values < 1 mean runtime.NumCPU() (or len(Addrs) for TCP), above MaxWorkers a Run error
-	Argv    []string    // worker command; nil means {os.Executable(), "-worker"}
-	Addrs   []string    // remote TCP worker addresses; non-empty selects the TCP transport
-	Chaos   string      // fault-injection schedule exported to subprocess workers as REPRO_CHAOS (see ParseChaos)
+	Argv    []string    // command of a spawned worker; nil means {os.Executable(), "-worker"}
+	Addrs   []string    // remote worker addresses; non-empty replaces spawned workers
+	Chaos   string      // fault-injection schedule exported to spawned workers as REPRO_CHAOS (see ParseChaos)
 	Policy  FaultPolicy // supervision knobs; zero value means DefaultFaultPolicy
 	Stderr  io.Writer   // sink for worker stderr and coordinator notices, worker lines prefixed "[wN] "; nil means os.Stderr
 
@@ -95,8 +100,8 @@ type Shard struct {
 	degraded     atomic.Int64
 	staleReplies atomic.Int64
 
-	bytesSent atomic.Int64 // protocol bytes written to worker transports
-	bytesRecv atomic.Int64 // protocol bytes read from worker transports
+	bytesSent atomic.Int64 // protocol bytes written to worker sessions
+	bytesRecv atomic.Int64 // protocol bytes read from worker sessions
 	runStart  atomic.Int64 // UnixNano of the first Run; throughput clock start
 	runEnd    atomic.Int64 // UnixNano of the latest Run completion
 }
@@ -105,7 +110,8 @@ type Shard struct {
 // seeds starting at index ki0 of the Run's seed slice, with its reply
 // route, the coordinator-owned failed-attempt count and the epoch of the
 // attempt currently in flight. Ownership alternates over the jobs/reply
-// channels, so epoch and attempts are never accessed concurrently.
+// channels, so epoch and attempts are never accessed concurrently. halt is
+// shared by the Run's leases and set once the Run has failed.
 type lease struct {
 	spec     Spec
 	seeds    []int64
@@ -113,6 +119,7 @@ type lease struct {
 	attempts int
 	epoch    int64
 	reply    chan<- leaseResult
+	halt     *atomic.Bool
 }
 
 type leaseResult struct {
@@ -123,135 +130,18 @@ type leaseResult struct {
 	err   error
 }
 
-// slotConn is one live transport session filling a worker slot: a
-// subprocess's stdio pipes or a dialed TCP connection. send writes one
-// chunk request; recv reads the response frame for one seed of it —
-// splitting the exchange is what lets the supervisor pipeline a window of
-// leases before reading anything back. interrupt makes blocked I/O fail
-// now (the chunk-deadline enforcement); abort is the hard teardown after
-// a fault; shutdown the graceful close at pool shutdown.
-type slotConn interface {
-	send(spec Spec, seeds []int64, epoch int64) (failKind, error)
-	recv(spec string, seed, epoch int64) (Result, failKind, error)
-	interrupt()
-	abort()
-	shutdown()
-}
-
-// connCore is the transport-independent half of a slot connection: binary
-// frame encode/decode with reused scratch (the send path builds each
-// frame in one buffer and writes it with a single Write; the recv path
-// reads into one reused buffer and decodes Results through an interning
-// decoder), hello/version validation, stale-frame matching and byte
-// accounting. procConn and netConn embed it and add transport-specific
-// teardown; the deadline hook and error classifier are the only behavior
-// that differs between the two on the data path.
-type connCore struct {
-	w      io.Writer
-	br     *bufio.Reader
-	tag    string // error-message prefix: "shard" (subprocess) or "net" (TCP)
-	stales *atomic.Int64
-	sent   *atomic.Int64
-	recvd  *atomic.Int64
-
-	// arm arms the transport's per-frame deadline before a read or write;
-	// nil for transports without deadlines (subprocess pipes — the chunk
-	// timer is their only clock).
-	arm func(read bool)
-	// classify maps a raw transport error to the failure taxonomy.
-	classify func(error) failKind
-
-	fs      frameScratch
-	inbuf   []byte
-	dec     *resultDecoder
-	helloOK bool
-}
-
-// send writes one chunk request for spec, named by its Name and Params, as
-// a single frame (header and payload in one Write — no torn-frame window,
-// no per-seed round trips).
-func (c *connCore) send(spec Spec, seeds []int64, epoch int64) (failKind, error) {
-	frame := c.fs.requestFrame(spec.Name, spec.Params, seeds, epoch)
-	if c.arm != nil {
-		c.arm(false)
-	}
-	if _, err := c.w.Write(frame); err != nil {
-		return c.classify(err), fmt.Errorf("%s: send %s chunk: %w", c.tag, spec.Name, err)
-	}
-	c.sent.Add(int64(len(frame)))
-	return 0, nil
-}
-
-// recv reads frames until the response for (epoch, spec, seed) arrives.
-// Heartbeats only prove liveness (they re-arm the per-frame deadline);
-// the first non-heartbeat frame of a session must be a hello carrying
-// protoVersion, so a build skew fails loudly as a decode fault instead of
-// a misparse. Frames for any other (epoch, spec, seed) are stale — a
-// zombie session's replays — and are skipped and counted, never surfaced.
-func (c *connCore) recv(spec string, seed, epoch int64) (Result, failKind, error) {
-	for {
-		if c.arm != nil {
-			c.arm(true)
-		}
-		payload, err := readRawFrame(c.br, &c.inbuf)
-		if err != nil {
-			kind := c.classify(err)
-			if errors.Is(err, ErrDecode) {
-				kind = failDecode
-			}
-			return Result{}, kind, fmt.Errorf("%s: %s seed %d: %w", c.tag, spec, seed, err)
-		}
-		c.recvd.Add(int64(4 + len(payload)))
-		m, err := parseWireMsg(payload)
-		if err != nil {
-			return Result{}, failDecode, fmt.Errorf("%s: %s seed %d: %w", c.tag, spec, seed, err)
-		}
-		switch m.ftype {
-		case frameHeartbeat:
-			continue
-		case frameHello:
-			if c.helloOK {
-				return Result{}, failDecode, fmt.Errorf("%s: %w: unexpected mid-session hello", c.tag, ErrDecode)
-			}
-			if m.version != protoVersion {
-				return Result{}, failDecode, fmt.Errorf("%s: %w: worker speaks protocol version %d, want %d", c.tag, ErrDecode, m.version, protoVersion)
-			}
-			c.helloOK = true
-			continue
-		}
-		if !c.helloOK {
-			return Result{}, failDecode, fmt.Errorf("%s: %w: response before hello", c.tag, ErrDecode)
-		}
-		if m.epoch != epoch || string(m.spec) != spec || m.seed != seed {
-			// A frame for some other attempt — a zombie session's replay.
-			// Skipping (rather than failing) lets the live exchange on this
-			// connection complete normally.
-			c.stales.Add(1)
-			continue
-		}
-		if m.ftype == frameError {
-			return Result{}, failApp, fmt.Errorf("%s: worker: %s", c.tag, m.errMsg)
-		}
-		var res Result
-		if err := c.dec.decode(m.result, &res, false); err != nil {
-			return Result{}, failDecode, fmt.Errorf("%s: %s seed %d: %w", c.tag, spec, seed, err)
-		}
-		return res, 0, nil
-	}
-}
-
 // workerSlot supervises one worker position in the pool: it owns at most
-// one live transport session at a time, reopens it on demand after
-// failures, and keeps the slot-stable health counters. The slot id is
+// one live session at a time, reopens it on demand after failures, and
+// keeps the slot-stable health counters. The slot id is
 // stable across restarts — it names the [wN] stderr prefix and the health
 // row.
 type workerSlot struct {
 	id   int
 	sh   *Shard
-	open func() (slotConn, error) // transport factory: spawn subprocess or dial TCP
+	open func() (*netConn, error) // session factory: spawnWorker or dialWorker
 
-	conn slotConn
-	gen  int // sessions opened in this slot so far
+	conn *netConn
+	gen  int // worker processes started or connections opened in this slot so far
 
 	consecFails int // consecutive failed batches/opens, drives the backoff
 
@@ -292,7 +182,7 @@ func (s *Shard) start() {
 		w := &workerSlot{id: i, sh: s}
 		if len(s.Addrs) > 0 {
 			addr := s.Addrs[i%len(s.Addrs)] // slots round-robin over the fleet
-			w.open = func() (slotConn, error) { return dialWorker(addr, s.pol, w) }
+			w.open = func() (*netConn, error) { return dialWorker(addr, w) }
 		} else {
 			w.open = w.spawnWorker
 		}
@@ -307,7 +197,7 @@ func (s *Shard) start() {
 // run them as one pipelined batch on the slot's session.
 func (w *workerSlot) supervise() {
 	defer w.sh.wg.Done()
-	defer w.stop()
+	defer w.closeConn(5 * time.Second)
 	batch := make([]*lease, 0, w.sh.pol.Window)
 	for l := range w.sh.jobs {
 		batch = append(batch[:0], l)
@@ -327,28 +217,37 @@ func (w *workerSlot) supervise() {
 	}
 }
 
-// ensureStarted opens the slot's transport session if none is live.
+// ensureStarted opens the slot's session if none is live. A spawned
+// worker that exits before announcing its address still counts as a
+// process start.
 func (w *workerSlot) ensureStarted() error {
 	if w.conn != nil {
 		return nil
 	}
 	conn, err := w.open()
-	if err != nil {
-		return err
+	if err == nil || errors.Is(err, errWorkerExited) {
+		if w.gen > 0 {
+			w.restarts.Add(1)
+		}
+		w.gen++
 	}
-	if w.gen > 0 {
-		w.restarts.Add(1)
-	}
-	w.gen++
 	w.conn = conn
-	return nil
+	return err
 }
 
-// spawnWorker starts one worker subprocess for the slot. The process gets
-// its generation in the environment (plus any chaos schedule), and its
-// stderr is streamed to the shard's sink with a stable "[wN] " prefix so
-// interleaved diagnostics from a restarted fleet stay attributable.
-func (w *workerSlot) spawnWorker() (slotConn, error) {
+// errWorkerExited marks a spawned worker that exited before announcing its
+// address: a dying process, which fails its batch like a death
+// mid-exchange rather than as a failed start.
+var errWorkerExited = errors.New("worker exited before announcing its address")
+
+// spawnWorker starts one worker process for the slot, waits up to
+// DialTimeout for the loopback address it announces as its first stdout
+// line, and dials it. The process gets its generation in the environment
+// (plus any chaos schedule), and its stderr is streamed to the shard's
+// sink with a stable "[wN] " prefix so interleaved diagnostics from a
+// restarted fleet stay attributable. Nothing but the address may reach
+// its stdout.
+func (w *workerSlot) spawnWorker() (*netConn, error) {
 	argv := w.sh.argv
 	cmd := exec.Command(argv[0], argv[1:]...)
 	cmd.Env = append(os.Environ(), workerGenEnv+"="+strconv.Itoa(w.gen))
@@ -356,66 +255,109 @@ func (w *workerSlot) spawnWorker() (slotConn, error) {
 		cmd.Env = append(cmd.Env, chaosEnv+"="+w.sh.Chaos)
 	}
 
-	// A manual pipe (not cmd.StderrPipe) so our reader, not Wait, owns the
-	// read end: Wait never races the prefix goroutine out of the tail of a
-	// dying worker's diagnostics.
+	// A manual stderr pipe (not cmd.StderrPipe) so our reader, not Wait,
+	// owns the read end: Wait never races the prefix goroutine out of the
+	// tail of a dying worker's diagnostics.
 	stderrR, stderrW, err := os.Pipe()
 	if err != nil {
 		return nil, err
 	}
 	cmd.Stderr = stderrW
 	stdin, err := cmd.StdinPipe()
+	var stdout io.ReadCloser
+	if err == nil {
+		stdout, err = cmd.StdoutPipe()
+	}
+	if err == nil {
+		err = cmd.Start()
+	}
+	stderrW.Close() // the child holds the write end now
 	if err != nil {
 		stderrR.Close()
-		stderrW.Close()
-		return nil, err
-	}
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		stderrR.Close()
-		stderrW.Close()
-		return nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		stderrR.Close()
-		stderrW.Close()
 		return nil, fmt.Errorf("start %q: %w", argv[0], err)
 	}
-	stderrW.Close() // child holds the write end now
 	sink := w.sh.Stderr
 	if sink == nil {
 		sink = os.Stderr
 	}
 	go prefixLines(sink, stderrR, fmt.Sprintf("[w%d] ", w.id))
-	return &procConn{
-		connCore: connCore{
-			w:        stdin,
-			br:       bufio.NewReader(stdout),
-			tag:      "shard",
-			stales:   &w.stales,
-			sent:     &w.sh.bytesSent,
-			recvd:    &w.sh.bytesRecv,
-			classify: func(error) failKind { return failExit },
-			dec:      newResultDecoder(),
-		},
-		cmd: cmd,
-		in:  stdin,
-	}, nil
+
+	// A worker that has not announced its address within DialTimeout is
+	// killed, which ends the read.
+	var deadline *time.Timer
+	if to := w.sh.pol.DialTimeout; to > 0 {
+		deadline = time.AfterFunc(to, func() { cmd.Process.Kill() })
+	}
+	line, err := bufio.NewReader(stdout).ReadString('\n')
+	var conn *netConn
+	switch {
+	case deadline != nil && !deadline.Stop():
+		err = fmt.Errorf("%q announced no address within %s", argv[0], w.sh.pol.DialTimeout)
+	case err != nil:
+		err = fmt.Errorf("%q: %w", argv[0], errWorkerExited)
+	default:
+		conn, err = dialWorker(strings.TrimSpace(line), w)
+	}
+	if err != nil {
+		cmd.Process.Kill()
+		cmd.Wait()
+		return nil, err
+	}
+	conn.cmd, conn.stdin = cmd, stdin
+	return conn, nil
 }
 
-// runBatch drives one pipelined batch: open the session if needed, write
-// every lease's chunk request back-to-back, then read the streamed
-// responses in the same order. The chunk deadline is per lease — the
-// timer re-arms as each lease completes — enforced by interrupting the
-// transport so the blocked exchange fails as a timeout.
+// runBatch drives one pipelined batch: answer the leases of a failed Run
+// unattempted, open the session if needed, write every lease's chunk
+// request back-to-back, then read the streamed responses in the same
+// order. The chunk deadline is per lease — the timer re-arms as each lease
+// completes — enforced by closing the connection so the blocked exchange
+// fails as a timeout.
 func (w *workerSlot) runBatch(batch []*lease) {
+	live := batch[:0]
+	for _, l := range batch {
+		if l.halt.Load() {
+			l.reply <- leaseResult{l: l, epoch: l.epoch, kind: failApp, err: errors.New("shard: run already failed")}
+		} else {
+			live = append(live, l)
+		}
+	}
+	if batch = live; len(batch) == 0 {
+		return
+	}
+	var timedOut atomic.Bool
+	to := w.sh.pol.ChunkTimeout
+	fail := func(from int, kind failKind, err error) {
+		if timedOut.Load() && !kind.terminal() {
+			kind = failTimeout
+			err = fmt.Errorf("shard: [w%d] chunk deadline %s exceeded: %w", w.id, to, err)
+		}
+		switch kind { // a failVersion is a build mismatch, not a worker fault
+		case failTimeout:
+			w.timeouts.Add(int64(len(batch) - from))
+		case failDecode:
+			w.decodes.Add(int64(len(batch) - from))
+		case failExit:
+			w.exits.Add(int64(len(batch) - from))
+		}
+		w.consecFails++
+		w.closeConn(0)
+		for _, l := range batch[from:] {
+			l.reply <- leaseResult{l: l, epoch: l.epoch, kind: kind, err: err}
+		}
+		w.backoff()
+	}
 	if err := w.ensureStarted(); err != nil {
+		err = fmt.Errorf("shard: [w%d] open worker: %w", w.id, err)
+		if errors.Is(err, errWorkerExited) {
+			fail(0, failExit, err)
+			return
+		}
 		// The session never existed, so no lease was attempted: charge the
-		// spawn failure to the first lease and put the rest back untouched.
+		// failed start to the first lease and put the rest back untouched.
 		w.spawnFails.Add(1)
 		w.consecFails++
-		batch[0].reply <- leaseResult{l: batch[0], epoch: batch[0].epoch, kind: failSpawn,
-			err: fmt.Errorf("shard: [w%d] open worker: %w", w.id, err)}
+		batch[0].reply <- leaseResult{l: batch[0], epoch: batch[0].epoch, kind: failSpawn, err: err}
 		for _, l := range batch[1:] {
 			go func(l *lease) { w.sh.jobs <- l }(l)
 		}
@@ -423,40 +365,18 @@ func (w *workerSlot) runBatch(batch []*lease) {
 		return
 	}
 	conn := w.conn
-	var timedOut atomic.Bool
 	var timer *time.Timer
-	to := w.sh.pol.ChunkTimeout
 	if to > 0 {
 		timer = time.AfterFunc(to, func() {
 			timedOut.Store(true)
-			conn.interrupt()
+			conn.conn.Close()
 		})
 		defer timer.Stop()
-	}
-	fail := func(from int, kind failKind, err error) {
-		if timedOut.Load() && kind != failApp {
-			kind = failTimeout
-			err = fmt.Errorf("shard: [w%d] chunk deadline %s exceeded: %w", w.id, to, err)
-		}
-		switch kind {
-		case failTimeout:
-			w.timeouts.Add(int64(len(batch) - from))
-		case failDecode:
-			w.decodes.Add(int64(len(batch) - from))
-		default:
-			w.exits.Add(int64(len(batch) - from))
-		}
-		w.consecFails++
-		w.kill()
-		for _, l := range batch[from:] {
-			l.reply <- leaseResult{l: l, epoch: l.epoch, kind: kind, err: err}
-		}
-		w.backoff()
 	}
 	for _, l := range batch {
 		if kind, err := conn.send(l.spec, l.seeds, l.epoch); err != nil {
 			// Nothing was received yet, so no lease of this batch completed:
-			// the dead transport fails them all.
+			// the dead session fails them all.
 			fail(0, kind, err)
 			return
 		}
@@ -495,22 +415,13 @@ func (w *workerSlot) runBatch(batch []*lease) {
 	w.consecFails = 0
 }
 
-// kill reaps the slot's transport session after a fault.
-func (w *workerSlot) kill() {
-	if w.conn == nil {
-		return
+// closeConn ends the slot's session: at once after a fault, gracefully
+// (see netConn.close) at Close.
+func (w *workerSlot) closeConn(grace time.Duration) {
+	if w.conn != nil {
+		w.conn.close(grace)
+		w.conn = nil
 	}
-	w.conn.abort()
-	w.conn = nil
-}
-
-// stop shuts the slot's session down gracefully at Close.
-func (w *workerSlot) stop() {
-	if w.conn == nil {
-		return
-	}
-	w.conn.shutdown()
-	w.conn = nil
 }
 
 // backoff sleeps the capped exponential restart delay with full jitter
@@ -519,41 +430,6 @@ func (w *workerSlot) stop() {
 func (w *workerSlot) backoff() {
 	if d := w.sh.pol.backoffDelay(w.consecFails, rand.Int63n); d > 0 {
 		time.Sleep(d)
-	}
-}
-
-// procConn is the subprocess transport: connCore over the worker's stdio
-// pipes plus the process handle for teardown. The stdio stream has no
-// per-frame deadline (arm is nil) — the chunk timer is its only clock —
-// and every transport error is a process exit or broken pipe.
-type procConn struct {
-	connCore
-	cmd *exec.Cmd
-	in  io.WriteCloser
-}
-
-func (c *procConn) interrupt() { c.cmd.Process.Kill() }
-
-func (c *procConn) abort() {
-	c.cmd.Process.Kill()
-	c.in.Close()
-	c.cmd.Wait()
-}
-
-// shutdown closes the worker gracefully: EOF on stdin asks it to exit; a
-// wedged process is killed after a grace period.
-func (c *procConn) shutdown() {
-	c.in.Close()
-	done := make(chan struct{})
-	go func() {
-		c.cmd.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		c.cmd.Process.Kill()
-		<-done
 	}
 }
 
@@ -575,7 +451,8 @@ func prefixLines(dst io.Writer, src io.Reader, prefix string) {
 // attempt that outlived its reassignment is discarded rather than
 // double-emitted — then quarantined to in-process execution when
 // degradation is enabled; the call errors only when a chunk has exhausted
-// every path (or a worker reports a terminal application error).
+// every path or a worker fails it terminally (an application error or
+// another protocol version).
 func (s *Shard) Run(spec Spec, seeds []int64, emit Emit) error {
 	s.once.Do(s.start)
 	if s.startErr != nil {
@@ -596,10 +473,11 @@ func (s *Shard) Run(spec Spec, seeds []int64, emit Emit) error {
 	// attempt's reply. (Sizing by MaxRetries instead let a huge retry budget
 	// overflow the channel size.)
 	reply := make(chan leaseResult, numLeases)
+	halt := new(atomic.Bool)
 	leases := make([]*lease, 0, numLeases)
 	for i := 0; i < len(seeds); i += chunk {
 		leases = append(leases, &lease{spec: spec, seeds: seeds[i:min(i+chunk, len(seeds))], ki0: i,
-			epoch: s.epochs.Add(1), reply: reply})
+			epoch: s.epochs.Add(1), reply: reply, halt: halt})
 	}
 	go func() {
 		for _, l := range leases {
@@ -629,9 +507,10 @@ func (s *Shard) Run(spec Spec, seeds []int64, emit Emit) error {
 				}
 			}
 			outstanding--
-		case r.kind == failApp:
+		case r.kind.terminal():
 			if firstErr == nil {
 				firstErr = r.err
+				halt.Store(true)
 			}
 			outstanding--
 		case firstErr != nil:
@@ -650,6 +529,7 @@ func (s *Shard) Run(spec Spec, seeds []int64, emit Emit) error {
 		default:
 			firstErr = fmt.Errorf("shard: %s seeds %v: %d worker attempts exhausted and degrade-to-local disabled: %w",
 				spec.Name, r.l.seeds, r.l.attempts+1, r.err)
+			halt.Store(true)
 			outstanding--
 		}
 	}
@@ -722,7 +602,7 @@ func (s *Shard) Health() ShardHealth {
 	return h
 }
 
-// Close shuts down the worker pool and waits for the transports to close.
+// Close shuts down the worker pool and waits for the sessions to close.
 // It must not be called concurrently with Run.
 func (s *Shard) Close() error {
 	s.once.Do(func() {}) // a never-started Shard has nothing to reap

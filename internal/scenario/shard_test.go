@@ -1,24 +1,47 @@
 package scenario
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
+	"fmt"
 	"io"
 	"math"
+	"net"
 	"os"
+	"os/exec"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 )
 
-// TestServeWorkerProtocol drives the worker loop over in-memory pipes —
-// no subprocess — checking the hello handshake, chunk-request framing
-// with per-seed streamed responses, registry and builder resolution
-// (good params, params the builder rejects, params for a name with no
-// builder, an unknown name) and panic conversion.
+// TestServeWorkerProtocol drives a spawned worker's loop in-process —
+// the address announcement, then over its loopback session the hello
+// handshake, chunk-request framing with per-seed streamed responses,
+// registry and builder resolution (good params, params the builder
+// rejects, params for a name with no builder, an unknown name) and panic
+// conversion — and ends the session with EOF.
 func TestServeWorkerProtocol(t *testing.T) {
-	var in, out bytes.Buffer
+	stdinR, stdinW := io.Pipe()
+	defer stdinW.Close()
+	stdoutR, stdoutW := io.Pipe()
+	done := make(chan error, 1)
+	go func() { done <- ServeWorker(stdinR, stdoutW) }()
+	addr, err := bufio.NewReader(stdoutR).ReadString('\n')
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", strings.TrimSpace(addr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	var in bytes.Buffer
 	var fs frameScratch
 	in.Write(fs.requestFrame("test-param", "k=2", []int64{4, 6}, 41)) // one chunk, two seeds
 	in.Write(fs.requestFrame("test-shardable", "", []int64{13}, 42))
@@ -27,22 +50,28 @@ func TestServeWorkerProtocol(t *testing.T) {
 	in.Write(fs.requestFrame("test-param", "k=two", []int64{5}, 45))
 	in.Write(fs.requestFrame("test-shardable", "k=2", []int64{5}, 46))
 	in.Write(fs.requestFrame("test-param", "k=3", []int64{4}, 47))
-	if err := ServeWorker(&in, &out); err != nil {
+	if _, err := conn.Write(in.Bytes()); err != nil {
 		t.Fatal(err)
 	}
+	conn.(*net.TCPConn).CloseWrite() // EOF after the last request ends the session
+	out := bufio.NewReader(conn)
 
 	var buf []byte
-	read := func() wireMsg {
+	read := func() wireMsg { // the next frame that is not a heartbeat
 		t.Helper()
-		p, err := readRawFrame(&out, &buf)
-		if err != nil {
-			t.Fatal(err)
+		for {
+			p, err := readRawFrame(out, &buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := parseWireMsg(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.ftype != frameHeartbeat {
+				return m
+			}
 		}
-		m, err := parseWireMsg(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
 	}
 	if m := read(); m.ftype != frameHello || m.version != protoVersion {
 		t.Fatalf("first frame = %+v, want hello v%d", m, protoVersion)
@@ -87,8 +116,17 @@ func TestServeWorkerProtocol(t *testing.T) {
 	if res := readResult("test-param", 4, 47); res.Values["v"] != 12 {
 		t.Errorf("built spec k=3 seed 4, after k=2 in the same session: %+v", res)
 	}
-	if _, err := readRawFrame(&out, &buf); err != io.EOF {
-		t.Errorf("worker wrote extra frames: %v", err)
+	for {
+		p, err := readRawFrame(out, &buf)
+		if err == io.EOF {
+			break
+		}
+		if err != nil || p[0] != frameHeartbeat {
+			t.Fatalf("worker wrote extra frames: %v", err)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Errorf("ServeWorker after the session's EOF: %v", err)
 	}
 }
 
@@ -240,9 +278,9 @@ func metricsEqualBits(a, b []Metric) bool {
 }
 
 // TestShardMatchesLocal is the scenario-level equivalence check on a
-// registered synthetic spec: the subprocess backend must reproduce the
-// Local backend bit-for-bit, per seed and in aggregate, including the
-// NaN/Inf seeds the codec exists for.
+// registered synthetic spec: spawned workers must reproduce the Local
+// backend bit-for-bit, per seed and in aggregate, including the NaN/Inf
+// seeds the codec exists for.
 func TestShardMatchesLocal(t *testing.T) {
 	spec, ok := Lookup("test-shardable")
 	if !ok {
@@ -373,5 +411,137 @@ func TestShardBadBinaryDegradesToLocal(t *testing.T) {
 	}
 	if h := sh.Health(); h.DegradedSeeds != 3 {
 		t.Errorf("DegradedSeeds = %d, want 3", h.DegradedSeeds)
+	}
+}
+
+// TestWorkerExitsOnStdinEOF: a -worker child whose stdin closes before any
+// session opens exits 0, so no child outlives a parent that dies without
+// reaping it.
+func TestWorkerExitsOnStdinEOF(t *testing.T) {
+	cmd := exec.Command(os.Args[0], workerSentinel)
+	stdin, err := cmd.StdinPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Process.Kill()
+	if _, err := bufio.NewReader(stdout).ReadString('\n'); err != nil {
+		t.Fatalf("worker announced no address: %v", err)
+	}
+	stdin.Close()
+	done := make(chan error, 1)
+	go func() { done <- cmd.Wait() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Errorf("worker exit after stdin EOF: %v, want status 0", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker still running 10 s after its stdin closed")
+	}
+}
+
+// TestShardKillsWorkerThatNeverAnnounces: a spawned worker that never
+// announces its address is killed once DialTimeout passes, counted as a
+// failed start, and its lease degrades.
+func TestShardKillsWorkerThatNeverAnnounces(t *testing.T) {
+	var buf syncBuffer
+	pol := fastPolicy()
+	pol.DialTimeout = 300 * time.Millisecond
+	pol.MaxRetries = -1
+	sh := &Shard{Workers: 1, Argv: []string{os.Args[0], workerMuteSentinel}, Policy: pol, Stderr: &buf}
+	defer sh.Close()
+	start := time.Now()
+	runCounted(t, sh, Seeds(1, 1))
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("run took %s with a %s announcement deadline", d, pol.DialTimeout)
+	}
+	h := sh.Health()
+	if w := h.Workers[0]; w.SpawnFails != 1 || w.Failures() != 1 || h.DegradedSeeds != 1 {
+		t.Errorf("want one failed start and its seed degraded: %s", h.Summary())
+	}
+	var pid int
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if _, err := fmt.Sscanf(buf.String(), "[w0] pid %d", &pid); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the worker never named its pid: %q", buf.String())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if err := syscall.Kill(pid, 0); !errors.Is(err, syscall.ESRCH) {
+		t.Errorf("worker %d still exists after the run (signal 0: %v)", pid, err)
+	}
+}
+
+// TestShardWorkerDeathBeforeAnnounceIsExit: a spawned worker that dies
+// before announcing its address fails its batch as a process exit, the
+// way a worker dying mid-exchange does, not as a failed start.
+func TestShardWorkerDeathBeforeAnnounceIsExit(t *testing.T) {
+	pol := fastPolicy()
+	pol.MaxRetries = -1
+	sh := &Shard{Workers: 1, Argv: []string{os.Args[0], workerExitSentinel}, Policy: pol}
+	defer sh.Close()
+	runCounted(t, sh, Seeds(1, 4)) // four one-seed leases
+	h := sh.Health()
+	if w := h.Workers[0]; w.Exits != 4 || w.SpawnFails != 0 || h.Quarantined != 4 {
+		t.Errorf("want each of the 4 leases failed once as an exit, then quarantined: %s", h.Summary())
+	}
+}
+
+// TestShardVersionSkewIsTerminal: a worker whose hello carries protocol
+// version 1 ends the Run at once with an error naming both versions — no
+// retry, no restart, no degradation — and the Run's later leases never
+// reach a worker. One lease per batch and a long restart backoff make the
+// slot take its second lease only after the Run has failed.
+func TestShardVersionSkewIsTerminal(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var accepted atomic.Int64
+	go func() {
+		hello := (&frameScratch{}).helloFrame()
+		hello[len(hello)-1] = 1
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted.Add(1)
+			conn.Write(hello)
+			go func() {
+				io.Copy(io.Discard, conn)
+				conn.Close()
+			}()
+		}
+	}()
+	sh := netShard(1, ln.Addr().String(), func(p *FaultPolicy) {
+		p.Window = -1
+		p.RestartBackoff = 200 * time.Millisecond
+		p.MaxBackoff = 200 * time.Millisecond
+	})
+	defer sh.Close()
+	spec, _ := Lookup("test-shardable")
+	err = sh.Run(spec, Seeds(1, 8), func(int, Result) { t.Error("a seed was emitted") })
+	want := fmt.Sprintf("worker speaks protocol version 1, coordinator version %d", protoVersion)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Run error = %v, want one containing %q", err, want)
+	}
+	h := sh.Health()
+	if h.Restarts() != 0 || h.Retries != 0 || h.Quarantined != 0 || h.DegradedSeeds != 0 {
+		t.Errorf("a version skew must not be retried, restarted or degraded: %s", h.Summary())
+	}
+	if n := accepted.Load(); n != 1 {
+		t.Errorf("the fake worker accepted %d connections, want 1", n)
 	}
 }

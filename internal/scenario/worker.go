@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"strconv"
 	"sync"
@@ -13,63 +14,84 @@ import (
 	"time"
 )
 
-// The worker side of the shard protocol. A subprocess worker is the
-// parent's binary started with the hidden -worker flag alone; it serves
-// chunk requests over stdin/stdout as binary frames until EOF. The
-// session opens with a hello frame announcing protoVersion — both ends
-// are normally the same build, but the TCP transport can connect across
-// builds, so the version byte turns a protocol skew into a loud decode
-// fault instead of a misparse.
+// The worker side of the shard protocol. A spawned worker is the parent's
+// binary started with the hidden -worker flag alone (ServeWorker); a
+// remote one serves the same protocol on a TCP address (ServeNet). Either
+// way each session opens with a hello frame announcing protoVersion — a
+// spawned worker is the coordinator's own build, but a remote fleet can
+// connect across builds, so the version byte turns a protocol skew into a
+// terminal error instead of a misparse.
 //
 // One request frame carries a whole seed chunk and the spec's name and
 // params, which the worker resolves once per chunk (see resolve) whatever
 // flags it was started with. It answers with one result or error frame per
 // seed, each echoing the request's (epoch, spec, seed) identity, and
-// writes the chunk's frames together once its last seed is done. The coordinator discards any response whose
-// identity does not match a lease in flight — so a zombie or partitioned
-// worker replaying a stale chunk after its lease was reassigned can never
-// double-emit a seed.
-//
-// Both transports run the same session loop (session.serve): stdio workers
-// over stdin/stdout, TCP workers (ServeNet) over each accepted connection.
-// The only transport difference is the heartbeat, which TCP sessions need
-// to feed the coordinator's per-frame read deadline.
+// writes the chunk's frames together once its last seed is done. The
+// coordinator discards any response whose identity does not match a lease
+// in flight — so a zombie or partitioned worker replaying a stale chunk
+// after its lease was reassigned can never double-emit a seed.
 
-// ServeWorker runs the shard worker loop: read a chunk request, resolve
-// its spec, execute each seed, answer with one response frame per seed.
-// A spec that does not resolve (unknown name, params its builder rejects)
-// gets an error frame per seed naming spec and params, which the
-// coordinator treats as terminal. It returns nil on clean EOF.
+// ServeWorker runs a spawned shard worker: it listens on a free loopback
+// port, writes the address as the first line of w, and serves one worker
+// session (session.serve, heartbeats on) on the first connection. A spec
+// that does not resolve (unknown name, params its builder rejects) gets an
+// error frame per seed naming spec and params, which the coordinator
+// treats as terminal. EOF on r ends the worker, session or not, so a
+// worker never outlives the parent holding its stdin. It returns nil when
+// r or the session reaches EOF.
 //
 // If the REPRO_CHAOS environment variable is set (the parent Shard
 // exports its -chaos schedule there), the worker misbehaves on the
 // configured schedule — the fault-injection half of the supervision
-// layer. Chaos triggers count executed seeds, not request frames, so a
-// schedule keeps its meaning whatever the chunk size. A malformed
-// schedule is a startup error, and a verb that ends the session
-// (crash-after, trunc-after, drop-conn-after) makes ServeWorker return an
-// error, so the worker process exits non-zero through its caller.
+// layer; REPRO_WORKER_GEN names the worker's generation within its slot.
+// Chaos triggers count executed seeds, not request frames, so a schedule
+// keeps its meaning whatever the chunk size. A malformed schedule is a
+// startup error, and a verb that ends the session (crash-after,
+// trunc-after, drop-conn-after) makes ServeWorker return an error, so the
+// worker process exits non-zero through its caller.
 //
-// Nothing but protocol frames may be written to w — a worker whose
-// experiments print to stdout would corrupt the stream — which holds
-// because experiments return rendered tables instead of printing them.
+// Nothing but the address may be written to w: the coordinator stops
+// reading it once the address arrives.
 func ServeWorker(r io.Reader, w io.Writer) error {
 	gen, _ := strconv.Atoi(os.Getenv(workerGenEnv))
 	chaos, err := ParseChaos(os.Getenv(chaosEnv), gen)
 	if err != nil {
 		return fmt.Errorf("worker: %w", err)
 	}
-	s := session{chaos: chaos, log: os.Stderr, gen: gen}
-	return s.serve(struct {
-		io.Reader
-		io.Writer
-	}{r, w})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return fmt.Errorf("worker: %w", err)
+	}
+	defer ln.Close()
+	if _, err := fmt.Fprintln(w, ln.Addr()); err != nil {
+		return fmt.Errorf("worker: announce address: %w", err)
+	}
+	eof := make(chan struct{})
+	go func() {
+		io.Copy(io.Discard, r)
+		close(eof)
+		ln.Close()
+	}()
+	conn, err := ln.Accept()
+	if err == nil {
+		go func() {
+			<-eof
+			conn.Close()
+		}()
+		err = session{chaos: chaos, heartbeat: heartbeatEvery, log: os.Stderr, gen: gen}.serve(conn)
+		conn.Close()
+	}
+	select {
+	case <-eof:
+		return nil // stdin closed: a clean exit, whatever the session was doing
+	default:
+		return err
+	}
 }
 
 // session is one worker session's configuration: its chaos schedule, its
-// heartbeat interval (0 disables — stdio workers have no per-frame
-// deadline to feed), the diagnostics sink and the generation named in
-// chaos diagnostics.
+// heartbeat interval (0 disables), the diagnostics sink and the generation
+// named in chaos diagnostics.
 type session struct {
 	chaos     Chaos
 	heartbeat time.Duration
@@ -81,9 +103,9 @@ type session struct {
 // heartbeats and per-seed responses out. Response frames collect in one
 // pending buffer that holds only whole frames and is written with a single
 // Write after the chunk's last seed — one write per chunk, not per seed.
-// A heartbeat writes the pending frames ahead of itself, so on TCP a chunk
-// of slow seeds still reaches the coordinator within a heartbeat interval
-// and liveness stays heartbeat-driven (stdio has no per-frame deadline).
+// A heartbeat writes the pending frames ahead of itself, so a chunk of slow
+// seeds still reaches the coordinator within a heartbeat interval and
+// liveness stays heartbeat-driven.
 // A session that ends mid-chunk may drop the chunk's pending frames: the
 // coordinator fails a lease as a whole, so they could not have counted.
 // Buffer and transport share one mutex, so a heartbeat can never split a
