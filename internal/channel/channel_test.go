@@ -2,6 +2,7 @@ package channel
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -142,6 +143,21 @@ func TestSampleBitErrorsMatchesMean(t *testing.T) {
 	mean := float64(total) / trials
 	if math.Abs(mean-10) > 0.5 {
 		t.Errorf("mean bit errors = %.2f, want 10±0.5", mean)
+	}
+}
+
+// TestSampleBinomialRareEvents: with an expected count of 1.2e-5 per draw,
+// 1,000 draws of Binomial(12000, 1e-9) see no success. The gaps between
+// successes run to ~10^10 trials, past a 32-bit int; converted before the
+// comparison they wrapped negative and counted ~300 phantom successes.
+func TestSampleBinomialRareEvents(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	total := 0
+	for i := 0; i < 1000; i++ {
+		total += sampleBinomial(rng, 12000, 1e-9)
+	}
+	if total != 0 {
+		t.Errorf("1000 draws of Binomial(12000, 1e-9) summed to %d, want 0", total)
 	}
 }
 

@@ -176,11 +176,14 @@ func sampleBinomial(rng *rand.Rand, n int, p float64) int {
 		for {
 			// Float64 scales by 2^-63, which arm64 would fuse with the
 			// subtraction; the conversion keeps it a separate rounding.
-			gap := int(math.Floor(xmath.Log(1-float64(rng.Float64())) / logq))
-			i += gap + 1
-			if i > n {
+			gap := math.Floor(xmath.Log(1-float64(rng.Float64())) / logq)
+			// Compared as a float: a gap past the remaining trials may not
+			// fit an int (a 32-bit int wraps it negative and counts a
+			// phantom success).
+			if gap >= float64(n-i) {
 				break
 			}
+			i += int(gap) + 1
 			count++
 		}
 		return count

@@ -13,7 +13,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"time"
 
 	"repro/internal/scenario"
 )
@@ -36,17 +35,10 @@ type RunFlags struct {
 	ServeStore string // serve the shared result store on this address
 	HealthJSON string // write structured backend health counters here after a run
 
-	// Shard supervision knobs (see scenario.FaultPolicy) and the
+	// Shard supervision knobs, each field bound to its flag, and the
 	// fault-injection schedule exported to workers (see scenario.ParseChaos).
-	MaxRetries     int
-	ChunkTimeout   time.Duration
-	RestartBackoff time.Duration
-	DegradeLocal   bool
-	ChunkSeeds     int
-	Window         int
-	DialTimeout    time.Duration
-	FrameTimeout   time.Duration
-	Chaos          string
+	Policy scenario.FaultPolicy
+	Chaos  string
 
 	CPUProfile string
 	MemProfile string
@@ -71,7 +63,8 @@ type RunSummary struct {
 // workers, the default fault policy, no chaos, no profiling).
 func (f *RunFlags) Register(fs *flag.FlagSet) {
 	f.fs = fs
-	def := scenario.DefaultFaultPolicy()
+	f.Policy = scenario.DefaultFaultPolicy()
+	p := &f.Policy
 	fs.Int64Var(&f.Seed, "seed", 1, "base simulation seed")
 	fs.IntVar(&f.SeedsN, "seeds", 1, "number of consecutive seeds per experiment")
 	fs.IntVar(&f.Parallel, "parallel", runtime.NumCPU(), "worker pool size for (experiment × seed) jobs")
@@ -84,14 +77,14 @@ func (f *RunFlags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Store, "store", "", "cached: remote result store address (host:port); -cache-dir becomes the outage fallback")
 	fs.StringVar(&f.ServeStore, "serve-store", "", "serve the shared result store on this address, backed by -cache-dir")
 	fs.StringVar(&f.HealthJSON, "health-json", "", "write the run's backend health counters as JSON to this file (\"-\" for stdout)")
-	fs.IntVar(&f.MaxRetries, "max-retries", def.MaxRetries, "shard: reassignments of a failed seed chunk before quarantine")
-	fs.DurationVar(&f.ChunkTimeout, "chunk-timeout", def.ChunkTimeout, "shard: deadline per leased seed chunk (0 disables)")
-	fs.DurationVar(&f.RestartBackoff, "restart-backoff", def.RestartBackoff, "shard: base worker restart backoff (exponential, jittered)")
-	fs.BoolVar(&f.DegradeLocal, "degrade-local", def.DegradeToLocal, "shard: run exhausted chunks in-process instead of failing the run")
-	fs.IntVar(&f.ChunkSeeds, "chunk-seeds", def.ChunkSeeds, "shard: seeds per lease, 0 = sized from the run (one request frame and one response write cover the whole chunk)")
-	fs.IntVar(&f.Window, "window", def.Window, fmt.Sprintf("shard: leases pipelined per worker connection (1 disables pipelining, at most %d)", scenario.MaxWindow))
-	fs.DurationVar(&f.DialTimeout, "dial-timeout", def.DialTimeout, "shard: worker dial timeout, and how long a spawned worker may take to announce its address (0 disables)")
-	fs.DurationVar(&f.FrameTimeout, "frame-timeout", def.FrameTimeout, "shard: per-frame read deadline on worker connections (0 disables)")
+	fs.IntVar(&p.MaxRetries, "max-retries", p.MaxRetries, "shard: reassignments of a failed seed chunk before quarantine (0 = none)")
+	fs.DurationVar(&p.ChunkTimeout, "chunk-timeout", p.ChunkTimeout, "shard: deadline per leased seed chunk (0 disables)")
+	fs.DurationVar(&p.RestartBackoff, "restart-backoff", p.RestartBackoff, "shard: base worker restart backoff (exponential up to 50x, jittered; 0 disables)")
+	fs.BoolVar(&p.DegradeToLocal, "degrade-local", p.DegradeToLocal, "shard: run exhausted chunks in-process instead of failing the run")
+	fs.IntVar(&p.ChunkSeeds, "chunk-seeds", p.ChunkSeeds, "shard: seeds per lease, 0 = sized from the run (one request frame and one response write cover the whole chunk)")
+	fs.IntVar(&p.Window, "window", p.Window, fmt.Sprintf("shard: leases pipelined per worker connection (1 or less disables pipelining, at most %d)", scenario.MaxWindow))
+	fs.DurationVar(&p.DialTimeout, "dial-timeout", p.DialTimeout, "shard: worker dial timeout, and how long a spawned worker may take to announce its address (0 disables)")
+	fs.DurationVar(&p.FrameTimeout, "frame-timeout", p.FrameTimeout, "shard: per-frame read deadline on worker connections (0 disables)")
 	fs.StringVar(&f.Chaos, "chaos", "", "shard/serve: fault-injection schedule for workers, e.g. \"crash-after=2,gens=2\" (see EXPERIMENTS.md)")
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write a heap profile at the end of the run to this file")
@@ -129,10 +122,11 @@ func (f *RunFlags) Executor() (scenario.Executor, error) {
 		if err := f.checkShardFlags(); err != nil {
 			return nil, err
 		}
+		pol := f.Policy
 		sh := &scenario.Shard{
 			Workers: f.Workers,
 			Chaos:   f.Chaos,
-			Policy:  f.faultPolicy(),
+			Policy:  &pol,
 		}
 		if f.Addrs != "" {
 			sh.Addrs = strings.Split(f.Addrs, ",")
@@ -146,42 +140,6 @@ func (f *RunFlags) Executor() (scenario.Executor, error) {
 	default:
 		return nil, fmt.Errorf("unknown backend %q (want local, shard or cached)", f.Backend)
 	}
-}
-
-// faultPolicy maps the flag values onto a FaultPolicy. Flags are literal —
-// "-max-retries 0" means zero retries and "-chunk-timeout 0" means no
-// deadline — so zero flag values become the policy's explicit negative
-// "disabled" encoding rather than its zero-means-default one.
-func (f *RunFlags) faultPolicy() scenario.FaultPolicy {
-	p := scenario.FaultPolicy{
-		MaxRetries:     f.MaxRetries,
-		ChunkTimeout:   f.ChunkTimeout,
-		RestartBackoff: f.RestartBackoff,
-		DegradeToLocal: f.DegradeLocal,
-		ChunkSeeds:     f.ChunkSeeds,
-		Window:         f.Window,
-		DialTimeout:    f.DialTimeout,
-		FrameTimeout:   f.FrameTimeout,
-	}
-	if p.MaxRetries == 0 {
-		p.MaxRetries = -1
-	}
-	if p.ChunkTimeout == 0 {
-		p.ChunkTimeout = -1
-	}
-	if p.RestartBackoff == 0 {
-		p.RestartBackoff = -1
-	}
-	if p.DialTimeout == 0 {
-		p.DialTimeout = -1
-	}
-	if p.FrameTimeout == 0 {
-		p.FrameTimeout = -1
-	}
-	if p.Window == 0 {
-		p.Window = -1 // "-window 0" means no pipelining, like "-window 1"
-	}
-	return p
 }
 
 // flagSet reports whether the named flag was explicitly set on the
@@ -337,8 +295,8 @@ func (f *RunFlags) checkShardFlags() error {
 	if f.Workers > scenario.MaxWorkers {
 		return fmt.Errorf("-workers must be at most %d (got %d)", scenario.MaxWorkers, f.Workers)
 	}
-	if f.Window > scenario.MaxWindow {
-		return fmt.Errorf("-window must be at most %d (got %d)", scenario.MaxWindow, f.Window)
+	if f.Policy.Window > scenario.MaxWindow {
+		return fmt.Errorf("-window must be at most %d (got %d)", scenario.MaxWindow, f.Policy.Window)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package cli
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -35,13 +36,8 @@ func TestRegisterDefaults(t *testing.T) {
 	if f.Backend != "local" || f.Workers < 1 || f.CacheDir != ".repro-cache" || f.Worker {
 		t.Fatalf("backend defaults wrong: %+v", f)
 	}
-	def := scenario.DefaultFaultPolicy()
-	if f.MaxRetries != def.MaxRetries || f.ChunkTimeout != def.ChunkTimeout ||
-		f.RestartBackoff != def.RestartBackoff || f.DegradeLocal != def.DegradeToLocal || f.Chaos != "" {
-		t.Fatalf("fault-policy defaults wrong: %+v", f)
-	}
-	if f.ChunkSeeds != def.ChunkSeeds || f.Window != def.Window {
-		t.Fatalf("batching defaults wrong: %+v (want ChunkSeeds %d, Window %d)", f, def.ChunkSeeds, def.Window)
+	if def := scenario.DefaultFaultPolicy(); f.Policy != def || f.Chaos != "" {
+		t.Fatalf("fault-policy defaults wrong: %+v, want %+v", f.Policy, def)
 	}
 	seeds := f.Seeds()
 	if len(seeds) != 3 || seeds[0] != 7 || seeds[2] != 9 {
@@ -51,7 +47,9 @@ func TestRegisterDefaults(t *testing.T) {
 
 // TestShardFlagBounds pins the bounds on the fleet-sizing flags: values
 // too large to allocate are usage errors naming the flag, not a makechan
-// panic or an out-of-memory crash in the runtime.
+// panic or an out-of-memory crash in the runtime. Where int is 32 bits the
+// flag package already rejects the largest values while parsing, naming
+// the flag just the same.
 func TestShardFlagBounds(t *testing.T) {
 	cases := []struct {
 		args []string
@@ -71,8 +69,12 @@ func TestShardFlagBounds(t *testing.T) {
 		var f RunFlags
 		fs := flag.NewFlagSet("x", flag.ContinueOnError)
 		f.Register(fs)
+		fs.SetOutput(io.Discard)
 		if err := fs.Parse(append([]string{"-backend", "shard"}, c.args...)); err != nil {
-			t.Fatal(err)
+			if c.bad == "" || !strings.Contains(err.Error(), c.bad) {
+				t.Errorf("%v: parse error %v", c.args, err)
+			}
+			continue
 		}
 		exec, err := f.Executor()
 		switch {
@@ -104,31 +106,36 @@ func TestChaosFlagValidation(t *testing.T) {
 	}
 }
 
-// TestFaultPolicyFlagsAreLiteral pins the flag→policy mapping: zero flag
-// values mean "disabled", not "use the default" (the policy's zero-means-
-// default convention is for programmatic construction only).
+// TestFaultPolicyFlagsAreLiteral pins the flag→policy mapping: each flag sets
+// its FaultPolicy field to the literal value given, so zero flags build the
+// zero policy (every knob off) and other values pass straight through.
 func TestFaultPolicyFlagsAreLiteral(t *testing.T) {
-	f := RunFlags{MaxRetries: 0, ChunkTimeout: 0, RestartBackoff: 0, DegradeLocal: false}
-	p := f.faultPolicy()
-	if p.MaxRetries >= 0 || p.ChunkTimeout >= 0 || p.RestartBackoff >= 0 || p.DegradeToLocal {
-		t.Errorf("zero flags should map to the disabled encoding: %+v", p)
-	}
-	if p.DialTimeout >= 0 || p.FrameTimeout >= 0 {
-		t.Errorf("zero timeout flags should map to the disabled encoding: %+v", p)
-	}
-	if p.Window >= 0 {
-		t.Errorf("\"-window 0\" should map to the disabled (no pipelining) encoding: %+v", p)
-	}
-	f = RunFlags{
-		MaxRetries: 5, ChunkTimeout: time.Minute, RestartBackoff: time.Second, DegradeLocal: true,
-		ChunkSeeds: 16, Window: 8,
-		DialTimeout: 2 * time.Second, FrameTimeout: 3 * time.Second,
-	}
-	p = f.faultPolicy()
-	if p.MaxRetries != 5 || p.ChunkTimeout != time.Minute || p.RestartBackoff != time.Second || !p.DegradeToLocal ||
-		p.ChunkSeeds != 16 || p.Window != 8 ||
-		p.DialTimeout != 2*time.Second || p.FrameTimeout != 3*time.Second {
-		t.Errorf("non-zero flags should pass through: %+v", p)
+	for _, c := range []struct {
+		args []string
+		want scenario.FaultPolicy
+	}{
+		{[]string{"-max-retries", "0", "-chunk-timeout", "0", "-restart-backoff", "0", "-degrade-local=false",
+			"-window", "0", "-dial-timeout", "0", "-frame-timeout", "0"}, scenario.FaultPolicy{}},
+		{[]string{"-max-retries", "5", "-chunk-timeout", "1m", "-restart-backoff", "1s", "-chunk-seeds", "16",
+			"-window", "8", "-dial-timeout", "2s", "-frame-timeout", "3s"}, scenario.FaultPolicy{
+			MaxRetries: 5, ChunkTimeout: time.Minute, RestartBackoff: time.Second, DegradeToLocal: true,
+			ChunkSeeds: 16, Window: 8, DialTimeout: 2 * time.Second, FrameTimeout: 3 * time.Second,
+		}},
+		{nil, scenario.DefaultFaultPolicy()},
+	} {
+		var f RunFlags
+		fs := flag.NewFlagSet("x", flag.ContinueOnError)
+		f.Register(fs)
+		if err := fs.Parse(append([]string{"-backend", "shard"}, c.args...)); err != nil {
+			t.Fatal(err)
+		}
+		exec, err := f.Executor()
+		if err != nil {
+			t.Fatalf("%v: %v", c.args, err)
+		}
+		if got := exec.(*scenario.Shard).Policy; got == nil || *got != c.want {
+			t.Errorf("%v built policy %+v, want %+v", c.args, got, c.want)
+		}
 	}
 }
 

@@ -72,8 +72,8 @@ func TestCrossBackendEquivalence(t *testing.T) {
 	if h := sh.Health(); h.Failures() != 0 || h.Retries != 0 || h.Restarts() != 0 ||
 		h.Quarantined != 0 || h.DegradedSeeds != 0 {
 		t.Errorf("fault-free shard run tripped the supervisor: %s", h.Summary())
-	} else if h.Chunks() != int64(len(specs)*len(seeds)) {
-		t.Errorf("fault-free shard run completed %d chunks, want %d", h.Chunks(), len(specs)*len(seeds))
+	} else if n := chunks(h); n != int64(len(specs)*len(seeds)) {
+		t.Errorf("fault-free shard run completed %d chunks, want %d", n, len(specs)*len(seeds))
 	}
 
 	// Chaos-injected shard: each worker slot's first process crashes on its
@@ -85,13 +85,15 @@ func TestCrossBackendEquivalence(t *testing.T) {
 		Workers: 2,
 		Argv:    []string{os.Args[0], workerSentinel},
 		Chaos:   "gen0:crash-after=3;gen1:corrupt-after=2;gen2:hang-after=2;gen3:delay-every=5,delay-ms=2",
-		Policy: scenario.FaultPolicy{
+		Policy: &scenario.FaultPolicy{
 			MaxRetries:     3,
 			ChunkTimeout:   5 * time.Second,
 			RestartBackoff: 5 * time.Millisecond,
-			MaxBackoff:     50 * time.Millisecond,
 			DegradeToLocal: true,
 			ChunkSeeds:     2,
+			Window:         4,
+			DialTimeout:    5 * time.Second,
+			FrameTimeout:   5 * time.Second,
 		},
 	}
 	chaotic := run("shard-chaos", chaosSh)
@@ -120,8 +122,8 @@ func TestCrossBackendEquivalence(t *testing.T) {
 	if h := tcpSh.Health(); h.Failures() != 0 || h.Retries != 0 || h.Restarts() != 0 ||
 		h.Quarantined != 0 || h.DegradedSeeds != 0 || h.Stales() != 0 || h.StaleReplies != 0 {
 		t.Errorf("fault-free TCP shard run tripped the supervisor: %s", h.Summary())
-	} else if h.Chunks() != int64(len(specs)*len(seeds)) {
-		t.Errorf("fault-free TCP shard run completed %d chunks, want %d", h.Chunks(), len(specs)*len(seeds))
+	} else if n := chunks(h); n != int64(len(specs)*len(seeds)) {
+		t.Errorf("fault-free TCP shard run completed %d chunks, want %d", n, len(specs)*len(seeds))
 	}
 
 	// Network-chaos TCP shard: the first accepted connection is dropped
@@ -143,13 +145,14 @@ func TestCrossBackendEquivalence(t *testing.T) {
 	tcpChaosSh := &scenario.Shard{
 		Workers: 2,
 		Addrs:   []string{chaosLn.Addr().String()},
-		Policy: scenario.FaultPolicy{
+		Policy: &scenario.FaultPolicy{
 			MaxRetries:     3,
 			ChunkTimeout:   10 * time.Second,
 			RestartBackoff: 5 * time.Millisecond,
-			MaxBackoff:     50 * time.Millisecond,
 			DegradeToLocal: true,
 			ChunkSeeds:     2,
+			Window:         4,
+			DialTimeout:    5 * time.Second,
 			FrameTimeout:   500 * time.Millisecond,
 		},
 	}
@@ -235,4 +238,13 @@ func requireAggsBitIdentical(t *testing.T, backend string, want, got []scenario.
 			}
 		}
 	}
+}
+
+// chunks sums the leases a Shard's workers completed.
+func chunks(h scenario.ShardHealth) int64 {
+	var n int64
+	for _, w := range h.Workers {
+		n += w.Chunks
+	}
+	return n
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -329,7 +330,6 @@ func TestConfigValidateRejectsEveryBadField(t *testing.T) {
 		{"APs zero", func(c *Config) { c.APs = 0 }},
 		{"Stations negative", func(c *Config) { c.Stations = -1 }},
 		{"MaxStations below Stations", func(c *Config) { c.MaxStations = 10 }},
-		{"MaxStations beyond int32 ids", func(c *Config) { c.MaxStations = math.MaxInt32 + 1 }},
 		{"no ids with traffic", func(c *Config) { c.Stations = 0 }},
 		{"no ids with churn", func(c *Config) {
 			c.Stations, c.RatePerStation, c.ArrivalRate, c.MeanLifetime = 0, 0, 5, sim.Second
@@ -363,6 +363,12 @@ func TestConfigValidateRejectsEveryBadField(t *testing.T) {
 		{"ListenInterval above 65535", func(c *Config) { c.ListenInterval = 65536 }},
 		{"wake groups beyond int32", func(c *Config) { c.APs, c.ListenInterval = 1<<16, 1<<15 }},
 	}
+	if strconv.IntSize == 64 { // a 32-bit int cannot pass the int32 id space
+		cases = append(cases, struct {
+			name string
+			bad  func(*Config)
+		}{"MaxStations beyond int32 ids", func(c *Config) { c.MaxStations = math.MaxInt }})
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := testConfig()
@@ -393,8 +399,8 @@ func TestConfigValidateRejectsEveryBadField(t *testing.T) {
 // without allocating the group table.
 func TestHugeGroupCountRejectedBeforeAllocation(t *testing.T) {
 	for name, bad := range map[string]func(*Config){
-		"ListenInterval 1<<50": func(c *Config) { c.ListenInterval = 1 << 50 },
-		"APs 1<<40":            func(c *Config) { c.APs = 1 << 40 },
+		"ListenInterval MaxInt": func(c *Config) { c.ListenInterval = math.MaxInt },
+		"APs MaxInt":            func(c *Config) { c.APs = math.MaxInt },
 	} {
 		cfg := testConfig()
 		bad(&cfg)

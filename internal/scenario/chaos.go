@@ -120,7 +120,7 @@ const maxChaosMS = math.MaxInt64 / int64(time.Millisecond)
 
 func parseChaosClause(clause string) (Chaos, error) {
 	var c Chaos
-	hangMS, delayMS, slowMS := -1, -1, -1
+	var hangMS, delayMS, slowMS int64 = -1, -1, -1
 	for _, kv := range strings.Split(clause, ",") {
 		kv = strings.TrimSpace(kv)
 		if kv == "" {
@@ -130,20 +130,26 @@ func parseChaosClause(clause string) (Chaos, error) {
 		if !ok {
 			return Chaos{}, fmt.Errorf("chaos: %q is not key=value", kv)
 		}
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
+		isMS := strings.HasSuffix(k, "-ms")
+		bits := 0 // counts are ints
+		if isMS {
+			bits = 64 // milliseconds of an int64 time.Duration, even where int is 32 bits
+		}
+		x, err := strconv.ParseInt(v, 10, bits)
+		if err != nil || x < 0 {
 			return Chaos{}, fmt.Errorf("chaos: %s=%q is not a non-negative integer", k, v)
 		}
-		if strings.HasSuffix(k, "-ms") && int64(n) > maxChaosMS {
-			return Chaos{}, fmt.Errorf("chaos: %s=%d overflows a duration (at most %d)", k, n, maxChaosMS)
+		if isMS && x > maxChaosMS {
+			return Chaos{}, fmt.Errorf("chaos: %s=%d overflows a duration (at most %d)", k, x, maxChaosMS)
 		}
+		n := int(x)
 		switch k {
 		case "crash-after":
 			c.CrashAfter = n
 		case "hang-after":
 			c.HangAfter = n
 		case "hang-ms":
-			hangMS = n
+			hangMS = x
 		case "corrupt-after":
 			c.CorruptAfter = n
 		case "trunc-after":
@@ -151,7 +157,7 @@ func parseChaosClause(clause string) (Chaos, error) {
 		case "delay-every":
 			c.DelayEvery = n
 		case "delay-ms":
-			delayMS = n
+			delayMS = x
 		case "gens":
 			c.Gens = n
 		case "drop-conn-after":
@@ -159,7 +165,7 @@ func parseChaosClause(clause string) (Chaos, error) {
 		case "blackhole-after":
 			c.BlackholeAfter = n
 		case "slowlink-ms":
-			slowMS = n
+			slowMS = x
 		case "replay-after":
 			c.ReplayAfter = n
 		default:

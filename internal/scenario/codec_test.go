@@ -374,7 +374,8 @@ func newTestConn(t *testing.T, stream []byte) *netConn {
 		worker.Close()
 	}()
 	t.Cleanup(func() { coord.Close() }) // unblocks a fake worker whose stream recv left unread
-	return (&workerSlot{sh: &Shard{}}).newConn(coord)
+	sh := &Shard{health: ShardHealth{Workers: make([]WorkerHealth, 1)}}
+	return (&workerSlot{sh: sh}).newConn(coord)
 }
 
 // TestRecvHelloNegotiation pins the version handshake: a worker
@@ -430,7 +431,7 @@ func TestRecvSkipsStaleFrames(t *testing.T) {
 	if err != nil || kind != 0 || got.Values["v"] != 42 {
 		t.Fatalf("recv = %+v, %v, %v", got, kind, err)
 	}
-	if n := c.w.stales.Load(); n != 3 {
+	if n := c.w.sh.Health().Workers[0].Stales; n != 3 {
 		t.Errorf("stale frames counted = %d, want 3", n)
 	}
 }

@@ -12,12 +12,13 @@ import (
 // paced, and whether an exhausted chunk degrades to in-process execution
 // instead of failing the run.
 //
-// The zero value means DefaultFaultPolicy. In a partially filled policy,
-// zero counts/durations are replaced by their defaults and negative values
-// disable the knob (MaxRetries < 0: never reassign; ChunkTimeout < 0: no
-// deadline; RestartBackoff < 0: restart immediately); DegradeToLocal is
-// honoured as given. Retries are semantically free: every seed is
-// deterministic and Results cross the worker boundary bit-exactly, so a
+// Every field means what its flag says. MaxRetries, ChunkTimeout,
+// RestartBackoff, DialTimeout and FrameTimeout at 0 or below mean none:
+// no reassignment, no deadline, no restart pause. Window at 1 or below
+// means no pipelining. So the zero FaultPolicy is the barest supervision
+// (one attempt per chunk, no deadlines, no degradation); a Shard with a nil
+// Policy runs DefaultFaultPolicy. Retries are semantically free: every seed
+// is deterministic and Results cross the worker boundary bit-exactly, so a
 // recomputed chunk is indistinguishable from the first attempt.
 type FaultPolicy struct {
 	// MaxRetries is the number of times a failed chunk is reassigned to a
@@ -28,12 +29,10 @@ type FaultPolicy struct {
 	// chunk within the deadline is killed and the chunk fails as a timeout.
 	ChunkTimeout time.Duration
 	// RestartBackoff is the base delay before a failed worker slot takes
-	// its next lease; consecutive failures back off exponentially (capped
-	// by MaxBackoff) with jitter so a crashing fleet never restarts in
-	// lockstep.
+	// its next lease; consecutive failures back off exponentially, up to
+	// maxBackoffFactor × RestartBackoff, with jitter so a crashing fleet
+	// never restarts in lockstep.
 	RestartBackoff time.Duration
-	// MaxBackoff caps the exponential restart backoff.
-	MaxBackoff time.Duration
 	// DegradeToLocal runs a quarantined chunk in-process on the coordinator
 	// (the Local path every worker wraps anyway) instead of failing the
 	// run, so a run only errors once every path is exhausted.
@@ -49,8 +48,7 @@ type FaultPolicy struct {
 	// Window is the number of leases a worker slot keeps in flight on its
 	// connection: all requests of a window are written before the first
 	// response is read, so transport latency is paid once per window.
-	// Negative disables pipelining (one lease at a time); values above
-	// MaxWindow are clamped to it.
+	// Values above MaxWindow are clamped to it.
 	Window int
 
 	// DialTimeout bounds one connection attempt to a worker, and a spawned
@@ -69,7 +67,7 @@ type FaultPolicy struct {
 // DefaultFaultPolicy returns the repository-wide supervision defaults:
 // three reassignments per chunk, a two-minute chunk deadline (every
 // registered experiment finishes a seed in well under a second), 100 ms
-// base restart backoff capped at 5 s, degradation to local execution
+// base restart backoff (so at most 5 s), degradation to local execution
 // enabled, leases sized from each Run (ChunkSeeds 0), four leases
 // pipelined per connection, a 5 s dial timeout and a 5 s per-frame read
 // deadline (heartbeats arrive every second, so only a partition — never a
@@ -79,58 +77,12 @@ func DefaultFaultPolicy() FaultPolicy {
 		MaxRetries:     3,
 		ChunkTimeout:   2 * time.Minute,
 		RestartBackoff: 100 * time.Millisecond,
-		MaxBackoff:     5 * time.Second,
 		DegradeToLocal: true,
 		ChunkSeeds:     0,
 		Window:         4,
 		DialTimeout:    5 * time.Second,
 		FrameTimeout:   5 * time.Second,
 	}
-}
-
-// normalized resolves the zero-value and partially-filled conventions
-// documented on FaultPolicy.
-func (p FaultPolicy) normalized() FaultPolicy {
-	def := DefaultFaultPolicy()
-	if p == (FaultPolicy{}) {
-		return def
-	}
-	if p.MaxRetries == 0 {
-		p.MaxRetries = def.MaxRetries
-	} else if p.MaxRetries < 0 {
-		p.MaxRetries = 0
-	}
-	if p.ChunkTimeout == 0 {
-		p.ChunkTimeout = def.ChunkTimeout
-	} else if p.ChunkTimeout < 0 {
-		p.ChunkTimeout = 0
-	}
-	if p.RestartBackoff == 0 {
-		p.RestartBackoff = def.RestartBackoff
-	} else if p.RestartBackoff < 0 {
-		p.RestartBackoff = 0
-	}
-	if p.MaxBackoff == 0 {
-		p.MaxBackoff = def.MaxBackoff
-	}
-	if p.Window == 0 {
-		p.Window = def.Window
-	} else if p.Window < 0 {
-		p.Window = 1
-	} else if p.Window > MaxWindow {
-		p.Window = MaxWindow
-	}
-	if p.DialTimeout == 0 {
-		p.DialTimeout = def.DialTimeout
-	} else if p.DialTimeout < 0 {
-		p.DialTimeout = 0
-	}
-	if p.FrameTimeout == 0 {
-		p.FrameTimeout = def.FrameTimeout
-	} else if p.FrameTimeout < 0 {
-		p.FrameTimeout = 0
-	}
-	return p
 }
 
 // Bounds on the Shard's sizing knobs. A slot is a goroutine plus a worker
@@ -178,28 +130,25 @@ func (p FaultPolicy) chunkFor(n, slots int) int {
 	return max(1, min(n/(slots*p.Window*leaseWindows), limit))
 }
 
+// maxBackoffFactor caps the restart backoff at this multiple of
+// RestartBackoff: 5 s at the default 100 ms.
+const maxBackoffFactor = 50
+
 // backoffDelay is the restart pacing schedule: capped exponential with
 // full jitter on the upper half. For the k-th consecutive failure (k ≥ 1)
-// the base delay is RestartBackoff << (k-1), capped by MaxBackoff, and
-// the slept delay is uniformly drawn from [base/2, base] — so a crashing
-// fleet never restarts in lockstep. rnd supplies the jitter draw
-// (rand.Int63n-shaped); a disabled backoff (RestartBackoff ≤ 0 after
-// normalization) is always zero. Timing-only — jitter cannot reach any
+// the base delay is RestartBackoff << (k-1), capped at maxBackoffFactor ×
+// RestartBackoff, and the slept delay is uniformly drawn from [base/2,
+// base] — so a crashing fleet never restarts in lockstep. rnd supplies the
+// jitter draw (rand.Int63n-shaped); a disabled backoff (RestartBackoff ≤ 0)
+// is always zero and draws nothing. Timing-only — jitter cannot reach any
 // result bit.
 func (p FaultPolicy) backoffDelay(consecFails int, rnd func(n int64) int64) time.Duration {
 	if p.RestartBackoff <= 0 {
 		return 0
 	}
-	shift := consecFails - 1
-	if shift < 0 {
-		shift = 0
-	} else if shift > 16 {
-		shift = 16
-	}
-	d := p.RestartBackoff << uint(shift)
-	if p.MaxBackoff > 0 && d > p.MaxBackoff {
-		d = p.MaxBackoff
-	}
+	// 1<<6 already passes the cap, so larger shifts cannot change d.
+	shift := min(max(consecFails-1, 0), 6)
+	d := min(p.RestartBackoff<<shift, maxBackoffFactor*p.RestartBackoff)
 	half := d / 2
 	return half + time.Duration(rnd(int64(half)+1))
 }
@@ -225,24 +174,6 @@ const (
 // retried.
 func (k failKind) terminal() bool { return k == failApp || k == failVersion }
 
-func (k failKind) String() string {
-	switch k {
-	case failExit:
-		return "exit"
-	case failSpawn:
-		return "spawn"
-	case failTimeout:
-		return "timeout"
-	case failDecode:
-		return "decode"
-	case failApp:
-		return "app"
-	case failVersion:
-		return "version"
-	}
-	return "unknown"
-}
-
 // WorkerHealth is one worker slot's counters. A slot keeps its id across
 // restarts — the [wN] stderr prefix and these counters describe the slot,
 // however many worker processes or connections have filled it.
@@ -262,11 +193,6 @@ type WorkerHealth struct {
 // paths.
 func (w WorkerHealth) Failures() int64 {
 	return w.SpawnFails + w.Exits + w.Timeouts + w.DecodeErrs
-}
-
-func (w WorkerHealth) String() string {
-	return fmt.Sprintf("[w%d] restarts %d, chunks %d (%d seeds), failures %d (%d exit, %d spawn, %d timeout, %d decode), %d stale frames dropped",
-		w.ID, w.Restarts, w.Chunks, w.Seeds, w.Failures(), w.Exits, w.SpawnFails, w.Timeouts, w.DecodeErrs, w.Stales)
 }
 
 // ShardHealth is a snapshot of the supervision counters for one Shard:
@@ -314,44 +240,23 @@ func (h ShardHealth) Restarts() int64 {
 	return n
 }
 
-// Chunks sums completed leases across every slot.
-func (h ShardHealth) Chunks() int64 {
-	var n int64
-	for _, w := range h.Workers {
-		n += w.Chunks
-	}
-	return n
-}
-
-// String renders the fleet-level line the CLIs report on stderr. The
-// throughput tail appears once a Run has finished (ElapsedSec > 0);
-// before that the line matches earlier releases byte for byte.
-func (h ShardHealth) String() string {
-	s := fmt.Sprintf("shard: %d workers, %d chunks ok, %d failures, %d retries, %d restarts, %d quarantined (%d seeds degraded to local), %d stale drops",
-		len(h.Workers), h.Chunks(), h.Failures(), h.Retries, h.Restarts(), h.Quarantined, h.DegradedSeeds, h.Stales()+h.StaleReplies)
-	if h.ElapsedSec > 0 {
-		s += fmt.Sprintf(", %.0f seeds/s (%d B sent, %d B recvd)", h.SeedsPerSec, h.BytesSent, h.BytesRecv)
-	}
-	return s
-}
-
-// WorkerLines renders one line per worker slot for run summaries.
-func (h ShardHealth) WorkerLines() []string {
-	out := make([]string, len(h.Workers))
-	for i, w := range h.Workers {
-		out[i] = w.String()
-	}
-	return out
-}
-
-// Summary renders the fleet line plus per-worker lines, for frontends
-// that print the full health block.
+// Summary renders the fleet-level line the CLIs report on stderr, then one
+// line per worker slot. The throughput tail of the fleet line appears once
+// a Run has finished (ElapsedSec > 0).
 func (h ShardHealth) Summary() string {
+	var chunks int64
+	for _, w := range h.Workers {
+		chunks += w.Chunks
+	}
 	var b strings.Builder
-	b.WriteString(h.String())
-	for _, l := range h.WorkerLines() {
-		b.WriteString("\n  ")
-		b.WriteString(l)
+	fmt.Fprintf(&b, "shard: %d workers, %d chunks ok, %d failures, %d retries, %d restarts, %d quarantined (%d seeds degraded to local), %d stale drops",
+		len(h.Workers), chunks, h.Failures(), h.Retries, h.Restarts(), h.Quarantined, h.DegradedSeeds, h.Stales()+h.StaleReplies)
+	if h.ElapsedSec > 0 {
+		fmt.Fprintf(&b, ", %.0f seeds/s (%d B sent, %d B recvd)", h.SeedsPerSec, h.BytesSent, h.BytesRecv)
+	}
+	for _, w := range h.Workers {
+		fmt.Fprintf(&b, "\n  [w%d] restarts %d, chunks %d (%d seeds), failures %d (%d exit, %d spawn, %d timeout, %d decode), %d stale frames dropped",
+			w.ID, w.Restarts, w.Chunks, w.Seeds, w.Failures(), w.Exits, w.SpawnFails, w.Timeouts, w.DecodeErrs, w.Stales)
 	}
 	return b.String()
 }

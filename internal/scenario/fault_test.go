@@ -129,23 +129,34 @@ func TestChaosFromEnvRejectsBadSchedule(t *testing.T) {
 	}
 }
 
-func TestFaultPolicyNormalize(t *testing.T) {
-	def := DefaultFaultPolicy()
-	if got := (FaultPolicy{}).normalized(); got != def {
-		t.Errorf("zero policy should normalize to the defaults: %+v", got)
+// TestShardNilPolicyRunsDefaults: a Shard whose Policy is nil supervises
+// with DefaultFaultPolicy.
+func TestShardNilPolicyRunsDefaults(t *testing.T) {
+	sh := &Shard{Workers: 1, Argv: []string{os.Args[0], workerSentinel}}
+	defer sh.Close()
+	runCounted(t, sh, Seeds(1, 2))
+	if sh.pol != DefaultFaultPolicy() {
+		t.Errorf("nil Policy ran with %+v, want %+v", sh.pol, DefaultFaultPolicy())
 	}
-	// Partial: zero fields take defaults, negatives disable, DegradeToLocal
-	// is honoured as given.
-	p := FaultPolicy{MaxRetries: -1, ChunkTimeout: -1, RestartBackoff: -1, DegradeToLocal: true}.normalized()
-	if p.MaxRetries != 0 || p.ChunkTimeout != 0 || p.RestartBackoff != 0 {
-		t.Errorf("negatives should disable: %+v", p)
+}
+
+// TestShardZeroPolicyIsBare: the zero FaultPolicy means no retry, no
+// restart pause and no degradation, so a dead fleet fails the Run on its
+// first failed attempt.
+func TestShardZeroPolicyIsBare(t *testing.T) {
+	sh := &Shard{Workers: 1, Argv: []string{os.Args[0], workerExitSentinel}, Policy: &FaultPolicy{}}
+	defer sh.Close()
+	spec, _ := Lookup("test-shardable")
+	err := sh.Run(spec, Seeds(1, 4), func(int, Result) { t.Error("a seed was emitted") })
+	if err == nil || !strings.Contains(err.Error(), "1 worker attempts exhausted and degrade-to-local disabled") {
+		t.Errorf("Run error = %v, want the first failed attempt to end the run", err)
 	}
-	if p.MaxBackoff != def.MaxBackoff || p.ChunkSeeds != def.ChunkSeeds {
-		t.Errorf("unset fields should default: %+v", p)
+	h := sh.Health()
+	if h.Retries != 0 || h.Quarantined != 0 || h.DegradedSeeds != 0 || h.Failures() == 0 {
+		t.Errorf("want failures without retry or degradation: %s", h.Summary())
 	}
-	p = FaultPolicy{MaxRetries: 7, DegradeToLocal: true}.normalized()
-	if p.MaxRetries != 7 || p.ChunkTimeout != def.ChunkTimeout || !p.DegradeToLocal {
-		t.Errorf("partial policy normalized wrong: %+v", p)
+	if d := sh.pol.backoffDelay(5, func(int64) int64 { t.Error("zero backoff drew jitter"); return 0 }); d != 0 {
+		t.Errorf("zero policy backs off %v, want 0", d)
 	}
 }
 
@@ -154,7 +165,7 @@ func TestFaultPolicyNormalize(t *testing.T) {
 func chaosShard(workers int, chaos string, mutate func(*FaultPolicy)) *Shard {
 	pol := fastPolicy()
 	if mutate != nil {
-		mutate(&pol)
+		mutate(pol)
 	}
 	return &Shard{
 		Workers: workers,
@@ -286,8 +297,8 @@ func TestShardCleanRunHasZeroFailureCounters(t *testing.T) {
 	if h.Failures() != 0 || h.Retries != 0 || h.Restarts() != 0 || h.Quarantined != 0 || h.DegradedSeeds != 0 {
 		t.Errorf("benign delays tripped a failure detector: %s", h.Summary())
 	}
-	if h.Chunks() != 6 {
-		t.Errorf("chunks ok = %d, want 6", h.Chunks())
+	if n := chunks(h); n != 6 {
+		t.Errorf("chunks ok = %d, want 6", n)
 	}
 }
 
@@ -299,8 +310,8 @@ func TestShardChunkedLeases(t *testing.T) {
 	requireShardMatchesLocal(t, sh, Seeds(10, 8))
 
 	h := sh.Health()
-	if h.Chunks() != 3 { // 8 seeds in chunks of 3 → 3+3+2
-		t.Errorf("chunks ok = %d, want 3", h.Chunks())
+	if n := chunks(h); n != 3 { // 8 seeds in chunks of 3 → 3+3+2
+		t.Errorf("chunks ok = %d, want 3", n)
 	}
 	var seeds int64
 	for _, w := range h.Workers {
@@ -353,8 +364,8 @@ func TestShardSizesLeasesFromRun(t *testing.T) {
 					t.Errorf("slot %d took no lease: %s", w.ID, h.Summary())
 				}
 			}
-			if h.Chunks() != c.leases || seeds != int64(c.seeds) {
-				t.Errorf("%d leases carrying %d seeds, want %d carrying %d", h.Chunks(), seeds, c.leases, c.seeds)
+			if n := chunks(h); n != c.leases || seeds != int64(c.seeds) {
+				t.Errorf("%d leases carrying %d seeds, want %d carrying %d", n, seeds, c.leases, c.seeds)
 			}
 			if h.Quarantined != 0 {
 				t.Errorf("no lease should have been degraded: %s", h.Summary())
@@ -405,12 +416,12 @@ func TestShardBoundsSizingKnobs(t *testing.T) {
 		pol     FaultPolicy // Window, ChunkSeeds and MaxRetries override fastPolicy's
 		wantErr bool
 	}{
-		{"window-makechan-overflow", 2, FaultPolicy{Window: 2_000_000_000_000_000_000}, false},
-		{"window-out-of-memory", 2, FaultPolicy{Window: 4_000_000_000}, false},
+		{"window-makechan-overflow", 2, FaultPolicy{Window: math.MaxInt}, false},
+		{"window-out-of-memory", 2, FaultPolicy{Window: math.MaxInt32}, false},
 		{"window-at-limit", 2, FaultPolicy{Window: MaxWindow}, false},
 		{"chunk-seeds-overflow", 2, FaultPolicy{ChunkSeeds: math.MaxInt}, false},
 		{"max-retries-overflow", 2, FaultPolicy{MaxRetries: math.MaxInt}, false},
-		{"workers-out-of-memory", 100_000_000_000, FaultPolicy{}, true},
+		{"workers-out-of-memory", math.MaxInt, FaultPolicy{}, true},
 		{"workers-over-limit", MaxWorkers + 1, FaultPolicy{}, true},
 	}
 	for _, c := range cases {
@@ -421,11 +432,11 @@ func TestShardBoundsSizingKnobs(t *testing.T) {
 				p.MaxRetries = cmp.Or(c.pol.MaxRetries, p.MaxRetries)
 			})
 			defer sh.Close()
-			if got := sh.Policy.normalized().Window; got > MaxWindow {
-				t.Errorf("normalized Window = %d, want at most %d", got, MaxWindow)
-			}
 			spec, _ := Lookup("test-shardable")
 			err := sh.Run(spec, Seeds(1, 3), func(int, Result) {})
+			if sh.pol.Window > MaxWindow {
+				t.Errorf("Window ran as %d, want at most %d", sh.pol.Window, MaxWindow)
+			}
 			if c.wantErr {
 				if err == nil || !strings.Contains(err.Error(), "workers") {
 					t.Errorf("Run error = %v, want one naming the workers limit", err)
@@ -495,11 +506,11 @@ func TestShardWorkerStderrPrefixed(t *testing.T) {
 	}
 }
 
-// TestBackoffSchedule pins the restart pacing contract: capped
-// exponential growth with full jitter on the upper half of the base
-// delay, and negative-disables semantics.
+// TestBackoffSchedule pins the restart pacing contract: exponential
+// growth capped at 50× the base, full jitter on the upper half of the
+// base delay, and a backoff of 0 or below disabled.
 func TestBackoffSchedule(t *testing.T) {
-	p := FaultPolicy{RestartBackoff: 100 * time.Millisecond, MaxBackoff: time.Second, DegradeToLocal: true}.normalized()
+	p := FaultPolicy{RestartBackoff: 100 * time.Millisecond}
 	low := func(n int64) int64 { return 0 }
 	high := func(n int64) int64 { return n - 1 }
 
@@ -512,8 +523,10 @@ func TestBackoffSchedule(t *testing.T) {
 		{2, 200 * time.Millisecond},
 		{3, 400 * time.Millisecond},
 		{4, 800 * time.Millisecond},
-		{5, time.Second},  // 1600ms capped by MaxBackoff
-		{40, time.Second}, // shift clamp keeps huge counts from overflowing
+		{5, 1600 * time.Millisecond},
+		{6, 3200 * time.Millisecond},
+		{7, 5 * time.Second},  // 6400ms capped at 50 × 100ms
+		{40, 5 * time.Second}, // shift clamp keeps huge counts from overflowing
 	}
 	for _, c := range cases {
 		min, max := c.base/2, c.base
@@ -533,11 +546,18 @@ func TestBackoffSchedule(t *testing.T) {
 		t.Errorf("jitter range = %d, want %d", asked, want)
 	}
 
-	// Negative disables (via normalized), and a never-normalized zero stays
-	// zero — no jitter draw happens at all.
-	off := FaultPolicy{RestartBackoff: -1, DegradeToLocal: true}.normalized()
-	if got := off.backoffDelay(5, func(int64) int64 { t.Fatal("disabled backoff drew jitter"); return 0 }); got != 0 {
-		t.Errorf("disabled backoff = %v, want 0", got)
+	// Zero and negative disable: no delay, and no jitter draw at all.
+	for _, off := range []time.Duration{0, -1} {
+		p := FaultPolicy{RestartBackoff: off}
+		if got := p.backoffDelay(5, func(int64) int64 { t.Fatal("disabled backoff drew jitter"); return 0 }); got != 0 {
+			t.Errorf("backoff %v = %v, want 0", off, got)
+		}
+	}
+
+	// The default policy's cap is 5 s.
+	def := DefaultFaultPolicy()
+	if got := def.backoffDelay(40, high); got != 5*time.Second {
+		t.Errorf("default backoff cap = %v, want 5s", got)
 	}
 }
 

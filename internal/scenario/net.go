@@ -31,7 +31,7 @@ const heartbeatEvery = 1 * time.Second
 
 // dialWorker opens one coordinator→worker session for slot w.
 func dialWorker(addr string, w *workerSlot) (*netConn, error) {
-	d := net.Dialer{Timeout: w.sh.pol.DialTimeout}
+	d := net.Dialer{Timeout: max(w.sh.pol.DialTimeout, 0)} // a negative Timeout would fail every dial
 	conn, err := d.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("dial %s: %w", addr, err)
@@ -48,8 +48,8 @@ func (w *workerSlot) newConn(conn net.Conn) *netConn {
 // with reused scratch (the send path builds each frame in one buffer and
 // writes it with a single Write; the recv path reads into one reused
 // buffer and decodes Results through an interning decoder), hello/version
-// validation, stale-frame matching and byte accounting (into its slot's
-// counters), with FrameTimeout, re-armed before every read and write, as
+// validation, stale-frame matching and byte accounting (into its Shard's
+// health), with FrameTimeout, re-armed before every read and write, as
 // the liveness clock. A spawned worker's session also holds the process
 // and its stdin for teardown.
 type netConn struct {
@@ -77,7 +77,7 @@ func (c *netConn) send(spec Spec, seeds []int64, epoch int64) (failKind, error) 
 	if _, err := c.conn.Write(frame); err != nil {
 		return classifyNetErr(err), fmt.Errorf("net: send %s chunk: %w", spec.Name, err)
 	}
-	c.w.sh.bytesSent.Add(int64(len(frame)))
+	c.w.sh.count(func(h *ShardHealth) { h.BytesSent += int64(len(frame)) })
 	return 0, nil
 }
 
@@ -97,7 +97,7 @@ func (c *netConn) recv(spec string, seed, epoch int64) (Result, failKind, error)
 		if err != nil {
 			return Result{}, classifyNetErr(err), fmt.Errorf("net: %s seed %d: %w", spec, seed, err)
 		}
-		c.w.sh.bytesRecv.Add(int64(4 + len(payload)))
+		c.w.sh.count(func(h *ShardHealth) { h.BytesRecv += int64(4 + len(payload)) })
 		m, err := parseWireMsg(payload)
 		if err != nil {
 			return Result{}, failDecode, fmt.Errorf("net: %s seed %d: %w", spec, seed, err)
@@ -122,7 +122,7 @@ func (c *netConn) recv(spec string, seed, epoch int64) (Result, failKind, error)
 			// A frame for some other attempt — a zombie session's replay.
 			// Skipping (rather than failing) lets the live exchange on this
 			// connection complete normally.
-			c.w.stales.Add(1)
+			c.w.count(func(h *WorkerHealth) { h.Stales++ })
 			continue
 		}
 		if m.ftype == frameError {

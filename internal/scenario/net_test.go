@@ -33,7 +33,7 @@ func startNetServer(t *testing.T, o NetServeOptions) string {
 func netShard(workers int, addr string, mutate func(*FaultPolicy)) *Shard {
 	pol := fastPolicy()
 	if mutate != nil {
-		mutate(&pol)
+		mutate(pol)
 	}
 	return &Shard{Workers: workers, Addrs: []string{addr}, Policy: pol}
 }
@@ -81,9 +81,9 @@ func TestNetShardMatchesLocalClean(t *testing.T) {
 	requireShardMatchesLocal(t, sh, Seeds(1, 16))
 	h := sh.Health()
 	if h.Failures() != 0 || h.Retries != 0 || h.Quarantined != 0 || h.Stales() != 0 || h.StaleReplies != 0 {
-		t.Errorf("clean TCP run should have all-zero failure counters: %s", h)
+		t.Errorf("clean TCP run should have all-zero failure counters: %s", h.Summary())
 	}
-	if h.Chunks() == 0 {
+	if chunks(h) == 0 {
 		t.Error("no chunks recorded — did the TCP transport actually run?")
 	}
 }
@@ -118,7 +118,7 @@ func TestNetWorkerServesTwoParameterisations(t *testing.T) {
 	if metricsEqualBits(aggs[0].Metrics, aggs[1].Metrics) {
 		t.Error("the two parameterisations aggregated identically: the test cannot tell them apart")
 	}
-	if h := sh.Health(); len(h.Workers) != 1 || h.Restarts() != 0 || h.Failures() != 0 || h.Chunks() == 0 {
+	if h := sh.Health(); len(h.Workers) != 1 || h.Restarts() != 0 || h.Failures() != 0 || chunks(h) == 0 {
 		t.Errorf("want one clean session serving both specs: %s", h.Summary())
 	}
 }
@@ -135,10 +135,10 @@ func TestNetShardDropConnReconnects(t *testing.T) {
 	runCounted(t, sh, Seeds(1, 12))
 	h := sh.Health()
 	if h.Failures() == 0 || h.Retries == 0 {
-		t.Errorf("expected dropped-connection failures and retries, got %s", h)
+		t.Errorf("expected dropped-connection failures and retries, got %s", h.Summary())
 	}
 	if h.Restarts() == 0 {
-		t.Errorf("expected reconnects after dropped connections, got %s", h)
+		t.Errorf("expected reconnects after dropped connections, got %s", h.Summary())
 	}
 }
 
@@ -163,7 +163,7 @@ func TestNetShardPartitionNoDuplicateOrLoss(t *testing.T) {
 		timeouts += w.Timeouts
 	}
 	if timeouts == 0 {
-		t.Errorf("expected frame-deadline timeouts from the partitioned sessions, got %s", h)
+		t.Errorf("expected frame-deadline timeouts from the partitioned sessions, got %s", h.Summary())
 	}
 }
 
@@ -179,10 +179,10 @@ func TestNetShardStaleReplayDiscarded(t *testing.T) {
 			runCounted(t, tc.sh, Seeds(1, 12))
 			h := tc.sh.Health()
 			if h.Stales() == 0 {
-				t.Errorf("expected stale replayed frames to be counted, got %s", h)
+				t.Errorf("expected stale replayed frames to be counted, got %s", h.Summary())
 			}
 			if h.Failures() != 0 {
-				t.Errorf("a discarded stale frame is not a failure, got %s", h)
+				t.Errorf("a discarded stale frame is not a failure, got %s", h.Summary())
 			}
 		})
 	}
@@ -202,7 +202,7 @@ func TestNetShardSlowLinkHeartbeatsKeepAlive(t *testing.T) {
 	defer sh.Close()
 	runCounted(t, sh, Seeds(1, 3))
 	if h := sh.Health(); h.Failures() != 0 {
-		t.Errorf("slow link with live heartbeats must not trip the deadline: %s", h)
+		t.Errorf("slow link with live heartbeats must not trip the deadline: %s", h.Summary())
 	}
 }
 
@@ -225,14 +225,14 @@ func TestNetShardDialFailureDegrades(t *testing.T) {
 	runCounted(t, sh, seeds)
 	h := sh.Health()
 	if h.DegradedSeeds != int64(len(seeds)) {
-		t.Errorf("want all %d seeds degraded to local, got %s", len(seeds), h)
+		t.Errorf("want all %d seeds degraded to local, got %s", len(seeds), h.Summary())
 	}
 	var spawnFails int64
 	for _, w := range h.Workers {
 		spawnFails += w.SpawnFails
 	}
 	if spawnFails == 0 {
-		t.Errorf("expected dial failures to be counted as spawn failures: %s", h)
+		t.Errorf("expected dial failures to be counted as spawn failures: %s", h.Summary())
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -79,12 +80,12 @@ import (
 // the supervision counters accumulated so far, including fabric throughput
 // (seeds/sec, protocol bytes moved).
 type Shard struct {
-	Workers int         // slot count; values < 1 mean runtime.NumCPU() (or len(Addrs) for TCP), above MaxWorkers a Run error
-	Argv    []string    // command of a spawned worker; nil means {os.Executable(), "-worker"}
-	Addrs   []string    // remote worker addresses; non-empty replaces spawned workers
-	Chaos   string      // fault-injection schedule exported to spawned workers as REPRO_CHAOS (see ParseChaos)
-	Policy  FaultPolicy // supervision knobs; zero value means DefaultFaultPolicy
-	Stderr  io.Writer   // sink for worker stderr and coordinator notices, worker lines prefixed "[wN] "; nil means os.Stderr
+	Workers int          // slot count; values < 1 mean runtime.NumCPU() (or len(Addrs) for TCP), above MaxWorkers a Run error
+	Argv    []string     // command of a spawned worker; nil means {os.Executable(), "-worker"}
+	Addrs   []string     // remote worker addresses; non-empty replaces spawned workers
+	Chaos   string       // fault-injection schedule exported to spawned workers as REPRO_CHAOS (see ParseChaos)
+	Policy  *FaultPolicy // supervision knobs; nil means DefaultFaultPolicy()
+	Stderr  io.Writer    // sink for worker stderr and coordinator notices, worker lines prefixed "[wN] "; nil means os.Stderr
 
 	once     sync.Once
 	startErr error
@@ -93,17 +94,13 @@ type Shard struct {
 	jobs     chan *lease
 	wg       sync.WaitGroup
 	slots    []*workerSlot
+	epochs   atomic.Int64 // lease-epoch allocator; every attempt gets a unique epoch
 
-	epochs       atomic.Int64 // lease-epoch allocator; every attempt gets a unique epoch
-	retries      atomic.Int64
-	quarantined  atomic.Int64
-	degraded     atomic.Int64
-	staleReplies atomic.Int64
+	mu     sync.Mutex
+	health ShardHealth // the counters Health reports; slot i counts into Workers[i]
 
-	bytesSent atomic.Int64 // protocol bytes written to worker sessions
-	bytesRecv atomic.Int64 // protocol bytes read from worker sessions
-	runStart  atomic.Int64 // UnixNano of the first Run; throughput clock start
-	runEnd    atomic.Int64 // UnixNano of the latest Run completion
+	runStart atomic.Int64 // UnixNano of the first Run; throughput clock start
+	runEnd   atomic.Int64 // UnixNano of the latest Run completion
 }
 
 // lease is one (spec, seed-chunk) unit of work: a run of consecutive
@@ -131,10 +128,9 @@ type leaseResult struct {
 }
 
 // workerSlot supervises one worker position in the pool: it owns at most
-// one live session at a time, reopens it on demand after failures, and
-// keeps the slot-stable health counters. The slot id is
-// stable across restarts — it names the [wN] stderr prefix and the health
-// row.
+// one live session at a time and reopens it on demand after failures. The
+// slot id is stable across restarts — it names the [wN] stderr prefix and
+// the health row the slot counts into.
 type workerSlot struct {
 	id   int
 	sh   *Shard
@@ -144,13 +140,26 @@ type workerSlot struct {
 	gen  int // worker processes started or connections opened in this slot so far
 
 	consecFails int // consecutive failed batches/opens, drives the backoff
+}
 
-	restarts, chunks, seeds                      atomic.Int64
-	spawnFails, exits, timeouts, decodes, stales atomic.Int64
+// count applies f to the Shard's health counters under its lock.
+func (s *Shard) count(f func(h *ShardHealth)) {
+	s.mu.Lock()
+	f(&s.health)
+	s.mu.Unlock()
+}
+
+// count applies f to the slot's row of the Shard's health counters.
+func (w *workerSlot) count(f func(h *WorkerHealth)) {
+	w.sh.count(func(h *ShardHealth) { f(&h.Workers[w.id]) })
 }
 
 func (s *Shard) start() {
-	s.pol = s.Policy.normalized()
+	s.pol = DefaultFaultPolicy()
+	if s.Policy != nil {
+		s.pol = *s.Policy
+	}
+	s.pol.Window = min(max(s.pol.Window, 1), MaxWindow)
 	n := s.Workers
 	if len(s.Addrs) > 0 {
 		if n < 1 {
@@ -178,6 +187,12 @@ func (s *Shard) start() {
 	// leases without blocking on the producer.
 	s.jobs = make(chan *lease, n*s.pol.Window)
 	s.slots = make([]*workerSlot, n)
+	s.count(func(h *ShardHealth) {
+		h.Workers = make([]WorkerHealth, n)
+		for i := range h.Workers {
+			h.Workers[i].ID = i
+		}
+	})
 	for i := 0; i < n; i++ {
 		w := &workerSlot{id: i, sh: s}
 		if len(s.Addrs) > 0 {
@@ -227,7 +242,7 @@ func (w *workerSlot) ensureStarted() error {
 	conn, err := w.open()
 	if err == nil || errors.Is(err, errWorkerExited) {
 		if w.gen > 0 {
-			w.restarts.Add(1)
+			w.count(func(h *WorkerHealth) { h.Restarts++ })
 		}
 		w.gen++
 	}
@@ -332,14 +347,17 @@ func (w *workerSlot) runBatch(batch []*lease) {
 			kind = failTimeout
 			err = fmt.Errorf("shard: [w%d] chunk deadline %s exceeded: %w", w.id, to, err)
 		}
-		switch kind { // a failVersion is a build mismatch, not a worker fault
-		case failTimeout:
-			w.timeouts.Add(int64(len(batch) - from))
-		case failDecode:
-			w.decodes.Add(int64(len(batch) - from))
-		case failExit:
-			w.exits.Add(int64(len(batch) - from))
-		}
+		n := int64(len(batch) - from)
+		w.count(func(h *WorkerHealth) {
+			switch kind { // a failVersion is a build mismatch, not a worker fault
+			case failTimeout:
+				h.Timeouts += n
+			case failDecode:
+				h.DecodeErrs += n
+			case failExit:
+				h.Exits += n
+			}
+		})
 		w.consecFails++
 		w.closeConn(0)
 		for _, l := range batch[from:] {
@@ -355,7 +373,7 @@ func (w *workerSlot) runBatch(batch []*lease) {
 		}
 		// The session never existed, so no lease was attempted: charge the
 		// failed start to the first lease and put the rest back untouched.
-		w.spawnFails.Add(1)
+		w.count(func(h *WorkerHealth) { h.SpawnFails++ })
 		w.consecFails++
 		batch[0].reply <- leaseResult{l: batch[0], epoch: batch[0].epoch, kind: failSpawn, err: err}
 		for _, l := range batch[1:] {
@@ -404,8 +422,7 @@ func (w *workerSlot) runBatch(batch []*lease) {
 		if appErr != nil {
 			l.reply <- leaseResult{l: l, epoch: l.epoch, kind: failApp, err: appErr}
 		} else {
-			w.chunks.Add(1)
-			w.seeds.Add(int64(len(l.seeds)))
+			w.count(func(h *WorkerHealth) { h.Chunks++; h.Seeds += int64(len(l.seeds)) })
 			l.reply <- leaseResult{l: l, epoch: l.epoch, res: out}
 		}
 		if timer != nil {
@@ -496,7 +513,7 @@ func (s *Shard) Run(spec Spec, seeds []int64, emit Emit) error {
 			// lease now, so this one — success or failure — is void. Dropping
 			// it is what makes reassignment safe: exactly one attempt per
 			// lease can ever reach the emit path.
-			s.staleReplies.Add(1)
+			s.count(func(h *ShardHealth) { h.StaleReplies++ })
 			continue
 		}
 		switch {
@@ -520,10 +537,10 @@ func (s *Shard) Run(spec Spec, seeds []int64, emit Emit) error {
 		case r.l.attempts < pol.MaxRetries:
 			r.l.attempts++
 			r.l.epoch = s.epochs.Add(1)
-			s.retries.Add(1)
+			s.count(func(h *ShardHealth) { h.Retries++ })
 			go func(l *lease) { s.jobs <- l }(r.l)
 		case pol.DegradeToLocal:
-			s.quarantined.Add(1)
+			s.count(func(h *ShardHealth) { h.Quarantined++ })
 			degradedChunks++
 			go s.runQuarantined(r.l)
 		default:
@@ -561,7 +578,7 @@ func (s *Shard) runQuarantined(l *lease) {
 		}
 		res[i] = r
 	}
-	s.degraded.Add(int64(len(l.seeds)))
+	s.count(func(h *ShardHealth) { h.DegradedSeeds += int64(len(l.seeds)) })
 	l.reply <- leaseResult{l: l, epoch: l.epoch, res: res}
 }
 
@@ -571,32 +588,16 @@ func (s *Shard) runQuarantined(l *lease) {
 // Shard that never ran reports an empty fleet; a fault-free run reports
 // all-zero failure counters.
 func (s *Shard) Health() ShardHealth {
-	h := ShardHealth{
-		Retries:       s.retries.Load(),
-		Quarantined:   s.quarantined.Load(),
-		DegradedSeeds: s.degraded.Load(),
-		StaleReplies:  s.staleReplies.Load(),
-		BytesSent:     s.bytesSent.Load(),
-		BytesRecv:     s.bytesRecv.Load(),
-	}
-	seeds := h.DegradedSeeds
-	for _, w := range s.slots {
-		wh := WorkerHealth{
-			ID:         w.id,
-			Restarts:   w.restarts.Load(),
-			Chunks:     w.chunks.Load(),
-			Seeds:      w.seeds.Load(),
-			SpawnFails: w.spawnFails.Load(),
-			Exits:      w.exits.Load(),
-			Timeouts:   w.timeouts.Load(),
-			DecodeErrs: w.decodes.Load(),
-			Stales:     w.stales.Load(),
-		}
-		seeds += wh.Seeds
-		h.Workers = append(h.Workers, wh)
-	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	h := s.health
+	h.Workers = slices.Clone(h.Workers)
 	if start, end := s.runStart.Load(), s.runEnd.Load(); start != 0 && end > start {
 		h.ElapsedSec = float64(end-start) / 1e9
+		seeds := h.DegradedSeeds
+		for _, w := range h.Workers {
+			seeds += w.Seeds
+		}
 		h.SeedsPerSec = float64(seeds) / h.ElapsedSec
 	}
 	return h

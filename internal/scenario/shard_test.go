@@ -250,13 +250,22 @@ func shardForTest(workers int) *Shard {
 	}
 }
 
-// fastPolicy is the production default with test-speed restart pacing.
-func fastPolicy() FaultPolicy {
+// fastPolicy is the production default with test-speed restart pacing
+// (100 µs base, so at most 5 ms).
+func fastPolicy() *FaultPolicy {
 	p := DefaultFaultPolicy()
 	p.ChunkTimeout = 30 * time.Second
-	p.RestartBackoff = time.Millisecond
-	p.MaxBackoff = 5 * time.Millisecond
-	return p
+	p.RestartBackoff = 100 * time.Microsecond
+	return &p
+}
+
+// chunks sums the leases the fleet completed.
+func chunks(h ShardHealth) int64 {
+	var n int64
+	for _, w := range h.Workers {
+		n += w.Chunks
+	}
+	return n
 }
 
 // metricsEqualBits compares metric slices demanding bit-identical floats;
@@ -348,7 +357,7 @@ func TestShardUnknownSpecFails(t *testing.T) {
 // noDegradePolicy exhausts quickly and forbids the in-process fallback, so
 // unrecoverable-fleet tests assert the error path rather than the (default)
 // graceful degradation.
-func noDegradePolicy() FaultPolicy {
+func noDegradePolicy() *FaultPolicy {
 	p := fastPolicy()
 	p.MaxRetries = 1
 	p.DegradeToLocal = false
@@ -388,7 +397,7 @@ func TestShardWorkerDeathDegradesToLocal(t *testing.T) {
 		t.Errorf("DegradedSeeds = %d, want %d (every seed quarantined)", h.DegradedSeeds, len(seeds))
 	}
 	if h.Quarantined == 0 || h.Retries == 0 || h.Failures() == 0 {
-		t.Errorf("health should record the failure storm: %s", h)
+		t.Errorf("health should record the failure storm: %s", h.Summary())
 	}
 }
 
@@ -454,7 +463,7 @@ func TestShardKillsWorkerThatNeverAnnounces(t *testing.T) {
 	var buf syncBuffer
 	pol := fastPolicy()
 	pol.DialTimeout = 300 * time.Millisecond
-	pol.MaxRetries = -1
+	pol.MaxRetries = 0
 	sh := &Shard{Workers: 1, Argv: []string{os.Args[0], workerMuteSentinel}, Policy: pol, Stderr: &buf}
 	defer sh.Close()
 	start := time.Now()
@@ -487,7 +496,7 @@ func TestShardKillsWorkerThatNeverAnnounces(t *testing.T) {
 // way a worker dying mid-exchange does, not as a failed start.
 func TestShardWorkerDeathBeforeAnnounceIsExit(t *testing.T) {
 	pol := fastPolicy()
-	pol.MaxRetries = -1
+	pol.MaxRetries = 0
 	sh := &Shard{Workers: 1, Argv: []string{os.Args[0], workerExitSentinel}, Policy: pol}
 	defer sh.Close()
 	runCounted(t, sh, Seeds(1, 4)) // four one-seed leases
@@ -526,9 +535,8 @@ func TestShardVersionSkewIsTerminal(t *testing.T) {
 		}
 	}()
 	sh := netShard(1, ln.Addr().String(), func(p *FaultPolicy) {
-		p.Window = -1
+		p.Window = 1
 		p.RestartBackoff = 200 * time.Millisecond
-		p.MaxBackoff = 200 * time.Millisecond
 	})
 	defer sh.Close()
 	spec, _ := Lookup("test-shardable")
