@@ -7,9 +7,9 @@ package main
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/route"
+	"repro/internal/sim"
 )
 
 func main() {
@@ -21,7 +21,7 @@ func main() {
 
 	for _, policy := range []route.Policy{route.MinHop, route.MinEnergy,
 		route.MaxMinBattery, route.Conditional} {
-		rng := rand.New(rand.NewSource(3))
+		rng := sim.NewRand(3)
 		n := route.NewGrid(5, 5, 10, 15, 0.03, route.DefaultRadioCost())
 		firstDeath := math.MaxInt
 		for i := 0; i < 40000; i++ {

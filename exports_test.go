@@ -48,11 +48,10 @@ var exportAllowlist = map[string]string{
 	"transport.UDPStreamResult.*": resultReason,
 
 	// State only accessors in the package's _test.go files read.
-	"channel.Monitor.ticker": "Stop in channel_test.go halts probing",
-	"pamas.Node.idleSleeps":  "IdleSleeps in pamas_test.go counts battery-driven idle sleeps",
-	"pamas.Node.sent":        "Stats in pamas_test.go counts each node's packets",
-	"pamas.Node.recv":        "Stats in pamas_test.go counts each node's packets",
-	"route.Node.ID":          "the reference router of route's TestMatchesReferenceProperty indexes nodes by it",
+	"pamas.Node.idleSleeps": "IdleSleeps in pamas_test.go counts battery-driven idle sleeps",
+	"pamas.Node.sent":       "Stats in pamas_test.go counts each node's packets",
+	"pamas.Node.recv":       "Stats in pamas_test.go counts each node's packets",
+	"route.Node.ID":         "the reference router of route's TestMatchesReferenceProperty indexes nodes by it",
 }
 
 const (

@@ -300,7 +300,7 @@ func TestMonitorGradesChannel(t *testing.T) {
 	s := sim.New(1)
 	ch := NewGilbertElliott(s, defaultGE())
 	ch.Freeze()
-	mon := NewMonitor(s, ch, DefaultMonitorConfig())
+	mon := newStoppableMonitor(s, ch)
 	s.RunUntil(10 * sim.Second)
 	if mon.Quality() != QualityGood {
 		t.Errorf("quality on good channel = %v, want good", mon.Quality())
@@ -378,5 +378,17 @@ func (p *Markov) TransitionProb(a, b LinkState) float64 {
 	return (p.counts[a][b] + 1) / total
 }
 
+// stoppableMonitor is a group of one monitor, built as NewMonitors builds
+// it but keeping the probe ticker, so that a test can stop probing.
+type stoppableMonitor struct {
+	*Monitor
+	ticker *sim.Ticker
+}
+
+func newStoppableMonitor(s *sim.Simulator, ch *GilbertElliott) stoppableMonitor {
+	g := Monitors{{ch: ch}}
+	return stoppableMonitor{&g[0], sim.NewTicker(s, probePeriod, g.probe)}
+}
+
 // Stop halts probing.
-func (m *Monitor) Stop() { m.ticker.Stop() }
+func (m stoppableMonitor) Stop() { m.ticker.Stop() }

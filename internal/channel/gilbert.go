@@ -1,8 +1,10 @@
 // Package channel models the wireless channel: a two-state Gilbert–Elliott
 // error process, bit-error-rate to packet-error-rate conversion, channel
-// predictors of varying sophistication, and the link-quality monitor the
+// predictors of varying sophistication, and the link-quality monitors the
 // Hotspot resource manager consults when deciding which interface a client
-// should use.
+// should use. Monitors probe their channels every 250 ms in groups: one
+// event per group and period probes every member in creation order, so a
+// Hotspot's two interfaces cost one kernel event per period.
 package channel
 
 import (

@@ -28,38 +28,44 @@ func (q Quality) String() string {
 	}
 }
 
+// Probe settings of the link monitors, those of the Hotspot scenarios.
+const (
+	probePeriod         = 250 * sim.Millisecond
+	probeAlpha  float64 = 0.3 // EWMA weight of a new observation
+)
+
 // Monitor observes a Gilbert–Elliott channel through periodic probes and
 // exposes a smoothed quality grade. The resource manager owns one Monitor
-// per (client, interface) pair.
+// per interface, shared by all its clients.
 type Monitor struct {
-	ch     *GilbertElliott
-	ewma   float64 // smoothed bad-state indicator in [0,1]
-	alpha  float64
-	ticker *sim.Ticker
+	ch   *GilbertElliott
+	ewma float64 // smoothed bad-state indicator in [0,1]
 }
 
-// MonitorConfig tunes a link monitor.
-type MonitorConfig struct {
-	// Period is the probe interval.
-	Period sim.Time
-	// Alpha is the EWMA smoothing weight for new observations (0,1].
-	Alpha float64
-}
+// Monitors is a group of monitors probed by one shared event: every
+// probePeriod the group probes each monitor in creation order. A probe
+// schedules nothing, so this is exactly what one ticker per monitor,
+// armed back to back, would do: their firings sit adjacent in the queue
+// at every instant, and the group's one event takes the first one's slot.
+// A Hotspot's two interfaces so cost one probe event per period, not two.
+type Monitors []Monitor
 
-// DefaultMonitorConfig returns the configuration used by the Hotspot
-// scenarios: 250 ms probes, EWMA weight 0.3.
-func DefaultMonitorConfig() MonitorConfig {
-	return MonitorConfig{Period: 250 * sim.Millisecond, Alpha: 0.3}
-}
-
-// NewMonitor attaches a probe-based monitor to a channel and starts probing.
-func NewMonitor(s *sim.Simulator, ch *GilbertElliott, cfg MonitorConfig) *Monitor {
-	if cfg.Period <= 0 {
-		cfg = DefaultMonitorConfig()
+// NewMonitors attaches one monitor to each channel, in order, and starts
+// probing them as a group.
+func NewMonitors(s *sim.Simulator, chs ...*GilbertElliott) Monitors {
+	g := make(Monitors, len(chs))
+	for i, ch := range chs {
+		g[i].ch = ch
 	}
-	m := &Monitor{ch: ch, alpha: cfg.Alpha}
-	m.ticker = sim.NewTicker(s, cfg.Period, m.probe)
-	return m
+	sim.NewTicker(s, probePeriod, g.probe)
+	return g
+}
+
+// probe takes one observation of every monitor in the group.
+func (g Monitors) probe() {
+	for i := range g {
+		g[i].probe()
+	}
 }
 
 func (m *Monitor) probe() {
@@ -67,7 +73,7 @@ func (m *Monitor) probe() {
 	if m.ch.State() == Bad {
 		obs = 1.0
 	}
-	m.ewma = float64(m.alpha*obs) + float64((1-m.alpha)*m.ewma)
+	m.ewma = float64(probeAlpha*obs) + float64((1-probeAlpha)*m.ewma)
 }
 
 // Quality maps the smoothed indicator to a grade. Thresholds chosen so that

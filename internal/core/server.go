@@ -101,7 +101,7 @@ type ResourceManager struct {
 
 	clients  []*Client
 	channels [numIfaces]*channel.GilbertElliott
-	monitors [numIfaces]*channel.Monitor
+	monitors channel.Monitors // indexed by Iface
 
 	epoch      int
 	history    []Slot
@@ -148,8 +148,8 @@ func NewResourceManager(s *sim.Simulator, cfg Config, chans map[Iface]*channel.G
 			panic(fmt.Sprintf("core: missing channel for %v", i))
 		}
 		rm.channels[i] = ch
-		rm.monitors[i] = channel.NewMonitor(s, ch, channel.DefaultMonitorConfig())
 	}
+	rm.monitors = channel.NewMonitors(s, rm.channels[:]...)
 	return rm
 }
 

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/dvs"
 	"repro/internal/route"
@@ -34,7 +33,7 @@ func E16Routing(seed int64) Result {
 	vals := map[string]float64{}
 	for _, policy := range []route.Policy{route.MinHop, route.MinEnergy,
 		route.MaxMinBattery, route.Conditional} {
-		rng := rand.New(rand.NewSource(seed))
+		rng := sim.NewRand(seed)
 		n := route.NewGrid(5, 5, 10, 15, 0.03, route.DefaultRadioCost())
 		firstDeath := math.MaxInt
 		for i := 0; i < 40000; i++ {

@@ -412,7 +412,7 @@ func E12ProxyAdaptation(seed int64) Result {
 			MeanGood: 4 * sim.Second, MeanBad: 2 * sim.Second,
 			BERGood: 1e-7, BERBad: 1e-3,
 		})
-		mon := channel.NewMonitor(s, ch, channel.DefaultMonitorConfig())
+		mon := &channel.NewMonitors(s, ch)[0]
 		dev := radio.NewDeviceInState(s, radio.WLAN80211b(), radio.Idle)
 		p := dev.Profile()
 		// Chunks queue at the AP and are received back-to-back; the client

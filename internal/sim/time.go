@@ -6,6 +6,13 @@
 // exact and runs are bit-reproducible for a given seed. Pending events wait
 // in one (at, seq)-ordered binary heap behind a front register; the kernel
 // has no tuning knobs.
+//
+// Randomness comes from NewRand, a *rand.Rand over the package's own copy
+// of math/rand's additive lagged-Fibonacci source. It draws exactly
+// math/rand's bits but seeds with a jump-ahead Lehmer step, about 3.5
+// times faster than rand.NewSource's 1,841 sequential steps; seeding was
+// a seventh of the CPU of a 0.1 ms Hotspot job. TestSourceMatchesMathRand
+// and FuzzSourceMatchesMathRand compare it with math/rand itself.
 package sim
 
 import "fmt"
