@@ -69,8 +69,7 @@ type GilbertElliott struct {
 	rng    *rand.Rand
 	state  LinkState
 
-	frozen bool       // when scripted control takes over, stop autonomous flips
-	flips  *sim.Batch // the autonomous state-transition events (one live at a time)
+	flip *sim.Timer // the next autonomous state transition; Freeze stops it
 }
 
 // NewGilbertElliott creates the channel in the Good state and schedules its
@@ -80,7 +79,7 @@ func NewGilbertElliott(s *sim.Simulator, p GEParams) *GilbertElliott {
 		panic(err)
 	}
 	c := &GilbertElliott{params: p, rng: s.Rand(), state: Good}
-	c.flips = s.NewBatch(1)
+	c.flip = sim.NewTimer(s, c.onFlip)
 	c.scheduleFlip()
 	return c
 }
@@ -116,10 +115,7 @@ func (c *GilbertElliott) SampleBitErrors(bytes int) int {
 
 // Freeze stops the autonomous state process so tests and scripted scenarios
 // can control the state explicitly with ForceState.
-func (c *GilbertElliott) Freeze() {
-	c.frozen = true
-	c.flips.CancelAll()
-}
+func (c *GilbertElliott) Freeze() { c.flip.Stop() }
 
 // ForceState sets the channel state directly (for scripted scenarios such as
 // the paper's "conditions in the link change" episode).
@@ -134,17 +130,17 @@ func (c *GilbertElliott) scheduleFlip() {
 	if hold < sim.Microsecond {
 		hold = sim.Microsecond
 	}
-	c.flips.Schedule(hold, func() {
-		if c.frozen {
-			return
-		}
-		if c.state == Good {
-			c.state = Bad
-		} else {
-			c.state = Good
-		}
-		c.scheduleFlip()
-	})
+	c.flip.Reset(hold)
+}
+
+// onFlip is the autonomous state transition.
+func (c *GilbertElliott) onFlip() {
+	if c.state == Good {
+		c.state = Bad
+	} else {
+		c.state = Good
+	}
+	c.scheduleFlip()
 }
 
 // PERFromBER converts a bit error rate into the packet error probability for

@@ -158,6 +158,7 @@ func Run(s *sim.Simulator, cpu CPU, policy PolicyKind, tasks []Task, horizon sim
 	}
 
 	e := &engine{s: s, cpu: cpu, policy: policy, tasks: tasks, utilWCET: util}
+	e.runDone = sim.NewTimer(s, func() { e.complete(e.running) })
 	// Per-task reclaimable utilization for cycle-conserving EDF.
 	e.ccUtil = make([]float64, len(tasks))
 	for i, t := range tasks {
@@ -196,7 +197,7 @@ type engine struct {
 	running  *job
 	runFreq  float64
 	runStart sim.Time
-	runEvent sim.Handle
+	runDone  *sim.Timer // completes the running job
 	lastAt   sim.Time
 
 	utilWCET float64
@@ -269,9 +270,7 @@ func (e *engine) frequency() float64 {
 func (e *engine) reschedule() {
 	e.settle()
 	// Preempt the running job, deducting the cycles it completed.
-	if e.running != nil && e.runEvent.Pending() {
-		e.s.Cancel(e.runEvent)
-		e.runEvent = sim.Handle{}
+	if e.running != nil && e.runDone.Stop() {
 		elapsed := (e.s.Now() - e.runStart).Seconds()
 		e.running.remaining -= float64(elapsed * e.runFreq)
 		if e.running.remaining < 0 {
@@ -293,10 +292,7 @@ func (e *engine) reschedule() {
 	if dur < sim.Microsecond {
 		dur = sim.Microsecond
 	}
-	e.runEvent = e.s.Schedule(dur, func() {
-		e.runEvent = sim.Handle{}
-		e.complete(j)
-	})
+	e.runDone.Reset(dur)
 }
 
 // complete retires the running job.

@@ -157,7 +157,7 @@ func Transfer(s *sim.Simulator, ch *channel.GilbertElliott, p Params, totalPacke
 }
 
 // window returns the number of concurrently outstanding events a transfer
-// keeps in flight, used to size the engine's event batch up front.
+// keeps in flight, used to reserve the slab capacity up front.
 func window(p Params) int {
 	if p.ARQ == SelectiveRepeat {
 		return p.Window + 1 // pipelined data plus one ACK in flight

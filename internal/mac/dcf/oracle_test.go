@@ -327,7 +327,7 @@ func TestIdleCountdownIsOneEvent(t *testing.T) {
 	addStation(s, m, frame.AP)
 	sta := addStation(s, m, 0)
 	events := 0
-	sta.onSlotFn = func() { events++; sta.onSlot() }
+	sta.countdown = sim.NewTimer(s, func() { events++; sta.onSlot() })
 	sta.slots, sta.haveBO = 31, true
 	sta.Enqueue(frame.NewData(0, frame.AP, 1, 500))
 	s.Run()

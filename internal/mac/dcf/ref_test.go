@@ -182,20 +182,16 @@ type refStation struct {
 	slots     int // remaining backoff slots
 	haveBO    bool
 
-	// contention is a two-slot batch grouping the DIFS and slot-countdown
-	// events, so leaving the listening state (doze, our own transmission)
-	// is one group cancel. The individual handles stay alongside for the
-	// selective freeze path, which must leave same-instant events alive
-	// to model DCF collisions.
-	contention *sim.Batch
-	difsEvent  sim.Handle
-	slotEvent  sim.Handle
-	ackTimer   *sim.Timer
+	// difs ends the DIFS sensing period; slot ends one backoff slot.
+	// Leaving the listening state (doze, our own transmission) stops both;
+	// the freeze path stops only those due strictly after now, leaving
+	// same-instant ones alive to model DCF collisions.
+	difs     *sim.Timer
+	slot     *sim.Timer
+	ackTimer *sim.Timer
 
-	// Event callbacks bound once in newRefStation, so the per-slot backoff
-	// countdown, DIFS and radio wake paths schedule without allocating.
-	onDIFSFn func()
-	onSlotFn func()
+	// onWakeFn is st.onWake bound once in newRefStation, so the radio wake
+	// path schedules without allocating.
 	onWakeFn func()
 	// wakeDone holds the done callbacks of wakes whose radio transition is
 	// still in flight, oldest first. Transitioning() is already false at
@@ -232,10 +228,9 @@ func newRefStation(id int, m *refMedium, dev *radio.Device) *refStation {
 	}
 	st := &refStation{id: id, med: m, sim: m.sim, dev: dev, cfg: m.cfg, awake: true,
 		cw: m.cfg.CWMin, lastSeq: make(map[int]int)}
-	st.contention = m.sim.NewSlotBatch(2) // slot 0: DIFS, slot 1: backoff countdown
+	st.difs = sim.NewTimer(m.sim, st.countDown)
+	st.slot = sim.NewTimer(m.sim, st.onSlot)
 	st.ackTimer = sim.NewTimer(m.sim, st.onAckTimeout)
-	st.onDIFSFn = st.onDIFS
-	st.onSlotFn = st.onSlot
 	st.onWakeFn = st.onWake
 	m.attach(st)
 	return st
@@ -361,7 +356,7 @@ func (st *refStation) CanDoze() bool {
 // --- CSMA/CA engine ---
 
 func (st *refStation) startContention() {
-	if st.difsEvent.Pending() || st.slotEvent.Pending() || st.inTx {
+	if st.difs.Armed() || st.slot.Armed() || st.inTx {
 		return
 	}
 	if !st.haveBO {
@@ -371,12 +366,7 @@ func (st *refStation) startContention() {
 	if st.med.Busy() {
 		return // mediumIdle() will restart us
 	}
-	st.difsEvent = st.contention.ScheduleSlot(0, st.cfg.DIFS, st.onDIFSFn)
-}
-
-func (st *refStation) onDIFS() {
-	st.difsEvent = sim.Handle{}
-	st.countDown()
+	st.difs.Reset(st.cfg.DIFS)
 }
 
 func (st *refStation) countDown() {
@@ -384,11 +374,10 @@ func (st *refStation) countDown() {
 		st.beginDataTx()
 		return
 	}
-	st.slotEvent = st.contention.ScheduleSlot(1, st.cfg.SlotTime, st.onSlotFn)
+	st.slot.Reset(st.cfg.SlotTime)
 }
 
 func (st *refStation) onSlot() {
-	st.slotEvent = sim.Handle{}
 	st.slots--
 	if st.slots == 0 {
 		// Reached zero in this slot: transmit even if another station
@@ -403,27 +392,23 @@ func (st *refStation) onSlot() {
 	st.countDown()
 }
 
-// cancelContention hard-cancels all pending contention events as a group
-// (used when the station leaves the listening state entirely, e.g. dozing
-// or transmitting).
+// cancelContention stops both contention timers (used when the station
+// leaves the listening state entirely, e.g. dozing or transmitting).
 func (st *refStation) cancelContention() {
-	st.contention.CancelAll()
-	st.difsEvent = sim.Handle{}
-	st.slotEvent = sim.Handle{}
+	st.difs.Stop()
+	st.slot.Stop()
 }
 
-// freezeContention cancels only strictly-future contention events. Events
-// scheduled for the current instant are left to fire so that two stations
+// freezeContention stops only contention timers due strictly after now.
+// Those due at the current instant are left to fire so that two stations
 // whose backoff expires in the same slot collide, as in real DCF.
 func (st *refStation) freezeContention() {
 	now := st.sim.Now()
-	if st.difsEvent.Pending() && st.difsEvent.At() > now {
-		st.sim.Cancel(st.difsEvent)
-		st.difsEvent = sim.Handle{}
+	if st.difs.Deadline() > now {
+		st.difs.Stop()
 	}
-	if st.slotEvent.Pending() && st.slotEvent.At() > now {
-		st.sim.Cancel(st.slotEvent)
-		st.slotEvent = sim.Handle{}
+	if st.slot.Deadline() > now {
+		st.slot.Stop()
 	}
 }
 

@@ -21,9 +21,9 @@ type StationStats struct {
 // Station is one 802.11 DCF node (an access point is simply the station with
 // id frame.AP). It owns a radio device for energy accounting and implements
 // CSMA/CA: DIFS sensing, slotted binary-exponential backoff with freezing,
-// ACK-based retransmission, and doze control for power saving. The backoff
-// countdown spends one event per quiet stretch of slots, not one per slot
-// (see countDown).
+// ACK-based retransmission, and doze control for power saving. DIFS and the
+// backoff countdown are two Timers; the countdown spends one event per quiet
+// stretch of slots, not one per slot (see countDown).
 type Station struct {
 	id  int
 	med *Medium
@@ -42,20 +42,17 @@ type Station struct {
 	jump      int // backoff slots the pending countdown event covers
 	haveBO    bool
 
-	// contention is a two-slot batch grouping the DIFS and slot-countdown
-	// events, so leaving the listening state (doze, our own transmission)
-	// is one group cancel. The individual handles stay alongside for the
-	// selective freeze path, which must leave same-instant events alive
-	// to model DCF collisions.
-	contention *sim.Batch
-	difsEvent  sim.Handle
-	slotEvent  sim.Handle
-	ackTimer   *sim.Timer
+	// difs ends the DIFS sensing period and starts the countdown;
+	// countdown ends a stretch of backoff slots. Leaving the listening
+	// state (doze, our own transmission) stops both; the freeze path stops
+	// only those due strictly after now, leaving same-instant ones alive to
+	// model DCF collisions.
+	difs      *sim.Timer
+	countdown *sim.Timer
+	ackTimer  *sim.Timer
 
-	// Event callbacks bound once in NewStation, so the backoff countdown,
-	// DIFS and radio wake paths schedule without allocating.
-	onDIFSFn func()
-	onSlotFn func()
+	// onWakeFn is st.onWake bound once in NewStation, so the radio wake
+	// path schedules without allocating.
 	onWakeFn func()
 	// wakeDone holds the done callbacks of wakes whose radio transition is
 	// still in flight, oldest first. Transitioning() is already false at
@@ -99,10 +96,9 @@ func NewStation(id int, m *Medium, dev *radio.Device) *Station {
 	st := &Station{id: id, med: m, sim: m.sim, dev: dev, cfg: m.cfg, awake: true,
 		cw: m.cfg.CWMin, lastSeq: make(map[int]int),
 		ackWait: m.cfg.SIFS + m.cfg.AirTime(frame.AckSize) + m.cfg.AckTimeout}
-	st.contention = m.sim.NewSlotBatch(2) // slot 0: DIFS, slot 1: backoff countdown
+	st.difs = sim.NewTimer(m.sim, st.countDown)
+	st.countdown = sim.NewTimer(m.sim, st.onSlot)
 	st.ackTimer = sim.NewTimer(m.sim, st.onAckTimeout)
-	st.onDIFSFn = st.onDIFS
-	st.onSlotFn = st.onSlot
 	st.onWakeFn = st.onWake
 	m.attach(st)
 	return st
@@ -228,7 +224,7 @@ func (st *Station) CanDoze() bool {
 // --- CSMA/CA engine ---
 
 func (st *Station) startContention() {
-	if st.difsEvent.Pending() || st.slotEvent.Pending() || st.inTx {
+	if st.difs.Armed() || st.countdown.Armed() || st.inTx {
 		return
 	}
 	if !st.haveBO {
@@ -238,20 +234,16 @@ func (st *Station) startContention() {
 	if st.med.Busy() {
 		return // mediumIdle() will restart us
 	}
-	st.difsEvent = st.contention.ScheduleSlot(0, st.cfg.DIFS, st.onDIFSFn)
+	st.difs.Reset(st.cfg.DIFS)
 }
 
-func (st *Station) onDIFS() {
-	st.difsEvent = sim.Handle{}
-	st.countDown()
-}
-
-// countDown schedules the countdown event that ends the next stretch of
-// backoff slots, or transmits when none are left. On an idle medium the
-// event covers every slot boundary before the simulator's next queued
-// instant (see quietSlots); on a busy one — a DIFS event at the instant a
-// frame went on the air survives the freeze — it covers exactly one slot,
-// whose end freezes the count.
+// countDown runs when DIFS ends and after each countdown stretch. It arms
+// the countdown timer for the next stretch of backoff slots, or transmits
+// when none are left. On an idle medium the stretch covers every slot
+// boundary before the simulator's next queued instant (see quietSlots); on
+// a busy one — a DIFS expiry at the instant a frame went on the air
+// survives the freeze — it covers exactly one slot, whose end freezes the
+// count.
 func (st *Station) countDown() {
 	if st.slots == 0 {
 		st.beginDataTx()
@@ -261,7 +253,7 @@ func (st *Station) countDown() {
 	if !st.med.Busy() {
 		st.jump = st.quietSlots()
 	}
-	st.slotEvent = st.contention.ScheduleSlot(1, sim.Time(st.jump)*st.cfg.SlotTime, st.onSlotFn)
+	st.countdown.Reset(sim.Time(st.jump) * st.cfg.SlotTime)
 }
 
 // quietSlots returns how many backoff slots the next countdown event may
@@ -303,19 +295,20 @@ func (st *Station) quietSlots() int {
 
 // slotsAfter reports whether the station has a DIFS or countdown event
 // queued at t and, if so, how many backoff slots it has left once that
-// event has fired.
+// event has fired. At most one of the two timers is armed (DIFS arms only
+// with both stopped, the countdown only once DIFS has fired), so the
+// countdown, the one a peer counting in lockstep holds, is read first.
 func (st *Station) slotsAfter(t sim.Time) (int, bool) {
-	if st.difsEvent.Pending() && st.difsEvent.At() == t {
-		return st.slots, true
-	}
-	if st.slotEvent.Pending() && st.slotEvent.At() == t {
+	if st.countdown.Deadline() == t {
 		return st.slots - st.jump, true
+	}
+	if st.difs.Deadline() == t {
+		return st.slots, true
 	}
 	return 0, false
 }
 
 func (st *Station) onSlot() {
-	st.slotEvent = sim.Handle{}
 	st.slots -= st.jump
 	if st.slots == 0 {
 		// Reached zero in this slot: transmit even if another station
@@ -330,33 +323,31 @@ func (st *Station) onSlot() {
 	st.countDown()
 }
 
-// cancelContention hard-cancels all pending contention events as a group
-// (used when the station leaves the listening state entirely, e.g. dozing
-// or transmitting). A countdown event cancelled at its own instant first
-// charges the slot boundaries before it, which one event per slot would
-// already have counted; at any earlier instant it covers one slot, since
-// nothing can run inside a longer stretch.
+// cancelContention stops both contention timers (used when the station
+// leaves the listening state entirely, e.g. dozing or transmitting). A
+// countdown stopped at its own instant first charges the slot boundaries
+// before it, which one event per slot would already have counted; at any
+// earlier instant it covers one slot, since nothing can run inside a
+// longer stretch.
 func (st *Station) cancelContention() {
-	if st.slotEvent.Pending() && st.slotEvent.At() == st.sim.Now() {
+	if st.countdown.Deadline() == st.sim.Now() {
 		st.slots -= st.jump - 1
 	}
-	st.contention.CancelAll()
-	st.difsEvent = sim.Handle{}
-	st.slotEvent = sim.Handle{}
+	st.difs.Stop()
+	st.countdown.Stop()
 }
 
-// freezeContention cancels only strictly-future contention events. Events
-// scheduled for the current instant are left to fire so that two stations
-// whose backoff expires in the same slot collide, as in real DCF.
+// freezeContention stops only contention timers due strictly after now.
+// Those due at the current instant are left to fire so that two stations
+// whose backoff expires in the same slot collide, as in real DCF. A
+// stopped timer's Deadline is MaxTime, and stopping it again is a no-op.
 func (st *Station) freezeContention() {
 	now := st.sim.Now()
-	if st.difsEvent.Pending() && st.difsEvent.At() > now {
-		st.sim.Cancel(st.difsEvent)
-		st.difsEvent = sim.Handle{}
+	if st.difs.Deadline() > now {
+		st.difs.Stop()
 	}
-	if st.slotEvent.Pending() && st.slotEvent.At() > now {
-		st.sim.Cancel(st.slotEvent)
-		st.slotEvent = sim.Handle{}
+	if st.countdown.Deadline() > now {
+		st.countdown.Stop()
 	}
 }
 

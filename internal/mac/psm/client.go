@@ -18,7 +18,9 @@ type ClientStats struct {
 // Client is a power-saving 802.11 station. Its lifecycle is a loop:
 // doze → wake shortly before TBTT → hear beacon → if the TIM indicates
 // buffered traffic, PS-Poll it out frame by frame (the More bit chains
-// retrievals) → doze again.
+// retrievals) → doze again. Three Timers drive it: the pre-TBTT wakeup,
+// the doze retry while an owed ACK keeps the station busy, and the
+// retrieve timeout.
 type Client struct {
 	sim *sim.Simulator
 	cfg Config
@@ -26,23 +28,15 @@ type Client struct {
 	id  int
 
 	retrieving bool
-	// cycle groups the client's beacon-cycle events — the pre-TBTT wakeup
-	// and the doze-retry polls — per station, so a future protocol change
-	// (listen-interval renegotiation, association teardown) can drop a
-	// whole cycle in one CancelAll. The retrieve timeout stays a Timer:
-	// its rearm-or-fire lifecycle is already a self-cancelling group.
-	cycle   *sim.Batch
-	timeout *sim.Timer
-	seq     int
-	stats   ClientStats
+	wake       *sim.Timer // the pre-TBTT wakeup
+	dozeRetry  *sim.Timer // the next doze attempt while the station is busy
+	timeout    *sim.Timer // the retrieve timeout
+	seq        int
+	stats      ClientStats
 
-	// wakeTarget is the TBTT the pending pre-TBTT wakeup serves; slot 0
-	// holds at most one wakeup, so one field suffices.
+	// wakeTarget is the TBTT the pending pre-TBTT wakeup serves; the wake
+	// timer holds at most one wakeup, so one field suffices.
 	wakeTarget sim.Time
-	// Cycle callbacks bound once in NewClient: a method value allocates
-	// every time it is taken.
-	onWakeFn      func()
-	attemptDozeFn func()
 
 	// OnData is invoked for every retrieved data frame. f is valid only for
 	// the duration of the call.
@@ -58,10 +52,9 @@ func NewClient(s *sim.Simulator, m *dcf.Medium, dev *radio.Device, ap *AP, id in
 	c := &Client{sim: s, cfg: cfg, id: id}
 	c.sta = dcf.NewStation(id, m, dev)
 	c.sta.OnReceive = c.onReceive
-	c.cycle = s.NewSlotBatch(2) // slot 0: pre-TBTT wakeup, slot 1: doze retry
+	c.wake = sim.NewTimer(s, c.onWake)
+	c.dozeRetry = sim.NewTimer(s, c.attemptDoze)
 	c.timeout = sim.NewTimer(s, c.onRetrieveTimeout)
-	c.onWakeFn = c.onWake
-	c.attemptDozeFn = c.attemptDoze
 	ap.SetPSMode(id, true)
 	c.sta.Doze()
 	c.scheduleWake()
@@ -87,7 +80,7 @@ func (c *Client) scheduleWake() {
 		wakeAt = c.sim.Now()
 	}
 	c.wakeTarget = target
-	c.cycle.AtSlot(0, wakeAt, c.onWakeFn)
+	c.wake.ResetAt(wakeAt)
 }
 
 func (c *Client) onWake() {
@@ -121,7 +114,7 @@ func (c *Client) attemptDoze() {
 		c.sta.Doze()
 		return
 	}
-	c.cycle.ScheduleSlot(1, sim.Millisecond, c.attemptDozeFn)
+	c.dozeRetry.Reset(sim.Millisecond)
 }
 
 func (c *Client) onReceive(f *frame.Frame) {

@@ -54,12 +54,11 @@ type PlayoutBuffer struct {
 	sim  *sim.Simulator
 	spec StreamSpec
 
-	level      float64 // bytes, settled at lastAt
-	lastAt     sim.Time
-	playing    bool
-	started    bool // playback has begun at least once
-	emptyEvent sim.Handle
-	onDry      func() // b.dryOut, bound once
+	level   float64 // bytes, settled at lastAt
+	lastAt  sim.Time
+	playing bool
+	started bool       // playback has begun at least once
+	dry     *sim.Timer // fires at the instant the buffer would run dry
 
 	underruns  int
 	stallStart sim.Time
@@ -80,7 +79,7 @@ func NewPlayoutBuffer(s *sim.Simulator, spec StreamSpec) *PlayoutBuffer {
 		panic(err)
 	}
 	b := &PlayoutBuffer{sim: s, spec: spec, lastAt: s.Now(), stallStart: s.Now()}
-	b.onDry = b.dryOut
+	b.dry = sim.NewTimer(s, b.dryOut)
 	return b
 }
 
@@ -161,19 +160,16 @@ func (b *PlayoutBuffer) Fill(bytes int) {
 
 // rearmEmptyWatchdog schedules detection of the exact dry-out instant.
 func (b *PlayoutBuffer) rearmEmptyWatchdog() {
-	b.sim.Cancel(b.emptyEvent)
-	b.emptyEvent = sim.Handle{}
 	if !b.playing {
+		b.dry.Stop()
 		return
 	}
-	dry := sim.FromSeconds(b.level / b.spec.BytesPerSecond())
-	b.emptyEvent = b.sim.Schedule(dry, b.onDry)
+	b.dry.Reset(sim.FromSeconds(b.level / b.spec.BytesPerSecond()))
 }
 
 // dryOut is the dry-out watchdog event: it stalls playback if the buffer
 // really is empty when it fires.
 func (b *PlayoutBuffer) dryOut() {
-	b.emptyEvent = sim.Handle{}
 	b.settle()
 	if b.playing && b.level <= 1e-9 {
 		b.playing = false

@@ -173,9 +173,9 @@ type NetServeOptions struct {
 	// replacement is the next generation, mirroring a spawned worker's
 	// restart.
 	ChaosSpec string
-	// Heartbeat is the liveness-frame interval; 0 means heartbeatEvery,
-	// negative disables heartbeats (tests only — a real worker without
-	// heartbeats is indistinguishable from a partitioned one on long seeds).
+	// Heartbeat is the liveness-frame interval; ≤ 0 means heartbeatEvery.
+	// A served worker always heartbeats: without them it is
+	// indistinguishable from a partitioned one on long seeds.
 	Heartbeat time.Duration
 	// Log is the diagnostics sink; nil means os.Stderr.
 	Log io.Writer
@@ -190,7 +190,7 @@ func ServeNet(ln net.Listener, o NetServeOptions) error {
 		return fmt.Errorf("worker: %w", err)
 	}
 	hb := o.Heartbeat
-	if hb == 0 {
+	if hb <= 0 {
 		hb = heartbeatEvery
 	}
 	if o.Log == nil {

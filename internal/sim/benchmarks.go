@@ -76,7 +76,7 @@ func benchCancelHeavy(n int) {
 			handles[i] = s.Schedule(Time(i+1)*Microsecond, nop)
 		}
 		for i := 0; i < batch; i += 2 {
-			s.Cancel(handles[i])
+			s.cancel(handles[i])
 		}
 		s.RunUntil(s.Now() + Time(batch+1)*Microsecond)
 	}

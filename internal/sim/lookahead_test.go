@@ -72,7 +72,7 @@ func TestLookaheadMatchesBruteForce(t *testing.T) {
 			var live []heapEntry
 			for _, h := range handles {
 				if h.Pending() {
-					live = append(live, heapEntry{at: h.At()})
+					live = append(live, heapEntry{at: h.lease().at})
 				}
 			}
 			lf, ln, lnext := scanTimes(live, horizon)
@@ -97,7 +97,7 @@ func TestLookaheadMatchesBruteForce(t *testing.T) {
 				}
 			}
 			for range r.Intn(3) {
-				s.Cancel(handles[r.Intn(len(handles))])
+				s.cancel(handles[r.Intn(len(handles))])
 			}
 			if r.Intn(40) == 0 {
 				s.Stop()
@@ -109,7 +109,7 @@ func TestLookaheadMatchesBruteForce(t *testing.T) {
 			schedule(Time(r.Intn(30)))
 		}
 		for range r.Intn(len(handles)) { // cancelled before any run: dead heap entries
-			s.Cancel(handles[r.Intn(len(handles))])
+			s.cancel(handles[r.Intn(len(handles))])
 		}
 		schedule(Time(r.Intn(30)))
 		for s.Pending() > 0 && s.Now() < 2000 {
@@ -160,7 +160,7 @@ func TestLookaheadSkipsDeadEntries(t *testing.T) {
 			hs = append(hs, s.At(at, func() {}))
 		}
 		for _, i := range tc.cancel {
-			s.Cancel(hs[i])
+			s.cancel(hs[i])
 		}
 		s.Run()
 		if first != 10 || n != tc.n || next != tc.next {

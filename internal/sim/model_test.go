@@ -67,7 +67,7 @@ var (
 )
 
 // TestRandomInterleavingMatchesModel drives the kernel with random
-// interleavings of At, Schedule, Cancel, Timer.Reset, Timer.Stop and
+// interleavings of At, Schedule, cancel, Timer.Reset, Timer.Stop and
 // partial RunUntil drains, and checks the observed fire sequence against a
 // reference model implementing the pre-pool heap semantics (stable
 // (at, seq) order, eager cancellation). This pins the kernel — pooling,
@@ -255,7 +255,7 @@ func runModelTrial(t *testing.T, sh modelShape, seed int64) trialStats {
 			if handles[i] == (Handle{}) {
 				continue // a timer arm; not externally cancellable
 			}
-			s.Cancel(handles[i])
+			s.cancel(handles[i])
 			cancelModel(i)
 		case 2: // rearm the timer
 			d := delay() + 1
@@ -282,7 +282,7 @@ func runModelTrial(t *testing.T, sh modelShape, seed int64) trialStats {
 			want = append(want, modelFire(horizon)...)
 			s.RunUntil(horizon)
 		}
-		// Cancel only ever adds dead entries, except when it compacts.
+		// cancel only ever adds dead entries, except when it compacts.
 		if s.dead < deadBefore && kind >= 1 && kind <= 3 {
 			st.compactions++
 		}

@@ -24,7 +24,7 @@ func TestZeroAllocSteadyState(t *testing.T) {
 
 	if a := testing.AllocsPerRun(200, func() {
 		h := s.Schedule(Microsecond, nop)
-		s.Cancel(h)
+		s.cancel(h)
 		s.RunUntil(s.Now() + Microsecond)
 	}); a != 0 {
 		t.Errorf("schedule/cancel allocates %v per op, want 0", a)
@@ -57,7 +57,7 @@ func TestCancelAfterFireIsNoOp(t *testing.T) {
 	if !ran {
 		t.Fatal("event did not fire")
 	}
-	s.Cancel(h)
+	s.cancel(h)
 	if cancelled(h) {
 		t.Error("slot marked cancelled for a fired event")
 	}
@@ -79,13 +79,13 @@ func TestStaleHandleIsInert(t *testing.T) {
 	if second.idx != first.idx {
 		t.Fatalf("slot not reused: first idx %d, second idx %d", first.idx, second.idx)
 	}
-	s.Cancel(first) // stale: must not cancel the new occupant
+	s.cancel(first) // stale: must not cancel the new occupant
 	if first.Pending() || cancelled(first) {
 		t.Error("stale handle reports state")
 	}
 	s.Run()
 	if !ran {
-		t.Error("stale Cancel hit the slot's new occupant")
+		t.Error("stale cancel hit the slot's new occupant")
 	}
 }
 
@@ -93,8 +93,8 @@ func TestStaleHandleIsInert(t *testing.T) {
 func TestZeroHandle(t *testing.T) {
 	s := New(1)
 	var h Handle
-	s.Cancel(h) // no-op, no panic
-	if h.Pending() || cancelled(h) || h.At() != 0 {
+	s.cancel(h) // no-op, no panic
+	if h.Pending() || cancelled(h) || h.lease() != nil {
 		t.Error("zero handle is not inert")
 	}
 }
@@ -105,9 +105,9 @@ func TestCrossSimulatorCancelIsNoOp(t *testing.T) {
 	a, b := New(1), New(2)
 	ran := false
 	h := a.Schedule(Microsecond, func() { ran = true })
-	b.Cancel(h)
+	b.cancel(h)
 	if !h.Pending() {
-		t.Error("foreign Cancel cancelled the event")
+		t.Error("foreign cancel cancelled the event")
 	}
 	a.Run()
 	if !ran {
@@ -130,7 +130,7 @@ func TestLazyCancellationCompaction(t *testing.T) {
 	// Cancel 90%: far past the dead>live compaction threshold.
 	for i := 0; i < n; i++ {
 		if i%10 != 0 {
-			s.Cancel(handles[i])
+			s.cancel(handles[i])
 		}
 	}
 	if got := s.Pending(); got != n/10 {

@@ -79,7 +79,7 @@ func TestCancelOverflowEntries(t *testing.T) {
 	// and the dead entries cancelled after that surface at the heap top.
 	for i := 0; i < n; i++ {
 		if i%4 != 0 {
-			s.Cancel(handles[i])
+			s.cancel(handles[i])
 		}
 	}
 	if got := s.Pending(); got != n/4 {
@@ -117,7 +117,7 @@ func TestClockAdvanceAcrossFullRotation(t *testing.T) {
 		s.At(at, rec)
 		fireAts = append(fireAts, at)
 		h := s.At(at+4, func() { t.Error("cancelled event fired") })
-		s.Cancel(h)
+		s.cancel(h)
 	}
 	// Jump in 17 µs horizon strides.
 	for h := Time(10); h < 200; h += 17 {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 )
 
@@ -53,7 +54,8 @@ func (e *event) gen() uint32 { return e.gs >> stateBits }
 // the zero Handle refers to no event) carrying the slot index and the lease
 // generation: once the event has fired or its cancellation has been
 // collected and the slot reused, the generation no longer matches and the
-// Handle becomes inert — Cancel is a no-op and the predicates return false.
+// Handle becomes inert — cancel is a no-op and the predicates return false.
+// Model code that may cancel or re-arm an event holds a Timer instead.
 type Handle struct {
 	s   *Simulator
 	idx int32
@@ -76,15 +78,6 @@ func (h Handle) lease() *event {
 func (h Handle) Pending() bool {
 	e := h.lease()
 	return e != nil && e.state() == statePending
-}
-
-// At returns the instant the event is (or was) scheduled to fire, or 0 for
-// an inert handle. Guard with Pending when the distinction matters.
-func (h Handle) At() Time {
-	if e := h.lease(); e != nil {
-		return e.at
-	}
-	return 0
 }
 
 // heapEntry is one element of the pending-event heap, ordered by (at, seq).
@@ -139,7 +132,7 @@ func NewTuned(seed int64, _ Tuning) *Simulator { return New(seed) }
 // speed (see EXPERIMENTS.md, "Event queue").
 //
 // The kernel performs no steady-state allocations: event slots live in a
-// slab recycled through a free list, and cancellation is lazy — Cancel
+// slab recycled through a free list, and cancellation is lazy — cancel
 // marks the slot dead in O(1) and the heap drops dead entries when they
 // surface (or in a bulk compaction once they outnumber the live ones),
 // instead of an O(log n) removal per cancel.
@@ -266,11 +259,40 @@ func (s *Simulator) Schedule(delay Time, fn func()) Handle {
 	return s.At(s.now+delay, fn)
 }
 
-// Cancel marks a pending event dead in O(1); the queue discards the entry
+// Reserve grows the event slab's spare capacity to at least n slots so a
+// coming burst of schedules will not reallocate it. Recycled free-list
+// slots count toward the guarantee, so repeated reservations on a warmed
+// simulator (one transfer per adaptive-ARQ epoch, say) are no-ops.
+//
+// Capacity is rounded up to the next power of two: a model attaching many
+// small groups one at a time (metro-scale station churn, one Reserve per
+// association) performs O(log n) slab copies across its lifetime instead of
+// one full copy per Reserve.
+func (s *Simulator) Reserve(n int) {
+	need := n - s.nFree // append capacity needed beyond recycled slots
+	if need > 0 && cap(s.slab)-len(s.slab) < need {
+		grown := make([]event, len(s.slab), nextPow2(len(s.slab)+need))
+		copy(grown, s.slab)
+		s.slab = grown
+	}
+}
+
+// nextPow2 rounds n up to the next power of two, so repeated small
+// reservations grow the slab geometrically — O(log n) copies total —
+// instead of copying the whole backing array on every call.
+func nextPow2(n int) int {
+	if n <= 1 {
+		return 1
+	}
+	return 1 << bits.Len(uint(n-1))
+}
+
+// cancel marks a pending event dead in O(1); the queue discards the entry
 // when it surfaces, or earlier during a bulk compaction. Cancelling an
 // already-fired, already-cancelled or inert handle is a no-op, so callers
-// can cancel defensively.
-func (s *Simulator) Cancel(h Handle) {
+// can cancel defensively. Code outside the package cancels through a
+// Timer or a Ticker.
+func (s *Simulator) cancel(h Handle) {
 	if h.s != s { // covers the zero Handle and cross-simulator misuse
 		return
 	}

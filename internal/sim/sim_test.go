@@ -102,14 +102,14 @@ func TestCancel(t *testing.T) {
 	s := New(1)
 	ran := false
 	e := s.Schedule(Millisecond, func() { ran = true })
-	s.Cancel(e)
-	s.Cancel(e) // double cancel must be safe
+	s.cancel(e)
+	s.cancel(e) // double cancel must be safe
 	s.Run()
 	if ran {
 		t.Error("cancelled event ran")
 	}
 	if !cancelled(e) {
-		t.Error("slot not marked cancelled after Cancel")
+		t.Error("slot not marked cancelled after cancel")
 	}
 }
 
@@ -117,7 +117,7 @@ func TestCancelFromAnotherEvent(t *testing.T) {
 	s := New(1)
 	ran := false
 	victim := s.Schedule(2*Millisecond, func() { ran = true })
-	s.Schedule(Millisecond, func() { s.Cancel(victim) })
+	s.Schedule(Millisecond, func() { s.cancel(victim) })
 	s.Run()
 	if ran {
 		t.Error("event cancelled mid-run still ran")
@@ -278,7 +278,7 @@ func TestCancelSubsetProperty(t *testing.T) {
 		cancelled := make(map[int]bool)
 		for i := 0; i < count; i++ {
 			if r.Intn(2) == 0 {
-				s.Cancel(events[i])
+				s.cancel(events[i])
 				cancelled[i] = true
 			}
 		}

@@ -28,7 +28,7 @@ func TestPackedGenerationState(t *testing.T) {
 	if !h1.Pending() {
 		t.Fatal("fresh handle not pending")
 	}
-	s.Cancel(h1)
+	s.cancel(h1)
 	if !cancelled(h1) || h1.Pending() {
 		t.Fatal("cancelled handle misreports")
 	}
@@ -89,24 +89,36 @@ func TestReserveGrowthPattern(t *testing.T) {
 	if len(caps) > 20 {
 		t.Errorf("%d distinct slab capacities over %d reserves; want O(log n)", len(caps), rounds)
 	}
-
-	// The batch handle list must grow the same way.
-	b := s.NewBatch(0)
-	bcaps := map[int]bool{}
-	for i := 0; i < rounds; i++ {
-		b.Reserve(1)
-		b.Schedule(Time(rounds*4+i+1), nop)
-		bcaps[cap(b.handles)] = true
-	}
-	for c := range bcaps {
-		if c&(c-1) != 0 {
-			t.Errorf("batch capacity %d is not a power of two", c)
-		}
-	}
-	if len(bcaps) > 20 {
-		t.Errorf("%d distinct batch capacities over %d reserves; want O(log n)", len(bcaps), rounds)
-	}
 	s.Run()
+}
+
+// TestReserveGrowsSlab checks the capacity contract of Reserve: after
+// Reserve(n) the next n schedules do not reallocate the slab, recycled
+// slots count toward the guarantee, and growth beyond them rounds up to a
+// power of two.
+func TestReserveGrowsSlab(t *testing.T) {
+	s := New(1)
+	nop := func() {}
+	s.Reserve(64)
+	grown := cap(s.slab)
+	if grown < 64 {
+		t.Fatalf("Reserve(64) left capacity %d", grown)
+	}
+	for i := 0; i < 64; i++ {
+		s.Schedule(Time(i+1), nop)
+	}
+	if cap(s.slab) != grown {
+		t.Fatalf("64 reserved schedules reallocated the slab: capacity %d -> %d", grown, cap(s.slab))
+	}
+	s.Run() // all 64 slots back on the free list
+	s.Reserve(64)
+	if cap(s.slab) != grown {
+		t.Fatalf("Reserve(64) over 64 recycled slots reallocated: capacity %d -> %d", grown, cap(s.slab))
+	}
+	s.Reserve(65)
+	if got := cap(s.slab); got != 128 {
+		t.Fatalf("Reserve(65) over 64 recycled slots: capacity %d, want 128", got)
+	}
 }
 
 // TestDenseQueueZeroAlloc extends the zero-allocation guarantee to a

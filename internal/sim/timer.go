@@ -1,17 +1,22 @@
 package sim
 
-// Timer is a resettable one-shot timer bound to a Simulator. It is the
-// building block for MAC timeouts, ARQ retransmission timers and OS-level
-// inactivity timeouts: all of those are "fire unless something resets me
-// first" patterns.
+// Timer is a resettable one-shot timer bound to a Simulator, and the one
+// way code outside this package holds an event it may cancel or re-arm:
+// MAC timeouts, DCF's DIFS and backoff countdown, PSM's pre-TBTT wakeup,
+// ARQ retransmission timers and OS-level inactivity timeouts are all
+// "fire unless something resets me first" patterns.
 //
-// The expiry closure is created once at construction; Reset rearms the
-// timer by lazily cancelling the previous pooled event and leasing a new
-// one, so an arbitrarily long reset storm performs no allocations.
+// The Timer schedules fn itself, with no wrapper: step releases an event's
+// slot before it runs the callback, so inside fn the fired event's handle
+// is already inert (Armed is false, Deadline is MaxTime, Stop returns false)
+// and a Reset from fn schedules afresh. Reset rearms the timer by lazily
+// cancelling the previous pooled event and leasing a new one, so an
+// arbitrarily long reset storm performs no allocations. Cancelling takes no
+// sequence number, so a Reset fires in the same (at, seq) order as a plain
+// Schedule at the same point of the run.
 type Timer struct {
 	sim   *Simulator
 	fn    func()
-	fire  func() // hoisted expiry thunk, created once in NewTimer
 	event Handle
 }
 
@@ -20,50 +25,49 @@ func NewTimer(s *Simulator, fn func()) *Timer {
 	if fn == nil {
 		panic("sim: nil timer function")
 	}
-	t := &Timer{sim: s, fn: fn}
-	t.fire = func() {
-		t.event = Handle{}
-		t.fn()
-	}
-	return t
+	return &Timer{sim: s, fn: fn}
 }
 
 // Reset (re)arms the timer to fire after d, cancelling any pending expiry.
 func (t *Timer) Reset(d Time) {
-	t.sim.Cancel(t.event)
-	t.event = t.sim.Schedule(d, t.fire)
+	t.sim.cancel(t.event)
+	t.event = t.sim.Schedule(d, t.fn)
 }
 
 // ResetAt (re)arms the timer to fire at absolute time at.
 func (t *Timer) ResetAt(at Time) {
-	t.sim.Cancel(t.event)
-	t.event = t.sim.At(at, t.fire)
+	t.sim.cancel(t.event)
+	t.event = t.sim.At(at, t.fn)
 }
 
 // Stop cancels the pending expiry, if any. It reports whether a pending
 // expiry was actually cancelled.
 func (t *Timer) Stop() bool {
 	armed := t.event.Pending()
-	t.sim.Cancel(t.event)
-	t.event = Handle{}
+	if armed {
+		t.sim.cancel(t.event)
+	}
+	t.event = Handle{} // later reads of a stopped timer touch no slab slot
 	return armed
 }
 
 // Armed reports whether the timer currently has a pending expiry.
 func (t *Timer) Armed() bool { return t.event.Pending() }
 
-// Deadline returns the pending expiry instant, or MaxTime when stopped.
+// Deadline returns the pending expiry instant, or MaxTime when the timer
+// is not armed.
 func (t *Timer) Deadline() Time {
-	if !t.event.Pending() {
-		return MaxTime
+	if e := t.event.lease(); e != nil && e.state() == statePending {
+		return e.at
 	}
-	return t.event.At()
+	return MaxTime
 }
 
 // Ticker repeatedly invokes a callback at a fixed period until stopped.
 // The callback runs first at start+period. Like Timer, the tick closure is
 // created once and each period rearms a pooled event, so a steady ticker
-// allocates nothing.
+// allocates nothing. Stop cancels the pending tick, so a stopped ticker
+// never runs its thunk again.
 type Ticker struct {
 	sim    *Simulator
 	period Time
@@ -83,12 +87,8 @@ func NewTicker(s *Simulator, period Time, fn func()) *Ticker {
 	}
 	t := &Ticker{sim: s, period: period, fn: fn, live: true}
 	t.tick = func() {
-		t.event = Handle{}
-		if !t.live {
-			return
-		}
 		t.fn()
-		if t.live {
+		if t.live { // fn may have stopped the ticker
 			t.arm()
 		}
 	}
@@ -106,6 +106,6 @@ func (t *Ticker) Stop() {
 		return
 	}
 	t.live = false
-	t.sim.Cancel(t.event)
+	t.sim.cancel(t.event)
 	t.event = Handle{}
 }

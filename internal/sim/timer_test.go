@@ -85,6 +85,96 @@ func TestTimerRearmInCallback(t *testing.T) {
 	}
 }
 
+// TestTimerIsOrderNeutral pins what lets a model hold its events in Timers:
+// Reset, ResetAt and a Reset over a pending expiry fire in the same order
+// as the equivalent direct Schedule calls, because cancelling takes no
+// sequence number.
+func TestTimerIsOrderNeutral(t *testing.T) {
+	type firing struct {
+		at Time
+		id string
+	}
+	direct := New(1)
+	var dOrder []firing
+	rec := func(s *Simulator, order *[]firing, id string) func() {
+		return func() { *order = append(*order, firing{s.Now(), id}) }
+	}
+	direct.Schedule(5, rec(direct, &dOrder, "d"))
+	direct.Schedule(5, rec(direct, &dOrder, "b"))
+	direct.At(3, rec(direct, &dOrder, "c"))
+	direct.Schedule(5, rec(direct, &dOrder, "a"))
+	direct.Run()
+
+	timed := New(1)
+	var tOrder []firing
+	a := NewTimer(timed, rec(timed, &tOrder, "a"))
+	b := NewTimer(timed, rec(timed, &tOrder, "b"))
+	c := NewTimer(timed, rec(timed, &tOrder, "c"))
+	a.Reset(5)
+	timed.Schedule(5, rec(timed, &tOrder, "d"))
+	b.Reset(5)
+	c.ResetAt(3)
+	a.Reset(5) // over the pending expiry: a now fires after d and b
+	timed.Run()
+
+	if len(dOrder) != len(tOrder) || direct.Fired() != timed.Fired() {
+		t.Fatalf("direct fired %v, timers fired %v", dOrder, tOrder)
+	}
+	for i := range dOrder {
+		if dOrder[i] != tOrder[i] {
+			t.Fatalf("order diverges: direct %v, timers %v", dOrder, tOrder)
+		}
+	}
+}
+
+// TestFiredTimerIsInertInItsCallback pins the contract that lets a Timer
+// schedule its callback with no wrapper: the kernel releases a fired
+// event's slot before running it, so inside the callback the timer reads
+// as stopped, and a Reset from there arms it afresh.
+func TestFiredTimerIsInertInItsCallback(t *testing.T) {
+	s := New(1)
+	calls := 0
+	var tm *Timer
+	tm = NewTimer(s, func() {
+		calls++
+		if tm.Armed() {
+			t.Errorf("call %d: Armed() = true inside the callback", calls)
+		}
+		if d := tm.Deadline(); d != MaxTime {
+			t.Errorf("call %d: Deadline() = %v inside the callback, want MaxTime", calls, d)
+		}
+		if tm.Stop() {
+			t.Errorf("call %d: Stop() = true inside the callback", calls)
+		}
+		if calls == 1 {
+			tm.Reset(Millisecond)
+		}
+	})
+	tm.Reset(Millisecond)
+	s.Run()
+	if calls != 2 || s.Now() != 2*Millisecond {
+		t.Errorf("%d calls, last at %v; want 2 calls, the re-armed one at 2ms", calls, s.Now())
+	}
+}
+
+// TestTimerPairRearmAllocatesNothing pins the cost model of the MAC hot
+// path (a DCF station's DIFS and countdown, a PSM client's wakeup and doze
+// retry): re-arming and stopping two timers allocates nothing.
+func TestTimerPairRearmAllocatesNothing(t *testing.T) {
+	s := New(1)
+	nop := func() {}
+	a, b := NewTimer(s, nop), NewTimer(s, nop)
+	if n := testing.AllocsPerRun(200, func() {
+		a.Reset(1)
+		b.Reset(2)
+		a.Reset(3)
+		b.Stop()
+		s.RunUntil(s.Now() + 3)
+	}); n != 0 {
+		t.Errorf("two-timer re-arm/stop cycle allocates %v per run, want 0", n)
+	}
+}
+
 func TestTickerPeriodic(t *testing.T) {
 	s := New(1)
 	var ticks []Time

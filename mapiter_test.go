@@ -17,7 +17,6 @@ import (
 // that schedule events or hand out the shared RNG.
 var simSchedulers = map[string]bool{
 	"Simulator.At": true, "Simulator.Schedule": true, "Simulator.Rand": true,
-	"Simulator.NewBatch": true, "Simulator.NewSlotBatch": true,
 	"NewTimer": true, "NewTicker": true,
 }
 
