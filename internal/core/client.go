@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/energy"
 	"repro/internal/qos"
 	"repro/internal/radio"
 	"repro/internal/sim"
@@ -16,9 +15,6 @@ type ClientSpec struct {
 	// HasWLAN/HasBT list the WNICs the mobile carries (the iPAQ 3970 of
 	// the paper has both).
 	HasWLAN, HasBT bool
-	// BatteryJ, when positive, gives the client a finite battery that the
-	// WNICs drain.
-	BatteryJ float64
 }
 
 // DefaultClientSpec returns the paper's client: an iPAQ with both
@@ -47,7 +43,6 @@ type Client struct {
 
 	devices [numIfaces]*radio.Device
 	buffer  *qos.PlayoutBuffer
-	battery *energy.Battery // nil when unmetered
 
 	assigned Iface
 	switches int
@@ -96,19 +91,8 @@ func newClient(s *sim.Simulator, spec ClientSpec, initial Iface) *Client {
 	if c.devices[initial] == nil {
 		panic(fmt.Sprintf("core: client %d assigned missing iface %v", spec.ID, initial))
 	}
-	if spec.BatteryJ > 0 {
-		c.battery = energy.NewBattery(spec.BatteryJ)
-		energy.NewTracker(s, clientEnergy{c}, c.battery, sim.Second)
-	}
 	return c
 }
-
-// clientEnergy adapts the client's combined radio meters to the battery
-// tracker.
-type clientEnergy struct{ c *Client }
-
-// TotalEnergy implements energy.EnergySource.
-func (ce clientEnergy) TotalEnergy() float64 { return ce.c.TotalEnergy() }
 
 // ID returns the client identifier.
 func (c *Client) ID() int { return c.spec.ID }

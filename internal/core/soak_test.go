@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/channel"
-	"repro/internal/energy"
 	"repro/internal/sim"
 )
 
@@ -84,55 +83,4 @@ func TestRandomOutageSoak(t *testing.T) {
 			t.Errorf("seed %d: only %d slots in 30 min", seed, len(rep.Slots))
 		}
 	}
-}
-
-// TestBatteryReportingToProxy checks that a finite-battery client drains
-// and reports a level inside (0, 1).
-func TestBatteryReportingToProxy(t *testing.T) {
-	cfg := DefaultConfig()
-	s := sim.New(7)
-	chans := map[Iface]*channel.GilbertElliott{}
-	for _, i := range Ifaces() {
-		ch := channel.NewGilbertElliott(s, GoodChannelParams())
-		ch.Freeze()
-		chans[i] = ch
-	}
-	rm := NewResourceManager(s, cfg, chans)
-	spec := DefaultClientSpec(0)
-	spec.BatteryJ = 100
-	c := rm.Admit(spec)
-	rm.Start()
-	s.RunUntil(5 * sim.Minute)
-
-	if c.Battery() == nil {
-		t.Fatal("battery not created")
-	}
-	level := c.BatteryLevel()
-	if level >= 1 || level <= 0 {
-		t.Errorf("battery level = %.3f after 5 min of streaming, want in (0,1)", level)
-	}
-}
-
-// TestUnmeteredClientReportsFullBattery covers the default (no battery).
-func TestUnmeteredClientReportsFullBattery(t *testing.T) {
-	h := NewHotspot(8, DefaultConfig(), 1)
-	h.Run(30 * sim.Second)
-	c := h.RM().Clients()[0]
-	if c.Battery() != nil {
-		t.Error("unmetered client grew a battery")
-	}
-	if c.BatteryLevel() != 1 {
-		t.Error("unmetered level should be 1.0")
-	}
-}
-
-// Battery returns the client's battery, or nil when unmetered.
-func (c *Client) Battery() *energy.Battery { return c.battery }
-
-// BatteryLevel returns the remaining fraction (1.0 when unmetered).
-func (c *Client) BatteryLevel() float64 {
-	if c.battery == nil {
-		return 1.0
-	}
-	return c.battery.Level()
 }

@@ -65,8 +65,6 @@ type AdaptiveResult struct {
 	PredictorName  string
 	Accuracy       float64
 	PredictionCost float64
-	EpochsGood     int
-	EpochsBad      int
 }
 
 // RunAdaptive moves cfg.TotalPackets worth of payload, re-deciding link
@@ -94,9 +92,6 @@ func RunAdaptive(s *sim.Simulator, ch *channel.GilbertElliott, pred channel.Pred
 		params := cfg.GoodParams
 		if forecast == channel.Bad {
 			params = cfg.BadParams
-			out.EpochsBad++
-		} else {
-			out.EpochsGood++
 		}
 
 		// The epoch is time-bounded: the transfer stops opening new work at

@@ -5,8 +5,13 @@ import (
 	"math"
 
 	"repro/internal/channel"
+	"repro/internal/radio"
 	"repro/internal/sim"
 )
+
+// power is the state draw, in watts, of the card at both ends of every
+// link: the 802.11b WNIC of radio.WLAN80211b.
+var power = radio.WLAN80211b().Power
 
 // ARQKind selects the retransmission discipline.
 type ARQKind int
@@ -59,13 +64,11 @@ type Params struct {
 	// the transfer stops starting new work and returns a partial result.
 	// Adaptive ARQ uses it to keep adaptation epochs time-bounded.
 	Deadline sim.Time
-
-	// Radio power model (client-grade WNIC by default).
-	TxPower, RxPower, IdlePower float64
 }
 
 // DefaultParams returns the E8/E9 baseline: 1400-byte packets over a
-// 2 Mb/s link with an 802.11b-class power profile.
+// 2 Mb/s link. Both ends' energy is charged at the state powers of the
+// radio.WLAN80211b card.
 func DefaultParams() Params {
 	return Params{
 		PacketBytes: 1400,
@@ -77,9 +80,6 @@ func DefaultParams() Params {
 		PropDelay:   5 * sim.Microsecond,
 		AckBytes:    16,
 		RetryLimit:  16,
-		TxPower:     1.65,
-		RxPower:     1.40,
-		IdlePower:   1.35,
 	}
 }
 
@@ -352,10 +352,10 @@ func (e *engine) result() Result {
 	ackTime := float64(float64(e.ackCount) * ack)
 	total := dur.Seconds()
 	idle := total - txTime - ackTime
-	senderE := float64(txTime*e.p.TxPower) + float64(ackTime*e.p.RxPower) +
-		float64(idle*e.p.IdlePower)
-	receiverE := float64(txTime*e.p.RxPower) + float64(ackTime*e.p.TxPower) +
-		float64(idle*e.p.IdlePower)
+	senderE := float64(txTime*power[radio.TX]) + float64(ackTime*power[radio.RX]) +
+		float64(idle*power[radio.Idle])
+	receiverE := float64(txTime*power[radio.RX]) + float64(ackTime*power[radio.TX]) +
+		float64(idle*power[radio.Idle])
 	r.EnergyJ = senderE + receiverE
 	if payloadBits > 0 {
 		r.EnergyPerBitJ = r.EnergyJ / payloadBits

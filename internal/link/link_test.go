@@ -248,7 +248,8 @@ func TestAdaptiveDeliversEverything(t *testing.T) {
 		BERGood: 1e-6, BERBad: 1e-4,
 	})
 	cfg := DefaultAdaptiveConfig(400)
-	r := RunAdaptive(s, ch, channel.NewMarkov(), cfg)
+	pred := &countingPredictor{Predictor: channel.NewMarkov()}
+	r := RunAdaptive(s, ch, pred, cfg)
 	want := 400 * cfg.GoodParams.PacketBytes
 	// SR with a generous retry limit recovers everything on this channel.
 	// The final epoch's packet quota rounds the payload up, so delivery may
@@ -257,9 +258,21 @@ func TestAdaptiveDeliversEverything(t *testing.T) {
 	if r.DeliveredBytes < want || r.DeliveredBytes > want+slack {
 		t.Errorf("delivered %d bytes, want %d (+%d slack)", r.DeliveredBytes, want, slack)
 	}
-	if r.EpochsGood+r.EpochsBad == 0 {
-		t.Error("no epochs recorded")
+	if pred.predictions == 0 {
+		t.Error("no epoch ran")
 	}
+}
+
+// countingPredictor counts the forecasts RunAdaptive asks for: one per
+// epoch.
+type countingPredictor struct {
+	channel.Predictor
+	predictions int
+}
+
+func (p *countingPredictor) Predict() channel.LinkState {
+	p.predictions++
+	return p.Predictor.Predict()
 }
 
 // TestParamsValidateRejectsEveryBadField covers each field Transfer would

@@ -2,6 +2,7 @@ package link
 
 import (
 	"repro/internal/channel"
+	"repro/internal/radio"
 	"repro/internal/sim"
 )
 
@@ -117,10 +118,10 @@ func (e *refEngine) result() Result {
 	txTime := float64(float64(e.txCount) * air)
 	ackTime := float64(float64(e.ackCount) * ack)
 	total := dur.Seconds()
-	senderE := float64(txTime*e.p.TxPower) + float64(ackTime*e.p.RxPower) +
-		float64((total-txTime-ackTime)*e.p.IdlePower)
-	receiverE := float64(txTime*e.p.RxPower) + float64(ackTime*e.p.TxPower) +
-		float64((total-txTime-ackTime)*e.p.IdlePower)
+	senderE := float64(txTime*power[radio.TX]) + float64(ackTime*power[radio.RX]) +
+		float64((total-txTime-ackTime)*power[radio.Idle])
+	receiverE := float64(txTime*power[radio.RX]) + float64(ackTime*power[radio.TX]) +
+		float64((total-txTime-ackTime)*power[radio.Idle])
 	r.EnergyJ = senderE + receiverE
 	if payloadBits > 0 {
 		r.EnergyPerBitJ = r.EnergyJ / payloadBits
@@ -250,9 +251,6 @@ func refRunAdaptive(s *sim.Simulator, ch *channel.GilbertElliott, pred channel.P
 		params := cfg.GoodParams
 		if forecast == channel.Bad {
 			params = cfg.BadParams
-			out.EpochsBad++
-		} else {
-			out.EpochsGood++
 		}
 
 		// The epoch is time-bounded: the transfer stops opening new work at

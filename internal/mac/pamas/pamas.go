@@ -11,7 +11,6 @@ package pamas
 import (
 	"fmt"
 
-	"repro/internal/energy"
 	"repro/internal/radio"
 	"repro/internal/sim"
 )
@@ -41,38 +40,39 @@ func (m Mode) String() string {
 	}
 }
 
+const (
+	// controlPower is the constant draw of the signalling receiver in
+	// watts. It is always on in every mode (PAMAS's control channel is how
+	// nodes learn transmission durations).
+	controlPower = 0.010
+	// idleSleepQuantum is how long a low-battery node sleeps per idle
+	// sleep episode, before scaling by its battery level.
+	idleSleepQuantum = 500 * sim.Millisecond
+	// chargePeriod is how often each node's battery is charged with the
+	// energy its radio and control receiver drew since the last charge.
+	chargePeriod = 250 * sim.Millisecond
+)
+
 // Config parameterizes a PAMAS network.
 type Config struct {
 	// Mode selects the sleeping discipline.
 	Mode Mode
 	// BitRate is the data-channel rate in bits/second.
 	BitRate float64
-	// ControlPower is the constant draw of the signalling receiver in
-	// watts. It is always on in every mode (PAMAS's control channel is how
-	// nodes learn transmission durations).
-	ControlPower float64
 	// BatteryCapacity is each node's initial energy in joules.
 	BatteryCapacity float64
 	// LowBattery is the level below which PamasBattery nodes begin idle
 	// sleeping.
 	LowBattery float64
-	// IdleSleepQuantum is how long a low-battery node sleeps per idle
-	// sleep episode.
-	IdleSleepQuantum sim.Time
-	// TrackerPeriod is the battery-drain sampling period.
-	TrackerPeriod sim.Time
 }
 
 // DefaultConfig returns the E7 experiment parameters.
 func DefaultConfig(mode Mode) Config {
 	return Config{
-		Mode:             mode,
-		BitRate:          2e6, // 2 Mb/s ad-hoc radios
-		ControlPower:     0.010,
-		BatteryCapacity:  200, // joules: small sensor-class battery
-		LowBattery:       0.4,
-		IdleSleepQuantum: 500 * sim.Millisecond,
-		TrackerPeriod:    250 * sim.Millisecond,
+		Mode:            mode,
+		BitRate:         2e6, // 2 Mb/s ad-hoc radios
+		BatteryCapacity: 200, // joules: small sensor-class battery
+		LowBattery:      0.4,
 	}
 }
 
@@ -87,16 +87,18 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Node is one ad-hoc network participant.
+// Node is one ad-hoc network participant. Its battery is the joules
+// drained so far out of Config.BatteryCapacity; a node is alive until the
+// drain reaches the capacity.
 type Node struct {
-	dev     *radio.Device
-	battery *energy.Battery
+	dev *radio.Device
 
 	sleepUntil sim.Time // data radio forced asleep through here
-	idleSleeps int
-	sent       int
-	recv       int
 	alive      bool
+
+	drained float64     // joules taken from the battery, at most the capacity
+	sampled float64     // node energy (radio plus control) at the last charge
+	charger *sim.Ticker // charges the battery every chargePeriod until death
 }
 
 // Network is a single-collision-domain ad-hoc network. The signalling
@@ -116,26 +118,17 @@ type Network struct {
 	deliveredBytes int
 }
 
-// NewNetwork creates a PAMAS network with n nodes.
+// NewNetwork creates a PAMAS network with n nodes. Each node's battery
+// takes its first energy sample now and is charged every chargePeriod.
 func NewNetwork(s *sim.Simulator, cfg Config, n int) *Network {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	net := &Network{sim: s, cfg: cfg, firstDie: sim.MaxTime}
 	for i := 0; i < n; i++ {
-		dev := radio.NewDeviceInState(s, adHocProfile(cfg.BitRate), radio.Idle)
-		b := energy.NewBattery(cfg.BatteryCapacity)
-		node := &Node{dev: dev, battery: b, alive: true}
-		b.OnDeath = func(at sim.Time) {
-			node.alive = false
-			if at < net.firstDie {
-				net.firstDie = at
-			}
-			if dev.State() != radio.Off && !dev.Transitioning() {
-				dev.SetState(radio.Off, nil)
-			}
-		}
-		energy.NewTracker(s, &nodeEnergy{node: node, net: net}, b, cfg.TrackerPeriod)
+		node := &Node{dev: radio.NewDeviceInState(s, adHocProfile(cfg.BitRate), radio.Idle), alive: true}
+		node.sampled = net.drawn(node)
+		node.charger = sim.NewTicker(s, chargePeriod, func() { net.charge(node) })
 		net.nodes = append(net.nodes, node)
 	}
 	return net
@@ -163,18 +156,39 @@ func adHocProfile(bitRate float64) *radio.Profile {
 	}
 }
 
-// nodeEnergy adapts a node's full draw (data radio + control receiver) to
-// the battery tracker.
-type nodeEnergy struct {
-	node *Node
-	net  *Network
+// drawn returns the joules a node has drawn so far: radio energy plus the
+// constant control-channel draw integrated over elapsed time.
+func (n *Network) drawn(node *Node) float64 {
+	ctl := float64(controlPower * n.sim.Now().Seconds())
+	return node.dev.Meter().TotalEnergy() + ctl
 }
 
-// TotalEnergy implements energy.EnergySource: radio energy plus the constant
-// control-channel draw integrated over elapsed time.
-func (ne *nodeEnergy) TotalEnergy() float64 {
-	ctl := float64(ne.net.cfg.ControlPower * ne.net.sim.Now().Seconds())
-	return ne.node.dev.Meter().TotalEnergy() + ctl
+// charge drains a node's battery by the energy it drew since the last
+// charge. The node dies at the first charge that empties the battery: its
+// radio goes Off and its charger stops.
+func (n *Network) charge(node *Node) {
+	cur := n.drawn(node)
+	delta := cur - node.sampled
+	node.sampled = cur
+	if delta > 0 {
+		node.drained += delta
+		if node.drained >= n.cfg.BatteryCapacity {
+			node.drained = n.cfg.BatteryCapacity
+			node.alive = false
+			if now := n.sim.Now(); now < n.firstDie {
+				n.firstDie = now
+			}
+			if node.dev.State() != radio.Off && !node.dev.Transitioning() {
+				node.dev.SetState(radio.Off, nil)
+			}
+			node.charger.Stop()
+		}
+	}
+}
+
+// level returns the remaining fraction of a node's battery in [0, 1].
+func (n *Network) level(node *Node) float64 {
+	return (n.cfg.BatteryCapacity - node.drained) / n.cfg.BatteryCapacity
 }
 
 // NumAlive counts nodes with remaining energy.
@@ -238,8 +252,6 @@ func (n *Network) tryTransmit(src, dst int, bytes int) {
 		n.busy = false
 		n.delivered++
 		n.deliveredBytes += bytes
-		s.sent++
-		d.recv++
 		n.maybeIdleSleep()
 		n.drainBacklog()
 	}
@@ -314,7 +326,7 @@ func (n *Network) maybeIdleSleep() {
 		return
 	}
 	for _, node := range n.nodes {
-		if !node.alive || node.battery.Level() > n.cfg.LowBattery {
+		if !node.alive || n.level(node) > n.cfg.LowBattery {
 			continue
 		}
 		if node.dev.State() != radio.Idle || node.dev.Transitioning() {
@@ -322,9 +334,8 @@ func (n *Network) maybeIdleSleep() {
 		}
 		// Sleep aggressiveness grows as the battery drains: quantum scaled
 		// by (threshold - level)/threshold.
-		frac := (n.cfg.LowBattery - node.battery.Level()) / n.cfg.LowBattery
-		dur := sim.FromSeconds(n.cfg.IdleSleepQuantum.Seconds() * (0.5 + frac))
-		node.idleSleeps++
+		frac := (n.cfg.LowBattery - n.level(node)) / n.cfg.LowBattery
+		dur := sim.FromSeconds(idleSleepQuantum.Seconds() * (0.5 + frac))
 		n.sleepFor(node, dur)
 	}
 }

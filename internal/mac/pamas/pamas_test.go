@@ -18,6 +18,11 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("bad threshold accepted")
 	}
+	empty := DefaultConfig(Pamas)
+	empty.BatteryCapacity = 0
+	if err := empty.Validate(); err == nil {
+		t.Error("zero battery capacity accepted")
+	}
 }
 
 func TestModeString(t *testing.T) {
@@ -35,10 +40,15 @@ func TestSingleTransfer(t *testing.T) {
 	if pkts != 1 || bytes != 25000 {
 		t.Fatalf("delivered %d/%d, want 1/25000", pkts, bytes)
 	}
-	sent, _ := n.Node(0).Stats()
-	_, recv := n.Node(1).Stats()
-	if sent != 1 || recv != 1 {
-		t.Errorf("sent/recv = %d/%d", sent, recv)
+	// The sender transmitted and the receiver received for the whole 0.1 s
+	// frame, and neither did the other's part.
+	air := 100 * sim.Millisecond
+	src, dst := n.Node(0).dev.Meter(), n.Node(1).dev.Meter()
+	if src.StateTime(radio.TX) != air || src.StateTime(radio.RX) != 0 {
+		t.Errorf("sender TX/RX time %v/%v, want %v/0", src.StateTime(radio.TX), src.StateTime(radio.RX), air)
+	}
+	if dst.StateTime(radio.RX) != air || dst.StateTime(radio.TX) != 0 {
+		t.Errorf("receiver RX/TX time %v/%v, want %v/0", dst.StateTime(radio.RX), dst.StateTime(radio.TX), air)
 	}
 }
 
@@ -88,11 +98,7 @@ func TestBatteryModeExtendsLifetime(t *testing.T) {
 		cfg := DefaultConfig(mode)
 		cfg.BatteryCapacity = 60 // die within the horizon
 		n := NewNetwork(s, cfg, 4)
-		sim.NewTicker(s, 2*sim.Second, func() {
-			src := s.Rand().Intn(4)
-			dst := (src + 1 + s.Rand().Intn(3)) % 4
-			n.Send(src, dst, 20000)
-		})
+		randomFlows(s, n, 4)
 		s.RunUntil(300 * sim.Second)
 		return n.FirstDeath()
 	}
@@ -108,18 +114,26 @@ func TestBatteryModeExtendsLifetime(t *testing.T) {
 }
 
 func TestLowBatteryNodesIdleSleep(t *testing.T) {
-	s := sim.New(5)
-	cfg := DefaultConfig(PamasBattery)
-	cfg.BatteryCapacity = 100
-	n := NewNetwork(s, cfg, 3)
-	sim.NewTicker(s, sim.Second, func() { n.Send(0, 1, 10000) })
-	s.RunUntil(200 * sim.Second)
-	total := 0
-	for i := 0; i < 3; i++ {
-		total += n.Node(i).IdleSleeps()
+	// Both modes sleep bystanders through others' transmissions; only
+	// PamasBattery adds idle sleeps once a battery runs low, so on the same
+	// seed its nodes spend longer asleep.
+	sleep := func(mode Mode) sim.Time {
+		s := sim.New(5)
+		cfg := DefaultConfig(mode)
+		cfg.BatteryCapacity = 100
+		n := NewNetwork(s, cfg, 3)
+		sim.NewTicker(s, sim.Second, func() { n.Send(0, 1, 10000) })
+		s.RunUntil(200 * sim.Second)
+		var total sim.Time
+		for i := 0; i < 3; i++ {
+			total += n.Node(i).dev.Meter().StateTime(radio.Sleep)
+		}
+		return total
 	}
-	if total == 0 {
-		t.Error("no idle sleeps despite depleted batteries")
+	pamas, battery := sleep(Pamas), sleep(PamasBattery)
+	if battery <= pamas {
+		t.Errorf("nodes slept %v with battery-driven idle sleep, %v without: depleted batteries should sleep longer",
+			battery, pamas)
 	}
 }
 
@@ -164,11 +178,135 @@ func TestFirstDeathMaxTimeWhenAlive(t *testing.T) {
 	}
 }
 
-// IdleSleeps counts battery-driven idle sleep episodes.
-func (n *Node) IdleSleeps() int { return n.idleSleeps }
-
-// Stats returns packets sent and received.
-func (n *Node) Stats() (sent, recv int) { return n.sent, n.recv }
-
 // Node returns node i.
 func (n *Network) Node(i int) *Node { return n.nodes[i] }
+
+// watchCharges runs fn at every charge instant. Its ticker is created after
+// the network's, so at each instant it runs after every node's charge.
+func watchCharges(s *sim.Simulator, fn func()) { sim.NewTicker(s, chargePeriod, fn) }
+
+// randomFlows sends a 20 KB transfer between two random nodes every 2 s.
+func randomFlows(s *sim.Simulator, n *Network, nodes int) {
+	sim.NewTicker(s, 2*sim.Second, func() {
+		src := s.Rand().Intn(nodes)
+		dst := (src + 1 + s.Rand().Intn(nodes-1)) % nodes
+		n.Send(src, dst, 20000)
+	})
+}
+
+// TestBatteryChargesMeteredEnergy recomputes every node's battery from its
+// radio meter: each charge drains exactly the radio energy plus the
+// control draw since the previous charge, bit for bit, until the charge
+// that empties the battery; after it the node is never charged again.
+func TestBatteryChargesMeteredEnergy(t *testing.T) {
+	const nodes = 4
+	s := sim.New(4)
+	cfg := DefaultConfig(PamasBattery)
+	cfg.BatteryCapacity = 60 // die within the horizon
+	n := NewNetwork(s, cfg, nodes)
+	randomFlows(s, n, nodes)
+
+	type battery struct {
+		sampled, drained float64
+		dead             bool
+	}
+	want := make([]battery, nodes)
+	deaths := 0
+	watchCharges(s, func() {
+		for i := range want {
+			b, node := &want[i], n.Node(i)
+			if !b.dead {
+				cur := node.dev.Meter().TotalEnergy() + float64(controlPower*s.Now().Seconds())
+				if delta := cur - b.sampled; delta > 0 {
+					b.drained += delta
+				}
+				b.sampled = cur
+				if b.drained >= cfg.BatteryCapacity {
+					b.drained, b.dead = cfg.BatteryCapacity, true
+					deaths++
+				}
+			}
+			if node.sampled != b.sampled || node.drained != b.drained || node.alive == b.dead {
+				t.Fatalf("node %d at %v: sampled %v J, drained %v J, alive %v; want %v J, %v J, alive %v",
+					i, s.Now(), node.sampled, node.drained, node.alive, b.sampled, b.drained, !b.dead)
+			}
+		}
+	})
+	s.RunUntil(300 * sim.Second)
+	if deaths == 0 {
+		t.Fatal("no node died; shrink the capacity so the death path is covered")
+	}
+}
+
+// TestBatteryDiesOnce checks a node's death: it comes at the first charge
+// that drains the whole capacity, sets FirstDeath to that instant, turns
+// the radio Off and keeps the drain at the capacity, and no later charge
+// fires.
+func TestBatteryDiesOnce(t *testing.T) {
+	s := sim.New(6)
+	cfg := DefaultConfig(AlwaysListen)
+	cfg.BatteryCapacity = 5 // dies in ~6.6 s of idle at 0.75+0.01 W
+	n := NewNetwork(s, cfg, 2)
+	diedAt := []sim.Time{-1, -1}
+	sampledAtDeath := make([]float64, 2)
+	watchCharges(s, func() {
+		now := s.Now()
+		for i, at := range diedAt {
+			node := n.Node(i)
+			switch {
+			case at < 0 && node.alive:
+				if node.drained >= cfg.BatteryCapacity {
+					t.Fatalf("node %d alive at %v with %v of %v J drained", i, now, node.drained, cfg.BatteryCapacity)
+				}
+			case at < 0:
+				diedAt[i], sampledAtDeath[i] = now, node.sampled
+				if n.FirstDeath() > now {
+					t.Errorf("node %d died at %v but FirstDeath is %v", i, now, n.FirstDeath())
+				}
+				if node.dev.State() != radio.Off {
+					t.Errorf("node %d died with its radio %v, want off", i, node.dev.State())
+				}
+				if node.drained != cfg.BatteryCapacity {
+					t.Errorf("node %d died with %v J drained, want the capacity %v J", i, node.drained, cfg.BatteryCapacity)
+				}
+			default:
+				if node.alive || node.drained != cfg.BatteryCapacity || node.sampled != sampledAtDeath[i] {
+					t.Fatalf("node %d charged at %v after dying at %v: alive %v, drained %v J, sampled %v J (was %v J)",
+						i, now, at, node.alive, node.drained, node.sampled, sampledAtDeath[i])
+				}
+			}
+		}
+	})
+	s.RunUntil(60 * sim.Second)
+	if diedAt[0] < 0 || diedAt[1] < 0 {
+		t.Fatalf("deaths at %v, want both nodes dead", diedAt)
+	}
+	if first := min(diedAt[0], diedAt[1]); n.FirstDeath() != first {
+		t.Errorf("FirstDeath = %v, want the first death at %v", n.FirstDeath(), first)
+	}
+}
+
+// TestBatteryLevelNeverIncreases samples every node's battery level at
+// every charge instant over several seeds: it stays in [0, 1] and never
+// rises.
+func TestBatteryLevelNeverIncreases(t *testing.T) {
+	const nodes = 4
+	for seed := int64(1); seed <= 4; seed++ {
+		s := sim.New(seed)
+		cfg := DefaultConfig(PamasBattery)
+		cfg.BatteryCapacity = 60
+		n := NewNetwork(s, cfg, nodes)
+		randomFlows(s, n, nodes)
+		prev := []float64{1, 1, 1, 1}
+		watchCharges(s, func() {
+			for i := range prev {
+				lv := n.level(n.Node(i))
+				if lv > prev[i] || lv < 0 {
+					t.Fatalf("seed %d node %d at %v: level %v after %v", seed, i, s.Now(), lv, prev[i])
+				}
+				prev[i] = lv
+			}
+		})
+		s.RunUntil(300 * sim.Second)
+	}
+}

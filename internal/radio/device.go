@@ -26,8 +26,9 @@ type Device struct {
 	pendingDone   []func()
 	endTransition func() // d.finishTransition, bound once
 
-	// listeners are notified after every completed state change; the trace
-	// package uses this to build Figure 1's power-level lanes.
+	// listeners are notified after every completed state change; the one
+	// registrant is core.Client, which feeds its OnPower hook (Figure 1's
+	// power trace) from them.
 	listeners []func(t sim.Time, s State)
 
 	// freeOcc holds spent occupancy records for reuse, so a steady stream

@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 
+	"repro/internal/radio"
 	"repro/internal/sim"
 )
 
@@ -371,14 +372,14 @@ func (c *refTCPConn) maybeComplete() {
 
 // refClientEnergy estimates the client WNIC energy for a transfer: RX airtime
 // for received data, TX airtime for ACKs, idle listening otherwise.
-func refClientEnergy(cfg PathConfig, wireless *refLink, ackLink *refLink, dur sim.Time) float64 {
+func refClientEnergy(wireless *refLink, ackLink *refLink, dur sim.Time) float64 {
 	rx := wireless.BusyTime.Seconds()
 	tx := ackLink.BusyTime.Seconds()
 	idle := dur.Seconds() - rx - tx
 	if idle < 0 {
 		idle = 0
 	}
-	return float64(rx*cfg.RxPower) + float64(tx*cfg.TxPower) + float64(idle*cfg.IdlePower)
+	return float64(rx*power[radio.RX]) + float64(tx*power[radio.TX]) + float64(idle*power[radio.Idle])
 }
 
 // refEndToEndTransfer runs one TCP connection across both hops: the wireless
@@ -500,7 +501,7 @@ func refUDPStream(s *sim.Simulator, cfg PathConfig, count, bytes int, interval s
 func refFinishTransfer(res *TransferResult, cfg PathConfig, wirelessFwd, ackLink *refLink, doneAt sim.Time, totalBytes int) {
 	if doneAt > 0 {
 		res.GoodputBps = float64(totalBytes*8) / doneAt.Seconds()
-		res.ClientEnergyJ = refClientEnergy(cfg, wirelessFwd, ackLink, doneAt)
+		res.ClientEnergyJ = refClientEnergy(wirelessFwd, ackLink, doneAt)
 		res.EnergyPerByteJ = res.ClientEnergyJ / float64(totalBytes)
 	}
 }

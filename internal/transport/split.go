@@ -2,11 +2,18 @@ package transport
 
 import (
 	"repro/internal/channel"
+	"repro/internal/radio"
 	"repro/internal/sim"
 )
 
+// power is the state draw, in watts, of the client's card: the 802.11b
+// WNIC of radio.WLAN80211b.
+var power = radio.WLAN80211b().Power
+
 // PathConfig describes the two-hop server→proxy→client path used by the
 // E10 experiment: a fast, clean wired segment and a lossy wireless segment.
+// The client's energy is charged at the state powers of the
+// radio.WLAN80211b card.
 type PathConfig struct {
 	WiredRate     float64
 	WiredDelay    sim.Time
@@ -15,9 +22,6 @@ type PathConfig struct {
 	// Channel supplies the wireless loss process.
 	Channel *channel.GilbertElliott
 	TCP     TCPConfig
-
-	// Client radio power model for energy accounting.
-	RxPower, TxPower, IdlePower float64
 }
 
 // DefaultPathConfig returns the E10 topology: 10 Mb/s / 20 ms wired,
@@ -30,9 +34,6 @@ func DefaultPathConfig(ch *channel.GilbertElliott) PathConfig {
 		WirelessDelay: 2 * sim.Millisecond,
 		Channel:       ch,
 		TCP:           DefaultTCPConfig(),
-		RxPower:       1.40,
-		TxPower:       1.65,
-		IdlePower:     1.35,
 	}
 }
 
@@ -58,7 +59,7 @@ func lossFromChannel(ch *channel.GilbertElliott) func(int) bool {
 
 // clientEnergy estimates the client WNIC energy for a transfer: RX airtime
 // for received data, TX airtime for ACKs, idle listening otherwise.
-func clientEnergy(cfg PathConfig, wireless *Link, ackLink *Link, dur sim.Time) float64 {
+func clientEnergy(wireless *Link, ackLink *Link, dur sim.Time) float64 {
 	rx := wireless.BusyTime.Seconds()
 	tx := ackLink.BusyTime.Seconds()
 	idle := dur.Seconds() - rx - tx
@@ -67,7 +68,7 @@ func clientEnergy(cfg PathConfig, wireless *Link, ackLink *Link, dur sim.Time) f
 	}
 	// Each product is rounded on its own so no target fuses it into the sum
 	// (FMA); amd64 never fuses, so the rounding is the same there.
-	return float64(rx*cfg.RxPower) + float64(tx*cfg.TxPower) + float64(idle*cfg.IdlePower)
+	return float64(rx*power[radio.RX]) + float64(tx*power[radio.TX]) + float64(idle*power[radio.Idle])
 }
 
 // EndToEndTransfer runs one TCP connection across both hops: the wireless
@@ -207,7 +208,7 @@ func UDPStream(s *sim.Simulator, cfg PathConfig, count, bytes int, interval sim.
 func finishTransfer(res *TransferResult, cfg PathConfig, wirelessFwd, ackLink *Link, doneAt sim.Time, totalBytes int) {
 	if doneAt > 0 {
 		res.GoodputBps = float64(totalBytes*8) / doneAt.Seconds()
-		res.ClientEnergyJ = clientEnergy(cfg, wirelessFwd, ackLink, doneAt)
+		res.ClientEnergyJ = clientEnergy(wirelessFwd, ackLink, doneAt)
 		res.EnergyPerByteJ = res.ClientEnergyJ / float64(totalBytes)
 	}
 }
