@@ -1,6 +1,7 @@
 package pamas
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/radio"
@@ -18,6 +19,11 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("bad threshold accepted")
 	}
+}
+
+// TestConfigRejectsZeroCapacity checks that an empty battery is refused
+// before any network, and so any battery, exists.
+func TestConfigRejectsZeroCapacity(t *testing.T) {
 	empty := DefaultConfig(Pamas)
 	empty.BatteryCapacity = 0
 	if err := empty.Validate(); err == nil {
@@ -238,51 +244,137 @@ func TestBatteryChargesMeteredEnergy(t *testing.T) {
 	}
 }
 
-// TestBatteryDiesOnce checks a node's death: it comes at the first charge
-// that drains the whole capacity, sets FirstDeath to that instant, turns
-// the radio Off and keeps the drain at the capacity, and no later charge
-// fires.
-func TestBatteryDiesOnce(t *testing.T) {
+// TestIdleNodeDrainsProfilePower runs two idle nodes with no traffic for
+// 10 s: each battery drains the profile's idle power plus the control
+// draw over that time, and its level is the remaining fraction.
+func TestIdleNodeDrainsProfilePower(t *testing.T) {
+	s := sim.New(1)
+	cfg := DefaultConfig(AlwaysListen)
+	n := NewNetwork(s, cfg, 2)
+	if lv := n.level(n.Node(0)); lv != 1 {
+		t.Fatalf("fresh battery level %v, want 1", lv)
+	}
+	s.RunUntil(10 * sim.Second)
+	want := 10 * (adHocProfile(cfg.BitRate).Power[radio.Idle] + controlPower)
+	for i := 0; i < 2; i++ {
+		node := n.Node(i)
+		if math.Abs(node.drained-want) > 1e-9 || !node.alive {
+			t.Errorf("node %d: drained %v J, alive %v; want %v J, alive", i, node.drained, node.alive, want)
+		}
+		if lv, wantLv := n.level(node), 1-want/cfg.BatteryCapacity; math.Abs(lv-wantLv) > 1e-12 {
+			t.Errorf("node %d: level %v, want %v", i, lv, wantLv)
+		}
+	}
+}
+
+// batterySample is one node's battery as seen at one charge instant.
+type batterySample struct {
+	at               sim.Time
+	alive            bool
+	drained, sampled float64
+	radio            radio.State
+	firstDeath       sim.Time
+}
+
+// drainToDeath runs two idle AlwaysListen nodes on a 5 J battery (about
+// 6.6 s at 0.75+0.01 W) for 60 s and records each node's battery at every
+// charge instant.
+func drainToDeath() (Config, *Network, [2][]batterySample) {
 	s := sim.New(6)
 	cfg := DefaultConfig(AlwaysListen)
-	cfg.BatteryCapacity = 5 // dies in ~6.6 s of idle at 0.75+0.01 W
+	cfg.BatteryCapacity = 5
 	n := NewNetwork(s, cfg, 2)
-	diedAt := []sim.Time{-1, -1}
-	sampledAtDeath := make([]float64, 2)
+	var log [2][]batterySample
 	watchCharges(s, func() {
-		now := s.Now()
-		for i, at := range diedAt {
+		for i := range log {
 			node := n.Node(i)
-			switch {
-			case at < 0 && node.alive:
-				if node.drained >= cfg.BatteryCapacity {
-					t.Fatalf("node %d alive at %v with %v of %v J drained", i, now, node.drained, cfg.BatteryCapacity)
-				}
-			case at < 0:
-				diedAt[i], sampledAtDeath[i] = now, node.sampled
-				if n.FirstDeath() > now {
-					t.Errorf("node %d died at %v but FirstDeath is %v", i, now, n.FirstDeath())
-				}
-				if node.dev.State() != radio.Off {
-					t.Errorf("node %d died with its radio %v, want off", i, node.dev.State())
-				}
-				if node.drained != cfg.BatteryCapacity {
-					t.Errorf("node %d died with %v J drained, want the capacity %v J", i, node.drained, cfg.BatteryCapacity)
-				}
-			default:
-				if node.alive || node.drained != cfg.BatteryCapacity || node.sampled != sampledAtDeath[i] {
-					t.Fatalf("node %d charged at %v after dying at %v: alive %v, drained %v J, sampled %v J (was %v J)",
-						i, now, at, node.alive, node.drained, node.sampled, sampledAtDeath[i])
-				}
-			}
+			log[i] = append(log[i], batterySample{s.Now(), node.alive, node.drained, node.sampled, node.dev.State(), n.FirstDeath()})
 		}
 	})
 	s.RunUntil(60 * sim.Second)
-	if diedAt[0] < 0 || diedAt[1] < 0 {
-		t.Fatalf("deaths at %v, want both nodes dead", diedAt)
+	return cfg, n, log
+}
+
+// deathIndex returns the index of the first sample where the node is dead,
+// or -1.
+func deathIndex(samples []batterySample) int {
+	for k, b := range samples {
+		if !b.alive {
+			return k
+		}
+	}
+	return -1
+}
+
+// TestBatteryAliveBelowCapacity checks that a node is alive at every
+// charge before its battery is empty, and that it drains while alive.
+func TestBatteryAliveBelowCapacity(t *testing.T) {
+	cfg, _, log := drainToDeath()
+	for i, samples := range log {
+		if !samples[0].alive {
+			t.Fatalf("node %d dead at the first charge", i)
+		}
+		for _, b := range samples {
+			if b.alive && (b.drained >= cfg.BatteryCapacity || b.drained <= 0) {
+				t.Fatalf("node %d alive at %v with %v of %v J drained", i, b.at, b.drained, cfg.BatteryCapacity)
+			}
+		}
+	}
+}
+
+// TestBatteryDiesOnce checks a node's death: it comes at the first charge
+// that drains the whole capacity, sets FirstDeath to that instant, turns
+// the radio Off and keeps the drain at the capacity.
+func TestBatteryDiesOnce(t *testing.T) {
+	cfg, n, log := drainToDeath()
+	var diedAt [2]sim.Time
+	for i, samples := range log {
+		k := deathIndex(samples)
+		if k < 0 {
+			t.Fatalf("node %d never died", i)
+		}
+		b := samples[k]
+		diedAt[i] = b.at
+		if b.firstDeath > b.at {
+			t.Errorf("node %d died at %v but FirstDeath is %v", i, b.at, b.firstDeath)
+		}
+		if b.radio != radio.Off {
+			t.Errorf("node %d died with its radio %v, want off", i, b.radio)
+		}
+		if b.drained != cfg.BatteryCapacity {
+			t.Errorf("node %d died with %v J drained, want the capacity %v J", i, b.drained, cfg.BatteryCapacity)
+		}
 	}
 	if first := min(diedAt[0], diedAt[1]); n.FirstDeath() != first {
 		t.Errorf("FirstDeath = %v, want the first death at %v", n.FirstDeath(), first)
+	}
+}
+
+// TestChargerStopsAtDeath checks that a node dies at the first charge
+// after its idle draw reaches the capacity, and that no later charge
+// touches its battery.
+func TestChargerStopsAtDeath(t *testing.T) {
+	cfg, _, log := drainToDeath()
+	draw := adHocProfile(cfg.BitRate).Power[radio.Idle] + controlPower
+	empty := sim.FromSeconds(cfg.BatteryCapacity / draw)
+	for i, samples := range log {
+		k := deathIndex(samples)
+		if k < 0 {
+			t.Fatalf("node %d never died", i)
+		}
+		dead := samples[k]
+		if dead.at < empty || dead.at >= empty+chargePeriod {
+			t.Errorf("node %d died at %v, want the first charge at or after %v", i, dead.at, empty)
+		}
+		for _, b := range samples[k+1:] {
+			if b.alive || b.drained != dead.drained || b.sampled != dead.sampled {
+				t.Fatalf("node %d charged at %v after dying at %v: alive %v, drained %v J, sampled %v J (was %v J)",
+					i, b.at, dead.at, b.alive, b.drained, b.sampled, dead.sampled)
+			}
+		}
+		if len(samples) == k+1 {
+			t.Fatalf("node %d died at the last charge instant; lengthen the run", i)
+		}
 	}
 }
 
