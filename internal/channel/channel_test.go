@@ -2,7 +2,6 @@ package channel
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -151,7 +150,7 @@ func TestSampleBitErrorsMatchesMean(t *testing.T) {
 // successes run to ~10^10 trials, past a 32-bit int; converted before the
 // comparison they wrapped negative and counted ~300 phantom successes.
 func TestSampleBinomialRareEvents(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
+	rng := sim.NewRand(1)
 	total := 0
 	for i := 0; i < 1000; i++ {
 		total += sampleBinomial(rng, 12000, 1e-9)

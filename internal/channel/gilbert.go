@@ -10,7 +10,6 @@ package channel
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/sim"
 	"repro/internal/xmath"
@@ -66,8 +65,11 @@ func (p GEParams) Validate() error {
 // at transmission time.
 type GilbertElliott struct {
 	params GEParams
-	rng    *rand.Rand
+	rng    *sim.Rand
 	state  LinkState
+
+	// per memoises PacketErrorProb for each state, Good then Bad.
+	per [2]perMemo
 
 	flip *sim.Timer // the next autonomous state transition; Freeze stops it
 }
@@ -95,10 +97,35 @@ func (c *GilbertElliott) BER() float64 {
 	return c.params.BERBad
 }
 
+// perMemo holds one state's packet error probabilities for the last two
+// packet sizes asked, since data frames and their ACKs alternate; next is
+// the entry the next miss replaces. The zero memo is already right: size
+// 0 has probability 0.
+type perMemo struct {
+	bytes [2]int
+	per   [2]float64
+	next  int
+}
+
 // PacketErrorProb returns the probability that a packet of n bytes suffers at
 // least one uncorrected bit error in the current state: 1-(1-ber)^(8n).
+// A state's BER never changes, so the result is memoised per state and
+// size.
 func (c *GilbertElliott) PacketErrorProb(bytes int) float64 {
-	return PERFromBER(c.BER(), bytes)
+	m := &c.per[0]
+	if c.state != Good {
+		m = &c.per[1]
+	}
+	if m.bytes[0] == bytes {
+		return m.per[0]
+	}
+	if m.bytes[1] == bytes {
+		return m.per[1]
+	}
+	i := m.next
+	m.bytes[i], m.per[i] = bytes, PERFromBER(c.BER(), bytes)
+	m.next ^= 1
+	return m.per[i]
 }
 
 // SamplePacketError samples whether a packet of n bytes is corrupted.
@@ -158,7 +185,7 @@ func PERFromBER(ber float64, bytes int) float64 {
 
 // sampleBinomial draws Binomial(n, p). For small expected counts it uses
 // exact inversion; otherwise the normal approximation with clamping.
-func sampleBinomial(rng *rand.Rand, n int, p float64) int {
+func sampleBinomial(rng *sim.Rand, n int, p float64) int {
 	if n <= 0 || p <= 0 {
 		return 0
 	}

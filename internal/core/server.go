@@ -119,19 +119,7 @@ type ResourceManager struct {
 	rescueSlots []Slot
 	durFor      func(d Demand, bytes int) sim.Time // rm.demandDur, bound once
 
-	// per memoises each interface's packet error rate for ChunkBytes,
-	// keyed by the exact bits of the channel's current BER.
-	per [numIfaces]perMemo
-
 	freeRuns []*slotRun // spent slot records
-}
-
-// perMemo caches one interface's packet error rate for the channel BER
-// whose bits it was computed from.
-type perMemo struct {
-	berBits uint64
-	per     float64
-	valid   bool
 }
 
 // NewResourceManager creates the manager over per-interface channels.
@@ -492,7 +480,7 @@ func (rm *ResourceManager) estimateDur(iface Iface, bytes int) sim.Time {
 // inflation returns the retransmission multiplier implied by the channel's
 // instantaneous packet error rate, capped at the configured bound.
 func (rm *ResourceManager) inflation(iface Iface) float64 {
-	per := rm.packetErrorProb(iface)
+	per := rm.channels[iface].PacketErrorProb(rm.cfg.ChunkBytes)
 	if per >= 1 {
 		return rm.cfg.InflationCap
 	}
@@ -501,18 +489,6 @@ func (rm *ResourceManager) inflation(iface Iface) float64 {
 		inf = rm.cfg.InflationCap
 	}
 	return inf
-}
-
-// packetErrorProb returns the interface channel's current packet error
-// rate for ChunkBytes packets. The channel's BER takes one of two values,
-// so the result is memoised on the BER's exact bits: same bits, same PER.
-func (rm *ResourceManager) packetErrorProb(iface Iface) float64 {
-	ber := rm.channels[iface].BER()
-	m := &rm.per[iface]
-	if bits := math.Float64bits(ber); !m.valid || m.berBits != bits {
-		*m = perMemo{berBits: bits, per: channel.PERFromBER(ber, rm.cfg.ChunkBytes), valid: true}
-	}
-	return m.per
 }
 
 // execute drives one slot on its client. allowRecovery guards against
@@ -552,7 +528,7 @@ type slotRun struct {
 func (r *slotRun) assess() (sim.Time, int) {
 	rm, slot := r.rm, r.slot
 	p := profileFor(slot.Iface)
-	per := rm.packetErrorProb(slot.Iface)
+	per := rm.channels[slot.Iface].PacketErrorProb(rm.cfg.ChunkBytes)
 	nominal := p.BurstTime(slot.Bytes)
 	if per < 1-1/rm.cfg.InflationCap {
 		// Retransmissions fit under the cap: everything arrives,

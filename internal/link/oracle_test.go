@@ -35,11 +35,11 @@ func bitEqual(a, b any) string {
 type simState struct {
 	Now   sim.Time
 	Fired uint64
-	Draw  int64
+	Draw  float64
 }
 
 func stateOf(s *sim.Simulator) simState {
-	return simState{Now: s.Now(), Fired: s.Fired(), Draw: s.Rand().Int63()}
+	return simState{Now: s.Now(), Fired: s.Fired(), Draw: s.Rand().Float64()}
 }
 
 // oracleChannel is a live (unfrozen) Gilbert–Elliott channel, so its flip

@@ -119,7 +119,7 @@ type oracleOutcome struct {
 	Energy   [][]uint64 // per node: Float64bits of total, transition and per-state energy
 	Medium   Stats
 	Now      sim.Time
-	Draw     int64
+	Draw     float64
 }
 
 // runOracle runs scenario c on the live engine or, with ref, on the
@@ -288,7 +288,7 @@ func runOracle(c oracleCase, ref bool) oracleOutcome {
 		}
 	}
 
-	out := oracleOutcome{Medium: med.Stats(), Now: s.Now(), Draw: rng.Int63()}
+	out := oracleOutcome{Medium: med.Stats(), Now: s.Now(), Draw: rng.Float64()}
 	for _, n := range nodes {
 		out.Stations = append(out.Stations, n.Stats())
 		m := n.Device().Meter()

@@ -10,6 +10,7 @@ package pamas
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/radio"
 	"repro/internal/sim"
@@ -78,10 +79,10 @@ func DefaultConfig(mode Mode) Config {
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.BitRate <= 0 || c.BatteryCapacity <= 0 {
-		return fmt.Errorf("pamas: rate and capacity must be positive")
+	if !(c.BitRate > 0) || math.IsInf(c.BitRate, 1) || !(c.BatteryCapacity > 0) || math.IsInf(c.BatteryCapacity, 1) {
+		return fmt.Errorf("pamas: rate and capacity must be positive and finite")
 	}
-	if c.LowBattery < 0 || c.LowBattery > 1 {
+	if !(c.LowBattery >= 0) || c.LowBattery > 1 {
 		return fmt.Errorf("pamas: low-battery threshold outside [0,1]")
 	}
 	return nil

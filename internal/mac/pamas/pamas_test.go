@@ -31,6 +31,33 @@ func TestConfigRejectsZeroCapacity(t *testing.T) {
 	}
 }
 
+// TestConfigRejectsNonFinite covers NaN and infinite values, which plain
+// `x <= 0` checks let through: a NaN capacity would keep every node alive
+// forever with a NaN level.
+func TestConfigRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		set  func(c *Config)
+	}{
+		{"capacity NaN", func(c *Config) { c.BatteryCapacity = nan }},
+		{"capacity +Inf", func(c *Config) { c.BatteryCapacity = inf }},
+		{"capacity -Inf", func(c *Config) { c.BatteryCapacity = -inf }},
+		{"bit rate NaN", func(c *Config) { c.BitRate = nan }},
+		{"bit rate +Inf", func(c *Config) { c.BitRate = inf }},
+		{"low battery NaN", func(c *Config) { c.LowBattery = nan }},
+		{"low battery +Inf", func(c *Config) { c.LowBattery = inf }},
+		{"low battery -Inf", func(c *Config) { c.LowBattery = -inf }},
+	}
+	for _, c := range cases {
+		cfg := DefaultConfig(PamasBattery)
+		c.set(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
+	}
+}
+
 func TestModeString(t *testing.T) {
 	if AlwaysListen.String() == "" || Pamas.String() == "" || PamasBattery.String() == "" {
 		t.Error("mode names missing")

@@ -12,16 +12,16 @@
 // every node in node-index order, each edge with its per-bit link energy.
 // Searches then run over it with scratch arrays and a value-typed heap owned
 // by the Network, so a steady-state Send allocates nothing. Node positions
-// must not change after that first Send; batteries may, including by direct
-// writes to Node.Battery, and are read at search time.
+// must not change after that first Send. The Network is the only writer of
+// Node.Battery: Send's drain keeps a column of battery levels current, which
+// the max-min search and Conditional's threshold check read.
 //
 // The route cache rests on one invariant: min-hop and min-energy paths are a
 // pure function of the static geometry plus the set of alive nodes. Those
 // two searches, including the min-energy leg of Conditional, are memoised
-// per (objective, src, dst). Every lookup recomputes the alive set and drops
-// the whole cache when it differs from the set the entries were computed
-// under. Max-min battery paths depend on live battery levels and are
-// searched on every call.
+// per (objective, src, dst). The alive set changes only when a drain kills
+// a node, and that drain drops the whole cache. Max-min battery paths depend
+// on live battery levels and are searched on every call.
 package route
 
 import (
@@ -126,7 +126,8 @@ type Network struct {
 // NewGrid builds a w×h grid network with the given spacing, radio range and
 // per-node battery capacity in joules.
 func NewGrid(w, h int, spacing, radioRange, batteryJ float64, cost RadioCost) *Network {
-	if w <= 0 || h <= 0 || spacing <= 0 || radioRange <= 0 || batteryJ <= 0 {
+	if w <= 0 || h <= 0 || !(spacing > 0) || !(radioRange > 0) || !(batteryJ > 0) ||
+		math.IsInf(spacing, 1) || math.IsInf(radioRange, 1) || math.IsInf(batteryJ, 1) {
 		panic("route: invalid grid parameters")
 	}
 	n := &Network{rang: radioRange, cost: cost, BatteryThreshold: 0.2, firstDeathPkt: -1}
@@ -190,7 +191,7 @@ func (n *Network) route(policy Policy, src, dst int) []int {
 			return nil
 		}
 		for _, id := range p {
-			if n.nodes[id].Level() < n.BatteryThreshold {
+			if n.g.level[id] < n.BatteryThreshold {
 				return n.widest(src, dst)
 			}
 		}
@@ -209,8 +210,8 @@ func (n *Network) Send(policy Policy, src, dst, bits int) bool {
 		return false
 	}
 	for i := 0; i+1 < len(path); i++ {
-		a, b := n.nodes[path[i]], n.nodes[path[i+1]]
-		d := n.dist(a, b)
+		a, b := path[i], path[i+1]
+		d := n.dist(n.nodes[a], n.nodes[b])
 		tx := n.cost.TxEnergy(bits, d)
 		rx := n.cost.RxEnergy(bits)
 		n.drain(a, tx)
@@ -221,17 +222,24 @@ func (n *Network) Send(policy Policy, src, dst, bits int) bool {
 	return true
 }
 
-func (n *Network) drain(nd *Node, j float64) {
+// drain takes j joules from node id's battery and refreshes its level. A
+// drain that kills the node changes the alive set, so it drops the route
+// cache at once: the path being charged may be a cached one, and no later
+// lookup may return it.
+func (n *Network) drain(id int, j float64) {
+	nd := n.nodes[id]
 	if !nd.Alive() {
 		return
 	}
 	nd.Battery -= j
 	if nd.Battery <= 0 {
 		nd.Battery = 0
+		n.g.drop()
 		if n.firstDeathPkt == -1 {
 			n.firstDeathPkt = n.deliveredPkts
 		}
 	}
+	n.g.level[id] = nd.Level()
 }
 
 // --- shortest path machinery ---
@@ -249,7 +257,7 @@ type graph struct {
 	q       pq
 	path    []int // unwind buffer
 
-	alive []uint64     // alive set the cache entries were computed under
+	level []float64    // each node's Level(), rewritten by every drain
 	cache []cacheEntry // [2][N][N]: objective (min-energy?), src, dst; O(N²) memory
 }
 
@@ -270,10 +278,11 @@ func (n *Network) build() {
 		prev:    make([]int, size),
 		visited: make([]bool, size),
 		path:    make([]int, 0, size),
-		alive:   make([]uint64, (size+63)/64),
+		level:   make([]float64, size),
 		cache:   make([]cacheEntry, 2*size*size),
 	}
 	for u, a := range n.nodes {
+		g.level[u] = a.Level()
 		for v, b := range n.nodes {
 			if v == u {
 				continue
@@ -294,7 +303,6 @@ func (n *Network) build() {
 // cached returns the memoised min-hop or min-energy path, searching and
 // storing it when the entry is missing.
 func (n *Network) cached(energy bool, src, dst int) []int {
-	n.syncAlive()
 	size := len(n.nodes)
 	k := src*size + dst
 	if energy {
@@ -311,27 +319,10 @@ func (n *Network) cached(energy bool, src, dst int) []int {
 	return e.path
 }
 
-// syncAlive recomputes the alive bitset and invalidates every cache entry
-// when it differs from the one the entries were computed under.
-func (n *Network) syncAlive() {
-	g := n.g
-	changed := false
-	for w := range g.alive {
-		var bits uint64
-		for i, nd := range n.nodes[w*64 : min(len(n.nodes), (w+1)*64)] {
-			if nd.Alive() {
-				bits |= 1 << i
-			}
-		}
-		if bits != g.alive[w] {
-			g.alive[w] = bits
-			changed = true
-		}
-	}
-	if changed {
-		for i := range g.cache {
-			g.cache[i].ok = false
-		}
+// drop invalidates every cache entry.
+func (g *graph) drop() {
+	for i := range g.cache {
+		g.cache[i].ok = false
 	}
 }
 
@@ -445,7 +436,7 @@ func (n *Network) dijkstra(src, dst int, energy bool) []int {
 func (n *Network) widest(src, dst int) []int {
 	g := n.g
 	g.reset(-1, true)
-	g.dist[src] = n.nodes[src].Level()
+	g.dist[src] = g.level[src]
 	g.q.push(src, g.dist[src])
 	for len(g.q.items) > 0 {
 		u := g.q.pop()
@@ -458,11 +449,11 @@ func (n *Network) widest(src, dst int) []int {
 		}
 		for e := g.start[u]; e < g.start[u+1]; e++ {
 			v := g.to[e]
-			b := n.nodes[v]
-			if !b.Alive() {
+			if !n.nodes[v].Alive() {
 				continue
 			}
-			if w := math.Min(g.dist[u], b.Level()); w > g.dist[v] {
+			// The builtin min is math.Min for levels, which are never NaN.
+			if w := min(g.dist[u], g.level[v]); w > g.dist[v] {
 				g.dist[v] = w
 				g.prev[v] = u
 				g.q.push(v, w)

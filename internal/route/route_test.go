@@ -246,10 +246,11 @@ func diffState(got, want *Network) string {
 
 // TestMatchesReferenceProperty drives twin random networks, one through the
 // package and one through the reference, with the same random sequence of
-// routes, sends and direct battery writes (depletion, partial level,
-// recharge) under all four policies. Paths, send results, Stats and battery
-// bits must agree after every step. The 100-node networks span two words of
-// the alive bitset.
+// routes, sends and battery writes (depletion, partial level, recharge)
+// under all four policies. Paths, send results, Stats and battery bits must
+// agree after every step. Sends kill relays, and cached paths are looked up
+// again after they did: a drain that kills must drop the cache, and every
+// drain must refresh the level column.
 func TestMatchesReferenceProperty(t *testing.T) {
 	for _, size := range []int{25, 100} {
 		side := 10 * math.Sqrt(float64(size)) // same density at both sizes
@@ -285,9 +286,9 @@ func TestMatchesReferenceProperty(t *testing.T) {
 				case k == 8 && len(last) > 2:
 					// Kill a relay the latest path (maybe a cached one) uses.
 					relay := last[1+rng.Intn(len(last)-2)]
-					op = fmt.Sprintf("Node(%d).Battery = 0", relay)
-					got.Node(relay).Battery = 0
-					want.Node(relay).Battery = 0
+					op = fmt.Sprintf("setBattery(%d, 0)", relay)
+					got.setBattery(relay, 0)
+					want.setBattery(relay, 0)
 				case k < 8:
 					bits := 1 + rng.Intn(400_000)
 					op = fmt.Sprintf("Send(%v, %d, %d, %d)", policy, src, dst, bits)
@@ -296,9 +297,9 @@ func TestMatchesReferenceProperty(t *testing.T) {
 					}
 				default:
 					level := [...]float64{0, rng.Float64(), 1}[rng.Intn(3)]
-					op = fmt.Sprintf("Node(%d).Battery = %v", src, level)
-					got.Node(src).Battery = level
-					want.Node(src).Battery = level
+					op = fmt.Sprintf("setBattery(%d, %v)", src, level)
+					got.setBattery(src, level)
+					want.setBattery(src, level)
 				}
 				if d := diffState(got, want); d != "" {
 					t.Fatalf("size %d seed %d step %d after %s: %s", size, seed, step, op, d)
@@ -342,6 +343,9 @@ func diamond() *Network {
 	return net
 }
 
+// TestRouteFollowsDirectBatteryWrites kills relay 1 and recharges it
+// through setBattery: every policy avoids it while it is dead and uses it
+// again once it is back.
 func TestRouteFollowsDirectBatteryWrites(t *testing.T) {
 	steps := []struct {
 		battery float64 // written straight to relay 1
@@ -354,7 +358,7 @@ func TestRouteFollowsDirectBatteryWrites(t *testing.T) {
 	for _, policy := range policies {
 		n := diamond()
 		for i, s := range steps {
-			n.Node(1).Battery = s.battery
+			n.setBattery(1, s.battery)
 			if got := slices.Clone(n.route(policy, 0, 3)); !slices.Equal(got, s.want) {
 				t.Errorf("%v step %d (relay battery %v): path %v, want %v", policy, i, s.battery, got, s.want)
 			}
@@ -431,6 +435,39 @@ func BenchmarkSend(b *testing.B) {
 // line builds a 1×n chain with the given spacing: forced linear topology.
 func line(n int, spacing, rng, battery float64) *Network {
 	return NewGrid(n, 1, spacing, rng, battery, DefaultRadioCost())
+}
+
+// TestNewGridRejectsBadParameters covers one bad parameter per case,
+// NaN and infinities included, which plain `x <= 0` checks let through.
+func TestNewGridRejectsBadParameters(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name                         string
+		w, h                         int
+		spacing, radioRange, battery float64
+	}{
+		{"zero width", 0, 5, 10, 15, 1},
+		{"zero height", 5, 0, 10, 15, 1},
+		{"zero spacing", 5, 5, 0, 15, 1},
+		{"NaN spacing", 5, 5, nan, 15, 1},
+		{"+Inf spacing", 5, 5, inf, 15, 1},
+		{"negative range", 5, 5, 10, -15, 1},
+		{"NaN range", 5, 5, 10, nan, 1},
+		{"+Inf range", 5, 5, 10, inf, 1},
+		{"zero battery", 5, 5, 10, 15, 0},
+		{"NaN battery", 5, 5, 10, 15, nan},
+		{"+Inf battery", 5, 5, 10, 15, inf},
+	}
+	for _, c := range cases {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: NewGrid accepted it", c.name)
+				}
+			}()
+			NewGrid(c.w, c.h, c.spacing, c.radioRange, c.battery, DefaultRadioCost())
+		}()
+	}
 }
 
 func TestPolicyNames(t *testing.T) {
@@ -511,7 +548,7 @@ func TestSendDrainsBatteries(t *testing.T) {
 
 func TestDeadNodesExcluded(t *testing.T) {
 	n := line(3, 10, 15, 1)
-	n.Node(1).Battery = 0 // kill the only relay
+	n.setBattery(1, 0) // kill the only relay
 	if p := slices.Clone(n.route(MinHop, 0, 2)); p != nil {
 		t.Errorf("routed through dead node: %v", p)
 	}
@@ -555,7 +592,7 @@ func TestConditionalSwitchesAtThreshold(t *testing.T) {
 	if len(p1) != 3 || p1[1] != 1 {
 		t.Fatalf("healthy conditional path = %v, want through 1", p1)
 	}
-	net.nodes[1].Battery = 0.1 // below threshold
+	net.setBattery(1, 0.1) // below threshold
 	p2 := slices.Clone(net.route(Conditional, 0, 3))
 	if len(p2) >= 3 && p2[1] == 1 {
 		t.Errorf("conditional kept using depleted relay: %v", p2)
@@ -620,7 +657,7 @@ func TestRouteWellFormedProperty(t *testing.T) {
 		n := newRandom(rng, 25, 50, 18, 1, DefaultRadioCost())
 		// Randomly deplete some nodes.
 		for i := 0; i < 5; i++ {
-			n.Node(rng.Intn(25)).Battery = 0
+			n.setBattery(rng.Intn(25), 0)
 		}
 		policy := Policy(policyRaw % 4)
 		src, dst := rng.Intn(25), rng.Intn(25)
@@ -656,7 +693,7 @@ func TestNumAliveAndLevels(t *testing.T) {
 	if n.NumAlive() != 4 {
 		t.Error("wrong alive count")
 	}
-	n.Node(2).Battery = 0
+	n.setBattery(2, 0)
 	if n.NumAlive() != 3 {
 		t.Error("alive count after death wrong")
 	}
@@ -689,3 +726,16 @@ func newRandom(rng *rand.Rand, n int, side, radioRange, batteryJ float64, cost R
 
 // Node returns node i.
 func (n *Network) Node(i int) *Node { return n.nodes[i] }
+
+// setBattery writes node i's battery from outside a Send: it refreshes the
+// level column and drops the route cache, as a drain that kills a node
+// does, since the write may kill, revive or move the node below the
+// Conditional threshold. Before the first search it only writes; the
+// first search reads every battery.
+func (n *Network) setBattery(i int, joules float64) {
+	n.nodes[i].Battery = joules
+	if g := n.g; g != nil {
+		g.level[i] = n.nodes[i].Level()
+		g.drop()
+	}
+}

@@ -10,10 +10,11 @@ import (
 // 2·rngLen, so both the tap and the feed index wrap the register twice.
 const oracleDraws = 1300
 
-// matchesMathRand reports the first draw at which NewRand(seed) and
-// math/rand's own source part, or -1 when all oracleDraws agree.
+// matchesMathRand reports the first draw at which the source seeded with
+// seed and math/rand's own source part, or -1 when all oracleDraws agree.
 func matchesMathRand(seed int64) (draw int, got, want uint64) {
-	ours := NewRand(seed)
+	var ours source
+	ours.Seed(seed)
 	ref := rand.New(rand.NewSource(seed))
 	for i := 0; i < oracleDraws; i++ {
 		g, w := ours.Uint64(), ref.Uint64()
@@ -24,18 +25,24 @@ func matchesMathRand(seed int64) (draw int, got, want uint64) {
 	return -1, 0, 0
 }
 
-// TestSourceMatchesMathRand is the source's oracle: math/rand itself. The
-// edge seeds cover the reductions into [1, M−1] (0 and multiples of M map
-// to math/rand's fixed 89482311, negatives wrap), the int64 extremes, and
-// the rest are random.
-func TestSourceMatchesMathRand(t *testing.T) {
+// oracleSeeds are the seeds the oracle tests compare over: edge seeds
+// covering the reductions into [1, M−1] (0 and multiples of M map to
+// math/rand's fixed 89482311, negatives wrap) and the int64 extremes, then
+// random ones up to 2,009 in all.
+func oracleSeeds() []int64 {
 	seeds := []int64{0, 1, -1, int32max, -int32max, 2 * int32max, 89482311,
 		math.MinInt64, math.MaxInt64}
 	pick := rand.New(rand.NewSource(20260101))
 	for len(seeds) < 2009 {
 		seeds = append(seeds, int64(pick.Uint64()))
 	}
-	for _, seed := range seeds {
+	return seeds
+}
+
+// TestSourceMatchesMathRand is the source's oracle: math/rand itself, over
+// oracleSeeds.
+func TestSourceMatchesMathRand(t *testing.T) {
+	for _, seed := range oracleSeeds() {
 		if i, got, want := matchesMathRand(seed); i >= 0 {
 			t.Fatalf("seed %d: draw %d = %#x, math/rand gives %#x", seed, i, got, want)
 		}

@@ -7,12 +7,18 @@
 // in one (at, seq)-ordered binary heap behind a front register; the kernel
 // has no tuning knobs.
 //
-// Randomness comes from NewRand, a *rand.Rand over the package's own copy
-// of math/rand's additive lagged-Fibonacci source. It draws exactly
+// Randomness comes from Rand, a concrete stream (Simulator.Rand, or
+// NewRand for a stream of its own) over the package's own copy of
+// math/rand's additive lagged-Fibonacci source. The source draws exactly
 // math/rand's bits but seeds with a jump-ahead Lehmer step, about 3.5
 // times faster than rand.NewSource's 1,841 sequential steps; seeding was
-// a seventh of the CPU of a 0.1 ms Hotspot job. TestSourceMatchesMathRand
-// and FuzzSourceMatchesMathRand compare it with math/rand itself.
+// a seventh of the CPU of a 0.1 ms Hotspot job. Rand exports the four
+// draws models use: Intn and Float64 return math/rand's exact values,
+// Intn without dividing for a repeated bound; ExpFloat64 and NormFloat64
+// are math/rand's ziggurats over internal/xmath, so their rare tail paths
+// give the same bits on every CPU, within an ulp of math/rand's.
+// TestSourceMatchesMathRand, TestRandMatchesMathRand and their fuzz twins
+// compare both with math/rand itself.
 package sim
 
 import "fmt"

@@ -3,17 +3,26 @@
 // picks its code path by the CPU's FMA support, so their last bits depend
 // on the host. internal/xmath holds the pure-Go replacements; the rest of
 // the program (internal/, cmd/ and examples/, tests aside) goes through it.
+// math/rand's ExpFloat64 and NormFloat64 call math.Exp and math.Log on
+// their ziggurat's tail and wedge paths, out of the guard's sight, so they
+// are reported too: sim.Rand has versions over xmath.
 package repro
 
 import (
+	"go/types"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-// hostMathFuncs are the math functions whose results vary by host.
-var hostMathFuncs = map[string]bool{"Exp": true, "Log": true, "Pow": true}
+// hostMathFuncs are the math functions whose results vary by host, and
+// hostRandFuncs the math/rand (and math/rand/v2) functions and methods
+// that call them.
+var (
+	hostMathFuncs = map[string]bool{"Exp": true, "Log": true, "Pow": true}
+	hostRandFuncs = map[string]bool{"ExpFloat64": true, "NormFloat64": true}
+)
 
 func TestNoHostMathOnOutputPaths(t *testing.T) {
 	prog, err := loadModule()
@@ -21,14 +30,16 @@ func TestNoHostMathOnOutputPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range hostMathCalls(prog) {
-		t.Errorf("%s: use repro/internal/xmath instead", c)
+		t.Errorf("%s: use repro/internal/xmath or sim.Rand instead", c)
 	}
 }
 
 // TestHostMathCallsDetector pins the detector on a small module: a call
 // through the plain import, one through an alias, one through a dot import
 // and function values taken at package level and inside a function are
-// reported; math's pure-Go functions, bench/ and internal/xmath itself are
+// reported, and so are math/rand's ExpFloat64 and NormFloat64 as package
+// functions, methods and method values (v2's too); math's pure-Go
+// functions, math/rand's other draws, bench/ and internal/xmath itself are
 // not.
 func TestHostMathCallsDetector(t *testing.T) {
 	prog, err := parseSources("repro", map[string]string{
@@ -55,6 +66,20 @@ var g = m.Exp
 
 func main() { _ = m.Log(2) }
 `,
+		"repro/internal/r/r.go": `package r
+
+import (
+	"math/rand"
+	v2 "math/rand/v2"
+)
+
+func f(r *rand.Rand) float64 {
+	norm := r.NormFloat64
+	return r.ExpFloat64() + norm() + r.Float64() + float64(r.Intn(3))
+}
+
+func g() float64 { return rand.NormFloat64() + rand.Float64() + v2.ExpFloat64() }
+`,
 		"repro/internal/xmath/x.go": `package xmath
 
 import "math"
@@ -77,6 +102,10 @@ var k = math.Pow(2, 0.5)
 		"repro/cmd/c/main.go:7: math.Log",
 		"repro/internal/a/a.go:5: math.Pow",
 		"repro/internal/d/d.go:6: math.Exp",
+		"repro/internal/r/r.go:10: (*math/rand.Rand).ExpFloat64",
+		"repro/internal/r/r.go:13: math/rand.NormFloat64",
+		"repro/internal/r/r.go:13: math/rand/v2.ExpFloat64",
+		"repro/internal/r/r.go:9: (*math/rand.Rand).NormFloat64",
 	}, "\n")
 	if got != want {
 		t.Errorf("detector reported\n%s\nwant\n%s", got, want)
@@ -84,9 +113,11 @@ var k = math.Pow(2, 0.5)
 }
 
 // hostMathCalls returns "file:line: math.Func" for every use, called or
-// not, of a hostMathFuncs function in packages under internal/, cmd/ and
-// examples/ other than internal/xmath, sorted. Uses are resolved by type
-// checking, so aliased and dot imports and function values are all seen.
+// not, of a hostMathFuncs function, and "file:line: math/rand.Func" or
+// "file:line: (*math/rand.Rand).Func" (v2 alike) for every use of a
+// hostRandFuncs function or method, in packages under internal/, cmd/ and examples/ other than
+// internal/xmath, sorted. Uses are resolved by type checking, so aliased
+// and dot imports and function and method values are all seen.
 func hostMathCalls(prog *program) []string {
 	var out []string
 	for _, p := range prog.pkgs {
@@ -94,10 +125,23 @@ func hostMathCalls(prog *program) []string {
 			continue
 		}
 		for id, obj := range p.info.Uses {
-			if obj.Pkg() != nil && obj.Pkg().Path() == "math" && hostMathFuncs[obj.Name()] {
-				pos := prog.fset.Position(id.Pos())
-				out = append(out, pos.Filename+":"+strconv.Itoa(pos.Line)+": math."+obj.Name())
+			if obj.Pkg() == nil {
+				continue
 			}
+			var name string
+			switch path := obj.Pkg().Path(); {
+			case path == "math" && hostMathFuncs[obj.Name()]:
+				name = "math." + obj.Name()
+			case (path == "math/rand" || path == "math/rand/v2") && hostRandFuncs[obj.Name()]:
+				name = path + "." + obj.Name()
+				if f, ok := obj.(*types.Func); ok && f.Signature().Recv() != nil {
+					name = "(" + types.TypeString(f.Signature().Recv().Type(), nil) + ")." + obj.Name()
+				}
+			default:
+				continue
+			}
+			pos := prog.fset.Position(id.Pos())
+			out = append(out, pos.Filename+":"+strconv.Itoa(pos.Line)+": "+name)
 		}
 	}
 	sort.Strings(out)
