@@ -97,35 +97,26 @@ func (c *GilbertElliott) BER() float64 {
 	return c.params.BERBad
 }
 
-// perMemo holds one state's packet error probabilities for the last two
-// packet sizes asked, since data frames and their ACKs alternate; next is
-// the entry the next miss replaces. The zero memo is already right: size
-// 0 has probability 0.
+// perMemo holds one state's packet error probability for the last packet
+// size asked. The zero memo is already right: size 0 has probability 0.
 type perMemo struct {
-	bytes [2]int
-	per   [2]float64
-	next  int
+	bytes int
+	per   float64
 }
 
 // PacketErrorProb returns the probability that a packet of n bytes suffers at
 // least one uncorrected bit error in the current state: 1-(1-ber)^(8n).
-// A state's BER never changes, so the result is memoised per state and
-// size.
+// A state's BER never changes, so each state memoises its last size's
+// result.
 func (c *GilbertElliott) PacketErrorProb(bytes int) float64 {
 	m := &c.per[0]
 	if c.state != Good {
 		m = &c.per[1]
 	}
-	if m.bytes[0] == bytes {
-		return m.per[0]
+	if m.bytes != bytes {
+		*m = perMemo{bytes: bytes, per: PERFromBER(c.BER(), bytes)}
 	}
-	if m.bytes[1] == bytes {
-		return m.per[1]
-	}
-	i := m.next
-	m.bytes[i], m.per[i] = bytes, PERFromBER(c.BER(), bytes)
-	m.next ^= 1
-	return m.per[i]
+	return m.per
 }
 
 // SamplePacketError samples whether a packet of n bytes is corrupted.

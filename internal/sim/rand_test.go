@@ -9,11 +9,10 @@ import (
 )
 
 // oracleBounds are the Intn bounds the oracle draws with: 1, powers of two
-// (the mask path), small and large non-powers of two (the cached
-// threshold and reciprocal, 5 twice in a row so that the cache is hit as
-// well as refilled) and 2³¹−1, the largest bound of math/rand's Int31n
-// path. Where int is 64 bits wide, bounds past 2³¹−1 take math/rand's
-// Int63n path, powers of two included.
+// (the mask path), small and large non-powers of two (the rejection path)
+// and 2³¹−1, the largest bound of math/rand's Int31n path. Where int is 64
+// bits wide, bounds past 2³¹−1 take math/rand's Int63n path, powers of two
+// included.
 func oracleBounds() []int {
 	bounds := []int{1, 2, 4, 1 << 20, 1 << 30, 5, 5, 6, 100000, 1<<31 - 1, 3, 7}
 	if strconv.IntSize == 64 {
@@ -106,28 +105,6 @@ func FuzzRandMatchesMathRand(f *testing.F) {
 	})
 }
 
-// TestFastmodExact checks fastmod against % over edge and random (v, n),
-// n from 2 up to 2³²−1 although Intn passes at most 2³¹−1.
-func TestFastmodExact(t *testing.T) {
-	ns := []uint32{2, 3, 5, 6, 7, 10, 100000, 1<<31 - 1, 1 << 31, 1<<31 + 1, 1<<32 - 1}
-	pick := rand.New(rand.NewSource(3))
-	for len(ns) < 2000 {
-		ns = append(ns, 2+uint32(pick.Int63n(1<<32-2)))
-	}
-	for _, n := range ns {
-		recip := ^uint64(0)/uint64(n) + 1
-		vs := []uint32{0, 1, n - 1, n, n + 1, 2*n - 1, 1<<31 - 1, 1 << 31, 1<<32 - 1}
-		for i := 0; i < 200; i++ {
-			vs = append(vs, pick.Uint32())
-		}
-		for _, v := range vs {
-			if got, want := fastmod(v, n, recip), v%n; got != want {
-				t.Fatalf("fastmod(%d, %d) = %d, want %d", v, n, got, want)
-			}
-		}
-	}
-}
-
 // TestIntnPanicsOnNonPositive keeps math/rand's contract.
 func TestIntnPanicsOnNonPositive(t *testing.T) {
 	for _, n := range []int{0, -1} {
@@ -140,20 +117,4 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 			NewRand(1).Intn(n)
 		}()
 	}
-}
-
-// BenchmarkIntn compares a cached non-power-of-two Intn with math/rand's.
-func BenchmarkIntn(b *testing.B) {
-	b.Run("sim", func(b *testing.B) {
-		r := NewRand(1)
-		for b.Loop() {
-			r.Intn(5)
-		}
-	})
-	b.Run("math-rand", func(b *testing.B) {
-		r := rand.New(rand.NewSource(1))
-		for b.Loop() {
-			r.Intn(5)
-		}
-	})
 }

@@ -13,10 +13,10 @@
 // math/rand's bits but seeds with a jump-ahead Lehmer step, about 3.5
 // times faster than rand.NewSource's 1,841 sequential steps; seeding was
 // a seventh of the CPU of a 0.1 ms Hotspot job. Rand exports the four
-// draws models use: Intn and Float64 return math/rand's exact values,
-// Intn without dividing for a repeated bound; ExpFloat64 and NormFloat64
-// are math/rand's ziggurats over internal/xmath, so their rare tail paths
-// give the same bits on every CPU, within an ulp of math/rand's.
+// draws models use: Intn and Float64 return math/rand's exact values;
+// ExpFloat64 and NormFloat64 are math/rand's ziggurats over
+// internal/xmath, so their rare tail paths give the same bits on every
+// CPU, within an ulp of math/rand's.
 // TestSourceMatchesMathRand, TestRandMatchesMathRand and their fuzz twins
 // compare both with math/rand itself.
 package sim

@@ -2,10 +2,14 @@
 // built by sim.NewRand, the kernel's own copy of math/rand's source. A
 // rand.New or rand.NewSource call elsewhere would seed at math/rand's cost
 // and escape the source's oracle test; math/rand's global functions (the
-// shard fabric's backoff jitter) seed nothing and are not affected.
+// shard fabric's backoff jitter) seed nothing and are not affected. Nor
+// may a sim.Rand be held by value outside internal/sim: a zero Rand's
+// source draws 0 forever, and a copy replays its original's stream.
 package repro
 
 import (
+	"go/ast"
+	"go/types"
 	"sort"
 	"strconv"
 	"strings"
@@ -27,8 +31,10 @@ func TestOneSeedingPath(t *testing.T) {
 
 // TestSeedingCallsDetector pins the detector on a small module: calls
 // through the plain import and an alias and a function value are
-// reported; math/rand's global functions, the *rand.Rand type,
-// internal/sim itself and bench/ are not.
+// reported, and so are a sim.Rand variable, field, composite literal,
+// new(sim.Rand), a slice element type and a dereference; math/rand's
+// global functions, the *rand.Rand and *sim.Rand types, internal/sim
+// itself and bench/ are not.
 func TestSeedingCallsDetector(t *testing.T) {
 	prog, err := parseSources("repro", map[string]string{
 		"repro/internal/a/a.go": `package a
@@ -38,6 +44,26 @@ import "math/rand"
 func f(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 func jitter(n int64) int64 { return rand.Int63n(n) }
+`,
+		"repro/internal/b/b.go": `package b
+
+import "repro/internal/sim"
+
+type model struct {
+	rng  *sim.Rand
+	own  sim.Rand
+	many []sim.Rand
+}
+
+var zero sim.Rand
+
+func g(s *sim.Simulator) (*sim.Rand, sim.Rand) {
+	return new(sim.Rand), *s.Rand()
+}
+
+func h() int { return (&sim.Rand{}).Intn(2) + s().Intn(3) }
+
+func s() *sim.Rand { return sim.NewRand(1) }
 `,
 		"repro/cmd/c/main.go": `package main
 
@@ -51,7 +77,15 @@ func main() { _ = src(1).Int63() }
 
 import "math/rand"
 
-func NewRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+type Rand struct{ r *rand.Rand }
+
+func NewRand(seed int64) *Rand { return &Rand{rand.New(rand.NewSource(seed))} }
+
+func (r *Rand) Intn(n int) int { return r.r.Intn(n) }
+
+type Simulator struct{ rng Rand }
+
+func (s *Simulator) Rand() *Rand { return &s.rng }
 `,
 		"repro/bench/b.go": `package bench
 
@@ -68,6 +102,12 @@ var r = rand.New(rand.NewSource(1))
 		"repro/cmd/c/main.go:5: rand.NewSource",
 		"repro/internal/a/a.go:5: rand.New",
 		"repro/internal/a/a.go:5: rand.NewSource",
+		"repro/internal/b/b.go:11: sim.Rand by value",
+		"repro/internal/b/b.go:13: sim.Rand by value",
+		"repro/internal/b/b.go:14: sim.Rand by value",
+		"repro/internal/b/b.go:17: sim.Rand by value",
+		"repro/internal/b/b.go:7: sim.Rand by value",
+		"repro/internal/b/b.go:8: sim.Rand by value",
 	}, "\n")
 	if got != want {
 		t.Errorf("detector reported\n%s\nwant\n%s", got, want)
@@ -75,9 +115,19 @@ var r = rand.New(rand.NewSource(1))
 }
 
 // seedingCalls returns "file:line: rand.Func" for every use, called or
-// not, of a seedingFuncs function of math/rand in the module's packages
-// other than internal/sim and bench/, sorted.
+// not, of a seedingFuncs function of math/rand, and "file:line: sim.Rand
+// by value" for every line that names sim.Rand other than behind a pointer
+// or makes a sim.Rand value, in the module's packages other than
+// internal/sim and bench/, sorted.
 func seedingCalls(prog *program) []string {
+	var randType types.Type
+	for _, p := range prog.pkgs {
+		if p.path == prog.module+"/internal/sim" {
+			if obj := p.types.Scope().Lookup("Rand"); obj != nil {
+				randType = obj.Type()
+			}
+		}
+	}
 	var out []string
 	for _, p := range prog.pkgs {
 		if prog.underDir(p.path, "internal/sim", "bench") {
@@ -89,6 +139,36 @@ func seedingCalls(prog *program) []string {
 				pos := prog.fset.Position(id.Pos())
 				out = append(out, pos.Filename+":"+strconv.Itoa(pos.Line)+": rand."+obj.Name())
 			}
+		}
+		if randType == nil {
+			continue
+		}
+		lines := map[string]bool{}
+		for _, f := range p.files {
+			var stack []ast.Node
+			ast.Inspect(f, func(n ast.Node) bool {
+				if n == nil {
+					stack = stack[:len(stack)-1]
+					return true
+				}
+				e, ok := n.(ast.Expr)
+				tv, typed := p.info.Types[e]
+				stack = append(stack, n)
+				if !ok || !typed || !types.Identical(tv.Type, randType) {
+					return true
+				}
+				if tv.IsType() {
+					if _, ptr := stack[len(stack)-2].(*ast.StarExpr); ptr {
+						return true
+					}
+				}
+				pos := prog.fset.Position(e.Pos())
+				if at := pos.Filename + ":" + strconv.Itoa(pos.Line); !lines[at] {
+					lines[at] = true
+					out = append(out, at+": sim.Rand by value")
+				}
+				return true
+			})
 		}
 	}
 	sort.Strings(out)
