@@ -38,6 +38,11 @@ var exportAllowlist = map[string]string{
 	"transport.TCPStats.*": statsReason,
 	"transport.Link.Lost":  statsReason,
 
+	// A link's frame accounting, which no result reports yet.
+	"transport.Link.Offered":   linkFramesReason,
+	"transport.Link.Delivered": linkFramesReason,
+	"transport.Link.InFlight":  linkFramesReason,
+
 	// Frame counters of an adaptive transfer. TestRunAdaptiveMatchesReference
 	// compares them against the reference, and the frame-conservation
 	// checks (every packet sent is delivered or lost, every delivery
@@ -61,6 +66,7 @@ var exportAllowlist = map[string]string{
 const (
 	statsReason        = "a protocol counter that the package's tests assert on"
 	resultReason       = "a result field that the package's tests assert on or compare against its reference implementation"
+	linkFramesReason   = "a link frame counter; transport's TestTransfersMatchReference checks that every frame offered is delivered, lost or in flight"
 	frameCounterReason = "a frame counter that the package's tests compare against its reference implementation and the frame-conservation checks build on"
 )
 

@@ -26,6 +26,19 @@ func TestGEParamsValidate(t *testing.T) {
 	}
 }
 
+// PERFromBER converts a bit error rate into the packet error probability for
+// a packet of the given byte length, assuming independent bit errors: the
+// closed form PacketErrorProb evaluates from each state's memoised log(1-ber).
+func PERFromBER(ber float64, bytes int) float64 {
+	if ber <= 0 || bytes <= 0 {
+		return 0
+	}
+	if ber >= 1 {
+		return 1
+	}
+	return perFromLog1m(math.Log1p(-ber), bytes)
+}
+
 func TestPERFromBER(t *testing.T) {
 	if got := PERFromBER(0, 1500); got != 0 {
 		t.Errorf("PER(ber=0) = %v, want 0", got)
@@ -42,6 +55,26 @@ func TestPERFromBER(t *testing.T) {
 	// Monotonic in length.
 	if PERFromBER(1e-5, 100) >= PERFromBER(1e-5, 1000) {
 		t.Error("PER not monotonic in packet length")
+	}
+}
+
+// TestPacketErrorProbMatchesPERFromBER pins the memoised per-state path to
+// the closed form bit for bit, signed zero included, across the BER range
+// GEParams allows and sizes that hit and miss each state's memo.
+func TestPacketErrorProbMatchesPERFromBER(t *testing.T) {
+	for _, bers := range [][2]float64{{0, 0}, {0, 1e-3}, {1e-9, 1e-5}, {3e-6, 0.5}, {0.5, 0.5}} {
+		s := sim.New(1)
+		ch := NewGilbertElliott(s, GEParams{MeanGood: sim.Hour, MeanBad: sim.Hour, BERGood: bers[0], BERBad: bers[1]})
+		ch.Freeze()
+		for i, bytes := range []int{0, 1500, 1500, 40, -1, 1, 2304, 1500, 0, 1040} {
+			st := LinkState(i % 2)
+			ch.ForceState(st)
+			ber := bers[st]
+			got, want := ch.PacketErrorProb(bytes), PERFromBER(ber, bytes)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("ber %g, %d bytes: PacketErrorProb = %v, PERFromBER = %v", ber, bytes, got, want)
+			}
+		}
 	}
 }
 

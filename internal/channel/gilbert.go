@@ -81,6 +81,8 @@ func NewGilbertElliott(s *sim.Simulator, p GEParams) *GilbertElliott {
 		panic(err)
 	}
 	c := &GilbertElliott{params: p, rng: s.Rand(), state: Good}
+	c.per[Good].log1m = math.Log1p(-p.BERGood)
+	c.per[Bad].log1m = math.Log1p(-p.BERBad)
 	c.flip = sim.NewTimer(s, c.onFlip)
 	c.scheduleFlip()
 	return c
@@ -97,24 +99,29 @@ func (c *GilbertElliott) BER() float64 {
 	return c.params.BERBad
 }
 
-// perMemo holds one state's packet error probability for the last packet
-// size asked. The zero memo is already right: size 0 has probability 0.
+// perMemo holds one state's log(1-ber) and its packet error probability
+// for the last packet size asked. A memo with only log1m set is already
+// right: size 0 has probability 0.
 type perMemo struct {
+	log1m float64 // math.Log1p(-ber)
 	bytes int
 	per   float64
 }
 
 // PacketErrorProb returns the probability that a packet of n bytes suffers at
 // least one uncorrected bit error in the current state: 1-(1-ber)^(8n).
-// A state's BER never changes, so each state memoises its last size's
-// result.
+// A state's BER never changes, so each state keeps its log(1-ber) and
+// memoises its last size's result: a size miss costs one Expm1.
 func (c *GilbertElliott) PacketErrorProb(bytes int) float64 {
-	m := &c.per[0]
+	m := &c.per[Good]
 	if c.state != Good {
-		m = &c.per[1]
+		m = &c.per[Bad]
 	}
 	if m.bytes != bytes {
-		*m = perMemo{bytes: bytes, per: PERFromBER(c.BER(), bytes)}
+		m.bytes, m.per = bytes, 0
+		if bytes > 0 {
+			m.per = perFromLog1m(m.log1m, bytes)
+		}
 	}
 	return m.per
 }
@@ -161,17 +168,13 @@ func (c *GilbertElliott) onFlip() {
 	c.scheduleFlip()
 }
 
-// PERFromBER converts a bit error rate into the packet error probability for
-// a packet of the given byte length, assuming independent bit errors.
-func PERFromBER(ber float64, bytes int) float64 {
-	if ber <= 0 || bytes <= 0 {
-		return 0
-	}
-	if ber >= 1 {
-		return 1
-	}
-	// 1 - (1-ber)^(8*bytes), computed in log space for numerical stability.
-	return -math.Expm1(float64(8*bytes) * math.Log1p(-ber))
+// perFromLog1m is the packet error probability 1 - (1-ber)^(8*bytes) of a
+// packet of a positive byte length, assuming independent bit errors. It is
+// computed in log space for numerical stability from log1m = log(1-ber).
+// For a BER in [0, 0.5], the range GEParams allows, it needs no special
+// case: a zero BER gives +0.
+func perFromLog1m(log1m float64, bytes int) float64 {
+	return -math.Expm1(float64(8*bytes) * log1m)
 }
 
 // sampleBinomial draws Binomial(n, p). For small expected counts it uses

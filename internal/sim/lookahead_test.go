@@ -6,13 +6,19 @@ import (
 )
 
 // scanQueue is a scan of every queued entry, the front register and
-// cancelled heap entries included, capped at horizon; with live set, it
-// skips the cancelled entries.
+// cancelled heap entries included, each at its heap key, capped at
+// horizon; with live set, it skips the cancelled entries and reads a moved
+// entry at its real instant.
 func scanQueue(s *Simulator, horizon Time, live bool) (first Time, n int, next Time) {
 	var entries []heapEntry
 	for _, en := range s.queue {
-		if !live || s.slab[en.idx].state() == statePending {
+		switch e := &s.slab[en.idx]; {
+		case !live:
 			entries = append(entries, en)
+		case e.state() == statePending:
+			entries = append(entries, en)
+		case e.state() == stateMoved:
+			entries = append(entries, heapEntry{at: e.at})
 		}
 	}
 	if s.hasFront {
@@ -41,10 +47,13 @@ func scanTimes(entries []heapEntry, horizon Time) (first Time, n int, next Time)
 }
 
 // TestLookaheadMatchesBruteForce drives random queues — ties at the
-// current instant, the front register, lazily cancelled entries, RunUntil
-// horizons, Run, Stop and calls outside the loop — and checks Lookahead
-// after every event against a scan of the queue's live entries and against
-// the live events' own handles. It must be exact against both.
+// current instant, the front register, lazily cancelled entries, timers
+// moved later in place, a Line holding items back and pushing from its own
+// callbacks, RunUntil horizons, Run, Stop and calls outside the loop — and
+// checks Lookahead after every event against a scan of the queue's live
+// entries and against the live events themselves: the one-shots' handles,
+// the armed timers' deadlines and the pushes yet to fire. It must be exact
+// against both.
 func TestLookaheadMatchesBruteForce(t *testing.T) {
 	// corners counts the checks that reached each case the test exists for.
 	corners := map[string]int{}
@@ -52,6 +61,10 @@ func TestLookaheadMatchesBruteForce(t *testing.T) {
 		r := rand.New(rand.NewSource(trial))
 		s := New(trial)
 		var handles []Handle
+		var timers []*Timer
+		line := NewLine(s)
+		var pushed []Time // each push's instant, -1 once it fired
+		rearms := 0
 		horizon := Time(0)
 		check := func() {
 			if s.hasFront {
@@ -63,6 +76,15 @@ func TestLookaheadMatchesBruteForce(t *testing.T) {
 			if s.stopped {
 				corners["after Stop"]++
 			}
+			for _, en := range s.queue {
+				if s.slab[en.idx].state() == stateMoved {
+					corners["moved entry"]++
+					break
+				}
+			}
+			if line.n > 2 {
+				corners["line items held back"]++
+			}
 			first, n, next := s.Lookahead()
 			wf, wn, wnext := scanQueue(s, horizon, true)
 			if first != wf || n != wn || next != wnext {
@@ -73,6 +95,16 @@ func TestLookaheadMatchesBruteForce(t *testing.T) {
 			for _, h := range handles {
 				if h.Pending() {
 					live = append(live, heapEntry{at: h.lease().at})
+				}
+			}
+			for _, tm := range timers {
+				if tm.Armed() {
+					live = append(live, heapEntry{at: tm.Deadline()})
+				}
+			}
+			for _, at := range pushed {
+				if at >= 0 {
+					live = append(live, heapEntry{at: at})
 				}
 			}
 			lf, ln, lnext := scanTimes(live, horizon)
@@ -89,6 +121,20 @@ func TestLookaheadMatchesBruteForce(t *testing.T) {
 		}
 		var fire func()
 		schedule := func(at Time) { handles = append(handles, s.At(at, fire)) }
+		for range 3 {
+			timers = append(timers, NewTimer(s, func() { fire() }))
+		}
+		// push queues fire on the line, mostly past its last item and
+		// sometimes on it, which hands the item to the kernel's queue.
+		push := func() {
+			at := s.Now() + Time(r.Intn(12))
+			if line.n > 0 && r.Intn(3) != 0 {
+				at = max(at, line.items[(line.head+line.n-1)&(len(line.items)-1)].at+Time(r.Intn(3)))
+			}
+			i := len(pushed)
+			pushed = append(pushed, at)
+			line.At(at, func() { pushed[i] = -1; fire() })
+		}
 		fire = func() {
 			check()
 			for range r.Intn(4) {
@@ -98,6 +144,23 @@ func TestLookaheadMatchesBruteForce(t *testing.T) {
 			}
 			for range r.Intn(3) {
 				s.cancel(handles[r.Intn(len(handles))])
+			}
+			for range r.Intn(3) {
+				if len(pushed) < 300 {
+					push()
+				}
+			}
+			if rearms < 300 && r.Intn(2) == 0 {
+				rearms++
+				tm := timers[r.Intn(len(timers))]
+				switch {
+				case tm.Armed() && r.Intn(3) != 0: // later: moves in place unless it holds the front register
+					tm.ResetAt(tm.Deadline() + Time(r.Intn(12)))
+				case r.Intn(4) == 0:
+					tm.Stop()
+				default:
+					tm.Reset(Time(r.Intn(12)))
+				}
 			}
 			if r.Intn(40) == 0 {
 				s.Stop()
@@ -125,7 +188,8 @@ func TestLookaheadMatchesBruteForce(t *testing.T) {
 			check()
 		}
 	}
-	for _, c := range []string{"front register", "dead entries", "after Stop", "dead entry skipped", "capped at the horizon"} {
+	for _, c := range []string{"front register", "dead entries", "after Stop", "dead entry skipped", "capped at the horizon",
+		"moved entry", "line items held back"} {
 		if corners[c] == 0 {
 			t.Errorf("no check reached the %s case", c)
 		}

@@ -9,13 +9,17 @@ import (
 
 // modelEvent is the reference model's view of one scheduled callback: the
 // old-heap semantics are simply "non-cancelled events fire in (at, seq)
-// order", with seq allocated per schedule call.
+// order", with seq allocated per schedule call. A Line push is one more
+// schedule call; chain holds the delays of the pushes its callback makes in
+// turn, one per generation, and ids the ids of those pushes' callbacks.
 type modelEvent struct {
 	at        Time
 	seq       int
 	id        int
 	cancelled bool
 	fired     bool
+	chain     []Time
+	ids       []int
 }
 
 // modelShape is one random-interleaving workload for the reference model:
@@ -25,7 +29,7 @@ type modelShape struct {
 	tick  int    // width of the near-instant delay draw, µs
 	span  int    // delay scale, µs
 	ops   int    // operations per trial
-	mix   [6]int // weights of: schedule, cancel, timer rearm, timer stop, long drain, partial drain
+	mix   [8]int // weights of: schedule, cancel, timer rearm, timer stop, long drain, partial drain, timer move later, line push
 	drain int    // largest clock advance of a partial drain, µs
 }
 
@@ -34,7 +38,7 @@ type modelShape struct {
 // geometry the kernel once had.
 func wheelShape(name string, shift, bits int) modelShape {
 	span := 1 << (shift + bits)
-	return modelShape{name: name, tick: 1 << shift, span: span, ops: 300, mix: [6]int{4, 2, 2, 1, 1, 2}, drain: 2 * span / 3}
+	return modelShape{name: name, tick: 1 << shift, span: span, ops: 300, mix: [8]int{4, 2, 2, 1, 1, 2, 2, 2}, drain: 2 * span / 3}
 }
 
 // modelShapes and cornerShapes are the delay scales the reference-model
@@ -67,12 +71,14 @@ var (
 )
 
 // TestRandomInterleavingMatchesModel drives the kernel with random
-// interleavings of At, Schedule, cancel, Timer.Reset, Timer.Stop and
-// partial RunUntil drains, and checks the observed fire sequence against a
-// reference model implementing the pre-pool heap semantics (stable
-// (at, seq) order, eager cancellation). This pins the kernel — pooling,
-// lazy cancellation, compaction, the front register — to the old
-// observable behavior. Cache entries and the seed-1 golden stay valid
+// interleavings of At, Schedule, cancel, Timer.Reset, Timer.ResetAt to a
+// later instant, Timer.Stop, Line pushes (and the pushes their callbacks
+// make) and partial RunUntil drains, and checks the observed fire sequence
+// against a reference model implementing the pre-pool heap semantics
+// (stable (at, seq) order, eager cancellation, a fresh seq per schedule,
+// re-arm and push). This pins the kernel — pooling, lazy cancellation,
+// compaction, the front register, timers that move in place, delay lines —
+// to the old observable behavior. Cache entries and the seed-1 golden stay valid
 // across kernel rewrites precisely because this holds.
 //
 // The random delays land on the current instant, within the shape's span,
@@ -100,7 +106,7 @@ func TestRandomInterleavingCornerTunings(t *testing.T) {
 	}
 }
 
-// TestRandomInterleavingQueueCorners runs the reference model on three
+// TestRandomInterleavingQueueCorners runs the reference model on four
 // workloads the default mix never reaches, and checks each trial really
 // reached its corner:
 //   - compaction-floor: hundreds of schedules, most of them cancelled, so
@@ -109,29 +115,39 @@ func TestRandomInterleavingCornerTunings(t *testing.T) {
 //   - deep-queue: at least 400 events pending at once, above the 367 and
 //     339 peaks of e10 and e11, the deepest registered experiments;
 //   - same-instant-ties: a 2 µs span with drains of at most 1 µs, so
-//     events sharing an instant are split across RunUntil calls.
+//     events sharing an instant are split across RunUntil calls;
+//   - moves-and-lines: an 8 µs span where timers move later in place and
+//     re-key at the top of the heap among ties, and a Line holds items
+//     back, some pushed from its own callbacks.
 func TestRandomInterleavingQueueCorners(t *testing.T) {
 	corners := []struct {
 		shape modelShape
 		check func(t *testing.T, st trialStats)
 	}{
-		{modelShape{name: "compaction-floor", tick: 1, span: 1 << 12, ops: 900, mix: [6]int{4, 10, 1, 0, 0, 1}, drain: 8},
+		{modelShape{name: "compaction-floor", tick: 1, span: 1 << 12, ops: 900, mix: [8]int{4, 10, 1, 0, 0, 1, 0, 0}, drain: 8},
 			func(t *testing.T, st trialStats) {
 				if st.scheduled < 200 || st.cancelled*2 <= st.scheduled || st.compactions == 0 {
 					t.Errorf("scheduled %d, cancelled %d, compactions %d: want ≥200 scheduled, most cancelled, ≥1 compaction",
 						st.scheduled, st.cancelled, st.compactions)
 				}
 			}},
-		{modelShape{name: "deep-queue", tick: 1, span: 1 << 14, ops: 2000, mix: [6]int{12, 1, 1, 0, 0, 1}, drain: 1 << 9},
+		{modelShape{name: "deep-queue", tick: 1, span: 1 << 14, ops: 2000, mix: [8]int{12, 1, 1, 0, 0, 1, 0, 0}, drain: 1 << 9},
 			func(t *testing.T, st trialStats) {
 				if st.peakPending < 400 {
 					t.Errorf("peak pending %d, want ≥400", st.peakPending)
 				}
 			}},
-		{modelShape{name: "same-instant-ties", tick: 1, span: 2, ops: 300, mix: [6]int{6, 1, 2, 1, 0, 4}, drain: 1},
+		{modelShape{name: "same-instant-ties", tick: 1, span: 2, ops: 300, mix: [8]int{6, 1, 2, 1, 0, 4, 2, 3}, drain: 1},
 			func(t *testing.T, st trialStats) {
 				if st.splitTies == 0 {
 					t.Error("no same-instant tie was split across two drains")
+				}
+			}},
+		{modelShape{name: "moves-and-lines", tick: 1, span: 8, ops: 400, mix: [8]int{4, 1, 1, 1, 0, 3, 6, 6}, drain: 4},
+			func(t *testing.T, st trialStats) {
+				if st.movedInPlace == 0 || st.heldBack == 0 || st.callbackPushes == 0 {
+					t.Errorf("%d timer moves in place, %d pushes held back, %d pushes from callbacks: want each ≥1",
+						st.movedInPlace, st.heldBack, st.callbackPushes)
 				}
 			}},
 	}
@@ -152,6 +168,10 @@ type trialStats struct {
 	compactions int // heap rebuilds triggered by a cancel
 	peakPending int // most live events queued at once
 	splitTies   int // drains whose first event shares the instant of the previous drain's last
+
+	movedInPlace   int // timer re-arms that kept their handle: moved in place
+	heldBack       int // Line pushes that left more than two items on the line
+	callbackPushes int // Line pushes made from a Line item's callback
 }
 
 func runModelTrial(t *testing.T, sh modelShape, seed int64) trialStats {
@@ -161,21 +181,46 @@ func runModelTrial(t *testing.T, sh modelShape, seed int64) trialStats {
 	var st trialStats
 
 	var model []*modelEvent
-	var handles []Handle // handles[i] belongs to model[i]; zero for timer arms
+	var handles []Handle // handles[i] belongs to model[i]; zero for timer arms and pushes
 	var got []int        // event ids in kernel fire order
 	seq := 0
 	nextID := 0
 
-	// One timer participates: each arm is a model event like any other,
-	// with at most one arm live. timerArmID is what the kernel-side
-	// callback records; timerIdx is the model's index of the live arm.
-	timerArmID := -1
-	timerIdx := -1
-	timer := NewTimer(s, func() { got = append(got, timerArmID) })
+	// Three timers participate: each arm is a model event like any other,
+	// with at most one arm per timer live. armID[k] is what timer k's
+	// callback records, armIdx[k] the model's index of its live arm.
+	const nTimers = 3
+	var timers [nTimers]*Timer
+	var armID, armIdx [nTimers]int
+	for k := range timers {
+		armID[k], armIdx[k] = -1, -1
+		timers[k] = NewTimer(s, func() { got = append(got, armID[k]) })
+	}
+
+	// One Line participates. push queues id on it at time at; when the item
+	// fires, it pushes the first of chain from its own callback, which
+	// pushes the next in turn, ids[g] recording generation g's firing.
+	line := NewLine(s)
+	var push func(at Time, id int, chain []Time, ids []int)
+	push = func(at Time, id int, chain []Time, ids []int) {
+		line.At(at, func() {
+			got = append(got, id)
+			if len(chain) > 0 {
+				st.callbackPushes++
+				push(s.Now()+chain[0], ids[0], chain[1:], ids[1:])
+			}
+		})
+		if line.n > 2 {
+			st.heldBack++
+		}
+	}
 
 	// modelFire returns, in old-heap order, the ids of every live model
-	// event due at or before horizon, marking them fired.
+	// event due at or before horizon, marking them fired. A fired push's
+	// callback pushes the next generation of its chain at that point, with
+	// the next seq, as the kernel's callback does.
 	lastFiredAt, anyFired := Time(0), false
+	byKey := func(a, b *modelEvent) bool { return a.at < b.at || (a.at == b.at && a.seq < b.seq) }
 	modelFire := func(horizon Time) []int {
 		var ready []*modelEvent
 		for _, m := range model {
@@ -183,20 +228,28 @@ func runModelTrial(t *testing.T, sh modelShape, seed int64) trialStats {
 				ready = append(ready, m)
 			}
 		}
-		sort.Slice(ready, func(i, j int) bool {
-			return ready[i].at < ready[j].at ||
-				(ready[i].at == ready[j].at && ready[i].seq < ready[j].seq)
-		})
-		if len(ready) > 0 {
-			if anyFired && ready[0].at == lastFiredAt {
-				st.splitTies++
-			}
-			lastFiredAt, anyFired = ready[len(ready)-1].at, true
+		sort.Slice(ready, func(i, j int) bool { return byKey(ready[i], ready[j]) })
+		if len(ready) > 0 && anyFired && ready[0].at == lastFiredAt {
+			st.splitTies++
 		}
 		var ids []int
-		for _, m := range ready {
+		for len(ready) > 0 {
+			m := ready[0]
+			ready = ready[1:]
 			m.fired = true
+			lastFiredAt, anyFired = m.at, true
 			ids = append(ids, m.id)
+			if len(m.chain) == 0 {
+				continue
+			}
+			kid := &modelEvent{at: m.at + m.chain[0], seq: seq, id: m.ids[0], chain: m.chain[1:], ids: m.ids[1:]}
+			seq++
+			model = append(model, kid)
+			handles = append(handles, Handle{})
+			if kid.at <= horizon {
+				i := sort.Search(len(ready), func(i int) bool { return byKey(kid, ready[i]) })
+				ready = append(ready[:i], append([]*modelEvent{kid}, ready[i:]...)...)
+			}
 		}
 		return ids
 	}
@@ -206,6 +259,17 @@ func runModelTrial(t *testing.T, sh modelShape, seed int64) trialStats {
 			model[i].cancelled = true
 			st.cancelled++
 		}
+	}
+	// arm records timer k's new arm at time at in the model.
+	arm := func(k int, at Time) {
+		cancelModel(armIdx[k])
+		armID[k] = nextID
+		handles = append(handles, Handle{}) // keep indices aligned
+		model = append(model, &modelEvent{at: at, seq: seq, id: nextID})
+		armIdx[k] = len(model) - 1
+		nextID++
+		seq++
+		st.scheduled++
 	}
 
 	// delay draws a scheduling offset that lands near the current instant
@@ -253,37 +317,65 @@ func runModelTrial(t *testing.T, sh modelShape, seed int64) trialStats {
 			}
 			i := r.Intn(len(handles))
 			if handles[i] == (Handle{}) {
-				continue // a timer arm; not externally cancellable
+				continue // a timer arm or a push; not externally cancellable
 			}
 			s.cancel(handles[i])
 			cancelModel(i)
-		case 2: // rearm the timer
+		case 2: // rearm a timer
+			k := r.Intn(nTimers)
 			d := delay() + 1
-			timer.Reset(d)
-			cancelModel(timerIdx)
-			id := nextID
-			nextID++
-			timerArmID = id
-			handles = append(handles, Handle{}) // keep indices aligned
-			model = append(model, &modelEvent{at: s.Now() + d, seq: seq, id: id})
-			timerIdx = len(model) - 1
-			seq++
-			st.scheduled++
-		case 3: // stop the timer
-			timer.Stop()
-			cancelModel(timerIdx)
-			timerIdx = -1
+			timers[k].Reset(d)
+			arm(k, s.Now()+d)
+		case 3: // stop a timer
+			k := r.Intn(nTimers)
+			timers[k].Stop()
+			cancelModel(armIdx[k])
+			armIdx[k] = -1
 		case 4: // long drain: advance past the whole span
 			horizon := s.Now() + Time(sh.span+r.Intn(sh.span*2))
 			want = append(want, modelFire(horizon)...)
 			s.RunUntil(horizon)
-		default: // drain part of the queue
+		case 5: // drain part of the queue
 			horizon := s.Now() + Time(r.Intn(sh.drain+1))
 			want = append(want, modelFire(horizon)...)
 			s.RunUntil(horizon)
+		case 6: // move an armed timer to its deadline or later
+			k := r.Intn(nTimers)
+			if !timers[k].Armed() {
+				continue
+			}
+			at := timers[k].Deadline() + Time(r.Intn(sh.tick*2))
+			if r.Intn(2) == 0 {
+				at += delay()
+			}
+			before := timers[k].event
+			timers[k].ResetAt(at)
+			if timers[k].event == before {
+				st.movedInPlace++
+			}
+			arm(k, at)
+		default: // push onto the line, mostly past its last item
+			at := s.Now() + delay()
+			if line.n > 0 && r.Intn(4) != 0 {
+				tail := line.items[(line.head+line.n-1)&(len(line.items)-1)].at
+				at = max(at, tail+Time(r.Intn(sh.tick*2)))
+			}
+			var chain []Time
+			var ids []int
+			for r.Intn(3) == 0 {
+				chain = append(chain, delay())
+				ids = append(ids, nextID+1+len(ids))
+			}
+			id := nextID
+			nextID += 1 + len(ids)
+			push(at, id, chain, ids)
+			handles = append(handles, Handle{})
+			model = append(model, &modelEvent{at: at, seq: seq, id: id, chain: chain, ids: ids})
+			seq++
+			st.scheduled++
 		}
 		// cancel only ever adds dead entries, except when it compacts.
-		if s.dead < deadBefore && kind >= 1 && kind <= 3 {
+		if s.dead < deadBefore && (kind >= 1 && kind <= 3 || kind == 6) {
 			st.compactions++
 		}
 		st.peakPending = max(st.peakPending, s.Pending())
@@ -295,8 +387,8 @@ func runModelTrial(t *testing.T, sh modelShape, seed int64) trialStats {
 		t.Fatalf("seed %d: fire order diverged from old-heap model\n got: %v\nwant: %v",
 			seed, got, want)
 	}
-	if s.Pending() != 0 {
-		t.Fatalf("seed %d: %d events still pending after full drain", seed, s.Pending())
+	if s.Pending() != 0 || line.n != 0 {
+		t.Fatalf("seed %d: %d events, %d line items still pending after full drain", seed, s.Pending(), line.n)
 	}
 	return st
 }

@@ -13,10 +13,15 @@ const (
 	statePending uint32 = iota + 1
 	stateFired
 	stateCancelled
+	// stateMoved is a pending event that a Timer moved later in place: the
+	// slot holds its real (at, seq), its heap entry still the earlier key
+	// it was queued under. The entry is re-keyed when it reaches the top
+	// of the heap, so the path that fires live entries never checks for it.
+	stateMoved
 
 	// stateBits is how many low bits of event.gs hold the state; the
-	// remaining 30 bits hold the lease generation.
-	stateBits = 2
+	// remaining 29 bits hold the lease generation.
+	stateBits = 3
 	stateMask = 1<<stateBits - 1
 	genStep   = 1 << stateBits // adding genStep to gs bumps the generation
 )
@@ -49,6 +54,13 @@ func (e *event) setState(st uint32) { e.gs = e.gs&^stateMask | st }
 // gen extracts the slot's lease generation from the packed word.
 func (e *event) gen() uint32 { return e.gs >> stateBits }
 
+// live reports whether the event is still due to fire: pending, or moved
+// later in place.
+func (e *event) live() bool {
+	st := e.state()
+	return st == statePending || st == stateMoved
+}
+
 // Handle identifies one scheduled event. It is a small value (copy freely;
 // the zero Handle refers to no event) carrying the slot index and the lease
 // generation: once the event has fired or its cancellation has been
@@ -76,7 +88,7 @@ func (h Handle) lease() *event {
 // Pending reports whether the event is still queued to fire.
 func (h Handle) Pending() bool {
 	e := h.lease()
-	return e != nil && e.state() == statePending
+	return e != nil && e.live()
 }
 
 // heapEntry is one element of the pending-event heap, ordered by (at, seq).
@@ -136,6 +148,15 @@ func NewTuned(seed int64, _ Tuning) *Simulator { return New(seed) }
 // surface (or in a bulk compaction once they outnumber the live ones),
 // instead of an O(log n) removal per cancel.
 //
+// Two patterns skip the heap work a cancel-and-schedule would cost. A Timer
+// re-armed no earlier than its pending expiry moves its event in place: the
+// slot takes the new (at, seq) and the heap entry keeps its earlier key,
+// still a lower bound, until it reaches the top and is re-keyed there. A
+// Line holds callbacks due at strictly increasing instants (a link's
+// deliveries) and keeps only its first two in the queue. Each takes the
+// sequence number a plain At would take at the same point of the run, so
+// neither changes the order anything fires in.
+//
 // Simulator is not safe for concurrent use; the entire simulation executes on
 // a single goroutine, which is what makes determinism cheap.
 type Simulator struct {
@@ -191,10 +212,10 @@ func (s *Simulator) Fired() uint64 { return s.fired }
 // acquire leases a slot for a new pending event, reusing a released slot
 // when one is available. The steady-state (free-list) path must stay
 // inlineable — the cold slab-append lives in acquireSlow to keep it so.
-func (s *Simulator) acquire(at Time, fn func()) (int32, uint32) {
+func (s *Simulator) acquire(at Time, seq uint64, fn func()) (int32, uint32) {
 	idx := s.free
 	if idx < 0 {
-		return s.acquireSlow(at, fn)
+		return s.acquireSlow(at, seq, fn)
 	}
 	e := &s.slab[idx]
 	s.free = e.next
@@ -202,13 +223,13 @@ func (s *Simulator) acquire(at Time, fn func()) (int32, uint32) {
 	// One write bumps the generation and installs the pending state.
 	gs := e.gs&^stateMask + genStep | statePending
 	e.gs = gs
-	e.at, e.fn, e.seq = at, fn, s.seq
+	e.at, e.fn, e.seq = at, fn, seq
 	return idx, gs >> stateBits
 }
 
 // acquireSlow grows the slab when the free list is empty.
-func (s *Simulator) acquireSlow(at Time, fn func()) (int32, uint32) {
-	s.slab = append(s.slab, event{at: at, fn: fn, seq: s.seq, gs: statePending})
+func (s *Simulator) acquireSlow(at Time, seq uint64, fn func()) (int32, uint32) {
+	s.slab = append(s.slab, event{at: at, fn: fn, seq: seq, gs: statePending})
 	return int32(len(s.slab) - 1), 0
 }
 
@@ -227,15 +248,22 @@ func (s *Simulator) release(idx int32, final uint32) {
 // programming error and panics, because silently reordering events would
 // corrupt causality.
 func (s *Simulator) At(t Time, fn func()) Handle {
+	s.seq++
+	return s.queueAt(t, s.seq-1, fn)
+}
+
+// queueAt queues fn at (t, seq), a position At reserved earlier or is
+// taking now. A Line queues its items under the sequence numbers their
+// pushes reserved, so they fire where plain At calls would have.
+func (s *Simulator) queueAt(t Time, seq uint64, fn func()) Handle {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	idx, gen := s.acquire(t, fn)
-	en := heapEntry{at: t, seq: s.seq, idx: idx}
-	s.seq++
+	idx, gen := s.acquire(t, seq, fn)
+	en := heapEntry{at: t, seq: seq, idx: idx}
 	switch {
 	case s.hasFront:
 		if entryLess(en, s.front) {
@@ -298,22 +326,56 @@ func nextPow2(n int) int {
 // can cancel defensively. Code outside the package cancels through a
 // Timer or a Ticker.
 func (s *Simulator) cancel(h Handle) {
+	if e := s.liveLease(h); e != nil {
+		s.kill(h.idx, e)
+	}
+}
+
+// liveLease returns h's slot if h is a lease on s whose event is still due
+// to fire, or nil.
+func (s *Simulator) liveLease(h Handle) *event {
 	if h.s != s { // covers the zero Handle and cross-simulator misuse
-		return
+		return nil
 	}
 	e := &s.slab[h.idx]
-	if e.gen() != h.gen || e.state() != statePending {
-		return
+	if e.gen() != h.gen || !e.live() {
+		return nil
 	}
-	if s.hasFront && s.front.idx == h.idx {
+	return e
+}
+
+// kill cancels the live event in slot idx.
+func (s *Simulator) kill(idx int32, e *event) {
+	if s.hasFront && s.front.idx == idx {
 		// The front register is a single entry, so eager removal is O(1).
 		s.hasFront = false
-		s.release(h.idx, stateCancelled)
+		s.release(idx, stateCancelled)
 		return
 	}
 	e.setState(stateCancelled)
 	s.dead++
 	s.maybeCompact()
+}
+
+// rearm replaces h's event, if it is still live, with fn due at t, and
+// returns the re-armed event's handle. The re-armed event takes the
+// sequence number a plain At would take now, so it fires exactly where
+// cancel-then-At would put it. A live event waiting in the heap that moves
+// to an instant no earlier than its current one moves in place: its slot
+// takes the new (at, seq) and keeps its handle, while its heap entry keeps
+// the earlier key, which still bounds the real one from below, until it
+// reaches the top (settleTop). Any other re-arm cancels and schedules.
+func (s *Simulator) rearm(h Handle, t Time, fn func()) Handle {
+	if e := s.liveLease(h); e != nil {
+		if t >= e.at && !(s.hasFront && s.front.idx == h.idx) {
+			e.at, e.seq = t, s.seq
+			s.seq++
+			e.setState(stateMoved)
+			return h
+		}
+		s.kill(h.idx, e)
+	}
+	return s.At(t, fn)
 }
 
 // maybeCompact rebuilds the heap without its dead entries once they
@@ -326,9 +388,13 @@ func (s *Simulator) maybeCompact() {
 	}
 	kept := s.queue[:0]
 	for _, en := range s.queue {
-		if s.slab[en.idx].state() == statePending {
+		switch e := &s.slab[en.idx]; e.state() {
+		case statePending:
 			kept = append(kept, en)
-		} else {
+		case stateMoved:
+			e.setState(statePending)
+			kept = append(kept, heapEntry{at: e.at, seq: e.seq, idx: en.idx})
+		default:
 			s.release(en.idx, stateCancelled)
 		}
 	}
@@ -357,26 +423,40 @@ func (s *Simulator) limitExceeded() {
 	panic(fmt.Sprintf("sim: event limit %d exceeded at t=%v", s.limit, s.now))
 }
 
-// collectDeadTop pops the cancelled entries off the top of the heap, so
-// its root is live (or the heap empty), as step would when they surface.
-// Collecting them early is invisible: pop order is the (at, seq) order of
-// the live entries either way.
+// collectDeadTop settles the heap's top until its root is pending under
+// its real key (or the heap is empty), as step would when the entries
+// surface. Settling them early is invisible: pop order is the (at, seq)
+// order of the live events either way.
 func (s *Simulator) collectDeadTop() {
 	for len(s.queue) > 0 {
 		idx := s.queue[0].idx
 		if s.slab[idx].state() == statePending {
 			return
 		}
-		s.heapPopTop()
-		s.dead--
-		s.release(idx, stateCancelled)
+		s.settleTop(idx)
 	}
 }
 
+// settleTop deals with a heap root, slot idx, that is not pending under its
+// key: a cancelled one is collected, a moved one takes its real (at, seq)
+// and sifts down to its place.
+func (s *Simulator) settleTop(idx int32) {
+	e := &s.slab[idx]
+	if e.state() == stateMoved {
+		e.setState(statePending)
+		s.queue[0] = heapEntry{at: e.at, seq: e.seq, idx: idx}
+		s.siftDown(0)
+		return
+	}
+	s.heapPopTop()
+	s.dead--
+	s.release(idx, stateCancelled)
+}
+
 // step pops and fires the next event. It reports false when the queue is
-// empty or only holds events after horizon. A dead entry that surfaces is
-// collected without firing (and without advancing the clock), counting as
-// one step.
+// empty or only holds events after horizon. A dead or moved entry that
+// surfaces is settled without firing (and without advancing the clock),
+// counting as one step.
 func (s *Simulator) step(horizon Time) bool {
 	var en heapEntry // the live entry to fire
 	if s.hasFront {
@@ -391,9 +471,7 @@ func (s *Simulator) step(horizon Time) bool {
 		}
 		en = s.queue[0]
 		if s.slab[en.idx].state() != statePending {
-			s.heapPopTop()
-			s.dead--
-			s.release(en.idx, stateCancelled)
+			s.settleTop(en.idx)
 			return true
 		}
 		if en.at > horizon {
@@ -443,8 +521,11 @@ func (s *Simulator) RunUntil(horizon Time) {
 // Each instant is capped at the loop's horizon (the RunUntil argument,
 // MaxTime under Run, now after Stop or outside any loop), and n is 0 when
 // the earliest entry lies beyond it. Cancelled entries still in the heap
-// count for nothing: the walk collects those on top of the heap and steps
-// over the rest, so the answer is exact for the live events.
+// count for nothing and moved ones count at their real instant: the walk
+// settles those on top of the heap and reads through the rest, so the
+// answer is exact for the live events. A Line's items beyond its first two
+// are not queued, but they fall after the second, so they never change
+// the answer.
 //
 // A model may use the answer to batch work it would otherwise spread over
 // events at instants before first: no other code can act in between, and
@@ -471,11 +552,11 @@ func (s *Simulator) Lookahead() (first Time, n int, next Time) {
 	return first, n, min(next, s.horizon)
 }
 
-// countAt counts the live heap entries at t, the heap's minimum instant, in
+// countAt counts the live heap events at t, the heap's minimum instant, in
 // the subtree rooted at i, and lowers *next to the earliest later live
-// instant it meets. The entries at the minimum form a connected subtree
-// under the root, so the walk visits only them and, below them, what
-// earliestLive visits.
+// instant it meets. The entries keyed at the minimum form a connected
+// subtree under the root, so the walk visits only them and, below them,
+// what earliestLive visits. A moved entry counts at its real instant.
 func (s *Simulator) countAt(i int, t Time, next *Time) int {
 	if i >= len(s.queue) {
 		return 0
@@ -486,17 +567,26 @@ func (s *Simulator) countAt(i int, t Time, next *Time) int {
 		return 0
 	}
 	n := s.countAt(2*i+1, t, next) + s.countAt(2*i+2, t, next)
-	if s.slab[en.idx].state() == statePending {
+	switch e := &s.slab[en.idx]; e.state() {
+	case statePending:
 		n++
+	case stateMoved:
+		if e.at == t {
+			n++
+		} else {
+			*next = min(*next, e.at)
+		}
 	}
 	return n
 }
 
 // earliestLive lowers *next to the earliest live instant in the subtree
-// rooted at i. No descendant precedes its ancestor, so the walk stops at a
-// live entry, at an entry no earlier than *next, and at a leaf: it only
-// descends through cancelled entries, and compaction keeps those to at
-// most half the heap (or fewer than compactMinDead).
+// rooted at i. No key precedes its ancestor's, and a key never follows its
+// event's real instant, so the walk stops at a pending entry, at an entry
+// keyed no earlier than *next, and at a leaf: it only descends through
+// cancelled and moved entries. Compaction keeps the cancelled ones to at
+// most half the heap (or fewer than compactMinDead), and each Timer has at
+// most one moved entry.
 func (s *Simulator) earliestLive(i int, next *Time) {
 	if i >= len(s.queue) {
 		return
@@ -505,9 +595,12 @@ func (s *Simulator) earliestLive(i int, next *Time) {
 	if en.at >= *next {
 		return
 	}
-	if s.slab[en.idx].state() == statePending {
+	switch e := &s.slab[en.idx]; e.state() {
+	case statePending:
 		*next = en.at
 		return
+	case stateMoved:
+		*next = min(*next, e.at)
 	}
 	s.earliestLive(2*i+1, next)
 	s.earliestLive(2*i+2, next)

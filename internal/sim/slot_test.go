@@ -20,7 +20,7 @@ func TestEventSlotPacked(t *testing.T) {
 
 // TestPackedGenerationState exercises the gs packing through a slot's
 // lifecycle: generations survive state flips, stale handles go inert, and
-// the state constants round-trip through the 2-bit field.
+// the state constants round-trip through the 3-bit field.
 func TestPackedGenerationState(t *testing.T) {
 	s := New(1)
 	nop := func() {}

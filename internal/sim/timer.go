@@ -1,5 +1,7 @@
 package sim
 
+import "fmt"
+
 // Timer is a resettable one-shot timer bound to a Simulator, and the one
 // way code outside this package holds an event it may cancel or re-arm:
 // MAC timeouts, DCF's DIFS and backoff countdown, PSM's pre-TBTT wakeup,
@@ -9,11 +11,18 @@ package sim
 // The Timer schedules fn itself, with no wrapper: step releases an event's
 // slot before it runs the callback, so inside fn the fired event's handle
 // is already inert (Armed is false, Deadline is MaxTime, Stop returns false)
-// and a Reset from fn schedules afresh. Reset rearms the timer by lazily
-// cancelling the previous pooled event and leasing a new one, so an
-// arbitrarily long reset storm performs no allocations. Cancelling takes no
-// sequence number, so a Reset fires in the same (at, seq) order as a plain
-// Schedule at the same point of the run.
+// and a Reset from fn schedules afresh.
+//
+// A Reset or ResetAt that moves a pending expiry waiting in the heap to an
+// instant no earlier than its current one moves the event in place: its
+// slot takes the new instant and a fresh sequence number, and the heap
+// entry is re-keyed only once it reaches the top. That is the common
+// retransmission-timer pattern (TCP's RTO pushed back on every new ACK), and
+// it costs no heap work per re-arm. Any other re-arm lazily cancels the
+// pooled event and leases a new one. Either way an arbitrarily long reset
+// storm performs no allocations, and the re-armed expiry takes the sequence
+// number a plain Schedule would take at the same point of the run (cancelling
+// takes none), so it fires in the same (at, seq) order.
 type Timer struct {
 	sim   *Simulator
 	fn    func()
@@ -28,16 +37,17 @@ func NewTimer(s *Simulator, fn func()) *Timer {
 	return &Timer{sim: s, fn: fn}
 }
 
-// Reset (re)arms the timer to fire after d, cancelling any pending expiry.
+// Reset (re)arms the timer to fire after d, replacing any pending expiry.
 func (t *Timer) Reset(d Time) {
-	t.sim.cancel(t.event)
-	t.event = t.sim.Schedule(d, t.fn)
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative delay %v", d))
+	}
+	t.event = t.sim.rearm(t.event, t.sim.now+d, t.fn)
 }
 
 // ResetAt (re)arms the timer to fire at absolute time at.
 func (t *Timer) ResetAt(at Time) {
-	t.sim.cancel(t.event)
-	t.event = t.sim.At(at, t.fn)
+	t.event = t.sim.rearm(t.event, at, t.fn)
 }
 
 // Stop cancels the pending expiry, if any. It reports whether a pending
@@ -57,7 +67,7 @@ func (t *Timer) Armed() bool { return t.event.Pending() }
 // Deadline returns the pending expiry instant, or MaxTime when the timer
 // is not armed.
 func (t *Timer) Deadline() Time {
-	if e := t.event.lease(); e != nil && e.state() == statePending {
+	if e := t.event.lease(); e != nil && e.live() {
 		return e.at
 	}
 	return MaxTime

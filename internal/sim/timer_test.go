@@ -224,3 +224,57 @@ func TestNewTickerInvalidPeriodPanics(t *testing.T) {
 	}()
 	NewTicker(New(1), 0, func() {})
 }
+
+// TestTimerMovesInPlace pins how a re-arm treats the timer's event: moved
+// no earlier while it waits in the heap, it keeps its slot and heap entry,
+// and re-keys only when it reaches the top; moved earlier, or held in the
+// front register, it is cancelled and scheduled afresh. Either way it
+// fires at its last deadline.
+func TestTimerMovesInPlace(t *testing.T) {
+	s := New(1)
+	var firedAt Time = -1
+	tm := NewTimer(s, func() { firedAt = s.Now() })
+	tm.Reset(10)
+	if !s.hasFront {
+		t.Fatal("a timer armed on an empty queue should hold the front register")
+	}
+	h := tm.event
+	tm.Reset(20) // in the front register: cancel and schedule
+	if tm.event == h {
+		t.Fatal("a re-arm of the front register moved in place")
+	}
+	s.At(15, func() {}) // takes the front register, sending the timer to the heap
+	h = tm.event
+	tm.ResetAt(30)
+	tm.ResetAt(30)
+	if tm.event != h || len(s.queue) != 1 || s.dead != 0 {
+		t.Fatalf("later re-arms leased a new event: %d heap entries, %d dead", len(s.queue), s.dead)
+	}
+	if tm.Deadline() != 30 || !tm.Armed() {
+		t.Fatalf("Deadline() = %v, Armed() = %v; want 30us, true", tm.Deadline(), tm.Armed())
+	}
+	tm.ResetAt(25) // earlier than its deadline: cancel and schedule
+	if tm.event == h || s.dead != 1 {
+		t.Fatalf("an earlier re-arm moved in place (%d dead entries)", s.dead)
+	}
+	h = tm.event
+	tm.ResetAt(40)
+	s.RunUntil(39)
+	if firedAt != -1 || tm.event != h || !tm.Armed() {
+		t.Fatalf("timer fired at %v before its 40us deadline", firedAt)
+	}
+	s.Run()
+	if firedAt != 40 || tm.Armed() {
+		t.Fatalf("fired at %v, want 40us", firedAt)
+	}
+	tm.Reset(5)
+	s.At(s.Now()+1, func() {})
+	tm.Reset(50)
+	if !tm.Stop() || tm.Armed() {
+		t.Fatal("Stop of a moved timer reported no pending expiry")
+	}
+	s.Run()
+	if firedAt != 40 {
+		t.Fatalf("stopped timer fired at %v", firedAt)
+	}
+}

@@ -45,27 +45,47 @@ type Link struct {
 	RepairLimit int
 
 	busyUntil sim.Time
+	line      *sim.Line   // deliveries: packets arrive in the order they were sent
 	free      []*inFlight // recycled delivery records
 
+	// Frame accounting: every packet or datagram handed to Send or
+	// SendDatagram is delivered, lost or still in flight, so Offered =
+	// Delivered + Lost + InFlight at every instant. Lost counts what the
+	// link dropped for good: every loss without Snoop, and with Snoop a
+	// packet whose local repairs all failed.
+	Offered   int
+	Delivered int
+	Lost      int
+	InFlight  int
+
 	// Counters for energy/goodput accounting.
-	Lost     int
 	Repairs  int
 	BusyTime sim.Time
 }
 
-// inFlight is one packet on its way to the far end, pooled on its link's
-// free list. fn is fire, bound once when the record is first allocated.
+// inFlight is one packet or datagram on its way to the far end, pooled on
+// its link's free list. fn is fire, bound once when the record is first
+// allocated.
 type inFlight struct {
 	l       *Link
 	pkt     Packet
-	deliver func(*Packet)
+	deliver func(*Packet) // a packet's receiver; nil for a datagram
+	done    func()        // a datagram's receiver
 	fn      func()
 }
 
-// fire hands the packet to its receiver, then recycles the record.
+// fire hands the packet or datagram to its receiver, then recycles the
+// record.
 func (f *inFlight) fire() {
-	f.deliver(&f.pkt)
-	f.l.free = append(f.l.free, f)
+	l := f.l
+	l.InFlight--
+	l.Delivered++
+	if f.deliver != nil {
+		f.deliver(&f.pkt)
+	} else {
+		f.done()
+	}
+	l.free = append(l.free, f)
 }
 
 // NewLink creates a link with the given rate (bits/s) and one-way delay.
@@ -73,7 +93,7 @@ func NewLink(s *sim.Simulator, rate float64, delay sim.Time) *Link {
 	if !(rate > 0) || math.IsInf(rate, 1) || delay < 0 {
 		panic(fmt.Sprintf("transport: invalid link rate=%g delay=%v", rate, delay))
 	}
-	return &Link{sim: s, rate: rate, delay: delay}
+	return &Link{sim: s, rate: rate, delay: delay, line: sim.NewLine(s)}
 }
 
 // Send serializes the packet onto the link and schedules delivery. Packets
@@ -86,10 +106,11 @@ func (l *Link) Send(p *Packet, deliver func(*Packet)) {
 	end := start + tx
 	l.busyUntil = end
 	l.BusyTime += tx
+	l.Offered++
 	lost := l.Loss != nil && l.Loss(p.wireBytes())
 	if lost {
-		l.Lost++
 		if !l.Snoop {
+			l.Lost++
 			return
 		}
 		// Local repair: retransmit until the loss process relents or the
@@ -109,13 +130,24 @@ func (l *Link) Send(p *Packet, deliver func(*Packet)) {
 				return
 			}
 		}
-		return // finally dropped; the end-to-end RTO recovers
+		l.Lost++ // finally dropped; the end-to-end RTO recovers
+		return
 	}
 	l.deliverAt(end+l.delay, p, deliver)
 }
 
 // deliverAt schedules deliver(copy of *p) at time at.
 func (l *Link) deliverAt(at sim.Time, p *Packet, deliver func(*Packet)) {
+	f := l.record(at)
+	f.pkt, f.deliver, f.done = *p, deliver, nil
+}
+
+// record takes a free delivery record (or makes one), queues its firing at
+// time at and returns it for the caller to fill in before then. Deliveries
+// go on the link's delay line: they are due in the order they were queued,
+// except a Snoop repair's, which the line hands to the kernel's queue when
+// it lands at or before the line's last delivery.
+func (l *Link) record(at sim.Time) *inFlight {
 	var f *inFlight
 	if n := len(l.free); n > 0 {
 		f = l.free[n-1]
@@ -124,25 +156,31 @@ func (l *Link) deliverAt(at sim.Time, p *Packet, deliver func(*Packet)) {
 		f = &inFlight{l: l}
 		f.fn = f.fire
 	}
-	f.pkt, f.deliver = *p, deliver
-	l.sim.At(at, f.fn)
+	l.InFlight++
+	l.line.At(at, f.fn)
+	return f
 }
 
 // SendDatagram provides UDP semantics: fire-and-forget with the same
 // serialization and loss process. It reports whether the datagram survived
-// (known only to the simulator, as in real UDP).
+// (known only to the simulator, as in real UDP). A surviving datagram with
+// a nil deliver counts as delivered at once.
 func (l *Link) SendDatagram(bytes int, deliver func()) bool {
 	tx := sim.FromSeconds(float64(bytes*8) / l.rate)
 	start := sim.Max(l.sim.Now(), l.busyUntil)
 	end := start + tx
 	l.busyUntil = end
 	l.BusyTime += tx
+	l.Offered++
 	if l.Loss != nil && l.Loss(bytes) {
 		l.Lost++
 		return false
 	}
-	if deliver != nil {
-		l.sim.At(end+l.delay, deliver)
+	if deliver == nil {
+		l.Delivered++
+		return true
 	}
+	f := l.record(end + l.delay)
+	f.deliver, f.done = nil, deliver
 	return true
 }

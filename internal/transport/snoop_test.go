@@ -25,6 +25,10 @@ func TestSnoopRepairsLocally(t *testing.T) {
 	if l.Repairs != 1 {
 		t.Errorf("repairs = %d, want 1", l.Repairs)
 	}
+	if l.Offered != 1 || l.Delivered != 1 || l.Lost != 0 || l.InFlight != 0 {
+		t.Errorf("offered %d, delivered %d, lost %d, in flight %d; want 1, 1, 0, 0: a repaired packet is not lost",
+			l.Offered, l.Delivered, l.Lost, l.InFlight)
+	}
 }
 
 func TestSnoopGivesUpAtLimit(t *testing.T) {
@@ -41,6 +45,10 @@ func TestSnoopGivesUpAtLimit(t *testing.T) {
 	}
 	if l.Repairs != 3 {
 		t.Errorf("repairs = %d, want limit 3", l.Repairs)
+	}
+	if l.Offered != 1 || l.Delivered != 0 || l.Lost != 1 || l.InFlight != 0 {
+		t.Errorf("offered %d, delivered %d, lost %d, in flight %d; want 1, 0, 1, 0",
+			l.Offered, l.Delivered, l.Lost, l.InFlight)
 	}
 }
 

@@ -75,6 +75,14 @@ func clientEnergy(wireless *Link, ackLink *Link, dur sim.Time) float64 {
 // loss is indistinguishable from congestion to the sender, so every wireless
 // drop halves the window and may strand the RTO.
 func EndToEndTransfer(s *sim.Simulator, cfg PathConfig, totalBytes int) TransferResult {
+	res, _ := endToEndTransfer(s, cfg, totalBytes)
+	return res
+}
+
+// endToEndTransfer is EndToEndTransfer, also returning the links it ran
+// over so the tests can check their frame accounting. The other transfers
+// below have such a twin too.
+func endToEndTransfer(s *sim.Simulator, cfg PathConfig, totalBytes int) (TransferResult, []*Link) {
 	// Model the concatenated path as one link pair whose forward leg has
 	// the bottleneck rate and combined delay, with wireless losses.
 	fwd := NewLink(s, minRate(cfg.WiredRate, cfg.WirelessRate), cfg.WiredDelay+cfg.WirelessDelay)
@@ -97,7 +105,7 @@ func EndToEndTransfer(s *sim.Simulator, cfg PathConfig, totalBytes int) Transfer
 		Timeouts:        st.Timeouts,
 	}
 	finishTransfer(&res, cfg, fwd, rev, doneAt, totalBytes)
-	return res
+	return res, []*Link{fwd, rev}
 }
 
 // SplitTransfer terminates TCP at the proxy: a clean wired connection feeds
@@ -105,6 +113,11 @@ func EndToEndTransfer(s *sim.Simulator, cfg PathConfig, totalBytes int) Transfer
 // drains it to the client. Wireless losses recover locally in milliseconds
 // and never disturb the wired sender.
 func SplitTransfer(s *sim.Simulator, cfg PathConfig, totalBytes int) TransferResult {
+	res, _ := splitTransfer(s, cfg, totalBytes)
+	return res
+}
+
+func splitTransfer(s *sim.Simulator, cfg PathConfig, totalBytes int) (TransferResult, []*Link) {
 	wiredFwd := NewLink(s, cfg.WiredRate, cfg.WiredDelay)
 	wiredRev := NewLink(s, cfg.WiredRate, cfg.WiredDelay)
 	wlFwd := NewLink(s, cfg.WirelessRate, cfg.WirelessDelay)
@@ -134,7 +147,7 @@ func SplitTransfer(s *sim.Simulator, cfg PathConfig, totalBytes int) TransferRes
 		Timeouts:        st.Timeouts + wired.Stats().Timeouts,
 	}
 	finishTransfer(&res, cfg, wlFwd, wlRev, doneAt, totalBytes)
-	return res
+	return res, []*Link{wiredFwd, wiredRev, wlFwd, wlRev}
 }
 
 // SnoopTransfer keeps the TCP connection end-to-end but places a snoop
@@ -143,6 +156,11 @@ func SplitTransfer(s *sim.Simulator, cfg PathConfig, totalBytes int) TransferRes
 // surfaces as delay jitter rather than congestion signals — the "supporting
 // links" family of mitigations in the paper's transport survey.
 func SnoopTransfer(s *sim.Simulator, cfg PathConfig, totalBytes int) TransferResult {
+	res, _ := snoopTransfer(s, cfg, totalBytes)
+	return res
+}
+
+func snoopTransfer(s *sim.Simulator, cfg PathConfig, totalBytes int) (TransferResult, []*Link) {
 	fwd := NewLink(s, minRate(cfg.WiredRate, cfg.WirelessRate), cfg.WiredDelay+cfg.WirelessDelay)
 	fwd.Loss = lossFromChannel(cfg.Channel)
 	fwd.Snoop = true
@@ -165,7 +183,7 @@ func SnoopTransfer(s *sim.Simulator, cfg PathConfig, totalBytes int) TransferRes
 		Timeouts:        st.Timeouts,
 	}
 	finishTransfer(&res, cfg, fwd, rev, doneAt, totalBytes)
-	return res
+	return res, []*Link{fwd, rev}
 }
 
 // UDPStreamResult reports a datagram streaming run.
@@ -178,6 +196,11 @@ type UDPStreamResult struct {
 // UDPStream sends count datagrams of the given size over the wireless hop
 // with no recovery: the baseline "standard UDP" behaviour.
 func UDPStream(s *sim.Simulator, cfg PathConfig, count, bytes int, interval sim.Time) UDPStreamResult {
+	res, _ := udpStream(s, cfg, count, bytes, interval)
+	return res
+}
+
+func udpStream(s *sim.Simulator, cfg PathConfig, count, bytes int, interval sim.Time) (UDPStreamResult, *Link) {
 	wl := NewLink(s, cfg.WirelessRate, cfg.WirelessDelay)
 	wl.Loss = lossFromChannel(cfg.Channel)
 	// One send is pending at a time and queues the next. A delivery only
@@ -202,7 +225,7 @@ func UDPStream(s *sim.Simulator, cfg PathConfig, count, bytes int, interval sim.
 	if count > 0 {
 		res.LossRate = 1 - float64(delivered)/float64(count)
 	}
-	return res
+	return res, wl
 }
 
 func finishTransfer(res *TransferResult, cfg PathConfig, wirelessFwd, ackLink *Link, doneAt sim.Time, totalBytes int) {
