@@ -157,24 +157,49 @@ func TestGEPacketErrorRates(t *testing.T) {
 	}
 }
 
+// TestSampleBitErrorsMatchesMean checks SampleBitErrors' inversion draw
+// against Binomial(10000, ber) in each state: the sample mean within about
+// four standard errors of n·p, the sample variance within 5% of
+// n·p·(1−p). The Bad state's mean of 100 is far past the counts specs
+// draw (about 6 at most): each of its draws walks about a hundred gaps.
 func TestSampleBitErrorsMatchesMean(t *testing.T) {
-	s := sim.New(7)
-	ch := NewGilbertElliott(s, GEParams{MeanGood: sim.Hour, MeanBad: sim.Second,
-		BERGood: 1e-3, BERBad: 1e-2})
-	ch.Freeze()
-	const trials = 5000
-	const bytes = 1250 // 10000 bits, mean 10 errors
-	var total int
-	for i := 0; i < trials; i++ {
-		e := ch.SampleBitErrors(bytes)
-		if e < 0 || e > bytes*8 {
-			t.Fatalf("bit errors %d out of range", e)
-		}
-		total += e
+	const trials = 20000
+	const bytes = 1250 // 10000 bits
+	cases := []struct {
+		state   LinkState
+		ber     float64
+		meanTol float64 // about 4 standard errors of the sample mean
+	}{
+		{Good, 1e-3, 0.1}, // mean 10
+		{Bad, 1e-2, 0.3},  // mean 100
 	}
-	mean := float64(total) / trials
-	if math.Abs(mean-10) > 0.5 {
-		t.Errorf("mean bit errors = %.2f, want 10±0.5", mean)
+	for _, c := range cases {
+		t.Run(c.state.String(), func(t *testing.T) {
+			s := sim.New(7)
+			ch := NewGilbertElliott(s, GEParams{MeanGood: sim.Hour, MeanBad: sim.Second,
+				BERGood: 1e-3, BERBad: 1e-2})
+			ch.Freeze()
+			ch.ForceState(c.state)
+			var sum, sumSq float64
+			for i := 0; i < trials; i++ {
+				e := ch.SampleBitErrors(bytes)
+				if e < 0 || e > bytes*8 {
+					t.Fatalf("bit errors %d out of range", e)
+				}
+				sum += float64(e)
+				sumSq += float64(e) * float64(e)
+			}
+			n := float64(bytes * 8)
+			wantMean, wantVar := n*c.ber, n*c.ber*(1-c.ber)
+			mean := sum / trials
+			variance := (sumSq - sum*mean) / (trials - 1)
+			if math.Abs(mean-wantMean) > c.meanTol {
+				t.Errorf("mean bit errors = %.3f, want %g±%g", mean, wantMean, c.meanTol)
+			}
+			if math.Abs(variance-wantVar) > 0.05*wantVar {
+				t.Errorf("bit-error variance = %.3f, want %.3f±5%%", variance, wantVar)
+			}
+		})
 	}
 }
 

@@ -131,9 +131,8 @@ func (c *GilbertElliott) SamplePacketError(bytes int) bool {
 	return c.rng.Float64() < c.PacketErrorProb(bytes)
 }
 
-// SampleBitErrors samples how many bit errors land in a block of n bytes,
-// using a binomial draw (exact for small n·ber via inversion, normal
-// approximation for large counts).
+// SampleBitErrors samples how many bit errors land in a block of n bytes:
+// an exact Binomial(8n, ber) draw in the current state.
 func (c *GilbertElliott) SampleBitErrors(bytes int) int {
 	return sampleBinomial(c.rng, bytes*8, c.BER())
 }
@@ -177,43 +176,29 @@ func perFromLog1m(log1m float64, bytes int) float64 {
 	return -math.Expm1(float64(8*bytes) * log1m)
 }
 
-// sampleBinomial draws Binomial(n, p). For small expected counts it uses
-// exact inversion; otherwise the normal approximation with clamping.
+// sampleBinomial draws Binomial(n, p) exactly, by inversion: it counts
+// the geometric gaps between successes, so a draw costs one Float64 per
+// success plus one. Every mean a spec draws is small (about 6 at most).
+// p is a BER in [0, 0.5], the range GEParams allows.
 func sampleBinomial(rng *sim.Rand, n int, p float64) int {
-	if n <= 0 || p <= 0 {
+	if n <= 0 || p <= 0 { // at p = 0, logq is -0 and a gap would be NaN
 		return 0
 	}
-	if p >= 1 {
-		return n
-	}
-	mean := float64(float64(n) * p) // rounded here: Go may fuse across statements
-	if mean < 30 {
-		// Inversion by counting exponential gaps between successes.
-		count := 0
-		logq := math.Log1p(-p)
-		i := 0
-		for {
-			// Float64 scales by 2^-63, which arm64 would fuse with the
-			// subtraction; the conversion keeps it a separate rounding.
-			gap := math.Floor(xmath.Log(1-float64(rng.Float64())) / logq)
-			// Compared as a float: a gap past the remaining trials may not
-			// fit an int (a 32-bit int wraps it negative and counts a
-			// phantom success).
-			if gap >= float64(n-i) {
-				break
-			}
-			i += int(gap) + 1
-			count++
+	count := 0
+	logq := math.Log1p(-p)
+	i := 0
+	for {
+		// Float64 scales by 2^-63, which arm64 would fuse with the
+		// subtraction; the conversion keeps it a separate rounding.
+		gap := math.Floor(xmath.Log(1-float64(rng.Float64())) / logq)
+		// Compared as a float: a gap past the remaining trials may not
+		// fit an int (a 32-bit int wraps it negative and counts a
+		// phantom success).
+		if gap >= float64(n-i) {
+			break
 		}
-		return count
+		i += int(gap) + 1
+		count++
 	}
-	sd := math.Sqrt(mean * (1 - p))
-	x := int(math.Round(mean + float64(sd*rng.NormFloat64())))
-	if x < 0 {
-		x = 0
-	}
-	if x > n {
-		x = n
-	}
-	return x
+	return count
 }

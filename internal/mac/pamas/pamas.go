@@ -237,7 +237,7 @@ func (n *Network) tryTransmit(src, dst int, bytes int) {
 	now := n.sim.Now()
 	// A sleeping party (PAMAS idle-sleep) defers the exchange until it is
 	// listening again; the RTS would not be answered.
-	wakeAt := sim.Max(s.sleepUntil, d.sleepUntil)
+	wakeAt := max(s.sleepUntil, d.sleepUntil)
 	if wakeAt > now {
 		n.sim.At(wakeAt, func() { n.tryTransmit(src, dst, bytes) })
 		return

@@ -40,7 +40,7 @@ func Breakeven(p *radio.Profile) sim.Time {
 	transJ := down.Energy + up.Energy
 	t := sim.FromSeconds(transJ / save)
 	lat := down.Latency + up.Latency
-	return sim.Max(t, lat)
+	return max(t, lat)
 }
 
 // AlwaysOn never sleeps: the baseline every DPM policy is measured against.

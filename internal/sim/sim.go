@@ -200,10 +200,10 @@ func (s *Simulator) Now() Time { return s.now }
 // rand functions. It is a concrete Rand held inside the Simulator, so a
 // draw is a direct call with no interface dispatch and sim.New allocates
 // no separate stream. Its Intn and Float64 draw math/rand's exact values,
-// its ExpFloat64 and NormFloat64 math/rand's within an ulp (see Rand),
-// and it seeds about 3.5 times faster than rand.NewSource, which matters
-// when a job runs for a tenth of a millisecond. TestRandMatchesMathRand
-// and TestSourceMatchesMathRand hold it to math/rand.
+// its ExpFloat64 math/rand's within an ulp (see Rand), and it seeds about
+// 3.5 times faster than rand.NewSource, which matters when a job runs for
+// a tenth of a millisecond. TestRandMatchesMathRand and
+// TestSourceMatchesMathRand hold it to math/rand.
 func (s *Simulator) Rand() *Rand { return &s.rng }
 
 // Fired returns the number of events executed so far.

@@ -46,12 +46,6 @@ func TestTimeString(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	if Max(Second, Millisecond) != Second {
-		t.Error("Max wrong")
-	}
-}
-
 func TestEventOrdering(t *testing.T) {
 	s := New(1)
 	var order []int

@@ -12,11 +12,11 @@
 // math/rand's additive lagged-Fibonacci source. The source draws exactly
 // math/rand's bits but seeds with a jump-ahead Lehmer step, about 3.5
 // times faster than rand.NewSource's 1,841 sequential steps; seeding was
-// a seventh of the CPU of a 0.1 ms Hotspot job. Rand exports the four
+// a seventh of the CPU of a 0.1 ms Hotspot job. Rand exports the three
 // draws models use: Intn and Float64 return math/rand's exact values;
-// ExpFloat64 and NormFloat64 are math/rand's ziggurats over
-// internal/xmath, so their rare tail paths give the same bits on every
-// CPU, within an ulp of math/rand's.
+// ExpFloat64 is math/rand's ziggurat over internal/xmath, so its rare
+// tail paths give the same bits on every CPU, within an ulp of
+// math/rand's.
 // TestSourceMatchesMathRand, TestRandMatchesMathRand and their fuzz twins
 // compare both with math/rand itself.
 package sim
@@ -74,12 +74,4 @@ func (t Time) String() string {
 	default:
 		return fmt.Sprintf("%.1fs", t.Seconds())
 	}
-}
-
-// Max returns the larger of a and b.
-func Max(a, b Time) Time {
-	if a > b {
-		return a
-	}
-	return b
 }

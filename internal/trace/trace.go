@@ -180,10 +180,3 @@ func Figure1(g *Gantt, clients []int, windows []Window, traces map[int]*PowerTra
 	b.WriteString("  legend: '#' transfer slot; power: '_' deep sleep, '-' low, '=' mid, '^' high\n")
 	return b.String()
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -102,7 +102,7 @@ func NewLink(s *sim.Simulator, rate float64, delay sim.Time) *Link {
 // to deliver is the link's copy and is valid only during that call.
 func (l *Link) Send(p *Packet, deliver func(*Packet)) {
 	tx := sim.FromSeconds(float64(p.wireBytes()*8) / l.rate)
-	start := sim.Max(l.sim.Now(), l.busyUntil)
+	start := max(l.sim.Now(), l.busyUntil)
 	end := start + tx
 	l.busyUntil = end
 	l.BusyTime += tx
@@ -167,7 +167,7 @@ func (l *Link) record(at sim.Time) *inFlight {
 // a nil deliver counts as delivered at once.
 func (l *Link) SendDatagram(bytes int, deliver func()) bool {
 	tx := sim.FromSeconds(float64(bytes*8) / l.rate)
-	start := sim.Max(l.sim.Now(), l.busyUntil)
+	start := max(l.sim.Now(), l.busyUntil)
 	end := start + tx
 	l.busyUntil = end
 	l.BusyTime += tx

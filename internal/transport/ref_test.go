@@ -56,7 +56,7 @@ func newRefLink(s *sim.Simulator, rate float64, delay sim.Time) *refLink {
 // queue behind in-flight ones (FIFO); lost packets still consume airtime.
 func (l *refLink) Send(p *Packet, deliver func(*Packet)) {
 	tx := sim.FromSeconds(float64(p.wireBytes()*8) / l.rate)
-	start := sim.Max(l.sim.Now(), l.busyUntil)
+	start := max(l.sim.Now(), l.busyUntil)
 	end := start + tx
 	l.busyUntil = end
 	l.Packets++
@@ -101,7 +101,7 @@ func (l *refLink) SendDatagram(bytes int, deliver func()) bool {
 	survived := true
 	prevLoss := l.Loss
 	tx := sim.FromSeconds(float64(bytes*8) / l.rate)
-	start := sim.Max(l.sim.Now(), l.busyUntil)
+	start := max(l.sim.Now(), l.busyUntil)
 	end := start + tx
 	l.busyUntil = end
 	l.Packets++
@@ -388,9 +388,9 @@ func refClientEnergy(wireless *refLink, ackLink *refLink, dur sim.Time) float64 
 func refEndToEndTransfer(s *sim.Simulator, cfg PathConfig, totalBytes int) TransferResult {
 	// Model the concatenated path as one link pair whose forward leg has
 	// the bottleneck rate and combined delay, with wireless losses.
-	fwd := newRefLink(s, minRate(cfg.WiredRate, cfg.WirelessRate), cfg.WiredDelay+cfg.WirelessDelay)
+	fwd := newRefLink(s, min(cfg.WiredRate, cfg.WirelessRate), cfg.WiredDelay+cfg.WirelessDelay)
 	fwd.Loss = lossFromChannel(cfg.Channel)
-	rev := newRefLink(s, minRate(cfg.WiredRate, cfg.WirelessRate), cfg.WiredDelay+cfg.WirelessDelay)
+	rev := newRefLink(s, min(cfg.WiredRate, cfg.WirelessRate), cfg.WiredDelay+cfg.WirelessDelay)
 
 	conn := newRefTCPConn(s, cfg.TCP, fwd, rev)
 	var doneAt sim.Time
@@ -454,11 +454,11 @@ func refSplitTransfer(s *sim.Simulator, cfg PathConfig, totalBytes int) Transfer
 // surfaces as delay jitter rather than congestion signals — the "supporting
 // links" family of mitigations in the paper's transport survey.
 func refSnoopTransfer(s *sim.Simulator, cfg PathConfig, totalBytes int) TransferResult {
-	fwd := newRefLink(s, minRate(cfg.WiredRate, cfg.WirelessRate), cfg.WiredDelay+cfg.WirelessDelay)
+	fwd := newRefLink(s, min(cfg.WiredRate, cfg.WirelessRate), cfg.WiredDelay+cfg.WirelessDelay)
 	fwd.Loss = lossFromChannel(cfg.Channel)
 	fwd.Snoop = true
 	fwd.RepairDelay = 2*cfg.WirelessDelay + sim.Millisecond
-	rev := newRefLink(s, minRate(cfg.WiredRate, cfg.WirelessRate), cfg.WiredDelay+cfg.WirelessDelay)
+	rev := newRefLink(s, min(cfg.WiredRate, cfg.WirelessRate), cfg.WiredDelay+cfg.WirelessDelay)
 
 	conn := newRefTCPConn(s, cfg.TCP, fwd, rev)
 	var doneAt sim.Time

@@ -85,9 +85,9 @@ func EndToEndTransfer(s *sim.Simulator, cfg PathConfig, totalBytes int) Transfer
 func endToEndTransfer(s *sim.Simulator, cfg PathConfig, totalBytes int) (TransferResult, []*Link) {
 	// Model the concatenated path as one link pair whose forward leg has
 	// the bottleneck rate and combined delay, with wireless losses.
-	fwd := NewLink(s, minRate(cfg.WiredRate, cfg.WirelessRate), cfg.WiredDelay+cfg.WirelessDelay)
+	fwd := NewLink(s, min(cfg.WiredRate, cfg.WirelessRate), cfg.WiredDelay+cfg.WirelessDelay)
 	fwd.Loss = lossFromChannel(cfg.Channel)
-	rev := NewLink(s, minRate(cfg.WiredRate, cfg.WirelessRate), cfg.WiredDelay+cfg.WirelessDelay)
+	rev := NewLink(s, min(cfg.WiredRate, cfg.WirelessRate), cfg.WiredDelay+cfg.WirelessDelay)
 
 	conn := NewTCPConn(s, cfg.TCP, fwd, rev)
 	var doneAt sim.Time
@@ -161,11 +161,11 @@ func SnoopTransfer(s *sim.Simulator, cfg PathConfig, totalBytes int) TransferRes
 }
 
 func snoopTransfer(s *sim.Simulator, cfg PathConfig, totalBytes int) (TransferResult, []*Link) {
-	fwd := NewLink(s, minRate(cfg.WiredRate, cfg.WirelessRate), cfg.WiredDelay+cfg.WirelessDelay)
+	fwd := NewLink(s, min(cfg.WiredRate, cfg.WirelessRate), cfg.WiredDelay+cfg.WirelessDelay)
 	fwd.Loss = lossFromChannel(cfg.Channel)
 	fwd.Snoop = true
 	fwd.RepairDelay = 2*cfg.WirelessDelay + sim.Millisecond
-	rev := NewLink(s, minRate(cfg.WiredRate, cfg.WirelessRate), cfg.WiredDelay+cfg.WirelessDelay)
+	rev := NewLink(s, min(cfg.WiredRate, cfg.WirelessRate), cfg.WiredDelay+cfg.WirelessDelay)
 
 	conn := NewTCPConn(s, cfg.TCP, fwd, rev)
 	var doneAt sim.Time
@@ -234,11 +234,4 @@ func finishTransfer(res *TransferResult, cfg PathConfig, wirelessFwd, ackLink *L
 		res.ClientEnergyJ = clientEnergy(wirelessFwd, ackLink, doneAt)
 		res.EnergyPerByteJ = res.ClientEnergyJ / float64(totalBytes)
 	}
-}
-
-func minRate(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }

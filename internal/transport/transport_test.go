@@ -255,6 +255,12 @@ func TestConstructorsRejectEveryBadField(t *testing.T) {
 		expectPanic(t, name, func() { NewLink(s, rate, sim.Millisecond) })
 	}
 	expectPanic(t, "delay negative", func() { NewLink(s, 1e6, -sim.Millisecond) })
+	// The one-link topologies take the slower of the two rates; a NaN
+	// wired rate must reach NewLink, not lose to the wireless one.
+	nanWired := DefaultPathConfig(nil)
+	nanWired.WiredRate = math.NaN()
+	expectPanic(t, "end-to-end wired rate NaN", func() { EndToEndTransfer(s, nanWired, 1000) })
+	expectPanic(t, "snoop wired rate NaN", func() { SnoopTransfer(s, nanWired, 1000) })
 
 	for name, bad := range map[string]func(*TCPConfig){
 		"MSS zero":            func(c *TCPConfig) { c.MSS = 0 },
