@@ -18,6 +18,9 @@ func TestGEParamsValidate(t *testing.T) {
 		{MeanGood: sim.Second, MeanBad: sim.Second, BERGood: 0.7, BERBad: 0.7},
 		{MeanGood: sim.Second, MeanBad: sim.Second, BERGood: 1e-3, BERBad: 1e-6},
 		{MeanGood: sim.Second, MeanBad: sim.Second, BERGood: -1, BERBad: 1e-3},
+		{MeanGood: sim.Second, MeanBad: sim.Second, BERGood: math.NaN(), BERBad: 1e-3},
+		{MeanGood: sim.Second, MeanBad: sim.Second, BERGood: 1e-6, BERBad: math.NaN()},
+		{MeanGood: sim.Second, MeanBad: sim.Second, BERGood: 1e-6, BERBad: math.Inf(1)},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

@@ -50,7 +50,7 @@ func (p GEParams) Validate() error {
 		return fmt.Errorf("channel: sojourn times must be positive")
 	}
 	for _, b := range []float64{p.BERGood, p.BERBad} {
-		if b < 0 || b > 0.5 {
+		if !(b >= 0 && b <= 0.5) { // written so that NaN fails it too
 			return fmt.Errorf("channel: BER %g outside [0, 0.5]", b)
 		}
 	}

@@ -147,22 +147,10 @@ func Transfer(s *sim.Simulator, ch *channel.GilbertElliott, p Params, totalPacke
 	if totalPackets <= 0 {
 		panic("link: totalPackets must be positive")
 	}
-	// Reserve the transfer's concurrent event capacity up front so the
-	// per-packet scheduling hot path never grows the slab mid-transfer.
-	s.Reserve(window(p))
 	eng := newEngine(s, ch, p, totalPackets)
 	eng.run()
 	s.Run()
 	return eng.result()
-}
-
-// window returns the number of concurrently outstanding events a transfer
-// keeps in flight, used to reserve the slab capacity up front.
-func window(p Params) int {
-	if p.ARQ == SelectiveRepeat {
-		return p.Window + 1 // pipelined data plus one ACK in flight
-	}
-	return 2
 }
 
 // engine holds shared transfer state. A finished engine deliberately never

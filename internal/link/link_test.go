@@ -173,17 +173,27 @@ func TestEnergyCrossoverARQvsFEC(t *testing.T) {
 	}
 }
 
-// Property: selective repeat delivers every packet exactly once across a
-// range of loss rates and seeds.
+// Property: selective repeat retires every packet exactly once, delivered
+// or lost, across a range of loss rates and seeds. A packet may be lost:
+// near BER 6e-5 a 1416-byte frame fails about half its tries on the frozen
+// good-state channel, so its 16 retries can run out. The pinned case is one
+// such transfer, found by the random inputs; it also catches a retire that
+// goes uncounted.
 func TestSelectiveRepeatExactlyOnceProperty(t *testing.T) {
-	prop := func(seed int64, berRaw uint16) bool {
+	transfer := func(seed int64, berRaw uint16) Result {
 		ber := float64(berRaw%60) * 1e-6 // 0 .. 6e-5
 		s := sim.New(seed)
 		ch := uniformChannel(s, ber+1e-9)
 		p := DefaultParams()
 		p.ARQ = SelectiveRepeat
-		r := Transfer(s, ch, p, 60)
-		return r.DeliveredPackets == 60 && r.LostPackets == 0
+		return Transfer(s, ch, p, 60)
+	}
+	if r := transfer(-2708032457246867447, 0xd9f4); r.DeliveredPackets != 59 || r.LostPackets != 1 {
+		t.Errorf("pinned transfer: %d delivered, %d lost; want 59 and 1", r.DeliveredPackets, r.LostPackets)
+	}
+	prop := func(seed int64, berRaw uint16) bool {
+		r := transfer(seed, berRaw)
+		return r.DeliveredPackets+r.LostPackets == 60
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

@@ -21,9 +21,6 @@ func refTransfer(s *sim.Simulator, ch *channel.GilbertElliott, p Params, totalPa
 	if totalPackets <= 0 {
 		panic("link: totalPackets must be positive")
 	}
-	// Reserve the transfer's concurrent event capacity up front so the
-	// per-packet scheduling hot path never grows the slab mid-transfer.
-	s.Reserve(window(p))
 	eng := &refEngine{s: s, ch: ch, p: p, total: totalPackets}
 	switch p.ARQ {
 	case NoARQ:

@@ -461,7 +461,6 @@ func (m *Model) frameAir(frames int32, bytes float64) sim.Time {
 func (m *Model) Start() {
 	cfg := m.cfg
 	ids := cfg.cap()
-	m.s.Reserve(4)
 	m.t0 = m.s.Now()
 
 	var onBeacon func()

@@ -70,10 +70,10 @@ func benchCancelHeavy(n int) {
 	s := New(1)
 	nop := func() {}
 	const batch = 64
-	handles := make([]Handle, batch)
+	handles := make([]handle, batch)
 	for ops := 0; ops < n; ops += batch {
 		for i := range handles {
-			handles[i] = s.Schedule(Time(i+1)*Microsecond, nop)
+			handles[i] = s.at(s.now+Time(i+1)*Microsecond, nop)
 		}
 		for i := 0; i < batch; i += 2 {
 			s.cancel(handles[i])

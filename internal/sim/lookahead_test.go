@@ -60,7 +60,7 @@ func TestLookaheadMatchesBruteForce(t *testing.T) {
 	for trial := int64(1); trial <= 200; trial++ {
 		r := rand.New(rand.NewSource(trial))
 		s := New(trial)
-		var handles []Handle
+		var handles []handle
 		var timers []*Timer
 		line := NewLine(s)
 		var pushed []Time // each push's instant, -1 once it fired
@@ -70,7 +70,7 @@ func TestLookaheadMatchesBruteForce(t *testing.T) {
 			if s.hasFront {
 				corners["front register"]++
 			}
-			if s.dead > 0 {
+			if deadEntries(s) > 0 {
 				corners["dead entries"]++
 			}
 			if s.stopped {
@@ -93,8 +93,8 @@ func TestLookaheadMatchesBruteForce(t *testing.T) {
 			}
 			var live []heapEntry
 			for _, h := range handles {
-				if h.Pending() {
-					live = append(live, heapEntry{at: h.lease().at})
+				if pending(h) {
+					live = append(live, heapEntry{at: s.slab[h.idx].at})
 				}
 			}
 			for _, tm := range timers {
@@ -120,7 +120,7 @@ func TestLookaheadMatchesBruteForce(t *testing.T) {
 			}
 		}
 		var fire func()
-		schedule := func(at Time) { handles = append(handles, s.At(at, fire)) }
+		schedule := func(at Time) { handles = append(handles, s.at(at, fire)) }
 		for range 3 {
 			timers = append(timers, NewTimer(s, func() { fire() }))
 		}
@@ -219,9 +219,9 @@ func TestLookaheadSkipsDeadEntries(t *testing.T) {
 		var first, next Time
 		var n int
 		s.At(1, func() { first, n, next = s.Lookahead() })
-		var hs []Handle
+		var hs []handle
 		for _, at := range tc.at {
-			hs = append(hs, s.At(at, func() {}))
+			hs = append(hs, s.at(at, func() {}))
 		}
 		for _, i := range tc.cancel {
 			s.cancel(hs[i])

@@ -76,9 +76,9 @@ var (
 // make) and partial RunUntil drains, and checks the observed fire sequence
 // against a reference model implementing the pre-pool heap semantics
 // (stable (at, seq) order, eager cancellation, a fresh seq per schedule,
-// re-arm and push). This pins the kernel — pooling, lazy cancellation,
-// compaction, the front register, timers that move in place, delay lines —
-// to the old observable behavior. Cache entries and the seed-1 golden stay valid
+// re-arm and push). This pins the kernel — pooling, lazy cancellation, the
+// front register, timers that move in place, delay lines — to the old
+// observable behavior. Cache entries and the seed-1 golden stay valid
 // across kernel rewrites precisely because this holds.
 //
 // The random delays land on the current instant, within the shape's span,
@@ -109,9 +109,9 @@ func TestRandomInterleavingCornerTunings(t *testing.T) {
 // TestRandomInterleavingQueueCorners runs the reference model on four
 // workloads the default mix never reaches, and checks each trial really
 // reached its corner:
-//   - compaction-floor: hundreds of schedules, most of them cancelled, so
-//     dead entries pass the 64-entry compaction floor while the heap
-//     rebuilds mid-run;
+//   - dead-heavy: hundreds of schedules, most of them cancelled, so at
+//     least 64 dead entries outnumber the live ones in the heap while the
+//     run goes on;
 //   - deep-queue: at least 400 events pending at once, above the 367 and
 //     339 peaks of e10 and e11, the deepest registered experiments;
 //   - same-instant-ties: a 2 µs span with drains of at most 1 µs, so
@@ -124,11 +124,11 @@ func TestRandomInterleavingQueueCorners(t *testing.T) {
 		shape modelShape
 		check func(t *testing.T, st trialStats)
 	}{
-		{modelShape{name: "compaction-floor", tick: 1, span: 1 << 12, ops: 900, mix: [8]int{4, 10, 1, 0, 0, 1, 0, 0}, drain: 8},
+		{modelShape{name: "dead-heavy", tick: 1, span: 1 << 12, ops: 900, mix: [8]int{4, 10, 1, 0, 0, 1, 0, 0}, drain: 8},
 			func(t *testing.T, st trialStats) {
-				if st.scheduled < 200 || st.cancelled*2 <= st.scheduled || st.compactions == 0 {
-					t.Errorf("scheduled %d, cancelled %d, compactions %d: want ≥200 scheduled, most cancelled, ≥1 compaction",
-						st.scheduled, st.cancelled, st.compactions)
+				if st.scheduled < 200 || st.cancelled*2 <= st.scheduled || st.deadHeavy == 0 {
+					t.Errorf("scheduled %d, cancelled %d, %d ops with ≥64 dead entries outnumbering the live: want ≥200 scheduled, most cancelled, ≥1 such op",
+						st.scheduled, st.cancelled, st.deadHeavy)
 				}
 			}},
 		{modelShape{name: "deep-queue", tick: 1, span: 1 << 14, ops: 2000, mix: [8]int{12, 1, 1, 0, 0, 1, 0, 0}, drain: 1 << 9},
@@ -165,7 +165,7 @@ func TestRandomInterleavingQueueCorners(t *testing.T) {
 type trialStats struct {
 	scheduled   int // one-shots plus timer arms
 	cancelled   int // events cancelled while pending
-	compactions int // heap rebuilds triggered by a cancel
+	deadHeavy   int // operations after which ≥64 dead heap entries outnumbered the live ones
 	peakPending int // most live events queued at once
 	splitTies   int // drains whose first event shares the instant of the previous drain's last
 
@@ -181,7 +181,7 @@ func runModelTrial(t *testing.T, sh modelShape, seed int64) trialStats {
 	var st trialStats
 
 	var model []*modelEvent
-	var handles []Handle // handles[i] belongs to model[i]; zero for timer arms and pushes
+	var handles []handle // handles[i] belongs to model[i]; zero for timer arms and pushes
 	var got []int        // event ids in kernel fire order
 	seq := 0
 	nextID := 0
@@ -245,7 +245,7 @@ func runModelTrial(t *testing.T, sh modelShape, seed int64) trialStats {
 			kid := &modelEvent{at: m.at + m.chain[0], seq: seq, id: m.ids[0], chain: m.chain[1:], ids: m.ids[1:]}
 			seq++
 			model = append(model, kid)
-			handles = append(handles, Handle{})
+			handles = append(handles, handle{})
 			if kid.at <= horizon {
 				i := sort.Search(len(ready), func(i int) bool { return byKey(kid, ready[i]) })
 				ready = append(ready[:i], append([]*modelEvent{kid}, ready[i:]...)...)
@@ -264,7 +264,7 @@ func runModelTrial(t *testing.T, sh modelShape, seed int64) trialStats {
 	arm := func(k int, at Time) {
 		cancelModel(armIdx[k])
 		armID[k] = nextID
-		handles = append(handles, Handle{}) // keep indices aligned
+		handles = append(handles, handle{}) // keep indices aligned
 		model = append(model, &modelEvent{at: at, seq: seq, id: nextID})
 		armIdx[k] = len(model) - 1
 		nextID++
@@ -300,13 +300,12 @@ func runModelTrial(t *testing.T, sh modelShape, seed int64) trialStats {
 			k -= sh.mix[kind]
 			kind++
 		}
-		deadBefore := s.dead
 		switch kind {
 		case 0: // schedule a one-shot
 			id := nextID
 			nextID++
 			at := s.Now() + delay()
-			h := s.At(at, func() { got = append(got, id) })
+			h := s.at(at, func() { got = append(got, id) })
 			handles = append(handles, h)
 			model = append(model, &modelEvent{at: at, seq: seq, id: id})
 			seq++
@@ -316,7 +315,7 @@ func runModelTrial(t *testing.T, sh modelShape, seed int64) trialStats {
 				continue
 			}
 			i := r.Intn(len(handles))
-			if handles[i] == (Handle{}) {
+			if handles[i] == (handle{}) {
 				continue // a timer arm or a push; not externally cancellable
 			}
 			s.cancel(handles[i])
@@ -369,14 +368,13 @@ func runModelTrial(t *testing.T, sh modelShape, seed int64) trialStats {
 			id := nextID
 			nextID += 1 + len(ids)
 			push(at, id, chain, ids)
-			handles = append(handles, Handle{})
+			handles = append(handles, handle{})
 			model = append(model, &modelEvent{at: at, seq: seq, id: id, chain: chain, ids: ids})
 			seq++
 			st.scheduled++
 		}
-		// cancel only ever adds dead entries, except when it compacts.
-		if s.dead < deadBefore && (kind >= 1 && kind <= 3 || kind == 6) {
-			st.compactions++
+		if dead := deadEntries(s); dead >= 64 && dead*2 > len(s.queue) {
+			st.deadHeavy++
 		}
 		st.peakPending = max(st.peakPending, s.Pending())
 	}

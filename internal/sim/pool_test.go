@@ -23,7 +23,7 @@ func TestZeroAllocSteadyState(t *testing.T) {
 	}
 
 	if a := testing.AllocsPerRun(200, func() {
-		h := s.Schedule(Microsecond, nop)
+		h := s.schedule(Microsecond, nop)
 		s.cancel(h)
 		s.RunUntil(s.Now() + Microsecond)
 	}); a != 0 {
@@ -52,7 +52,7 @@ func TestZeroAllocSteadyState(t *testing.T) {
 func TestCancelAfterFireIsNoOp(t *testing.T) {
 	s := New(1)
 	ran := false
-	h := s.Schedule(Millisecond, func() { ran = true })
+	h := s.schedule(Millisecond, func() { ran = true })
 	s.Run()
 	if !ran {
 		t.Fatal("event did not fire")
@@ -61,8 +61,8 @@ func TestCancelAfterFireIsNoOp(t *testing.T) {
 	if cancelled(h) {
 		t.Error("slot marked cancelled for a fired event")
 	}
-	if h.Pending() {
-		t.Error("Pending() = true for a fired event")
+	if pending(h) {
+		t.Error("a fired event reads as pending")
 	}
 }
 
@@ -71,16 +71,16 @@ func TestCancelAfterFireIsNoOp(t *testing.T) {
 // the new occupant.
 func TestStaleHandleIsInert(t *testing.T) {
 	s := New(1)
-	first := s.Schedule(Microsecond, func() {})
+	first := s.schedule(Microsecond, func() {})
 	s.Run() // fires and releases the slot
 
 	ran := false
-	second := s.Schedule(Microsecond, func() { ran = true }) // reuses the slot
+	second := s.schedule(Microsecond, func() { ran = true }) // reuses the slot
 	if second.idx != first.idx {
 		t.Fatalf("slot not reused: first idx %d, second idx %d", first.idx, second.idx)
 	}
 	s.cancel(first) // stale: must not cancel the new occupant
-	if first.Pending() || cancelled(first) {
+	if pending(first) || cancelled(first) {
 		t.Error("stale handle reports state")
 	}
 	s.Run()
@@ -89,12 +89,12 @@ func TestStaleHandleIsInert(t *testing.T) {
 	}
 }
 
-// TestZeroHandle checks that the zero Handle is safely inert everywhere.
+// TestZeroHandle checks that the zero handle is safely inert everywhere.
 func TestZeroHandle(t *testing.T) {
 	s := New(1)
-	var h Handle
+	var h handle
 	s.cancel(h) // no-op, no panic
-	if h.Pending() || cancelled(h) || h.lease() != nil {
+	if pending(h) || cancelled(h) || leaseState(h) != 0 || s.liveLease(h) != nil {
 		t.Error("zero handle is not inert")
 	}
 }
@@ -104,9 +104,9 @@ func TestZeroHandle(t *testing.T) {
 func TestCrossSimulatorCancelIsNoOp(t *testing.T) {
 	a, b := New(1), New(2)
 	ran := false
-	h := a.Schedule(Microsecond, func() { ran = true })
+	h := a.schedule(Microsecond, func() { ran = true })
 	b.cancel(h)
-	if !h.Pending() {
+	if !pending(h) {
 		t.Error("foreign cancel cancelled the event")
 	}
 	a.Run()
@@ -116,18 +116,19 @@ func TestCrossSimulatorCancelIsNoOp(t *testing.T) {
 }
 
 // TestLazyCancellationCompaction drives the queue into heavy-cancellation
-// territory and checks that dead entries are collected (Pending stays
-// truthful) and survivors still fire in order.
+// territory and checks that dead entries are collected as they surface
+// (Pending stays truthful, no handle reads as pending after the drain) and
+// survivors still fire in order.
 func TestLazyCancellationCompaction(t *testing.T) {
 	s := New(1)
 	const n = 1000
 	var fired []int
-	handles := make([]Handle, n)
+	handles := make([]handle, n)
 	for i := 0; i < n; i++ {
 		i := i
-		handles[i] = s.Schedule(Time(i+1)*Microsecond, func() { fired = append(fired, i) })
+		handles[i] = s.schedule(Time(i+1)*Microsecond, func() { fired = append(fired, i) })
 	}
-	// Cancel 90%: far past the dead>live compaction threshold.
+	// Cancel 90%: dead entries outnumber the live ones nine to one.
 	for i := 0; i < n; i++ {
 		if i%10 != 0 {
 			s.cancel(handles[i])
@@ -143,6 +144,11 @@ func TestLazyCancellationCompaction(t *testing.T) {
 	for k, id := range fired {
 		if id != k*10 {
 			t.Fatalf("fire order broken at %d: got id %d, want %d", k, id, k*10)
+		}
+	}
+	for i, h := range handles {
+		if pending(h) {
+			t.Fatalf("handle %d still pending after drain", i)
 		}
 	}
 }

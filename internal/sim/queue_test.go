@@ -62,21 +62,20 @@ func TestResetMigratesBetweenWheelAndOverflow(t *testing.T) {
 	}
 }
 
-// TestCancelOverflowEntries cancels far-future events sitting in the heap
-// — both below and above the compaction floor — and checks they neither
-// fire nor linger.
+// TestCancelOverflowEntries cancels far-future events sitting in the heap,
+// until the dead entries far outnumber the live ones, and checks they
+// neither fire nor linger.
 func TestCancelOverflowEntries(t *testing.T) {
 	s := New(1)
 	const n = 256
 	var fired []int
-	handles := make([]Handle, n)
+	handles := make([]handle, n)
 	for i := 0; i < n; i++ {
 		i := i
-		handles[i] = s.At(Time(1000+i), func() { fired = append(fired, i) })
+		handles[i] = s.at(Time(1000+i), func() { fired = append(fired, i) })
 	}
-	// Cancel 3 of every 4: 192 dead entries pass the 64-entry compaction
-	// floor and outnumber the live ones, so the heap compacts mid-cancel,
-	// and the dead entries cancelled after that surface at the heap top.
+	// Cancel 3 of every 4: 192 dead entries wait among 64 live ones and
+	// are collected as each surfaces at the heap top.
 	for i := 0; i < n; i++ {
 		if i%4 != 0 {
 			s.cancel(handles[i])
@@ -95,7 +94,7 @@ func TestCancelOverflowEntries(t *testing.T) {
 		}
 	}
 	for i := range handles {
-		if handles[i].Pending() {
+		if pending(handles[i]) {
 			t.Fatalf("handle %d still pending after drain", i)
 		}
 	}
@@ -116,7 +115,7 @@ func TestClockAdvanceAcrossFullRotation(t *testing.T) {
 		at := Time(k * 24)
 		s.At(at, rec)
 		fireAts = append(fireAts, at)
-		h := s.At(at+4, func() { t.Error("cancelled event fired") })
+		h := s.at(at+4, func() { t.Error("cancelled event fired") })
 		s.cancel(h)
 	}
 	// Jump in 17 µs horizon strides.

@@ -1,14 +1,11 @@
 package sim
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // Event states. A slot's state outlives its stay in the queue: after an
 // event fires or its cancellation is collected, the slot keeps the final
-// state (and its generation) until the free list hands it out again, so
-// stale Handles still answer Pending/Cancelled correctly in the meantime.
+// state (and its generation) until the free list hands it out again, so a
+// stale handle still reads it correctly in the meantime.
 const (
 	statePending uint32 = iota + 1
 	stateFired
@@ -27,7 +24,7 @@ const (
 )
 
 // event is one pooled slot in the simulator's slab. Slots are recycled
-// through a free list; the generation counts leases so that Handles from a
+// through a free list; the generation counts leases so that handles from a
 // previous lease go inert instead of acting on the slot's new occupant. The
 // next field is the free-list link while the slot is released.
 //
@@ -61,34 +58,16 @@ func (e *event) live() bool {
 	return st == statePending || st == stateMoved
 }
 
-// Handle identifies one scheduled event. It is a small value (copy freely;
-// the zero Handle refers to no event) carrying the slot index and the lease
-// generation: once the event has fired or its cancellation has been
-// collected and the slot reused, the generation no longer matches and the
-// Handle becomes inert — cancel is a no-op and the predicates return false.
-// Model code that may cancel or re-arm an event holds a Timer instead.
-type Handle struct {
+// handle identifies one scheduled event: the slot index and the lease
+// generation (the zero handle refers to no event). Once the event has fired
+// or its cancellation has been collected and the slot reused, the
+// generation no longer matches and the handle is inert: liveLease returns
+// nil and cancel does nothing. Code outside the package holds an event it
+// may cancel or re-arm through a Timer.
+type handle struct {
 	s   *Simulator
 	idx int32
 	gen uint32
-}
-
-// lease returns the slot if the handle still refers to its own lease.
-func (h Handle) lease() *event {
-	if h.s == nil {
-		return nil
-	}
-	e := &h.s.slab[h.idx]
-	if e.gen() != h.gen {
-		return nil
-	}
-	return e
-}
-
-// Pending reports whether the event is still queued to fire.
-func (h Handle) Pending() bool {
-	e := h.lease()
-	return e != nil && e.live()
 }
 
 // heapEntry is one element of the pending-event heap, ordered by (at, seq).
@@ -103,12 +82,6 @@ type heapEntry struct {
 func entryLess(a, b heapEntry) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
-
-// compactMinDead keeps small queues from compacting every few cancels:
-// below this many dead entries, collecting them as they surface at the
-// heap top is cheaper than a rebuild. Compaction triggers once dead
-// entries both reach this floor and outnumber the live ones.
-const compactMinDead = 64
 
 // Tuning is an empty placeholder: the kernel has no settable knobs.
 //
@@ -142,11 +115,12 @@ func NewTuned(seed int64, _ Tuning) *Simulator { return New(seed) }
 // with shallow queues, where a bucketed timing wheel bought no end-to-end
 // speed (see EXPERIMENTS.md, "Event queue").
 //
-// The kernel performs no steady-state allocations: event slots live in a
-// slab recycled through a free list, and cancellation is lazy — cancel
-// marks the slot dead in O(1) and the heap drops dead entries when they
-// surface (or in a bulk compaction once they outnumber the live ones),
-// instead of an O(log n) removal per cancel.
+// At and Schedule are fire-and-forget: an event that may be cancelled or
+// re-armed is held through a Timer. The kernel performs no steady-state
+// allocations: event slots live in a slab recycled through a free list, and
+// cancellation is lazy — cancel marks the slot dead in O(1) and the heap
+// drops the entry when it surfaces, at the latest when the run reaches the
+// entry's own instant, instead of an O(log n) removal per cancel.
 //
 // Two patterns skip the heap work a cancel-and-schedule would cost. A Timer
 // re-armed no earlier than its pending expiry moves its event in place: the
@@ -160,10 +134,9 @@ func NewTuned(seed int64, _ Tuning) *Simulator { return New(seed) }
 // Simulator is not safe for concurrent use; the entire simulation executes on
 // a single goroutine, which is what makes determinism cheap.
 type Simulator struct {
-	now   Time
-	slab  []event
-	free  int32 // head of the released-slot list, -1 when empty
-	nFree int   // length of the released-slot list
+	now  Time
+	slab []event
+	free int32 // head of the released-slot list, -1 when empty
 
 	// front is the cached next-to-fire entry: it is always ≤ every entry
 	// in queue.
@@ -171,7 +144,6 @@ type Simulator struct {
 	hasFront bool
 
 	queue []heapEntry // (at, seq) heap of every other pending entry
-	dead  int         // cancelled entries still sitting in queue
 
 	seq     uint64
 	stopped bool
@@ -219,7 +191,6 @@ func (s *Simulator) acquire(at Time, seq uint64, fn func()) (int32, uint32) {
 	}
 	e := &s.slab[idx]
 	s.free = e.next
-	s.nFree--
 	// One write bumps the generation and installs the pending state.
 	gs := e.gs&^stateMask + genStep | statePending
 	e.gs = gs
@@ -234,20 +205,23 @@ func (s *Simulator) acquireSlow(at Time, seq uint64, fn func()) (int32, uint32) 
 }
 
 // release retires a slot that has left the queue. The final state stays
-// readable through old Handles until the slot is leased again.
+// readable through old handles until the slot is leased again.
 func (s *Simulator) release(idx int32, final uint32) {
 	e := &s.slab[idx]
 	e.setState(final)
 	e.fn = nil // drop the closure so it can be collected
 	e.next = s.free
 	s.free = idx
-	s.nFree++
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past is a
 // programming error and panics, because silently reordering events would
-// corrupt causality.
-func (s *Simulator) At(t Time, fn func()) Handle {
+// corrupt causality. The event cannot be cancelled: one that may be is
+// held in a Timer.
+func (s *Simulator) At(t Time, fn func()) { s.at(t, fn) }
+
+// at is At returning the event's handle, for a Timer to hold.
+func (s *Simulator) at(t Time, fn func()) handle {
 	s.seq++
 	return s.queueAt(t, s.seq-1, fn)
 }
@@ -255,7 +229,7 @@ func (s *Simulator) At(t Time, fn func()) Handle {
 // queueAt queues fn at (t, seq), a position At reserved earlier or is
 // taking now. A Line queues its items under the sequence numbers their
 // pushes reserved, so they fire where plain At calls would have.
-func (s *Simulator) queueAt(t Time, seq uint64, fn func()) Handle {
+func (s *Simulator) queueAt(t Time, seq uint64, fn func()) handle {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
@@ -281,60 +255,33 @@ func (s *Simulator) queueAt(t Time, seq uint64, fn func()) Handle {
 		// the heap it stays vacant until the heap drains.
 		s.heapPush(en)
 	}
-	return Handle{s: s, idx: idx, gen: gen}
+	return handle{s: s, idx: idx, gen: gen}
 }
 
 // Schedule schedules fn to run delay after the current time.
-func (s *Simulator) Schedule(delay Time, fn func()) Handle {
+func (s *Simulator) Schedule(delay Time, fn func()) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
 	}
-	return s.At(s.now+delay, fn)
+	s.at(s.now+delay, fn)
 }
 
-// Reserve grows the event slab's spare capacity to at least n slots so a
-// coming burst of schedules will not reallocate it. Recycled free-list
-// slots count toward the guarantee, so repeated reservations on a warmed
-// simulator (one transfer per adaptive-ARQ epoch, say) are no-ops.
-//
-// Capacity is rounded up to the next power of two: a model attaching many
-// small groups one at a time (metro-scale station churn, one Reserve per
-// association) performs O(log n) slab copies across its lifetime instead of
-// one full copy per Reserve.
-func (s *Simulator) Reserve(n int) {
-	need := n - s.nFree // append capacity needed beyond recycled slots
-	if need > 0 && cap(s.slab)-len(s.slab) < need {
-		grown := make([]event, len(s.slab), nextPow2(len(s.slab)+need))
-		copy(grown, s.slab)
-		s.slab = grown
-	}
-}
-
-// nextPow2 rounds n up to the next power of two, so repeated small
-// reservations grow the slab geometrically — O(log n) copies total —
-// instead of copying the whole backing array on every call.
-func nextPow2(n int) int {
-	if n <= 1 {
-		return 1
-	}
-	return 1 << bits.Len(uint(n-1))
-}
-
-// cancel marks a pending event dead in O(1); the queue discards the entry
-// when it surfaces, or earlier during a bulk compaction. Cancelling an
-// already-fired, already-cancelled or inert handle is a no-op, so callers
-// can cancel defensively. Code outside the package cancels through a
-// Timer or a Ticker.
-func (s *Simulator) cancel(h Handle) {
-	if e := s.liveLease(h); e != nil {
+// cancel marks a pending event dead in O(1) and reports whether it was
+// pending; the queue discards the entry when it surfaces. Cancelling an
+// already-fired, already-cancelled or inert handle is a no-op. Code outside
+// the package cancels through a Timer or a Ticker.
+func (s *Simulator) cancel(h handle) bool {
+	e := s.liveLease(h)
+	if e != nil {
 		s.kill(h.idx, e)
 	}
+	return e != nil
 }
 
 // liveLease returns h's slot if h is a lease on s whose event is still due
 // to fire, or nil.
-func (s *Simulator) liveLease(h Handle) *event {
-	if h.s != s { // covers the zero Handle and cross-simulator misuse
+func (s *Simulator) liveLease(h handle) *event {
+	if h.s != s { // covers the zero handle and cross-simulator misuse
 		return nil
 	}
 	e := &s.slab[h.idx]
@@ -353,8 +300,6 @@ func (s *Simulator) kill(idx int32, e *event) {
 		return
 	}
 	e.setState(stateCancelled)
-	s.dead++
-	s.maybeCompact()
 }
 
 // rearm replaces h's event, if it is still live, with fn due at t, and
@@ -365,7 +310,7 @@ func (s *Simulator) kill(idx int32, e *event) {
 // takes the new (at, seq) and keeps its handle, while its heap entry keeps
 // the earlier key, which still bounds the real one from below, until it
 // reaches the top (settleTop). Any other re-arm cancels and schedules.
-func (s *Simulator) rearm(h Handle, t Time, fn func()) Handle {
+func (s *Simulator) rearm(h handle, t Time, fn func()) handle {
 	if e := s.liveLease(h); e != nil {
 		if t >= e.at && !(s.hasFront && s.front.idx == h.idx) {
 			e.at, e.seq = t, s.seq
@@ -375,34 +320,7 @@ func (s *Simulator) rearm(h Handle, t Time, fn func()) Handle {
 		}
 		s.kill(h.idx, e)
 	}
-	return s.At(t, fn)
-}
-
-// maybeCompact rebuilds the heap without its dead entries once they
-// outnumber the live ones. Compaction preserves nothing about the heap's
-// layout, but pop order is the total (at, seq) order either way, so it is
-// invisible to the simulation.
-func (s *Simulator) maybeCompact() {
-	if s.dead < compactMinDead || s.dead*2 <= len(s.queue) {
-		return
-	}
-	kept := s.queue[:0]
-	for _, en := range s.queue {
-		switch e := &s.slab[en.idx]; e.state() {
-		case statePending:
-			kept = append(kept, en)
-		case stateMoved:
-			e.setState(statePending)
-			kept = append(kept, heapEntry{at: e.at, seq: e.seq, idx: en.idx})
-		default:
-			s.release(en.idx, stateCancelled)
-		}
-	}
-	s.queue = kept
-	for i := len(kept)/2 - 1; i >= 0; i-- {
-		s.siftDown(i)
-	}
-	s.dead = 0
+	return s.at(t, fn)
 }
 
 // Stop makes Run/RunUntil return after the currently executing event
@@ -449,7 +367,6 @@ func (s *Simulator) settleTop(idx int32) {
 		return
 	}
 	s.heapPopTop()
-	s.dead--
 	s.release(idx, stateCancelled)
 }
 
@@ -584,9 +501,9 @@ func (s *Simulator) countAt(i int, t Time, next *Time) int {
 // rooted at i. No key precedes its ancestor's, and a key never follows its
 // event's real instant, so the walk stops at a pending entry, at an entry
 // keyed no earlier than *next, and at a leaf: it only descends through
-// cancelled and moved entries. Compaction keeps the cancelled ones to at
-// most half the heap (or fewer than compactMinDead), and each Timer has at
-// most one moved entry.
+// cancelled and moved entries keyed before *next. A cancelled entry stays
+// no longer than until the run reaches its own instant, where it surfaces
+// at the top and is collected, and each Timer has at most one moved entry.
 func (s *Simulator) earliestLive(i int, next *Time) {
 	if i >= len(s.queue) {
 		return

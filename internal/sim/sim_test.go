@@ -95,7 +95,7 @@ func TestScheduleInsideEvent(t *testing.T) {
 func TestCancel(t *testing.T) {
 	s := New(1)
 	ran := false
-	e := s.Schedule(Millisecond, func() { ran = true })
+	e := s.schedule(Millisecond, func() { ran = true })
 	s.cancel(e)
 	s.cancel(e) // double cancel must be safe
 	s.Run()
@@ -110,7 +110,7 @@ func TestCancel(t *testing.T) {
 func TestCancelFromAnotherEvent(t *testing.T) {
 	s := New(1)
 	ran := false
-	victim := s.Schedule(2*Millisecond, func() { ran = true })
+	victim := s.schedule(2*Millisecond, func() { ran = true })
 	s.Schedule(Millisecond, func() { s.cancel(victim) })
 	s.Run()
 	if ran {
@@ -264,10 +264,10 @@ func TestCancelSubsetProperty(t *testing.T) {
 		s := New(1)
 		r := rand.New(rand.NewSource(seed))
 		firedSet := make(map[int]bool)
-		events := make([]Handle, count)
+		events := make([]handle, count)
 		for i := 0; i < count; i++ {
 			i := i
-			events[i] = s.Schedule(Time(r.Intn(100))*Microsecond, func() { firedSet[i] = true })
+			events[i] = s.schedule(Time(r.Intn(100))*Microsecond, func() { firedSet[i] = true })
 		}
 		cancelled := make(map[int]bool)
 		for i := 0; i < count; i++ {
@@ -292,9 +292,24 @@ func TestCancelSubsetProperty(t *testing.T) {
 // Pending returns the number of live (non-cancelled) events currently
 // queued.
 func (s *Simulator) Pending() int {
-	n := len(s.queue) - s.dead
+	n := len(s.queue) - deadEntries(s)
 	if s.hasFront {
 		n++
 	}
 	return n
 }
+
+// deadEntries counts the cancelled entries still waiting in the heap.
+func deadEntries(s *Simulator) int {
+	n := 0
+	for _, en := range s.queue {
+		if s.slab[en.idx].state() == stateCancelled {
+			n++
+		}
+	}
+	return n
+}
+
+// schedule is Schedule returning the event's handle, for the tests that
+// cancel or inspect it.
+func (s *Simulator) schedule(delay Time, fn func()) handle { return s.at(s.now+delay, fn) }

@@ -3,15 +3,17 @@ package sim
 import "fmt"
 
 // Timer is a resettable one-shot timer bound to a Simulator, and the one
-// way code outside this package holds an event it may cancel or re-arm:
-// MAC timeouts, DCF's DIFS and backoff countdown, PSM's pre-TBTT wakeup,
-// ARQ retransmission timers and OS-level inactivity timeouts are all
-// "fire unless something resets me first" patterns.
+// way code outside this package holds an event it may cancel or re-arm
+// (At and Schedule return nothing): MAC timeouts, DCF's DIFS and backoff
+// countdown, PSM's pre-TBTT wakeup, ARQ retransmission timers and OS-level
+// inactivity timeouts are all "fire unless something resets me first"
+// patterns.
 //
-// The Timer schedules fn itself, with no wrapper: step releases an event's
-// slot before it runs the callback, so inside fn the fired event's handle
-// is already inert (Armed is false, Deadline is MaxTime, Stop returns false)
-// and a Reset from fn schedules afresh.
+// The Timer keeps the kernel's handle on its pending expiry and schedules
+// fn itself, with no wrapper: step releases an event's slot before it runs
+// the callback, so inside fn the handle is already inert (Armed is false,
+// Deadline is MaxTime, Stop returns false) and a Reset from fn schedules
+// afresh.
 //
 // A Reset or ResetAt that moves a pending expiry waiting in the heap to an
 // instant no earlier than its current one moves the event in place: its
@@ -26,7 +28,7 @@ import "fmt"
 type Timer struct {
 	sim   *Simulator
 	fn    func()
-	event Handle
+	event handle
 }
 
 // NewTimer creates a stopped timer that will invoke fn when it expires.
@@ -53,38 +55,33 @@ func (t *Timer) ResetAt(at Time) {
 // Stop cancels the pending expiry, if any. It reports whether a pending
 // expiry was actually cancelled.
 func (t *Timer) Stop() bool {
-	armed := t.event.Pending()
-	if armed {
-		t.sim.cancel(t.event)
-	}
-	t.event = Handle{} // later reads of a stopped timer touch no slab slot
+	armed := t.sim.cancel(t.event)
+	t.event = handle{} // later reads of a stopped timer touch no slab slot
 	return armed
 }
 
 // Armed reports whether the timer currently has a pending expiry.
-func (t *Timer) Armed() bool { return t.event.Pending() }
+func (t *Timer) Armed() bool { return t.sim.liveLease(t.event) != nil }
 
 // Deadline returns the pending expiry instant, or MaxTime when the timer
 // is not armed.
 func (t *Timer) Deadline() Time {
-	if e := t.event.lease(); e != nil && e.live() {
+	if e := t.sim.liveLease(t.event); e != nil {
 		return e.at
 	}
 	return MaxTime
 }
 
 // Ticker repeatedly invokes a callback at a fixed period until stopped.
-// The callback runs first at start+period. Like Timer, the tick closure is
-// created once and each period rearms a pooled event, so a steady ticker
-// allocates nothing. Stop cancels the pending tick, so a stopped ticker
-// never runs its thunk again.
+// The callback runs first at start+period. A Ticker is a Timer whose
+// callback re-arms it: the fired event's slot is already released when the
+// tick runs, so the re-arm schedules afresh under the sequence number a
+// plain Schedule would take there, and a steady ticker allocates nothing.
+// Stop cancels the pending tick, so a stopped ticker never runs fn again,
+// even when fn itself stops it.
 type Ticker struct {
-	sim    *Simulator
-	period Time
-	fn     func()
-	tick   func() // hoisted tick thunk, created once in NewTicker
-	event  Handle
-	live   bool
+	timer Timer
+	live  bool
 }
 
 // NewTicker creates and starts a ticker with the given period.
@@ -95,27 +92,19 @@ func NewTicker(s *Simulator, period Time, fn func()) *Ticker {
 	if fn == nil {
 		panic("sim: nil ticker function")
 	}
-	t := &Ticker{sim: s, period: period, fn: fn, live: true}
-	t.tick = func() {
-		t.fn()
+	t := &Ticker{live: true}
+	t.timer = Timer{sim: s, fn: func() {
+		fn()
 		if t.live { // fn may have stopped the ticker
-			t.arm()
+			t.timer.Reset(period)
 		}
-	}
-	t.arm()
+	}}
+	t.timer.Reset(period)
 	return t
-}
-
-func (t *Ticker) arm() {
-	t.event = t.sim.Schedule(t.period, t.tick)
 }
 
 // Stop halts the ticker; no further callbacks run.
 func (t *Ticker) Stop() {
-	if !t.live {
-		return
-	}
 	t.live = false
-	t.sim.cancel(t.event)
-	t.event = Handle{}
+	t.timer.Stop()
 }

@@ -247,15 +247,15 @@ func TestTimerMovesInPlace(t *testing.T) {
 	h = tm.event
 	tm.ResetAt(30)
 	tm.ResetAt(30)
-	if tm.event != h || len(s.queue) != 1 || s.dead != 0 {
-		t.Fatalf("later re-arms leased a new event: %d heap entries, %d dead", len(s.queue), s.dead)
+	if tm.event != h || len(s.queue) != 1 || deadEntries(s) != 0 {
+		t.Fatalf("later re-arms leased a new event: %d heap entries, %d dead", len(s.queue), deadEntries(s))
 	}
 	if tm.Deadline() != 30 || !tm.Armed() {
 		t.Fatalf("Deadline() = %v, Armed() = %v; want 30us, true", tm.Deadline(), tm.Armed())
 	}
 	tm.ResetAt(25) // earlier than its deadline: cancel and schedule
-	if tm.event == h || s.dead != 1 {
-		t.Fatalf("an earlier re-arm moved in place (%d dead entries)", s.dead)
+	if tm.event == h || deadEntries(s) != 1 {
+		t.Fatalf("an earlier re-arm moved in place (%d dead entries)", deadEntries(s))
 	}
 	h = tm.event
 	tm.ResetAt(40)
