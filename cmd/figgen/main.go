@@ -9,22 +9,21 @@
 //
 //	figgen [-seed N] [-seeds N] [-parallel N] [-run REGEX] [-tags T1,T2]
 //	       [-backend local|shard|cached] [-workers N] [-cache-dir DIR]
-//	       [-addrs HOST:PORT,...] [-store HOST:PORT]
+//	       [-addrs HOST:PORT,...]
 //	       [-max-retries N] [-chunk-timeout D] [-restart-backoff D]
 //	       [-dial-timeout D] [-frame-timeout D]
 //	       [-degrade-local] [-chaos SCHEDULE] [-health-json FILE]
 //	       [-json] [-list] [-cpuprofile FILE] [-memprofile FILE]
 //	       [experiment ...]
 //	figgen -serve ADDR [-chaos SCHEDULE]
-//	figgen -serve-store ADDR [-cache-dir DIR]
 //
 // With no selection flags every experiment runs in order. All (experiment
 // × seed) jobs run on the backend selected by -backend: the in-process
 // pool sized by -parallel (default), -workers supervised worker processes
 // this binary spawns (or, with -addrs, connections to figgen -serve worker
 // servers) speaking the internal shard protocol over TCP, or the local
-// pool behind the on-disk result cache at -cache-dir (optionally shared
-// across machines via -store pointing at a figgen -serve-store server; see
+// pool behind the on-disk result cache at -cache-dir (coordinators that
+// point -cache-dir at one shared directory fill one cache; see
 // EXPERIMENTS.md, "Execution backends" and "Distributed mode"). The output
 // is identical for every backend, worker kind and pool size, only the wall
 // clock changes — the shard backend retries, restarts and degrades around
@@ -85,9 +84,8 @@ func main() {
 func run(w io.Writer, o options) error {
 	if served, err := o.rf.ServeMode(); served {
 		// Server modes — spawned shard worker on a loopback port it
-		// announces on stdout (-worker), remote shard worker (-serve),
-		// shared result store (-serve-store) — do nothing else, and read no
-		// other flag.
+		// announces on stdout (-worker), remote shard worker (-serve) — do
+		// nothing else, and read no other flag.
 		return err
 	}
 	if o.list {

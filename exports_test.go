@@ -21,7 +21,6 @@ import (
 // needs a reason. What a kept func uses counts as reached.
 var exportAllowlist = map[string]string{
 	// Used by another package's tests, so not movable into a _test.go file.
-	"scenario.FailExecutor":           "test double for warm-cache legs; internal/exp's TestCrossBackendEquivalence uses it across packages, and that test stays unedited",
 	"core.Client.Device":              "internal/exp's TestHotspotSharedProfilesStayUnchanged reads the clients' radios across packages",
 	"dcf.Station.Stats":               "psm's TestLossyPollResponsesRetireAckedHead reads the AP station's retry and drop counters across packages",
 	"qos.PlayoutBuffer.ConsumedBytes": "core's TestRandomOutageSoak checks playout byte conservation across packages",

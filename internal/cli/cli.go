@@ -31,8 +31,6 @@ type RunFlags struct {
 	Worker     bool   // internal: this process is a shard worker
 	Addrs      string // shard: comma-separated remote TCP worker addresses
 	Serve      string // internal: serve as a TCP shard worker on this address
-	Store      string // cached: remote result store address
-	ServeStore string // serve the shared result store on this address
 	HealthJSON string // write structured backend health counters here after a run
 
 	// Shard supervision knobs, each field bound to its flag, and the
@@ -74,8 +72,6 @@ func (f *RunFlags) Register(fs *flag.FlagSet) {
 	fs.BoolVar(&f.Worker, "worker", false, "internal: serve as a spawned shard worker (announces a loopback address on stdout, exits when stdin closes)")
 	fs.StringVar(&f.Addrs, "addrs", "", "shard: comma-separated remote TCP worker addresses (host:port); empty means spawned local workers")
 	fs.StringVar(&f.Serve, "serve", "", "serve as a TCP shard worker on this address (host:port) until killed")
-	fs.StringVar(&f.Store, "store", "", "cached: remote result store address (host:port); -cache-dir becomes the outage fallback")
-	fs.StringVar(&f.ServeStore, "serve-store", "", "serve the shared result store on this address, backed by -cache-dir")
 	fs.StringVar(&f.HealthJSON, "health-json", "", "write the run's backend health counters as JSON to this file (\"-\" for stdout)")
 	fs.IntVar(&p.MaxRetries, "max-retries", p.MaxRetries, "shard: reassignments of a failed seed chunk before quarantine (0 = none)")
 	fs.DurationVar(&p.ChunkTimeout, "chunk-timeout", p.ChunkTimeout, "shard: deadline per leased seed chunk (0 disables)")
@@ -112,9 +108,6 @@ func (f *RunFlags) Executor() (scenario.Executor, error) {
 	if f.Addrs != "" && f.Backend != "shard" {
 		return nil, fmt.Errorf("-addrs requires -backend shard (got %q)", f.Backend)
 	}
-	if f.Store != "" && f.Backend != "cached" {
-		return nil, fmt.Errorf("-store requires -backend cached (got %q)", f.Backend)
-	}
 	switch f.Backend {
 	case "", "local":
 		return &scenario.Local{Parallel: f.Parallel}, nil
@@ -136,7 +129,7 @@ func (f *RunFlags) Executor() (scenario.Executor, error) {
 		}
 		return sh, nil
 	case "cached":
-		return &scenario.Cache{Inner: &scenario.Local{Parallel: f.Parallel}, Dir: f.CacheDir, Addr: f.Store}, nil
+		return &scenario.Cache{Inner: &scenario.Local{Parallel: f.Parallel}, Dir: f.CacheDir}, nil
 	default:
 		return nil, fmt.Errorf("unknown backend %q (want local, shard or cached)", f.Backend)
 	}
@@ -158,20 +151,17 @@ func (f *RunFlags) flagSet(name string) bool {
 }
 
 // ServeMode runs whichever server mode the flags request — -worker
-// (spawned shard worker), -serve (remote shard worker), -serve-store
-// (shared result store on -cache-dir) — and reports whether one ran. Frontends call it
-// first thing after flag parsing, before checking any other flag: a worker
-// rebuilds every spec from its chunk requests, so it needs none of them.
-// When it reports true the process was a server and must exit with the
-// returned error.
+// (spawned shard worker) or -serve (remote shard worker) — and reports
+// whether one ran. Frontends call it first thing after flag parsing,
+// before checking any other flag: a worker rebuilds every spec from its
+// chunk requests, so it needs none of them. When it reports true the
+// process was a server and must exit with the returned error.
 func (f *RunFlags) ServeMode() (bool, error) {
 	switch {
 	case f.Worker:
 		return true, scenario.ServeWorker(os.Stdin, os.Stdout)
 	case f.Serve != "":
 		return true, scenario.ListenAndServeNet(f.Serve, scenario.NetServeOptions{ChaosSpec: f.Chaos})
-	case f.ServeStore != "":
-		return true, scenario.ListenAndServeStore(f.ServeStore, f.CacheDir)
 	}
 	return false, nil
 }

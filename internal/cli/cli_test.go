@@ -140,17 +140,12 @@ func TestFaultPolicyFlagsAreLiteral(t *testing.T) {
 }
 
 // TestDistributedFlagValidation pins the cross-flag rules for the TCP
-// transport: -addrs needs the shard backend, -store needs the cached
-// backend, and -chaos cannot reach a remote fleet (it belongs on the
-// -serve process).
+// transport: -addrs needs the shard backend, and -chaos cannot reach a
+// remote fleet (it belongs on the -serve process).
 func TestDistributedFlagValidation(t *testing.T) {
 	f := RunFlags{Backend: "local", Addrs: "127.0.0.1:1"}
 	if _, err := f.Executor(); err == nil {
 		t.Error("-addrs with local backend accepted")
-	}
-	f = RunFlags{Backend: "local", Store: "127.0.0.1:1"}
-	if _, err := f.Executor(); err == nil {
-		t.Error("-store with local backend accepted")
 	}
 	f = RunFlags{Backend: "shard", Workers: 1, Addrs: "127.0.0.1:1", Chaos: "crash-after=1"}
 	if _, err := f.Executor(); err == nil {

@@ -1,6 +1,7 @@
 package exp_test
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -171,7 +172,7 @@ func TestCrossBackendEquivalence(t *testing.T) {
 	if s := coldCache.Stats(); s.Hits != 0 || s.Misses != int64(len(specs)*len(seeds)) || s.WriteErrs != 0 {
 		t.Errorf("cold cache stats %+v, want 0 hits / %d misses", s, len(specs)*len(seeds))
 	}
-	warmCache := &scenario.Cache{Inner: scenario.FailExecutor("cache missed on warm run"), Dir: dir}
+	warmCache := &scenario.Cache{Inner: failExecutor("cache missed on warm run"), Dir: dir}
 	warm := run("cache-warm", warmCache)
 	if s := warmCache.Stats(); s.Hits != int64(len(specs)*len(seeds)) || s.Misses != 0 {
 		t.Errorf("warm cache stats %+v, want all hits", s)
@@ -185,6 +186,12 @@ func TestCrossBackendEquivalence(t *testing.T) {
 		requireAggsBitIdentical(t, name, local, aggs)
 	}
 }
+
+// failExecutor always fails with its message: a warm cache that reaches
+// it has missed.
+type failExecutor string
+
+func (f failExecutor) Run(scenario.Spec, []int64, scenario.Emit) error { return errors.New(string(f)) }
 
 // requireAggsBitIdentical demands full bit-identity between two backend
 // runs: metric floats compare by bit pattern (reflect.DeepEqual would both

@@ -194,7 +194,7 @@ func (c HotspotRun) Run(seed int64) (*core.Hotspot, core.Report) {
 func (c HotspotRun) Spec() scenario.Spec {
 	return scenario.Spec{
 		Name:   "hotspot",
-		Desc:   fmt.Sprintf("%d clients, %s/%s, epoch %.0fs", c.Clients, c.Scheduler, c.Policy, c.Epoch),
+		Desc:   fmt.Sprintf("%d clients, %s/%s, epoch %gs", c.Clients, c.Scheduler, c.Policy, c.Epoch),
 		Tags:   []string{"hotspot"},
 		Params: c.Params(),
 		Run: func(seed int64) Result {

@@ -116,6 +116,19 @@ func TestParamsAreCanonical(t *testing.T) {
 		"clients=3 scheduler=edf policy=adaptive epoch=10 duration=120 outage=0 outage-len=40"; got != want {
 		t.Errorf("HotspotRun params %q, want %q", got, want)
 	}
+	half := defaultHotspotRun
+	half.Epoch = 0.5
+	for _, c := range []struct {
+		run  HotspotRun
+		want string
+	}{
+		{defaultHotspotRun, "3 clients, edf/adaptive, epoch 10s"},
+		{half, "3 clients, edf/adaptive, epoch 0.5s"},
+	} {
+		if got := c.run.Spec().Desc; got != c.want {
+			t.Errorf("HotspotRun title %q, want %q", got, c.want)
+		}
+	}
 	for _, load := range []MACLoad{{4, 16, 30}, {16, 50, 30}, {2007, 0.1, 1e-6}, {3, 1.0 / 3, 12.5}} {
 		if got, err := ParseMACLoad(load.Params()); err != nil || got != load {
 			t.Errorf("ParseMACLoad(%q) = %+v, %v; want %+v", load.Params(), got, err, load)

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 )
 
@@ -17,88 +16,49 @@ import (
 // the seeds it has never seen on this exact build, and a code change
 // silently starts a fresh keyspace instead of serving stale numbers.
 //
-// Entries live in the local directory Dir, or — when Addr is set — in a
-// shared remote store speaking GET/PUT over the same binary frame codec
-// the shard workers use (ServeStore), so a whole fleet fills one cache. The
-// remote store is an optimization, never a dependency: on any store
-// outage the process degrades to Dir for the rest of its life, counting
-// the outage in Stats, and the run completes on recomputed (and locally
-// cached) results.
+// Entries live in the directory Dir. Each entry is written to a temp file
+// and renamed into place, so coordinators that point Dir at one shared
+// directory fill one cache together: concurrent writers never tear an
+// entry, and two writers of the same entry write the same bytes.
 //
-// Layout: <root>/<code-digest>/<spec-name>-<params-digest>/seed<N>.bin —
-// identical locally and remotely, so a store directory can be seeded
-// from, or inspected as, an ordinary cache dir. Wiping the cache is
-// `rm -rf`; old code versions are just dead subtrees. Because the codec
-// round-trips bit-exactly and emission stays in seed order, a warm run's
-// aggregate is bit-identical to a cold run's — the cross-backend
-// equivalence test pins exactly that.
+// Layout: <root>/<code-digest>/<spec-name>-<params-digest>/seed<N>.bin.
+// Wiping the cache is `rm -rf`; old code versions are just dead subtrees.
+// Because the codec round-trips bit-exactly and emission stays in seed
+// order, a warm run's aggregate is bit-identical to a cold run's — the
+// cross-backend equivalence test pins exactly that.
 type Cache struct {
 	Inner Executor // backend that computes misses
-	Dir   string   // local cache root; the fallback when Addr is set
-	Addr  string   // remote result store address (host:port); empty means local-only
+	Dir   string   // cache root
 
-	once sync.Once
-	st   entryStore
-
-	hits, misses, writeErrs, outages atomic.Int64
+	hits, misses, writeErrs atomic.Int64
 }
 
 // CacheStats reports cache effectiveness for one process. WriteErrs counts
 // entries that could not be written back — each one costs future hits, not
-// correctness, since the run used the freshly computed Result. Outages
-// counts remote-store failures that switched the process to its local
-// fallback dir (at most one per Cache: the first failure latches).
+// correctness, since the run used the freshly computed Result.
 type CacheStats struct {
-	Hits, Misses, WriteErrs, Outages int64
-	Dir                              string
-	Addr                             string
+	Hits, Misses, WriteErrs int64
+	Dir                     string
 }
 
 func (s CacheStats) String() string {
-	suffix := fmt.Sprintf("(dir %s)", s.Dir)
-	if s.Addr != "" {
-		suffix = fmt.Sprintf("%d store outages (store %s, dir %s)", s.Outages, s.Addr, s.Dir)
-	}
-	return fmt.Sprintf("cache: %d hits, %d misses, %d write errors %s", s.Hits, s.Misses, s.WriteErrs, suffix)
+	return fmt.Sprintf("cache: %d hits, %d misses, %d write errors (dir %s)", s.Hits, s.Misses, s.WriteErrs, s.Dir)
 }
 
 // Stats returns the counters accumulated so far.
 func (c *Cache) Stats() CacheStats {
-	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), WriteErrs: c.writeErrs.Load(),
-		Outages: c.outages.Load(), Dir: c.Dir, Addr: c.Addr}
+	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), WriteErrs: c.writeErrs.Load(), Dir: c.Dir}
 }
 
-// entryStore is where cache entries live: the local directory, or the
-// remote store client (which itself falls back to the local directory on
-// outage). Keys are entryRel-shaped slash-separated relative paths; load
-// treats every failure as a miss.
-type entryStore interface {
-	load(rel string) (Result, bool)
-	store(rel string, res Result) error
-}
-
-// entries resolves the configured entry store once per Cache.
-func (c *Cache) entries() entryStore {
-	c.once.Do(func() {
-		disk := diskStore{root: c.Dir}
-		if c.Addr == "" {
-			c.st = disk
-			return
-		}
-		c.st = &remoteStore{addr: c.Addr, fallback: disk, outages: &c.outages}
-	})
-	return c.st
-}
-
-// Run serves every cached seed from the store, delegates only the misses
-// to the inner backend, writes their results back, and emits the full
+// Run serves every cached seed from Dir, delegates only the misses to
+// the inner backend, writes their results back, and emits the full
 // seed-ordered stream. Emission is progressive: hits are loaded only when
 // their seed-ordered turn comes up (a classification pass decides
 // hit/miss up front, but discards the decoded Result), so a sweep over
 // thousands of seeds holds the inner backend's out-of-order window —
 // never the whole result set — matching the Runner's streaming contract.
 func (c *Cache) Run(spec Spec, seeds []int64, emit Emit) error {
-	st := c.entries()
+	st := diskStore{root: c.Dir}
 	var missKI []int
 	for ki, seed := range seeds {
 		if _, ok := st.load(entryRel(spec, seed)); ok {
@@ -163,29 +123,25 @@ func (c *Cache) Run(spec Spec, seeds []int64, emit Emit) error {
 	return emitHitsThrough(len(seeds))
 }
 
-// Close releases the store connection (if remote) and closes the inner
-// backend if it holds resources.
+// Close closes the inner backend if it holds resources.
 func (c *Cache) Close() error {
-	if rs, ok := c.st.(*remoteStore); ok {
-		rs.close()
-	}
 	if cl, ok := c.Inner.(io.Closer); ok {
 		return cl.Close()
 	}
 	return nil
 }
 
-// entryRel is one entry's store key: a slash-separated relative path,
-// identical in the local directory layout and the remote store. The spec
-// component pairs the readable name with a digest of (name, params), so
-// ad-hoc specs with equal names but different CLI parameters never
-// collide; the leading component keys the whole space by code version.
+// entryRel is one entry's key: a slash-separated path relative to Dir.
+// The spec component pairs the readable name with a digest of (name,
+// params), so ad-hoc specs with equal names but different CLI parameters
+// never collide; the leading component keys the whole space by code
+// version.
 func entryRel(spec Spec, seed int64) string {
 	sum := sha256.Sum256([]byte(spec.Name + "\x00" + spec.Params))
 	return fmt.Sprintf("%s/%s-%x/seed%d.bin", CodeVersion()[:16], spec.Name, sum[:6], seed)
 }
 
-// diskStore is the local-directory entry store.
+// diskStore is the directory that holds cache entries.
 type diskStore struct{ root string }
 
 func (d diskStore) path(rel string) string {

@@ -1,10 +1,12 @@
 package scenario
 
 import (
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -18,6 +20,12 @@ func (c *countingExecutor) Run(spec Spec, seeds []int64, emit Emit) error {
 	c.computed = append(c.computed, seeds...)
 	return c.Local.Run(spec, seeds, emit)
 }
+
+// failExecutor always fails with its message: a warm cache that reaches
+// it has missed.
+type failExecutor string
+
+func (f failExecutor) Run(Spec, []int64, Emit) error { return errors.New(string(f)) }
 
 func cacheSpec() Spec {
 	return Spec{
@@ -52,7 +60,7 @@ func TestCacheColdThenWarmBitIdentical(t *testing.T) {
 
 	// Warm run: the inner backend must never be reached, and the merged
 	// aggregate must be bit-identical to the cold run's.
-	warm := &Cache{Inner: FailExecutor("cache missed on a warm run"), Dir: dir}
+	warm := &Cache{Inner: failExecutor("cache missed on a warm run"), Dir: dir}
 	warmAggs := mustRun(t, &Runner{KeepPerSeed: true, Executor: warm}, []Spec{spec}, seeds)
 	if s := warm.Stats(); s.Hits != int64(len(seeds)) || s.Misses != 0 {
 		t.Errorf("warm stats %+v, want %d hits / 0 misses", s, len(seeds))
@@ -62,6 +70,42 @@ func TestCacheColdThenWarmBitIdentical(t *testing.T) {
 	}
 	if !reflect.DeepEqual(coldAggs[0].PerSeed, warmAggs[0].PerSeed) {
 		t.Errorf("warm per-seed results differ:\ncold %+v\nwarm %+v", coldAggs[0].PerSeed, warmAggs[0].PerSeed)
+	}
+}
+
+// TestCachesShareOneDir is how a fleet fills one cache: Caches on one
+// shared Dir run overlapping seed ranges at the same time, and a later
+// Cache serves the union as hits, bit-identical to a Local run. Entries
+// are renamed into place, so a concurrent writer never exposes a torn one.
+func TestCachesShareOneDir(t *testing.T) {
+	dir := t.TempDir()
+	spec := cacheSpec()
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i, seeds := range [][]int64{Seeds(1, 40), Seeds(25, 40)} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := &Cache{Inner: &Local{Parallel: 2}, Dir: dir}
+			_, errs[i] = (&Runner{Executor: c}).Run([]Spec{spec}, seeds)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	seeds := Seeds(1, 64)
+	warm := &Cache{Inner: failExecutor("a shared-dir entry is missing"), Dir: dir}
+	got := mustRun(t, &Runner{KeepPerSeed: true, Executor: warm}, []Spec{spec}, seeds)
+	if s := warm.Stats(); s.Hits != int64(len(seeds)) || s.Misses != 0 || s.WriteErrs != 0 {
+		t.Errorf("warm stats %+v, want %d hits / 0 misses", s, len(seeds))
+	}
+	want := mustRun(t, &Runner{Parallel: 2, KeepPerSeed: true}, []Spec{spec}, seeds)
+	if !aggEqual(want, got) || !metricsEqualBits(want[0].Metrics, got[0].Metrics) {
+		t.Errorf("shared-dir aggregate differs from Local:\nlocal %+v\ncache %+v", want[0].Metrics, got[0].Metrics)
 	}
 }
 
@@ -181,7 +225,7 @@ func TestCacheRoundTripsHostileFloats(t *testing.T) {
 	seeds := []int64{13} // the NaN seed
 	cold := &Cache{Inner: &Local{Parallel: 1}, Dir: dir}
 	a := mustRun(t, &Runner{KeepPerSeed: true, Executor: cold}, []Spec{spec}, seeds)
-	warm := &Cache{Inner: FailExecutor("missed"), Dir: dir}
+	warm := &Cache{Inner: failExecutor("missed"), Dir: dir}
 	b := mustRun(t, &Runner{KeepPerSeed: true, Executor: warm}, []Spec{spec}, seeds)
 	av, bv := a[0].PerSeed[0].Values, b[0].PerSeed[0].Values
 	if len(av) != len(bv) {

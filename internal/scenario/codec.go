@@ -18,10 +18,9 @@ import (
 // errors (EOF, broken pipe).
 var ErrDecode = errors.New("decode error")
 
-// The result codec. Results cross three boundaries that must not change a
-// single bit: the shard worker protocol (worker → coordinator over TCP),
-// the result-store protocol and the on-disk result cache (cold write →
-// warm read). The wire form is a compact binary encoding:
+// The result codec. Results cross two boundaries that must not change a
+// single bit: the shard worker protocol (worker → coordinator over TCP)
+// and the on-disk result cache (cold write → warm read). The wire form is a compact binary encoding:
 // length-delimited name/table strings and name-sorted values carried as
 // raw math.Float64bits — so bit-exactness (NaN, the infinities, signed
 // zero, denormals) is trivially true, with no hex round trip and no fmt in
@@ -57,18 +56,6 @@ const (
 	frameResult    = 0x03 // worker → coordinator: [type][epoch][spec][varint seed][binary Result]
 	frameError     = 0x04 // worker → coordinator: [type][epoch][spec][varint seed][msg]
 	frameHeartbeat = 0x05 // worker → coordinator: [type] — liveness only
-)
-
-// Result-store frame types (ServeStore and its remoteStore client): each
-// request frame is answered by exactly one reply frame. Keys are
-// entryRel-shaped paths; Results travel in the binary codec below, and the
-// receiver decodes them, so an undecodable PUT is refused, not stored.
-const (
-	frameStoreGet   = 0x06 // client → store: [type][uvarint len][key]
-	frameStorePut   = 0x07 // client → store: [type][uvarint len][key][binary Result]
-	frameStoreFound = 0x08 // store → client: [type][binary Result] — the GET's entry
-	frameStoreOK    = 0x09 // store → client: [type] — GET: no such entry (a miss); PUT: stored
-	frameStoreError = 0x0a // store → client: [type][uvarint len][message] — bad key, undecodable PUT, failed write
 )
 
 // resultEncoder appends binary Result encodings, reusing its name-sort
@@ -327,38 +314,6 @@ func (f *frameScratch) errorFrame(spec []byte, seed, epoch int64, msg string) []
 	return f.finish()
 }
 
-func (f *frameScratch) storeGetFrame(key string) []byte {
-	f.begin(frameStoreGet)
-	f.buf = appendLenBytes(f.buf, key)
-	return f.finish()
-}
-
-// storePutFrame encodes res directly into the frame buffer, like
-// resultFrame.
-func (f *frameScratch) storePutFrame(key string, res Result) []byte {
-	f.begin(frameStorePut)
-	f.buf = appendLenBytes(f.buf, key)
-	f.buf = f.enc.appendResult(f.buf, res)
-	return f.finish()
-}
-
-func (f *frameScratch) storeFoundFrame(res Result) []byte {
-	f.begin(frameStoreFound)
-	f.buf = f.enc.appendResult(f.buf, res)
-	return f.finish()
-}
-
-func (f *frameScratch) storeOKFrame() []byte {
-	f.begin(frameStoreOK)
-	return f.finish()
-}
-
-func (f *frameScratch) storeErrorFrame(msg string) []byte {
-	f.begin(frameStoreError)
-	f.buf = appendLenBytes(f.buf, msg)
-	return f.finish()
-}
-
 // readRawFrame reads one length-prefixed frame into *buf (grown on
 // demand, reused across calls) and returns the payload, which aliases
 // *buf until the next call. A clean EOF at a frame boundary is io.EOF;
@@ -498,56 +453,4 @@ func parseWireRequest(p []byte, scratch []int64) (wireRequest, error) {
 		return fail("trailing bytes after seeds")
 	}
 	return req, nil
-}
-
-// storeMsg is one parsed result-store frame. Byte-slice fields alias the
-// frame buffer and are valid until the next read.
-type storeMsg struct {
-	ftype  byte
-	key    []byte // GET, PUT
-	result []byte // PUT, found: binary Result encoding, still undecoded
-	errMsg []byte // error
-}
-
-// parseStoreMsg decodes a result-store frame payload travelling in the
-// given direction (reply: store → client). Every malformed payload —
-// unknown type, a frame of the other direction, truncation, trailing
-// bytes — fails with ErrDecode.
-func parseStoreMsg(p []byte, reply bool) (storeMsg, error) {
-	fail := func(msg string) (storeMsg, error) {
-		return storeMsg{}, fmt.Errorf("%w: store frame: %s", ErrDecode, msg)
-	}
-	if len(p) == 0 {
-		return fail("empty frame")
-	}
-	m := storeMsg{ftype: p[0]}
-	b := p[1:]
-	var ok bool
-	switch {
-	case !reply && m.ftype == frameStoreGet:
-		if m.key, b, ok = getLenBytes(b); !ok || len(b) != 0 {
-			return fail("malformed get")
-		}
-	case !reply && m.ftype == frameStorePut:
-		if m.key, b, ok = getLenBytes(b); !ok || len(b) == 0 {
-			return fail("malformed put")
-		}
-		m.result = b
-	case reply && m.ftype == frameStoreFound:
-		if len(b) == 0 {
-			return fail("empty result")
-		}
-		m.result = b
-	case reply && m.ftype == frameStoreOK:
-		if len(b) != 0 {
-			return fail("malformed ok")
-		}
-	case reply && m.ftype == frameStoreError:
-		if m.errMsg, b, ok = getLenBytes(b); !ok || len(b) != 0 {
-			return fail("malformed error message")
-		}
-	default:
-		return fail(fmt.Sprintf("unexpected frame type 0x%02x", m.ftype))
-	}
-	return m, nil
 }

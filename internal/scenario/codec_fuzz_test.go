@@ -10,8 +10,8 @@ import (
 )
 
 // FuzzDecodeFrame fuzzes the codec layers every transport shares — the
-// length-prefixed frame reader, the worker and result-store frame-payload
-// parsers for both directions, and the binary Result codec — with the
+// length-prefixed frame reader, the worker frame-payload parsers for both
+// directions, and the binary Result codec — with the
 // totality contract the supervisor depends on: any mutation of the byte
 // stream yields ErrDecode (corruption, including a version-byte mismatch)
 // or io.EOF/io.ErrUnexpectedEOF (truncation), a zero Result, and never a
@@ -19,7 +19,7 @@ import (
 func FuzzDecodeFrame(f *testing.F) {
 	// Seed corpus: the codec_test.go shapes — hostile floats, empty values,
 	// framed streams, version skew, truncations, garbage, an oversized
-	// header — plus every store frame and truncated store frames.
+	// header, and the retired result-store frame types.
 	hostile := Result{
 		Name:  "hostile",
 		Table: "t",
@@ -62,15 +62,22 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(resp[:2])                                  // truncated mid-header
 	f.Add([]byte("chaos! not a frame {{{"))          // garbage
 	f.Add(append([]byte{0xff, 0xff, 0xff, 0xff}, 1)) // oversized header
-	f.Add(append([]byte(nil), fs.storeGetFrame("code/spec-0a/seed1.bin")...))
-	put := append([]byte(nil), fs.storePutFrame("code/spec-0a/seed1.bin", hostile)...)
+	// Frames of the retired result-store types (0x06-0x0a), whole and
+	// truncated: a worker session must reject them as decode faults.
+	retired := func(ftype byte, body []byte) []byte {
+		p := append([]byte{ftype}, body...)
+		return append(binary.BigEndian.AppendUint32(nil, uint32(len(p))), p...)
+	}
+	key := appendLenBytes(nil, "code/spec-0a/seed1.bin")
+	put := retired(0x07, append(append([]byte(nil), key...), enc...))
+	found := retired(0x08, enc)
+	f.Add(retired(0x06, key))
 	f.Add(put)
-	found := append([]byte(nil), fs.storeFoundFrame(hostile)...)
 	f.Add(found)
-	f.Add(append([]byte(nil), fs.storeOKFrame()...)) // a GET miss, or a stored PUT
-	f.Add(append([]byte(nil), fs.storeErrorFrame("bad key")...))
-	f.Add(put[:7])              // truncated inside the key
-	f.Add(found[:len(found)-5]) // truncated inside the Result
+	f.Add(retired(0x09, nil))
+	f.Add(retired(0x0a, appendLenBytes(nil, "bad key")))
+	f.Add(put[:7])
+	f.Add(found[:len(found)-5])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Result codec: total, loud, all-or-nothing.
@@ -116,25 +123,6 @@ func FuzzDecodeFrame(f *testing.F) {
 			// Request direction: the worker-side parser must be just as total.
 			if _, err := parseWireRequest(payload, nil); err != nil && !errors.Is(err, ErrDecode) {
 				t.Errorf("parseWireRequest error %v does not wrap ErrDecode", err)
-			}
-			// Store frames, both directions: total, and any carried Result
-			// decodes totally too.
-			for _, reply := range []bool{false, true} {
-				sm, err := parseStoreMsg(payload, reply)
-				if err != nil {
-					if !errors.Is(err, ErrDecode) {
-						t.Errorf("parseStoreMsg error %v does not wrap ErrDecode", err)
-					}
-					if sm.ftype != 0 || sm.key != nil || sm.result != nil || sm.errMsg != nil {
-						t.Errorf("parseStoreMsg leaked a partial message on error: %+v", sm)
-					}
-					continue
-				}
-				if sm.result != nil {
-					if _, derr := DecodeResult(sm.result); derr != nil && !errors.Is(derr, ErrDecode) {
-						t.Errorf("store Result error %v does not wrap ErrDecode", derr)
-					}
-				}
 			}
 		}
 	})

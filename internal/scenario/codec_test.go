@@ -261,7 +261,7 @@ func TestDecodeErrorsAreLoudAndTotal(t *testing.T) {
 
 // TestFrameRoundTrip checks the binary framing layer: request frames,
 // per-seed response frames, hello/heartbeat, clean EOF at a boundary vs.
-// truncation inside a frame — plus the result-store frames.
+// truncation inside a frame.
 func TestFrameRoundTrip(t *testing.T) {
 	var fs frameScratch
 	var stream bytes.Buffer
@@ -329,39 +329,13 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Errorf("truncated frame: %v, want unexpected-EOF error", err)
 	}
 
-	// Store frames: each parses in its own direction only.
-	storeRes := Result{Name: "r", Table: "t", Values: map[string]float64{"negzero": math.Copysign(0, -1)}}
-	parse := func(frame []byte, reply bool) storeMsg {
-		t.Helper()
-		m, err := parseStoreMsg(frame[4:], reply)
-		if err != nil {
-			t.Fatal(err)
+	// The retired result-store frame types are not worker messages.
+	for ftype := byte(0x06); ftype <= 0x0a; ftype++ {
+		if _, err := parseWireMsg([]byte{ftype}); !errors.Is(err, ErrDecode) {
+			t.Errorf("frame type 0x%02x: err = %v, want ErrDecode", ftype, err)
 		}
-		if _, err := parseStoreMsg(frame[4:], !reply); !errors.Is(err, ErrDecode) {
-			t.Errorf("frame type 0x%02x parsed in the wrong direction: %v", frame[4], err)
-		}
-		return m
 	}
-	if m := parse(fs.storeGetFrame("a/b.bin"), false); m.ftype != frameStoreGet || string(m.key) != "a/b.bin" {
-		t.Errorf("get = %+v", m)
-	}
-	put := parse(fs.storePutFrame("a/b.bin", storeRes), false)
-	if put.ftype != frameStorePut || string(put.key) != "a/b.bin" {
-		t.Errorf("put = %+v", put)
-	}
-	if got, err := DecodeResult(put.result); err != nil || math.Float64bits(got.Values["negzero"]) != 1<<63 {
-		t.Errorf("put result = %+v / %v", got, err)
-	}
-	found := parse(fs.storeFoundFrame(storeRes), true)
-	if got, err := DecodeResult(found.result); found.ftype != frameStoreFound || err != nil || got.Name != "r" {
-		t.Errorf("found = %+v: %+v / %v", found, got, err)
-	}
-	if m := parse(fs.storeOKFrame(), true); m.ftype != frameStoreOK {
-		t.Errorf("ok = %+v", m)
-	}
-	if m := parse(fs.storeErrorFrame("bad key"), true); m.ftype != frameStoreError || string(m.errMsg) != "bad key" {
-		t.Errorf("error = %+v", m)
-	}
+
 }
 
 // newTestConn wraps a canned byte stream, written by a fake worker into

@@ -614,14 +614,3 @@ func (s *Shard) Close() error {
 	}
 	return nil
 }
-
-// errExecutor is an Executor that always fails; the cache tests use it to
-// prove warm runs never reach the inner backend.
-type errExecutor struct{ err error }
-
-func (e errExecutor) Run(Spec, []int64, Emit) error { return e.err }
-
-// FailExecutor returns an Executor whose Run always returns an error with
-// the given message. It exists for tests that must prove a decorator never
-// delegates (e.g. a warm cache).
-func FailExecutor(msg string) Executor { return errExecutor{errors.New(msg)} }
